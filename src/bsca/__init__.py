@@ -7,7 +7,6 @@ from .core import (
     BlockPartition,
     BlockPoint,
     Box,
-    CallableRegularizer,
     CompositeProblem,
     L1Norm,
     RunTrace,
@@ -23,12 +22,12 @@ from .engine import (
     BlockSolution,
     BregmanBaselineSpec,
     bsca_step,
+    inexact_solver,
     quadratic_solver,
     make_surrogate_solver,
     run_bgd,
     run_bpgd,
     run_bsca,
-    run_inexact_bsca,
     run_parallel_sca,
     select_block,
 )

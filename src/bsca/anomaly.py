@@ -26,6 +26,7 @@ from .core import (
     RunTrace,
     SolverConfig,
     Zero,
+    is_stationary,
     make_partition,
 )
 from .engine import BlockSolution, BlockSolver, run_bsca
@@ -249,7 +250,7 @@ def step_sparse(state: AnomalyState, instance: AnomalyInstance,
     ``sparse_exact_stepsize``."""
     candidate = best_sparse_candidate(state, instance)
     delta = candidate - state.sparse
-    if np.linalg.norm(delta) <= stationarity_rtol * (1.0 + np.linalg.norm(state.sparse)):
+    if is_stationary(delta, state.sparse, stationarity_rtol):
         return state.sparse, 0.0
     gamma = sparse_exact_stepsize(state, candidate, instance, proximal)
     return state.sparse + gamma * delta, gamma
@@ -290,7 +291,10 @@ def anomaly_problem(instance: AnomalyInstance) -> CompositeProblem:
             return (s.left.T @ fit + ridge * s.right).ravel()
         return (D.T @ fit).ravel()
 
-    def line_profile(x: np.ndarray, direction: np.ndarray):
+    def line_profile(x: np.ndarray, direction: np.ndarray,
+                     block: int | None = None):
+        if block is not None:
+            direction = partition.embed(block, direction)
         s = unpack(x)
         ds = unpack(direction)
         fit = s.left @ s.right + D @ s.sparse - Y

@@ -30,11 +30,12 @@ from .anomaly import (
 from .core import EXACT, SUCCESSIVE, RunTrace, SolverConfig
 from .engine import (
     BregmanBaselineSpec,
-    quadratic_outer_factory,
+    inexact_solver,
     make_surrogate_solver,
+    quadratic_outer_factory,
     run_bgd,
     run_bpgd,
-    run_inexact_bsca,
+    run_bsca,
     run_parallel_sca,
 )
 from .errors import BscaError
@@ -195,8 +196,8 @@ def run_algorithm(instance, algorithm: str, opts: dict) -> RunTrace:
         if algorithm == "bgd":
             return run_bgd(problem, config, x0)
         if algorithm == "inexact-bsca":
-            return run_inexact_bsca(problem, quadratic_outer_factory(opts["c"]),
-                                    config, x0)
+            return run_bsca(problem, inexact_solver(
+                quadratic_outer_factory(opts["c"]), config), config, x0)
     elif kind == "PhaseRetrievalInstance":
         if opts["blocks"] is not None:
             if algorithm == "bpgd" and opts["blocks"] != 1:

@@ -45,6 +45,12 @@ class BlockPartition:
         start = self.offsets[k]
         return slice(start, start + self.block_sizes[k])
 
+    def embed(self, k: int, block: np.ndarray) -> np.ndarray:
+        """Flat vector that holds ``block`` in block k and zeros elsewhere."""
+        flat = np.zeros(self.total)
+        flat[self.slice_of(k)] = block
+        return flat
+
 
 def make_partition(block_sizes: Sequence[int]) -> BlockPartition:
     """Build a partition from positive block sizes.
@@ -155,17 +161,7 @@ class L1Norm:
         return float(self.gain * np.abs(v).sum())
 
 
-@dataclass(frozen=True)
-class CallableRegularizer:
-    """Opaque convex g_k; evaluation only, no closed-form solves."""
-
-    fn: Callable[[np.ndarray], float]
-
-    def value(self, v: np.ndarray) -> float:
-        return float(self.fn(v))
-
-
-Regularizer = Zero | L1Norm | CallableRegularizer
+Regularizer = Zero | L1Norm
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +173,14 @@ class CompositeProblem:
     """h(x) = f(x) + sum_k g_k(x_k) over a Cartesian product of sets.
 
     ``smooth_value`` and ``block_gradient`` must be pure functions of the
-    flat variable.  ``line_profile``, when provided, returns the exact
-    polynomial profile of ``f(x + gamma * direction) - f(x)`` on [0, 1]
-    as a ScalarProfile (see linesearch); solvers use it for closed-form
-    exact line searches and fall back to golden section without it.
+    flat variable.  ``line_profile(x, direction, block=None)``, when
+    provided, returns the exact polynomial profile of
+    ``f(x + gamma * d) - f(x)`` on [0, 1] as a ScalarProfile (see
+    linesearch), where ``d`` is ``direction`` itself when ``block`` is
+    None and ``direction`` embedded in block ``block`` otherwise (then
+    ``direction`` has that block's length).  Solvers use it for
+    closed-form exact line searches and fall back to golden section
+    without it.
 
     Existence of limit points (a coercive objective or bounded constraint
     sets) is the caller's obligation; nothing here can check it.
@@ -191,7 +191,7 @@ class CompositeProblem:
     block_gradient: Callable[[np.ndarray, int], np.ndarray]
     nonsmooth: tuple[Regularizer, ...]
     constraints: tuple[Constraint, ...] = ()
-    line_profile: Callable[[np.ndarray, np.ndarray], object] | None = None
+    line_profile: Callable[..., object] | None = None
 
     def __post_init__(self) -> None:
         K = self.partition.num_blocks
@@ -280,6 +280,12 @@ class SolverConfig:
     relative objective decrease over a full sweep drops below
     ``stop_tol`` or when every block update in a sweep was a
     stationarity skip.
+
+    ``audit_profiles`` checks every closed-form line profile against
+    five fresh evaluations of ``f`` before its minimizer is trusted
+    (ProfileMismatchError beyond 1e-8 relative); each audit costs six
+    evaluations of ``f``.  ``run_phase_retrieval`` audits whatever the
+    setting.
     """
 
     max_outer_iterations: int
@@ -324,6 +330,13 @@ class SolverConfig:
                 raise ConfigError("block probabilities must all be positive")
             if abs(p.sum() - 1.0) > 1e-12:
                 raise ConfigError("block probabilities must sum to one")
+
+
+def is_stationary(delta: np.ndarray, anchor: np.ndarray, rtol: float) -> bool:
+    """True when the displacement ``delta`` from ``anchor`` is zero up to
+    rounding, ``||delta|| <= rtol * (1 + ||anchor||)``; every solver skips
+    such a step."""
+    return bool(np.linalg.norm(delta) <= rtol * (1.0 + np.linalg.norm(anchor)))
 
 
 # ---------------------------------------------------------------------------

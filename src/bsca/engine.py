@@ -1,6 +1,7 @@
-"""Solver loops: sequential block updates (exact and inexact two-layer),
-the all-blocks-at-once parallel variant, block gradient descent, and the
-Bregman proximal gradient baseline.
+"""Solver loops: one sequential loop over block solvers (closed-form
+surrogate minimizers, or the inexact two-layer update), the
+all-blocks-at-once parallel variant, and the Bregman proximal gradient
+baseline.
 
 Every loop produces a RunTrace whose objective column is nonincreasing.
 A run stops at ``max_outer_iterations``, or earlier with reason
@@ -28,6 +29,7 @@ from .core import (
     CompositeProblem,
     RunTrace,
     SolverConfig,
+    is_stationary,
     objective,
 )
 from .errors import (
@@ -182,12 +184,6 @@ class _RunBook:
 _SKIP = StepResult(0.0, None, 0.0)
 
 
-def _embed(problem: CompositeProblem, k: int, delta: np.ndarray) -> np.ndarray:
-    direction = np.zeros(problem.partition.total)
-    direction[problem.partition.slice_of(k)] = delta
-    return direction
-
-
 def _audit_profile(problem: CompositeProblem, x: np.ndarray,
                    direction: np.ndarray, profile: ScalarProfile) -> None:
     """Check the polynomial profile against fresh objective evaluations."""
@@ -204,25 +200,28 @@ def _audit_profile(problem: CompositeProblem, x: np.ndarray,
 
 def _line_search(problem: CompositeProblem, config: SolverConfig,
                  x: np.ndarray, direction: np.ndarray, delta_g: float,
-                 d: float) -> StepResult:
+                 d: float, block: int | None = None) -> StepResult:
+    """Stepsize along ``direction``, which is block ``block``'s
+    displacement when a block is given and the full one otherwise."""
+    full = direction if block is None else problem.partition.embed(block, direction)
     if config.line_search == SUCCESSIVE:
 
         def phi(gamma: float) -> float:
-            return problem.smooth_value(x + gamma * direction)
+            return problem.smooth_value(x + gamma * full)
 
         return successive_step(phi, delta_g, d, config.alpha, config.beta,
                                config.armijo_max_exponent)
 
     if problem.line_profile is not None:
-        profile = problem.line_profile(x, direction)
+        profile = problem.line_profile(x, direction, block)
         if profile.kind != "callable":
             if config.audit_profiles:
-                _audit_profile(problem, x, direction, profile)
+                _audit_profile(problem, x, full, profile)
             return profile.with_slope_offset(delta_g).minimize()
 
     f0 = problem.smooth_value(x)
     return _grid_golden(callable_profile(
-        lambda g: problem.smooth_value(x + g * direction) - f0 + g * delta_g))
+        lambda g: problem.smooth_value(x + g * full) - f0 + g * delta_g))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +243,7 @@ def bsca_step(problem: CompositeProblem, solver: BlockSolver, x: np.ndarray,
     sol = solver(problem, x, k)
     minimizer = np.asarray(sol.minimizer, dtype=float)
     delta = minimizer - xk
-    if np.linalg.norm(delta) <= config.stationarity_rtol * (1.0 + np.linalg.norm(xk)):
+    if is_stationary(delta, xk, config.stationarity_rtol):
         return x, _SKIP, 0.0
     reg = problem.nonsmooth[k]
     g_min = reg.value(minimizer)
@@ -257,8 +256,7 @@ def bsca_step(problem: CompositeProblem, solver: BlockSolver, x: np.ndarray,
     if sol.is_global_upper_bound:
         step = StepResult(1.0, None, 0.0)
     else:
-        step = _line_search(problem, config, x, _embed(problem, k, delta),
-                            g_min - g_cur, d)
+        step = _line_search(problem, config, x, delta, g_min - g_cur, d, k)
     x_next = x.copy()
     x_next[sl] = xk + step.gamma * delta
     return x_next, step, d
@@ -309,7 +307,7 @@ def run_parallel_sca(problem: CompositeProblem, solver: BlockSolver,
             xk = x[sl]
             minimizer = np.asarray(solver(problem, x, k).minimizer, dtype=float)
             delta = minimizer - xk
-            if np.linalg.norm(delta) <= config.stationarity_rtol * (1.0 + np.linalg.norm(xk)):
+            if is_stationary(delta, xk, config.stationarity_rtol):
                 continue
             active = True
             direction[sl] = delta
@@ -331,7 +329,7 @@ def run_parallel_sca(problem: CompositeProblem, solver: BlockSolver,
 
 
 # ---------------------------------------------------------------------------
-# inexact two-layer variant
+# inexact two-layer update
 # ---------------------------------------------------------------------------
 
 OuterSurrogateFactory = Callable[[CompositeProblem, np.ndarray, int], SurrogateModel]
@@ -342,13 +340,13 @@ def quadratic_outer_factory(curvature: float) -> OuterSurrogateFactory:
 
 
 def inexact_inner_loop(model: SurrogateModel, problem: CompositeProblem,
-                       k: int, config: SolverConfig) -> tuple[np.ndarray, bool]:
+                       k: int, config: SolverConfig) -> np.ndarray:
     """Run the inner best-response iteration for ``inner_iterations``
-    rounds on the outer model; returns (approximate minimizer, skipped).
+    rounds on the outer model and return the approximate minimizer.
 
-    ``skipped`` is True when the very first inner subproblem returned its
-    own anchor, i.e. the current block already solves the outer
-    subproblem and the whole block update can be skipped.
+    When the very first inner subproblem returns its own anchor (the
+    current block already solves the outer subproblem) the result is
+    the anchor, so the block update is a stationarity skip.
     """
     if not model.has_quadratic_form:
         raise ConfigError(
@@ -356,11 +354,11 @@ def inexact_inner_loop(model: SurrogateModel, problem: CompositeProblem,
     reg = problem.nonsmooth[k]
     constraint = problem.constraints[k]
     x_tau = model.anchor.copy()
-    for tau in range(config.inner_iterations):
+    for _ in range(config.inner_iterations):
         target = inner_best_response_step(model, x_tau, reg, constraint)
         delta = target - x_tau
-        if np.linalg.norm(delta) <= config.stationarity_rtol * (1.0 + np.linalg.norm(x_tau)):
-            return x_tau, tau == 0
+        if is_stationary(delta, x_tau, config.stationarity_rtol):
+            break
         if config.inner_line_search == SUCCESSIVE:
             grad_tau = model.quad_apply(x_tau) - model.quad_linear
             d_inner = float(grad_tau @ delta) + reg.value(target) - reg.value(x_tau)
@@ -374,56 +372,23 @@ def inexact_inner_loop(model: SurrogateModel, problem: CompositeProblem,
         else:
             gamma = inner_exact_stepsize(model, x_tau, target, reg)
         if gamma <= 0.0:
-            # only at the rounding floor of the surrogate objective
-            return x_tau, tau == 0
+            break    # only at the rounding floor of the surrogate objective
         x_tau = x_tau + gamma * delta
-    return x_tau, False
+    return x_tau
 
 
-def inexact_bsca_step(problem: CompositeProblem,
-                      outer_factory: OuterSurrogateFactory, x: np.ndarray,
-                      k: int, config: SolverConfig) -> tuple[np.ndarray, StepResult, float]:
-    """One outer iteration of the two-layer scheme on block k."""
-    x = np.asarray(x, dtype=float)
-    sl = problem.partition.slice_of(k)
-    xk = x[sl]
-    model = outer_factory(problem, x, k)
-    x_tilde, skipped = inexact_inner_loop(model, problem, k, config)
-    if skipped:
-        return x, _SKIP, 0.0
-    delta = x_tilde - xk
-    if np.linalg.norm(delta) <= config.stationarity_rtol * (1.0 + np.linalg.norm(xk)):
-        return x, _SKIP, 0.0
-    reg = problem.nonsmooth[k]
-    g_tilde = reg.value(x_tilde)
-    g_cur = reg.value(xk)
-    d = descent_quantity(problem.block_gradient(x, k), x_tilde, xk,
-                         g_tilde, g_cur)
-    if d >= 0.0:
-        return x, _SKIP, d
-    step = _line_search(problem, config, x, _embed(problem, k, delta),
-                        g_tilde - g_cur, d)
-    x_next = x.copy()
-    x_next[sl] = xk + step.gamma * delta
-    return x_next, step, d
+def inexact_solver(outer_factory: OuterSurrogateFactory,
+                   config: SolverConfig) -> BlockSolver:
+    """The two-layer update as a block solver: the outer model's
+    subproblem is solved by ``config.inner_iterations`` inner
+    best-response rounds, and the engine's line search takes the outer
+    step.  Run it with ``run_bsca``."""
 
+    def solver(problem: CompositeProblem, x: np.ndarray, k: int) -> BlockSolution:
+        model = outer_factory(problem, x, k)
+        return BlockSolution(inexact_inner_loop(model, problem, k, config))
 
-def run_inexact_bsca(problem: CompositeProblem,
-                     outer_factory: OuterSurrogateFactory,
-                     config: SolverConfig, x0: np.ndarray) -> RunTrace:
-    """Sequential block updates whose subproblems are themselves solved
-    by a finite number of inner best-response iterations."""
-    config.validate(problem.num_blocks)
-    x = np.asarray(x0, dtype=float).copy()
-    rule = make_block_rule(config, problem.num_blocks)
-    book = _RunBook(problem, config, x, problem.num_blocks)
-    for t in range(config.max_outer_iterations):
-        k = select_block(rule, t, problem.num_blocks)
-        candidate, step, _ = inexact_bsca_step(problem, outer_factory, x, k, config)
-        x, stop = book.advance(x, candidate, t, k, step)
-        if stop:
-            break
-    return book.finish(x)
+    return solver
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +452,7 @@ def run_bpgd(instance, spec: BregmanBaselineSpec,
         u = A.T @ x
         grad = A @ (u * (u * u - instance.intensities))
         candidate = bregman_step(x, grad, constant, instance.sparse_gain)
-        if np.linalg.norm(candidate - x) <= config.stationarity_rtol * (1.0 + np.linalg.norm(x)):
+        if is_stationary(candidate - x, x, config.stationarity_rtol):
             candidate, step = x, _SKIP
         else:
             step = StepResult(1.0, None, 0.0)

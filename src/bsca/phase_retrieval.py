@@ -12,41 +12,22 @@ stepsize comes from the exact quartic line search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import (
-    EXACT,
     BlockPartition,
     CompositeProblem,
     L1Norm,
     RunTrace,
     SolverConfig,
-    Unconstrained,
     equal_partition,
-    objective,
 )
-from .engine import (
-    _RunBook,
-    _SKIP,
-    inexact_inner_loop,
-    make_block_rule,
-    select_block,
-)
-from .errors import InvalidArgumentError, ProfileMismatchError
-from .linesearch import (
-    StepResult,
-    descent_quantity,
-    exact_quartic_step,
-    quartic_profile,
-    successive_step,
-)
-from .surrogates import (
-    SurrogateModel,
-    inner_best_response_step,
-    inner_exact_stepsize,
-)
+from .engine import inexact_solver, run_bsca
+from .errors import InvalidArgumentError
+from .linesearch import quartic_profile
+from .surrogates import SurrogateModel
 
 
 @dataclass(frozen=True)
@@ -83,7 +64,8 @@ class PhaseRetrievalInstance:
 
 
 def pr_problem(instance: PhaseRetrievalInstance) -> CompositeProblem:
-    """Composite view with the exact quartic line profile."""
+    """Composite view with the exact quartic line profile.  Along one
+    block the profile is built from the block product ``A_k' delta``."""
     A = instance.sampling
     y = instance.intensities
 
@@ -95,10 +77,11 @@ def pr_problem(instance: PhaseRetrievalInstance) -> CompositeProblem:
         u = A.T @ x
         return instance.block_rows(k) @ (u * (u * u - y))
 
-    def line_profile(x: np.ndarray, direction: np.ndarray):
+    def line_profile(x: np.ndarray, direction: np.ndarray,
+                     block: int | None = None):
         u = A.T @ x
-        w = A.T @ direction
-        return _quartic_coeffs(u, w, y)
+        rows = A if block is None else instance.block_rows(block)
+        return _quartic_coeffs(u, rows.T @ direction, y)
 
     return CompositeProblem(
         partition=instance.partition,
@@ -120,7 +103,7 @@ def _quartic_coeffs(u: np.ndarray, w: np.ndarray, y: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# outer surrogate and the inner closed forms
+# outer surrogate
 # ---------------------------------------------------------------------------
 
 def pr_outer_model(instance: PhaseRetrievalInstance, x: np.ndarray, k: int,
@@ -151,66 +134,6 @@ def pr_outer_model(instance: PhaseRetrievalInstance, x: np.ndarray, k: int,
         quad_matrix=matrix, quad_linear=linear, curvature=curvature)
 
 
-def pr_inner_solve(model: SurrogateModel, x_tau: np.ndarray,
-                   gain: float) -> np.ndarray:
-    """Closed-form inner best-response: elementwise soft-threshold of the
-    diagonally preconditioned model gradient step."""
-    return inner_best_response_step(model, np.asarray(x_tau, dtype=float),
-                                    L1Norm(gain), Unconstrained())
-
-
-def pr_inner_stepsize(model: SurrogateModel, x_tau: np.ndarray,
-                      minimizer: np.ndarray, gain: float) -> float:
-    """Exact line search over the outer model along the inner direction."""
-    return inner_exact_stepsize(model, np.asarray(x_tau, dtype=float),
-                                np.asarray(minimizer, dtype=float),
-                                L1Norm(gain))
-
-
-def pr_outer_stepsize(instance: PhaseRetrievalInstance, x: np.ndarray,
-                      x_tilde_k: np.ndarray, k: int, gain: float,
-                      audit: bool = True,
-                      audit_rng: np.random.Generator | None = None) -> StepResult:
-    """Exact quartic stepsize for the outer update along block k.
-
-    All four polynomial coefficients are built from the block
-    displacement, and the reconstructed profile is verified against
-    fresh objective evaluations at five stepsizes before the cubic-root
-    computation is trusted; a mismatch raises ProfileMismatchError.
-    """
-    x = np.asarray(x, dtype=float)
-    sl = instance.partition.slice_of(k)
-    x_tilde_k = np.asarray(x_tilde_k, dtype=float)
-    delta = x_tilde_k - x[sl]
-    u = instance.sampling.T @ x
-    w = instance.block_rows(k).T @ delta
-    profile = _quartic_coeffs(u, w, instance.intensities)
-    if audit:
-        _audit_outer_profile(instance, x, sl, delta, profile, audit_rng)
-    v4, v3, v2, v1 = profile.coeffs
-    delta_g = float(gain * np.abs(x_tilde_k).sum()) - float(gain * np.abs(x[sl]).sum())
-    return exact_quartic_step(v4, v3, v2, v1 + delta_g)
-
-
-def _audit_outer_profile(instance, x, sl, delta, profile, rng) -> None:
-    probes = rng.uniform(0.05, 1.0, size=5) if rng is not None else \
-        (0.15, 0.35, 0.55, 0.75, 0.95)
-    A = instance.sampling
-    y = instance.intensities
-    fit0 = (A.T @ x) ** 2 - y
-    f0 = float(0.25 * fit0 @ fit0)
-    probe_x = x.copy()
-    for gamma in probes:
-        probe_x[sl] = x[sl] + gamma * delta
-        fit = (A.T @ probe_x) ** 2 - y
-        direct = float(0.25 * fit @ fit) - f0
-        predicted = profile.value(gamma)
-        if abs(predicted - direct) > 1e-8 * max(1.0, abs(f0), abs(direct)):
-            raise ProfileMismatchError(
-                f"quartic profile predicts {predicted!r} but the objective "
-                f"moved {direct!r} at gamma={gamma}")
-
-
 # ---------------------------------------------------------------------------
 # the two-layer solver
 # ---------------------------------------------------------------------------
@@ -220,51 +143,21 @@ def run_phase_retrieval(instance: PhaseRetrievalInstance, config: SolverConfig,
     """Inexact block descent: cyclic/random outer block selection, a
     finite number of soft-threshold inner rounds per block, exact (or
     Armijo) outer stepsize.  The initial point must be nonzero (the
-    origin is a saddle with zero gradient)."""
-    problem = pr_problem(instance)
-    config.validate(problem.num_blocks)
+    origin is a saddle with zero gradient).  Every exact outer step is
+    audited against fresh objective evaluations, whatever
+    ``config.audit_profiles`` says."""
     if x0 is None:
-        x = np.random.default_rng(config.seed).standard_normal(instance.num_unknowns)
+        start = np.random.default_rng(config.seed).standard_normal(instance.num_unknowns)
     else:
-        x = np.asarray(x0, dtype=float).copy()
-        if not np.any(x):
+        start = np.asarray(x0, dtype=float)
+        if not np.any(start):
             raise InvalidArgumentError("initial point must be nonzero")
-    gain = instance.sparse_gain
-    rule = make_block_rule(config, problem.num_blocks)
-    book = _RunBook(problem, config, x, problem.num_blocks)
-    for t in range(config.max_outer_iterations):
-        k = select_block(rule, t, problem.num_blocks)
-        model = pr_outer_model(instance, x, k, config.curvature)
-        x_tilde, skipped = inexact_inner_loop(model, problem, k, config)
-        candidate, step = x, _SKIP
-        if not skipped:
-            sl = instance.partition.slice_of(k)
-            xk = x[sl]
-            delta = x_tilde - xk
-            if np.linalg.norm(delta) > config.stationarity_rtol * (1.0 + np.linalg.norm(xk)):
-                g_tilde = float(gain * np.abs(x_tilde).sum())
-                g_cur = float(gain * np.abs(xk).sum())
-                d = descent_quantity(problem.block_gradient(x, k), x_tilde, xk,
-                                     g_tilde, g_cur)
-                if d < 0.0:
-                    if config.line_search == EXACT:
-                        step = pr_outer_stepsize(instance, x, x_tilde, k, gain)
-                    else:
-                        direction = np.zeros(instance.num_unknowns)
-                        direction[sl] = delta
 
-                        def phi(gamma: float) -> float:
-                            return problem.smooth_value(x + gamma * direction)
+    def outer_model(problem: CompositeProblem, x: np.ndarray, k: int) -> SurrogateModel:
+        return pr_outer_model(instance, x, k, config.curvature)
 
-                        step = successive_step(
-                            phi, g_tilde - g_cur, d, config.alpha, config.beta,
-                            config.armijo_max_exponent)
-                    candidate = x.copy()
-                    candidate[sl] = xk + step.gamma * delta
-        x, stop = book.advance(x, candidate, t, k, step)
-        if stop:
-            break
-    return book.finish(x)
+    return run_bsca(pr_problem(instance), inexact_solver(outer_model, config),
+                    replace(config, audit_profiles=True), start)
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +200,3 @@ def with_blocks(instance: PhaseRetrievalInstance,
         sparse_gain=instance.sparse_gain,
         partition=equal_partition(instance.num_unknowns, num_blocks),
         signal=instance.signal, seed=instance.seed, density=instance.density)
-
-
-def pr_objective(instance: PhaseRetrievalInstance, x: np.ndarray) -> float:
-    return objective(pr_problem(instance), x)

@@ -9,6 +9,7 @@ exactly.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -32,21 +33,25 @@ def write_matrix(path, matrix: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", rows, cols))
-        fh.write(m.tobytes(order="C"))
+        fh.write(m.data)
 
 
 def read_matrix(path) -> np.ndarray:
+    """Read a matrix file straight into one preallocated array."""
     with open(path, "rb") as fh:
         header = fh.read(16)
         if len(header) != 16 or header[:8] != MAGIC:
             raise InvalidArgumentError(f"{path}: not a matrix file")
         rows, cols = struct.unpack("<II", header[8:])
-        payload = fh.read()
-    expected = rows * cols * 8
-    if len(payload) != expected:
+        expected = rows * cols * 8
+        payload = os.fstat(fh.fileno()).st_size - len(header)
+        if payload == expected:
+            matrix = np.empty((rows, cols), dtype="<f8")
+            payload = fh.readinto(matrix)
+    if payload != expected:
         raise InvalidArgumentError(
-            f"{path}: payload holds {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype="<f8").astype(float).reshape(rows, cols)
+            f"{path}: payload holds {payload} bytes, expected {expected}")
+    return matrix.astype(float, copy=False)
 
 
 def format_scalar(value) -> str:

@@ -36,7 +36,9 @@ def random_quadratic_problem(rng, block_sizes, l1_gain=0.0, box_halfwidth=None,
     def block_gradient(x, k):
         return (hessian @ x - target)[partition.slice_of(k)]
 
-    def line_profile(x, d):
+    def line_profile(x, d, block=None):
+        if block is not None:
+            d = partition.embed(block, d)
         return quadratic_profile(float(d @ (hessian @ d)),
                                  float(d @ (hessian @ x - target)))
 

@@ -49,7 +49,6 @@ from bsca.oracles import dense_spd_solve, finite_diff_block_gradient, golden_sec
 from bsca.phase_retrieval import (
     generate_pr_instance,
     pr_outer_model,
-    pr_outer_stepsize,
     pr_problem,
     run_phase_retrieval,
     with_blocks,
@@ -248,22 +247,23 @@ def test_criterion_4_quartic_profile_audit():
         k = int(gen.integers(blocks))
         sl = inst.partition.slice_of(k)
         x_tilde = x[sl] + gen.standard_normal(sl.stop - sl.start)
-        # the built-in audit raises on any mismatch beyond 1e-8 relative
-        step = pr_outer_stepsize(inst, x, x_tilde, k, inst.sparse_gain,
-                                 audit=True, audit_rng=gen)
-        # independent reconstruction check at 5 more random stepsizes
         problem = pr_problem(inst)
-        direction = np.zeros(unknowns)
-        direction[sl] = x_tilde - x[sl]
-        prof = problem.line_profile(x, direction)
+        delta = x_tilde - x[sl]
+        direction = inst.partition.embed(k, delta)
         f0 = problem.smooth_value(x)
-        for gamma in gen.uniform(0.0, 1.0, 5):
-            direct = problem.smooth_value(x + gamma * direction) - f0
-            err = abs(prof.value(gamma) - direct) / max(1.0, abs(f0), abs(direct))
-            worst = max(worst, err)
+        # the block-local profile an outer step searches, at the audit's
+        # five stepsizes, then the full-direction profile of a joint
+        # step at five independent ones
+        probes = ((problem.line_profile(x, delta, k), gen.uniform(0.05, 1.0, 5)),
+                  (problem.line_profile(x, direction), gen.uniform(0.0, 1.0, 5)))
+        for prof, gammas in probes:
+            for gamma in gammas:
+                direct = problem.smooth_value(x + gamma * direction) - f0
+                err = abs(prof.value(gamma) - direct) / max(1.0, abs(f0), abs(direct))
+                worst = max(worst, err)
     ok = worst <= 1e-8
     report(4, ok, f"worst relative profile error {worst:.2e} (<=1e-8) "
-                  f"over 200 instances x 5 stepsizes")
+                  f"over 200 instances x 5 block and 5 joint stepsizes")
     assert worst <= 1e-8
 
 

@@ -1,22 +1,27 @@
 import numpy as np
 import pytest
 
-from bsca.core import SolverConfig, make_partition
-from bsca.engine import run_inexact_bsca, run_parallel_sca, make_surrogate_solver
+from bsca import phase_retrieval
+from bsca.core import L1Norm, SolverConfig, Unconstrained, make_partition
+from bsca.engine import (
+    _audit_profile,
+    inexact_solver,
+    make_surrogate_solver,
+    run_bsca,
+    run_parallel_sca,
+)
 from bsca.errors import InvalidArgumentError, ProfileMismatchError
 from bsca.oracles import finite_diff_block_gradient, golden_section
 from bsca.phase_retrieval import (
     PhaseRetrievalInstance,
+    _quartic_coeffs,
     generate_pr_instance,
-    pr_inner_solve,
-    pr_inner_stepsize,
     pr_outer_model,
-    pr_outer_stepsize,
     pr_problem,
     run_phase_retrieval,
     with_blocks,
 )
-from bsca.surrogates import InnerSolve
+from bsca.surrogates import InnerSolve, inner_best_response_step, inner_exact_stepsize
 
 
 def one_d_instance(x_value=1.0, intensity=0.0, gain=1e-3):
@@ -29,6 +34,32 @@ def tiny_instance(seed=0, unknowns=24, measurements=60, blocks=2, gain=None):
     return generate_pr_instance(unknowns, measurements, density=0.1,
                                 num_blocks=blocks, seed=seed,
                                 sparse_gain=gain)
+
+
+def inner_solve(model, x_tau, gain):
+    return inner_best_response_step(model, x_tau, L1Norm(gain), Unconstrained())
+
+
+def inner_stepsize(model, x_tau, minimizer, gain):
+    return inner_exact_stepsize(model, x_tau, minimizer, L1Norm(gain))
+
+
+def outer_stepsize(inst, x, x_tilde_k, k, gain):
+    """Exact outer stepsize along block k through the problem's
+    block-local quartic profile."""
+    sl = inst.partition.slice_of(k)
+    delta = x_tilde_k - x[sl]
+    delta_g = gain * (np.abs(x_tilde_k).sum() - np.abs(x[sl]).sum())
+    profile = pr_problem(inst).line_profile(x, delta, k)
+    return profile.with_slope_offset(delta_g).minimize()
+
+
+def pr_inexact_run(inst, cfg, x0):
+    """The two-layer phase-retrieval update run through the generic
+    sequential loop, at the config's own audit setting."""
+    solver = inexact_solver(
+        lambda problem, x, k: pr_outer_model(inst, x, k, cfg.curvature), cfg)
+    return run_bsca(pr_problem(inst), solver, cfg, x0)
 
 
 class TestOuterModel:
@@ -76,7 +107,7 @@ class TestInnerSolve:
         model = pr_outer_model(inst, x, 0, 1e-2)
         sl = inst.partition.slice_of(0)
         x_tau = rng.standard_normal(sl.stop - sl.start)
-        got = pr_inner_solve(model, x_tau, inst.sparse_gain)
+        got = inner_solve(model, x_tau, inst.sparse_gain)
         d = np.diag(model.quad_matrix)
         grad = model.quad_matrix @ x_tau - model.quad_linear
         for i in (0, 3, 7):
@@ -91,7 +122,7 @@ class TestInnerSolve:
         x = rng.standard_normal(24)
         model = pr_outer_model(inst, x, 0, 1e-2)
         x_tau = rng.standard_normal(12)
-        got = pr_inner_solve(model, x_tau, 0.0)
+        got = inner_solve(model, x_tau, 0.0)
         d = np.diag(model.quad_matrix)
         expected = x_tau - (model.quad_matrix @ x_tau - model.quad_linear) / d
         assert np.allclose(got, expected, rtol=1e-14)
@@ -99,7 +130,7 @@ class TestInnerSolve:
     def test_diagonal_model_solves_in_one_shot(self):
         inst = tiny_instance()
         model = pr_outer_model(inst, np.zeros(24), 0, 0.3)  # D = 0.3 I
-        got = pr_inner_solve(model, np.ones(12) * 2.0, inst.sparse_gain)
+        got = inner_solve(model, np.ones(12) * 2.0, inst.sparse_gain)
         from bsca.surrogates import soft_threshold
         expected = soft_threshold(model.quad_linear / 0.3,
                                   inst.sparse_gain / 0.3)
@@ -116,7 +147,7 @@ class TestInnerStepsize:
             value_fn=lambda v: float(v @ v), grad_fn=lambda v: 2.0 * v,
             grad_anchor=np.array([2.0]), quad_diag=np.array([2.0]),
             quad_linear=np.array([0.0]))
-        gamma = pr_inner_stepsize(model, np.array([1.0]), np.array([0.0]), 0.0)
+        gamma = inner_stepsize(model, np.array([1.0]), np.array([0.0]), 0.0)
         assert gamma == 1.0
 
     def test_no_op_direction(self, rng):
@@ -124,7 +155,7 @@ class TestInnerStepsize:
         x = rng.standard_normal(24)
         model = pr_outer_model(inst, x, 0, 1e-2)
         x_tau = rng.standard_normal(12)
-        gamma = pr_inner_stepsize(model, x_tau, x_tau, inst.sparse_gain)
+        gamma = inner_stepsize(model, x_tau, x_tau, inst.sparse_gain)
         assert gamma == 0.0
 
     def test_matches_golden_section(self, rng):
@@ -132,8 +163,8 @@ class TestInnerStepsize:
         x = rng.standard_normal(24)
         model = pr_outer_model(inst, x, 1, 1e-2)
         x_tau = rng.standard_normal(12)
-        target = pr_inner_solve(model, x_tau, inst.sparse_gain)
-        gamma = pr_inner_stepsize(model, x_tau, target, inst.sparse_gain)
+        target = inner_solve(model, x_tau, inst.sparse_gain)
+        gamma = inner_stepsize(model, x_tau, target, inst.sparse_gain)
         delta = target - x_tau
         reg_delta = inst.sparse_gain * (np.abs(target).sum() - np.abs(x_tau).sum())
         phi = lambda g: model.value(x_tau + g * delta) + g * reg_delta
@@ -143,15 +174,15 @@ class TestInnerStepsize:
 class TestOuterStepsize:
     def test_one_dimensional_toy(self):
         inst = one_d_instance(intensity=1.0, gain=1e-300)
-        step = pr_outer_stepsize(inst, np.array([0.0]), np.array([1.0]), 0,
-                                 gain=0.0)
+        step = outer_stepsize(inst, np.array([0.0]), np.array([1.0]), 0,
+                              gain=0.0)
         assert step.gamma == 1.0
 
     def test_interior_root_when_target_is_stationary(self, rng):
         # displacement past the quartic's valley: interior stepsize
         inst = one_d_instance(intensity=1.0)
-        step = pr_outer_stepsize(inst, np.array([0.1]), np.array([2.0]), 0,
-                                 gain=0.0)
+        step = outer_stepsize(inst, np.array([0.1]), np.array([2.0]), 0,
+                              gain=0.0)
         assert 0.0 < step.gamma < 1.0
         u, w = 0.1, 1.9
         phi = lambda g: 0.25 * ((u + g * w) ** 2 - 1.0) ** 2
@@ -163,27 +194,36 @@ class TestOuterStepsize:
         x = rng.standard_normal(24)
         x_tilde = x[:12] + np.ones(12)   # strictly larger l1 norm
         x = np.abs(x)
-        step = pr_outer_stepsize(inst, x, np.abs(x_tilde) + x[:12], 0,
-                                 gain=1e9)
+        step = outer_stepsize(inst, x, np.abs(x_tilde) + x[:12], 0,
+                              gain=1e9)
         assert step.gamma == 0.0
 
     def test_profile_audit_catches_wrong_coefficients(self, rng):
         inst = tiny_instance(seed=6)
         x = rng.standard_normal(24)
-        # corrupt the instance intensities between coefficient build and
-        # audit is awkward; instead probe the guard directly with a
-        # mismatched displacement
-        from bsca import phase_retrieval as pr
-
+        # the profile of one instance audited against the objective of
+        # another (shifted intensities) must be rejected
         bad = PhaseRetrievalInstance(
             sampling=inst.sampling, intensities=inst.intensities + 0.5,
             sparse_gain=inst.sparse_gain, partition=inst.partition)
-        profile = pr._quartic_coeffs(inst.sampling.T @ x,
-                                     inst.block_rows(0).T @ np.ones(12),
-                                     inst.intensities)
+        profile = pr_problem(inst).line_profile(x, np.ones(12), 0)
         with pytest.raises(ProfileMismatchError):
-            pr._audit_outer_profile(bad, x, inst.partition.slice_of(0),
-                                    np.ones(12), profile, None)
+            _audit_profile(pr_problem(bad), x, inst.partition.embed(0, np.ones(12)),
+                           profile)
+
+    def test_block_profile_is_built_from_the_block_product(self, rng):
+        # 24 unknowns in 5 blocks: block starts 5, 10, 15, 20 are not
+        # multiples of 4, where full and block products can differ in
+        # the last bits
+        inst = tiny_instance(seed=11, blocks=5)
+        problem = pr_problem(inst)
+        x = rng.standard_normal(24)
+        for k in range(5):
+            delta = rng.standard_normal(inst.partition.block_sizes[k])
+            expected = _quartic_coeffs(inst.sampling.T @ x,
+                                       inst.block_rows(k).T @ delta,
+                                       inst.intensities)
+            assert problem.line_profile(x, delta, k).coeffs == expected.coeffs
 
     def test_matches_golden_section_on_random_instances(self, rng):
         for _ in range(20):
@@ -192,7 +232,7 @@ class TestOuterStepsize:
             k = int(rng.integers(2))
             sl = inst.partition.slice_of(k)
             x_tilde = x[sl] + rng.standard_normal(12) * 0.3
-            step = pr_outer_stepsize(inst, x, x_tilde, k, inst.sparse_gain)
+            step = outer_stepsize(inst, x, x_tilde, k, inst.sparse_gain)
             problem = pr_problem(inst)
             direction = np.zeros(24)
             direction[sl] = x_tilde - x[sl]
@@ -242,26 +282,36 @@ class TestRunPhaseRetrieval:
         cfg = SolverConfig(max_outer_iterations=40, inner_iterations=4,
                            stop_tol=0.0, curvature=1e-3)
         direct = run_phase_retrieval(inst, cfg, x0)
-        generic = run_inexact_bsca(
-            pr_problem(inst),
-            lambda problem, x, k: pr_outer_model(inst, x, k, cfg.curvature),
-            cfg, x0)
+        generic = pr_inexact_run(inst, cfg, x0)
         assert np.array_equal(direct.objectives, generic.objectives)
         assert np.array_equal(direct.final_point.values,
                               generic.final_point.values)
 
     def test_multi_block_close_to_generic_engine(self, rng):
-        inst = tiny_instance(seed=9, blocks=3)
+        # unaligned partition: 24 unknowns in 5 blocks
+        inst = tiny_instance(seed=9, blocks=5)
         x0 = rng.standard_normal(24)
         cfg = SolverConfig(max_outer_iterations=60, inner_iterations=4,
                            stop_tol=0.0, curvature=1e-3)
         direct = run_phase_retrieval(inst, cfg, x0)
-        generic = run_inexact_bsca(
-            pr_problem(inst),
-            lambda problem, x, k: pr_outer_model(inst, x, k, cfg.curvature),
-            cfg, x0)
-        assert direct.final_objective == pytest.approx(generic.final_objective,
-                                                       rel=1e-9)
+        generic = pr_inexact_run(inst, cfg, x0)
+        assert np.array_equal(direct.objectives, generic.objectives)
+        assert np.array_equal(direct.final_point.values,
+                              generic.final_point.values)
+
+    def test_profile_audited_at_default_audit_setting(self, rng, monkeypatch):
+        inst = tiny_instance(seed=12, blocks=3)
+        cfg = SolverConfig(max_outer_iterations=6, inner_iterations=2)
+        assert not cfg.audit_profiles
+        honest = phase_retrieval._quartic_coeffs
+
+        def corrupted(u, w, y):
+            v4, v3, v2, v1 = honest(u, w, y).coeffs
+            return phase_retrieval.quartic_profile(v4, v3, v2, 1.5 * v1 - 1.0)
+
+        monkeypatch.setattr(phase_retrieval, "_quartic_coeffs", corrupted)
+        with pytest.raises(ProfileMismatchError):
+            run_phase_retrieval(inst, cfg, rng.standard_normal(24))
 
     def test_matches_parallel_sca_with_well_solved_subproblems(self, rng):
         inst = tiny_instance(seed=10, blocks=1)

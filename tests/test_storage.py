@@ -53,6 +53,12 @@ class TestMatrixFormat:
         with pytest.raises(InvalidArgumentError):
             read_matrix(path)
 
+    def test_overlong_payload_rejected(self, tmp_path):
+        path = tmp_path / "long.mat"
+        path.write_bytes(MAGIC + struct.pack("<II", 1, 2) + b"\x00" * 24)
+        with pytest.raises(InvalidArgumentError, match="24 bytes, expected 16"):
+            read_matrix(path)
+
 
 class TestManifest:
     def test_roundtrip_with_exact_floats(self, tmp_path):
