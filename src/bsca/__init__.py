@@ -13,7 +13,6 @@ from .core import (
     SolverConfig,
     Unconstrained,
     Zero,
-    block_gradient_check,
     equal_partition,
     make_partition,
     objective,

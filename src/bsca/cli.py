@@ -13,6 +13,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -31,7 +32,6 @@ from .core import EXACT, SUCCESSIVE, RunTrace, SolverConfig
 from .engine import (
     BregmanBaselineSpec,
     inexact_solver,
-    make_surrogate_solver,
     quadratic_outer_factory,
     run_bgd,
     run_bpgd,
@@ -55,7 +55,6 @@ from .storage import (
     write_manifest,
     write_pr_instance,
 )
-from .surrogates import InnerSolve
 
 ALGORITHMS = ("bsca", "inexact-bsca", "parallel-sca", "bgd", "bpgd")
 
@@ -209,9 +208,11 @@ def run_algorithm(instance, algorithm: str, opts: dict) -> RunTrace:
         if algorithm in ("bsca", "inexact-bsca"):
             return run_phase_retrieval(instance, config, x0)
         if algorithm == "parallel-sca":
-            solver = make_surrogate_solver(
+            # the block subproblems are solved well: up to 500 inner
+            # rounds whatever --inner-iters says
+            solver = inexact_solver(
                 lambda prob, x, k: pr_outer_model(instance, x, k, opts["c"]),
-                inner=InnerSolve(max_iterations=500, tol=1e-12))
+                replace(config, inner_iterations=500))
             return run_parallel_sca(problem, solver, config, x0)
         if algorithm == "bgd":
             return run_bgd(problem, config, x0)

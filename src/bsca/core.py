@@ -97,9 +97,6 @@ class BlockPoint:
     def block(self, k: int) -> np.ndarray:
         return self.values[self.partition.slice_of(k)]
 
-    def copy(self) -> "BlockPoint":
-        return BlockPoint(self.values.copy(), self.partition)
-
 
 # ---------------------------------------------------------------------------
 # constraints and regularizers
@@ -234,33 +231,6 @@ def objective(problem: CompositeProblem, x) -> float:
     return total
 
 
-def smooth_objective(problem: CompositeProblem, x: np.ndarray) -> float:
-    return float(problem.smooth_value(_as_flat(x)))
-
-
-def block_gradient_check(problem: CompositeProblem, x, k: int,
-                         eps: float = 1e-6) -> float:
-    """Max abs deviation between the analytic block gradient and a
-    central-difference estimate; diagnostic only."""
-    if eps <= 0:
-        raise InvalidArgumentError("eps must be positive")
-    xf = _as_flat(x)
-    analytic = problem.block_gradient(xf, k)
-    sl = problem.partition.slice_of(k)
-    estimate = np.empty_like(analytic)
-    work = xf.copy()
-    for i in range(estimate.size):
-        j = sl.start + i
-        orig = work[j]
-        work[j] = orig + eps
-        up = problem.smooth_value(work)
-        work[j] = orig - eps
-        down = problem.smooth_value(work)
-        work[j] = orig
-        estimate[i] = (up - down) / (2.0 * eps)
-    return float(np.max(np.abs(analytic - estimate))) if estimate.size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # solver configuration
 # ---------------------------------------------------------------------------
@@ -286,6 +256,11 @@ class SolverConfig:
     (ProfileMismatchError beyond 1e-8 relative); each audit costs six
     evaluations of ``f``.  ``run_phase_retrieval`` audits whatever the
     setting.
+
+    ``inner_iterations`` caps the inner rounds ``inexact_solver`` runs
+    on each outer subproblem; they stop earlier once a round is
+    stationary under ``stationarity_rtol``, so a larger cap solves the
+    subproblem to its fixed point.
     """
 
     max_outer_iterations: int
@@ -297,7 +272,6 @@ class SolverConfig:
     beta: float = 0.5
     armijo_max_exponent: int = 60
     inner_iterations: int = 1
-    inner_line_search: str = EXACT
     stop_tol: float = 1e-8
     curvature: float = 1e-4
     stationarity_rtol: float = 1e-12
@@ -310,8 +284,6 @@ class SolverConfig:
             raise ConfigError(f"unknown block rule {self.block_rule!r}")
         if self.line_search not in (EXACT, SUCCESSIVE):
             raise ConfigError(f"unknown line search {self.line_search!r}")
-        if self.inner_line_search not in (EXACT, SUCCESSIVE):
-            raise ConfigError(f"unknown inner line search {self.inner_line_search!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must lie in (0, 1)")
         if not 0.0 < self.beta < 1.0:

@@ -70,23 +70,21 @@ class BlockSolution:
 BlockSolver = Callable[[CompositeProblem, np.ndarray, int], BlockSolution]
 
 
-def make_surrogate_solver(factory: Callable[..., SurrogateModel],
-                          inner=None) -> BlockSolver:
+def make_surrogate_solver(factory: Callable[..., SurrogateModel]) -> BlockSolver:
     """Turn a surrogate factory (problem, x, k) -> model into a block
     solver via the catalog closed forms."""
 
     def solver(problem: CompositeProblem, x: np.ndarray, k: int) -> BlockSolution:
         model = factory(problem, x, k)
         minimizer = solve_surrogate(model, problem.nonsmooth[k],
-                                    problem.constraints[k], inner=inner)
+                                    problem.constraints[k])
         return BlockSolution(minimizer, model.is_global_upper_bound)
 
     return solver
 
 
 def quadratic_solver(curvature: float) -> BlockSolver:
-    return make_surrogate_solver(
-        lambda problem, x, k: make_quadratic_surrogate(problem, x, k, curvature))
+    return make_surrogate_solver(quadratic_outer_factory(curvature))
 
 
 # ---------------------------------------------------------------------------
@@ -228,37 +226,48 @@ def _line_search(problem: CompositeProblem, config: SolverConfig,
 # sequential block updates
 # ---------------------------------------------------------------------------
 
-def bsca_step(problem: CompositeProblem, solver: BlockSolver, x: np.ndarray,
-              k: int, config: SolverConfig) -> tuple[np.ndarray, StepResult, float]:
-    """Solve block k's surrogate subproblem and move along the direction.
-
-    Returns the next point (other blocks untouched), the stepsize, and
-    the descent quantity d_k.  When the block is already optimal (the
-    minimizer coincides with the current block up to rounding) the step
-    is skipped with gamma = 0.
-    """
-    x = np.asarray(x, dtype=float)
-    sl = problem.partition.slice_of(k)
-    xk = x[sl]
+def _block_move(problem: CompositeProblem, solver: BlockSolver,
+                x: np.ndarray, k: int, rtol: float):
+    """Solve block k's subproblem and measure the move to its minimizer B:
+    ``(B - x_k, g_k(B) - g_k(x_k), d_k, is_global_upper_bound)``, or None
+    when the block is stationary (B equals x_k up to rounding)."""
+    xk = problem.block_of(x, k)
     sol = solver(problem, x, k)
     minimizer = np.asarray(sol.minimizer, dtype=float)
     delta = minimizer - xk
-    if is_stationary(delta, xk, config.stationarity_rtol):
-        return x, _SKIP, 0.0
+    if is_stationary(delta, xk, rtol):
+        return None
     reg = problem.nonsmooth[k]
     g_min = reg.value(minimizer)
     g_cur = reg.value(xk)
     d = descent_quantity(problem.block_gradient(x, k), minimizer, xk,
                          g_min, g_cur)
+    return delta, g_min - g_cur, d, sol.is_global_upper_bound
+
+
+def bsca_step(problem: CompositeProblem, solver: BlockSolver, x: np.ndarray,
+              k: int, config: SolverConfig) -> tuple[np.ndarray, StepResult, float]:
+    """Solve block k's surrogate subproblem and move along the direction.
+
+    Returns the next point (other blocks untouched), the stepsize, and
+    the descent quantity d_k.  A stationary block is skipped with
+    gamma = 0 and d_k = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    move = _block_move(problem, solver, x, k, config.stationarity_rtol)
+    if move is None:
+        return x, _SKIP, 0.0
+    delta, delta_g, d, is_global_upper_bound = move
     if d >= 0.0:
         # only reachable at numerical stationarity of the subproblem
         return x, _SKIP, d
-    if sol.is_global_upper_bound:
+    if is_global_upper_bound:
         step = StepResult(1.0, None, 0.0)
     else:
-        step = _line_search(problem, config, x, delta, g_min - g_cur, d, k)
+        step = _line_search(problem, config, x, delta, delta_g, d, k)
     x_next = x.copy()
-    x_next[sl] = xk + step.gamma * delta
+    sl = problem.partition.slice_of(k)
+    x_next[sl] = x[sl] + step.gamma * delta
     return x_next, step, d
 
 
@@ -300,24 +309,16 @@ def run_parallel_sca(problem: CompositeProblem, solver: BlockSolver,
     for t in range(config.max_outer_iterations):
         direction = np.zeros(problem.partition.total)
         delta_g = 0.0
-        d = 0.0
-        active = False
+        d = 0.0    # stays 0 when every block is stationary
         for k in range(problem.num_blocks):
-            sl = problem.partition.slice_of(k)
-            xk = x[sl]
-            minimizer = np.asarray(solver(problem, x, k).minimizer, dtype=float)
-            delta = minimizer - xk
-            if is_stationary(delta, xk, config.stationarity_rtol):
+            move = _block_move(problem, solver, x, k, config.stationarity_rtol)
+            if move is None:
                 continue
-            active = True
-            direction[sl] = delta
-            reg = problem.nonsmooth[k]
-            g_min = reg.value(minimizer)
-            g_cur = reg.value(xk)
-            delta_g += g_min - g_cur
-            d += descent_quantity(problem.block_gradient(x, k), minimizer,
-                                  xk, g_min, g_cur)
-        if not active or d >= 0.0:
+            delta, block_delta_g, block_d, _ = move
+            direction[problem.partition.slice_of(k)] = delta
+            delta_g += block_delta_g
+            d += block_d
+        if d >= 0.0:
             candidate, step = x, _SKIP
         else:
             step = _line_search(problem, config, x, direction, delta_g, d)
@@ -359,18 +360,7 @@ def inexact_inner_loop(model: SurrogateModel, problem: CompositeProblem,
         delta = target - x_tau
         if is_stationary(delta, x_tau, config.stationarity_rtol):
             break
-        if config.inner_line_search == SUCCESSIVE:
-            grad_tau = model.quad_apply(x_tau) - model.quad_linear
-            d_inner = float(grad_tau @ delta) + reg.value(target) - reg.value(x_tau)
-
-            def phi(gamma: float, base=x_tau, step=delta) -> float:
-                return model.value(base + gamma * step)
-
-            gamma = successive_step(phi, reg.value(target) - reg.value(x_tau),
-                                    d_inner, config.alpha, config.beta,
-                                    config.armijo_max_exponent).gamma
-        else:
-            gamma = inner_exact_stepsize(model, x_tau, target, reg)
+        gamma = inner_exact_stepsize(model, x_tau, target, reg)
         if gamma <= 0.0:
             break    # only at the rounding floor of the surrogate objective
         x_tau = x_tau + gamma * delta

@@ -42,7 +42,3 @@ class DegenerateDiagonalError(BscaError, ValueError):
 class ProfileMismatchError(BscaError, RuntimeError):
     """Closed-form stepsize coefficients disagree with direct objective
     evaluation; indicates a coefficient bug."""
-
-
-class SolverError(BscaError, RuntimeError):
-    """A solver run failed irrecoverably."""

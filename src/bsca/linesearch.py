@@ -219,8 +219,7 @@ def cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> np.ndarray:
 
     candidates = [_newton_polish(t, a, b, c) for t in seeds]
     best = min(candidates, key=lambda t: _residual_quality(t, a, b, c))
-    candidates.extend(_newton_polish(t, a, b, c)
-                      for t in _deflated_pair(best, a, b))
+    candidates.extend(_deflated_pair(best, a, b, c))
     roots = sorted(t for t in candidates
                    if _residual_quality(t, a, b, c) <= 64.0)
     unique: list[float] = []
@@ -245,25 +244,37 @@ def _residual_quality(t: float, a: float, b: float, c: float) -> float:
     return abs(val) / floor
 
 
-def _deflated_pair(root: float, a: float, b: float) -> list[float]:
-    """Real roots of the quadratic left after dividing out ``root`` from
-    the monic cubic, via the cancellation-safe quadratic formula; a
-    discriminant within rounding of zero counts as a double root."""
+def _deflated_pair(root: float, a: float, b: float, c: float) -> list[float]:
+    """Real roots of the quadratic left after dividing ``root`` out of the
+    monic cubic, via the cancellation-safe quadratic formula, polished.
+
+    Forward deflation (``lin = a + root``, ``const = b + root * lin``)
+    cancels when ``root`` dominates the other two roots and can then make
+    a real pair look complex, so a pair it finds complex is tried again
+    divided out backward (``const = -c / root``, ``lin = (const - b) /
+    root``), which is stable for a dominant root.  A discriminant within
+    rounding of zero counts as a double root.
+    """
     lin = a + root
-    const = b + root * lin
-    disc = lin * lin - 4.0 * const
-    if disc < 0.0:
-        # barely-negative means a double root split by coefficient
-        # rounding; report the double point and let the residual filter
-        # judge (a genuinely complex pair fails it)
+    forms = [(lin, b + root * lin)]
+    if root != 0.0:
+        const = -c / root
+        forms.append(((const - b) / root, const))
+    for lin, const in forms:
+        disc = lin * lin - 4.0 * const
+        if disc >= 0.0:
+            sq = math.sqrt(disc)
+            major = -0.5 * (lin + math.copysign(sq, lin))
+            pair = (major, const / major) if major != 0.0 else (0.0,)
+            return [_newton_polish(t, a, b, c) for t in pair]
         if disc >= -4e-12 * (lin * lin + 4.0 * abs(const)):
+            # barely negative: a double root split by coefficient
+            # rounding.  The double point is a critical point of the
+            # cubic, from which a Newton step runs off to another root,
+            # so it goes unpolished to the residual filter (a genuinely
+            # complex pair fails it)
             return [-0.5 * lin]
-        return []
-    sq = math.sqrt(disc)
-    major = -0.5 * (lin + math.copysign(sq, lin))
-    if major == 0.0:
-        return [0.0]
-    return [major, const / major]
+    return []
 
 
 def _newton_polish(t: float, a: float, b: float, c: float,

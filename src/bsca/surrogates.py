@@ -296,14 +296,6 @@ def _separable_prox(u: np.ndarray, threshold, regularizer: Regularizer,
         f"no closed form for regularizer {type(regularizer).__name__}")
 
 
-@dataclass(frozen=True)
-class InnerSolve:
-    """Fixed-point inner loop budget for pairings without a closed form."""
-
-    max_iterations: int = 500
-    tol: float = 1e-12
-
-
 def inner_best_response_step(model: SurrogateModel, x_tau: np.ndarray,
                              regularizer: Regularizer,
                              constraint: Constraint) -> np.ndarray:
@@ -332,13 +324,12 @@ def inner_exact_stepsize(model: SurrogateModel, x_tau: np.ndarray,
 
 
 def solve_surrogate(model: SurrogateModel, regularizer: Regularizer,
-                    constraint: Constraint | None = None,
-                    inner: InnerSolve | None = None) -> np.ndarray:
+                    constraint: Constraint | None = None) -> np.ndarray:
     """Unique minimizer of (model + g_k) over the block's constraint set.
 
-    Pairings without a shipped closed form raise NoClosedFormError unless
-    an ``inner`` budget is supplied, in which case the inner best-response
-    iteration (with exact inner stepsizes) runs to its fixed point.
+    Pairings without a shipped closed form raise NoClosedFormError; their
+    subproblems are solved by the inexact inner loop
+    (``engine.inexact_solver``).
     """
     constraint = constraint if constraint is not None else Unconstrained()
 
@@ -352,34 +343,11 @@ def solve_surrogate(model: SurrogateModel, regularizer: Regularizer,
         u = model.quad_linear / model.quad_diag
         return _separable_prox(u, 1.0 / model.quad_diag, regularizer, constraint)
 
-    if model.quad_matrix is not None:
-        direct = (isinstance(regularizer, Zero)
-                  and not isinstance(constraint, Box))
-        if direct:
-            return np.linalg.solve(model.quad_matrix, model.quad_linear)
-        if inner is None:
-            raise NoClosedFormError(
-                "dense quadratic form with this regularizer/constraint has "
-                "no closed form; supply an inner solve budget")
-        return _fixed_point_solve(model, regularizer, constraint, inner)
+    if (model.quad_matrix is not None and isinstance(regularizer, Zero)
+            and not isinstance(constraint, Box)):
+        return np.linalg.solve(model.quad_matrix, model.quad_linear)
 
     raise NoClosedFormError(
-        f"surrogate kind {model.kind!r} has no closed-form minimizer; "
-        "use the inexact engine")
-
-
-def _fixed_point_solve(model: SurrogateModel, regularizer: Regularizer,
-                       constraint: Constraint,
-                       inner: InnerSolve) -> np.ndarray:
-    x = model.anchor.copy()
-    for _ in range(inner.max_iterations):
-        target = inner_best_response_step(model, x, regularizer, constraint)
-        delta = target - x
-        norm = float(np.linalg.norm(delta))
-        if norm <= inner.tol * (1.0 + float(np.linalg.norm(x))):
-            return target
-        gamma = inner_exact_stepsize(model, x, target, regularizer)
-        if gamma <= 0.0:
-            return x
-        x = x + gamma * delta
-    return x
+        f"no closed-form minimizer for a {model.kind!r} model with "
+        f"{type(regularizer).__name__} and {type(constraint).__name__}; "
+        "use engine.inexact_solver")

@@ -1,6 +1,6 @@
-"""Slow, independent reference routines used to cross-check the closed
-forms elsewhere in the package: golden-section minimization, central
-finite differences, bisection cubic roots and a Cholesky reference solve.
+"""Slow, independent reference routines that the tests use to cross-check
+the closed forms in ``bsca``: golden-section minimization, central finite
+differences, bisection cubic roots and a Cholesky reference solve.
 
 Nothing here is performance-tuned; these exist so every closed-form path
 has a brute-force counterpart in the tests.
@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from bsca.errors import InvalidArgumentError
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 

@@ -31,7 +31,7 @@ from bsca.engine import (
     BregmanBaselineSpec,
     block_residuals,
     bsca_step,
-    make_surrogate_solver,
+    inexact_solver,
     quadratic_solver,
     run_bgd,
     run_bpgd,
@@ -45,7 +45,6 @@ from bsca.linesearch import (
     exact_quartic_step,
     quartic_profile,
 )
-from bsca.oracles import dense_spd_solve, finite_diff_block_gradient, golden_section, real_cubic_roots
 from bsca.phase_retrieval import (
     generate_pr_instance,
     pr_outer_model,
@@ -54,7 +53,6 @@ from bsca.phase_retrieval import (
     with_blocks,
 )
 from bsca.surrogates import (
-    InnerSolve,
     SurrogateModel,
     inner_best_response_step,
     inner_exact_stepsize,
@@ -65,6 +63,7 @@ from bsca.surrogates import (
 )
 
 from conftest import random_composition_problem, random_quadratic_problem
+from oracles import dense_spd_solve, finite_diff_block_gradient, golden_section, real_cubic_roots
 
 
 def report(criterion, ok, detail):
@@ -544,9 +543,10 @@ def test_criterion_10a_pr_restarts_are_no_ops(pr_grid):
                               first.final_point.values)
             if not np.all(restart.stepsizes == 0.0):
                 bad.append(f"bgd K={K}: effective step on restart")
-    solver = make_surrogate_solver(
+    solver = inexact_solver(
         lambda problem, x, k: pr_outer_model(inst, x, k, 1e-4),
-        inner=InnerSolve(max_iterations=500, tol=1e-13))
+        SolverConfig(max_outer_iterations=0, inner_iterations=500,
+                     stationarity_rtol=1e-13))
     first = run_parallel_sca(pr_problem(inst), solver,
                              SolverConfig(max_outer_iterations=3000,
                                           stop_tol=0.0), x0)

@@ -29,8 +29,9 @@ from bsca.core import SolverConfig, objective
 from bsca.engine import BlockSolution, block_residuals, run_bsca, run_parallel_sca
 from bsca.errors import DegenerateDirectionError, InvalidArgumentError
 from bsca.linesearch import exact_quadratic_step
-from bsca.oracles import golden_section
 from bsca.surrogates import soft_threshold
+
+from oracles import golden_section
 
 
 def scalar_instance(y=2.0, ridge=1.0, gain=0.5):

@@ -12,7 +12,6 @@ from bsca.core import (
     SolverConfig,
     TRACE_HEADER,
     Zero,
-    block_gradient_check,
     equal_partition,
     make_partition,
     objective,
@@ -20,7 +19,6 @@ from bsca.core import (
 from bsca.errors import (
     ConfigError,
     FeasibilityError,
-    InvalidArgumentError,
     InvalidPartitionError,
 )
 
@@ -114,29 +112,6 @@ class TestObjective:
                                 lambda x, k: x, (Zero(),))
         point = BlockPoint(np.array([3.0, 4.0]), part)
         assert objective(prob, point) == pytest.approx(12.5)
-
-
-class TestBlockGradientCheck:
-    def test_quadratic_is_exact(self):
-        part = make_partition([2])
-        prob = CompositeProblem(part, lambda x: float(0.5 * x @ x),
-                                lambda x, k: x, (Zero(),))
-        dev = block_gradient_check(prob, np.array([1.0, 2.0]), 0, eps=1e-6)
-        assert dev < 1e-8
-
-    def test_quartic_scalar(self):
-        prob = _scalar_problem(lambda v: 0.25 * (v * v - 1.0) ** 2,
-                               lambda v: v * (v * v - 1.0))
-        assert block_gradient_check(prob, np.array([2.0]), 0, eps=1e-5) < 1e-6
-
-    def test_affine(self):
-        prob = _scalar_problem(lambda v: 3.0 * v + 1.0, lambda v: 3.0)
-        assert block_gradient_check(prob, np.array([0.7]), 0, eps=1e-4) < 1e-10
-
-    def test_bad_eps(self):
-        prob = _scalar_problem(lambda v: v, lambda v: 1.0)
-        with pytest.raises(InvalidArgumentError):
-            block_gradient_check(prob, np.array([0.0]), 0, eps=0.0)
 
 
 class TestSolverConfig:

@@ -30,11 +30,11 @@ from bsca.engine import (
 )
 from bsca.errors import ConfigError, FeasibilityError
 from bsca.linesearch import cubic_real_roots, quadratic_profile
-from bsca.oracles import dense_spd_solve
 from bsca.phase_retrieval import generate_pr_instance
 from bsca.surrogates import SurrogateModel, make_best_response_surrogate
 
 from conftest import random_quadratic_problem
+from oracles import dense_spd_solve
 
 
 def scalar_problem():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsca.errors import InvalidArgumentError, LineSearchError
@@ -14,7 +14,8 @@ from bsca.linesearch import (
     quartic_profile,
     successive_step,
 )
-from bsca.oracles import golden_section, real_cubic_roots
+
+from oracles import golden_section, real_cubic_roots
 
 
 class TestExactQuadraticStep:
@@ -87,6 +88,8 @@ class TestCubicRoots:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6))
+    @example(27091)    # forward deflation of the root 3.6e4 lost the root -4.9e-4
+    @example(11)       # a pair 4e-7 apart: Newton ran from its double point to the third root
     def test_hard_root_configurations(self, seed):
         # near-double, triple and widely spread roots; the answer must
         # stay within the root's own conditioning radius and the root

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsca.errors import InvalidArgumentError
-from bsca.oracles import (
+
+from oracles import (
     OracleReport,
     dense_spd_solve,
     finite_diff_block_gradient,
@@ -44,6 +45,26 @@ class TestFiniteDiff:
         f = lambda x: float(x[0] ** 2 + 3.0 * x[1] + x[2] ** 3)
         got = finite_diff_block_gradient(f, np.array([1.0, 5.0, 2.0]), slice(2, 3), eps=1e-6)
         assert got == pytest.approx([12.0], abs=1e-5)
+
+    def test_quadratic_is_exact(self):
+        f = lambda x: float(0.5 * x @ x)
+        got = finite_diff_block_gradient(f, np.array([1.0, 2.0]), slice(0, 2), eps=1e-6)
+        assert np.max(np.abs(got - [1.0, 2.0])) < 1e-8
+
+    def test_quartic_scalar(self):
+        f = lambda x: float(0.25 * (x[0] * x[0] - 1.0) ** 2)
+        got = finite_diff_block_gradient(f, np.array([2.0]), slice(0, 1), eps=1e-5)
+        assert got == pytest.approx([6.0], abs=1e-6)
+
+    def test_affine(self):
+        f = lambda x: float(3.0 * x[0] + 1.0)
+        got = finite_diff_block_gradient(f, np.array([0.7]), slice(0, 1), eps=1e-4)
+        assert got == pytest.approx([3.0], abs=1e-10)
+
+    def test_bad_eps(self):
+        with pytest.raises(InvalidArgumentError):
+            finite_diff_block_gradient(lambda x: float(x[0]), np.array([0.0]),
+                                       slice(0, 1), eps=0.0)
 
 
 class TestCubicOracle:

@@ -6,12 +6,10 @@ from bsca.core import L1Norm, SolverConfig, Unconstrained, make_partition
 from bsca.engine import (
     _audit_profile,
     inexact_solver,
-    make_surrogate_solver,
     run_bsca,
     run_parallel_sca,
 )
 from bsca.errors import InvalidArgumentError, ProfileMismatchError
-from bsca.oracles import finite_diff_block_gradient, golden_section
 from bsca.phase_retrieval import (
     PhaseRetrievalInstance,
     _quartic_coeffs,
@@ -21,7 +19,9 @@ from bsca.phase_retrieval import (
     run_phase_retrieval,
     with_blocks,
 )
-from bsca.surrogates import InnerSolve, inner_best_response_step, inner_exact_stepsize
+from bsca.surrogates import inner_best_response_step, inner_exact_stepsize
+
+from oracles import finite_diff_block_gradient, golden_section
 
 
 def one_d_instance(x_value=1.0, intensity=0.0, gain=1e-3):
@@ -320,9 +320,10 @@ class TestRunPhaseRetrieval:
         cfg = SolverConfig(max_outer_iterations=2000, inner_iterations=50,
                            stop_tol=0.0, curvature=1e-4)
         inexact = run_phase_retrieval(inst, cfg, x0)
-        solver = make_surrogate_solver(
+        solver = inexact_solver(
             lambda problem, x, k: pr_outer_model(inst, x, k, 1e-4),
-            inner=InnerSolve(max_iterations=800, tol=1e-13))
+            SolverConfig(max_outer_iterations=0, inner_iterations=800,
+                         stationarity_rtol=1e-13))
         parallel = run_parallel_sca(pr_problem(inst), solver, cfg, x0)
         assert inexact.final_objective == pytest.approx(
             parallel.final_objective, rel=1e-6)

@@ -3,11 +3,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsca.core import L1Norm, Unconstrained, Zero
+from bsca.core import (
+    CompositeProblem,
+    L1Norm,
+    SolverConfig,
+    Unconstrained,
+    Zero,
+    make_partition,
+)
+from bsca.engine import inexact_inner_loop
 from bsca.errors import InvalidArgumentError, NoClosedFormError
-from bsca.oracles import dense_spd_solve, finite_diff_block_gradient, golden_section
 from bsca.surrogates import (
-    InnerSolve,
     SurrogateModel,
     inner_best_response_step,
     inner_exact_stepsize,
@@ -20,6 +26,7 @@ from bsca.surrogates import (
 )
 
 from conftest import random_composition_problem, random_quadratic_problem
+from oracles import dense_spd_solve, finite_diff_block_gradient, golden_section
 
 
 class TestSoftThreshold:
@@ -258,7 +265,11 @@ class TestSolveSurrogate:
             quad_matrix=spd, quad_linear=b)
         with pytest.raises(NoClosedFormError):
             solve_surrogate(model, L1Norm(0.5))
-        got = solve_surrogate(model, L1Norm(0.5), inner=InnerSolve(2000, 1e-13))
+        problem = CompositeProblem(make_partition([4]), lambda x: 0.0,
+                                   lambda x, k: np.zeros(4), (L1Norm(0.5),))
+        got = inexact_inner_loop(model, problem, 0, SolverConfig(
+            max_outer_iterations=0, inner_iterations=2000,
+            stationarity_rtol=1e-13))
         # first-order optimality of the quad + l1 minimizer
         grad = spd @ got - b
         for i in range(4):
