@@ -73,12 +73,22 @@ SOLVE_DEFAULTS = {
 }
 
 
+# recorded in solve and bench manifests: a BLAS library run with another
+# thread count may round products differently
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 class UsageError(Exception):
     pass
 
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def _blas_threads() -> dict[str, str]:
+    """Manifest entries for the BLAS thread settings of this process."""
+    return {f"blas.{var}": os.environ.get(var, "unset") for var in BLAS_THREAD_VARS}
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +255,7 @@ def cmd_solve(args) -> int:
         "started": started,
         "instance": str(Path(args.instance).resolve()),
         "algorithm": args.algorithm,
+        **_blas_threads(),
     }
     for key, value in opts.items():
         if value is not None:
@@ -342,6 +353,7 @@ def cmd_bench(args) -> int:
         "instance": str(Path(args.instance).resolve()),
         "variants": str(Path(args.variants).resolve()),
         "output.comparison": "comparison.csv",
+        **_blas_threads(),
     }
     for key in ("max_iters", "tol", "seed"):
         flag = getattr(args, key, None)
@@ -428,6 +440,13 @@ def cmd_reproduce(args) -> int:
             print("reproduce: outputs match")
             return 0
     print("reproduce: outputs differ", file=sys.stderr)
+    now = _blas_threads()
+    changed = [f"{key[len('blas.'):]} recorded {value}, now {now.get(key, 'unset')}"
+               for key, value in manifest.items()
+               if key.startswith("blas.") and now.get(key, "unset") != value]
+    if changed:
+        print("reproduce: BLAS thread settings differ from the recorded run: "
+              + "; ".join(changed), file=sys.stderr)
     return 3
 
 

@@ -11,7 +11,7 @@ sets (unconstrained or box in this package).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -23,6 +23,10 @@ from .errors import (
 )
 
 FEASIBILITY_ATOL = 1e-12
+
+# bar on the relative drift of maintained products (CompositeProblem.
+# products) at a sweep end: rounding leaves about 1e-15
+PRODUCT_DRIFT_RTOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -165,6 +169,35 @@ Regularizer = Zero | L1Norm
 # composite problem
 # ---------------------------------------------------------------------------
 
+class ProductState(Protocol):
+    """Products of the iterate that a problem maintains across a run
+    (for phase retrieval, ``u = A'x``), so that the closures of the
+    problem read them instead of re-forming them.
+
+    ``direction`` and ``block`` mean what they mean for
+    ``CompositeProblem.line_profile``.  A point is *tracked* from the
+    ``track`` or ``update`` that names it until the next ``track`` or
+    ``release``.
+    """
+
+    def track(self, x: np.ndarray) -> float | None:
+        """Form the products of ``x`` afresh and track ``x`` alone.  When
+        ``x`` was tracked already, return the relative drift of the
+        maintained products against the fresh ones; else None."""
+
+    def update(self, x: np.ndarray, x_new: np.ndarray, block: int | None,
+               gamma: float, direction: np.ndarray) -> None:
+        """Carry the products of a tracked ``x`` to ``x_new = x + gamma d``
+        and track both points; nothing when ``x`` is not tracked."""
+
+    def release(self) -> None:
+        """Track no point."""
+
+    def line(self, x: np.ndarray, direction: np.ndarray,
+             block: int | None) -> Callable[[float], float]:
+        """``gamma -> f(x + gamma d)``."""
+
+
 @dataclass(frozen=True)
 class CompositeProblem:
     """h(x) = f(x) + sum_k g_k(x_k) over a Cartesian product of sets.
@@ -179,6 +212,17 @@ class CompositeProblem:
     closed-form exact line searches and fall back to golden section
     without it.
 
+    ``products``, when provided, is a ProductState.  The solver loops
+    ``track`` the start; ``bsca_step`` and ``run_parallel_sca``
+    ``update`` it after every effective step; at every sweep end the
+    loops ``track`` the iterate again, raise ProductDriftError when the
+    maintained products have drifted from fresh ones by more than
+    ``PRODUCT_DRIFT_RTOL``, and re-evaluate the objective from the fresh
+    ones.  The audit and the successive line search evaluate ``f`` along
+    the step through ``line``.  The closures stay pure: at a tracked
+    point they may read the maintained products, which agree with fresh
+    ones up to that drift; at any other point they compute from scratch.
+
     Existence of limit points (a coercive objective or bounded constraint
     sets) is the caller's obligation; nothing here can check it.
     """
@@ -189,6 +233,7 @@ class CompositeProblem:
     nonsmooth: tuple[Regularizer, ...]
     constraints: tuple[Constraint, ...] = ()
     line_profile: Callable[..., object] | None = None
+    products: ProductState | None = None
 
     def __post_init__(self) -> None:
         K = self.partition.num_blocks
@@ -252,10 +297,13 @@ class SolverConfig:
     stationarity skip.
 
     ``audit_profiles`` checks every closed-form line profile against
-    five fresh evaluations of ``f`` before its minimizer is trusted
-    (ProfileMismatchError beyond 1e-8 relative); each audit costs six
-    evaluations of ``f``.  ``run_phase_retrieval`` audits whatever the
-    setting.
+    five direct evaluations of ``f`` along the step before its minimizer
+    is trusted (ProfileMismatchError beyond 1e-8 relative).  Without a
+    product hook (``CompositeProblem.products``) an audit costs six
+    fresh evaluations of ``f``; with one it costs the hook's six line
+    evaluations, O(N) each for phase retrieval, where the product with
+    the direction is the one the profile already formed.
+    ``run_phase_retrieval`` audits whatever the setting.
 
     ``inner_iterations`` caps the inner rounds ``inexact_solver`` runs
     on each outer subproblem; they stop earlier once a round is
@@ -339,6 +387,9 @@ class RunTrace:
     final_point: BlockPoint | None = None
     termination_reason: str = TERMINATED_MAX_ITERATIONS
     tolerance_iteration: int | None = None
+    # largest drift of the maintained products found at a sweep end;
+    # None when the problem maintains none
+    product_drift: float | None = None
 
     def record(self, iteration: int, block: int, stepsize: float,
                armijo_exponent: int, obj: float, elapsed_s: float) -> None:

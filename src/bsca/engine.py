@@ -22,6 +22,7 @@ import numpy as np
 
 from .core import (
     EXACT,
+    PRODUCT_DRIFT_RTOL,
     RANDOM,
     SUCCESSIVE,
     TERMINATED_TOLERANCE,
@@ -36,6 +37,7 @@ from .errors import (
     ConfigError,
     FeasibilityError,
     InvalidArgumentError,
+    ProductDriftError,
     ProfileMismatchError,
 )
 from .linesearch import (
@@ -131,6 +133,9 @@ class _RunBook:
         self.sweep_len = sweep_len
         self.trace = RunTrace()
         self.start = time.monotonic()
+        if problem.products is not None:
+            problem.products.track(x)
+            self.trace.product_drift = 0.0
         self.objective = objective(problem, x)
         self.trace.record(0, -1, 0.0, -1, self.objective, 0.0)
         self.sweep_objective = self.objective
@@ -144,7 +149,11 @@ class _RunBook:
         not strictly decrease (possible only at the rounding floor of an
         exact search) is demoted to a skip, which keeps the trace
         nonincreasing and lets stalls terminate through the all-skip
-        rule.
+        rule.  At a sweep end, before the stop test, the problem's
+        maintained products are checked against fresh ones and replaced
+        by them, and the guard's reference objective is re-evaluated from
+        them, so a restart from the final point (which starts from fresh
+        products) repeats the final sweep's decisions.
         """
         if step.gamma != 0.0:
             if not self.problem.is_feasible(x_new):
@@ -156,12 +165,16 @@ class _RunBook:
             x_new, h_new = x_prev, self.objective
         self.objective = h_new
         m = step.armijo_exponent if step.armijo_exponent is not None else -1
-        self.trace.record(t + 1, block, step.gamma, m, h_new,
+        # after a resync the guard compares against the fresh objective,
+        # which can sit a rounding step above the last row; rows never rise
+        self.trace.record(t + 1, block, step.gamma, m,
+                          min(h_new, self.trace.final_objective),
                           time.monotonic() - self.start)
         if step.gamma == 0.0:
             self.skips += 1
         stop = False
         if (t + 1) % self.sweep_len == 0:
+            self._resync(x_new, t)
             all_skipped = self.skips == self.sweep_len
             rel = ((self.sweep_objective - self.objective)
                    / max(1.0, abs(self.sweep_objective)))
@@ -174,7 +187,21 @@ class _RunBook:
                 self.skips = 0
         return x_new, stop
 
+    def _resync(self, x: np.ndarray, t: int) -> None:
+        if self.problem.products is None:
+            return
+        drift = self.problem.products.track(x)
+        if drift is not None:
+            self.trace.product_drift = max(self.trace.product_drift, drift)
+            if drift > PRODUCT_DRIFT_RTOL:
+                raise ProductDriftError(
+                    f"maintained products drifted {drift:.3e} (relative) from "
+                    f"fresh ones by t={t}, beyond {PRODUCT_DRIFT_RTOL:.0e}")
+        self.objective = objective(self.problem, x)
+
     def finish(self, x: np.ndarray) -> RunTrace:
+        if self.problem.products is not None:
+            self.problem.products.release()
         self.trace.final_point = BlockPoint(x.copy(), self.problem.partition)
         return self.trace
 
@@ -182,12 +209,27 @@ class _RunBook:
 _SKIP = StepResult(0.0, None, 0.0)
 
 
+def _line_function(problem: CompositeProblem, x: np.ndarray,
+                   direction: np.ndarray, block: int | None) -> Callable[[float], float]:
+    """``gamma -> f(x + gamma d)``: through the problem's product hook
+    when it has one, else by fresh evaluations of ``f``."""
+    if problem.products is not None:
+        return problem.products.line(x, direction, block)
+    full = direction if block is None else problem.partition.embed(block, direction)
+    return lambda gamma: problem.smooth_value(x + gamma * full)
+
+
 def _audit_profile(problem: CompositeProblem, x: np.ndarray,
-                   direction: np.ndarray, profile: ScalarProfile) -> None:
-    """Check the polynomial profile against fresh objective evaluations."""
-    f0 = problem.smooth_value(x)
+                   direction: np.ndarray, profile: ScalarProfile,
+                   block: int | None = None) -> None:
+    """Check the polynomial profile against direct evaluations of ``f``
+    along the step (see ``SolverConfig`` for their cost)."""
+    phi = _line_function(problem, x, direction, block)
+    # without a hook, f(x) itself rather than f(x + 0 d): the same
+    # evaluations as an audit has always made
+    f0 = phi(0.0) if problem.products is not None else problem.smooth_value(x)
     for gamma in _AUDIT_GAMMAS:
-        direct = problem.smooth_value(x + gamma * direction) - f0
+        direct = phi(gamma) - f0
         predicted = profile.value(gamma)
         tol = 1e-8 * max(1.0, abs(f0), abs(direct))
         if abs(predicted - direct) > tol:
@@ -201,22 +243,19 @@ def _line_search(problem: CompositeProblem, config: SolverConfig,
                  d: float, block: int | None = None) -> StepResult:
     """Stepsize along ``direction``, which is block ``block``'s
     displacement when a block is given and the full one otherwise."""
-    full = direction if block is None else problem.partition.embed(block, direction)
     if config.line_search == SUCCESSIVE:
-
-        def phi(gamma: float) -> float:
-            return problem.smooth_value(x + gamma * full)
-
-        return successive_step(phi, delta_g, d, config.alpha, config.beta,
+        return successive_step(_line_function(problem, x, direction, block),
+                               delta_g, d, config.alpha, config.beta,
                                config.armijo_max_exponent)
 
     if problem.line_profile is not None:
         profile = problem.line_profile(x, direction, block)
         if profile.kind != "callable":
             if config.audit_profiles:
-                _audit_profile(problem, x, full, profile)
+                _audit_profile(problem, x, direction, profile, block)
             return profile.with_slope_offset(delta_g).minimize()
 
+    full = direction if block is None else problem.partition.embed(block, direction)
     f0 = problem.smooth_value(x)
     return _grid_golden(callable_profile(
         lambda g: problem.smooth_value(x + g * full) - f0 + g * delta_g))
@@ -268,6 +307,8 @@ def bsca_step(problem: CompositeProblem, solver: BlockSolver, x: np.ndarray,
     x_next = x.copy()
     sl = problem.partition.slice_of(k)
     x_next[sl] = x[sl] + step.gamma * delta
+    if problem.products is not None and step.gamma != 0.0:
+        problem.products.update(x, x_next, k, step.gamma, delta)
     return x_next, step, d
 
 
@@ -323,6 +364,8 @@ def run_parallel_sca(problem: CompositeProblem, solver: BlockSolver,
         else:
             step = _line_search(problem, config, x, direction, delta_g, d)
             candidate = x + step.gamma * direction
+            if problem.products is not None and step.gamma != 0.0:
+                problem.products.update(x, candidate, None, step.gamma, direction)
         x, stop = book.advance(x, candidate, t, -1, step)
         if stop:
             break
@@ -439,7 +482,7 @@ def run_bpgd(instance, spec: BregmanBaselineSpec,
     book = _RunBook(problem, config, x, sweep_len=1)
     A = instance.sampling
     for t in range(config.max_outer_iterations):
-        u = A.T @ x
+        u = instance.products.product(x)
         grad = A @ (u * (u * u - instance.intensities))
         candidate = bregman_step(x, grad, constant, instance.sparse_gain)
         if is_stationary(candidate - x, x, config.stationarity_rtol):

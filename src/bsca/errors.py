@@ -42,3 +42,8 @@ class DegenerateDiagonalError(BscaError, ValueError):
 class ProfileMismatchError(BscaError, RuntimeError):
     """Closed-form stepsize coefficients disagree with direct objective
     evaluation; indicates a coefficient bug."""
+
+
+class ProductDriftError(BscaError, RuntimeError):
+    """Products a problem maintains across steps drifted from fresh ones
+    beyond rounding; indicates a wrong update."""

@@ -227,7 +227,9 @@ def cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> np.ndarray:
         if not unique or abs(r - unique[-1]) > 1e-10 * max(1.0, abs(r)):
             unique.append(r)
     if not unique:
-        unique = [best]    # a cubic always has one real root
+        # a cubic always has one real root; Newton can step off a flat
+        # (triple) root, so the raw seeds compete with the polished ones
+        unique = [min([best] + seeds, key=lambda t: _residual_quality(t, a, b, c))]
     while len(unique) > 3:
         # rounding can leave a cluster around a repeated root; merge the
         # closest pair until the algebra is respected

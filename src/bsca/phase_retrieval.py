@@ -7,12 +7,15 @@ takes a global smoothness constant.  The outer surrogate linearizes the
 residual map inside the quartic loss, which lands on an explicit
 quadratic form per block; its subproblem is solved inexactly by a few
 elementwise best-response rounds (soft-thresholds), and the outer
-stepsize comes from the exact quartic line search.
+stepsize comes from the exact quartic line search.  Every layer reads
+``u = A'x`` from the instance's ``PhaseProducts``, which a run carries
+from step to step and re-forms once per sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -43,6 +46,7 @@ class PhaseRetrievalInstance:
     signal: np.ndarray | None = None
     seed: int | None = None
     density: float | None = None
+    products: PhaseProducts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         unknowns, measurements = self.sampling.shape
@@ -54,6 +58,8 @@ class PhaseRetrievalInstance:
             raise InvalidArgumentError("sparse_gain must be positive")
         if self.partition.total != unknowns:
             raise InvalidArgumentError("partition must cover all unknowns")
+        object.__setattr__(self, "products", PhaseProducts(
+            self.sampling, self.intensities, self.partition))
 
     @property
     def num_unknowns(self) -> int:
@@ -63,25 +69,114 @@ class PhaseRetrievalInstance:
         return self.sampling[self.partition.slice_of(k), :]
 
 
+class PhaseProducts:
+    """The product hook of phase retrieval (see ``core.ProductState``):
+    ``u = A'x`` at the tracked points.  A step carries ``u`` to
+    ``u + gamma w``, where ``w = A_k'd`` is the block product the line
+    profile formed (kept for the last direction), so a sweep of block
+    steps forms no full product until its sweep-end check.  Tracked
+    points are kept per thread, so concurrent runs on one instance never
+    read each other's products.  It holds the instance's arrays, not the
+    instance, so that no reference cycle keeps a dropped instance alive."""
+
+    def __init__(self, sampling: np.ndarray, intensities: np.ndarray,
+                 partition: BlockPartition):
+        self._sampling = sampling
+        self._intensities = intensities
+        self._partition = partition
+        self._local = threading.local()
+
+    def __getstate__(self):
+        # tracked points belong to the runs of this process's threads
+        return self._sampling, self._intensities, self._partition
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
+
+    def _held(self, x: np.ndarray):
+        """(point, u, scale) of a tracked point equal to ``x``, or None.
+        ``scale`` sums the norms of the terms ``u`` was built from (the
+        fresh product and each ``gamma w``): rounding in ``u`` grows with
+        it, so ``track`` reports the drift relative to it."""
+        for held in getattr(self._local, "held", ()):
+            if np.array_equal(held[0], x):
+                return held
+        return None
+
+    def product(self, x: np.ndarray) -> np.ndarray:
+        """``A'x``: the maintained product at a tracked point, a fresh
+        one elsewhere."""
+        held = self._held(x)
+        return held[1] if held is not None else self._sampling.T @ x
+
+    def direction_product(self, block: int | None,
+                          direction: np.ndarray) -> np.ndarray:
+        """``A_k'd`` (``A'd`` when ``block`` is None), reused while the
+        direction stays the last one asked for."""
+        last = getattr(self._local, "last", None)
+        if last is not None and last[0] == block and np.array_equal(last[1], direction):
+            return last[2]
+        rows = (self._sampling if block is None
+                else self._sampling[self._partition.slice_of(block), :])
+        w = rows.T @ direction
+        self._local.last = (block, direction.copy(), w)
+        return w
+
+    def track(self, x: np.ndarray) -> float | None:
+        fresh = self._sampling.T @ x
+        held = self._held(x)
+        drift = None
+        if held is not None:
+            drift = (float(np.linalg.norm(held[1] - fresh))
+                     / max(held[2], np.finfo(float).tiny))
+        self._local.held = ((x.copy(), fresh, float(np.linalg.norm(fresh))),)
+        self._local.last = None
+        return drift
+
+    def update(self, x: np.ndarray, x_new: np.ndarray, block: int | None,
+               gamma: float, direction: np.ndarray) -> None:
+        held = self._held(x)
+        if held is None:
+            return
+        w = self.direction_product(block, direction)
+        scale = held[2] + abs(gamma) * float(np.linalg.norm(w))
+        self._local.held = ((x_new.copy(), held[1] + gamma * w, scale), held)
+
+    def release(self) -> None:
+        self._local.held = ()
+        self._local.last = None
+
+    def line(self, x: np.ndarray, direction: np.ndarray, block: int | None):
+        u = self.product(x)
+        w = self.direction_product(block, direction)
+        y = self._intensities
+
+        def value(gamma: float) -> float:
+            fit = (u + gamma * w) ** 2 - y
+            return float(0.25 * fit @ fit)
+
+        return value
+
+
 def pr_problem(instance: PhaseRetrievalInstance) -> CompositeProblem:
-    """Composite view with the exact quartic line profile.  Along one
-    block the profile is built from the block product ``A_k' delta``."""
-    A = instance.sampling
+    """Composite view with the exact quartic line profile and the
+    instance's product hook.  Along one block the profile is built from
+    the block product ``A_k' delta``."""
     y = instance.intensities
+    products = instance.products
 
     def smooth_value(x: np.ndarray) -> float:
-        fit = (A.T @ x) ** 2 - y
+        fit = products.product(x) ** 2 - y
         return float(0.25 * fit @ fit)
 
     def block_gradient(x: np.ndarray, k: int) -> np.ndarray:
-        u = A.T @ x
+        u = products.product(x)
         return instance.block_rows(k) @ (u * (u * u - y))
 
     def line_profile(x: np.ndarray, direction: np.ndarray,
                      block: int | None = None):
-        u = A.T @ x
-        rows = A if block is None else instance.block_rows(block)
-        return _quartic_coeffs(u, rows.T @ direction, y)
+        return _quartic_coeffs(products.product(x),
+                               products.direction_product(block, direction), y)
 
     return CompositeProblem(
         partition=instance.partition,
@@ -90,6 +185,7 @@ def pr_problem(instance: PhaseRetrievalInstance) -> CompositeProblem:
         nonsmooth=tuple(L1Norm(instance.sparse_gain)
                         for _ in range(instance.partition.num_blocks)),
         line_profile=line_profile,
+        products=products,
     )
 
 
@@ -110,11 +206,13 @@ def pr_outer_model(instance: PhaseRetrievalInstance, x: np.ndarray, k: int,
                    curvature: float) -> SurrogateModel:
     """Partial linearization of the residual map inside the quartic loss,
     written as the quadratic form (1/2) v'Dv - v'b with
-    D = 2 A_k diag(A'x)^2 A_k' + c I and b = D x_k - grad_k f(x)."""
+    D = 2 A_k diag(A'x)^2 A_k' + c I and b = D x_k - grad_k f(x).
+    ``A'x`` comes from ``instance.products``, so inside a run the model
+    reads the maintained product."""
     if curvature <= 0.0:
         raise InvalidArgumentError("curvature must be positive")
     x = np.asarray(x, dtype=float)
-    u = instance.sampling.T @ x
+    u = instance.products.product(x)
     rows = instance.block_rows(k)
     matrix = 2.0 * (rows * (u * u)) @ rows.T
     matrix[np.diag_indices_from(matrix)] += curvature
@@ -177,7 +275,7 @@ def generate_pr_instance(unknowns: int, measurements: int,
         raise InvalidArgumentError("density must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     sampling = rng.standard_normal((unknowns, measurements))
-    sampling /= np.linalg.norm(sampling, axis=0, keepdims=True)
+    sampling /= _column_norms(sampling)
     signal = np.zeros(unknowns)
     support = rng.choice(
         unknowns, size=max(1, int(np.ceil(density * unknowns - 1e-9))),
@@ -190,6 +288,16 @@ def generate_pr_instance(unknowns: int, measurements: int,
         sampling=sampling, intensities=intensities, sparse_gain=sparse_gain,
         partition=equal_partition(unknowns, num_blocks), signal=signal,
         seed=seed, density=density)
+
+
+def _column_norms(matrix: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each column, with the squares summed row by row
+    so that no matrix-sized temporary is formed; the same bits as
+    ``np.linalg.norm(matrix, axis=0)``."""
+    squares = np.zeros(matrix.shape[1])
+    for row in matrix:
+        squares += row * row
+    return np.sqrt(squares)
 
 
 def with_blocks(instance: PhaseRetrievalInstance,

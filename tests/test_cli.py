@@ -263,6 +263,46 @@ class TestReproduce:
     def test_missing_manifest(self, tmp_path):
         assert main(["reproduce", str(tmp_path / "nope.manifest")]) == 2
 
+    def test_blas_threads_recorded_and_named_when_outputs_differ(
+            self, pr_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "1")
+        out = tmp_path / "run"
+        assert main(["solve", str(pr_dir), "--algorithm", "bsca",
+                     "--max-iters", "15", "--out", str(out)]) == 0
+        manifest = read_manifest(out / RUN_MANIFEST)
+        assert manifest["blas.OPENBLAS_NUM_THREADS"] == "1"
+        assert manifest["blas.OMP_NUM_THREADS"] == "unset"
+        assert manifest["blas.MKL_NUM_THREADS"] == "1"
+        # matching outputs say nothing about threads, whatever the settings
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        capsys.readouterr()
+        assert main(["reproduce", str(out / RUN_MANIFEST)]) == 0
+        assert "BLAS" not in capsys.readouterr().err
+        # differing outputs name the settings that changed, and only those
+        trace = out / "trace.csv"
+        lines = trace.read_text().splitlines()
+        cells = lines[-1].split(",")
+        cells[4] = "1234.5"
+        lines[-1] = ",".join(cells)
+        trace.write_text("\n".join(lines) + "\n")
+        assert main(["reproduce", str(out / RUN_MANIFEST)]) == 3
+        err = capsys.readouterr().err
+        assert "OPENBLAS_NUM_THREADS recorded 1, now 2" in err
+        assert "MKL_NUM_THREADS" not in err and "OMP_NUM_THREADS" not in err
+
+    def test_manifest_without_blas_threads_still_reproduces(
+            self, pr_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["solve", str(pr_dir), "--algorithm", "bsca",
+                     "--max-iters", "15", "--out", str(out)]) == 0
+        path = out / RUN_MANIFEST
+        kept = [line for line in path.read_text().splitlines()
+                if not line.startswith("blas.")]
+        path.write_text("\n".join(kept) + "\n")
+        assert main(["reproduce", str(path)]) == 0
+
 
 def test_console_entry_smoke(tmp_path):
     out = tmp_path / "inst"

@@ -1,17 +1,31 @@
+import pickle
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from bsca import phase_retrieval
-from bsca.core import L1Norm, SolverConfig, Unconstrained, make_partition
+from bsca.core import (
+    PRODUCT_DRIFT_RTOL,
+    L1Norm,
+    SolverConfig,
+    Unconstrained,
+    make_partition,
+)
 from bsca.engine import (
     _audit_profile,
     inexact_solver,
+    run_bgd,
     run_bsca,
     run_parallel_sca,
 )
-from bsca.errors import InvalidArgumentError, ProfileMismatchError
+from bsca.errors import InvalidArgumentError, ProductDriftError, ProfileMismatchError
 from bsca.phase_retrieval import (
+    PhaseProducts,
     PhaseRetrievalInstance,
+    _column_norms,
     _quartic_coeffs,
     generate_pr_instance,
     pr_outer_model,
@@ -21,6 +35,7 @@ from bsca.phase_retrieval import (
 )
 from bsca.surrogates import inner_best_response_step, inner_exact_stepsize
 
+from conftest import random_quadratic_problem
 from oracles import finite_diff_block_gradient, golden_section
 
 
@@ -329,7 +344,133 @@ class TestRunPhaseRetrieval:
             parallel.final_objective, rel=1e-6)
 
 
+class TestProducts:
+    def test_run_drift_stays_below_the_bar(self, rng):
+        inst = tiny_instance(seed=13, blocks=5)
+        cfg = SolverConfig(max_outer_iterations=100, inner_iterations=3,
+                           stop_tol=0.0)
+        trace = run_phase_retrieval(inst, cfg, rng.standard_normal(24))
+        assert trace.product_drift is not None
+        assert 0.0 <= trace.product_drift <= PRODUCT_DRIFT_RTOL
+
+    def test_problems_without_the_hook_report_no_drift(self, rng):
+        problem, _, _ = random_quadratic_problem(rng, [3, 2])
+        trace = run_bgd(problem, SolverConfig(max_outer_iterations=4),
+                        rng.standard_normal(5))
+        assert trace.product_drift is None
+
+    def test_wrong_update_raises_at_the_sweep_end(self, rng, monkeypatch):
+        inst = tiny_instance(seed=14, blocks=3)
+        honest = PhaseProducts.update
+
+        def skewed(self, x, x_new, block, gamma, direction):
+            honest(self, x, x_new, block, gamma, (1.0 + 1e-6) * direction)
+
+        monkeypatch.setattr(PhaseProducts, "update", skewed)
+        cfg = SolverConfig(max_outer_iterations=30, inner_iterations=2,
+                           stop_tol=0.0)
+        with pytest.raises(ProductDriftError, match="t=2,"):
+            run_phase_retrieval(inst, cfg, rng.standard_normal(24))
+
+    def test_closures_at_an_untracked_point_are_the_fresh_formulas(self, rng):
+        inst = tiny_instance(seed=15, blocks=5)
+        A, y = inst.sampling, inst.intensities
+        problem = pr_problem(inst)
+        x = rng.standard_normal(24)
+        delta = rng.standard_normal(inst.partition.block_sizes[2])
+        x_new = x.copy()
+        x_new[inst.partition.slice_of(2)] += 0.5 * delta
+        inst.products.track(x)
+        inst.products.update(x, x_new, 2, 0.5, delta)
+        try:
+            z = rng.standard_normal(24)
+            u = A.T @ z
+            fit = u ** 2 - y
+            assert problem.smooth_value(z) == float(0.25 * fit @ fit)
+            for k in range(5):
+                rows = inst.block_rows(k)
+                assert np.array_equal(problem.block_gradient(z, k),
+                                      rows @ (u * (u * u - y)))
+                d = rng.standard_normal(rows.shape[0])
+                assert (problem.line_profile(z, d, k).coeffs
+                        == _quartic_coeffs(u, rows.T @ d, y).coeffs)
+                expected = 2.0 * (rows * (u * u)) @ rows.T
+                expected[np.diag_indices_from(expected)] += 1e-3
+                assert np.array_equal(pr_outer_model(inst, z, k, 1e-3).quad_matrix,
+                                      expected)
+            # the tracked points read the maintained product
+            assert problem.smooth_value(x_new) == pytest.approx(
+                float(0.25 * ((A.T @ x_new) ** 2 - y) @ ((A.T @ x_new) ** 2 - y)),
+                rel=1e-12)
+        finally:
+            inst.products.release()
+
+    def test_bgd_and_parallel_runs_stay_monotone(self, rng):
+        inst = tiny_instance(seed=16, blocks=4)
+        x0 = rng.standard_normal(24)
+        cfg = SolverConfig(max_outer_iterations=80, stop_tol=0.0, curvature=1e-3)
+        bgd = run_bgd(pr_problem(inst), cfg, x0)
+        solver = inexact_solver(
+            lambda problem, x, k: pr_outer_model(inst, x, k, 1e-3),
+            SolverConfig(max_outer_iterations=0, inner_iterations=50))
+        parallel = run_parallel_sca(pr_problem(inst), solver,
+                                    SolverConfig(max_outer_iterations=40,
+                                                 stop_tol=0.0), x0)
+        for trace in (bgd, parallel):
+            assert np.all(np.diff(trace.objectives) <= 0.0)
+            assert trace.objectives[-1] < trace.objectives[0]
+            assert trace.product_drift <= PRODUCT_DRIFT_RTOL
+
+    def test_concurrent_runs_on_one_instance_match_serial_ones(self, rng):
+        # tracked points are per thread: a run that read another thread's
+        # products, or lost its own, would leave the serial trajectory
+        inst = tiny_instance(seed=17, blocks=3)
+        starts = [rng.standard_normal(24) for _ in range(8)]
+        cfg = SolverConfig(max_outer_iterations=60, inner_iterations=3,
+                           stop_tol=0.0)
+        serial = [run_phase_retrieval(inst, cfg, x0) for x0 in starts]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                threaded = list(pool.map(
+                    lambda x0: run_phase_retrieval(inst, cfg, x0), starts,
+                    timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a.objectives, b.objectives)
+            assert np.array_equal(a.final_point.values, b.final_point.values)
+
+    def test_instances_pickle_without_tracked_points(self, rng):
+        inst = tiny_instance(seed=19)
+        x = rng.standard_normal(24)
+        inst.products.track(x)
+        copy = pickle.loads(pickle.dumps(inst))
+        inst.products.release()
+        assert np.array_equal(copy.sampling, inst.sampling)
+        assert copy.partition == inst.partition
+        assert copy.products.track(x) is None    # x was not tracked in the copy
+        assert np.array_equal(copy.products.product(x), inst.sampling.T @ x)
+        copy.products.release()
+
+    def test_a_dropped_instance_is_freed_without_the_cycle_collector(self):
+        inst = tiny_instance(seed=18)
+        run_phase_retrieval(inst, SolverConfig(max_outer_iterations=4))
+        ref = weakref.ref(inst)
+        del inst
+        assert ref() is None
+
+
 class TestGenerator:
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (24, 60), (20, 40),
+                                       (30, 20), (400, 100), (400, 1000)])
+    def test_column_norms_match_numpy_bit_for_bit(self, shape):
+        # the criterion, test and manifest-gate shapes
+        matrix = np.random.default_rng(0).standard_normal(shape)
+        assert np.array_equal(_column_norms(matrix),
+                              np.linalg.norm(matrix, axis=0))
+
     def test_seed_reproducibility(self):
         a = generate_pr_instance(30, 12, density=0.1, num_blocks=3, seed=21)
         b = generate_pr_instance(30, 12, density=0.1, num_blocks=3, seed=21)
