@@ -35,7 +35,7 @@ from .errors import (
     DegenerateDirectionError,
     InvalidArgumentError,
 )
-from .linesearch import exact_quadratic_step, quadratic_profile, quartic_profile
+from .linesearch import ScalarProfile, exact_quadratic_step, quadratic_profile
 from .surrogates import soft_threshold
 
 
@@ -308,8 +308,8 @@ def anomaly_problem(instance: AnomalyInstance) -> CompositeProblem:
         fourth = 2.0 * float(np.vdot(second, second))
         if fourth == 0.0:
             return quadratic_profile(quad, lin)
-        return quartic_profile(fourth, 3.0 * float(np.vdot(first, second)),
-                               quad, lin)
+        return ScalarProfile(fourth, 3.0 * float(np.vdot(first, second)),
+                             quad, lin)
 
     return CompositeProblem(
         partition=partition,

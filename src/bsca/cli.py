@@ -58,18 +58,22 @@ from .storage import (
 
 ALGORITHMS = ("bsca", "inexact-bsca", "parallel-sca", "bgd", "bpgd")
 
-SOLVE_DEFAULTS = {
-    "blocks": None,
-    "rule": "cyclic",
-    "inner_iters": 10,
-    "line_search": "exact",
-    "alpha": 0.1,
-    "beta": 0.5,
-    "c": 1e-4,
-    "tol": 1e-8,
-    "max_iters": 1000,
-    "seed": 0,
-    "discount": 1.0,
+# the solve options, key -> (type, default, allowed values): they make
+# the flags of solve and bench (``--inner-iters`` for inner_iters), the
+# keys of config files and bench variant lines (either spelling), and
+# the param.* entries of solve and bench manifests
+SOLVE_OPTIONS = {
+    "blocks": (int, None, None),
+    "rule": (str, "cyclic", ("cyclic", "random")),
+    "inner_iters": (int, 10, None),
+    "line_search": (str, "exact", ("exact", "armijo")),
+    "alpha": (float, 0.1, None),
+    "beta": (float, 0.5, None),
+    "c": (float, 1e-4, None),
+    "tol": (float, 1e-8, None),
+    "max_iters": (int, 1000, None),
+    "seed": (int, 0, None),
+    "discount": (float, 1.0, None),
 }
 
 
@@ -145,38 +149,41 @@ def cmd_generate(args) -> int:
 
 def _merge_options(args, file_config: dict) -> dict:
     """flags > config file > built-in defaults."""
-    merged = dict(SOLVE_DEFAULTS)
-    for key, value in file_config.items():
+    defaults = {key: default for key, (_, default, _) in SOLVE_OPTIONS.items()}
+    opts = _with_settings(defaults, file_config, "config")
+    return {key: value if getattr(args, key) is None else getattr(args, key)
+            for key, value in opts.items()}
+
+
+def _with_settings(opts: dict, settings: dict, source: str) -> dict:
+    """``opts`` overridden by text ``key = value`` settings."""
+    opts = dict(opts)
+    for key, text in settings.items():
         norm = key.replace("-", "_")
-        if norm not in merged:
-            raise UsageError(f"unknown config key {key!r}")
-        merged[norm] = _coerce(norm, value)
-    for key in merged:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    return merged
+        if norm not in SOLVE_OPTIONS:
+            raise UsageError(f"{source}: unknown key {key!r}")
+        kind, _, allowed = SOLVE_OPTIONS[norm]
+        try:
+            value = kind(text)
+        except ValueError:
+            raise UsageError(
+                f"{source}: {key} must be {kind.__name__}, got {text!r}") from None
+        if allowed is not None and value not in allowed:
+            raise UsageError(f"{source}: {key} must be one of {allowed}, got {text!r}")
+        opts[norm] = value
+    return opts
 
 
-def _coerce(key: str, value: str):
-    if key in ("blocks", "inner_iters", "max_iters", "seed"):
-        return int(value)
-    if key in ("alpha", "beta", "c", "tol", "discount"):
-        return float(value)
-    return value
+def _param_entries(opts: dict) -> dict:
+    return {f"param.{key}": value for key, value in opts.items() if value is not None}
 
 
 def _solver_config(opts: dict) -> SolverConfig:
-    search = {"exact": EXACT, "armijo": SUCCESSIVE}.get(opts["line_search"])
-    if search is None:
-        raise UsageError(f"unknown line search {opts['line_search']!r}")
-    if opts["rule"] not in ("cyclic", "random"):
-        raise UsageError(f"unknown block rule {opts['rule']!r}")
     return SolverConfig(
         max_outer_iterations=opts["max_iters"],
         block_rule=opts["rule"],
         seed=opts["seed"],
-        line_search=search,
+        line_search=SUCCESSIVE if opts["line_search"] == "armijo" else EXACT,
         alpha=opts["alpha"],
         beta=opts["beta"],
         inner_iterations=opts["inner_iters"],
@@ -256,17 +263,13 @@ def cmd_solve(args) -> int:
         "instance": str(Path(args.instance).resolve()),
         "algorithm": args.algorithm,
         **_blas_threads(),
-    }
-    for key, value in opts.items():
-        if value is not None:
-            entries[f"param.{key}"] = value
-    entries.update({
+        **_param_entries(opts),
         "output.trace": "trace.csv",
         "final_objective": trace.final_objective,
         "iterations": trace.iterations,
         "termination": trace.termination_reason,
         "finished": _timestamp(),
-    })
+    }
     write_manifest(out / RUN_MANIFEST, entries)
     print("final_objective=%.17g iters=%d seconds=%.6g"
           % (trace.final_objective, trace.iterations,
@@ -303,21 +306,12 @@ def cmd_bench(args) -> int:
     baseline = _merge_options(args, {})
 
     def run_one(tokens: dict):
-        name = tokens["name"]
-        algorithm = tokens["algorithm"]
-        if algorithm not in ALGORITHMS:
-            raise UsageError(f"variant {name}: unknown algorithm {algorithm!r}")
-        opts = dict(baseline)
-        for key, value in tokens.items():
-            if key in ("name", "algorithm"):
-                continue
-            norm = key.replace("-", "_")
-            if norm not in opts:
-                raise UsageError(f"variant {name}: unknown key {key!r}")
-            opts[norm] = _coerce(norm, value)
+        settings = dict(tokens)
+        name, algorithm = settings.pop("name"), settings.pop("algorithm")
+        opts = _with_settings(baseline, settings, f"variant {name}")
         begin = time.monotonic()
         trace = run_algorithm(instance, algorithm, opts)
-        return name, trace, time.monotonic() - begin
+        return trace, time.monotonic() - begin
 
     workers = max(1, min(int(os.environ.get("BSCA_THREADS", "1")),
                          len(variants)))
@@ -338,7 +332,7 @@ def cmd_bench(args) -> int:
         if name not in results:
             print(f"variant {name} failed: {failures[name]}", file=sys.stderr)
             continue
-        _, trace, seconds = results[name]
+        trace, seconds = results[name]
         trace.write_csv(out / f"{name}.trace.csv")
         to_tol = trace.tolerance_iteration if trace.tolerance_iteration is not None else -1
         rows.append("%s,%.17g,%d,%.6g"
@@ -354,11 +348,8 @@ def cmd_bench(args) -> int:
         "variants": str(Path(args.variants).resolve()),
         "output.comparison": "comparison.csv",
         **_blas_threads(),
+        **_param_entries(baseline),
     }
-    for key in ("max_iters", "tol", "seed"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            entries[f"param.{key}"] = flag
     for name in results:
         entries[f"output.trace.{name}"] = f"{name}.trace.csv"
     for name, message in failures.items():
@@ -498,18 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _add_solver_flags(parser) -> None:
-    parser.add_argument("--blocks", type=int, default=None)
-    parser.add_argument("--rule", choices=("cyclic", "random"), default=None)
-    parser.add_argument("--inner-iters", dest="inner_iters", type=int, default=None)
-    parser.add_argument("--line-search", dest="line_search",
-                        choices=("exact", "armijo"), default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--c", type=float, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--discount", type=float, default=None)
+    for key, (kind, _, allowed) in SOLVE_OPTIONS.items():
+        parser.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                            choices=allowed, default=None)
 
 
 def main(argv=None) -> int:

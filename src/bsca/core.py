@@ -209,8 +209,8 @@ class CompositeProblem:
     linesearch), where ``d`` is ``direction`` itself when ``block`` is
     None and ``direction`` embedded in block ``block`` otherwise (then
     ``direction`` has that block's length).  Solvers use it for
-    closed-form exact line searches and fall back to golden section
-    without it.
+    closed-form exact line searches; without it they scan ``f`` along
+    the step (a grid, then golden section).
 
     ``products``, when provided, is a ProductState.  The solver loops
     ``track`` the start; ``bsca_step`` and ``run_parallel_sca``
@@ -218,10 +218,11 @@ class CompositeProblem:
     loops ``track`` the iterate again, raise ProductDriftError when the
     maintained products have drifted from fresh ones by more than
     ``PRODUCT_DRIFT_RTOL``, and re-evaluate the objective from the fresh
-    ones.  The audit and the successive line search evaluate ``f`` along
-    the step through ``line``.  The closures stay pure: at a tracked
-    point they may read the maintained products, which agree with fresh
-    ones up to that drift; at any other point they compute from scratch.
+    ones.  The audit, the successive search and the scan of an exact
+    search without a profile evaluate ``f`` along the step through
+    ``line``.  The closures stay pure: at a tracked point they may read
+    the maintained products, which agree with fresh ones up to that
+    drift; at any other point they compute from scratch.
 
     Existence of limit points (a coercive objective or bounded constraint
     sets) is the caller's obligation; nothing here can check it.
@@ -297,12 +298,10 @@ class SolverConfig:
     stationarity skip.
 
     ``audit_profiles`` checks every closed-form line profile against
-    five direct evaluations of ``f`` along the step before its minimizer
-    is trusted (ProfileMismatchError beyond 1e-8 relative).  Without a
-    product hook (``CompositeProblem.products``) an audit costs six
-    fresh evaluations of ``f``; with one it costs the hook's six line
-    evaluations, O(N) each for phase retrieval, where the product with
-    the direction is the one the profile already formed.
+    direct evaluations of ``f`` at six points of the step before its
+    minimizer is trusted (ProfileMismatchError beyond 1e-8 relative):
+    fresh ones without a product hook (``CompositeProblem.products``),
+    O(N) ones through the hook's ``line`` for phase retrieval.
     ``run_phase_retrieval`` audits whatever the setting.
 
     ``inner_iterations`` caps the inner rounds ``inexact_solver`` runs
@@ -318,7 +317,6 @@ class SolverConfig:
     line_search: str = EXACT
     alpha: float = 0.1
     beta: float = 0.5
-    armijo_max_exponent: int = 60
     inner_iterations: int = 1
     stop_tol: float = 1e-8
     curvature: float = 1e-4

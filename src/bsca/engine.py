@@ -44,7 +44,6 @@ from .linesearch import (
     ScalarProfile,
     StepResult,
     _grid_golden,
-    callable_profile,
     cubic_real_roots,
     descent_quantity,
     successive_step,
@@ -206,7 +205,7 @@ class _RunBook:
         return self.trace
 
 
-_SKIP = StepResult(0.0, None, 0.0)
+_SKIP = StepResult(0.0)
 
 
 def _line_function(problem: CompositeProblem, x: np.ndarray,
@@ -225,9 +224,7 @@ def _audit_profile(problem: CompositeProblem, x: np.ndarray,
     """Check the polynomial profile against direct evaluations of ``f``
     along the step (see ``SolverConfig`` for their cost)."""
     phi = _line_function(problem, x, direction, block)
-    # without a hook, f(x) itself rather than f(x + 0 d): the same
-    # evaluations as an audit has always made
-    f0 = phi(0.0) if problem.products is not None else problem.smooth_value(x)
+    f0 = phi(0.0)
     for gamma in _AUDIT_GAMMAS:
         direct = phi(gamma) - f0
         predicted = profile.value(gamma)
@@ -245,20 +242,15 @@ def _line_search(problem: CompositeProblem, config: SolverConfig,
     displacement when a block is given and the full one otherwise."""
     if config.line_search == SUCCESSIVE:
         return successive_step(_line_function(problem, x, direction, block),
-                               delta_g, d, config.alpha, config.beta,
-                               config.armijo_max_exponent)
-
-    if problem.line_profile is not None:
-        profile = problem.line_profile(x, direction, block)
-        if profile.kind != "callable":
-            if config.audit_profiles:
-                _audit_profile(problem, x, direction, profile, block)
-            return profile.with_slope_offset(delta_g).minimize()
-
-    full = direction if block is None else problem.partition.embed(block, direction)
-    f0 = problem.smooth_value(x)
-    return _grid_golden(callable_profile(
-        lambda g: problem.smooth_value(x + g * full) - f0 + g * delta_g))
+                               delta_g, d, config.alpha, config.beta)
+    if problem.line_profile is None:
+        phi = _line_function(problem, x, direction, block)
+        f0 = phi(0.0)
+        return _grid_golden(lambda g: phi(g) - f0 + g * delta_g)
+    profile = problem.line_profile(x, direction, block)
+    if config.audit_profiles:
+        _audit_profile(problem, x, direction, profile, block)
+    return profile.with_slope_offset(delta_g).minimize()
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +293,7 @@ def bsca_step(problem: CompositeProblem, solver: BlockSolver, x: np.ndarray,
         # only reachable at numerical stationarity of the subproblem
         return x, _SKIP, d
     if is_global_upper_bound:
-        step = StepResult(1.0, None, 0.0)
+        step = StepResult(1.0)
     else:
         step = _line_search(problem, config, x, delta, delta_g, d, k)
     x_next = x.copy()
@@ -473,6 +465,7 @@ def run_bpgd(instance, spec: BregmanBaselineSpec,
     """
     from .phase_retrieval import pr_problem    # deferred: avoids a cycle
 
+    config.validate()
     problem = pr_problem(instance)
     constant = spec.constant if spec.constant is not None else bregman_constant(instance)
     constant *= spec.discount
@@ -488,7 +481,7 @@ def run_bpgd(instance, spec: BregmanBaselineSpec,
         if is_stationary(candidate - x, x, config.stationarity_rtol):
             candidate, step = x, _SKIP
         else:
-            step = StepResult(1.0, None, 0.0)
+            step = StepResult(1.0)
         x, stop = book.advance(x, candidate, t, -1, step)
         if stop:
             break

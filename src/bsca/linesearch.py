@@ -5,9 +5,11 @@ All searches operate on the constructed differentiable profile
     phi(gamma) = f(x + gamma * d) - f(x) + gamma * (g(B) - g(x)),
 
 whose nonsmooth part enters only through the constant slope term, so the
-profile is smooth even when g is not.  Quadratic and quartic profiles
-admit closed-form minimizers (the quartic via the real roots of its
-derivative cubic); everything else goes through Armijo backtracking.
+profile is smooth even when g is not.  In both applications it is a
+polynomial of degree at most 4 with a closed-form minimizer (the quartic
+via the real roots of its derivative cubic); otherwise the exact search
+scans a grid and refines by golden section, and the successive search
+backtracks (Armijo).
 """
 
 from __future__ import annotations
@@ -29,88 +31,49 @@ class StepResult:
 
     gamma: float
     armijo_exponent: int | None = None     # None for exact searches
-    profile_value: float = 0.0             # profile at gamma, profile(0) = 0
 
 
 @dataclass(frozen=True)
 class ScalarProfile:
-    """Polynomial or opaque scalar profile on [0, 1].
+    """The polynomial profile
+    (1/4) v4 g^4 + (1/3) v3 g^3 + (1/2) v2 g^2 + v1 g on [0, 1];
+    a quadratic has v4 = v3 = 0."""
 
-    Coefficients follow the convention
-    quadratic: (1/2) a2 g^2 + a1 g, quartic:
-    (1/4) v4 g^4 + (1/3) v3 g^3 + (1/2) v2 g^2 + v1 g.
-    """
-
-    kind: str                               # "quadratic" | "quartic" | "callable"
-    coeffs: tuple[float, ...] = ()
-    fn: Callable[[float], float] | None = None
+    v4: float
+    v3: float
+    v2: float
+    v1: float
 
     def with_slope_offset(self, delta_g: float) -> "ScalarProfile":
         """Fold the nonsmooth slope term gamma * delta_g into the profile."""
-        if self.kind == "quadratic":
-            a2, a1 = self.coeffs
-            return ScalarProfile("quadratic", (a2, a1 + delta_g))
-        if self.kind == "quartic":
-            v4, v3, v2, v1 = self.coeffs
-            return ScalarProfile("quartic", (v4, v3, v2, v1 + delta_g))
-        fn = self.fn
-        return ScalarProfile("callable", fn=lambda g: fn(g) + g * delta_g)
+        return ScalarProfile(self.v4, self.v3, self.v2, self.v1 + delta_g)
 
     def value(self, gamma: float) -> float:
-        if self.kind == "quadratic":
-            a2, a1 = self.coeffs
-            return 0.5 * a2 * gamma * gamma + a1 * gamma
-        if self.kind == "quartic":
-            v4, v3, v2, v1 = self.coeffs
-            return gamma * (v1 + gamma * (0.5 * v2 + gamma * (v3 / 3.0 + gamma * 0.25 * v4)))
-        return self.fn(gamma)
+        return gamma * (self.v1 + gamma * (0.5 * self.v2 + gamma * (
+            self.v3 / 3.0 + gamma * 0.25 * self.v4)))
 
     def minimize(self) -> StepResult:
         """Exact minimizer over [0, 1]; degenerate leading coefficients
-        cascade down (quartic -> quadratic -> linear)."""
-        if self.kind == "quadratic":
-            a2, a1 = self.coeffs
-            if a2 > 0.0:
-                return exact_quadratic_step(a2, a1)
-            return _linear_step(a1)
-        if self.kind == "quartic":
-            v4, v3, v2, v1 = self.coeffs
-            if v4 > 0.0:
-                return exact_quartic_step(v4, v3, v2, v1)
-            if v3 != 0.0:
-                # cubic profile: candidate stationary points from the
-                # quadratic derivative, endpoints always in play
-                return _polynomial_argmin(self, np.roots([v3, v2, v1]))
-            return ScalarProfile("quadratic", (v2, v1)).minimize()
-        raise InvalidArgumentError("callable profiles have no exact minimizer")
+        cascade down (quartic -> cubic -> quadratic -> linear)."""
+        if self.v4 > 0.0:
+            return exact_quartic_step(self.v4, self.v3, self.v2, self.v1)
+        if self.v3 != 0.0:
+            # stationary points of the quadratic derivative, and the endpoints
+            return _polynomial_argmin(self, np.roots([self.v3, self.v2, self.v1]))
+        if self.v2 > 0.0:
+            return exact_quadratic_step(self.v2, self.v1)
+        return StepResult(1.0 if self.v1 < 0.0 else 0.0)
 
 
 def quadratic_profile(a2: float, a1: float) -> ScalarProfile:
-    return ScalarProfile("quadratic", (float(a2), float(a1)))
-
-
-def quartic_profile(v4: float, v3: float, v2: float, v1: float) -> ScalarProfile:
-    return ScalarProfile("quartic", (float(v4), float(v3), float(v2), float(v1)))
-
-
-def callable_profile(fn: Callable[[float], float]) -> ScalarProfile:
-    return ScalarProfile("callable", fn=fn)
-
-
-def _linear_step(slope: float) -> StepResult:
-    gamma = 1.0 if slope < 0.0 else 0.0
-    return StepResult(gamma, None, slope * gamma)
+    return ScalarProfile(0.0, 0.0, float(a2), float(a1))
 
 
 def _polynomial_argmin(profile: ScalarProfile, stationary) -> StepResult:
-    candidates = [0.0, 1.0]
-    for r in np.atleast_1d(stationary):
-        if abs(np.imag(r)) < 1e-9:
-            g = float(np.real(r))
-            if 0.0 < g < 1.0:
-                candidates.append(g)
-    best = min(candidates, key=lambda g: (profile.value(g), g))
-    return StepResult(best, None, profile.value(best))
+    real = [float(np.real(r)) for r in np.atleast_1d(stationary)
+            if abs(np.imag(r)) < 1e-9]
+    candidates = [0.0, 1.0] + [g for g in real if 0.0 < g < 1.0]
+    return StepResult(min(candidates, key=lambda g: (profile.value(g), g)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +84,7 @@ def exact_quadratic_step(a2: float, a1: float) -> StepResult:
     """Minimize (1/2) a2 g^2 + a1 g over [0, 1]; requires a2 > 0."""
     if a2 <= 0.0:
         raise InvalidArgumentError("quadratic profile needs a2 > 0")
-    gamma = min(1.0, max(0.0, -a1 / a2))
-    return StepResult(gamma, None, 0.5 * a2 * gamma * gamma + a1 * gamma)
+    return StepResult(min(1.0, max(0.0, -a1 / a2)))
 
 
 def exact_quartic_step(v4: float, v3: float, v2: float, v1: float) -> StepResult:
@@ -131,41 +93,46 @@ def exact_quartic_step(v4: float, v3: float, v2: float, v1: float) -> StepResult
     The interior stationary points are the real roots of the derivative
     cubic; the quartic is evaluated at those roots inside [0, 1] and at
     both endpoints, and the argmin wins (ties go to the smaller gamma).
-    Requires v4 > 0.
+    Coefficient spreads that overflow the root formulas go to a grid and
+    golden-section scan instead.  Requires v4 > 0.
     """
     if v4 <= 0.0:
         raise InvalidArgumentError("quartic profile needs v4 > 0")
-    profile = quartic_profile(v4, v3, v2, v1)
+    profile = ScalarProfile(v4, v3, v2, v1)
     try:
         roots = cubic_real_roots(v4, v3, v2, v1)
-    except FloatingPointError:
-        roots = np.array([])
-    if roots.size and not np.all(np.isfinite(roots)):
-        return _grid_golden(profile)
+    except OverflowError:
+        return _grid_golden(profile.value)
+    if not np.all(np.isfinite(roots)):
+        return _grid_golden(profile.value)
     return _polynomial_argmin(profile, roots)
 
 
-def _grid_golden(profile: ScalarProfile, grid: int = 1000,
+def _grid_golden(phi: Callable[[float], float], grid: int = 1000,
                  tol: float = 1e-12) -> StepResult:
-    """Last-resort minimizer: uniform scan then golden-section refine."""
+    """Last-resort minimizer of ``phi`` on [0, 1]: uniform scan, then a
+    golden-section refine around the best grid point, which is kept when
+    the refined point scores no better."""
     gammas = np.linspace(0.0, 1.0, grid + 1)
-    values = [profile.value(g) for g in gammas]
+    values = [phi(g) for g in gammas]
     i = int(np.argmin(values))
     a, b = gammas[max(i - 1, 0)], gammas[min(i + 1, grid)]
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = profile.value(c), profile.value(d)
+    fc, fd = phi(c), phi(d)
     while b - a > tol:
         if fc <= fd:
             b, d, fd = d, c, fc
             c = b - inv * (b - a)
-            fc = profile.value(c)
+            fc = phi(c)
         else:
             a, c, fc = c, d, fd
             d = a + inv * (b - a)
-            fd = profile.value(d)
+            fd = phi(d)
     gamma = 0.5 * (a + b)
-    return StepResult(gamma, None, profile.value(gamma))
+    if values[i] < phi(gamma):
+        gamma = gammas[i]
+    return StepResult(float(gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +281,8 @@ def successive_step(phi_smooth: Callable[[float], float], delta_g: float,
     phi0 = phi_smooth(0.0)
     gamma = 1.0
     for m in range(m_max + 1):
-        lhs = phi_smooth(gamma) + gamma * delta_g
-        if lhs <= phi0 + alpha * gamma * d:
-            return StepResult(gamma, m, lhs - phi0)
+        if phi_smooth(gamma) + gamma * delta_g <= phi0 + alpha * gamma * d:
+            return StepResult(gamma, m)
         gamma *= beta
     raise LineSearchError(
         f"no Armijo stepsize within {m_max} halvings (d={d}); "

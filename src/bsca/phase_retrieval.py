@@ -29,7 +29,7 @@ from .core import (
 )
 from .engine import inexact_solver, run_bsca
 from .errors import InvalidArgumentError
-from .linesearch import quartic_profile
+from .linesearch import ScalarProfile
 from .surrogates import SurrogateModel
 
 
@@ -195,7 +195,7 @@ def _quartic_coeffs(u: np.ndarray, w: np.ndarray, y: np.ndarray):
     v3 = 3.0 * float(u @ (w_sq * w))
     v2 = float((3.0 * u * u - y) @ w_sq)
     v1 = float((u * (u * u - y)) @ w)
-    return quartic_profile(v4, v3, v2, v1)
+    return ScalarProfile(v4, v3, v2, v1)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ def pr_outer_model(instance: PhaseRetrievalInstance, x: np.ndarray, k: int,
         return matrix @ v - linear
 
     return SurrogateModel(
-        kind="pr_partial_linearization", block=k, anchor=anchor,
+        kind="pr_partial_linearization", anchor=anchor,
         value_fn=value, grad_fn=gradient, grad_anchor=grad,
         quad_matrix=matrix, quad_linear=linear, curvature=curvature)
 

@@ -59,7 +59,6 @@ class SurrogateModel:
     """
 
     kind: str
-    block: int
     anchor: np.ndarray
     value_fn: Callable[[np.ndarray], float]
     grad_fn: Callable[[np.ndarray], np.ndarray]
@@ -119,7 +118,7 @@ def make_quadratic_surrogate(problem: CompositeProblem, x: np.ndarray, k: int,
         return grad + curvature * (v - anchor)
 
     return SurrogateModel(
-        kind="quadratic", block=k, anchor=anchor,
+        kind="quadratic", anchor=anchor,
         value_fn=value, grad_fn=gradient, grad_anchor=grad,
         quad_diag=np.full(anchor.size, curvature),
         quad_linear=curvature * anchor - grad,
@@ -150,7 +149,7 @@ def make_best_response_surrogate(problem: CompositeProblem, x: np.ndarray,
             return np.asarray(problem.block_gradient(_with_block(x, sl, v), k))
 
         return SurrogateModel(
-            kind="best_response_block", block=k, anchor=anchor,
+            kind="best_response_block", anchor=anchor,
             value_fn=value, grad_fn=gradient, grad_anchor=grad_anchor,
             is_global_upper_bound=True)
 
@@ -175,7 +174,7 @@ def make_best_response_surrogate(problem: CompositeProblem, x: np.ndarray,
             return out
 
         return SurrogateModel(
-            kind="best_response_elementwise", block=k, anchor=anchor,
+            kind="best_response_elementwise", anchor=anchor,
             value_fn=value, grad_fn=gradient, grad_anchor=grad_anchor)
 
     raise InvalidArgumentError(f"unknown best-response mode {mode!r}")
@@ -246,7 +245,7 @@ def make_partial_linearization_surrogate(
     else:
         raise InvalidArgumentError(f"unknown linearization mode {mode!r}")
 
-    return SurrogateModel(kind=kind, block=k, anchor=anchor,
+    return SurrogateModel(kind=kind, anchor=anchor,
                           value_fn=value, grad_fn=gradient,
                           grad_anchor=grad_anchor, curvature=curvature)
 
@@ -273,7 +272,7 @@ def make_inner_surrogate(model: SurrogateModel,
         return grad_tau + diag * (v - x_tau)
 
     return SurrogateModel(
-        kind="inner_best_response", block=model.block, anchor=x_tau.copy(),
+        kind="inner_best_response", anchor=x_tau.copy(),
         value_fn=value, grad_fn=gradient, grad_anchor=grad_tau.copy(),
         quad_diag=diag, quad_linear=diag * x_tau - grad_tau)
 

@@ -39,11 +39,11 @@ from bsca.engine import (
     run_parallel_sca,
 )
 from bsca.linesearch import (
+    ScalarProfile,
     cubic_real_roots,
     descent_quantity,
     exact_quadratic_step,
     exact_quartic_step,
-    quartic_profile,
 )
 from bsca.phase_retrieval import (
     generate_pr_instance,
@@ -128,7 +128,7 @@ def pr_like_quadratic_model(gen, n):
     b = gen.standard_normal(n)
     anchor = gen.standard_normal(n)
     return SurrogateModel(
-        kind="quad_form", block=0, anchor=anchor,
+        kind="quad_form", anchor=anchor,
         value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
         grad_fn=lambda v: spd @ v - b, grad_anchor=spd @ anchor - b,
         quad_matrix=spd, quad_linear=b)
@@ -204,7 +204,7 @@ def test_criterion_3_line_search_oracle_equivalence():
         v4 = float(np.exp(gen.uniform(np.log(1e-3), np.log(1e3))))
         v3, v2, v1 = (gen.standard_normal(3) * v4 * 2.0).tolist()
         step = exact_quartic_step(v4, v3, v2, v1)
-        profile = quartic_profile(v4, v3, v2, v1)
+        profile = ScalarProfile(v4, v3, v2, v1)
         oracle = golden_section(profile.value, tol=1e-12, grid=1000)
         if not (abs(step.gamma - oracle) <= 1e-6
                 or abs(profile.value(step.gamma) - profile.value(oracle))
@@ -425,7 +425,7 @@ def test_criterion_8_inner_chain():
         b = gen.standard_normal(n)
         anchor = gen.standard_normal(n)
         model = SurrogateModel(
-            kind="quad_form", block=0, anchor=anchor,
+            kind="quad_form", anchor=anchor,
             value_fn=lambda v, spd=spd, b=b: float(0.5 * v @ (spd @ v) - v @ b),
             grad_fn=lambda v, spd=spd, b=b: spd @ v - b,
             grad_anchor=spd @ anchor - b, quad_matrix=spd, quad_linear=b)

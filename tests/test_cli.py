@@ -143,6 +143,15 @@ class TestSolve:
         assert manifest["param.max_iters"] == "8"    # flag wins
         assert manifest["param.seed"] == "3"         # file beats default
 
+    @pytest.mark.parametrize("line", ["rule = zigzag", "inner-iters = 2.5",
+                                      "curvature = 1"])
+    def test_bad_config_entry_exits_2(self, pr_dir, tmp_path, line, capsys):
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["solve", str(pr_dir), "--algorithm", "bsca",
+                     "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert "config:" in capsys.readouterr().err
+
     def test_deterministic_rerun_bit_identical(self, pr_dir, tmp_path):
         args = ["solve", str(pr_dir), "--algorithm", "bsca", "--blocks", "2",
                 "--rule", "random", "--seed", "11", "--max-iters", "40"]
@@ -213,6 +222,19 @@ class TestBench:
         assert main(["bench", str(anomaly_dir), "--variants", str(variants),
                      "--out", str(tmp_path / "bench")]) == 3
 
+    def test_malformed_variant_value_fails_that_variant(self, anomaly_dir,
+                                                         tmp_path, capsys):
+        variants = tmp_path / "typo.txt"
+        variants.write_text("name=ok algorithm=bsca max-iters=10\n"
+                            "name=typo algorithm=bsca max-iters=ten\n"
+                            "name=rule algorithm=bsca rule=zigzag\n")
+        out = tmp_path / "bench"
+        assert main(["bench", str(anomaly_dir), "--variants", str(variants),
+                     "--out", str(out)]) == 0
+        manifest = read_manifest(out / RUN_MANIFEST)
+        assert "max-iters must be int" in manifest["failed.typo"]
+        assert "rule must be one of" in manifest["failed.rule"]
+
     def test_partial_failure_still_succeeds(self, anomaly_dir, tmp_path, capsys):
         variants = tmp_path / "mixed.txt"
         variants.write_text("name=ok algorithm=bsca max-iters=10\n"
@@ -259,6 +281,22 @@ class TestReproduce:
                      "--max-iters", "20", "--seed", "4",
                      "--out", str(out)]) == 0
         assert main(["reproduce", str(out / RUN_MANIFEST)]) == 0
+
+    def test_bench_records_every_solve_option(self, pr_dir, tmp_path, capsys):
+        variants = tmp_path / "v.txt"
+        variants.write_text("name=a algorithm=bsca blocks=2\n")
+        out = tmp_path / "bench"
+        assert main(["bench", str(pr_dir), "--variants", str(variants),
+                     "--inner-iters", "2", "--c", "0.01", "--max-iters", "20",
+                     "--out", str(out)]) == 0
+        manifest = read_manifest(out / RUN_MANIFEST)
+        assert manifest["param.inner_iters"] == "2"
+        assert float(manifest["param.c"]) == 0.01
+        assert manifest["param.rule"] == "cyclic"
+        assert "param.blocks" not in manifest
+        capsys.readouterr()
+        assert main(["reproduce", str(out / RUN_MANIFEST)]) == 0
+        assert "outputs match" in capsys.readouterr().out
 
     def test_missing_manifest(self, tmp_path):
         assert main(["reproduce", str(tmp_path / "nope.manifest")]) == 2

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,19 @@ class TestRunBsca:
         with pytest.raises(ProfileMismatchError):
             run_bsca(lying, quadratic_solver(0.5), cfg, rng.standard_normal(4))
 
+    def test_exact_search_without_a_profile_scans_f(self, rng):
+        # no line_profile: the exact search scans f along the step with a
+        # grid and golden section, and lands on the closed-form stepsize
+        problem, _, _ = random_quadratic_problem(rng, [3, 2], l1_gain=0.1)
+        bare = dataclasses.replace(problem, line_profile=None)
+        cfg = SolverConfig(max_outer_iterations=1, curvature=0.2)
+        x = rng.standard_normal(5)
+        for k in range(2):
+            _, exact, _ = bsca_step(problem, quadratic_solver(0.2), x, k, cfg)
+            _, scanned, _ = bsca_step(bare, quadratic_solver(0.2), x, k, cfg)
+            assert 0.0 < exact.gamma < 1.0
+            assert scanned.gamma == pytest.approx(exact.gamma, abs=1e-9)
+
     def test_deterministic_random_rule(self, rng):
         problem, _, _ = random_quadratic_problem(rng, [2, 2, 2], l1_gain=0.1)
         cfg = SolverConfig(max_outer_iterations=50, block_rule="random",
@@ -294,7 +309,7 @@ class TestInexact:
         b = rng.standard_normal(n)
         anchor = rng.standard_normal(n)
         return SurrogateModel(
-            kind="quad_form", block=0, anchor=anchor,
+            kind="quad_form", anchor=anchor,
             value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
             grad_fn=lambda v: spd @ v - b, grad_anchor=spd @ anchor - b,
             quad_matrix=spd, quad_linear=b)
@@ -447,3 +462,12 @@ class TestBpgd:
         with pytest.raises(InvalidArgumentError):
             run_bpgd(inst, BregmanBaselineSpec(constant=-1.0),
                      SolverConfig(max_outer_iterations=1), np.ones(10))
+
+    @pytest.mark.parametrize("bad", [dict(max_outer_iterations=-1),
+                                     dict(line_search="bogus"),
+                                     dict(inner_iterations=0)])
+    def test_rejects_an_invalid_config(self, bad):
+        inst = generate_pr_instance(10, 20, density=0.2, num_blocks=1, seed=0)
+        cfg = SolverConfig(**{"max_outer_iterations": 5, **bad})
+        with pytest.raises(ConfigError):
+            run_bpgd(inst, BregmanBaselineSpec(), cfg, np.ones(10))

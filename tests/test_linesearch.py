@@ -5,13 +5,13 @@ from hypothesis import strategies as st
 
 from bsca.errors import InvalidArgumentError, LineSearchError
 from bsca.linesearch import (
-    callable_profile,
+    ScalarProfile,
+    _grid_golden,
     cubic_real_roots,
     descent_quantity,
     exact_quadratic_step,
     exact_quartic_step,
     quadratic_profile,
-    quartic_profile,
     successive_step,
 )
 
@@ -66,7 +66,7 @@ class TestExactQuarticStep:
         v3, v2, v1 = (10.0 ** gen.uniform(-3, 3, 3)
                       * gen.choice([-1.0, 1.0], 3)).tolist()
         step = exact_quartic_step(v4, v3, v2, v1)
-        profile = quartic_profile(v4, v3, v2, v1)
+        profile = ScalarProfile(v4, v3, v2, v1)
         oracle = golden_section(profile.value, tol=1e-12, grid=1000)
         assert (abs(step.gamma - oracle) <= 1e-6
                 or abs(profile.value(step.gamma) - profile.value(oracle))
@@ -231,18 +231,46 @@ class TestDescentQuantity:
 
 class TestProfiles:
     def test_slope_offset_folding(self):
-        prof = quartic_profile(1.0, 0.0, 0.0, -1.0).with_slope_offset(0.5)
-        assert prof.coeffs[-1] == pytest.approx(-0.5)
+        prof = ScalarProfile(1.0, 0.0, 0.0, -1.0).with_slope_offset(0.5)
+        assert prof.v1 == pytest.approx(-0.5)
         assert prof.value(1.0) == pytest.approx(0.25 - 0.5)
 
     def test_degenerate_quartic_cascades(self):
-        prof = quartic_profile(0.0, 0.0, 2.0, -1.0)
+        prof = ScalarProfile(0.0, 0.0, 2.0, -1.0)
         assert prof.minimize().gamma == pytest.approx(0.5)
+
+    def test_quadratic_is_a_quartic_without_leading_terms(self):
+        assert quadratic_profile(2.0, -1.0) == ScalarProfile(0.0, 0.0, 2.0, -1.0)
+
+    def test_cubic_profile(self):
+        # (1/3) g^3 - g: stationary at g = 1, value -2/3
+        assert ScalarProfile(0.0, 1.0, 0.0, -1.0).minimize().gamma == pytest.approx(1.0)
+        # -(1/3) g^3 + (1/2) g^2: stationary at 0 and 1, lowest at 0
+        assert ScalarProfile(0.0, -1.0, 1.0, 0.0).minimize().gamma == 0.0
 
     def test_linear_profile(self):
         assert quadratic_profile(0.0, -2.0).minimize().gamma == 1.0
         assert quadratic_profile(0.0, 2.0).minimize().gamma == 0.0
 
-    def test_callable_has_no_exact_minimizer(self):
-        with pytest.raises(InvalidArgumentError):
-            callable_profile(lambda g: g).minimize()
+
+class TestGridGolden:
+    def test_overflowing_root_formulas_fall_back_to_the_scan(self):
+        # the depressed cubic's p^3 overflows a float: the minimizer of
+        # 0.25e-150 g^4 + 0.5 g^2 - 0.5 g is 0.5 up to 1e-150
+        step = exact_quartic_step(1e-150, 0.0, 1.0, -0.5)
+        assert step.gamma == pytest.approx(0.5, abs=1e-9)
+        assert step.armijo_exponent is None
+
+    def test_increasing_profile_keeps_the_left_endpoint(self):
+        profile = ScalarProfile(1.0, 1e120, 1.0, 1.0)
+        assert _grid_golden(profile.value).gamma == 0.0
+        assert exact_quartic_step(1.0, 1e120, 1.0, 1.0).gamma == 0.0
+
+    def test_decreasing_profile_keeps_the_right_endpoint(self):
+        profile = ScalarProfile(1.0, -1e120, 1.0, 1.0)
+        assert _grid_golden(profile.value).gamma == 1.0
+        assert exact_quartic_step(1.0, -1e120, 1.0, 1.0).gamma == 1.0
+
+    def test_interior_minimizer_is_refined(self):
+        step = _grid_golden(lambda g: (g - 0.123456789) ** 2)
+        assert step.gamma == pytest.approx(0.123456789, abs=1e-9)

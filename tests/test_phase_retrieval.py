@@ -158,7 +158,7 @@ class TestInnerStepsize:
         # exact step is the unclipped minimizer 1
         from bsca.surrogates import SurrogateModel
         model = SurrogateModel(
-            kind="quad_form", block=0, anchor=np.array([1.0]),
+            kind="quad_form", anchor=np.array([1.0]),
             value_fn=lambda v: float(v @ v), grad_fn=lambda v: 2.0 * v,
             grad_anchor=np.array([2.0]), quad_diag=np.array([2.0]),
             quad_linear=np.array([0.0]))
@@ -238,7 +238,7 @@ class TestOuterStepsize:
             expected = _quartic_coeffs(inst.sampling.T @ x,
                                        inst.block_rows(k).T @ delta,
                                        inst.intensities)
-            assert problem.line_profile(x, delta, k).coeffs == expected.coeffs
+            assert problem.line_profile(x, delta, k) == expected
 
     def test_matches_golden_section_on_random_instances(self, rng):
         for _ in range(20):
@@ -321,8 +321,8 @@ class TestRunPhaseRetrieval:
         honest = phase_retrieval._quartic_coeffs
 
         def corrupted(u, w, y):
-            v4, v3, v2, v1 = honest(u, w, y).coeffs
-            return phase_retrieval.quartic_profile(v4, v3, v2, 1.5 * v1 - 1.0)
+            p = honest(u, w, y)
+            return phase_retrieval.ScalarProfile(p.v4, p.v3, p.v2, 1.5 * p.v1 - 1.0)
 
         monkeypatch.setattr(phase_retrieval, "_quartic_coeffs", corrupted)
         with pytest.raises(ProfileMismatchError):
@@ -392,8 +392,8 @@ class TestProducts:
                 assert np.array_equal(problem.block_gradient(z, k),
                                       rows @ (u * (u * u - y)))
                 d = rng.standard_normal(rows.shape[0])
-                assert (problem.line_profile(z, d, k).coeffs
-                        == _quartic_coeffs(u, rows.T @ d, y).coeffs)
+                assert (problem.line_profile(z, d, k)
+                        == _quartic_coeffs(u, rows.T @ d, y))
                 expected = 2.0 * (rows * (u * u)) @ rows.T
                 expected[np.diag_indices_from(expected)] += 1e-3
                 assert np.array_equal(pr_outer_model(inst, z, k, 1e-3).quad_matrix,

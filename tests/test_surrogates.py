@@ -83,7 +83,7 @@ class TestQuadraticSurrogate:
         # grad 2 at anchor 0 with unit curvature: gradient step to -2
         problem, _, _ = random_quadratic_problem(np.random.default_rng(0), [1])
         model = SurrogateModel(
-            kind="quadratic", block=0, anchor=np.array([0.0]),
+            kind="quadratic", anchor=np.array([0.0]),
             value_fn=lambda v: float(2.0 * v[0] + 0.5 * v[0] ** 2),
             grad_fn=lambda v: np.array([2.0 + v[0]]),
             grad_anchor=np.array([2.0]), quad_diag=np.array([1.0]),
@@ -221,7 +221,7 @@ class TestPartialLinearization:
 class TestSolveSurrogate:
     def test_diag_l1_example(self):
         model = SurrogateModel(
-            kind="quad_form", block=0, anchor=np.zeros(2),
+            kind="quad_form", anchor=np.zeros(2),
             value_fn=lambda v: float(v @ v - v @ np.array([3.0, -1.0])),
             grad_fn=lambda v: 2.0 * v - np.array([3.0, -1.0]),
             grad_anchor=np.array([-3.0, 1.0]),
@@ -236,7 +236,7 @@ class TestSolveSurrogate:
 
     def test_diag_zero_regularizer(self):
         model = SurrogateModel(
-            kind="quad_form", block=0, anchor=np.zeros(1),
+            kind="quad_form", anchor=np.zeros(1),
             value_fn=lambda v: 0.0, grad_fn=lambda v: v,
             grad_anchor=np.zeros(1),
             quad_diag=np.array([2.0]), quad_linear=np.array([4.0]))
@@ -247,7 +247,7 @@ class TestSolveSurrogate:
         spd = m @ m.T + 5.0 * np.eye(5)
         b = rng.standard_normal(5)
         model = SurrogateModel(
-            kind="quad_form", block=0, anchor=np.zeros(5),
+            kind="quad_form", anchor=np.zeros(5),
             value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
             grad_fn=lambda v: spd @ v - b, grad_anchor=-b,
             quad_matrix=spd, quad_linear=b)
@@ -259,7 +259,7 @@ class TestSolveSurrogate:
         spd = m @ m.T + 4.0 * np.eye(4)
         b = rng.standard_normal(4)
         model = SurrogateModel(
-            kind="quad_form", block=0, anchor=np.zeros(4),
+            kind="quad_form", anchor=np.zeros(4),
             value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
             grad_fn=lambda v: spd @ v - b, grad_anchor=-b,
             quad_matrix=spd, quad_linear=b)
@@ -306,7 +306,7 @@ class TestInnerSurrogate:
         b = rng.standard_normal(n)
         anchor = rng.standard_normal(n)
         return SurrogateModel(
-            kind="quad_form", block=0, anchor=anchor,
+            kind="quad_form", anchor=anchor,
             value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
             grad_fn=lambda v: spd @ v - b,
             grad_anchor=spd @ anchor - b,
@@ -339,7 +339,7 @@ class TestInnerSurrogate:
         diag = np.exp(rng.uniform(-1, 1, 4))
         b = rng.standard_normal(4)
         model = SurrogateModel(
-            kind="quad_form", block=0, anchor=np.zeros(4),
+            kind="quad_form", anchor=np.zeros(4),
             value_fn=lambda v: float(0.5 * (v * diag) @ v - v @ b),
             grad_fn=lambda v: diag * v - b, grad_anchor=-b,
             quad_diag=diag, quad_linear=b)
