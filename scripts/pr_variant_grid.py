@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from bsca.core import SolverConfig
-from bsca.engine import BregmanBaselineSpec, run_bgd, run_bpgd
+from bsca.engine import run_bgd, run_bpgd
 from bsca.phase_retrieval import (
     generate_pr_instance,
     pr_problem,
@@ -67,7 +67,7 @@ def main():
         record(f"bgd_k{K}", trace, time.monotonic() - begin)
     cfg = SolverConfig(max_outer_iterations=args.sweeps, stop_tol=0.0)
     begin = time.monotonic()
-    record("bpgd", run_bpgd(inst, BregmanBaselineSpec(), cfg, x0),
+    record("bpgd", run_bpgd(inst, cfg, x0),
            time.monotonic() - begin)
 
     (out / "comparison.csv").write_text("\n".join(rows) + "\n")

@@ -19,7 +19,6 @@ from .core import (
 )
 from .engine import (
     BlockSolution,
-    BregmanBaselineSpec,
     bsca_step,
     inexact_solver,
     quadratic_solver,

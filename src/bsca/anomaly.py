@@ -267,7 +267,6 @@ def anomaly_problem(instance: AnomalyInstance) -> CompositeProblem:
     in the stepsize (the bilinear term), otherwise quadratic, and both
     come out in closed form.
     """
-    Y = instance.measurements
     D = instance.dictionary
     ridge = instance.ridge
     partition = state_partition(instance)
@@ -277,14 +276,14 @@ def anomaly_problem(instance: AnomalyInstance) -> CompositeProblem:
 
     def smooth_value(x: np.ndarray) -> float:
         s = unpack(x)
-        fit = s.left @ s.right + D @ s.sparse - Y
+        fit = residual(s, instance)
         return float(0.5 * np.vdot(fit, fit)
                      + 0.5 * ridge * (np.vdot(s.left, s.left)
                                       + np.vdot(s.right, s.right)))
 
     def block_gradient(x: np.ndarray, k: int) -> np.ndarray:
         s = unpack(x)
-        fit = s.left @ s.right + D @ s.sparse - Y
+        fit = residual(s, instance)
         if k == 0:
             return (fit @ s.right.T + ridge * s.left).ravel()
         if k == 1:
@@ -297,7 +296,7 @@ def anomaly_problem(instance: AnomalyInstance) -> CompositeProblem:
             direction = partition.embed(block, direction)
         s = unpack(x)
         ds = unpack(direction)
-        fit = s.left @ s.right + D @ s.sparse - Y
+        fit = residual(s, instance)
         first = s.left @ ds.right + ds.left @ s.right + D @ ds.sparse
         second = ds.left @ ds.right
         lin = float(np.vdot(fit, first)) + ridge * (

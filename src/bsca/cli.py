@@ -30,7 +30,6 @@ from .anomaly import (
 )
 from .core import EXACT, SUCCESSIVE, RunTrace, SolverConfig
 from .engine import (
-    BregmanBaselineSpec,
     inexact_solver,
     quadratic_outer_factory,
     run_bgd,
@@ -228,14 +227,13 @@ def run_algorithm(instance, algorithm: str, opts: dict) -> RunTrace:
             # the block subproblems are solved well: up to 500 inner
             # rounds whatever --inner-iters says
             solver = inexact_solver(
-                lambda prob, x, k: pr_outer_model(instance, x, k, opts["c"]),
+                lambda prob, x, k: pr_outer_model(prob, x, k, opts["c"]),
                 replace(config, inner_iterations=500))
             return run_parallel_sca(problem, solver, config, x0)
         if algorithm == "bgd":
             return run_bgd(problem, config, x0)
         if algorithm == "bpgd":
-            return run_bpgd(instance, BregmanBaselineSpec(discount=opts["discount"]),
-                            config, x0)
+            return run_bpgd(instance, config, x0, discount=opts["discount"])
     raise UsageError(f"unknown algorithm {algorithm!r}")
 
 

@@ -420,16 +420,6 @@ def inexact_solver(outer_factory: OuterSurrogateFactory,
 # Bregman proximal gradient baseline (full-variable, quartic kernel)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BregmanBaselineSpec:
-    """Kernel (1/4)||x||^4 + (1/2)||x||^2 with relative-smoothness
-    constant L; ``constant`` None means the theoretical bound computed
-    from the instance, optionally shrunk by ``discount``."""
-
-    constant: float | None = None
-    discount: float = 1.0
-
-
 def bregman_constant(instance) -> float:
     """Theoretical bound sum_n (3 ||a_n||^4 + ||a_n||^2 y_n)."""
     col_sq = np.einsum("ij,ij->j", instance.sampling, instance.sampling)
@@ -456,26 +446,27 @@ def bregman_step(x: np.ndarray, grad: np.ndarray, constant: float,
     return theta * v
 
 
-def run_bpgd(instance, spec: BregmanBaselineSpec,
-             config: SolverConfig, x0: np.ndarray) -> RunTrace:
+def run_bpgd(instance, config: SolverConfig, x0: np.ndarray,
+             discount: float = 1.0) -> RunTrace:
     """Bregman proximal gradient descent on a phase-retrieval instance.
 
-    Full-variable updates only; the kernel removes the need for a
-    Lipschitz gradient, at the price of steps scaled by 1/L.
+    Full-variable updates only, with the kernel (1/4)||x||^4 +
+    (1/2)||x||^2 and the relative-smoothness constant
+    ``bregman_constant(instance) * discount``; the kernel removes the
+    need for a Lipschitz gradient, at the price of steps scaled by 1/L.
     """
     from .phase_retrieval import pr_problem    # deferred: avoids a cycle
 
     config.validate()
     problem = pr_problem(instance)
-    constant = spec.constant if spec.constant is not None else bregman_constant(instance)
-    constant *= spec.discount
+    constant = bregman_constant(instance) * discount
     if constant <= 0.0:
         raise InvalidArgumentError("Bregman constant must be positive")
     x = np.asarray(x0, dtype=float).copy()
     book = _RunBook(problem, config, x, sweep_len=1)
     A = instance.sampling
     for t in range(config.max_outer_iterations):
-        u = instance.products.product(x)
+        u = problem.products.product(x)
         grad = A @ (u * (u * u - instance.intensities))
         candidate = bregman_step(x, grad, constant, instance.sparse_gain)
         if is_stationary(candidate - x, x, config.stationarity_rtol):

@@ -53,16 +53,15 @@ class ScalarProfile:
             self.v3 / 3.0 + gamma * 0.25 * self.v4)))
 
     def minimize(self) -> StepResult:
-        """Exact minimizer over [0, 1]; degenerate leading coefficients
-        cascade down (quartic -> cubic -> quadratic -> linear)."""
+        """Exact minimizer over [0, 1]: closed forms for the quartic with
+        v4 > 0 and the convex quadratic; any other profile compares the
+        endpoints with the real stationary points inside."""
         if self.v4 > 0.0:
             return exact_quartic_step(self.v4, self.v3, self.v2, self.v1)
-        if self.v3 != 0.0:
-            # stationary points of the quadratic derivative, and the endpoints
-            return _polynomial_argmin(self, np.roots([self.v3, self.v2, self.v1]))
-        if self.v2 > 0.0:
+        if self.v4 == self.v3 == 0.0 < self.v2:
             return exact_quadratic_step(self.v2, self.v1)
-        return StepResult(1.0 if self.v1 < 0.0 else 0.0)
+        # np.roots strips leading zeros, so this is the lower-degree case
+        return _polynomial_argmin(self, np.roots([self.v4, self.v3, self.v2, self.v1]))
 
 
 def quadratic_profile(a2: float, a1: float) -> ScalarProfile:

@@ -8,14 +8,13 @@ residual map inside the quartic loss, which lands on an explicit
 quadratic form per block; its subproblem is solved inexactly by a few
 elementwise best-response rounds (soft-thresholds), and the outer
 stepsize comes from the exact quartic line search.  Every layer reads
-``u = A'x`` from the instance's ``PhaseProducts``, which a run carries
+``u = A'x`` from the problem's ``PhaseProducts``, which a run carries
 from step to step and re-forms once per sweep.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,7 +45,6 @@ class PhaseRetrievalInstance:
     signal: np.ndarray | None = None
     seed: int | None = None
     density: float | None = None
-    products: PhaseProducts = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         unknowns, measurements = self.sampling.shape
@@ -58,8 +56,6 @@ class PhaseRetrievalInstance:
             raise InvalidArgumentError("sparse_gain must be positive")
         if self.partition.total != unknowns:
             raise InvalidArgumentError("partition must cover all unknowns")
-        object.__setattr__(self, "products", PhaseProducts(
-            self.sampling, self.intensities, self.partition))
 
     @property
     def num_unknowns(self) -> int:
@@ -74,31 +70,21 @@ class PhaseProducts:
     ``u = A'x`` at the tracked points.  A step carries ``u`` to
     ``u + gamma w``, where ``w = A_k'd`` is the block product the line
     profile formed (kept for the last direction), so a sweep of block
-    steps forms no full product until its sweep-end check.  Tracked
-    points are kept per thread, so concurrent runs on one instance never
-    read each other's products.  It holds the instance's arrays, not the
-    instance, so that no reference cycle keeps a dropped instance alive."""
+    steps forms no full product until its sweep-end check.  Each
+    ``pr_problem`` builds its own, so runs never read each other's
+    products."""
 
-    def __init__(self, sampling: np.ndarray, intensities: np.ndarray,
-                 partition: BlockPartition):
-        self._sampling = sampling
-        self._intensities = intensities
-        self._partition = partition
-        self._local = threading.local()
-
-    def __getstate__(self):
-        # tracked points belong to the runs of this process's threads
-        return self._sampling, self._intensities, self._partition
-
-    def __setstate__(self, state) -> None:
-        self.__init__(*state)
+    def __init__(self, instance: PhaseRetrievalInstance):
+        self.instance = instance
+        self._tracked = ()
+        self._last = None
 
     def _held(self, x: np.ndarray):
         """(point, u, scale) of a tracked point equal to ``x``, or None.
         ``scale`` sums the norms of the terms ``u`` was built from (the
         fresh product and each ``gamma w``): rounding in ``u`` grows with
         it, so ``track`` reports the drift relative to it."""
-        for held in getattr(self._local, "held", ()):
+        for held in self._tracked:
             if np.array_equal(held[0], x):
                 return held
         return None
@@ -107,30 +93,30 @@ class PhaseProducts:
         """``A'x``: the maintained product at a tracked point, a fresh
         one elsewhere."""
         held = self._held(x)
-        return held[1] if held is not None else self._sampling.T @ x
+        return held[1] if held is not None else self.instance.sampling.T @ x
 
     def direction_product(self, block: int | None,
                           direction: np.ndarray) -> np.ndarray:
         """``A_k'd`` (``A'd`` when ``block`` is None), reused while the
         direction stays the last one asked for."""
-        last = getattr(self._local, "last", None)
+        last = self._last
         if last is not None and last[0] == block and np.array_equal(last[1], direction):
             return last[2]
-        rows = (self._sampling if block is None
-                else self._sampling[self._partition.slice_of(block), :])
+        rows = (self.instance.sampling if block is None
+                else self.instance.block_rows(block))
         w = rows.T @ direction
-        self._local.last = (block, direction.copy(), w)
+        self._last = (block, direction.copy(), w)
         return w
 
     def track(self, x: np.ndarray) -> float | None:
-        fresh = self._sampling.T @ x
+        fresh = self.instance.sampling.T @ x
         held = self._held(x)
         drift = None
         if held is not None:
             drift = (float(np.linalg.norm(held[1] - fresh))
                      / max(held[2], np.finfo(float).tiny))
-        self._local.held = ((x.copy(), fresh, float(np.linalg.norm(fresh))),)
-        self._local.last = None
+        self._tracked = ((x.copy(), fresh, float(np.linalg.norm(fresh))),)
+        self._last = None
         return drift
 
     def update(self, x: np.ndarray, x_new: np.ndarray, block: int | None,
@@ -140,16 +126,16 @@ class PhaseProducts:
             return
         w = self.direction_product(block, direction)
         scale = held[2] + abs(gamma) * float(np.linalg.norm(w))
-        self._local.held = ((x_new.copy(), held[1] + gamma * w, scale), held)
+        self._tracked = ((x_new.copy(), held[1] + gamma * w, scale), held)
 
     def release(self) -> None:
-        self._local.held = ()
-        self._local.last = None
+        self._tracked = ()
+        self._last = None
 
     def line(self, x: np.ndarray, direction: np.ndarray, block: int | None):
         u = self.product(x)
         w = self.direction_product(block, direction)
-        y = self._intensities
+        y = self.instance.intensities
 
         def value(gamma: float) -> float:
             fit = (u + gamma * w) ** 2 - y
@@ -159,11 +145,11 @@ class PhaseProducts:
 
 
 def pr_problem(instance: PhaseRetrievalInstance) -> CompositeProblem:
-    """Composite view with the exact quartic line profile and the
-    instance's product hook.  Along one block the profile is built from
-    the block product ``A_k' delta``."""
+    """Composite view with the exact quartic line profile and a product
+    hook of its own.  Along one block the profile is built from the
+    block product ``A_k' delta``."""
     y = instance.intensities
-    products = instance.products
+    products = PhaseProducts(instance)
 
     def smooth_value(x: np.ndarray) -> float:
         fit = products.product(x) ** 2 - y
@@ -202,17 +188,19 @@ def _quartic_coeffs(u: np.ndarray, w: np.ndarray, y: np.ndarray):
 # outer surrogate
 # ---------------------------------------------------------------------------
 
-def pr_outer_model(instance: PhaseRetrievalInstance, x: np.ndarray, k: int,
+def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
                    curvature: float) -> SurrogateModel:
     """Partial linearization of the residual map inside the quartic loss,
     written as the quadratic form (1/2) v'Dv - v'b with
     D = 2 A_k diag(A'x)^2 A_k' + c I and b = D x_k - grad_k f(x).
-    ``A'x`` comes from ``instance.products``, so inside a run the model
-    reads the maintained product."""
+    ``problem`` is a ``pr_problem``: the data and ``A'x`` come from its
+    product hook, so inside a run the model reads the maintained
+    product."""
     if curvature <= 0.0:
         raise InvalidArgumentError("curvature must be positive")
     x = np.asarray(x, dtype=float)
-    u = instance.products.product(x)
+    instance = problem.products.instance
+    u = problem.products.product(x)
     rows = instance.block_rows(k)
     matrix = 2.0 * (rows * (u * u)) @ rows.T
     matrix[np.diag_indices_from(matrix)] += curvature
@@ -252,7 +240,7 @@ def run_phase_retrieval(instance: PhaseRetrievalInstance, config: SolverConfig,
             raise InvalidArgumentError("initial point must be nonzero")
 
     def outer_model(problem: CompositeProblem, x: np.ndarray, k: int) -> SurrogateModel:
-        return pr_outer_model(instance, x, k, config.curvature)
+        return pr_outer_model(problem, x, k, config.curvature)
 
     return run_bsca(pr_problem(instance), inexact_solver(outer_model, config),
                     replace(config, audit_profiles=True), start)

@@ -281,16 +281,12 @@ def make_inner_surrogate(model: SurrogateModel,
 # subproblem solvers
 # ---------------------------------------------------------------------------
 
-def _clip(constraint: Constraint, v: np.ndarray) -> np.ndarray:
-    return constraint.clip(v) if isinstance(constraint, Box) else v
-
-
 def _separable_prox(u: np.ndarray, threshold, regularizer: Regularizer,
                     constraint: Constraint) -> np.ndarray:
     if isinstance(regularizer, Zero):
-        return _clip(constraint, u)
+        return constraint.clip(u)
     if isinstance(regularizer, L1Norm):
-        return _clip(constraint, soft_threshold(u, threshold * regularizer.gain))
+        return constraint.clip(soft_threshold(u, threshold * regularizer.gain))
     raise NoClosedFormError(
         f"no closed form for regularizer {type(regularizer).__name__}")
 

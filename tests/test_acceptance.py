@@ -28,7 +28,6 @@ from bsca.anomaly import (
 )
 from bsca.core import CompositeProblem, L1Norm, SolverConfig, Zero
 from bsca.engine import (
-    BregmanBaselineSpec,
     block_residuals,
     bsca_step,
     inexact_solver,
@@ -350,8 +349,7 @@ def pr_grid():
             per_seed["traces"][("bgd", K, 0)] = run_bgd(
                 pr_problem(with_blocks(inst, K)), cfg, x0)
         per_seed["traces"][("bpgd", 1, 0)] = run_bpgd(
-            inst, BregmanBaselineSpec(),
-            SolverConfig(max_outer_iterations=3000, stop_tol=0.0), x0)
+            inst, SolverConfig(max_outer_iterations=3000, stop_tol=0.0), x0)
         runs[seed] = per_seed
     runs["elapsed"] = time.monotonic() - begin
     return runs
@@ -544,7 +542,7 @@ def test_criterion_10a_pr_restarts_are_no_ops(pr_grid):
             if not np.all(restart.stepsizes == 0.0):
                 bad.append(f"bgd K={K}: effective step on restart")
     solver = inexact_solver(
-        lambda problem, x, k: pr_outer_model(inst, x, k, 1e-4),
+        lambda problem, x, k: pr_outer_model(problem, x, k, 1e-4),
         SolverConfig(max_outer_iterations=0, inner_iterations=500,
                      stationarity_rtol=1e-13))
     first = run_parallel_sca(pr_problem(inst), solver,

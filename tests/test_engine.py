@@ -13,7 +13,6 @@ from bsca.core import (
 from bsca.engine import (
     BlockRule,
     BlockSolution,
-    BregmanBaselineSpec,
     block_residuals,
     bregman_constant,
     bregman_step,
@@ -452,7 +451,7 @@ class TestBpgd:
         x0 = rng.standard_normal(30)
         x0 /= np.linalg.norm(x0)
         cfg = SolverConfig(max_outer_iterations=300, stop_tol=0.0)
-        trace = run_bpgd(inst, BregmanBaselineSpec(), cfg, x0)
+        trace = run_bpgd(inst, cfg, x0)
         assert np.all(np.diff(trace.objectives) <= 1e-12)
         assert bregman_constant(inst) > 0
 
@@ -460,8 +459,8 @@ class TestBpgd:
         inst = generate_pr_instance(10, 20, density=0.2, num_blocks=1, seed=0)
         from bsca.errors import InvalidArgumentError
         with pytest.raises(InvalidArgumentError):
-            run_bpgd(inst, BregmanBaselineSpec(constant=-1.0),
-                     SolverConfig(max_outer_iterations=1), np.ones(10))
+            run_bpgd(inst, SolverConfig(max_outer_iterations=1), np.ones(10),
+                     discount=-1.0)
 
     @pytest.mark.parametrize("bad", [dict(max_outer_iterations=-1),
                                      dict(line_search="bogus"),
@@ -470,4 +469,4 @@ class TestBpgd:
         inst = generate_pr_instance(10, 20, density=0.2, num_blocks=1, seed=0)
         cfg = SolverConfig(**{"max_outer_iterations": 5, **bad})
         with pytest.raises(ConfigError):
-            run_bpgd(inst, BregmanBaselineSpec(), cfg, np.ones(10))
+            run_bpgd(inst, cfg, np.ones(10))

@@ -252,6 +252,18 @@ class TestProfiles:
         assert quadratic_profile(0.0, -2.0).minimize().gamma == 1.0
         assert quadratic_profile(0.0, 2.0).minimize().gamma == 0.0
 
+    @pytest.mark.parametrize("profile, gamma, value", [
+        (quadratic_profile(-2.0, 0.5), 1.0, -0.5),
+        (ScalarProfile(-1.0, 0.0, 0.0, 0.0), 1.0, -0.25),
+        # -(1/4) g^4 + g^3 - 0.1 g: the stationary point of the full
+        # cubic derivative, not of its last three terms (0.18257)
+        (ScalarProfile(-1.0, 3.0, 0.0, -0.1), 0.18860, -0.0124678),
+    ])
+    def test_negative_leading_coefficient_is_kept(self, profile, gamma, value):
+        got = profile.minimize().gamma
+        assert got == pytest.approx(gamma, abs=1e-5)
+        assert profile.value(got) == pytest.approx(value, abs=1e-7)
+
 
 class TestGridGolden:
     def test_overflowing_root_formulas_fall_back_to_the_scan(self):

@@ -73,20 +73,20 @@ def pr_inexact_run(inst, cfg, x0):
     """The two-layer phase-retrieval update run through the generic
     sequential loop, at the config's own audit setting."""
     solver = inexact_solver(
-        lambda problem, x, k: pr_outer_model(inst, x, k, cfg.curvature), cfg)
+        lambda problem, x, k: pr_outer_model(problem, x, k, cfg.curvature), cfg)
     return run_bsca(pr_problem(inst), solver, cfg, x0)
 
 
 class TestOuterModel:
     def test_one_dimensional_toy(self):
         inst = one_d_instance(intensity=0.0, gain=0.5)
-        model = pr_outer_model(inst, np.array([1.0]), 0, 0.1)
+        model = pr_outer_model(pr_problem(inst), np.array([1.0]), 0, 0.1)
         assert model.quad_matrix == pytest.approx(np.array([[2.1]]))
         assert model.quad_linear == pytest.approx(np.array([1.1]))
 
     def test_zero_anchor_degenerates_to_prox_model(self):
         inst = tiny_instance()
-        model = pr_outer_model(inst, np.zeros(24), 0, 0.3)
+        model = pr_outer_model(pr_problem(inst), np.zeros(24), 0, 0.3)
         size = inst.partition.block_sizes[0]
         assert model.quad_matrix == pytest.approx(0.3 * np.eye(size))
         assert model.quad_linear == pytest.approx(np.zeros(size))
@@ -96,7 +96,7 @@ class TestOuterModel:
         problem = pr_problem(inst)
         x = rng.standard_normal(24)
         for k in range(2):
-            model = pr_outer_model(inst, x, k, 1e-3)
+            model = pr_outer_model(problem, x, k, 1e-3)
             sl = inst.partition.slice_of(k)
             fd = finite_diff_block_gradient(problem.smooth_value, x, sl, eps=1e-6)
             assert np.allclose(model.gradient(x[sl]), fd, atol=1e-5)
@@ -105,21 +105,21 @@ class TestOuterModel:
 
     def test_positive_definite_with_floor_at_curvature(self, rng):
         inst = tiny_instance(seed=1)
-        model = pr_outer_model(inst, rng.standard_normal(24), 1, 0.05)
+        model = pr_outer_model(pr_problem(inst), rng.standard_normal(24), 1, 0.05)
         eigs = np.linalg.eigvalsh(model.quad_matrix)
         assert eigs.min() >= 0.05 - 1e-12
 
     def test_rejects_bad_curvature(self):
         inst = tiny_instance()
         with pytest.raises(InvalidArgumentError):
-            pr_outer_model(inst, np.zeros(24), 0, 0.0)
+            pr_outer_model(pr_problem(inst), np.zeros(24), 0, 0.0)
 
 
 class TestInnerSolve:
     def test_matches_scalar_golden_section(self, rng):
         inst = tiny_instance(seed=2)
         x = rng.standard_normal(24)
-        model = pr_outer_model(inst, x, 0, 1e-2)
+        model = pr_outer_model(pr_problem(inst), x, 0, 1e-2)
         sl = inst.partition.slice_of(0)
         x_tau = rng.standard_normal(sl.stop - sl.start)
         got = inner_solve(model, x_tau, inst.sparse_gain)
@@ -135,7 +135,7 @@ class TestInnerSolve:
     def test_zero_gain_is_jacobi_update(self, rng):
         inst = tiny_instance(seed=2, gain=1e-300)
         x = rng.standard_normal(24)
-        model = pr_outer_model(inst, x, 0, 1e-2)
+        model = pr_outer_model(pr_problem(inst), x, 0, 1e-2)
         x_tau = rng.standard_normal(12)
         got = inner_solve(model, x_tau, 0.0)
         d = np.diag(model.quad_matrix)
@@ -144,7 +144,7 @@ class TestInnerSolve:
 
     def test_diagonal_model_solves_in_one_shot(self):
         inst = tiny_instance()
-        model = pr_outer_model(inst, np.zeros(24), 0, 0.3)  # D = 0.3 I
+        model = pr_outer_model(pr_problem(inst), np.zeros(24), 0, 0.3)  # D = 0.3 I
         got = inner_solve(model, np.ones(12) * 2.0, inst.sparse_gain)
         from bsca.surrogates import soft_threshold
         expected = soft_threshold(model.quad_linear / 0.3,
@@ -168,7 +168,7 @@ class TestInnerStepsize:
     def test_no_op_direction(self, rng):
         inst = tiny_instance(seed=4)
         x = rng.standard_normal(24)
-        model = pr_outer_model(inst, x, 0, 1e-2)
+        model = pr_outer_model(pr_problem(inst), x, 0, 1e-2)
         x_tau = rng.standard_normal(12)
         gamma = inner_stepsize(model, x_tau, x_tau, inst.sparse_gain)
         assert gamma == 0.0
@@ -176,7 +176,7 @@ class TestInnerStepsize:
     def test_matches_golden_section(self, rng):
         inst = tiny_instance(seed=4)
         x = rng.standard_normal(24)
-        model = pr_outer_model(inst, x, 1, 1e-2)
+        model = pr_outer_model(pr_problem(inst), x, 1, 1e-2)
         x_tau = rng.standard_normal(12)
         target = inner_solve(model, x_tau, inst.sparse_gain)
         gamma = inner_stepsize(model, x_tau, target, inst.sparse_gain)
@@ -336,12 +336,32 @@ class TestRunPhaseRetrieval:
                            stop_tol=0.0, curvature=1e-4)
         inexact = run_phase_retrieval(inst, cfg, x0)
         solver = inexact_solver(
-            lambda problem, x, k: pr_outer_model(inst, x, k, 1e-4),
+            lambda problem, x, k: pr_outer_model(problem, x, k, 1e-4),
             SolverConfig(max_outer_iterations=0, inner_iterations=800,
                          stationarity_rtol=1e-13))
         parallel = run_parallel_sca(pr_problem(inst), solver, cfg, x0)
         assert inexact.final_objective == pytest.approx(
             parallel.final_objective, rel=1e-6)
+
+
+def assert_fresh_formulas(problem, z, rng):
+    """The closures of a ``pr_problem`` and ``pr_outer_model`` at ``z``
+    equal the formulas built from a fresh ``A'z``, bit for bit."""
+    inst = problem.products.instance
+    y = inst.intensities
+    u = inst.sampling.T @ z
+    fit = u ** 2 - y
+    assert problem.smooth_value(z) == float(0.25 * fit @ fit)
+    for k in range(inst.partition.num_blocks):
+        rows = inst.block_rows(k)
+        assert np.array_equal(problem.block_gradient(z, k),
+                              rows @ (u * (u * u - y)))
+        d = rng.standard_normal(rows.shape[0])
+        assert problem.line_profile(z, d, k) == _quartic_coeffs(u, rows.T @ d, y)
+        expected = 2.0 * (rows * (u * u)) @ rows.T
+        expected[np.diag_indices_from(expected)] += 1e-3
+        assert np.array_equal(pr_outer_model(problem, z, k, 1e-3).quad_matrix,
+                              expected)
 
 
 class TestProducts:
@@ -380,30 +400,29 @@ class TestProducts:
         delta = rng.standard_normal(inst.partition.block_sizes[2])
         x_new = x.copy()
         x_new[inst.partition.slice_of(2)] += 0.5 * delta
-        inst.products.track(x)
-        inst.products.update(x, x_new, 2, 0.5, delta)
-        try:
-            z = rng.standard_normal(24)
-            u = A.T @ z
-            fit = u ** 2 - y
-            assert problem.smooth_value(z) == float(0.25 * fit @ fit)
-            for k in range(5):
-                rows = inst.block_rows(k)
-                assert np.array_equal(problem.block_gradient(z, k),
-                                      rows @ (u * (u * u - y)))
-                d = rng.standard_normal(rows.shape[0])
-                assert (problem.line_profile(z, d, k)
-                        == _quartic_coeffs(u, rows.T @ d, y))
-                expected = 2.0 * (rows * (u * u)) @ rows.T
-                expected[np.diag_indices_from(expected)] += 1e-3
-                assert np.array_equal(pr_outer_model(inst, z, k, 1e-3).quad_matrix,
-                                      expected)
-            # the tracked points read the maintained product
-            assert problem.smooth_value(x_new) == pytest.approx(
-                float(0.25 * ((A.T @ x_new) ** 2 - y) @ ((A.T @ x_new) ** 2 - y)),
-                rel=1e-12)
-        finally:
-            inst.products.release()
+        problem.products.track(x)
+        problem.products.update(x, x_new, 2, 0.5, delta)
+        assert_fresh_formulas(problem, rng.standard_normal(24), rng)
+        # the tracked points read the maintained product
+        assert problem.smooth_value(x_new) == pytest.approx(
+            float(0.25 * ((A.T @ x_new) ** 2 - y) @ ((A.T @ x_new) ** 2 - y)),
+            rel=1e-12)
+
+    def test_problems_built_from_one_instance_keep_their_own_products(self, rng):
+        inst = tiny_instance(seed=20, blocks=5)
+        first, second = pr_problem(inst), pr_problem(inst)
+        assert first.products is not second.products
+        x = rng.standard_normal(24)
+        delta = rng.standard_normal(inst.partition.block_sizes[2])
+        x_new = x.copy()
+        x_new[inst.partition.slice_of(2)] += 0.5 * delta
+        first.products.track(x)
+        first.products.update(x, x_new, 2, 0.5, delta)
+        # the maintained u at x_new is off a fresh A'x_new in the last
+        # bits, so a hook shared with the first problem would show
+        assert not np.array_equal(first.products.product(x_new),
+                                  inst.sampling.T @ x_new)
+        assert_fresh_formulas(second, x_new, rng)
 
     def test_bgd_and_parallel_runs_stay_monotone(self, rng):
         inst = tiny_instance(seed=16, blocks=4)
@@ -411,7 +430,7 @@ class TestProducts:
         cfg = SolverConfig(max_outer_iterations=80, stop_tol=0.0, curvature=1e-3)
         bgd = run_bgd(pr_problem(inst), cfg, x0)
         solver = inexact_solver(
-            lambda problem, x, k: pr_outer_model(inst, x, k, 1e-3),
+            lambda problem, x, k: pr_outer_model(problem, x, k, 1e-3),
             SolverConfig(max_outer_iterations=0, inner_iterations=50))
         parallel = run_parallel_sca(pr_problem(inst), solver,
                                     SolverConfig(max_outer_iterations=40,
@@ -422,7 +441,7 @@ class TestProducts:
             assert trace.product_drift <= PRODUCT_DRIFT_RTOL
 
     def test_concurrent_runs_on_one_instance_match_serial_ones(self, rng):
-        # tracked points are per thread: a run that read another thread's
+        # each run builds its own problem: a run that read another run's
         # products, or lost its own, would leave the serial trajectory
         inst = tiny_instance(seed=17, blocks=3)
         starts = [rng.standard_normal(24) for _ in range(8)]
@@ -443,16 +462,18 @@ class TestProducts:
             assert np.array_equal(a.final_point.values, b.final_point.values)
 
     def test_instances_pickle_without_tracked_points(self, rng):
+        # the instance is plain data: a point tracked by a problem built
+        # from it is not part of it
         inst = tiny_instance(seed=19)
         x = rng.standard_normal(24)
-        inst.products.track(x)
+        pr_problem(inst).products.track(x)
         copy = pickle.loads(pickle.dumps(inst))
-        inst.products.release()
+        assert not hasattr(copy, "products")
         assert np.array_equal(copy.sampling, inst.sampling)
         assert copy.partition == inst.partition
-        assert copy.products.track(x) is None    # x was not tracked in the copy
-        assert np.array_equal(copy.products.product(x), inst.sampling.T @ x)
-        copy.products.release()
+        products = pr_problem(copy).products
+        assert products.track(x) is None    # x was not tracked in the copy
+        assert np.array_equal(products.product(x), inst.sampling.T @ x)
 
     def test_a_dropped_instance_is_freed_without_the_cycle_collector(self):
         inst = tiny_instance(seed=18)
