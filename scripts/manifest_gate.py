@@ -7,17 +7,22 @@ runs with one checkout, then re-run every manifest with another.
 
 ``record`` generates one phase-retrieval and one low-rank + sparse
 instance and runs 20 ``bsca solve`` variants on them at the CLI
-defaults.  ``check`` runs ``bsca reproduce`` on each of the 22 manifests,
-prints one verdict line per manifest, and exits 1 if any reproduction
-differs or fails.  Both run ``bsca`` from the checkout this script lives
-in, in subprocesses with one BLAS thread, so that threaded products do
-not change the last bits.
+defaults.  ``check`` reruns each of the 22 manifests with ``bsca
+reproduce --out`` into a temporary directory, prints one verdict line
+per manifest, and exits 1 if any reproduction differs or fails.  For a
+solve whose trace differs it prints one more line: iterations and final
+objective (recorded -> rerun), the rows that differ, the largest
+relative objective difference, and whether the skipped iterations
+(stepsize 0) are the same.  Both run ``bsca`` from the checkout this
+script lives in, in subprocesses with one BLAS thread, so that threaded
+products do not change the last bits.
 """
 
 import argparse
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 from bsca.storage import RUN_MANIFEST
@@ -80,15 +85,44 @@ def check(root: Path) -> int:
     if not manifests:
         sys.exit(f"manifest_gate: no manifests under {root}")
     failed = 0
-    for path in manifests:
-        done = bsca("reproduce", str(path))
-        lines = (done.stdout + done.stderr).strip().splitlines()
-        verdict = [line for line in lines if line.startswith("reproduc")]
-        print(f"{path.parent.relative_to(root)}: "
-              + ("; ".join(verdict or lines[-1:]) or f"exit {done.returncode}"))
-        failed += done.returncode != 0
+    with tempfile.TemporaryDirectory(prefix="manifest-gate-") as tmp:
+        for i, path in enumerate(manifests):
+            rerun = Path(tmp) / str(i)
+            done = bsca("reproduce", str(path), "--out", str(rerun))
+            lines = (done.stdout + done.stderr).strip().splitlines()
+            verdict = [line for line in lines if line.startswith("reproduc")]
+            print(f"{path.parent.relative_to(root)}: "
+                  + ("; ".join(verdict or lines[-1:]) or f"exit {done.returncode}"))
+            failed += done.returncode != 0
+            old, new = path.parent / "trace.csv", rerun / "trace.csv"
+            if done.returncode != 0 and old.is_file() and new.is_file():
+                print("    " + trace_difference(old, new))
     print(f"{len(manifests) - failed} of {len(manifests)} manifests reproduce")
     return 1 if failed else 0
+
+
+def trace_difference(old_path: Path, new_path: Path) -> str:
+    """One line summing up how two ``trace.csv`` files differ; the
+    wall-clock column is ignored."""
+    old, new = _trace_rows(old_path), _trace_rows(new_path)
+    pairs = list(zip(old, new))
+    differ = sum(a != b for a, b in pairs) + abs(len(old) - len(new))
+    rel = max((abs(a["objective"] - b["objective"])
+               / max(abs(a["objective"]), abs(b["objective"]), sys.float_info.min)
+               for a, b in pairs), default=0.0)
+    same_skips = ([row["stepsize"] == 0.0 for row in old]
+                  == [row["stepsize"] == 0.0 for row in new])
+    return (f"iterations {old[-1]['iter']:g} -> {new[-1]['iter']:g}; final objective "
+            f"{old[-1]['objective']!r} -> {new[-1]['objective']!r}; "
+            f"{differ} of {max(len(old), len(new))} rows differ; largest relative "
+            f"objective difference {rel:.1e}; skip pattern "
+            + ("same" if same_skips else "differs"))
+
+
+def _trace_rows(path: Path) -> list[dict[str, float]]:
+    header, *lines = path.read_text(encoding="ascii").splitlines()
+    names = header.split(",")[:-1]
+    return [dict(zip(names, map(float, line.split(",")[:-1]))) for line in lines]
 
 
 def _checked(done: subprocess.CompletedProcess) -> None:

@@ -39,6 +39,7 @@ from .linesearch import (
     successive_step,
 )
 from .surrogates import (
+    QuadOperator,
     SmoothComposition,
     SurrogateModel,
     make_best_response_surrogate,

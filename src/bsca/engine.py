@@ -390,15 +390,19 @@ def inexact_inner_loop(model: SurrogateModel, problem: CompositeProblem,
     reg = problem.nonsmooth[k]
     constraint = problem.constraints[k]
     x_tau = model.anchor.copy()
+    # carried as grad + gamma D delta, one D per round; seeded afresh
+    grad_tau = model.quad_apply(x_tau) - model.quad_linear
     for _ in range(config.inner_iterations):
-        target = inner_best_response_step(model, x_tau, reg, constraint)
+        target = inner_best_response_step(model, x_tau, grad_tau, reg, constraint)
         delta = target - x_tau
         if is_stationary(delta, x_tau, config.stationarity_rtol):
             break
-        gamma = inner_exact_stepsize(model, x_tau, target, reg)
+        quad_delta = model.quad_apply(delta)
+        gamma = inner_exact_stepsize(x_tau, grad_tau, target, quad_delta, reg)
         if gamma <= 0.0:
             break    # only at the rounding floor of the surrogate objective
         x_tau = x_tau + gamma * delta
+        grad_tau = grad_tau + gamma * quad_delta
     return x_tau
 
 

@@ -4,7 +4,7 @@
 
 The smooth part has no (block) Lipschitz gradient, so no solver here
 takes a global smoothness constant.  The outer surrogate linearizes the
-residual map inside the quartic loss, which lands on an explicit
+residual map inside the quartic loss, which lands on a matrix-free
 quadratic form per block; its subproblem is solved inexactly by a few
 elementwise best-response rounds (soft-thresholds), and the outer
 stepsize comes from the exact quartic line search.  Every layer reads
@@ -29,7 +29,7 @@ from .core import (
 from .engine import inexact_solver, run_bsca
 from .errors import InvalidArgumentError
 from .linesearch import ScalarProfile
-from .surrogates import SurrogateModel
+from .surrogates import QuadOperator, SurrogateModel
 
 
 @dataclass(frozen=True)
@@ -192,32 +192,38 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
                    curvature: float) -> SurrogateModel:
     """Partial linearization of the residual map inside the quartic loss,
     written as the quadratic form (1/2) v'Dv - v'b with
-    D = 2 A_k diag(A'x)^2 A_k' + c I and b = D x_k - grad_k f(x).
-    ``problem`` is a ``pr_problem``: the data and ``A'x`` come from its
-    product hook, so inside a run the model reads the maintained
-    product."""
+    D = 2 A_k diag(A'x)^2 A_k' + c I and b = D x_k - grad_k f(x).  D is
+    never formed: it is applied with two block products, and its diagonal
+    is summed without a block-sized temporary.  ``problem`` is a
+    ``pr_problem``: the data and ``A'x`` come from its product hook, so
+    inside a run the model reads the maintained product."""
     if curvature <= 0.0:
         raise InvalidArgumentError("curvature must be positive")
     x = np.asarray(x, dtype=float)
     instance = problem.products.instance
     u = problem.products.product(x)
+    u_sq = u * u
     rows = instance.block_rows(k)
-    matrix = 2.0 * (rows * (u * u)) @ rows.T
-    matrix[np.diag_indices_from(matrix)] += curvature
+
+    def apply(v):
+        return 2.0 * (rows @ (u_sq * (rows.T @ v))) + curvature * v
+
+    diagonal = 2.0 * np.einsum("ij,ij,j->i", rows, rows, u_sq) + curvature
     anchor = x[instance.partition.slice_of(k)].copy()
-    grad = rows @ (u * (u * u - instance.intensities))
-    linear = matrix @ anchor - grad
+    grad = rows @ (u * (u_sq - instance.intensities))
+    linear = apply(anchor) - grad
 
     def value(v):
-        return float(0.5 * v @ (matrix @ v) - v @ linear)
+        return float(0.5 * v @ apply(v) - v @ linear)
 
     def gradient(v):
-        return matrix @ v - linear
+        return apply(v) - linear
 
     return SurrogateModel(
         kind="pr_partial_linearization", anchor=anchor,
         value_fn=value, grad_fn=gradient, grad_anchor=grad,
-        quad_matrix=matrix, quad_linear=linear, curvature=curvature)
+        quad_operator=QuadOperator(apply, diagonal), quad_linear=linear,
+        curvature=curvature)
 
 
 # ---------------------------------------------------------------------------

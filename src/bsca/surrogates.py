@@ -6,9 +6,9 @@ model shares the block gradient of f at its anchor, which is what makes
 the surrogate minimizer a descent direction for the original problem.
 
 Closed-form minimizers ship for the pairings (quadratic, {0, l1}),
-(diagonal quadratic form, {0, l1}) and (dense quadratic form, 0); box
-constraints are handled by clipping wherever the subproblem is
-separable.  Everything else must go through the inexact inner loop.
+(diagonal quadratic form, {0, l1}) and (dense quadratic form, 0), none
+for a D given as an operator; box constraints are clipped wherever the
+subproblem is separable.  The rest goes through the inexact inner loop.
 """
 
 from __future__ import annotations
@@ -49,13 +49,22 @@ def soft_threshold(b: np.ndarray, a) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class QuadOperator:
+    """D given by its action ``v -> Dv`` and its diagonal, never formed."""
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    diagonal: np.ndarray
+
+
+@dataclass(frozen=True)
 class SurrogateModel:
     """One strictly convex approximation of f along block k at an anchor.
 
     ``grad_anchor`` is the problem's block gradient at the anchor, which
     equals ``gradient(anchor)`` for every catalog kind.  When the model
-    is quadratic, ``quad_diag``/``quad_matrix`` and ``quad_linear`` hold
-    D and b of (1/2) v'Dv - v'b; exactly one of the two D forms is set.
+    is quadratic, ``quad_linear`` holds b of (1/2) v'Dv - v'b and exactly
+    one of the three D forms is set: ``quad_diag`` (D is diagonal),
+    ``quad_matrix`` (dense) or ``quad_operator`` (matrix-free).
     """
 
     kind: str
@@ -65,6 +74,7 @@ class SurrogateModel:
     grad_anchor: np.ndarray
     quad_diag: np.ndarray | None = None
     quad_matrix: np.ndarray | None = None
+    quad_operator: QuadOperator | None = None
     quad_linear: np.ndarray | None = None
     curvature: float | None = None
     is_global_upper_bound: bool = False
@@ -77,17 +87,21 @@ class SurrogateModel:
 
     @property
     def has_quadratic_form(self) -> bool:
-        return self.quad_linear is not None and (
-            self.quad_diag is not None or self.quad_matrix is not None)
+        forms = (self.quad_diag, self.quad_matrix, self.quad_operator)
+        return self.quad_linear is not None and any(f is not None for f in forms)
 
     def quad_diagonal(self) -> np.ndarray:
         if self.quad_diag is not None:
             return self.quad_diag
+        if self.quad_operator is not None:
+            return self.quad_operator.diagonal
         return np.diag(self.quad_matrix)
 
     def quad_apply(self, v: np.ndarray) -> np.ndarray:
         if self.quad_diag is not None:
             return self.quad_diag * v
+        if self.quad_operator is not None:
+            return self.quad_operator.apply(v)
         return self.quad_matrix @ v
 
 
@@ -292,27 +306,27 @@ def _separable_prox(u: np.ndarray, threshold, regularizer: Regularizer,
 
 
 def inner_best_response_step(model: SurrogateModel, x_tau: np.ndarray,
-                             regularizer: Regularizer,
+                             grad_tau: np.ndarray, regularizer: Regularizer,
                              constraint: Constraint) -> np.ndarray:
-    """One-shot minimizer of the inner elementwise best-response:
-    soft-threshold of the diagonally preconditioned gradient step."""
+    """One-shot minimizer of the inner elementwise best-response at
+    ``x_tau``, where the model gradient is ``grad_tau``: soft-threshold
+    of the diagonally preconditioned gradient step."""
     diag = model.quad_diagonal()
-    grad_tau = model.quad_apply(x_tau) - model.quad_linear
     return _separable_prox(x_tau - grad_tau / diag, 1.0 / diag,
                            regularizer, constraint)
 
 
-def inner_exact_stepsize(model: SurrogateModel, x_tau: np.ndarray,
-                         minimizer: np.ndarray,
+def inner_exact_stepsize(x_tau: np.ndarray, grad_tau: np.ndarray,
+                         minimizer: np.ndarray, quad_delta: np.ndarray,
                          regularizer: Regularizer) -> float:
     """Exact line search of the outer quadratic model along the inner
-    best-response direction; rational closed form clipped to [0, 1].
-    A zero direction is a skip (gamma = 0)."""
+    best-response direction ``minimizer - x_tau``, given the model
+    gradient at ``x_tau`` and D times the direction; rational closed
+    form clipped to [0, 1].  A zero direction is a skip (gamma = 0)."""
     delta = minimizer - x_tau
-    a2 = float(delta @ model.quad_apply(delta))
+    a2 = float(delta @ quad_delta)
     if a2 == 0.0:
         return 0.0
-    grad_tau = model.quad_apply(x_tau) - model.quad_linear
     a1 = float(grad_tau @ delta) + (regularizer.value(minimizer)
                                     - regularizer.value(x_tau))
     return exact_quadratic_step(a2, a1).gamma

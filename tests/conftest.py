@@ -5,16 +5,22 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from bsca import engine
 from bsca.core import (
     Box,
     CompositeProblem,
     L1Norm,
+    SolverConfig,
     Unconstrained,
     Zero,
     make_partition,
 )
 from bsca.linesearch import quadratic_profile
-from bsca.surrogates import SmoothComposition
+from bsca.surrogates import (
+    SmoothComposition,
+    inner_best_response_step,
+    inner_exact_stepsize,
+)
 
 
 def random_quadratic_problem(rng, block_sizes, l1_gain=0.0, box_halfwidth=None,
@@ -89,6 +95,43 @@ def random_composition_problem(rng, block_sizes, inner_dim=6):
     problem = CompositeProblem(partition, smooth_value, block_gradient,
                                tuple(Zero() for _ in block_sizes))
     return problem, composition
+
+
+def fresh_inner_step(model, x_tau, regularizer, constraint):
+    """``inner_best_response_step`` at the fresh model gradient."""
+    grad_tau = model.quad_apply(x_tau) - model.quad_linear
+    return inner_best_response_step(model, x_tau, grad_tau, regularizer, constraint)
+
+
+def fresh_inner_stepsize(model, x_tau, target, regularizer):
+    """``inner_exact_stepsize`` at the fresh model gradient and D delta."""
+    grad_tau = model.quad_apply(x_tau) - model.quad_linear
+    return inner_exact_stepsize(x_tau, grad_tau, target,
+                                model.quad_apply(target - x_tau), regularizer)
+
+
+def carried_gradient_drift(monkeypatch, model, problem, rounds):
+    """Run ``rounds`` inner rounds on ``model`` and return (rounds run,
+    largest drift of the carried gradient from a fresh D x_tau - b).
+    The drift is relative to ||D x_tau|| + ||b||, the terms the fresh
+    gradient is the difference of, so it measures accumulated rounding
+    and not the cancellation near the minimizer."""
+    seen = []
+    honest = engine.inner_best_response_step
+
+    def spy(model, x_tau, grad_tau, reg, constraint):
+        seen.append((x_tau.copy(), grad_tau.copy()))
+        return honest(model, x_tau, grad_tau, reg, constraint)
+
+    monkeypatch.setattr(engine, "inner_best_response_step", spy)
+    engine.inexact_inner_loop(model, problem, 0, SolverConfig(
+        max_outer_iterations=1, inner_iterations=rounds, stationarity_rtol=0.0))
+    drift = 0.0
+    for x, grad in seen:
+        dx, b = model.quad_apply(x), model.quad_linear
+        drift = max(drift, np.linalg.norm(grad - (dx - b))
+                    / (np.linalg.norm(dx) + np.linalg.norm(b)))
+    return len(seen), drift
 
 
 @pytest.fixture

@@ -53,15 +53,18 @@ from bsca.phase_retrieval import (
 )
 from bsca.surrogates import (
     SurrogateModel,
-    inner_best_response_step,
-    inner_exact_stepsize,
     make_best_response_surrogate,
     make_inner_surrogate,
     make_partial_linearization_surrogate,
     make_quadratic_surrogate,
 )
 
-from conftest import random_composition_problem, random_quadratic_problem
+from conftest import (
+    fresh_inner_step,
+    fresh_inner_stepsize,
+    random_composition_problem,
+    random_quadratic_problem,
+)
 from oracles import dense_spd_solve, finite_diff_block_gradient, golden_section, real_cubic_roots
 
 
@@ -433,10 +436,10 @@ def test_criterion_8_inner_chain():
         values = [model.value(x_tau) + reg.value(x_tau)]
         from bsca.core import Unconstrained
         for _ in range(8):
-            target = inner_best_response_step(model, x_tau, reg, Unconstrained())
+            target = fresh_inner_step(model, x_tau, reg, Unconstrained())
             if np.linalg.norm(target - x_tau) <= 1e-12 * (1 + np.linalg.norm(x_tau)):
                 break
-            gamma = inner_exact_stepsize(model, x_tau, target, reg)
+            gamma = fresh_inner_stepsize(model, x_tau, target, reg)
             if gamma <= 0.0:
                 break
             x_tau = x_tau + gamma * (target - x_tau)
@@ -446,8 +449,8 @@ def test_criterion_8_inner_chain():
         # 50 inner rounds against the dense reference solve (no l1 term)
         x_tau = anchor.copy()
         for _ in range(50):
-            target = inner_best_response_step(model, x_tau, Zero(), Unconstrained())
-            gamma = inner_exact_stepsize(model, x_tau, target, Zero())
+            target = fresh_inner_step(model, x_tau, Zero(), Unconstrained())
+            gamma = fresh_inner_stepsize(model, x_tau, target, Zero())
             if gamma <= 0.0:
                 break
             x_tau = x_tau + gamma * (target - x_tau)

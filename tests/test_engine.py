@@ -34,7 +34,12 @@ from bsca.linesearch import cubic_real_roots, quadratic_profile
 from bsca.phase_retrieval import generate_pr_instance
 from bsca.surrogates import SurrogateModel, make_best_response_surrogate
 
-from conftest import random_quadratic_problem
+from conftest import (
+    carried_gradient_drift,
+    fresh_inner_step,
+    fresh_inner_stepsize,
+    random_quadratic_problem,
+)
 from oracles import dense_spd_solve
 
 
@@ -322,20 +327,38 @@ class TestInexact:
             exact = dense_spd_solve(model.quad_matrix, model.quad_linear)
             assert np.linalg.norm(approx - exact) <= 1e-8 * (1 + np.linalg.norm(exact))
 
+    def test_carried_inner_gradient_does_not_drift(self, rng, monkeypatch):
+        # an ill-conditioned dense SPD model with l1 that keeps the loop
+        # moving for all rounds; the gradient entering round 201 has
+        # been carried through 200 updates
+        n = 30
+        problem, _, _ = random_quadratic_problem(rng, [n], l1_gain=0.2)
+        basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        spd = (basis * np.geomspace(1e-2, 1e2, n)) @ basis.T
+        spd = 0.5 * (spd + spd.T)
+        b = rng.standard_normal(n)
+        anchor = rng.standard_normal(n)
+        model = SurrogateModel(
+            kind="quad_form", anchor=anchor,
+            value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
+            grad_fn=lambda v: spd @ v - b, grad_anchor=spd @ anchor - b,
+            quad_matrix=spd, quad_linear=b)
+        rounds, drift = carried_gradient_drift(monkeypatch, model, problem, 201)
+        assert rounds == 201
+        assert drift <= 1e-12
+
     def test_inner_chain_monotone_in_surrogate_objective(self, rng):
         # strict decrease holds until progress reaches the rounding floor
         problem, _, _ = random_quadratic_problem(rng, [6], l1_gain=0.2)
         model = self._quad_outer(rng)
         reg = problem.nonsmooth[0]
-        from bsca.surrogates import inner_best_response_step, inner_exact_stepsize
         x_tau = model.anchor.copy()
         values = [model.value(x_tau) + reg.value(x_tau)]
         for _ in range(10):
-            target = inner_best_response_step(model, x_tau, reg,
-                                              problem.constraints[0])
+            target = fresh_inner_step(model, x_tau, reg, problem.constraints[0])
             if np.linalg.norm(target - x_tau) <= 1e-13 * (1 + np.linalg.norm(x_tau)):
                 break
-            gamma = inner_exact_stepsize(model, x_tau, target, reg)
+            gamma = fresh_inner_stepsize(model, x_tau, target, reg)
             if gamma <= 0.0:
                 break
             x_tau = x_tau + gamma * (target - x_tau)

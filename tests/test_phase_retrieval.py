@@ -1,5 +1,6 @@
 import pickle
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,9 +34,13 @@ from bsca.phase_retrieval import (
     run_phase_retrieval,
     with_blocks,
 )
-from bsca.surrogates import inner_best_response_step, inner_exact_stepsize
 
-from conftest import random_quadratic_problem
+from conftest import (
+    carried_gradient_drift,
+    fresh_inner_step,
+    fresh_inner_stepsize,
+    random_quadratic_problem,
+)
 from oracles import finite_diff_block_gradient, golden_section
 
 
@@ -52,11 +57,11 @@ def tiny_instance(seed=0, unknowns=24, measurements=60, blocks=2, gain=None):
 
 
 def inner_solve(model, x_tau, gain):
-    return inner_best_response_step(model, x_tau, L1Norm(gain), Unconstrained())
+    return fresh_inner_step(model, x_tau, L1Norm(gain), Unconstrained())
 
 
 def inner_stepsize(model, x_tau, minimizer, gain):
-    return inner_exact_stepsize(model, x_tau, minimizer, L1Norm(gain))
+    return fresh_inner_stepsize(model, x_tau, minimizer, L1Norm(gain))
 
 
 def outer_stepsize(inst, x, x_tilde_k, k, gain):
@@ -67,6 +72,23 @@ def outer_stepsize(inst, x, x_tilde_k, k, gain):
     delta_g = gain * (np.abs(x_tilde_k).sum() - np.abs(x[sl]).sum())
     profile = pr_problem(inst).line_profile(x, delta, k)
     return profile.with_slope_offset(delta_g).minimize()
+
+
+def operator_matrix(model):
+    """The model's D, applied to the identity's columns."""
+    return np.column_stack([model.quad_apply(e) for e in np.eye(model.anchor.size)])
+
+
+def assert_dense_outer_form(model, inst, x, k, curvature):
+    """The matrix-free model's D and diagonal equal the dense
+    2 A_k diag(u^2) A_k' + cI, u = A'x, to 1e-12 relative."""
+    u = inst.sampling.T @ x
+    rows = inst.block_rows(k)
+    dense = 2.0 * (rows * (u * u)) @ rows.T + curvature * np.eye(rows.shape[0])
+    scale = np.linalg.norm(dense)
+    assert np.linalg.norm(operator_matrix(model) - dense) <= 1e-12 * scale
+    assert (np.linalg.norm(model.quad_diagonal() - np.diag(dense))
+            <= 1e-12 * np.linalg.norm(np.diag(dense)))
 
 
 def pr_inexact_run(inst, cfg, x0):
@@ -81,14 +103,18 @@ class TestOuterModel:
     def test_one_dimensional_toy(self):
         inst = one_d_instance(intensity=0.0, gain=0.5)
         model = pr_outer_model(pr_problem(inst), np.array([1.0]), 0, 0.1)
-        assert model.quad_matrix == pytest.approx(np.array([[2.1]]))
+        assert_dense_outer_form(model, inst, np.array([1.0]), 0, 0.1)
+        assert operator_matrix(model) == pytest.approx(np.array([[2.1]]))
+        assert model.quad_diagonal() == pytest.approx(np.array([2.1]))
         assert model.quad_linear == pytest.approx(np.array([1.1]))
 
     def test_zero_anchor_degenerates_to_prox_model(self):
         inst = tiny_instance()
         model = pr_outer_model(pr_problem(inst), np.zeros(24), 0, 0.3)
         size = inst.partition.block_sizes[0]
-        assert model.quad_matrix == pytest.approx(0.3 * np.eye(size))
+        assert_dense_outer_form(model, inst, np.zeros(24), 0, 0.3)
+        assert operator_matrix(model) == pytest.approx(0.3 * np.eye(size))
+        assert model.quad_diagonal() == pytest.approx(np.full(size, 0.3))
         assert model.quad_linear == pytest.approx(np.zeros(size))
 
     def test_gradient_consistency_against_finite_differences(self, rng):
@@ -105,9 +131,38 @@ class TestOuterModel:
 
     def test_positive_definite_with_floor_at_curvature(self, rng):
         inst = tiny_instance(seed=1)
-        model = pr_outer_model(pr_problem(inst), rng.standard_normal(24), 1, 0.05)
-        eigs = np.linalg.eigvalsh(model.quad_matrix)
+        x = rng.standard_normal(24)
+        model = pr_outer_model(pr_problem(inst), x, 1, 0.05)
+        assert_dense_outer_form(model, inst, x, 1, 0.05)
+        eigs = np.linalg.eigvalsh(operator_matrix(model))
         assert eigs.min() >= 0.05 - 1e-12
+
+    def test_builds_no_block_by_measurement_array(self, rng):
+        # a 200 x 4000 block: forming D (200 x 200) fits the budget, but
+        # any block-by-measurement temporary such as A_k diag(u^2) does not
+        inst = generate_pr_instance(200, 4000, density=0.05, seed=21)
+        problem = pr_problem(inst)
+        x = rng.standard_normal(200)
+        rows = inst.block_rows(0)
+        tracemalloc.start()
+        try:
+            model = pr_outer_model(problem, x, 0, 1e-3)
+            model.quad_apply(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes / 4
+
+    def test_carried_inner_gradient_does_not_drift(self, rng, monkeypatch):
+        # one block and a tiny curvature keep the loop moving for all
+        # rounds; the gradient entering round 201 has been carried
+        # through 200 updates
+        inst = tiny_instance(seed=0, blocks=1)
+        problem = pr_problem(inst)
+        model = pr_outer_model(problem, rng.standard_normal(24), 0, 1e-6)
+        rounds, drift = carried_gradient_drift(monkeypatch, model, problem, 201)
+        assert rounds == 201
+        assert drift <= 1e-12
 
     def test_rejects_bad_curvature(self):
         inst = tiny_instance()
@@ -120,11 +175,13 @@ class TestInnerSolve:
         inst = tiny_instance(seed=2)
         x = rng.standard_normal(24)
         model = pr_outer_model(pr_problem(inst), x, 0, 1e-2)
+        assert_dense_outer_form(model, inst, x, 0, 1e-2)
         sl = inst.partition.slice_of(0)
         x_tau = rng.standard_normal(sl.stop - sl.start)
         got = inner_solve(model, x_tau, inst.sparse_gain)
-        d = np.diag(model.quad_matrix)
-        grad = model.quad_matrix @ x_tau - model.quad_linear
+        dense = operator_matrix(model)
+        d = np.diag(dense)
+        grad = dense @ x_tau - model.quad_linear
         for i in (0, 3, 7):
             grid = np.linspace(got[i] - 1.5, got[i] + 1.5, 600001)
             shift = grid - x_tau[i]
@@ -136,15 +193,18 @@ class TestInnerSolve:
         inst = tiny_instance(seed=2, gain=1e-300)
         x = rng.standard_normal(24)
         model = pr_outer_model(pr_problem(inst), x, 0, 1e-2)
+        assert_dense_outer_form(model, inst, x, 0, 1e-2)
         x_tau = rng.standard_normal(12)
         got = inner_solve(model, x_tau, 0.0)
-        d = np.diag(model.quad_matrix)
-        expected = x_tau - (model.quad_matrix @ x_tau - model.quad_linear) / d
+        dense = operator_matrix(model)
+        d = np.diag(dense)
+        expected = x_tau - (dense @ x_tau - model.quad_linear) / d
         assert np.allclose(got, expected, rtol=1e-14)
 
     def test_diagonal_model_solves_in_one_shot(self):
         inst = tiny_instance()
         model = pr_outer_model(pr_problem(inst), np.zeros(24), 0, 0.3)  # D = 0.3 I
+        assert_dense_outer_form(model, inst, np.zeros(24), 0, 0.3)
         got = inner_solve(model, np.ones(12) * 2.0, inst.sparse_gain)
         from bsca.surrogates import soft_threshold
         expected = soft_threshold(model.quad_linear / 0.3,
@@ -177,6 +237,7 @@ class TestInnerStepsize:
         inst = tiny_instance(seed=4)
         x = rng.standard_normal(24)
         model = pr_outer_model(pr_problem(inst), x, 1, 1e-2)
+        assert_dense_outer_form(model, inst, x, 1, 1e-2)
         x_tau = rng.standard_normal(12)
         target = inner_solve(model, x_tau, inst.sparse_gain)
         gamma = inner_stepsize(model, x_tau, target, inst.sparse_gain)
@@ -358,10 +419,11 @@ def assert_fresh_formulas(problem, z, rng):
                               rows @ (u * (u * u - y)))
         d = rng.standard_normal(rows.shape[0])
         assert problem.line_profile(z, d, k) == _quartic_coeffs(u, rows.T @ d, y)
-        expected = 2.0 * (rows * (u * u)) @ rows.T
-        expected[np.diag_indices_from(expected)] += 1e-3
-        assert np.array_equal(pr_outer_model(problem, z, k, 1e-3).quad_matrix,
-                              expected)
+        model = pr_outer_model(problem, z, k, 1e-3)
+        assert_dense_outer_form(model, inst, z, k, 1e-3)
+        assert np.array_equal(model.quad_apply(d),
+                              2.0 * (rows @ (u * u * (rows.T @ d))) + 1e-3 * d)
+        assert np.array_equal(model.grad_anchor, rows @ (u * (u * u - y)))
 
 
 class TestProducts:

@@ -14,9 +14,34 @@ def test_scripts_are_found():
     assert SCRIPTS
 
 
-@pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.stem)
-def test_script_imports(path):
+def load(path):
     spec = importlib.util.spec_from_file_location(f"script_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)    # the __main__ guard keeps main() from running
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.stem)
+def test_script_imports(path):
+    assert callable(load(path).main)
+
+
+def test_manifest_gate_sums_up_how_two_traces_differ(tmp_path):
+    gate = load(next(path for path in SCRIPTS if path.stem == "manifest_gate"))
+    header = "iter,block,stepsize,armijo_m,objective,elapsed_s\n"
+    recorded = tmp_path / "recorded.csv"
+    recorded.write_text(header + "0,-1,0,-1,10,0\n1,0,0.5,-1,8,0.1\n2,1,0,-1,8,0.2\n")
+    # same skips, the last two objectives moved; the times never count
+    moved = tmp_path / "moved.csv"
+    moved.write_text(header + "0,-1,0,-1,10,7\n1,0,0.5,-1,8.000001,7\n"
+                     "2,1,0,-1,8.000001,7\n")
+    assert gate.trace_difference(recorded, moved) == (
+        "iterations 2 -> 2; final objective 8.0 -> 8.000001; 2 of 3 rows differ; "
+        "largest relative objective difference 1.2e-07; skip pattern same")
+    # one more iteration, and the skip of iteration 2 became a step
+    longer = tmp_path / "longer.csv"
+    longer.write_text(header + "0,-1,0,-1,10,0\n1,0,0.5,-1,8,0.1\n"
+                      "2,1,0.25,-1,7.5,0.2\n3,0,0,-1,7.5,0.3\n")
+    assert gate.trace_difference(recorded, longer) == (
+        "iterations 2 -> 3; final objective 8.0 -> 7.5; 2 of 4 rows differ; "
+        "largest relative objective difference 6.2e-02; skip pattern differs")

@@ -15,8 +15,6 @@ from bsca.engine import inexact_inner_loop
 from bsca.errors import InvalidArgumentError, NoClosedFormError
 from bsca.surrogates import (
     SurrogateModel,
-    inner_best_response_step,
-    inner_exact_stepsize,
     make_best_response_surrogate,
     make_inner_surrogate,
     make_partial_linearization_surrogate,
@@ -25,7 +23,12 @@ from bsca.surrogates import (
     solve_surrogate,
 )
 
-from conftest import random_composition_problem, random_quadratic_problem
+from conftest import (
+    fresh_inner_step,
+    fresh_inner_stepsize,
+    random_composition_problem,
+    random_quadratic_problem,
+)
 from oracles import dense_spd_solve, finite_diff_block_gradient, golden_section
 
 
@@ -325,7 +328,7 @@ class TestInnerSurrogate:
     def test_inner_step_is_coordinatewise_minimizer(self, rng):
         model = self._quad_model(rng)
         x_tau = rng.standard_normal(5)
-        got = inner_best_response_step(model, x_tau, L1Norm(0.3), Unconstrained())
+        got = fresh_inner_step(model, x_tau, L1Norm(0.3), Unconstrained())
         d = np.diag(model.quad_matrix)
         grad = model.quad_matrix @ x_tau - model.quad_linear
         for i in range(5):
@@ -343,15 +346,15 @@ class TestInnerSurrogate:
             value_fn=lambda v: float(0.5 * (v * diag) @ v - v @ b),
             grad_fn=lambda v: diag * v - b, grad_anchor=-b,
             quad_diag=diag, quad_linear=b)
-        got = inner_best_response_step(model, np.zeros(4), Zero(), Unconstrained())
+        got = fresh_inner_step(model, np.zeros(4), Zero(), Unconstrained())
         assert np.allclose(got, b / diag, rtol=1e-12)
 
     def test_inner_exact_stepsize_matches_golden(self, rng):
         model = self._quad_model(rng)
         x_tau = rng.standard_normal(5)
         reg = L1Norm(0.2)
-        target = inner_best_response_step(model, x_tau, reg, Unconstrained())
-        gamma = inner_exact_stepsize(model, x_tau, target, reg)
+        target = fresh_inner_step(model, x_tau, reg, Unconstrained())
+        gamma = fresh_inner_stepsize(model, x_tau, target, reg)
         delta = target - x_tau
         phi = lambda g: (model.value(x_tau + g * delta)
                          + g * (reg.value(target) - reg.value(x_tau)))
