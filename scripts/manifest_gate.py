@@ -25,9 +25,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bsca.storage import RUN_MANIFEST
-
 SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))    # the checkout's package, as in the subprocesses
+
+from bsca.storage import RUN_MANIFEST  # noqa: E402
+
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
               "MKL_NUM_THREADS": "1"}
 

@@ -62,10 +62,11 @@ _AUDIT_GAMMAS = (0.15, 0.35, 0.55, 0.75, 0.95)
 
 @dataclass(frozen=True)
 class BlockSolution:
-    """Minimizer of one block subproblem plus its line-search hints."""
+    """Block subproblem minimizer, line-search hints, and the block gradient if formed."""
 
     minimizer: np.ndarray
     is_global_upper_bound: bool = False
+    gradient: np.ndarray | None = None
 
 
 BlockSolver = Callable[[CompositeProblem, np.ndarray, int], BlockSolution]
@@ -79,7 +80,7 @@ def make_surrogate_solver(factory: Callable[..., SurrogateModel]) -> BlockSolver
         model = factory(problem, x, k)
         minimizer = solve_surrogate(model, problem.nonsmooth[k],
                                     problem.constraints[k])
-        return BlockSolution(minimizer, model.is_global_upper_bound)
+        return BlockSolution(minimizer, model.is_global_upper_bound, model.grad_anchor)
 
     return solver
 
@@ -271,8 +272,8 @@ def _block_move(problem: CompositeProblem, solver: BlockSolver,
     reg = problem.nonsmooth[k]
     g_min = reg.value(minimizer)
     g_cur = reg.value(xk)
-    d = descent_quantity(problem.block_gradient(x, k), minimizer, xk,
-                         g_min, g_cur)
+    grad = sol.gradient if sol.gradient is not None else problem.block_gradient(x, k)
+    d = descent_quantity(grad, minimizer, xk, g_min, g_cur)
     return delta, g_min - g_cur, d, sol.is_global_upper_bound
 
 
@@ -390,8 +391,8 @@ def inexact_inner_loop(model: SurrogateModel, problem: CompositeProblem,
     reg = problem.nonsmooth[k]
     constraint = problem.constraints[k]
     x_tau = model.anchor.copy()
-    # carried as grad + gamma D delta, one D per round; seeded afresh
-    grad_tau = model.quad_apply(x_tau) - model.quad_linear
+    # the model gradient, carried as grad + gamma D delta, one D per round
+    grad_tau = model.grad_anchor
     for _ in range(config.inner_iterations):
         target = inner_best_response_step(model, x_tau, grad_tau, reg, constraint)
         delta = target - x_tau
@@ -415,7 +416,8 @@ def inexact_solver(outer_factory: OuterSurrogateFactory,
 
     def solver(problem: CompositeProblem, x: np.ndarray, k: int) -> BlockSolution:
         model = outer_factory(problem, x, k)
-        return BlockSolution(inexact_inner_loop(model, problem, k, config))
+        return BlockSolution(inexact_inner_loop(model, problem, k, config),
+                             gradient=model.grad_anchor)
 
     return solver
 

@@ -188,15 +188,19 @@ def _quartic_coeffs(u: np.ndarray, w: np.ndarray, y: np.ndarray):
 # outer surrogate
 # ---------------------------------------------------------------------------
 
+_CHUNK_ROWS = 16    # pr_outer_model's rows per step; a multiple of 4 keeps gemv bits
+
+
 def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
                    curvature: float) -> SurrogateModel:
     """Partial linearization of the residual map inside the quartic loss,
     written as the quadratic form (1/2) v'Dv - v'b with
     D = 2 A_k diag(A'x)^2 A_k' + c I and b = D x_k - grad_k f(x).  D is
-    never formed: it is applied with two block products, and its diagonal
-    is summed without a block-sized temporary.  ``problem`` is a
-    ``pr_problem``: the data and ``A'x`` come from its product hook, so
-    inside a run the model reads the maintained product."""
+    never formed: it is applied with two block products, and b is derived.
+    The gradient and diagonal are summed in one pass over a few rows of A_k
+    at a time.  ``problem`` is a ``pr_problem``: the data and ``A'x`` come
+    from its product hook, so inside a run the model reads the maintained
+    product."""
     if curvature <= 0.0:
         raise InvalidArgumentError("curvature must be positive")
     x = np.asarray(x, dtype=float)
@@ -204,26 +208,31 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
     u = problem.products.product(x)
     u_sq = u * u
     rows = instance.block_rows(k)
+    grad_u = u * (u_sq - instance.intensities)
 
     def apply(v):
         return 2.0 * (rows @ (u_sq * (rows.T @ v))) + curvature * v
 
-    diagonal = 2.0 * np.einsum("ij,ij,j->i", rows, rows, u_sq) + curvature
+    grad, diagonal = np.empty((2, rows.shape[0]))
+    squares = np.empty((min(_CHUNK_ROWS, rows.shape[0]), rows.shape[1]))
+    for start in range(0, rows.shape[0], _CHUNK_ROWS):
+        chunk = rows[start:start + _CHUNK_ROWS]
+        grad[start:start + len(chunk)] = chunk @ grad_u
+        diagonal[start:start + len(chunk)] = np.multiply(
+            chunk, chunk, out=squares[:len(chunk)]) @ u_sq
+    diagonal = 2.0 * diagonal + curvature
     anchor = x[instance.partition.slice_of(k)].copy()
-    grad = rows @ (u * (u_sq - instance.intensities))
-    linear = apply(anchor) - grad
 
     def value(v):
-        return float(0.5 * v @ apply(v) - v @ linear)
+        return float(0.5 * v @ apply(v) - v @ (apply(anchor) - grad))
 
     def gradient(v):
-        return apply(v) - linear
+        return grad + apply(v - anchor)
 
     return SurrogateModel(
         kind="pr_partial_linearization", anchor=anchor,
         value_fn=value, grad_fn=gradient, grad_anchor=grad,
-        quad_operator=QuadOperator(apply, diagonal), quad_linear=linear,
-        curvature=curvature)
+        quad_operator=QuadOperator(apply, diagonal), curvature=curvature)
 
 
 # ---------------------------------------------------------------------------

@@ -61,10 +61,10 @@ class SurrogateModel:
     """One strictly convex approximation of f along block k at an anchor.
 
     ``grad_anchor`` is the problem's block gradient at the anchor, which
-    equals ``gradient(anchor)`` for every catalog kind.  When the model
-    is quadratic, ``quad_linear`` holds b of (1/2) v'Dv - v'b and exactly
-    one of the three D forms is set: ``quad_diag`` (D is diagonal),
-    ``quad_matrix`` (dense) or ``quad_operator`` (matrix-free).
+    equals ``gradient(anchor)`` for every catalog kind.  A quadratic
+    model is (1/2) v'Dv - v'b up to a constant, with exactly one of three
+    D forms set: ``quad_diag`` (D is diagonal), ``quad_matrix`` (dense)
+    or ``quad_operator`` (matrix-free); b is derived by ``linear_term``.
     """
 
     kind: str
@@ -75,7 +75,6 @@ class SurrogateModel:
     quad_diag: np.ndarray | None = None
     quad_matrix: np.ndarray | None = None
     quad_operator: QuadOperator | None = None
-    quad_linear: np.ndarray | None = None
     curvature: float | None = None
     is_global_upper_bound: bool = False
 
@@ -88,7 +87,7 @@ class SurrogateModel:
     @property
     def has_quadratic_form(self) -> bool:
         forms = (self.quad_diag, self.quad_matrix, self.quad_operator)
-        return self.quad_linear is not None and any(f is not None for f in forms)
+        return any(f is not None for f in forms)
 
     def quad_diagonal(self) -> np.ndarray:
         if self.quad_diag is not None:
@@ -103,6 +102,9 @@ class SurrogateModel:
         if self.quad_operator is not None:
             return self.quad_operator.apply(v)
         return self.quad_matrix @ v
+
+    def linear_term(self) -> np.ndarray:
+        return self.quad_apply(self.anchor) - self.grad_anchor
 
 
 def _with_block(x: np.ndarray, sl: slice, v: np.ndarray) -> np.ndarray:
@@ -134,9 +136,7 @@ def make_quadratic_surrogate(problem: CompositeProblem, x: np.ndarray, k: int,
     return SurrogateModel(
         kind="quadratic", anchor=anchor,
         value_fn=value, grad_fn=gradient, grad_anchor=grad,
-        quad_diag=np.full(anchor.size, curvature),
-        quad_linear=curvature * anchor - grad,
-        curvature=curvature)
+        quad_diag=np.full(anchor.size, curvature), curvature=curvature)
 
 
 def make_best_response_surrogate(problem: CompositeProblem, x: np.ndarray,
@@ -275,7 +275,7 @@ def make_inner_surrogate(model: SurrogateModel,
             "inner best-response needs a quadratic outer model")
     x_tau = np.asarray(x_tau, dtype=float)
     diag = model.quad_diagonal()
-    grad_tau = model.quad_apply(x_tau) - model.quad_linear
+    grad_tau = model.gradient(x_tau)
     base = model.value(x_tau) * x_tau.size
 
     def value(v):
@@ -287,8 +287,7 @@ def make_inner_surrogate(model: SurrogateModel,
 
     return SurrogateModel(
         kind="inner_best_response", anchor=x_tau.copy(),
-        value_fn=value, grad_fn=gradient, grad_anchor=grad_tau.copy(),
-        quad_diag=diag, quad_linear=diag * x_tau - grad_tau)
+        value_fn=value, grad_fn=gradient, grad_anchor=grad_tau.copy(), quad_diag=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +348,12 @@ def solve_surrogate(model: SurrogateModel, regularizer: Regularizer,
         return _separable_prox(u, 1.0 / model.curvature, regularizer, constraint)
 
     if model.quad_diag is not None:
-        u = model.quad_linear / model.quad_diag
+        u = model.anchor - model.grad_anchor / model.quad_diag
         return _separable_prox(u, 1.0 / model.quad_diag, regularizer, constraint)
 
     if (model.quad_matrix is not None and isinstance(regularizer, Zero)
             and not isinstance(constraint, Box)):
-        return np.linalg.solve(model.quad_matrix, model.quad_linear)
+        return np.linalg.solve(model.quad_matrix, model.linear_term())
 
     raise NoClosedFormError(
         f"no closed-form minimizer for a {model.kind!r} model with "

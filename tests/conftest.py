@@ -99,13 +99,13 @@ def random_composition_problem(rng, block_sizes, inner_dim=6):
 
 def fresh_inner_step(model, x_tau, regularizer, constraint):
     """``inner_best_response_step`` at the fresh model gradient."""
-    grad_tau = model.quad_apply(x_tau) - model.quad_linear
+    grad_tau = model.quad_apply(x_tau) - model.linear_term()
     return inner_best_response_step(model, x_tau, grad_tau, regularizer, constraint)
 
 
 def fresh_inner_stepsize(model, x_tau, target, regularizer):
     """``inner_exact_stepsize`` at the fresh model gradient and D delta."""
-    grad_tau = model.quad_apply(x_tau) - model.quad_linear
+    grad_tau = model.quad_apply(x_tau) - model.linear_term()
     return inner_exact_stepsize(x_tau, grad_tau, target,
                                 model.quad_apply(target - x_tau), regularizer)
 
@@ -128,7 +128,7 @@ def carried_gradient_drift(monkeypatch, model, problem, rounds):
         max_outer_iterations=1, inner_iterations=rounds, stationarity_rtol=0.0))
     drift = 0.0
     for x, grad in seen:
-        dx, b = model.quad_apply(x), model.quad_linear
+        dx, b = model.quad_apply(x), model.linear_term()
         drift = max(drift, np.linalg.norm(grad - (dx - b))
                     / (np.linalg.norm(dx) + np.linalg.norm(b)))
     return len(seen), drift

@@ -133,7 +133,7 @@ def pr_like_quadratic_model(gen, n):
         kind="quad_form", anchor=anchor,
         value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
         grad_fn=lambda v: spd @ v - b, grad_anchor=spd @ anchor - b,
-        quad_matrix=spd, quad_linear=b)
+        quad_matrix=spd)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +429,7 @@ def test_criterion_8_inner_chain():
             kind="quad_form", anchor=anchor,
             value_fn=lambda v, spd=spd, b=b: float(0.5 * v @ (spd @ v) - v @ b),
             grad_fn=lambda v, spd=spd, b=b: spd @ v - b,
-            grad_anchor=spd @ anchor - b, quad_matrix=spd, quad_linear=b)
+            grad_anchor=spd @ anchor - b, quad_matrix=spd)
         # strict decrease of the surrogate-plus-regularizer chain
         reg = L1Norm(0.3)
         x_tau = anchor.copy()

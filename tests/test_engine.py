@@ -3,6 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from bsca.anomaly import (
+    anomaly_problem,
+    anomaly_solver,
+    generate_anomaly_instance,
+    initial_state,
+    state_to_vector,
+)
 from bsca.core import (
     CompositeProblem,
     L1Norm,
@@ -30,8 +37,8 @@ from bsca.engine import (
     select_block,
 )
 from bsca.errors import ConfigError, FeasibilityError
-from bsca.linesearch import cubic_real_roots, quadratic_profile
-from bsca.phase_retrieval import generate_pr_instance
+from bsca.linesearch import cubic_real_roots, descent_quantity, quadratic_profile
+from bsca.phase_retrieval import generate_pr_instance, pr_outer_model, pr_problem
 from bsca.surrogates import SurrogateModel, make_best_response_surrogate
 
 from conftest import (
@@ -316,7 +323,7 @@ class TestInexact:
             kind="quad_form", anchor=anchor,
             value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
             grad_fn=lambda v: spd @ v - b, grad_anchor=spd @ anchor - b,
-            quad_matrix=spd, quad_linear=b)
+            quad_matrix=spd)
 
     def test_inner_loop_reaches_exact_minimizer(self, rng):
         problem, _, _ = random_quadratic_problem(rng, [6])
@@ -324,7 +331,7 @@ class TestInexact:
             model = self._quad_outer(rng)
             cfg = SolverConfig(max_outer_iterations=1, inner_iterations=50)
             approx = inexact_inner_loop(model, problem, 0, cfg)
-            exact = dense_spd_solve(model.quad_matrix, model.quad_linear)
+            exact = dense_spd_solve(model.quad_matrix, model.linear_term())
             assert np.linalg.norm(approx - exact) <= 1e-8 * (1 + np.linalg.norm(exact))
 
     def test_carried_inner_gradient_does_not_drift(self, rng, monkeypatch):
@@ -342,7 +349,7 @@ class TestInexact:
             kind="quad_form", anchor=anchor,
             value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
             grad_fn=lambda v: spd @ v - b, grad_anchor=spd @ anchor - b,
-            quad_matrix=spd, quad_linear=b)
+            quad_matrix=spd)
         rounds, drift = carried_gradient_drift(monkeypatch, model, problem, 201)
         assert rounds == 201
         assert drift <= 1e-12
@@ -415,6 +422,61 @@ class TestInexact:
                          cfg, np.zeros(6))
         assert all(np.all(np.abs(x) <= 0.25 + 1e-12) for x in seen)
         assert np.all(np.abs(trace.final_point.values) <= 0.25 + 1e-12)
+
+
+class TestGradientHandOff:
+    """A model-based solver hands the engine the block gradient its model
+    was built with; only solvers without one leave it to the problem."""
+
+    @staticmethod
+    def counted(problem):
+        calls = []
+        honest = problem.block_gradient
+
+        def spy(x, k):
+            calls.append(k)
+            return honest(x, k)
+
+        return dataclasses.replace(problem, block_gradient=spy), calls
+
+    def test_inexact_solver_is_never_asked_again(self, rng):
+        inst = generate_pr_instance(24, 60, density=0.1, num_blocks=2, seed=3)
+        problem, calls = self.counted(pr_problem(inst))
+        cfg = SolverConfig(max_outer_iterations=1, inner_iterations=3)
+        solver = inexact_solver(
+            lambda prob, x, k: pr_outer_model(prob, x, k, 1e-2), cfg)
+        x = rng.standard_normal(24)
+        for k in range(2):
+            _, step, d = bsca_step(problem, solver, x, k, cfg)
+            assert d < 0.0 and step.gamma > 0.0
+        assert calls == []
+
+    def test_surrogate_solver_keeps_the_bits_of_the_problem_gradient(self, rng):
+        honest, _, _ = random_quadratic_problem(rng, [3, 4], l1_gain=0.2)
+        problem, calls = self.counted(honest)
+        cfg = SolverConfig(max_outer_iterations=1)
+        solver = quadratic_solver(0.8)
+        x = rng.standard_normal(7)
+        for k in range(2):
+            calls.clear()
+            _, _, d = bsca_step(problem, solver, x, k, cfg)
+            assert calls == [k]    # the surrogate factory's own call
+            xk = honest.block_of(x, k)
+            minimizer = solver(honest, x, k).minimizer
+            reg = honest.nonsmooth[k]
+            expected = descent_quantity(honest.block_gradient(x, k), minimizer, xk,
+                                        reg.value(minimizer), reg.value(xk))
+            assert d < 0.0 and d == expected
+
+    def test_anomaly_solver_leaves_it_to_the_problem(self):
+        inst = generate_anomaly_instance(5, 8, 6, rank=2, density=0.3, seed=5)
+        problem, calls = self.counted(anomaly_problem(inst))
+        cfg = SolverConfig(max_outer_iterations=1)
+        x = state_to_vector(initial_state(inst, seed=0))
+        for k in range(3):
+            _, step, _ = bsca_step(problem, anomaly_solver(inst), x, k, cfg)
+            assert step.gamma > 0.0
+        assert calls == [0, 1, 2]
 
 
 class TestBgd:

@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from bsca import phase_retrieval
+from bsca import engine, phase_retrieval
 from bsca.core import (
     PRODUCT_DRIFT_RTOL,
     L1Norm,
@@ -23,6 +24,7 @@ from bsca.engine import (
     run_parallel_sca,
 )
 from bsca.errors import InvalidArgumentError, ProductDriftError, ProfileMismatchError
+from bsca.surrogates import QuadOperator
 from bsca.phase_retrieval import (
     PhaseProducts,
     PhaseRetrievalInstance,
@@ -106,7 +108,7 @@ class TestOuterModel:
         assert_dense_outer_form(model, inst, np.array([1.0]), 0, 0.1)
         assert operator_matrix(model) == pytest.approx(np.array([[2.1]]))
         assert model.quad_diagonal() == pytest.approx(np.array([2.1]))
-        assert model.quad_linear == pytest.approx(np.array([1.1]))
+        assert model.linear_term() == pytest.approx(np.array([1.1]))
 
     def test_zero_anchor_degenerates_to_prox_model(self):
         inst = tiny_instance()
@@ -115,7 +117,7 @@ class TestOuterModel:
         assert_dense_outer_form(model, inst, np.zeros(24), 0, 0.3)
         assert operator_matrix(model) == pytest.approx(0.3 * np.eye(size))
         assert model.quad_diagonal() == pytest.approx(np.full(size, 0.3))
-        assert model.quad_linear == pytest.approx(np.zeros(size))
+        assert model.linear_term() == pytest.approx(np.zeros(size))
 
     def test_gradient_consistency_against_finite_differences(self, rng):
         inst = tiny_instance(seed=3)
@@ -164,6 +166,54 @@ class TestOuterModel:
         assert rounds == 201
         assert drift <= 1e-12
 
+    def test_inner_loop_is_seeded_with_the_model_gradient(self, rng, monkeypatch):
+        # the first inner round reads grad_anchor itself, and the loop
+        # applies D only to its steps, never to the anchor (as a fresh
+        # D x_k - b would)
+        inst = tiny_instance(seed=5, blocks=1)
+        problem = pr_problem(inst)
+        model = pr_outer_model(problem, rng.standard_normal(24), 0, 1e-2)
+        applied, seen = [], []
+        operator = model.quad_operator
+
+        def apply(v):
+            applied.append(v.copy())
+            return operator.apply(v)
+
+        honest = engine.inner_best_response_step
+
+        def step(model, x_tau, grad_tau, reg, constraint):
+            seen.append(grad_tau.copy())
+            return honest(model, x_tau, grad_tau, reg, constraint)
+
+        monkeypatch.setattr(engine, "inner_best_response_step", step)
+        spied = dataclasses.replace(
+            model, quad_operator=QuadOperator(apply, operator.diagonal))
+        engine.inexact_inner_loop(spied, problem, 0, SolverConfig(
+            max_outer_iterations=1, inner_iterations=5, stationarity_rtol=0.0))
+        assert np.array_equal(seen[0], model.grad_anchor)
+        assert len(seen) == len(applied) == 5    # one D per round
+        assert not any(np.array_equal(v, model.anchor) for v in applied)
+
+    def test_gradient_and_diagonal_pass_matches_whole_block_products(self, rng):
+        # blocks of 1, 37 and 200 rows; the last two end on a partial chunk
+        sizes = [1, 37, 200]
+        assert all(size % phase_retrieval._CHUNK_ROWS for size in sizes[1:])
+        A = rng.standard_normal((sum(sizes), 300))
+        inst = PhaseRetrievalInstance(
+            sampling=A, intensities=rng.random(300), sparse_gain=0.1,
+            partition=make_partition(sizes))
+        x = rng.standard_normal(sum(sizes))
+        u = A.T @ x
+        for k in range(len(sizes)):
+            model = pr_outer_model(pr_problem(inst), x, k, 1e-3)
+            rows = inst.block_rows(k)
+            grad = rows @ (u * (u * u - inst.intensities))
+            diagonal = 2.0 * np.einsum("ij,ij,j->i", rows, rows, u * u) + 1e-3
+            assert (np.linalg.norm(model.grad_anchor - grad)
+                    <= 1e-13 * np.linalg.norm(grad))
+            assert np.allclose(model.quad_diagonal(), diagonal, rtol=1e-13, atol=0.0)
+
     def test_rejects_bad_curvature(self):
         inst = tiny_instance()
         with pytest.raises(InvalidArgumentError):
@@ -181,7 +231,7 @@ class TestInnerSolve:
         got = inner_solve(model, x_tau, inst.sparse_gain)
         dense = operator_matrix(model)
         d = np.diag(dense)
-        grad = dense @ x_tau - model.quad_linear
+        grad = dense @ x_tau - model.linear_term()
         for i in (0, 3, 7):
             grid = np.linspace(got[i] - 1.5, got[i] + 1.5, 600001)
             shift = grid - x_tau[i]
@@ -198,7 +248,7 @@ class TestInnerSolve:
         got = inner_solve(model, x_tau, 0.0)
         dense = operator_matrix(model)
         d = np.diag(dense)
-        expected = x_tau - (dense @ x_tau - model.quad_linear) / d
+        expected = x_tau - (dense @ x_tau - model.linear_term()) / d
         assert np.allclose(got, expected, rtol=1e-14)
 
     def test_diagonal_model_solves_in_one_shot(self):
@@ -207,7 +257,7 @@ class TestInnerSolve:
         assert_dense_outer_form(model, inst, np.zeros(24), 0, 0.3)
         got = inner_solve(model, np.ones(12) * 2.0, inst.sparse_gain)
         from bsca.surrogates import soft_threshold
-        expected = soft_threshold(model.quad_linear / 0.3,
+        expected = soft_threshold(model.linear_term() / 0.3,
                                   inst.sparse_gain / 0.3)
         assert np.allclose(got, expected, rtol=1e-12)
 
@@ -220,8 +270,7 @@ class TestInnerStepsize:
         model = SurrogateModel(
             kind="quad_form", anchor=np.array([1.0]),
             value_fn=lambda v: float(v @ v), grad_fn=lambda v: 2.0 * v,
-            grad_anchor=np.array([2.0]), quad_diag=np.array([2.0]),
-            quad_linear=np.array([0.0]))
+            grad_anchor=np.array([2.0]), quad_diag=np.array([2.0]))
         gamma = inner_stepsize(model, np.array([1.0]), np.array([0.0]), 0.0)
         assert gamma == 1.0
 

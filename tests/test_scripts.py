@@ -3,6 +3,9 @@ deleted or renamed library name fails the test suite instead of the
 script's next run."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,6 +27,15 @@ def load(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.stem)
 def test_script_imports(path):
     assert callable(load(path).main)
+
+
+def test_manifest_gate_runs_without_pythonpath():
+    gate = next(path for path in SCRIPTS if path.stem == "manifest_gate")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(gate), "--help"], env=env,
+                          cwd=gate.parent, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert "record" in done.stdout
 
 
 def test_manifest_gate_sums_up_how_two_traces_differ(tmp_path):

@@ -89,8 +89,7 @@ class TestQuadraticSurrogate:
             kind="quadratic", anchor=np.array([0.0]),
             value_fn=lambda v: float(2.0 * v[0] + 0.5 * v[0] ** 2),
             grad_fn=lambda v: np.array([2.0 + v[0]]),
-            grad_anchor=np.array([2.0]), quad_diag=np.array([1.0]),
-            quad_linear=np.array([-2.0]), curvature=1.0)
+            grad_anchor=np.array([2.0]), quad_diag=np.array([1.0]), curvature=1.0)
         assert solve_surrogate(model, Zero()) == pytest.approx([-2.0])
 
     def test_rejects_bad_curvature(self, rng):
@@ -228,7 +227,7 @@ class TestSolveSurrogate:
             value_fn=lambda v: float(v @ v - v @ np.array([3.0, -1.0])),
             grad_fn=lambda v: 2.0 * v - np.array([3.0, -1.0]),
             grad_anchor=np.array([-3.0, 1.0]),
-            quad_diag=np.array([2.0, 2.0]), quad_linear=np.array([3.0, -1.0]))
+            quad_diag=np.array([2.0, 2.0]))
         got = solve_surrogate(model, L1Norm(1.0))
         assert got == pytest.approx([1.0, 0.0])
         # per-coordinate golden-section oracle on 0.5*d v^2 - b v + |v|
@@ -240,9 +239,8 @@ class TestSolveSurrogate:
     def test_diag_zero_regularizer(self):
         model = SurrogateModel(
             kind="quad_form", anchor=np.zeros(1),
-            value_fn=lambda v: 0.0, grad_fn=lambda v: v,
-            grad_anchor=np.zeros(1),
-            quad_diag=np.array([2.0]), quad_linear=np.array([4.0]))
+            value_fn=lambda v: 0.0, grad_fn=lambda v: 2.0 * v - 4.0,
+            grad_anchor=np.array([-4.0]), quad_diag=np.array([2.0]))
         assert solve_surrogate(model, Zero()) == pytest.approx([2.0])
 
     def test_dense_zero_matches_spd_oracle(self, rng):
@@ -253,7 +251,7 @@ class TestSolveSurrogate:
             kind="quad_form", anchor=np.zeros(5),
             value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
             grad_fn=lambda v: spd @ v - b, grad_anchor=-b,
-            quad_matrix=spd, quad_linear=b)
+            quad_matrix=spd)
         got = solve_surrogate(model, Zero())
         assert np.allclose(got, dense_spd_solve(spd, b), rtol=1e-10)
 
@@ -265,7 +263,7 @@ class TestSolveSurrogate:
             kind="quad_form", anchor=np.zeros(4),
             value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
             grad_fn=lambda v: spd @ v - b, grad_anchor=-b,
-            quad_matrix=spd, quad_linear=b)
+            quad_matrix=spd)
         with pytest.raises(NoClosedFormError):
             solve_surrogate(model, L1Norm(0.5))
         problem = CompositeProblem(make_partition([4]), lambda x: 0.0,
@@ -313,7 +311,7 @@ class TestInnerSurrogate:
             value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
             grad_fn=lambda v: spd @ v - b,
             grad_anchor=spd @ anchor - b,
-            quad_matrix=spd, quad_linear=b)
+            quad_matrix=spd)
 
     def test_gradient_matches_outer_at_inner_anchor(self, rng):
         model = self._quad_model(rng)
@@ -330,7 +328,7 @@ class TestInnerSurrogate:
         x_tau = rng.standard_normal(5)
         got = fresh_inner_step(model, x_tau, L1Norm(0.3), Unconstrained())
         d = np.diag(model.quad_matrix)
-        grad = model.quad_matrix @ x_tau - model.quad_linear
+        grad = model.quad_matrix @ x_tau - model.linear_term()
         for i in range(5):
             # scalar surrogate in coordinate i, all others frozen at x_tau
             grid = np.linspace(x_tau[i] - 4, x_tau[i] + 4, 800001)
@@ -345,7 +343,7 @@ class TestInnerSurrogate:
             kind="quad_form", anchor=np.zeros(4),
             value_fn=lambda v: float(0.5 * (v * diag) @ v - v @ b),
             grad_fn=lambda v: diag * v - b, grad_anchor=-b,
-            quad_diag=diag, quad_linear=b)
+            quad_diag=diag)
         got = fresh_inner_step(model, np.zeros(4), Zero(), Unconstrained())
         assert np.allclose(got, b / diag, rtol=1e-12)
 
