@@ -43,7 +43,6 @@ from .surrogates import (
     SmoothComposition,
     SurrogateModel,
     make_best_response_surrogate,
-    make_inner_surrogate,
     make_partial_linearization_surrogate,
     make_quadratic_surrogate,
     soft_threshold,

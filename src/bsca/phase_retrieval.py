@@ -65,6 +65,28 @@ class PhaseRetrievalInstance:
         return self.sampling[self.partition.slice_of(k), :]
 
 
+_SPARSE_CAP = 32    # most nonzeros of a vector taken on its support rows
+
+
+def _sparse_support(v: np.ndarray) -> np.ndarray | None:
+    """Indices of the nonzeros of ``v`` when there are at most
+    ``_SPARSE_CAP`` of them and they are fewer than half of its entries;
+    None when ``v`` is dense under that rule."""
+    support = np.flatnonzero(v)
+    if support.size <= _SPARSE_CAP and 2 * support.size < v.size:
+        return support
+    return None
+
+
+def _transposed_product(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``rows.T @ v``, read from the rows on the support of ``v`` alone
+    when ``v`` is sparse (``_sparse_support``)."""
+    support = _sparse_support(v)
+    if support is None:
+        return rows.T @ v
+    return rows[support].T @ v[support]
+
+
 class PhaseProducts:
     """The product hook of phase retrieval (see ``core.ProductState``):
     ``u = A'x`` at the tracked points.  A step carries ``u`` to
@@ -72,7 +94,12 @@ class PhaseProducts:
     profile formed (kept for the last direction), so a sweep of block
     steps forms no full product until its sweep-end check.  Each
     ``pr_problem`` builds its own, so runs never read each other's
-    products."""
+    products.
+
+    ``product``, ``direction_product`` and ``track`` have a sparse path:
+    a vector with at most ``_SPARSE_CAP`` (32) nonzeros, fewer than half
+    of its entries, is multiplied through the rows on its support only;
+    a dense one keeps ``rows.T @ v``."""
 
     def __init__(self, instance: PhaseRetrievalInstance):
         self.instance = instance
@@ -93,7 +120,9 @@ class PhaseProducts:
         """``A'x``: the maintained product at a tracked point, a fresh
         one elsewhere."""
         held = self._held(x)
-        return held[1] if held is not None else self.instance.sampling.T @ x
+        if held is not None:
+            return held[1]
+        return _transposed_product(self.instance.sampling, x)
 
     def direction_product(self, block: int | None,
                           direction: np.ndarray) -> np.ndarray:
@@ -104,12 +133,12 @@ class PhaseProducts:
             return last[2]
         rows = (self.instance.sampling if block is None
                 else self.instance.block_rows(block))
-        w = rows.T @ direction
+        w = _transposed_product(rows, direction)
         self._last = (block, direction.copy(), w)
         return w
 
     def track(self, x: np.ndarray) -> float | None:
-        fresh = self.instance.sampling.T @ x
+        fresh = _transposed_product(self.instance.sampling, x)
         held = self._held(x)
         drift = None
         if held is not None:
@@ -191,16 +220,53 @@ def _quartic_coeffs(u: np.ndarray, w: np.ndarray, y: np.ndarray):
 _CHUNK_ROWS = 16    # pr_outer_model's rows per step; a multiple of 4 keeps gemv bits
 
 
+class _OperatorColumns:
+    """Columns ``2 A_k (u^2 * a_j)`` of ``D - cI``, one per block row
+    ``a_j``, formed on demand and kept for the life of one model (one
+    block visit, so ``u`` is fixed).  The rows not yet held are formed
+    in one batched product; when they would take the store past
+    ``_SPARSE_CAP`` columns, it starts over with the asked support."""
+
+    def __init__(self, rows: np.ndarray, u_sq: np.ndarray):
+        self.rows = rows
+        self.twice_u_sq = 2.0 * u_sq
+        self.slot = np.full(rows.shape[0], -1)    # row -> held column, or -1
+        self.held = 0
+        self.columns = np.empty((_SPARSE_CAP, rows.shape[0]))
+
+    def times(self, support: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """``(D - cI) v`` for the ``v`` with ``values`` on ``support``."""
+        new = support[self.slot[support] < 0]
+        if new.size:
+            if self.held + new.size > _SPARSE_CAP:
+                self.slot[:] = -1
+                self.held = 0
+                new = support
+            weighted = self.rows[new]
+            weighted *= self.twice_u_sq
+            end = self.held + new.size
+            self.columns[self.held:end] = weighted @ self.rows.T
+            self.slot[new] = np.arange(self.held, end)
+            self.held = end
+        coefficients = np.zeros(self.held)
+        coefficients[self.slot[support]] = values
+        return coefficients @ self.columns[:self.held]
+
+
 def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
                    curvature: float) -> SurrogateModel:
     """Partial linearization of the residual map inside the quartic loss,
     written as the quadratic form (1/2) v'Dv - v'b with
     D = 2 A_k diag(A'x)^2 A_k' + c I and b = D x_k - grad_k f(x).  D is
-    never formed: it is applied with two block products, and b is derived.
-    The gradient and diagonal are summed in one pass over a few rows of A_k
-    at a time.  ``problem`` is a ``pr_problem``: the data and ``A'x`` come
-    from its product hook, so inside a run the model reads the maintained
-    product."""
+    never formed, and b is derived.  A dense argument is applied as
+    ``2 A_k (u^2 * (A_k'v)) + cv``, two passes over the block; an argument
+    with at most ``_SPARSE_CAP`` (32) nonzeros, fewer than half the
+    block's rows, is applied from the columns of D on its support, which
+    the model forms on demand and keeps for its own life, one block
+    visit.  The gradient and diagonal are summed in one pass over a few
+    rows of A_k at a time.  ``problem`` is a ``pr_problem``: the data and
+    ``A'x`` come from its product hook, so inside a run the model reads
+    the maintained product."""
     if curvature <= 0.0:
         raise InvalidArgumentError("curvature must be positive")
     x = np.asarray(x, dtype=float)
@@ -209,9 +275,13 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
     u_sq = u * u
     rows = instance.block_rows(k)
     grad_u = u * (u_sq - instance.intensities)
+    columns = _OperatorColumns(rows, u_sq)
 
     def apply(v):
-        return 2.0 * (rows @ (u_sq * (rows.T @ v))) + curvature * v
+        support = _sparse_support(v)
+        if support is None:
+            return 2.0 * (rows @ (u_sq * (rows.T @ v))) + curvature * v
+        return columns.times(support, v[support]) + curvature * v
 
     grad, diagonal = np.empty((2, rows.shape[0]))
     squares = np.empty((min(_CHUNK_ROWS, rows.shape[0]), rows.shape[1]))

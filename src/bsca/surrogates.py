@@ -50,7 +50,14 @@ def soft_threshold(b: np.ndarray, a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadOperator:
-    """D given by its action ``v -> Dv`` and its diagonal, never formed."""
+    """D given by its action ``v -> Dv`` and its diagonal, never formed.
+
+    The action may keep state for the model's life.  The one from
+    ``phase_retrieval.pr_outer_model`` has a sparse path: an argument
+    with at most 32 nonzeros, fewer than half its entries, is applied
+    from columns of D that the action forms on demand and caches for
+    one block visit; a dense argument keeps the two-pass formula
+    ``2 A_k (u^2 * (A_k'v)) + cv`` bit for bit."""
 
     apply: Callable[[np.ndarray], np.ndarray]
     diagonal: np.ndarray
@@ -262,32 +269,6 @@ def make_partial_linearization_surrogate(
     return SurrogateModel(kind=kind, anchor=anchor,
                           value_fn=value, grad_fn=gradient,
                           grad_anchor=grad_anchor, curvature=curvature)
-
-
-def make_inner_surrogate(model: SurrogateModel,
-                         x_tau: np.ndarray) -> SurrogateModel:
-    """Elementwise best-response of a quadratic outer model, anchored at
-    the inner iterate.  Its gradient at the inner anchor equals the outer
-    model's gradient there, which is what keeps the inner loop honest.
-    """
-    if not model.has_quadratic_form:
-        raise NoClosedFormError(
-            "inner best-response needs a quadratic outer model")
-    x_tau = np.asarray(x_tau, dtype=float)
-    diag = model.quad_diagonal()
-    grad_tau = model.gradient(x_tau)
-    base = model.value(x_tau) * x_tau.size
-
-    def value(v):
-        delta = v - x_tau
-        return float(base + delta @ grad_tau + 0.5 * (delta * diag) @ delta)
-
-    def gradient(v):
-        return grad_tau + diag * (v - x_tau)
-
-    return SurrogateModel(
-        kind="inner_best_response", anchor=x_tau.copy(),
-        value_fn=value, grad_fn=gradient, grad_anchor=grad_tau.copy(), quad_diag=diag)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,35 @@ def carried_gradient_drift(monkeypatch, model, problem, rounds):
     return len(seen), drift
 
 
+class ProductLog(np.ndarray):
+    """ndarray view that appends the operand shapes of each matrix
+    product it takes part in to ``log``.  Every ufunc runs on plain views
+    of its operands, so results are plain arrays with the plain bits;
+    slices and row gathers of the view log to the same list."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and method == "__call__" and self.log is not None:
+            self.log.append(tuple(np.shape(v) for v in inputs))
+        inputs = tuple(_plain(v) for v in inputs)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(_plain(v) for v in kwargs["out"])
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _plain(v):
+    return v.view(np.ndarray) if isinstance(v, ProductLog) else v
+
+
+def product_log(matrix, log):
+    """A ``ProductLog`` view of ``matrix`` that appends to ``log``."""
+    view = matrix.view(ProductLog)
+    view.log = log
+    return view
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240901)

@@ -1,6 +1,8 @@
 """Slow, independent reference routines that the tests use to cross-check
 the closed forms in ``bsca``: golden-section minimization, central finite
-differences, bisection cubic roots and a Cholesky reference solve.
+differences, bisection cubic roots, a Cholesky reference solve, and the
+inner elementwise best-response model that the inner loop's one-shot
+step minimizes.
 
 Nothing here is performance-tuned; these exist so every closed-form path
 has a brute-force counterpart in the tests.
@@ -13,7 +15,8 @@ from typing import Callable
 
 import numpy as np
 
-from bsca.errors import InvalidArgumentError
+from bsca.errors import InvalidArgumentError, NoClosedFormError
+from bsca.surrogates import SurrogateModel
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -161,3 +164,29 @@ def dense_spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     for i in range(n - 1, -1, -1):
         x[i] = (y[i] - L[i + 1:, i] @ x[i + 1:]) / L[i, i]
     return x
+
+
+def make_inner_surrogate(model: SurrogateModel,
+                         x_tau: np.ndarray) -> SurrogateModel:
+    """Elementwise best-response of a quadratic outer model, anchored at
+    the inner iterate.  Its gradient at the inner anchor equals the outer
+    model's gradient there, which is what keeps the inner loop honest.
+    """
+    if not model.has_quadratic_form:
+        raise NoClosedFormError(
+            "inner best-response needs a quadratic outer model")
+    x_tau = np.asarray(x_tau, dtype=float)
+    diag = model.quad_diagonal()
+    grad_tau = model.gradient(x_tau)
+    base = model.value(x_tau) * x_tau.size
+
+    def value(v):
+        delta = v - x_tau
+        return float(base + delta @ grad_tau + 0.5 * (delta * diag) @ delta)
+
+    def gradient(v):
+        return grad_tau + diag * (v - x_tau)
+
+    return SurrogateModel(
+        kind="inner_best_response", anchor=x_tau.copy(),
+        value_fn=value, grad_fn=gradient, grad_anchor=grad_tau.copy(), quad_diag=diag)

@@ -54,7 +54,6 @@ from bsca.phase_retrieval import (
 from bsca.surrogates import (
     SurrogateModel,
     make_best_response_surrogate,
-    make_inner_surrogate,
     make_partial_linearization_surrogate,
     make_quadratic_surrogate,
 )
@@ -65,7 +64,13 @@ from conftest import (
     random_composition_problem,
     random_quadratic_problem,
 )
-from oracles import dense_spd_solve, finite_diff_block_gradient, golden_section, real_cubic_roots
+from oracles import (
+    dense_spd_solve,
+    finite_diff_block_gradient,
+    golden_section,
+    make_inner_surrogate,
+    real_cubic_roots,
+)
 
 
 def report(criterion, ok, detail):

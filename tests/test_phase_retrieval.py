@@ -41,6 +41,7 @@ from conftest import (
     carried_gradient_drift,
     fresh_inner_step,
     fresh_inner_stepsize,
+    product_log,
     random_quadratic_problem,
 )
 from oracles import finite_diff_block_gradient, golden_section
@@ -218,6 +219,157 @@ class TestOuterModel:
         inst = tiny_instance()
         with pytest.raises(InvalidArgumentError):
             pr_outer_model(pr_problem(inst), np.zeros(24), 0, 0.0)
+
+
+def logged_instance(log, unknowns=400, measurements=1000, density=0.05,
+                    seed=21):
+    """A generated instance in two blocks whose sampling matrix logs
+    its products to ``log``, and the same instance with the plain
+    matrix."""
+    plain = generate_pr_instance(unknowns, measurements, density=density,
+                                 num_blocks=2, seed=seed)
+    return dataclasses.replace(plain, sampling=product_log(plain.sampling, log)), plain
+
+
+def sparse_vector(rng, size, support):
+    v = np.zeros(size)
+    v[support] = rng.standard_normal(len(support))
+    return v
+
+
+def relative_gap(got, expected):
+    return np.linalg.norm(got - expected) / np.linalg.norm(expected)
+
+
+class TestSparseOperator:
+    """``pr_outer_model``'s operator on arguments with few nonzeros,
+    on 200-row blocks of a 400 x 1000 instance."""
+
+    CAP = phase_retrieval._SPARSE_CAP
+    COLUMNS = (1000, 200)      # the second operand of a column-forming product
+
+    def model_and_formula(self, rng, log, scale=1.0):
+        inst, plain = logged_instance(log)
+        x = scale * rng.standard_normal(400)
+        model = pr_outer_model(pr_problem(inst), x, 0, 1e-3)
+        u = plain.sampling.T @ x
+        rows = plain.block_rows(0)
+        log.clear()
+        return model, lambda v: 2.0 * (rows @ (u * u * (rows.T @ v))) + 1e-3 * v
+
+    def test_supports_of_one_entry_and_of_the_cap(self, rng):
+        assert self.CAP < 100    # fewer than half the block's rows
+        log = []
+        for size in (1, self.CAP):
+            model, formula = self.model_and_formula(rng, log)
+            v = sparse_vector(rng, 200, rng.choice(200, size, replace=False))
+            assert relative_gap(model.quad_apply(v), formula(v)) <= 1e-13
+            # one batched product forms the columns; no A_k'v is formed
+            assert log == [((size, 1000), self.COLUMNS)]
+            log.clear()
+
+    def test_a_growing_support_forms_only_its_new_columns(self, rng):
+        log = []
+        model, formula = self.model_and_formula(rng, log)
+        order = rng.permutation(200)
+        for size, formed in ((3, 3), (8, 5), (20, 12), (8, None), (20, None)):
+            v = sparse_vector(rng, 200, order[:size])
+            assert relative_gap(model.quad_apply(v), formula(v)) <= 1e-13
+            assert log == ([] if formed is None else [((formed, 1000), self.COLUMNS)])
+            log.clear()
+
+    def test_a_cap_overflow_starts_the_cache_over(self, rng):
+        log = []
+        model, formula = self.model_and_formula(rng, log)
+        order = rng.permutation(200)
+        first, second = order[:20], order[20:40]
+        for support, formed in ((first, 20), (second, 20), (first, 20),
+                                (first[:10], None)):
+            v = sparse_vector(rng, 200, support)
+            assert relative_gap(model.quad_apply(v), formula(v)) <= 1e-13
+            # 20 held and 20 new pass the cap: the whole support is formed anew
+            assert log == ([] if formed is None else [((formed, 1000), self.COLUMNS)])
+            log.clear()
+
+    def test_dense_arguments_keep_the_two_pass_formula_bit_for_bit(self, rng):
+        log = []
+        model, formula = self.model_and_formula(rng, log)
+        for size in (self.CAP + 1, 100, 200):
+            v = sparse_vector(rng, 200, rng.choice(200, size, replace=False))
+            assert np.array_equal(model.quad_apply(v), formula(v))
+        zero = model.quad_apply(np.zeros(200))
+        assert np.array_equal(zero, np.zeros(200))
+
+    def test_models_at_different_points_keep_their_own_columns(self, rng):
+        log = []
+        first, first_formula = self.model_and_formula(rng, log)
+        second, second_formula = self.model_and_formula(rng, log, scale=2.0)
+        support = rng.choice(200, 10, replace=False)
+        for _ in range(2):
+            for model, formula in ((first, first_formula),
+                                   (second, second_formula)):
+                v = sparse_vector(rng, 200, support)
+                assert relative_gap(model.quad_apply(v), formula(v)) <= 1e-13
+        assert log == [((10, 1000), self.COLUMNS)] * 2
+
+    def test_sparse_path_builds_no_block_by_measurement_array(self, rng):
+        # the budget of test_builds_no_block_by_measurement_array, with an
+        # argument of as many nonzeros as the cap allows
+        inst = generate_pr_instance(200, 4000, density=0.05, seed=21)
+        problem = pr_problem(inst)
+        x = rng.standard_normal(200)
+        v = sparse_vector(rng, 200, rng.choice(200, self.CAP, replace=False))
+        rows = inst.block_rows(0)
+        tracemalloc.start()
+        try:
+            model = pr_outer_model(problem, x, 0, 1e-3)
+            model.quad_apply(v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes / 4
+
+    def test_inner_rounds_after_the_first_sweep_form_no_block_transpose(
+            self, rng, monkeypatch):
+        # a warm start near the sparse signal: after the first sweep each
+        # visit's inner steps are sparse, so no round forms the whole-block
+        # A_k'v, and the columns it needs come in one product per visit
+        log = []
+        inst, plain = logged_instance(log, measurements=1200, density=0.02, seed=0)
+        noise = rng.standard_normal(400)
+        x0 = plain.signal + 0.2 * noise / np.linalg.norm(noise)
+        honest = engine.inexact_inner_loop
+
+        def marked(model, problem, k, config):
+            log.append("visit")
+            out = honest(model, problem, k, config)
+            log.append("end")
+            return out
+
+        monkeypatch.setattr(engine, "inexact_inner_loop", marked)
+        cfg = SolverConfig(max_outer_iterations=40, inner_iterations=10,
+                           stop_tol=1e-8)
+        trace = run_phase_retrieval(inst, cfg, x0)
+        inner, inside = [], False
+        for entry in log:
+            if entry == "visit":
+                inner.append([])
+                inside = True
+            elif entry == "end":
+                inside = False
+            elif inside:
+                inner[-1].append(entry)
+        transposed = ((1200, 200), (200,))
+        assert trace.iterations > 4 and len(inner) == trace.iterations
+        assert all(transposed in visit for visit in inner[:2])
+        for visit in inner[2:]:
+            assert transposed not in visit
+            assert len(visit) <= 1
+            assert all(second == (1200, 200) and first[0] <= self.CAP
+                       for first, second in visit)
+        # the logging view changes no bit of the run
+        plain_trace = run_phase_retrieval(plain, cfg, x0)
+        assert np.array_equal(trace.objectives, plain_trace.objectives)
 
 
 class TestInnerSolve:
@@ -483,6 +635,23 @@ class TestProducts:
         trace = run_phase_retrieval(inst, cfg, rng.standard_normal(24))
         assert trace.product_drift is not None
         assert 0.0 <= trace.product_drift <= PRODUCT_DRIFT_RTOL
+
+    def test_sparse_vectors_are_multiplied_through_their_support_rows(self, rng):
+        log = []
+        inst, plain = logged_instance(log)
+        products = pr_problem(inst).products
+        x = sparse_vector(rng, 400, rng.choice(400, 5, replace=False))
+        d = sparse_vector(rng, 200, rng.choice(200, 3, replace=False))
+        untracked = sparse_vector(rng, 400, rng.choice(400, 7, replace=False))
+        assert products.track(x) is None
+        w = products.direction_product(1, d)
+        u = products.product(untracked)
+        assert log == [((1000, 5), (5,)), ((1000, 3), (3,)), ((1000, 7), (7,))]
+        assert relative_gap(products.product(x), plain.sampling.T @ x) <= 1e-13
+        assert relative_gap(w, plain.block_rows(1).T @ d) <= 1e-13
+        assert relative_gap(u, plain.sampling.T @ untracked) <= 1e-13
+        # a sparse point tracked again reports its drift from the same path
+        assert products.track(x) == 0.0
 
     def test_problems_without_the_hook_report_no_drift(self, rng):
         problem, _, _ = random_quadratic_problem(rng, [3, 2])

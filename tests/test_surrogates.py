@@ -16,7 +16,6 @@ from bsca.errors import InvalidArgumentError, NoClosedFormError
 from bsca.surrogates import (
     SurrogateModel,
     make_best_response_surrogate,
-    make_inner_surrogate,
     make_partial_linearization_surrogate,
     make_quadratic_surrogate,
     soft_threshold,
@@ -29,7 +28,12 @@ from conftest import (
     random_composition_problem,
     random_quadratic_problem,
 )
-from oracles import dense_spd_solve, finite_diff_block_gradient, golden_section
+from oracles import (
+    dense_spd_solve,
+    finite_diff_block_gradient,
+    golden_section,
+    make_inner_surrogate,
+)
 
 
 class TestSoftThreshold:
