@@ -74,7 +74,7 @@ BlockSolver = Callable[[CompositeProblem, np.ndarray, int], BlockSolution]
 
 def make_surrogate_solver(factory: Callable[..., SurrogateModel]) -> BlockSolver:
     """Turn a surrogate factory (problem, x, k) -> model into a block
-    solver via the catalog closed forms."""
+    solver via ``solve_surrogate``'s closed form."""
 
     def solver(problem: CompositeProblem, x: np.ndarray, k: int) -> BlockSolution:
         model = factory(problem, x, k)
@@ -385,7 +385,7 @@ def inexact_inner_loop(model: SurrogateModel, problem: CompositeProblem,
     current block already solves the outer subproblem) the result is
     the anchor, so the block update is a stationarity skip.
     """
-    if not model.has_quadratic_form:
+    if model.quad is None:
         raise ConfigError(
             "inexact updates need an outer surrogate with a quadratic form")
     reg = problem.nonsmooth[k]
@@ -398,7 +398,7 @@ def inexact_inner_loop(model: SurrogateModel, problem: CompositeProblem,
         delta = target - x_tau
         if is_stationary(delta, x_tau, config.stationarity_rtol):
             break
-        quad_delta = model.quad_apply(delta)
+        quad_delta = model.quad.apply(delta)
         gamma = inner_exact_stepsize(x_tau, grad_tau, target, quad_delta, reg)
         if gamma <= 0.0:
             break    # only at the rounding floor of the surrogate objective

@@ -302,7 +302,7 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
     return SurrogateModel(
         kind="pr_partial_linearization", anchor=anchor,
         value_fn=value, grad_fn=gradient, grad_anchor=grad,
-        quad_operator=QuadOperator(apply, diagonal), curvature=curvature)
+        quad=QuadOperator(apply, diagonal))
 
 
 # ---------------------------------------------------------------------------

@@ -157,8 +157,17 @@ def read_instance(directory):
     entries = read_manifest(manifest_path)
     kind = entries.get("kind")
 
+    def field(key: str, parse=str):
+        try:
+            return parse(entries[key])
+        except KeyError:
+            raise InvalidArgumentError(f"{manifest_path}: missing key {key!r}") from None
+        except ValueError:
+            raise InvalidArgumentError(
+                f"{manifest_path}: key {key!r} has bad value {entries[key]!r}") from None
+
     def matrix(key: str) -> np.ndarray:
-        return read_matrix(directory / entries[f"matrix.{key}"])
+        return read_matrix(directory / field(f"matrix.{key}"))
 
     def optional(key: str):
         return matrix(key) if f"matrix.{key}" in entries else None
@@ -169,23 +178,21 @@ def read_instance(directory):
         return AnomalyInstance(
             measurements=matrix("measurements"),
             dictionary=matrix("dictionary"),
-            ridge=float(entries["ridge"]),
-            sparse_gain=float(entries["sparse_gain"]),
-            rank=int(entries["rank"]),
-            seed=int(entries["seed"]),
-            density=float(entries["density"]) if "density" in entries else None,
-            noise_var=float(entries["noise_var"]) if "noise_var" in entries else None,
+            ridge=field("ridge", float),
+            sparse_gain=field("sparse_gain", float),
+            rank=field("rank", int),
+            seed=field("seed", int),
+            density=field("density", float) if "density" in entries else None,
+            noise_var=field("noise_var", float) if "noise_var" in entries else None,
             **truth)
     if kind == "pr":
         signal = optional("signal")
-        unknowns = int(entries["unknowns"])
-        blocks = int(entries["blocks"])
         return PhaseRetrievalInstance(
             sampling=matrix("sampling"),
             intensities=matrix("intensities").ravel(),
-            sparse_gain=float(entries["sparse_gain"]),
-            partition=equal_partition(unknowns, blocks),
+            sparse_gain=field("sparse_gain", float),
+            partition=equal_partition(field("unknowns", int), field("blocks", int)),
             signal=signal.ravel() if signal is not None else None,
-            seed=int(entries["seed"]),
-            density=float(entries["density"]) if "density" in entries else None)
+            seed=field("seed", int),
+            density=field("density", float) if "density" in entries else None)
     raise InvalidArgumentError(f"{directory}: unknown instance kind {kind!r}")

@@ -5,10 +5,9 @@ best-response, partial linearization and its elementwise hybrid.  Every
 model shares the block gradient of f at its anchor, which is what makes
 the surrogate minimizer a descent direction for the original problem.
 
-Closed-form minimizers ship for the pairings (quadratic, {0, l1}),
-(diagonal quadratic form, {0, l1}) and (dense quadratic form, 0), none
-for a D given as an operator; box constraints are clipped wherever the
-subproblem is separable.  The rest goes through the inexact inner loop.
+A quadratic model gives D as a ``QuadOperator``.  The one closed form
+is the proximal-linear model's (D = cI) with g in {0, l1}, box
+constraints clipped; the rest goes through the inexact inner loop.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    Box,
     CompositeProblem,
     Constraint,
     L1Norm,
@@ -50,14 +48,12 @@ def soft_threshold(b: np.ndarray, a) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadOperator:
-    """D given by its action ``v -> Dv`` and its diagonal, never formed.
+    """D given by its action ``v -> Dv`` (for the exact inner stepsize)
+    and its diagonal (for the elementwise best response), never formed.
 
-    The action may keep state for the model's life.  The one from
-    ``phase_retrieval.pr_outer_model`` has a sparse path: an argument
-    with at most 32 nonzeros, fewer than half its entries, is applied
-    from columns of D that the action forms on demand and caches for
-    one block visit; a dense argument keeps the two-pass formula
-    ``2 A_k (u^2 * (A_k'v)) + cv`` bit for bit."""
+    The action may keep state for the model's life: the one from
+    ``phase_retrieval.pr_outer_model`` caches columns of D for a sparse
+    argument (at most 32 nonzeros) over one block visit."""
 
     apply: Callable[[np.ndarray], np.ndarray]
     diagonal: np.ndarray
@@ -69,9 +65,7 @@ class SurrogateModel:
 
     ``grad_anchor`` is the problem's block gradient at the anchor, which
     equals ``gradient(anchor)`` for every catalog kind.  A quadratic
-    model is (1/2) v'Dv - v'b up to a constant, with exactly one of three
-    D forms set: ``quad_diag`` (D is diagonal), ``quad_matrix`` (dense)
-    or ``quad_operator`` (matrix-free); b is derived by ``linear_term``.
+    model, (1/2) v'Dv - v'b up to a constant, sets ``quad`` to its D.
     """
 
     kind: str
@@ -79,10 +73,7 @@ class SurrogateModel:
     value_fn: Callable[[np.ndarray], float]
     grad_fn: Callable[[np.ndarray], np.ndarray]
     grad_anchor: np.ndarray
-    quad_diag: np.ndarray | None = None
-    quad_matrix: np.ndarray | None = None
-    quad_operator: QuadOperator | None = None
-    curvature: float | None = None
+    quad: QuadOperator | None = None
     is_global_upper_bound: bool = False
 
     def value(self, v: np.ndarray) -> float:
@@ -90,28 +81,6 @@ class SurrogateModel:
 
     def gradient(self, v: np.ndarray) -> np.ndarray:
         return self.grad_fn(np.asarray(v, dtype=float))
-
-    @property
-    def has_quadratic_form(self) -> bool:
-        forms = (self.quad_diag, self.quad_matrix, self.quad_operator)
-        return any(f is not None for f in forms)
-
-    def quad_diagonal(self) -> np.ndarray:
-        if self.quad_diag is not None:
-            return self.quad_diag
-        if self.quad_operator is not None:
-            return self.quad_operator.diagonal
-        return np.diag(self.quad_matrix)
-
-    def quad_apply(self, v: np.ndarray) -> np.ndarray:
-        if self.quad_diag is not None:
-            return self.quad_diag * v
-        if self.quad_operator is not None:
-            return self.quad_operator.apply(v)
-        return self.quad_matrix @ v
-
-    def linear_term(self) -> np.ndarray:
-        return self.quad_apply(self.anchor) - self.grad_anchor
 
 
 def _with_block(x: np.ndarray, sl: slice, v: np.ndarray) -> np.ndarray:
@@ -140,10 +109,11 @@ def make_quadratic_surrogate(problem: CompositeProblem, x: np.ndarray, k: int,
     def gradient(v):
         return grad + curvature * (v - anchor)
 
+    diag = np.full(anchor.size, curvature)
     return SurrogateModel(
         kind="quadratic", anchor=anchor,
         value_fn=value, grad_fn=gradient, grad_anchor=grad,
-        quad_diag=np.full(anchor.size, curvature), curvature=curvature)
+        quad=QuadOperator(diag.__mul__, diag))
 
 
 def make_best_response_surrogate(problem: CompositeProblem, x: np.ndarray,
@@ -268,32 +238,27 @@ def make_partial_linearization_surrogate(
 
     return SurrogateModel(kind=kind, anchor=anchor,
                           value_fn=value, grad_fn=gradient,
-                          grad_anchor=grad_anchor, curvature=curvature)
+                          grad_anchor=grad_anchor)
 
 
 # ---------------------------------------------------------------------------
 # subproblem solvers
 # ---------------------------------------------------------------------------
 
-def _separable_prox(u: np.ndarray, threshold, regularizer: Regularizer,
-                    constraint: Constraint) -> np.ndarray:
-    if isinstance(regularizer, Zero):
-        return constraint.clip(u)
-    if isinstance(regularizer, L1Norm):
-        return constraint.clip(soft_threshold(u, threshold * regularizer.gain))
-    raise NoClosedFormError(
-        f"no closed form for regularizer {type(regularizer).__name__}")
-
-
 def inner_best_response_step(model: SurrogateModel, x_tau: np.ndarray,
                              grad_tau: np.ndarray, regularizer: Regularizer,
                              constraint: Constraint) -> np.ndarray:
     """One-shot minimizer of the inner elementwise best-response at
     ``x_tau``, where the model gradient is ``grad_tau``: soft-threshold
-    of the diagonally preconditioned gradient step."""
-    diag = model.quad_diagonal()
-    return _separable_prox(x_tau - grad_tau / diag, 1.0 / diag,
-                           regularizer, constraint)
+    of the diagonally preconditioned gradient step, clipped to the box."""
+    diag = model.quad.diagonal
+    u = x_tau - grad_tau / diag
+    if isinstance(regularizer, Zero):
+        return constraint.clip(u)
+    if isinstance(regularizer, L1Norm):
+        return constraint.clip(soft_threshold(u, 1.0 / diag * regularizer.gain))
+    raise NoClosedFormError(
+        f"no closed form for regularizer {type(regularizer).__name__}")
 
 
 def inner_exact_stepsize(x_tau: np.ndarray, grad_tau: np.ndarray,
@@ -316,26 +281,14 @@ def solve_surrogate(model: SurrogateModel, regularizer: Regularizer,
                     constraint: Constraint | None = None) -> np.ndarray:
     """Unique minimizer of (model + g_k) over the block's constraint set.
 
-    Pairings without a shipped closed form raise NoClosedFormError; their
-    subproblems are solved by the inexact inner loop
-    (``engine.inexact_solver``).
+    Only the proximal-linear model (D = cI) has a closed form, its exact
+    elementwise best response at the anchor; other models raise
+    NoClosedFormError and go through ``engine.inexact_solver``.
     """
     constraint = constraint if constraint is not None else Unconstrained()
-
     if model.kind == "quadratic":
-        # spelled as the literal gradient step so that g = 0 reproduces
-        # anchor - grad/c bit for bit
-        u = model.anchor - model.grad_anchor / model.curvature
-        return _separable_prox(u, 1.0 / model.curvature, regularizer, constraint)
-
-    if model.quad_diag is not None:
-        u = model.anchor - model.grad_anchor / model.quad_diag
-        return _separable_prox(u, 1.0 / model.quad_diag, regularizer, constraint)
-
-    if (model.quad_matrix is not None and isinstance(regularizer, Zero)
-            and not isinstance(constraint, Box)):
-        return np.linalg.solve(model.quad_matrix, model.linear_term())
-
+        return inner_best_response_step(model, model.anchor, model.grad_anchor,
+                                        regularizer, constraint)
     raise NoClosedFormError(
         f"no closed-form minimizer for a {model.kind!r} model with "
         f"{type(regularizer).__name__} and {type(constraint).__name__}; "

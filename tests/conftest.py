@@ -17,7 +17,9 @@ from bsca.core import (
 )
 from bsca.linesearch import quadratic_profile
 from bsca.surrogates import (
+    QuadOperator,
     SmoothComposition,
+    SurrogateModel,
     inner_best_response_step,
     inner_exact_stepsize,
 )
@@ -97,17 +99,32 @@ def random_composition_problem(rng, block_sizes, inner_dim=6):
     return problem, composition
 
 
+def spd_model(spd, b, anchor):
+    """The quadratic model (1/2) v'Dv - v'b anchored at ``anchor``, with
+    the dense SPD matrix ``spd`` given as its ``QuadOperator``."""
+    return SurrogateModel(
+        kind="quad_form", anchor=anchor,
+        value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
+        grad_fn=lambda v: spd @ v - b, grad_anchor=spd @ anchor - b,
+        quad=QuadOperator(spd.__matmul__, np.diag(spd).copy()))
+
+
+def linear_term(model):
+    """b of a quadratic model (1/2) v'Dv - v'b: D anchor - grad_anchor."""
+    return model.quad.apply(model.anchor) - model.grad_anchor
+
+
 def fresh_inner_step(model, x_tau, regularizer, constraint):
     """``inner_best_response_step`` at the fresh model gradient."""
-    grad_tau = model.quad_apply(x_tau) - model.linear_term()
+    grad_tau = model.quad.apply(x_tau) - linear_term(model)
     return inner_best_response_step(model, x_tau, grad_tau, regularizer, constraint)
 
 
 def fresh_inner_stepsize(model, x_tau, target, regularizer):
     """``inner_exact_stepsize`` at the fresh model gradient and D delta."""
-    grad_tau = model.quad_apply(x_tau) - model.linear_term()
+    grad_tau = model.quad.apply(x_tau) - linear_term(model)
     return inner_exact_stepsize(x_tau, grad_tau, target,
-                                model.quad_apply(target - x_tau), regularizer)
+                                model.quad.apply(target - x_tau), regularizer)
 
 
 def carried_gradient_drift(monkeypatch, model, problem, rounds):
@@ -128,7 +145,7 @@ def carried_gradient_drift(monkeypatch, model, problem, rounds):
         max_outer_iterations=1, inner_iterations=rounds, stationarity_rtol=0.0))
     drift = 0.0
     for x, grad in seen:
-        dx, b = model.quad_apply(x), model.linear_term()
+        dx, b = model.quad.apply(x), linear_term(model)
         drift = max(drift, np.linalg.norm(grad - (dx - b))
                     / (np.linalg.norm(dx) + np.linalg.norm(b)))
     return len(seen), drift

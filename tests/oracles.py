@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from bsca.errors import InvalidArgumentError, NoClosedFormError
-from bsca.surrogates import SurrogateModel
+from bsca.surrogates import QuadOperator, SurrogateModel
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -172,11 +172,11 @@ def make_inner_surrogate(model: SurrogateModel,
     the inner iterate.  Its gradient at the inner anchor equals the outer
     model's gradient there, which is what keeps the inner loop honest.
     """
-    if not model.has_quadratic_form:
+    if model.quad is None:
         raise NoClosedFormError(
             "inner best-response needs a quadratic outer model")
     x_tau = np.asarray(x_tau, dtype=float)
-    diag = model.quad_diagonal()
+    diag = model.quad.diagonal
     grad_tau = model.gradient(x_tau)
     base = model.value(x_tau) * x_tau.size
 
@@ -189,4 +189,5 @@ def make_inner_surrogate(model: SurrogateModel,
 
     return SurrogateModel(
         kind="inner_best_response", anchor=x_tau.copy(),
-        value_fn=value, grad_fn=gradient, grad_anchor=grad_tau.copy(), quad_diag=diag)
+        value_fn=value, grad_fn=gradient, grad_anchor=grad_tau.copy(),
+        quad=QuadOperator(diag.__mul__, diag))

@@ -26,7 +26,7 @@ from bsca.anomaly import (
     state_to_vector,
     vector_to_state,
 )
-from bsca.core import CompositeProblem, L1Norm, SolverConfig, Zero
+from bsca.core import CompositeProblem, L1Norm, SolverConfig, Unconstrained, Zero
 from bsca.engine import (
     block_residuals,
     bsca_step,
@@ -52,7 +52,7 @@ from bsca.phase_retrieval import (
     with_blocks,
 )
 from bsca.surrogates import (
-    SurrogateModel,
+    inner_best_response_step,
     make_best_response_surrogate,
     make_partial_linearization_surrogate,
     make_quadratic_surrogate,
@@ -63,6 +63,7 @@ from conftest import (
     fresh_inner_stepsize,
     random_composition_problem,
     random_quadratic_problem,
+    spd_model,
 )
 from oracles import (
     dense_spd_solve,
@@ -120,6 +121,9 @@ def test_criterion_1_gradient_consistency():
         fd = finite_diff_block_gradient(lambda v: inner.value(v), x_tau,
                                         slice(0, sizes[k]), eps=1e-6)
         worst_fd = max(worst_fd, float(np.abs(inner.gradient(x_tau) - fd).max()) / scale)
+        # the shipped inner step minimizes that inner surrogate
+        step = inner_best_response_step(outer, x_tau, outer_grad, Zero(), Unconstrained())
+        worst_rel = max(worst_rel, float(np.abs(inner.gradient(step)).max()) / scale)
     elapsed = time.monotonic() - begin
     ok = worst_rel <= 1e-10 and worst_fd <= 1e-5 and elapsed < 10.0
     report(1, ok, f"analytic rel {worst_rel:.2e} (<=1e-10), "
@@ -133,12 +137,7 @@ def pr_like_quadratic_model(gen, n):
     m = gen.standard_normal((n, n))
     spd = m @ m.T + n * np.eye(n)
     b = gen.standard_normal(n)
-    anchor = gen.standard_normal(n)
-    return SurrogateModel(
-        kind="quad_form", anchor=anchor,
-        value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
-        grad_fn=lambda v: spd @ v - b, grad_anchor=spd @ anchor - b,
-        quad_matrix=spd)
+    return spd_model(spd, b, gen.standard_normal(n))
 
 
 # ---------------------------------------------------------------------------
@@ -430,16 +429,11 @@ def test_criterion_8_inner_chain():
         spd = 0.5 * (spd + spd.T)
         b = gen.standard_normal(n)
         anchor = gen.standard_normal(n)
-        model = SurrogateModel(
-            kind="quad_form", anchor=anchor,
-            value_fn=lambda v, spd=spd, b=b: float(0.5 * v @ (spd @ v) - v @ b),
-            grad_fn=lambda v, spd=spd, b=b: spd @ v - b,
-            grad_anchor=spd @ anchor - b, quad_matrix=spd)
+        model = spd_model(spd, b, anchor)
         # strict decrease of the surrogate-plus-regularizer chain
         reg = L1Norm(0.3)
         x_tau = anchor.copy()
         values = [model.value(x_tau) + reg.value(x_tau)]
-        from bsca.core import Unconstrained
         for _ in range(8):
             target = fresh_inner_step(model, x_tau, reg, Unconstrained())
             if np.linalg.norm(target - x_tau) <= 1e-12 * (1 + np.linalg.norm(x_tau)):

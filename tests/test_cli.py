@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bsca.cli import main
-from bsca.storage import RUN_MANIFEST, read_manifest
+from bsca.storage import INSTANCE_MANIFEST, RUN_MANIFEST, read_manifest, write_manifest
 
 
 def read_trace(path):
@@ -112,6 +112,22 @@ class TestSolve:
     def test_unreadable_path(self, tmp_path):
         assert main(["solve", str(tmp_path / "nope"), "--algorithm", "bsca",
                      "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("key, value", [("sparse_gain", None), ("blocks", "x")])
+    def test_malformed_instance_manifest_exits_3(self, pr_dir, tmp_path, capsys,
+                                                 key, value):
+        # like a corrupt matrix file: one error line, no traceback
+        manifest = pr_dir / INSTANCE_MANIFEST
+        entries = read_manifest(manifest)
+        if value is None:
+            del entries[key]
+        else:
+            entries[key] = value
+        write_manifest(manifest, entries)
+        assert main(["solve", str(pr_dir), "--algorithm", "bsca",
+                     "--out", str(tmp_path / "r")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"{key!r}" in err[0]
 
     def test_bad_flag_exits_2(self, pr_dir, tmp_path):
         assert main(["solve", str(pr_dir), "--algorithm", "bogus",

@@ -39,13 +39,14 @@ from bsca.engine import (
 from bsca.errors import ConfigError, FeasibilityError
 from bsca.linesearch import cubic_real_roots, descent_quantity, quadratic_profile
 from bsca.phase_retrieval import generate_pr_instance, pr_outer_model, pr_problem
-from bsca.surrogates import SurrogateModel, make_best_response_surrogate
+from bsca.surrogates import make_best_response_surrogate
 
 from conftest import (
     carried_gradient_drift,
     fresh_inner_step,
     fresh_inner_stepsize,
     random_quadratic_problem,
+    spd_model,
 )
 from oracles import dense_spd_solve
 
@@ -318,20 +319,15 @@ class TestInexact:
         m = rng.standard_normal((n, n))
         spd = m @ m.T / n + np.diag(np.full(n, 2.0))
         b = rng.standard_normal(n)
-        anchor = rng.standard_normal(n)
-        return SurrogateModel(
-            kind="quad_form", anchor=anchor,
-            value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
-            grad_fn=lambda v: spd @ v - b, grad_anchor=spd @ anchor - b,
-            quad_matrix=spd)
+        return spd_model(spd, b, rng.standard_normal(n)), spd, b
 
     def test_inner_loop_reaches_exact_minimizer(self, rng):
         problem, _, _ = random_quadratic_problem(rng, [6])
         for _ in range(10):
-            model = self._quad_outer(rng)
+            model, spd, b = self._quad_outer(rng)
             cfg = SolverConfig(max_outer_iterations=1, inner_iterations=50)
             approx = inexact_inner_loop(model, problem, 0, cfg)
-            exact = dense_spd_solve(model.quad_matrix, model.linear_term())
+            exact = dense_spd_solve(spd, b)
             assert np.linalg.norm(approx - exact) <= 1e-8 * (1 + np.linalg.norm(exact))
 
     def test_carried_inner_gradient_does_not_drift(self, rng, monkeypatch):
@@ -343,13 +339,7 @@ class TestInexact:
         basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
         spd = (basis * np.geomspace(1e-2, 1e2, n)) @ basis.T
         spd = 0.5 * (spd + spd.T)
-        b = rng.standard_normal(n)
-        anchor = rng.standard_normal(n)
-        model = SurrogateModel(
-            kind="quad_form", anchor=anchor,
-            value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
-            grad_fn=lambda v: spd @ v - b, grad_anchor=spd @ anchor - b,
-            quad_matrix=spd)
+        model = spd_model(spd, rng.standard_normal(n), rng.standard_normal(n))
         rounds, drift = carried_gradient_drift(monkeypatch, model, problem, 201)
         assert rounds == 201
         assert drift <= 1e-12
@@ -357,7 +347,7 @@ class TestInexact:
     def test_inner_chain_monotone_in_surrogate_objective(self, rng):
         # strict decrease holds until progress reaches the rounding floor
         problem, _, _ = random_quadratic_problem(rng, [6], l1_gain=0.2)
-        model = self._quad_outer(rng)
+        model, _, _ = self._quad_outer(rng)
         reg = problem.nonsmooth[0]
         x_tau = model.anchor.copy()
         values = [model.value(x_tau) + reg.value(x_tau)]

@@ -41,6 +41,7 @@ from conftest import (
     carried_gradient_drift,
     fresh_inner_step,
     fresh_inner_stepsize,
+    linear_term,
     product_log,
     random_quadratic_problem,
 )
@@ -79,7 +80,7 @@ def outer_stepsize(inst, x, x_tilde_k, k, gain):
 
 def operator_matrix(model):
     """The model's D, applied to the identity's columns."""
-    return np.column_stack([model.quad_apply(e) for e in np.eye(model.anchor.size)])
+    return np.column_stack([model.quad.apply(e) for e in np.eye(model.anchor.size)])
 
 
 def assert_dense_outer_form(model, inst, x, k, curvature):
@@ -90,7 +91,7 @@ def assert_dense_outer_form(model, inst, x, k, curvature):
     dense = 2.0 * (rows * (u * u)) @ rows.T + curvature * np.eye(rows.shape[0])
     scale = np.linalg.norm(dense)
     assert np.linalg.norm(operator_matrix(model) - dense) <= 1e-12 * scale
-    assert (np.linalg.norm(model.quad_diagonal() - np.diag(dense))
+    assert (np.linalg.norm(model.quad.diagonal - np.diag(dense))
             <= 1e-12 * np.linalg.norm(np.diag(dense)))
 
 
@@ -108,8 +109,8 @@ class TestOuterModel:
         model = pr_outer_model(pr_problem(inst), np.array([1.0]), 0, 0.1)
         assert_dense_outer_form(model, inst, np.array([1.0]), 0, 0.1)
         assert operator_matrix(model) == pytest.approx(np.array([[2.1]]))
-        assert model.quad_diagonal() == pytest.approx(np.array([2.1]))
-        assert model.linear_term() == pytest.approx(np.array([1.1]))
+        assert model.quad.diagonal == pytest.approx(np.array([2.1]))
+        assert linear_term(model) == pytest.approx(np.array([1.1]))
 
     def test_zero_anchor_degenerates_to_prox_model(self):
         inst = tiny_instance()
@@ -117,8 +118,8 @@ class TestOuterModel:
         size = inst.partition.block_sizes[0]
         assert_dense_outer_form(model, inst, np.zeros(24), 0, 0.3)
         assert operator_matrix(model) == pytest.approx(0.3 * np.eye(size))
-        assert model.quad_diagonal() == pytest.approx(np.full(size, 0.3))
-        assert model.linear_term() == pytest.approx(np.zeros(size))
+        assert model.quad.diagonal == pytest.approx(np.full(size, 0.3))
+        assert linear_term(model) == pytest.approx(np.zeros(size))
 
     def test_gradient_consistency_against_finite_differences(self, rng):
         inst = tiny_instance(seed=3)
@@ -150,7 +151,7 @@ class TestOuterModel:
         tracemalloc.start()
         try:
             model = pr_outer_model(problem, x, 0, 1e-3)
-            model.quad_apply(x)
+            model.quad.apply(x)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -175,7 +176,7 @@ class TestOuterModel:
         problem = pr_problem(inst)
         model = pr_outer_model(problem, rng.standard_normal(24), 0, 1e-2)
         applied, seen = [], []
-        operator = model.quad_operator
+        operator = model.quad
 
         def apply(v):
             applied.append(v.copy())
@@ -189,7 +190,7 @@ class TestOuterModel:
 
         monkeypatch.setattr(engine, "inner_best_response_step", step)
         spied = dataclasses.replace(
-            model, quad_operator=QuadOperator(apply, operator.diagonal))
+            model, quad=QuadOperator(apply, operator.diagonal))
         engine.inexact_inner_loop(spied, problem, 0, SolverConfig(
             max_outer_iterations=1, inner_iterations=5, stationarity_rtol=0.0))
         assert np.array_equal(seen[0], model.grad_anchor)
@@ -213,7 +214,7 @@ class TestOuterModel:
             diagonal = 2.0 * np.einsum("ij,ij,j->i", rows, rows, u * u) + 1e-3
             assert (np.linalg.norm(model.grad_anchor - grad)
                     <= 1e-13 * np.linalg.norm(grad))
-            assert np.allclose(model.quad_diagonal(), diagonal, rtol=1e-13, atol=0.0)
+            assert np.allclose(model.quad.diagonal, diagonal, rtol=1e-13, atol=0.0)
 
     def test_rejects_bad_curvature(self):
         inst = tiny_instance()
@@ -263,7 +264,7 @@ class TestSparseOperator:
         for size in (1, self.CAP):
             model, formula = self.model_and_formula(rng, log)
             v = sparse_vector(rng, 200, rng.choice(200, size, replace=False))
-            assert relative_gap(model.quad_apply(v), formula(v)) <= 1e-13
+            assert relative_gap(model.quad.apply(v), formula(v)) <= 1e-13
             # one batched product forms the columns; no A_k'v is formed
             assert log == [((size, 1000), self.COLUMNS)]
             log.clear()
@@ -274,7 +275,7 @@ class TestSparseOperator:
         order = rng.permutation(200)
         for size, formed in ((3, 3), (8, 5), (20, 12), (8, None), (20, None)):
             v = sparse_vector(rng, 200, order[:size])
-            assert relative_gap(model.quad_apply(v), formula(v)) <= 1e-13
+            assert relative_gap(model.quad.apply(v), formula(v)) <= 1e-13
             assert log == ([] if formed is None else [((formed, 1000), self.COLUMNS)])
             log.clear()
 
@@ -286,7 +287,7 @@ class TestSparseOperator:
         for support, formed in ((first, 20), (second, 20), (first, 20),
                                 (first[:10], None)):
             v = sparse_vector(rng, 200, support)
-            assert relative_gap(model.quad_apply(v), formula(v)) <= 1e-13
+            assert relative_gap(model.quad.apply(v), formula(v)) <= 1e-13
             # 20 held and 20 new pass the cap: the whole support is formed anew
             assert log == ([] if formed is None else [((formed, 1000), self.COLUMNS)])
             log.clear()
@@ -296,8 +297,8 @@ class TestSparseOperator:
         model, formula = self.model_and_formula(rng, log)
         for size in (self.CAP + 1, 100, 200):
             v = sparse_vector(rng, 200, rng.choice(200, size, replace=False))
-            assert np.array_equal(model.quad_apply(v), formula(v))
-        zero = model.quad_apply(np.zeros(200))
+            assert np.array_equal(model.quad.apply(v), formula(v))
+        zero = model.quad.apply(np.zeros(200))
         assert np.array_equal(zero, np.zeros(200))
 
     def test_models_at_different_points_keep_their_own_columns(self, rng):
@@ -309,7 +310,7 @@ class TestSparseOperator:
             for model, formula in ((first, first_formula),
                                    (second, second_formula)):
                 v = sparse_vector(rng, 200, support)
-                assert relative_gap(model.quad_apply(v), formula(v)) <= 1e-13
+                assert relative_gap(model.quad.apply(v), formula(v)) <= 1e-13
         assert log == [((10, 1000), self.COLUMNS)] * 2
 
     def test_sparse_path_builds_no_block_by_measurement_array(self, rng):
@@ -323,7 +324,7 @@ class TestSparseOperator:
         tracemalloc.start()
         try:
             model = pr_outer_model(problem, x, 0, 1e-3)
-            model.quad_apply(v)
+            model.quad.apply(v)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -383,7 +384,7 @@ class TestInnerSolve:
         got = inner_solve(model, x_tau, inst.sparse_gain)
         dense = operator_matrix(model)
         d = np.diag(dense)
-        grad = dense @ x_tau - model.linear_term()
+        grad = dense @ x_tau - linear_term(model)
         for i in (0, 3, 7):
             grid = np.linspace(got[i] - 1.5, got[i] + 1.5, 600001)
             shift = grid - x_tau[i]
@@ -400,7 +401,7 @@ class TestInnerSolve:
         got = inner_solve(model, x_tau, 0.0)
         dense = operator_matrix(model)
         d = np.diag(dense)
-        expected = x_tau - (dense @ x_tau - model.linear_term()) / d
+        expected = x_tau - (dense @ x_tau - linear_term(model)) / d
         assert np.allclose(got, expected, rtol=1e-14)
 
     def test_diagonal_model_solves_in_one_shot(self):
@@ -409,7 +410,7 @@ class TestInnerSolve:
         assert_dense_outer_form(model, inst, np.zeros(24), 0, 0.3)
         got = inner_solve(model, np.ones(12) * 2.0, inst.sparse_gain)
         from bsca.surrogates import soft_threshold
-        expected = soft_threshold(model.linear_term() / 0.3,
+        expected = soft_threshold(linear_term(model) / 0.3,
                                   inst.sparse_gain / 0.3)
         assert np.allclose(got, expected, rtol=1e-12)
 
@@ -419,10 +420,11 @@ class TestInnerStepsize:
         # model 0.5 * 2 v^2 with zero linear part: from 1 toward 0 the
         # exact step is the unclipped minimizer 1
         from bsca.surrogates import SurrogateModel
+        diag = np.array([2.0])
         model = SurrogateModel(
             kind="quad_form", anchor=np.array([1.0]),
             value_fn=lambda v: float(v @ v), grad_fn=lambda v: 2.0 * v,
-            grad_anchor=np.array([2.0]), quad_diag=np.array([2.0]))
+            grad_anchor=np.array([2.0]), quad=QuadOperator(diag.__mul__, diag))
         gamma = inner_stepsize(model, np.array([1.0]), np.array([0.0]), 0.0)
         assert gamma == 1.0
 
@@ -622,7 +624,7 @@ def assert_fresh_formulas(problem, z, rng):
         assert problem.line_profile(z, d, k) == _quartic_coeffs(u, rows.T @ d, y)
         model = pr_outer_model(problem, z, k, 1e-3)
         assert_dense_outer_form(model, inst, z, k, 1e-3)
-        assert np.array_equal(model.quad_apply(d),
+        assert np.array_equal(model.quad.apply(d),
                               2.0 * (rows @ (u * u * (rows.T @ d))) + 1e-3 * d)
         assert np.array_equal(model.grad_anchor, rows @ (u * (u * u - y)))
 

@@ -108,3 +108,34 @@ class TestInstanceBundles:
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError):
             read_instance(tmp_path)
+
+    def test_missing_key_names_file_and_key(self, tmp_path):
+        inst = generate_pr_instance(12, 9, density=0.2, num_blocks=3, seed=4)
+        manifest = write_pr_instance(tmp_path / "inst", inst)
+        entries = read_manifest(manifest)
+        del entries["sparse_gain"]
+        write_manifest(manifest, entries)
+        with pytest.raises(InvalidArgumentError,
+                           match=r"instance\.manifest: missing key 'sparse_gain'"):
+            read_instance(tmp_path / "inst")
+
+    def test_missing_matrix_key_rejected(self, tmp_path):
+        inst = generate_anomaly_instance(6, 7, 5, rank=2, density=0.2, seed=12)
+        manifest = write_anomaly_instance(tmp_path / "inst", inst)
+        entries = read_manifest(manifest)
+        del entries["matrix.dictionary"]
+        write_manifest(manifest, entries)
+        with pytest.raises(InvalidArgumentError, match="'matrix.dictionary'"):
+            read_instance(tmp_path / "inst")
+
+    @pytest.mark.parametrize("key, value", [("blocks", "x"), ("sparse_gain", "lots"),
+                                            ("seed", "1.5"), ("density", "")])
+    def test_bad_value_names_file_and_key(self, tmp_path, key, value):
+        inst = generate_pr_instance(12, 9, density=0.2, num_blocks=3, seed=4)
+        manifest = write_pr_instance(tmp_path / "inst", inst)
+        entries = read_manifest(manifest)
+        entries[key] = value
+        write_manifest(manifest, entries)
+        with pytest.raises(InvalidArgumentError,
+                           match=rf"instance\.manifest: key '{key}' has bad value"):
+            read_instance(tmp_path / "inst")

@@ -14,7 +14,9 @@ from bsca.core import (
 from bsca.engine import inexact_inner_loop
 from bsca.errors import InvalidArgumentError, NoClosedFormError
 from bsca.surrogates import (
+    QuadOperator,
     SurrogateModel,
+    inner_best_response_step,
     make_best_response_surrogate,
     make_partial_linearization_surrogate,
     make_quadratic_surrogate,
@@ -25,11 +27,12 @@ from bsca.surrogates import (
 from conftest import (
     fresh_inner_step,
     fresh_inner_stepsize,
+    linear_term,
     random_composition_problem,
     random_quadratic_problem,
+    spd_model,
 )
 from oracles import (
-    dense_spd_solve,
     finite_diff_block_gradient,
     golden_section,
     make_inner_surrogate,
@@ -89,11 +92,12 @@ class TestQuadraticSurrogate:
     def test_one_dimensional_minimizer(self):
         # grad 2 at anchor 0 with unit curvature: gradient step to -2
         problem, _, _ = random_quadratic_problem(np.random.default_rng(0), [1])
+        unit = np.array([1.0])
         model = SurrogateModel(
             kind="quadratic", anchor=np.array([0.0]),
             value_fn=lambda v: float(2.0 * v[0] + 0.5 * v[0] ** 2),
             grad_fn=lambda v: np.array([2.0 + v[0]]),
-            grad_anchor=np.array([2.0]), quad_diag=np.array([1.0]), curvature=1.0)
+            grad_anchor=np.array([2.0]), quad=QuadOperator(unit.__mul__, unit))
         assert solve_surrogate(model, Zero()) == pytest.approx([-2.0])
 
     def test_rejects_bad_curvature(self, rng):
@@ -226,13 +230,17 @@ class TestPartialLinearization:
 
 class TestSolveSurrogate:
     def test_diag_l1_example(self):
+        # a diagonal model is minimized by one elementwise best response
+        # at its anchor
+        diag = np.array([2.0, 2.0])
         model = SurrogateModel(
             kind="quad_form", anchor=np.zeros(2),
             value_fn=lambda v: float(v @ v - v @ np.array([3.0, -1.0])),
             grad_fn=lambda v: 2.0 * v - np.array([3.0, -1.0]),
             grad_anchor=np.array([-3.0, 1.0]),
-            quad_diag=np.array([2.0, 2.0]))
-        got = solve_surrogate(model, L1Norm(1.0))
+            quad=QuadOperator(diag.__mul__, diag))
+        got = inner_best_response_step(model, model.anchor, model.grad_anchor,
+                                       L1Norm(1.0), Unconstrained())
         assert got == pytest.approx([1.0, 0.0])
         # per-coordinate golden-section oracle on 0.5*d v^2 - b v + |v|
         for i, (d, b) in enumerate([(2.0, 3.0), (2.0, -1.0)]):
@@ -241,33 +249,20 @@ class TestSolveSurrogate:
             assert got[i] == pytest.approx(brute, abs=1e-5)
 
     def test_diag_zero_regularizer(self):
+        diag = np.array([2.0])
         model = SurrogateModel(
             kind="quad_form", anchor=np.zeros(1),
             value_fn=lambda v: 0.0, grad_fn=lambda v: 2.0 * v - 4.0,
-            grad_anchor=np.array([-4.0]), quad_diag=np.array([2.0]))
-        assert solve_surrogate(model, Zero()) == pytest.approx([2.0])
-
-    def test_dense_zero_matches_spd_oracle(self, rng):
-        m = rng.standard_normal((5, 5))
-        spd = m @ m.T + 5.0 * np.eye(5)
-        b = rng.standard_normal(5)
-        model = SurrogateModel(
-            kind="quad_form", anchor=np.zeros(5),
-            value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
-            grad_fn=lambda v: spd @ v - b, grad_anchor=-b,
-            quad_matrix=spd)
-        got = solve_surrogate(model, Zero())
-        assert np.allclose(got, dense_spd_solve(spd, b), rtol=1e-10)
+            grad_anchor=np.array([-4.0]), quad=QuadOperator(diag.__mul__, diag))
+        got = inner_best_response_step(model, model.anchor, model.grad_anchor,
+                                       Zero(), Unconstrained())
+        assert got == pytest.approx([2.0])
 
     def test_dense_l1_requires_inner(self, rng):
         m = rng.standard_normal((4, 4))
         spd = m @ m.T + 4.0 * np.eye(4)
         b = rng.standard_normal(4)
-        model = SurrogateModel(
-            kind="quad_form", anchor=np.zeros(4),
-            value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
-            grad_fn=lambda v: spd @ v - b, grad_anchor=-b,
-            quad_matrix=spd)
+        model = spd_model(spd, b, np.zeros(4))
         with pytest.raises(NoClosedFormError):
             solve_surrogate(model, L1Norm(0.5))
         problem = CompositeProblem(make_partition([4]), lambda x: 0.0,
@@ -309,13 +304,7 @@ class TestInnerSurrogate:
         m = rng.standard_normal((n, n))
         spd = m @ m.T + n * np.eye(n)
         b = rng.standard_normal(n)
-        anchor = rng.standard_normal(n)
-        return SurrogateModel(
-            kind="quad_form", anchor=anchor,
-            value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
-            grad_fn=lambda v: spd @ v - b,
-            grad_anchor=spd @ anchor - b,
-            quad_matrix=spd)
+        return spd_model(spd, b, rng.standard_normal(n))
 
     def test_gradient_matches_outer_at_inner_anchor(self, rng):
         model = self._quad_model(rng)
@@ -331,8 +320,8 @@ class TestInnerSurrogate:
         model = self._quad_model(rng)
         x_tau = rng.standard_normal(5)
         got = fresh_inner_step(model, x_tau, L1Norm(0.3), Unconstrained())
-        d = np.diag(model.quad_matrix)
-        grad = model.quad_matrix @ x_tau - model.linear_term()
+        d = model.quad.diagonal
+        grad = model.quad.apply(x_tau) - linear_term(model)
         for i in range(5):
             # scalar surrogate in coordinate i, all others frozen at x_tau
             grid = np.linspace(x_tau[i] - 4, x_tau[i] + 4, 800001)
@@ -347,7 +336,7 @@ class TestInnerSurrogate:
             kind="quad_form", anchor=np.zeros(4),
             value_fn=lambda v: float(0.5 * (v * diag) @ v - v @ b),
             grad_fn=lambda v: diag * v - b, grad_anchor=-b,
-            quad_diag=diag)
+            quad=QuadOperator(diag.__mul__, diag))
         got = fresh_inner_step(model, np.zeros(4), Zero(), Unconstrained())
         assert np.allclose(got, b / diag, rtol=1e-12)
 
