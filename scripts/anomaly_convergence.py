@@ -66,7 +66,7 @@ def main():
 
     gap = abs(seq.final_objective - par.final_objective) / max(
         1.0, abs(seq.final_objective))
-    res = block_residuals(problem, solver, seq.final_point.values, cfg)
+    res = block_residuals(problem, solver, seq.final_point.values)
     print(f"relative objective gap: {gap:.3e}")
     print(f"sequential per-block residuals: {res}")
 

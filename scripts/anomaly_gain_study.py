@@ -75,7 +75,7 @@ def main():
             worst = 0.0
             for trace in (seq, par):
                 x = trace.final_point.values
-                res = block_residuals(problem, residual_map, x, cfg)
+                res = block_residuals(problem, residual_map, x)
                 for k in range(3):
                     xk = problem.block_of(x, k)
                     worst = max(worst, res[k] / (1.0 + np.linalg.norm(xk)))

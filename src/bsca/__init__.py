@@ -22,7 +22,6 @@ from .engine import (
     bsca_step,
     inexact_solver,
     quadratic_solver,
-    make_surrogate_solver,
     run_bgd,
     run_bpgd,
     run_bsca,
@@ -40,13 +39,9 @@ from .linesearch import (
 )
 from .surrogates import (
     QuadOperator,
-    SmoothComposition,
     SurrogateModel,
-    make_best_response_surrogate,
-    make_partial_linearization_surrogate,
     make_quadratic_surrogate,
     soft_threshold,
-    solve_surrogate,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -104,14 +104,6 @@ def residual(state: AnomalyState, instance: AnomalyInstance) -> np.ndarray:
             + instance.dictionary @ state.sparse - instance.measurements)
 
 
-def objective_value(state: AnomalyState, instance: AnomalyInstance) -> float:
-    fit = residual(state, instance)
-    return float(0.5 * np.vdot(fit, fit)
-                 + 0.5 * instance.ridge * (np.vdot(state.left, state.left)
-                                           + np.vdot(state.right, state.right))
-                 + instance.sparse_gain * np.abs(state.sparse).sum())
-
-
 # ---------------------------------------------------------------------------
 # closed-form block updates
 # ---------------------------------------------------------------------------
@@ -163,22 +155,13 @@ def sparse_exact_stepsize(state: AnomalyState, candidate: np.ndarray,
     return exact_quadratic_step(curvature, slope).gamma
 
 
-def sparse_model_value(state: AnomalyState, sparse: np.ndarray,
-                       instance: AnomalyInstance, proximal: float) -> float:
-    """Sparse-block model at ``sparse``, anchored at ``state``:
-    0.5 ||L R + D S - Y||^2 + (proximal/2) ||S - S_t||^2 + gain ||S||_1."""
-    fit = residual(AnomalyState(state.left, state.right, sparse), instance)
-    shift = sparse - state.sparse
-    return float(0.5 * np.vdot(fit, fit) + 0.5 * proximal * np.vdot(shift, shift)
-                 + instance.sparse_gain * np.abs(sparse).sum())
-
-
 def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
                          rounds: int, proximal: float,
                          lipschitz: float | None = None,
                          stationarity_rtol: float = 1e-12) -> np.ndarray:
     """Inner layer of the two-layer sparse-block update: ``rounds``
-    descent rounds on the strictly convex model of ``sparse_model_value``.
+    descent rounds on the strictly convex sparse-block model
+    0.5 ||L R + D S - Y||^2 + (proximal/2) ||S - S_t||^2 + gain ||S||_1.
 
     Round one is ``step_sparse`` on the model: the elementwise best
     response at its exact stepsize, or the anchor itself when the block
@@ -210,7 +193,7 @@ def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
     shift = np.empty_like(anchor)
 
     def model(sparse: np.ndarray, moved: np.ndarray) -> float:
-        # sparse_model_value with moved = D @ sparse already formed
+        # the sparse-block model at sparse, with moved = D @ sparse already formed
         np.subtract(moved, target, out=fit)
         np.subtract(sparse, anchor, out=shift)
         smooth = 0.5 * np.vdot(fit, fit) + 0.5 * proximal * np.vdot(shift, shift)

@@ -421,7 +421,12 @@ def cmd_reproduce(args) -> int:
     old_dir = manifest_path.parent
     with tempfile.TemporaryDirectory(prefix="bsca-reproduce-") as tmp:
         new_dir = Path(args.out) if args.out else Path(tmp) / "rerun"
-        code = main(_manifest_argv(manifest, str(new_dir)))
+        try:
+            argv = _manifest_argv(manifest, str(new_dir))
+        except KeyError as exc:
+            raise UsageError(
+                f"{manifest_path}: missing key {exc.args[0]!r}") from None
+        code = main(argv)
         if code != 0:
             print("reproduction run failed", file=sys.stderr)
             return 3

@@ -34,7 +34,6 @@ from .core import (
     objective,
 )
 from .errors import (
-    ConfigError,
     FeasibilityError,
     InvalidArgumentError,
     ProductDriftError,
@@ -54,7 +53,6 @@ from .surrogates import (
     inner_exact_stepsize,
     make_quadratic_surrogate,
     soft_threshold,
-    solve_surrogate,
 )
 
 _AUDIT_GAMMAS = (0.15, 0.35, 0.55, 0.75, 0.95)
@@ -72,21 +70,18 @@ class BlockSolution:
 BlockSolver = Callable[[CompositeProblem, np.ndarray, int], BlockSolution]
 
 
-def make_surrogate_solver(factory: Callable[..., SurrogateModel]) -> BlockSolver:
-    """Turn a surrogate factory (problem, x, k) -> model into a block
-    solver via ``solve_surrogate``'s closed form."""
+def quadratic_solver(curvature: float) -> BlockSolver:
+    """The proximal-linear model's closed form as a block solver: one
+    elementwise best response at the anchor, exact since D = cI."""
 
     def solver(problem: CompositeProblem, x: np.ndarray, k: int) -> BlockSolution:
-        model = factory(problem, x, k)
-        minimizer = solve_surrogate(model, problem.nonsmooth[k],
-                                    problem.constraints[k])
-        return BlockSolution(minimizer, model.is_global_upper_bound, model.grad_anchor)
+        model = make_quadratic_surrogate(problem, x, k, curvature)
+        minimizer = inner_best_response_step(
+            model, model.anchor, model.grad_anchor, problem.nonsmooth[k],
+            problem.constraints[k])
+        return BlockSolution(minimizer, gradient=model.grad_anchor)
 
     return solver
-
-
-def quadratic_solver(curvature: float) -> BlockSolver:
-    return make_surrogate_solver(quadratic_outer_factory(curvature))
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +380,6 @@ def inexact_inner_loop(model: SurrogateModel, problem: CompositeProblem,
     current block already solves the outer subproblem) the result is
     the anchor, so the block update is a stationarity skip.
     """
-    if model.quad is None:
-        raise ConfigError(
-            "inexact updates need an outer surrogate with a quadratic form")
     reg = problem.nonsmooth[k]
     constraint = problem.constraints[k]
     x_tau = model.anchor.copy()
@@ -486,7 +478,7 @@ def run_bpgd(instance, config: SolverConfig, x0: np.ndarray,
 
 
 def block_residuals(problem: CompositeProblem, solver: BlockSolver,
-                    x: np.ndarray, config: SolverConfig) -> np.ndarray:
+                    x: np.ndarray) -> np.ndarray:
     """Per-block fixed-point residuals ||B_k x - x_k||; zero at a
     blockwise stationary point."""
     x = np.asarray(x, dtype=float)

@@ -27,8 +27,8 @@ class LineSearchError(BscaError, RuntimeError):
 
 
 class NoClosedFormError(BscaError, RuntimeError):
-    """The surrogate/regularizer/constraint pairing has no shipped
-    closed-form minimizer; route through the inexact engine instead."""
+    """The regularizer has no shipped closed-form elementwise best
+    response."""
 
 
 class DegenerateDirectionError(BscaError, RuntimeError):

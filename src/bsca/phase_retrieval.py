@@ -255,10 +255,9 @@ class _OperatorColumns:
 
 def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
                    curvature: float) -> SurrogateModel:
-    """Partial linearization of the residual map inside the quartic loss,
-    written as the quadratic form (1/2) v'Dv - v'b with
-    D = 2 A_k diag(A'x)^2 A_k' + c I and b = D x_k - grad_k f(x).  D is
-    never formed, and b is derived.  A dense argument is applied as
+    """Partial linearization of the residual map inside the quartic loss:
+    the block model with D = 2 A_k diag(A'x)^2 A_k' + c I, which is
+    never formed.  A dense argument is applied as
     ``2 A_k (u^2 * (A_k'v)) + cv``, two passes over the block; an argument
     with at most ``_SPARSE_CAP`` (32) nonzeros, fewer than half the
     block's rows, is applied from the columns of D on its support, which
@@ -292,17 +291,7 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
             chunk, chunk, out=squares[:len(chunk)]) @ u_sq
     diagonal = 2.0 * diagonal + curvature
     anchor = x[instance.partition.slice_of(k)].copy()
-
-    def value(v):
-        return float(0.5 * v @ apply(v) - v @ (apply(anchor) - grad))
-
-    def gradient(v):
-        return grad + apply(v - anchor)
-
-    return SurrogateModel(
-        kind="pr_partial_linearization", anchor=anchor,
-        value_fn=value, grad_fn=gradient, grad_anchor=grad,
-        quad=QuadOperator(apply, diagonal))
+    return SurrogateModel(anchor, grad, QuadOperator(apply, diagonal))
 
 
 # ---------------------------------------------------------------------------

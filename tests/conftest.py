@@ -16,9 +16,9 @@ from bsca.core import (
     make_partition,
 )
 from bsca.linesearch import quadratic_profile
+from bsca.phase_retrieval import PhaseRetrievalInstance
 from bsca.surrogates import (
     QuadOperator,
-    SmoothComposition,
     SurrogateModel,
     inner_best_response_step,
     inner_exact_stepsize,
@@ -62,51 +62,35 @@ def random_quadratic_problem(rng, block_sizes, l1_gain=0.0, box_halfwidth=None,
     return problem, hessian, target
 
 
-def random_composition_problem(rng, block_sizes, inner_dim=6):
-    """Nonconvex f = f1(f2(x)) with convex quartic-tailed f1 and squared
-    linear forms f2; returns (problem, composition) so the partial
-    linearization factories can be fed directly."""
-    n = sum(block_sizes)
-    weights = rng.standard_normal((inner_dim, n)) / np.sqrt(n)
-    shift = rng.standard_normal(inner_dim) * 0.3
-    partition = make_partition(block_sizes)
-
-    def inner_value(x):
-        return (weights @ x) ** 2 + shift
-
-    def inner_block_jacobian(x, k):
-        sl = partition.slice_of(k)
-        return 2.0 * (weights @ x)[:, None] * weights[:, sl]
-
-    def outer_value(u):
-        return float(0.25 * u @ u + 0.1 * np.sum(u ** 4))
-
-    def outer_gradient(u):
-        return 0.5 * u + 0.4 * u ** 3
-
-    composition = SmoothComposition(outer_value, outer_gradient,
-                                    inner_value, inner_block_jacobian)
-
-    def smooth_value(x):
-        return composition.outer_value(composition.inner_value(x))
-
-    def block_gradient(x, k):
-        jac = composition.inner_block_jacobian(x, k)
-        return jac.T @ composition.outer_gradient(composition.inner_value(x))
-
-    problem = CompositeProblem(partition, smooth_value, block_gradient,
-                               tuple(Zero() for _ in block_sizes))
-    return problem, composition
+def small_pr_instance(gen, sizes):
+    """Phase retrieval with ``3 n`` Gaussian measurements of a random
+    signal, its unknowns split into blocks of ``sizes``."""
+    n = sum(sizes)
+    sampling = gen.standard_normal((n, 3 * n))
+    return PhaseRetrievalInstance(
+        sampling=sampling, intensities=(sampling.T @ gen.standard_normal(n)) ** 2,
+        sparse_gain=0.1, partition=make_partition(sizes))
 
 
 def spd_model(spd, b, anchor):
     """The quadratic model (1/2) v'Dv - v'b anchored at ``anchor``, with
     the dense SPD matrix ``spd`` given as its ``QuadOperator``."""
-    return SurrogateModel(
-        kind="quad_form", anchor=anchor,
-        value_fn=lambda v: float(0.5 * v @ (spd @ v) - v @ b),
-        grad_fn=lambda v: spd @ v - b, grad_anchor=spd @ anchor - b,
-        quad=QuadOperator(spd.__matmul__, np.diag(spd).copy()))
+    return SurrogateModel(anchor, spd @ anchor - b,
+                          QuadOperator(spd.__matmul__, np.diag(spd).copy()))
+
+
+def model_value(model, v):
+    """A block model's value (1/2) v'Dv - v'b at ``v``, with
+    b = D a - grad_anchor at its anchor a (``linear_term``).  This is
+    grad_anchor'(v - a) + (1/2) (v - a)'D(v - a) up to a constant, one
+    without the model's offset from the origin, whose rounding would
+    hide the last decreases of a converging inner chain."""
+    return float(0.5 * v @ model.quad.apply(v) - v @ linear_term(model))
+
+
+def model_gradient(model, v):
+    """A block model's gradient at ``v``: grad_anchor + D(v - a)."""
+    return model.grad_anchor + model.quad.apply(v - model.anchor)
 
 
 def linear_term(model):

@@ -1,8 +1,9 @@
 """Slow, independent reference routines that the tests use to cross-check
 the closed forms in ``bsca``: golden-section minimization, central finite
-differences, bisection cubic roots, a Cholesky reference solve, and the
+differences, bisection cubic roots, a Cholesky reference solve, the
 inner elementwise best-response model that the inner loop's one-shot
-step minimizes.
+step minimizes, and the low-rank + sparse objective and sparse-block
+model evaluated from their matrix forms.
 
 Nothing here is performance-tuned; these exist so every closed-form path
 has a brute-force counterpart in the tests.
@@ -15,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from bsca.errors import InvalidArgumentError, NoClosedFormError
+from bsca.anomaly import AnomalyInstance, AnomalyState, residual
+from bsca.errors import InvalidArgumentError
 from bsca.surrogates import QuadOperator, SurrogateModel
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
@@ -169,25 +171,29 @@ def dense_spd_solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def make_inner_surrogate(model: SurrogateModel,
                          x_tau: np.ndarray) -> SurrogateModel:
     """Elementwise best-response of a quadratic outer model, anchored at
-    the inner iterate.  Its gradient at the inner anchor equals the outer
-    model's gradient there, which is what keeps the inner loop honest.
+    the inner iterate: the outer model's gradient there and the diagonal
+    of its D.  Sharing that gradient is what keeps the inner loop honest.
     """
-    if model.quad is None:
-        raise NoClosedFormError(
-            "inner best-response needs a quadratic outer model")
     x_tau = np.asarray(x_tau, dtype=float)
     diag = model.quad.diagonal
-    grad_tau = model.gradient(x_tau)
-    base = model.value(x_tau) * x_tau.size
+    grad_tau = model.grad_anchor + model.quad.apply(x_tau - model.anchor)
+    return SurrogateModel(x_tau.copy(), grad_tau, QuadOperator(diag.__mul__, diag))
 
-    def value(v):
-        delta = v - x_tau
-        return float(base + delta @ grad_tau + 0.5 * (delta * diag) @ delta)
 
-    def gradient(v):
-        return grad_tau + diag * (v - x_tau)
+def objective_value(state: AnomalyState, instance: AnomalyInstance) -> float:
+    """The low-rank + sparse objective, straight from its matrix form."""
+    fit = residual(state, instance)
+    return float(0.5 * np.vdot(fit, fit)
+                 + 0.5 * instance.ridge * (np.vdot(state.left, state.left)
+                                           + np.vdot(state.right, state.right))
+                 + instance.sparse_gain * np.abs(state.sparse).sum())
 
-    return SurrogateModel(
-        kind="inner_best_response", anchor=x_tau.copy(),
-        value_fn=value, grad_fn=gradient, grad_anchor=grad_tau.copy(),
-        quad=QuadOperator(diag.__mul__, diag))
+
+def sparse_model_value(state: AnomalyState, sparse: np.ndarray,
+                       instance: AnomalyInstance, proximal: float) -> float:
+    """Sparse-block model at ``sparse``, anchored at ``state``:
+    0.5 ||L R + D S - Y||^2 + (proximal/2) ||S - S_t||^2 + gain ||S||_1."""
+    fit = residual(AnomalyState(state.left, state.right, sparse), instance)
+    shift = sparse - state.sparse
+    return float(0.5 * np.vdot(fit, fit) + 0.5 * proximal * np.vdot(shift, shift)
+                 + instance.sparse_gain * np.abs(sparse).sum())

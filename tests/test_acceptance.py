@@ -53,16 +53,16 @@ from bsca.phase_retrieval import (
 )
 from bsca.surrogates import (
     inner_best_response_step,
-    make_best_response_surrogate,
-    make_partial_linearization_surrogate,
     make_quadratic_surrogate,
 )
 
 from conftest import (
     fresh_inner_step,
     fresh_inner_stepsize,
-    random_composition_problem,
+    model_gradient,
+    model_value,
     random_quadratic_problem,
+    small_pr_instance,
     spd_model,
 )
 from oracles import (
@@ -90,22 +90,17 @@ def test_criterion_1_gradient_consistency():
     for trial in range(100):
         sizes = [int(gen.integers(2, 5)) for _ in range(2)]
         problem, _, _ = random_quadratic_problem(gen, sizes)
-        problem_c, comp = random_composition_problem(gen, sizes)
+        problem_pr = pr_problem(small_pr_instance(gen, sizes))
         x = gen.standard_normal(sum(sizes))
         k = int(gen.integers(2))
         sl = problem.partition.slice_of(k)
         models = [
             (problem, make_quadratic_surrogate(problem, x, k, 0.7)),
-            (problem, make_best_response_surrogate(problem, x, k, "block")),
-            (problem, make_best_response_surrogate(problem, x, k, "elementwise")),
-            (problem_c, make_partial_linearization_surrogate(
-                comp, problem_c, x, k, 0.7, "full")),
-            (problem_c, make_partial_linearization_surrogate(
-                comp, problem_c, x, k, 0.7, "hybrid")),
+            (problem_pr, pr_outer_model(problem_pr, x, k, 0.7)),
         ]
         for prob, model in models:
             analytic = prob.block_gradient(x, k)
-            got = model.gradient(model.anchor)
+            got = model_gradient(model, model.anchor)
             scale = max(1.0, float(np.abs(analytic).max()))
             worst_rel = max(worst_rel, float(np.abs(got - analytic).max()) / scale)
             fd = finite_diff_block_gradient(prob.smooth_value, x, sl, eps=1e-6)
@@ -114,16 +109,18 @@ def test_criterion_1_gradient_consistency():
         outer = pr_like_quadratic_model(gen, sizes[k])
         x_tau = gen.standard_normal(sizes[k])
         inner = make_inner_surrogate(outer, x_tau)
-        outer_grad = outer.gradient(x_tau)
+        outer_grad = model_gradient(outer, x_tau)
         scale = max(1.0, float(np.abs(outer_grad).max()))
         worst_rel = max(worst_rel, float(
-            np.abs(inner.gradient(x_tau) - outer_grad).max()) / scale)
-        fd = finite_diff_block_gradient(lambda v: inner.value(v), x_tau,
+            np.abs(model_gradient(inner, x_tau) - outer_grad).max()) / scale)
+        fd = finite_diff_block_gradient(lambda v: model_value(inner, v), x_tau,
                                         slice(0, sizes[k]), eps=1e-6)
-        worst_fd = max(worst_fd, float(np.abs(inner.gradient(x_tau) - fd).max()) / scale)
+        worst_fd = max(worst_fd, float(
+            np.abs(model_gradient(inner, x_tau) - fd).max()) / scale)
         # the shipped inner step minimizes that inner surrogate
         step = inner_best_response_step(outer, x_tau, outer_grad, Zero(), Unconstrained())
-        worst_rel = max(worst_rel, float(np.abs(inner.gradient(step)).max()) / scale)
+        worst_rel = max(worst_rel, float(
+            np.abs(model_gradient(inner, step)).max()) / scale)
     elapsed = time.monotonic() - begin
     ok = worst_rel <= 1e-10 and worst_fd <= 1e-5 and elapsed < 10.0
     report(1, ok, f"analytic rel {worst_rel:.2e} (<=1e-10), "
@@ -303,7 +300,7 @@ def test_criterion_5_anomaly_desk_scale():
     worst_residual = 0.0
     for trace in (sequential, parallel):
         x = trace.final_point.values
-        res = block_residuals(problem, residual_map, x, cfg)
+        res = block_residuals(problem, residual_map, x)
         for k in range(3):
             rel = res[k] / (1.0 + np.linalg.norm(problem.block_of(x, k)))
             worst_residual = max(worst_residual, rel)
@@ -433,7 +430,7 @@ def test_criterion_8_inner_chain():
         # strict decrease of the surrogate-plus-regularizer chain
         reg = L1Norm(0.3)
         x_tau = anchor.copy()
-        values = [model.value(x_tau) + reg.value(x_tau)]
+        values = [model_value(model, x_tau) + reg.value(x_tau)]
         for _ in range(8):
             target = fresh_inner_step(model, x_tau, reg, Unconstrained())
             if np.linalg.norm(target - x_tau) <= 1e-12 * (1 + np.linalg.norm(x_tau)):
@@ -442,7 +439,7 @@ def test_criterion_8_inner_chain():
             if gamma <= 0.0:
                 break
             x_tau = x_tau + gamma * (target - x_tau)
-            values.append(model.value(x_tau) + reg.value(x_tau))
+            values.append(model_value(model, x_tau) + reg.value(x_tau))
         if not all(b_ < a_ for a_, b_ in zip(values, values[1:])):
             strict_violations += 1
         # 50 inner rounds against the dense reference solve (no l1 term)
@@ -587,7 +584,7 @@ def test_criterion_10b_anomaly_restart_is_no_op():
     sweep_decrease = (last[0] - last[-1]) / max(1.0, abs(last[0]))
     problem = anomaly_problem(inst)
     sparse = problem.block_of(x, 2)
-    sparse_residual = (block_residuals(problem, anomaly_solver(inst), x, cfg)[2]
+    sparse_residual = (block_residuals(problem, anomaly_solver(inst), x)[2]
                        / (1.0 + np.linalg.norm(sparse)))
     ok = tolerance_terminated and all_skips
     cause = (f"first run ended by {first.termination_reason} after "

@@ -14,12 +14,10 @@ from bsca.anomaly import (
     final_state,
     generate_anomaly_instance,
     initial_state,
-    objective_value,
     residual,
     run_anomaly_bsca,
     sparse_exact_stepsize,
     sparse_inner_descent,
-    sparse_model_value,
     state_partition,
     state_to_vector,
     step_sparse,
@@ -31,7 +29,7 @@ from bsca.errors import DegenerateDirectionError, InvalidArgumentError
 from bsca.linesearch import exact_quadratic_step
 from bsca.surrogates import soft_threshold
 
-from oracles import golden_section
+from oracles import golden_section, objective_value, sparse_model_value
 
 
 def scalar_instance(y=2.0, ridge=1.0, gain=0.5):
@@ -307,7 +305,7 @@ class TestRunAnomaly:
         assert trace.termination_reason == "tolerance"
         problem = anomaly_problem(inst)
         res = block_residuals(problem, anomaly_solver(inst),
-                              trace.final_point.values, cfg)
+                              trace.final_point.values)
         x = trace.final_point.values
         for k in range(3):
             xk = problem.block_of(x, k)

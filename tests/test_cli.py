@@ -317,6 +317,31 @@ class TestReproduce:
     def test_missing_manifest(self, tmp_path):
         assert main(["reproduce", str(tmp_path / "nope.manifest")]) == 2
 
+    @pytest.mark.parametrize("command, key", [
+        ("solve", "command"), ("solve", "algorithm"), ("solve", "instance"),
+        ("generate", "app"), ("bench", "variants")])
+    def test_manifest_missing_key_exits_2(self, pr_dir, tmp_path, capsys,
+                                          command, key):
+        out = tmp_path / "run"
+        if command == "solve":
+            assert main(["solve", str(pr_dir), "--algorithm", "bsca",
+                         "--max-iters", "5", "--out", str(out)]) == 0
+        elif command == "bench":
+            variants = tmp_path / "v.txt"
+            variants.write_text("name=a algorithm=bsca\n")
+            assert main(["bench", str(pr_dir), "--variants", str(variants),
+                         "--max-iters", "5", "--out", str(out)]) == 0
+        else:
+            out = pr_dir
+        manifest = out / RUN_MANIFEST
+        entries = read_manifest(manifest)
+        del entries[key]
+        write_manifest(manifest, entries)
+        capsys.readouterr()
+        assert main(["reproduce", str(manifest)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and str(manifest) in err[0] and f"{key!r}" in err[0]
+
     def test_blas_threads_recorded_and_named_when_outputs_differ(
             self, pr_dir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")

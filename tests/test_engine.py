@@ -27,7 +27,6 @@ from bsca.engine import (
     inexact_inner_loop,
     inexact_solver,
     make_block_rule,
-    make_surrogate_solver,
     quadratic_outer_factory,
     quadratic_solver,
     run_bgd,
@@ -39,12 +38,12 @@ from bsca.engine import (
 from bsca.errors import ConfigError, FeasibilityError
 from bsca.linesearch import cubic_real_roots, descent_quantity, quadratic_profile
 from bsca.phase_retrieval import generate_pr_instance, pr_outer_model, pr_problem
-from bsca.surrogates import make_best_response_surrogate
 
 from conftest import (
     carried_gradient_drift,
     fresh_inner_step,
     fresh_inner_stepsize,
+    model_value,
     random_quadratic_problem,
     spd_model,
 )
@@ -116,9 +115,6 @@ class TestBscaStep:
             lambda x: float(0.5 * (weights * (x - center)) @ (x - center)),
             lambda x, k: (weights * (x - center))[part.slice_of(k)],
             (Zero(), Zero(), Zero()))
-        solver = make_surrogate_solver(
-            lambda p, x, k: make_best_response_surrogate(p, x, k, "block"))
-
         def exact_solver(p, x, k):
             sl = part.slice_of(k)
             return BlockSolution(center[sl], is_global_upper_bound=True)
@@ -237,7 +233,7 @@ class TestRunBsca:
                          rng.standard_normal(8))
         assert trace.termination_reason == "tolerance"
         x = trace.final_point.values
-        res = block_residuals(problem, quadratic_solver(1.0), x, cfg)
+        res = block_residuals(problem, quadratic_solver(1.0), x)
         for k in range(problem.num_blocks):
             xk = problem.block_of(x, k)
             assert res[k] <= 1e-5 * (1.0 + np.linalg.norm(xk))
@@ -350,7 +346,7 @@ class TestInexact:
         model, _, _ = self._quad_outer(rng)
         reg = problem.nonsmooth[0]
         x_tau = model.anchor.copy()
-        values = [model.value(x_tau) + reg.value(x_tau)]
+        values = [model_value(model, x_tau) + reg.value(x_tau)]
         for _ in range(10):
             target = fresh_inner_step(model, x_tau, reg, problem.constraints[0])
             if np.linalg.norm(target - x_tau) <= 1e-13 * (1 + np.linalg.norm(x_tau)):
@@ -359,7 +355,7 @@ class TestInexact:
             if gamma <= 0.0:
                 break
             x_tau = x_tau + gamma * (target - x_tau)
-            values.append(model.value(x_tau) + reg.value(x_tau))
+            values.append(model_value(model, x_tau) + reg.value(x_tau))
         assert len(values) > 5
         assert all(b < a for a, b in zip(values, values[1:]))
 
@@ -386,16 +382,6 @@ class TestInexact:
                                                    restart_cfg),
                            restart_cfg, trace.final_point.values)
         assert np.all(restart.stepsizes == 0.0)
-
-    def test_callable_outer_rejected(self, rng):
-        problem, _, _ = random_quadratic_problem(rng, [3])
-
-        def bad_factory(problem, x, k):
-            return make_best_response_surrogate(problem, x, k, "block")
-
-        cfg = SolverConfig(max_outer_iterations=1)
-        with pytest.raises(ConfigError):
-            run_bsca(problem, inexact_solver(bad_factory, cfg), cfg, np.zeros(3))
 
     def test_box_constraints_respected_throughout(self, rng):
         seen = []

@@ -42,6 +42,8 @@ from conftest import (
     fresh_inner_step,
     fresh_inner_stepsize,
     linear_term,
+    model_gradient,
+    model_value,
     product_log,
     random_quadratic_problem,
 )
@@ -129,8 +131,8 @@ class TestOuterModel:
             model = pr_outer_model(problem, x, k, 1e-3)
             sl = inst.partition.slice_of(k)
             fd = finite_diff_block_gradient(problem.smooth_value, x, sl, eps=1e-6)
-            assert np.allclose(model.gradient(x[sl]), fd, atol=1e-5)
-            assert np.allclose(model.gradient(x[sl]),
+            assert np.allclose(model_gradient(model, x[sl]), fd, atol=1e-5)
+            assert np.allclose(model_gradient(model, x[sl]),
                                problem.block_gradient(x, k), rtol=1e-10)
 
     def test_positive_definite_with_floor_at_curvature(self, rng):
@@ -421,10 +423,8 @@ class TestInnerStepsize:
         # exact step is the unclipped minimizer 1
         from bsca.surrogates import SurrogateModel
         diag = np.array([2.0])
-        model = SurrogateModel(
-            kind="quad_form", anchor=np.array([1.0]),
-            value_fn=lambda v: float(v @ v), grad_fn=lambda v: 2.0 * v,
-            grad_anchor=np.array([2.0]), quad=QuadOperator(diag.__mul__, diag))
+        model = SurrogateModel(np.array([1.0]), np.array([2.0]),
+                               QuadOperator(diag.__mul__, diag))
         gamma = inner_stepsize(model, np.array([1.0]), np.array([0.0]), 0.0)
         assert gamma == 1.0
 
@@ -446,7 +446,7 @@ class TestInnerStepsize:
         gamma = inner_stepsize(model, x_tau, target, inst.sparse_gain)
         delta = target - x_tau
         reg_delta = inst.sparse_gain * (np.abs(target).sum() - np.abs(x_tau).sum())
-        phi = lambda g: model.value(x_tau + g * delta) + g * reg_delta
+        phi = lambda g: model_value(model, x_tau + g * delta) + g * reg_delta
         assert gamma == pytest.approx(golden_section(phi, tol=1e-12), abs=1e-6)
 
 

@@ -11,25 +11,25 @@ from bsca.core import (
     Zero,
     make_partition,
 )
-from bsca.engine import inexact_inner_loop
-from bsca.errors import InvalidArgumentError, NoClosedFormError
+from bsca.engine import inexact_inner_loop, quadratic_solver
+from bsca.errors import InvalidArgumentError
+from bsca.phase_retrieval import pr_outer_model, pr_problem
 from bsca.surrogates import (
     QuadOperator,
     SurrogateModel,
     inner_best_response_step,
-    make_best_response_surrogate,
-    make_partial_linearization_surrogate,
     make_quadratic_surrogate,
     soft_threshold,
-    solve_surrogate,
 )
 
 from conftest import (
     fresh_inner_step,
     fresh_inner_stepsize,
     linear_term,
-    random_composition_problem,
+    model_gradient,
+    model_value,
     random_quadratic_problem,
+    small_pr_instance,
     spd_model,
 )
 from oracles import (
@@ -85,20 +85,22 @@ class TestQuadraticSurrogate:
         x = rng.standard_normal(5)
         model = make_quadratic_surrogate(problem, x, 0, 2.0)
         anchor = problem.block_of(x, 0)
-        assert model.value(anchor) == 0.0
-        assert np.allclose(model.gradient(anchor), problem.block_gradient(x, 0),
-                           rtol=1e-10)
+        grad = problem.block_gradient(x, 0)
+        assert np.allclose(model_gradient(model, anchor), grad, rtol=1e-10)
+        # the model's rise from its anchor is grad'h + (c/2) ||h||^2
+        h = rng.standard_normal(3)
+        rise = model_value(model, anchor + h) - model_value(model, anchor)
+        assert rise == pytest.approx(grad @ h + h @ h, rel=1e-10)
 
     def test_one_dimensional_minimizer(self):
         # grad 2 at anchor 0 with unit curvature: gradient step to -2
         problem, _, _ = random_quadratic_problem(np.random.default_rng(0), [1])
         unit = np.array([1.0])
-        model = SurrogateModel(
-            kind="quadratic", anchor=np.array([0.0]),
-            value_fn=lambda v: float(2.0 * v[0] + 0.5 * v[0] ** 2),
-            grad_fn=lambda v: np.array([2.0 + v[0]]),
-            grad_anchor=np.array([2.0]), quad=QuadOperator(unit.__mul__, unit))
-        assert solve_surrogate(model, Zero()) == pytest.approx([-2.0])
+        model = SurrogateModel(np.array([0.0]), np.array([2.0]),
+                               QuadOperator(unit.__mul__, unit))
+        got = inner_best_response_step(model, model.anchor, model.grad_anchor,
+                                       Zero(), Unconstrained())
+        assert got == pytest.approx([-2.0])
 
     def test_rejects_bad_curvature(self, rng):
         problem, _, _ = random_quadratic_problem(rng, [2])
@@ -110,7 +112,7 @@ class TestQuadraticSurrogate:
         problem, _, _ = random_quadratic_problem(rng, [4])
         x = rng.standard_normal(4)
         model = make_quadratic_surrogate(problem, x, 0, 0.37)
-        got = solve_surrogate(model, Zero())
+        got = quadratic_solver(0.37)(problem, x, 0).minimizer
         expected = model.anchor - model.grad_anchor / 0.37
         assert np.array_equal(got, expected)
 
@@ -118,127 +120,21 @@ class TestQuadraticSurrogate:
         problem, _, _ = random_quadratic_problem(rng, [4], l1_gain=0.3)
         x = rng.standard_normal(4)
         model = make_quadratic_surrogate(problem, x, 0, 1.7)
-        got = solve_surrogate(model, L1Norm(0.3))
+        got = quadratic_solver(1.7)(problem, x, 0).minimizer
         expected = soft_threshold(model.anchor - model.grad_anchor / 1.7, 0.3 / 1.7)
         assert np.array_equal(got, expected)
 
 
-class TestBestResponseSurrogate:
-    def test_block_mode_matches_restriction(self, rng):
-        # f(x) = 0.5||x - 1||^2 restricted to a block: gradient vanishes
-        # at the all-ones block, the restriction's minimizer
-        from bsca.core import CompositeProblem, make_partition
-        part = make_partition([2, 2])
-        prob = CompositeProblem(
-            part, lambda x: float(0.5 * (x - 1.0) @ (x - 1.0)),
-            lambda x, k: (x - 1.0)[part.slice_of(k)],
-            (Zero(), Zero()))
-        x = rng.standard_normal(4)
-        model = make_best_response_surrogate(prob, x, 1, mode="block")
-        assert model.is_global_upper_bound
-        ones = np.ones(2)
-        assert np.allclose(model.gradient(ones), 0.0, atol=1e-14)
-        probe = rng.standard_normal(2)
-        restricted = x.copy()
-        restricted[2:] = probe
-        assert model.value(probe) == pytest.approx(prob.smooth_value(restricted))
-
-    def test_elementwise_equals_block_on_separable(self, rng):
-        from bsca.core import CompositeProblem, make_partition
-        part = make_partition([3])
-        weights = np.array([1.0, 2.0, 0.5])
-        prob = CompositeProblem(
-            part, lambda x: float(0.5 * (weights * x) @ x),
-            lambda x, k: weights * x, (Zero(),))
-        x = rng.standard_normal(3)
-        block = make_best_response_surrogate(prob, x, 0, mode="block")
-        element = make_best_response_surrogate(prob, x, 0, mode="elementwise")
-        # identical up to an additive constant independent of the probe
-        probes = rng.standard_normal((4, 3))
-        diffs = [element.value(p) - block.value(p) for p in probes]
-        assert np.ptp(diffs) < 1e-10 * max(1.0, abs(diffs[0]))
-
-    def test_gradient_at_anchor_vs_finite_differences(self, rng):
-        problem, _, _ = random_quadratic_problem(rng, [3, 3])
-        x = rng.standard_normal(6)
-        for mode in ("block", "elementwise"):
-            model = make_best_response_surrogate(problem, x, 1, mode=mode)
-            fd = finite_diff_block_gradient(problem.smooth_value, x, slice(3, 6))
-            assert np.allclose(model.gradient(model.anchor), fd, atol=1e-5)
-            assert np.allclose(model.gradient(model.anchor),
-                               problem.block_gradient(x, 1), rtol=1e-10)
-
-    def test_unknown_mode(self, rng):
-        problem, _, _ = random_quadratic_problem(rng, [2])
-        with pytest.raises(InvalidArgumentError):
-            make_best_response_surrogate(problem, np.zeros(2), 0, mode="bogus")
-
-    def test_no_closed_form(self, rng):
-        problem, _, _ = random_quadratic_problem(rng, [2])
-        model = make_best_response_surrogate(problem, np.zeros(2), 0)
-        with pytest.raises(NoClosedFormError):
-            solve_surrogate(model, Zero())
-
-
-class TestPartialLinearization:
-    def test_linear_inner_map_reduces_to_regularized_f(self, rng):
-        # f1(u) = 0.5 u^2, f2(x) = x in 1-D: the model equals f plus the
-        # proximal term
-        from bsca.core import CompositeProblem, make_partition
-        from bsca.surrogates import SmoothComposition
-        comp = SmoothComposition(
-            outer_value=lambda u: float(0.5 * u @ u),
-            outer_gradient=lambda u: u,
-            inner_value=lambda x: x.copy(),
-            inner_block_jacobian=lambda x, k: np.eye(1),
-        )
-        prob = CompositeProblem(make_partition([1]),
-                                lambda x: float(0.5 * x @ x),
-                                lambda x, k: x, (Zero(),))
-        anchor = np.array([0.7])
-        model = make_partial_linearization_surrogate(comp, prob, anchor, 0, 0.9)
-        v = np.array([-0.4])
-        expected = 0.5 * v[0] ** 2 + 0.45 * (v[0] - 0.7) ** 2
-        assert model.value(v) == pytest.approx(expected)
-        assert model.value(anchor) == pytest.approx(prob.smooth_value(anchor))
-
-    @pytest.mark.parametrize("mode", ["full", "hybrid"])
-    def test_gradient_consistency_on_random_composition(self, rng, mode):
-        problem, comp = random_composition_problem(rng, [3, 2])
-        x = rng.standard_normal(5)
-        model = make_partial_linearization_surrogate(comp, problem, x, 0, 1e-2,
-                                                     mode=mode)
-        fd = finite_diff_block_gradient(problem.smooth_value, x, slice(0, 3),
-                                        eps=1e-6)
-        assert np.allclose(model.gradient(model.anchor), fd, atol=1e-5)
-        assert np.allclose(model.gradient(model.anchor),
-                           problem.block_gradient(x, 0), rtol=1e-10, atol=1e-12)
-
-    def test_hybrid_value_at_anchor_duplicates_constant(self, rng):
-        problem, comp = random_composition_problem(rng, [3])
-        x = rng.standard_normal(3)
-        hybrid = make_partial_linearization_surrogate(comp, problem, x, 0, 1.0,
-                                                      mode="hybrid")
-        f_at_x = problem.smooth_value(x)
-        assert hybrid.value(x) == pytest.approx(3 * f_at_x, rel=1e-12)
-
-    def test_rejects_bad_curvature(self, rng):
-        problem, comp = random_composition_problem(rng, [2])
-        with pytest.raises(InvalidArgumentError):
-            make_partial_linearization_surrogate(comp, problem, np.zeros(2), 0, -1.0)
-
-
 class TestSolveSurrogate:
+    """The closed forms: ``quadratic_solver`` and, for a diagonal D, one
+    elementwise best response at the anchor."""
+
     def test_diag_l1_example(self):
         # a diagonal model is minimized by one elementwise best response
         # at its anchor
         diag = np.array([2.0, 2.0])
-        model = SurrogateModel(
-            kind="quad_form", anchor=np.zeros(2),
-            value_fn=lambda v: float(v @ v - v @ np.array([3.0, -1.0])),
-            grad_fn=lambda v: 2.0 * v - np.array([3.0, -1.0]),
-            grad_anchor=np.array([-3.0, 1.0]),
-            quad=QuadOperator(diag.__mul__, diag))
+        model = SurrogateModel(np.zeros(2), np.array([-3.0, 1.0]),
+                               QuadOperator(diag.__mul__, diag))
         got = inner_best_response_step(model, model.anchor, model.grad_anchor,
                                        L1Norm(1.0), Unconstrained())
         assert got == pytest.approx([1.0, 0.0])
@@ -250,10 +146,8 @@ class TestSolveSurrogate:
 
     def test_diag_zero_regularizer(self):
         diag = np.array([2.0])
-        model = SurrogateModel(
-            kind="quad_form", anchor=np.zeros(1),
-            value_fn=lambda v: 0.0, grad_fn=lambda v: 2.0 * v - 4.0,
-            grad_anchor=np.array([-4.0]), quad=QuadOperator(diag.__mul__, diag))
+        model = SurrogateModel(np.zeros(1), np.array([-4.0]),
+                               QuadOperator(diag.__mul__, diag))
         got = inner_best_response_step(model, model.anchor, model.grad_anchor,
                                        Zero(), Unconstrained())
         assert got == pytest.approx([2.0])
@@ -263,8 +157,6 @@ class TestSolveSurrogate:
         spd = m @ m.T + 4.0 * np.eye(4)
         b = rng.standard_normal(4)
         model = spd_model(spd, b, np.zeros(4))
-        with pytest.raises(NoClosedFormError):
-            solve_surrogate(model, L1Norm(0.5))
         problem = CompositeProblem(make_partition([4]), lambda x: 0.0,
                                    lambda x, k: np.zeros(4), (L1Norm(0.5),))
         got = inexact_inner_loop(model, problem, 0, SolverConfig(
@@ -277,11 +169,10 @@ class TestSolveSurrogate:
                 assert grad[i] + 0.5 * np.sign(got[i]) == pytest.approx(0.0, abs=1e-8)
             else:
                 assert abs(grad[i]) <= 0.5 + 1e-8
+
     def test_box_clipping(self, rng):
         problem, _, _ = random_quadratic_problem(rng, [3], box_halfwidth=0.1)
-        x = np.zeros(3)
-        model = make_quadratic_surrogate(problem, x, 0, 0.5)
-        got = solve_surrogate(model, Zero(), problem.constraints[0])
+        got = quadratic_solver(0.5)(problem, np.zeros(3), 0).minimizer
         assert np.all(np.abs(got) <= 0.1 + 1e-15)
 
     def test_first_order_optimality_along_random_directions(self, rng):
@@ -289,13 +180,13 @@ class TestSolveSurrogate:
         x = rng.standard_normal(5)
         model = make_quadratic_surrogate(problem, x, 0, 1.3)
         reg = L1Norm(0.2)
-        got = solve_surrogate(model, reg)
-        base = model.value(got) + reg.value(got)
+        got = quadratic_solver(1.3)(problem, x, 0).minimizer
+        base = model_value(model, got) + reg.value(got)
         for _ in range(100):
             direction = rng.standard_normal(5)
             eps = 1e-7
             probe = got + eps * direction
-            slope = (model.value(probe) + reg.value(probe) - base) / eps
+            slope = (model_value(model, probe) + reg.value(probe) - base) / eps
             assert slope >= -1e-8
 
 
@@ -310,11 +201,11 @@ class TestInnerSurrogate:
         model = self._quad_model(rng)
         x_tau = rng.standard_normal(5)
         inner = make_inner_surrogate(model, x_tau)
-        assert np.allclose(inner.gradient(x_tau), model.gradient(x_tau),
+        assert np.allclose(model_gradient(inner, x_tau), model_gradient(model, x_tau),
                            rtol=1e-10)
         fd = finite_diff_block_gradient(
-            lambda v: inner.value(v), x_tau, slice(0, 5), eps=1e-6)
-        assert np.allclose(inner.gradient(x_tau), fd, atol=1e-5)
+            lambda v: model_value(inner, v), x_tau, slice(0, 5), eps=1e-6)
+        assert np.allclose(model_gradient(inner, x_tau), fd, atol=1e-5)
 
     def test_inner_step_is_coordinatewise_minimizer(self, rng):
         model = self._quad_model(rng)
@@ -332,11 +223,7 @@ class TestInnerSurrogate:
     def test_diagonal_model_one_shot(self, rng):
         diag = np.exp(rng.uniform(-1, 1, 4))
         b = rng.standard_normal(4)
-        model = SurrogateModel(
-            kind="quad_form", anchor=np.zeros(4),
-            value_fn=lambda v: float(0.5 * (v * diag) @ v - v @ b),
-            grad_fn=lambda v: diag * v - b, grad_anchor=-b,
-            quad=QuadOperator(diag.__mul__, diag))
+        model = SurrogateModel(np.zeros(4), -b, QuadOperator(diag.__mul__, diag))
         got = fresh_inner_step(model, np.zeros(4), Zero(), Unconstrained())
         assert np.allclose(got, b / diag, rtol=1e-12)
 
@@ -347,7 +234,7 @@ class TestInnerSurrogate:
         target = fresh_inner_step(model, x_tau, reg, Unconstrained())
         gamma = fresh_inner_stepsize(model, x_tau, target, reg)
         delta = target - x_tau
-        phi = lambda g: (model.value(x_tau + g * delta)
+        phi = lambda g: (model_value(model, x_tau + g * delta)
                          + g * (reg.value(target) - reg.value(x_tau)))
         assert gamma == pytest.approx(golden_section(phi, tol=1e-12), abs=1e-6)
 
@@ -355,16 +242,15 @@ class TestInnerSurrogate:
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=0, max_value=10 ** 6))
 def test_strict_convexity_probe_all_kinds(seed):
+    # the proximal-linear model and the phase-retrieval partial
+    # linearization on a small random instance
     gen = np.random.default_rng(seed)
-    problem, hessian, target = random_quadratic_problem(gen, [3, 2])
-    problem_c, comp = random_composition_problem(gen, [3, 2])
+    problem, _, _ = random_quadratic_problem(gen, [3, 2])
+    problem_pr = pr_problem(small_pr_instance(gen, [3, 2]))
     x = gen.standard_normal(5)
     models = [
         make_quadratic_surrogate(problem, x, 0, 0.5),
-        make_best_response_surrogate(problem, x, 0, "block"),
-        make_best_response_surrogate(problem, x, 0, "elementwise"),
-        make_partial_linearization_surrogate(comp, problem_c, x, 0, 0.5, "full"),
-        make_partial_linearization_surrogate(comp, problem_c, x, 0, 0.5, "hybrid"),
+        pr_outer_model(problem_pr, x, 0, 0.5),
     ]
     for model in models:
         u = gen.standard_normal(3)
@@ -372,6 +258,6 @@ def test_strict_convexity_probe_all_kinds(seed):
         if np.linalg.norm(u - v) < 1e-9:
             continue
         theta = float(gen.uniform(0.05, 0.95))
-        mid = model.value(theta * u + (1 - theta) * v)
-        chord = theta * model.value(u) + (1 - theta) * model.value(v)
+        mid = model_value(model, theta * u + (1 - theta) * v)
+        chord = theta * model_value(model, u) + (1 - theta) * model_value(model, v)
         assert mid < chord + 1e-12 * max(1.0, abs(chord))
