@@ -6,8 +6,8 @@ runs with one checkout, then re-run every manifest with another.
     python3 scripts/manifest_gate.py check DIR    # with the changed checkout
 
 ``record`` generates one phase-retrieval and one low-rank + sparse
-instance and runs 20 ``bsca solve`` variants on them at the CLI
-defaults.  ``check`` reruns each of the 22 manifests with ``bsca
+instance and runs 21 ``bsca solve`` variants on them at the CLI
+defaults.  ``check`` reruns each of the 23 manifests with ``bsca
 reproduce --out`` into a temporary directory, prints one verdict line
 per manifest, and exits 1 if any reproduction differs or fails.  For a
 solve whose trace differs it prints one more line: iterations and final
@@ -41,6 +41,7 @@ INSTANCES = {
 # (instance, algorithm, solve flags beyond the CLI defaults)
 SOLVES = [
     ("anomaly", "bsca", []),
+    ("anomaly", "bsca", ["--inner-iters", "1"]),
     ("anomaly", "bsca", ["--line-search", "armijo"]),
     ("anomaly", "inexact-bsca", []),
     ("anomaly", "inexact-bsca", ["--line-search", "armijo"]),

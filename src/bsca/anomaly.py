@@ -9,7 +9,10 @@ minimizers, hence unit steps).  The sparse block takes a scaled
 soft-threshold, optionally refined by further inner rounds on a
 strictly convex model (the two-layer scheme), followed by a rational
 exact stepsize.  The solver runs through the generic engine over the
-flat variable [vec(L), vec(R), vec(S)].
+flat variable [vec(L), vec(R), vec(S)].  Every layer reads ``D S`` and
+the residual ``E = L R + D S - Y`` from the problem's
+``AnomalyProducts``, which re-forms ``D S`` only when a step moves S;
+the sparse solve hands ``D'E`` to the engine as the block gradient.
 """
 
 from __future__ import annotations
@@ -99,45 +102,78 @@ def vector_to_state(instance: AnomalyInstance, x: np.ndarray) -> AnomalyState:
     return AnomalyState(left, right, sparse)
 
 
-def residual(state: AnomalyState, instance: AnomalyInstance) -> np.ndarray:
-    return (state.left @ state.right
-            + instance.dictionary @ state.sparse - instance.measurements)
+def residual(state: AnomalyState, instance: AnomalyInstance,
+             sparse_image: np.ndarray | None = None) -> np.ndarray:
+    """``E = L R + D S - Y``; ``sparse_image`` is ``D S`` when already
+    formed."""
+    if sparse_image is None:
+        sparse_image = instance.dictionary @ state.sparse
+    return state.left @ state.right + sparse_image - instance.measurements
+
+
+def _smooth_value(state: AnomalyState, fit: np.ndarray, ridge: float) -> float:
+    """The smooth part of the objective, given the residual ``fit``."""
+    return float(0.5 * np.vdot(fit, fit)
+                 + 0.5 * ridge * (np.vdot(state.left, state.left)
+                                  + np.vdot(state.right, state.right)))
+
+
+def _squared_column_norms(dictionary: np.ndarray) -> np.ndarray:
+    """The diagonal of ``D'D``, the curvature of the elementwise sparse
+    model; a zero column leaves that model without a minimizer."""
+    diag = np.einsum("ij,ij->j", dictionary, dictionary)
+    if np.any(diag <= 0.0):
+        raise DegenerateDiagonalError("dictionary has a zero column")
+    return diag
 
 
 # ---------------------------------------------------------------------------
 # closed-form block updates
 # ---------------------------------------------------------------------------
 
-def best_left_factor(state: AnomalyState, instance: AnomalyInstance) -> np.ndarray:
+# ``sparse_image`` is D S, ``fit`` the residual E, ``correlation`` D'E
+# and ``diag`` the squared column norms of D, each at ``state``: a solve
+# forms what it is not given, with the expression ``residual`` uses.
+
+def best_left_factor(state: AnomalyState, instance: AnomalyInstance,
+                     sparse_image: np.ndarray | None = None) -> np.ndarray:
     """Ridge solve for the left factor with right/sparse frozen; the
     rank x rank Gram system is factorized, never inverted."""
-    target = instance.measurements - instance.dictionary @ state.sparse
+    if sparse_image is None:
+        sparse_image = instance.dictionary @ state.sparse
+    target = instance.measurements - sparse_image
     gram = state.right @ state.right.T
     gram[np.diag_indices_from(gram)] += instance.ridge
     return np.linalg.solve(gram, (target @ state.right.T).T).T
 
 
-def best_right_factor(state: AnomalyState, instance: AnomalyInstance) -> np.ndarray:
-    target = instance.measurements - instance.dictionary @ state.sparse
+def best_right_factor(state: AnomalyState, instance: AnomalyInstance,
+                      sparse_image: np.ndarray | None = None) -> np.ndarray:
+    if sparse_image is None:
+        sparse_image = instance.dictionary @ state.sparse
+    target = instance.measurements - sparse_image
     gram = state.left.T @ state.left
     gram[np.diag_indices_from(gram)] += instance.ridge
     return np.linalg.solve(gram, state.left.T @ target)
 
 
-def best_sparse_candidate(state: AnomalyState, instance: AnomalyInstance) -> np.ndarray:
+def best_sparse_candidate(state: AnomalyState, instance: AnomalyInstance, *,
+                          correlation: np.ndarray | None = None,
+                          diag: np.ndarray | None = None) -> np.ndarray:
     """Minimizer of the elementwise best-response model of the fit term
     plus the l1 penalty: a diagonally scaled soft-threshold."""
-    D = instance.dictionary
-    diag = np.einsum("ij,ij->j", D, D)
-    if np.any(diag <= 0.0):
-        raise DegenerateDiagonalError("dictionary has a zero column")
-    scaled = diag[:, None] * state.sparse - D.T @ residual(state, instance)
+    if diag is None:
+        diag = _squared_column_norms(instance.dictionary)
+    if correlation is None:
+        correlation = instance.dictionary.T @ residual(state, instance)
+    scaled = diag[:, None] * state.sparse - correlation
     return soft_threshold(scaled, instance.sparse_gain) / diag[:, None]
 
 
 def sparse_exact_stepsize(state: AnomalyState, candidate: np.ndarray,
                           instance: AnomalyInstance,
-                          proximal: float = 0.0) -> float:
+                          proximal: float = 0.0, *,
+                          fit: np.ndarray | None = None) -> float:
     """Rational exact stepsize for the sparse block, clipped to [0, 1].
 
     ``proximal`` > 0 searches the strictly convex sparse-block model
@@ -149,8 +185,10 @@ def sparse_exact_stepsize(state: AnomalyState, candidate: np.ndarray,
     if curvature == 0.0:
         raise DegenerateDirectionError(
             "sparse direction lies in the dictionary null space")
+    if fit is None:
+        fit = residual(state, instance)
     gain = instance.sparse_gain
-    slope = float(np.vdot(residual(state, instance), moved)) + gain * (
+    slope = float(np.vdot(fit, moved)) + gain * (
         np.abs(candidate).sum() - np.abs(state.sparse).sum())
     return exact_quadratic_step(curvature, slope).gamma
 
@@ -158,7 +196,10 @@ def sparse_exact_stepsize(state: AnomalyState, candidate: np.ndarray,
 def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
                          rounds: int, proximal: float,
                          lipschitz: float | None = None,
-                         stationarity_rtol: float = 1e-12) -> np.ndarray:
+                         stationarity_rtol: float = 1e-12, *,
+                         fit: np.ndarray | None = None,
+                         correlation: np.ndarray | None = None,
+                         diag: np.ndarray | None = None) -> np.ndarray:
     """Inner layer of the two-layer sparse-block update: ``rounds``
     descent rounds on the strictly convex sparse-block model
     0.5 ||L R + D S - Y||^2 + (proximal/2) ||S - S_t||^2 + gain ||S||_1.
@@ -176,7 +217,8 @@ def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
     ``lipschitz`` bounds the model gradient's Lipschitz constant,
     ``||D||_2^2 + proximal`` when None.
     """
-    best, gamma = step_sparse(state, instance, stationarity_rtol, proximal)
+    best, gamma = step_sparse(state, instance, stationarity_rtol, proximal,
+                              fit=fit, correlation=correlation, diag=diag)
     if gamma == 0.0:
         return best
     D = instance.dictionary
@@ -184,58 +226,78 @@ def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
     anchor = state.sparse
     if lipschitz is None:
         lipschitz = float(np.linalg.norm(D, 2)) ** 2 + proximal
+    threshold = gain / lipschitz
     target = instance.measurements - state.left @ state.right
 
-    # two scratch buffers, reused every round in place of fresh
-    # full-size temporaries, whose allocation showed up in profiles at
-    # about the cost of the round's two matrix products
-    fit = np.empty_like(target)
-    shift = np.empty_like(anchor)
+    # the rounds allocate nothing: every product and update writes into
+    # one of these buffers, and an accepted trial trades buffers with
+    # the best point it replaces
+    residue = np.empty_like(target)
+    shift, step, trial, search = (np.empty_like(anchor) for _ in range(4))
+    trial_moved, search_moved = np.empty_like(target), np.empty_like(target)
 
     def model(sparse: np.ndarray, moved: np.ndarray) -> float:
         # the sparse-block model at sparse, with moved = D @ sparse already formed
-        np.subtract(moved, target, out=fit)
+        np.subtract(moved, target, out=residue)
         np.subtract(sparse, anchor, out=shift)
-        smooth = 0.5 * np.vdot(fit, fit) + 0.5 * proximal * np.vdot(shift, shift)
+        smooth = 0.5 * np.vdot(residue, residue) + 0.5 * proximal * np.vdot(shift, shift)
         return float(smooth + gain * np.abs(sparse, out=shift).sum())
 
     best_moved = D @ best
     best_value = model(best, best_moved)
-    search, search_moved, momentum = best, best_moved, 1.0
+    np.copyto(search, best)
+    np.copyto(search_moved, best_moved)
+    momentum = 1.0
     for _ in range(rounds - 1):
         # gradient step search - grad / lipschitz
-        step = D.T @ np.subtract(search_moved, target, out=fit)
+        np.matmul(D.T, np.subtract(search_moved, target, out=residue), out=step)
         step += np.multiply(np.subtract(search, anchor, out=shift), proximal, out=shift)
         step *= -1.0 / lipschitz
         step += search
-        trial = soft_threshold(step, gain / lipschitz)
-        trial_moved = D @ trial
+        soft_threshold(step, threshold, out=trial)
+        np.matmul(D, trial, out=trial_moved)
         value = model(trial, trial_moved)
         if value < best_value:
             following = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
             weight = (momentum - 1.0) / following
-            search = trial + weight * (trial - best)
-            search_moved = trial_moved + weight * (trial_moved - best_moved)
-            best, best_moved, best_value = trial, trial_moved, value
-            momentum = following
+            # search = trial + weight (trial - best), and its image under D
+            _extrapolate(trial, best, weight, search)
+            _extrapolate(trial_moved, best_moved, weight, search_moved)
+            best, trial = trial, best
+            best_moved, trial_moved = trial_moved, best_moved
+            best_value, momentum = value, following
         elif momentum == 1.0:
             break    # a plain proximal-gradient round failed: model minimized
         else:
-            search, search_moved, momentum = best, best_moved, 1.0
+            np.copyto(search, best)
+            np.copyto(search_moved, best_moved)
+            momentum = 1.0
     return best
+
+
+def _extrapolate(point: np.ndarray, previous: np.ndarray, weight: float,
+                 out: np.ndarray) -> None:
+    """``out = point + weight (point - previous)``, in place."""
+    np.subtract(point, previous, out=out)
+    out *= weight
+    out += point
 
 
 def step_sparse(state: AnomalyState, instance: AnomalyInstance,
                 stationarity_rtol: float = 1e-12,
-                proximal: float = 0.0) -> tuple[np.ndarray, float]:
+                proximal: float = 0.0, *,
+                fit: np.ndarray | None = None,
+                correlation: np.ndarray | None = None,
+                diag: np.ndarray | None = None) -> tuple[np.ndarray, float]:
     """Candidate, exact stepsize, convex-combination update; gamma = 0
     when the block is already optimal.  ``proximal`` is passed on to
     ``sparse_exact_stepsize``."""
-    candidate = best_sparse_candidate(state, instance)
+    candidate = best_sparse_candidate(state, instance, correlation=correlation,
+                                      diag=diag)
     delta = candidate - state.sparse
     if is_stationary(delta, state.sparse, stationarity_rtol):
         return state.sparse, 0.0
-    gamma = sparse_exact_stepsize(state, candidate, instance, proximal)
+    gamma = sparse_exact_stepsize(state, candidate, instance, proximal, fit=fit)
     return state.sparse + gamma * delta, gamma
 
 
@@ -243,8 +305,84 @@ def step_sparse(state: AnomalyState, instance: AnomalyInstance,
 # composite-problem adapter
 # ---------------------------------------------------------------------------
 
+class AnomalyProducts:
+    """The product hook of the low-rank + sparse problem (see
+    ``core.ProductState``): ``D S`` and the residual ``E = L R + D S - Y``
+    at each tracked point.  A step that moves S re-forms ``D S``, one
+    product through D; a factor step keeps it.  E is formed from it by
+    ``residual``'s expression, so every read carries the bits of fresh
+    products and the sweep-end drift is 0.  (Carrying
+    ``E + gamma D delta`` would save the product but change the last
+    bits.)  Each ``anomaly_problem`` builds its own."""
+
+    def __init__(self, instance: AnomalyInstance):
+        self.instance = instance
+        self._tracked = ()    # (point, D S, E) per tracked point
+
+    def _held(self, x: np.ndarray):
+        for held in self._tracked:
+            if np.array_equal(held[0], x):
+                return held
+        return None
+
+    def _form(self, x: np.ndarray, sparse_image: np.ndarray | None = None):
+        state = vector_to_state(self.instance, x)
+        if sparse_image is None:
+            sparse_image = self.instance.dictionary @ state.sparse
+        return x.copy(), sparse_image, residual(state, self.instance, sparse_image)
+
+    def sparse_image(self, x: np.ndarray) -> np.ndarray:
+        """``D S``: held at a tracked point, fresh elsewhere."""
+        held = self._held(x)
+        if held is not None:
+            return held[1]
+        return self.instance.dictionary @ vector_to_state(self.instance, x).sparse
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        """``E = L R + D S - Y``: held at a tracked point, fresh elsewhere."""
+        held = self._held(x)
+        if held is not None:
+            return held[2]
+        return residual(vector_to_state(self.instance, x), self.instance)
+
+    def track(self, x: np.ndarray) -> float | None:
+        held = self._held(x)
+        fresh = self._form(x)
+        self._tracked = (fresh,)
+        if held is None:
+            return None
+        scale = (float(np.linalg.norm(fresh[2]))
+                 + float(np.linalg.norm(self.instance.measurements)))
+        return (float(np.linalg.norm(held[2] - fresh[2]))
+                / max(scale, np.finfo(float).tiny))
+
+    def update(self, x: np.ndarray, x_new: np.ndarray, block: int | None,
+               gamma: float, direction: np.ndarray) -> None:
+        held = self._held(x)
+        if held is None:
+            return
+        kept = held[1] if block in (0, 1) else None    # a factor step leaves S
+        self._tracked = (self._form(x_new, kept), held)
+
+    def release(self) -> None:
+        self._tracked = ()
+
+    def line(self, x: np.ndarray, direction: np.ndarray, block: int | None):
+        if block is not None:
+            direction = state_partition(self.instance).embed(block, direction)
+        ridge = self.instance.ridge
+
+        def value(gamma: float) -> float:
+            point = x + gamma * direction
+            return _smooth_value(vector_to_state(self.instance, point),
+                                 self.residual(point), ridge)
+
+        return value
+
+
 def anomaly_problem(instance: AnomalyInstance) -> CompositeProblem:
-    """Flat-variable view of the objective for the generic engine.
+    """Flat-variable view of the objective for the generic engine, with
+    a product hook of its own.
 
     The line profile along a direction touching both factors is quartic
     in the stepsize (the bilinear term), otherwise quadratic, and both
@@ -253,20 +391,17 @@ def anomaly_problem(instance: AnomalyInstance) -> CompositeProblem:
     D = instance.dictionary
     ridge = instance.ridge
     partition = state_partition(instance)
+    products = AnomalyProducts(instance)
 
     def unpack(x: np.ndarray) -> AnomalyState:
         return vector_to_state(instance, x)
 
     def smooth_value(x: np.ndarray) -> float:
-        s = unpack(x)
-        fit = residual(s, instance)
-        return float(0.5 * np.vdot(fit, fit)
-                     + 0.5 * ridge * (np.vdot(s.left, s.left)
-                                      + np.vdot(s.right, s.right)))
+        return _smooth_value(unpack(x), products.residual(x), ridge)
 
     def block_gradient(x: np.ndarray, k: int) -> np.ndarray:
         s = unpack(x)
-        fit = residual(s, instance)
+        fit = products.residual(x)
         if k == 0:
             return (fit @ s.right.T + ridge * s.left).ravel()
         if k == 1:
@@ -279,7 +414,7 @@ def anomaly_problem(instance: AnomalyInstance) -> CompositeProblem:
             direction = partition.embed(block, direction)
         s = unpack(x)
         ds = unpack(direction)
-        fit = residual(s, instance)
+        fit = products.residual(x)
         first = s.left @ ds.right + ds.left @ s.right + D @ ds.sparse
         second = ds.left @ ds.right
         lin = float(np.vdot(fit, first)) + ridge * (
@@ -299,6 +434,7 @@ def anomaly_problem(instance: AnomalyInstance) -> CompositeProblem:
         block_gradient=block_gradient,
         nonsmooth=(Zero(), Zero(), L1Norm(instance.sparse_gain)),
         line_profile=line_profile,
+        products=products,
     )
 
 
@@ -308,24 +444,35 @@ def anomaly_solver(instance: AnomalyInstance,
     upper bounds), so the engine takes unit steps.  The sparse block runs
     ``config.inner_iterations`` rounds of ``sparse_inner_descent`` with
     proximal weight ``config.curvature``; without a config it is the
-    one-round elementwise best response."""
+    one-round elementwise best response.  The solves read ``D S`` and
+    ``E`` from the problem's ``AnomalyProducts`` (fresh ones when the
+    problem has none), and the sparse solve hands ``D'E`` to the engine
+    as the block gradient."""
     rounds = 1 if config is None else config.inner_iterations
+    diag = _squared_column_norms(instance.dictionary)
     lipschitz = None
     if rounds > 1:
         lipschitz = float(np.linalg.norm(instance.dictionary, 2)) ** 2 + config.curvature
 
     def solver(problem: CompositeProblem, x: np.ndarray, k: int) -> BlockSolution:
+        products = problem.products or AnomalyProducts(instance)
         state = vector_to_state(instance, x)
         if k == 0:
-            return BlockSolution(best_left_factor(state, instance).ravel(), True)
+            return BlockSolution(best_left_factor(
+                state, instance, products.sparse_image(x)).ravel(), True)
         if k == 1:
-            return BlockSolution(best_right_factor(state, instance).ravel(), True)
+            return BlockSolution(best_right_factor(
+                state, instance, products.sparse_image(x)).ravel(), True)
+        fit = products.residual(x)
+        correlation = instance.dictionary.T @ fit
         if rounds == 1:
-            sparse = best_sparse_candidate(state, instance)
+            sparse = best_sparse_candidate(state, instance, correlation=correlation,
+                                           diag=diag)
         else:
             sparse = sparse_inner_descent(state, instance, rounds, config.curvature,
-                                          lipschitz, config.stationarity_rtol)
-        return BlockSolution(sparse.ravel(), False)
+                                          lipschitz, config.stationarity_rtol,
+                                          fit=fit, correlation=correlation, diag=diag)
+        return BlockSolution(sparse.ravel(), False, correlation.ravel())
 
     return solver
 

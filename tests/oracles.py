@@ -2,8 +2,9 @@
 the closed forms in ``bsca``: golden-section minimization, central finite
 differences, bisection cubic roots, a Cholesky reference solve, the
 inner elementwise best-response model that the inner loop's one-shot
-step minimizes, and the low-rank + sparse objective and sparse-block
-model evaluated from their matrix forms.
+step minimizes, the low-rank + sparse objective and sparse-block
+model evaluated from their matrix forms, and the sparse inner loop as
+it was before its rounds ran in place.
 
 Nothing here is performance-tuned; these exist so every closed-form path
 has a brute-force counterpart in the tests.
@@ -16,9 +17,9 @@ from typing import Callable
 
 import numpy as np
 
-from bsca.anomaly import AnomalyInstance, AnomalyState, residual
+from bsca.anomaly import AnomalyInstance, AnomalyState, residual, step_sparse
 from bsca.errors import InvalidArgumentError
-from bsca.surrogates import QuadOperator, SurrogateModel
+from bsca.surrogates import QuadOperator, SurrogateModel, soft_threshold
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -197,3 +198,58 @@ def sparse_model_value(state: AnomalyState, sparse: np.ndarray,
     shift = sparse - state.sparse
     return float(0.5 * np.vdot(fit, fit) + 0.5 * proximal * np.vdot(shift, shift)
                  + instance.sparse_gain * np.abs(sparse).sum())
+
+
+def sparse_inner_descent_reference(state: AnomalyState, instance: AnomalyInstance,
+                                   rounds: int, proximal: float,
+                                   lipschitz: float | None = None,
+                                   stationarity_rtol: float = 1e-12
+                                   ) -> tuple[np.ndarray, int]:
+    """``anomaly.sparse_inner_descent`` with its FISTA rounds as they
+    were written before they ran in place: every round allocates its
+    trial, its products and its momentum step afresh.  Returns the
+    result and the number of momentum restarts, the one line added."""
+    best, gamma = step_sparse(state, instance, stationarity_rtol, proximal)
+    if gamma == 0.0:
+        return best, 0
+    D = instance.dictionary
+    gain = instance.sparse_gain
+    anchor = state.sparse
+    if lipschitz is None:
+        lipschitz = float(np.linalg.norm(D, 2)) ** 2 + proximal
+    target = instance.measurements - state.left @ state.right
+
+    fit = np.empty_like(target)
+    shift = np.empty_like(anchor)
+
+    def model(sparse: np.ndarray, moved: np.ndarray) -> float:
+        np.subtract(moved, target, out=fit)
+        np.subtract(sparse, anchor, out=shift)
+        smooth = 0.5 * np.vdot(fit, fit) + 0.5 * proximal * np.vdot(shift, shift)
+        return float(smooth + gain * np.abs(sparse, out=shift).sum())
+
+    restarts = 0
+    best_moved = D @ best
+    best_value = model(best, best_moved)
+    search, search_moved, momentum = best, best_moved, 1.0
+    for _ in range(rounds - 1):
+        step = D.T @ np.subtract(search_moved, target, out=fit)
+        step += np.multiply(np.subtract(search, anchor, out=shift), proximal, out=shift)
+        step *= -1.0 / lipschitz
+        step += search
+        trial = soft_threshold(step, gain / lipschitz)
+        trial_moved = D @ trial
+        value = model(trial, trial_moved)
+        if value < best_value:
+            following = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
+            weight = (momentum - 1.0) / following
+            search = trial + weight * (trial - best)
+            search_moved = trial_moved + weight * (trial_moved - best_moved)
+            best, best_moved, best_value = trial, trial_moved, value
+            momentum = following
+        elif momentum == 1.0:
+            break
+        else:
+            search, search_moved, momentum = best, best_moved, 1.0
+            restarts += 1
+    return best, restarts

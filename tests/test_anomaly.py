@@ -1,10 +1,14 @@
 import dataclasses
+import importlib.util
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bsca.anomaly import (
     AnomalyInstance,
+    AnomalyProducts,
     AnomalyState,
     anomaly_problem,
     anomaly_solver,
@@ -24,12 +28,30 @@ from bsca.anomaly import (
     vector_to_state,
 )
 from bsca.core import SolverConfig, objective
-from bsca.engine import BlockSolution, block_residuals, run_bsca, run_parallel_sca
+from bsca.engine import (
+    BlockSolution,
+    block_residuals,
+    run_bgd,
+    run_bsca,
+    run_parallel_sca,
+)
 from bsca.errors import DegenerateDirectionError, InvalidArgumentError
 from bsca.linesearch import exact_quadratic_step
 from bsca.surrogates import soft_threshold
 
-from oracles import golden_section, objective_value, sparse_model_value
+from oracles import (
+    golden_section,
+    objective_value,
+    sparse_inner_descent_reference,
+    sparse_model_value,
+)
+
+# the benchmark's counting view of the dictionary, loaded from its file
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracing",
+    Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
 
 
 def scalar_instance(y=2.0, ridge=1.0, gain=0.5):
@@ -259,6 +281,112 @@ class TestSparseInnerDescent:
                                                     stop_tol=0.0,
                                                     inner_iterations=8))
         assert np.all(np.diff(trace.objectives) <= 0.0)
+
+
+class TestInPlaceRounds:
+    def test_rounds_keep_the_bits_of_the_allocating_loop(self, rng):
+        inst = small_instance()
+        restarts = 0
+        for _ in range(4):
+            state = AnomalyState(rng.standard_normal((5, 2)),
+                                 rng.standard_normal((2, 8)),
+                                 rng.standard_normal((6, 8)))
+            fit = residual(state, inst)
+            held = dict(fit=fit, correlation=inst.dictionary.T @ fit,
+                        diag=np.einsum("ij,ij->j", inst.dictionary, inst.dictionary))
+            for rounds in (1, 2, 3, 10, 50):
+                for proximal in (1e-4, 1.0):
+                    expected, restarted = sparse_inner_descent_reference(
+                        state, inst, rounds, proximal)
+                    restarts += restarted
+                    for given in ({}, held):
+                        got = sparse_inner_descent(state, inst, rounds, proximal,
+                                                   **given)
+                        assert got.tobytes() == expected.tobytes()
+        # rejected rounds that restart the momentum, where the buffers of
+        # the search point and the best point trade places, were covered
+        assert restarts > 0
+
+
+def desk_instance():
+    return generate_anomaly_instance(100, 200, 200, rank=3, density=0.05,
+                                     noise_var=1e-4, seed=0)
+
+
+def counted_instance(inst):
+    counts = Counter()
+    view = tracing.counting_view(inst.dictionary, counts)
+    return dataclasses.replace(inst, dictionary=view), counts
+
+
+def products(counts):
+    return counts["full_products"] + counts["block_products"]
+
+
+class TestProductHook:
+    def test_one_round_sweep_forms_at_most_four_products(self):
+        inst, counts = counted_instance(desk_instance())
+        sweeps = 10
+        trace = run_anomaly_bsca(inst, SolverConfig(
+            max_outer_iterations=3 * sweeps, stop_tol=0.0, seed=1))
+        assert trace.iterations == 3 * sweeps
+        assert np.count_nonzero(trace.stepsizes[3::3]) == sweeps    # S moved
+        # one more forms D S at the start
+        assert products(counts) <= 4 * sweeps + 1
+
+    def test_each_inner_round_forms_two_products(self):
+        inst = desk_instance()
+        state = initial_state(inst, seed=1)
+        fit = residual(state, inst)
+        held = dict(fit=fit, correlation=inst.dictionary.T @ fit,
+                    diag=np.einsum("ij,ij->j", inst.dictionary, inst.dictionary))
+        counted, counts = counted_instance(inst)
+        lipschitz = float(np.linalg.norm(inst.dictionary, 2)) ** 2 + 1e-4
+        for rounds in (1, 2, 5, 10):
+            counts.clear()
+            sparse_inner_descent(state, counted, rounds, 1e-4, lipschitz, **held)
+            # the first round's D delta and D best, then two per round
+            assert products(counts) == 2 * rounds
+
+    @pytest.mark.parametrize("rounds", [1, 8])
+    @pytest.mark.parametrize("run", ["bsca", "armijo", "parallel", "bgd"])
+    def test_runs_match_the_problem_without_the_hook(self, run, rounds):
+        inst = tall_instance(seed=7, gain=0.3)
+        x0 = state_to_vector(initial_state(inst, seed=2))
+        cfg = SolverConfig(max_outer_iterations=90, stop_tol=0.0,
+                           inner_iterations=rounds,
+                           line_search="successive" if run == "armijo" else "exact")
+
+        def solve(problem):
+            if run == "parallel":
+                return run_parallel_sca(problem, anomaly_solver(inst, cfg), cfg, x0)
+            if run == "bgd":
+                return run_bgd(problem, cfg, x0)
+            return run_bsca(problem, anomaly_solver(inst, cfg), cfg, x0)
+
+        hooked = anomaly_problem(inst)
+        assert isinstance(hooked.products, AnomalyProducts)
+        got = (run_anomaly_bsca(inst, cfg, state0=vector_to_state(inst, x0))
+               if run in ("bsca", "armijo") else solve(hooked))
+        reference = solve(dataclasses.replace(hooked, products=None))
+        assert np.array_equal(got.objectives, reference.objectives)
+        assert np.array_equal(got.stepsizes, reference.stepsizes)
+        assert np.array_equal(got.final_point.values, reference.final_point.values)
+        assert got.product_drift == 0.0
+        assert reference.product_drift is None
+
+    def test_closures_read_fresh_products_off_the_tracked_points(self, rng):
+        inst = small_instance()
+        problem = anomaly_problem(inst)
+        x = state_to_vector(initial_state(inst, seed=0))
+        problem.products.track(x)
+        other = rng.standard_normal(x.size)
+        fresh = anomaly_problem(inst)
+        assert problem.smooth_value(other) == fresh.smooth_value(other)
+        assert problem.smooth_value(x) == fresh.smooth_value(x)
+        for k in range(3):
+            assert np.array_equal(problem.block_gradient(other, k),
+                                  fresh.block_gradient(other, k))
 
 
 class TestRunAnomaly:

@@ -444,7 +444,8 @@ class TestGradientHandOff:
                                         reg.value(minimizer), reg.value(xk))
             assert d < 0.0 and d == expected
 
-    def test_anomaly_solver_leaves_it_to_the_problem(self):
+    def test_anomaly_solver_hands_over_the_sparse_gradient_alone(self):
+        # the factor solves form no gradient; the sparse solve forms D'E
         inst = generate_anomaly_instance(5, 8, 6, rank=2, density=0.3, seed=5)
         problem, calls = self.counted(anomaly_problem(inst))
         cfg = SolverConfig(max_outer_iterations=1)
@@ -452,7 +453,9 @@ class TestGradientHandOff:
         for k in range(3):
             _, step, _ = bsca_step(problem, anomaly_solver(inst), x, k, cfg)
             assert step.gamma > 0.0
-        assert calls == [0, 1, 2]
+        assert calls == [0, 1]
+        handed = anomaly_solver(inst)(problem, x, 2).gradient
+        assert np.array_equal(handed, problem.block_gradient(x, 2))
 
 
 class TestBgd:

@@ -66,6 +66,45 @@ class TestSoftThreshold:
         with pytest.raises(InvalidArgumentError):
             soft_threshold(np.array([1.0]), -0.1)
 
+    _EDGES = st.sampled_from([0.0, -0.0, np.inf, -np.inf])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(_EDGES, st.floats(allow_nan=False, width=64)),
+                    min_size=1, max_size=16),
+           st.data())
+    def test_same_bits_as_the_formula_with_and_without_out(self, values, data):
+        b = np.array(values)
+        # a scalar or an entrywise threshold, some entries at |b|
+        threshold = st.one_of(st.sampled_from([0.0, np.inf]),
+                              st.floats(min_value=0.0, allow_nan=False, width=64))
+        if data.draw(st.booleans()):
+            a = data.draw(threshold)
+        else:
+            a = np.array([abs(v) if data.draw(st.booleans()) else data.draw(threshold)
+                          for v in values])
+        with np.errstate(invalid="ignore", over="ignore"):    # inf - inf, -b - a
+            expected = np.maximum(b - a, 0.0) - np.maximum(-b - a, 0.0)
+            fresh = soft_threshold(b, a)
+            out = np.full_like(b, np.nan)
+            written = soft_threshold(b, a, out=out)
+        assert written is out
+        nan = np.isnan(expected)
+        for got in (fresh, written):
+            assert np.array_equal(np.isnan(got), nan)
+            assert got[~nan].tobytes() == expected[~nan].tobytes()
+            assert not np.any(np.signbit(got[got == 0.0]))    # +0.0 where killed
+
+    def test_out_sharing_memory_with_an_input_rejected(self, rng):
+        buffer = np.abs(rng.standard_normal(12))
+        b, rest = buffer[:6], buffer[6:]
+        for out in (b, b[::-1], buffer[3:9]):
+            with pytest.raises(InvalidArgumentError):
+                soft_threshold(b, 0.5, out=out)
+        with pytest.raises(InvalidArgumentError):
+            soft_threshold(b, rest, out=rest)
+        # the other half of the same buffer is free to write
+        assert soft_threshold(b, 0.5, out=rest) is rest
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def test_is_l1_prox(self, seed):
