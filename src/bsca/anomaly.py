@@ -415,7 +415,9 @@ def anomaly_problem(instance: AnomalyInstance) -> CompositeProblem:
         s = unpack(x)
         ds = unpack(direction)
         fit = products.residual(x)
-        first = s.left @ ds.right + ds.left @ s.right + D @ ds.sparse
+        first = s.left @ ds.right + ds.left @ s.right
+        if block not in (0, 1):    # a factor direction's sparse part is zero
+            first += D @ ds.sparse
         second = ds.left @ ds.right
         lin = float(np.vdot(fit, first)) + ridge * (
             float(np.vdot(s.left, ds.left)) + float(np.vdot(s.right, ds.right)))

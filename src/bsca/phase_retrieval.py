@@ -217,25 +217,64 @@ def _quartic_coeffs(u: np.ndarray, w: np.ndarray, y: np.ndarray):
 # outer surrogate
 # ---------------------------------------------------------------------------
 
-_CHUNK_ROWS = 16    # pr_outer_model's rows per step; a multiple of 4 keeps gemv bits
+_CHUNK_ROWS = 16    # rows per squares product of the diagonal; a multiple of 4 keeps gemv bits
 
 
-class _OperatorColumns:
-    """Columns ``2 A_k (u^2 * a_j)`` of ``D - cI``, one per block row
-    ``a_j``, formed on demand and kept for the life of one model (one
-    block visit, so ``u`` is fixed).  The rows not yet held are formed
-    in one batched product; when they would take the store past
-    ``_SPARSE_CAP`` columns, it starts over with the asked support."""
+class _BlockOperator:
+    """D = 2 A_k diag(u^2) A_k' + cI of one block model, never formed,
+    with what it has formed kept for the model's life (one block visit,
+    so ``u`` is fixed).
 
-    def __init__(self, rows: np.ndarray, u_sq: np.ndarray):
+    - ``gradient`` forms the block gradient ``A_k grad_u`` together with
+      the columns ``2 A_k (u^2 * a_j)`` of ``D - cI`` on a given support,
+      one per block row ``a_j``, in one product over the block.
+    - ``apply`` takes a dense argument as ``2 A_k (u^2 * (A_k'v)) + cv``,
+      two passes over the block, and a sparse one (``_sparse_support``)
+      from the columns on its support.  The columns not yet held are
+      formed in one batched product; when they would take the store past
+      ``_SPARSE_CAP`` columns, it starts over with the asked support.
+    - ``diagonal`` gives the entries on given indices.  It forms the
+      ``_CHUNK_ROWS``-row chunks that hold them, one squares product
+      each, and keeps them."""
+
+    def __init__(self, rows: np.ndarray, u_sq: np.ndarray, curvature: float):
         self.rows = rows
+        self.u_sq = u_sq
         self.twice_u_sq = 2.0 * u_sq
+        self.curvature = curvature
         self.slot = np.full(rows.shape[0], -1)    # row -> held column, or -1
         self.held = 0
         self.columns = np.empty((_SPARSE_CAP, rows.shape[0]))
+        self.diag = np.empty(rows.shape[0])
+        self.formed = np.zeros(-(-rows.shape[0] // _CHUNK_ROWS), dtype=bool)
 
-    def times(self, support: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """``(D - cI) v`` for the ``v`` with ``values`` on ``support``."""
+    def gradient(self, grad_u: np.ndarray, support: np.ndarray) -> np.ndarray:
+        """``A_k grad_u``, from the product that also forms the columns on
+        ``support`` (at most ``_SPARSE_CAP`` rows): the rows
+        ``[grad_u; 2 u^2 * a_j for j in support]`` are stacked and
+        multiplied by ``A_k'`` once.  With ``support`` empty it is a
+        one-row product."""
+        stack = np.empty((1 + support.size, self.rows.shape[1]))
+        stack[0] = grad_u
+        # mode="clip" writes the gathered rows straight into ``out``; the
+        # default mode would gather them into a temporary first
+        np.take(self.rows, support, axis=0, out=stack[1:], mode="clip")
+        stack[1:] *= self.twice_u_sq
+        products = stack @ self.rows.T
+        self._hold(support, products[1:])
+        return products[0]
+
+    def _hold(self, new: np.ndarray, columns: np.ndarray) -> None:
+        end = self.held + new.size
+        self.columns[self.held:end] = columns
+        self.slot[new] = np.arange(self.held, end)
+        self.held = end
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        support = _sparse_support(v)
+        if support is None:
+            rows = self.rows
+            return 2.0 * (rows @ (self.u_sq * (rows.T @ v))) + self.curvature * v
         new = support[self.slot[support] < 0]
         if new.size:
             if self.held + new.size > _SPARSE_CAP:
@@ -244,54 +283,52 @@ class _OperatorColumns:
                 new = support
             weighted = self.rows[new]
             weighted *= self.twice_u_sq
-            end = self.held + new.size
-            self.columns[self.held:end] = weighted @ self.rows.T
-            self.slot[new] = np.arange(self.held, end)
-            self.held = end
+            self._hold(new, weighted @ self.rows.T)
         coefficients = np.zeros(self.held)
-        coefficients[self.slot[support]] = values
-        return coefficients @ self.columns[:self.held]
+        coefficients[self.slot[support]] = v[support]
+        return coefficients @ self.columns[:self.held] + self.curvature * v
+
+    def diagonal(self, index: np.ndarray) -> np.ndarray:
+        wanted = np.zeros_like(self.formed)
+        wanted[index // _CHUNK_ROWS] = True
+        for chunk in np.flatnonzero(wanted & ~self.formed):
+            start = chunk * _CHUNK_ROWS
+            rows = self.rows[start:start + _CHUNK_ROWS]
+            self.diag[start:start + len(rows)] = (
+                2.0 * ((rows * rows) @ self.u_sq) + self.curvature)
+        self.formed |= wanted
+        return self.diag[index]
 
 
 def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
                    curvature: float) -> SurrogateModel:
     """Partial linearization of the residual map inside the quartic loss:
     the block model with D = 2 A_k diag(A'x)^2 A_k' + c I, which is
-    never formed.  A dense argument is applied as
-    ``2 A_k (u^2 * (A_k'v)) + cv``, two passes over the block; an argument
-    with at most ``_SPARSE_CAP`` (32) nonzeros, fewer than half the
-    block's rows, is applied from the columns of D on its support, which
-    the model forms on demand and keeps for its own life, one block
-    visit.  The gradient and diagonal are summed in one pass over a few
-    rows of A_k at a time.  ``problem`` is a ``pr_problem``: the data and
-    ``A'x`` come from its product hook, so inside a run the model reads
-    the maintained product."""
+    never formed (``_BlockOperator``).  A dense argument is applied in
+    two passes over A_k; an argument with at most ``_SPARSE_CAP`` (32)
+    nonzeros, fewer than half the block's rows, from the columns of D on
+    its support, which the model forms on demand and keeps for its own
+    life, one block visit.  The block gradient comes from one product
+    over A_k that also forms the columns on the anchor's support, when
+    the anchor is sparse under the same rule, so a visit whose inner
+    steps stay on that support reads A_k once.  The diagonal is formed
+    on demand, a few rows at a time, where the best response reads it.
+    ``problem`` is a ``pr_problem``: the data and ``A'x`` come from its
+    product hook, so inside a run the model reads the maintained
+    product."""
     if curvature <= 0.0:
         raise InvalidArgumentError("curvature must be positive")
     x = np.asarray(x, dtype=float)
     instance = problem.products.instance
     u = problem.products.product(x)
     u_sq = u * u
-    rows = instance.block_rows(k)
-    grad_u = u * (u_sq - instance.intensities)
-    columns = _OperatorColumns(rows, u_sq)
-
-    def apply(v):
-        support = _sparse_support(v)
-        if support is None:
-            return 2.0 * (rows @ (u_sq * (rows.T @ v))) + curvature * v
-        return columns.times(support, v[support]) + curvature * v
-
-    grad, diagonal = np.empty((2, rows.shape[0]))
-    squares = np.empty((min(_CHUNK_ROWS, rows.shape[0]), rows.shape[1]))
-    for start in range(0, rows.shape[0], _CHUNK_ROWS):
-        chunk = rows[start:start + _CHUNK_ROWS]
-        grad[start:start + len(chunk)] = chunk @ grad_u
-        diagonal[start:start + len(chunk)] = np.multiply(
-            chunk, chunk, out=squares[:len(chunk)]) @ u_sq
-    diagonal = 2.0 * diagonal + curvature
+    operator = _BlockOperator(instance.block_rows(k), u_sq, curvature)
     anchor = x[instance.partition.slice_of(k)].copy()
-    return SurrogateModel(anchor, grad, QuadOperator(apply, diagonal))
+    support = _sparse_support(anchor)
+    if support is None:
+        support = np.empty(0, dtype=np.intp)    # a dense anchor: the gradient alone
+    grad = operator.gradient(u * (u_sq - instance.intensities), support)
+    return SurrogateModel(anchor, grad, QuadOperator(operator.apply, operator.diagonal))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ the proximal-linear model (D = cI); ``phase_retrieval.pr_outer_model``
 is the paper's partial linearization.  One elementwise best response
 (``inner_best_response_step``) minimizes the model plus g in {0, l1},
 box constraints clipped, exactly when D is diagonal; otherwise it is
-the inner round of ``engine.inexact_inner_loop``.
+the inner round of ``engine.inexact_inner_loop``.  Under l1 it reads
+D's diagonal only on the entries that can come out nonzero, so a model
+may form its diagonal on demand.
 """
 
 from __future__ import annotations
@@ -51,14 +53,17 @@ def soft_threshold(b: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarra
 @dataclass(frozen=True)
 class QuadOperator:
     """D given by its action ``v -> Dv`` (for the exact inner stepsize)
-    and its diagonal (for the elementwise best response), never formed.
+    and by its diagonal's entries on given indices (for the elementwise
+    best response), never formed.  A formed diagonal ``diag`` passes
+    ``diag.__getitem__``, as a diagonal action passes ``diag.__mul__``.
 
-    The action may keep state for the model's life: the one from
-    ``phase_retrieval.pr_outer_model`` caches columns of D for a sparse
-    argument (at most 32 nonzeros) over one block visit."""
+    Both may keep state for the model's life: the ones from
+    ``phase_retrieval.pr_outer_model`` cache columns of D for a sparse
+    argument (at most 32 nonzeros) and the diagonal entries already
+    asked for, over one block visit."""
 
     apply: Callable[[np.ndarray], np.ndarray]
-    diagonal: np.ndarray
+    diagonal: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -83,7 +88,7 @@ def make_quadratic_surrogate(problem: CompositeProblem, x: np.ndarray, k: int,
     anchor = problem.block_of(x, k).copy()
     grad = np.asarray(problem.block_gradient(x, k), dtype=float)
     diag = np.full(anchor.size, curvature)
-    return SurrogateModel(anchor, grad, QuadOperator(diag.__mul__, diag))
+    return SurrogateModel(anchor, grad, QuadOperator(diag.__mul__, diag.__getitem__))
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +100,25 @@ def inner_best_response_step(model: SurrogateModel, x_tau: np.ndarray,
                              constraint: Constraint) -> np.ndarray:
     """One-shot minimizer of the inner elementwise best-response at
     ``x_tau``, where the model gradient is ``grad_tau``: soft-threshold
-    of the diagonally preconditioned gradient step, clipped to the box."""
-    diag = model.quad.diagonal
-    u = x_tau - grad_tau / diag
+    of the diagonally preconditioned gradient step, clipped to the box.
+
+    Under l1 an entry with ``x_tau_i = 0`` and ``|grad_tau_i|`` at most
+    the gain thresholds to +0.0 whatever ``D_ii`` is, so only the other
+    entries are computed and read the diagonal.  The few-ulp margin on
+    the gain covers the roundings of ``g / d`` and ``(1 / d) * gain``,
+    so every entry keeps the bits of the whole-vector formula."""
+    diagonal = model.quad.diagonal
     if isinstance(regularizer, Zero):
-        return constraint.clip(u)
+        return constraint.clip(x_tau - grad_tau / diagonal(np.arange(x_tau.size)))
     if isinstance(regularizer, L1Norm):
-        return constraint.clip(soft_threshold(u, 1.0 / diag * regularizer.gain))
+        gain = regularizer.gain
+        live = np.flatnonzero((x_tau != 0.0)
+                              | ~(np.abs(grad_tau) <= gain * (1.0 - 1e-12)))
+        diag = diagonal(live)
+        step = np.zeros_like(x_tau)
+        step[live] = soft_threshold(x_tau[live] - grad_tau[live] / diag,
+                                    1.0 / diag * gain)
+        return constraint.clip(step)
     raise NoClosedFormError(
         f"no closed form for regularizer {type(regularizer).__name__}")
 

@@ -76,7 +76,17 @@ def spd_model(spd, b, anchor):
     """The quadratic model (1/2) v'Dv - v'b anchored at ``anchor``, with
     the dense SPD matrix ``spd`` given as its ``QuadOperator``."""
     return SurrogateModel(anchor, spd @ anchor - b,
-                          QuadOperator(spd.__matmul__, np.diag(spd).copy()))
+                          QuadOperator(spd.__matmul__, np.diag(spd).copy().__getitem__))
+
+
+def diagonal_operator(diag):
+    """The ``QuadOperator`` of the formed diagonal D = diag(``diag``)."""
+    return QuadOperator(diag.__mul__, diag.__getitem__)
+
+
+def whole_diagonal(model):
+    """All of a block model's diagonal, read through its accessor."""
+    return model.quad.diagonal(np.arange(model.anchor.size))
 
 
 def model_value(model, v):

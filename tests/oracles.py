@@ -2,9 +2,11 @@
 the closed forms in ``bsca``: golden-section minimization, central finite
 differences, bisection cubic roots, a Cholesky reference solve, the
 inner elementwise best-response model that the inner loop's one-shot
-step minimizes, the low-rank + sparse objective and sparse-block
-model evaluated from their matrix forms, and the sparse inner loop as
-it was before its rounds ran in place.
+step minimizes, that step and the phase-retrieval model's gradient and
+diagonal as they were formed before the diagonal was read on demand,
+the low-rank + sparse objective and sparse-block model evaluated from
+their matrix forms, and the sparse inner loop as it was before its
+rounds ran in place.
 
 Nothing here is performance-tuned; these exist so every closed-form path
 has a brute-force counterpart in the tests.
@@ -18,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from bsca.anomaly import AnomalyInstance, AnomalyState, residual, step_sparse
+from bsca.core import Zero
 from bsca.errors import InvalidArgumentError
 from bsca.surrogates import QuadOperator, SurrogateModel, soft_threshold
 
@@ -176,9 +179,41 @@ def make_inner_surrogate(model: SurrogateModel,
     of its D.  Sharing that gradient is what keeps the inner loop honest.
     """
     x_tau = np.asarray(x_tau, dtype=float)
-    diag = model.quad.diagonal
+    diag = model.quad.diagonal(np.arange(x_tau.size))
     grad_tau = model.grad_anchor + model.quad.apply(x_tau - model.anchor)
-    return SurrogateModel(x_tau.copy(), grad_tau, QuadOperator(diag.__mul__, diag))
+    return SurrogateModel(x_tau.copy(), grad_tau,
+                          QuadOperator(diag.__mul__, diag.__getitem__))
+
+
+def inner_best_response_reference(diag: np.ndarray, x_tau: np.ndarray,
+                                  grad_tau: np.ndarray, regularizer,
+                                  constraint) -> np.ndarray:
+    """``surrogates.inner_best_response_step`` as it was written before it
+    read the diagonal on demand: every entry from the whole diagonal
+    ``diag``."""
+    u = x_tau - grad_tau / diag
+    if isinstance(regularizer, Zero):
+        return constraint.clip(u)
+    return constraint.clip(soft_threshold(u, 1.0 / diag * regularizer.gain))
+
+
+def outer_model_chunked_pass(rows: np.ndarray, u: np.ndarray,
+                             intensities: np.ndarray, curvature: float,
+                             chunk_rows: int = 16):
+    """The block gradient and diagonal of ``pr_outer_model`` as they were
+    summed before the gradient came from one product and the diagonal
+    on demand: one pass over ``chunk_rows`` rows of A_k at a time, a
+    gemv for the gradient and the chunk's squares for the diagonal."""
+    u_sq = u * u
+    grad_u = u * (u_sq - intensities)
+    grad, diagonal = np.empty((2, rows.shape[0]))
+    squares = np.empty((min(chunk_rows, rows.shape[0]), rows.shape[1]))
+    for start in range(0, rows.shape[0], chunk_rows):
+        chunk = rows[start:start + chunk_rows]
+        grad[start:start + len(chunk)] = chunk @ grad_u
+        diagonal[start:start + len(chunk)] = np.multiply(
+            chunk, chunk, out=squares[:len(chunk)]) @ u_sq
+    return grad, 2.0 * diagonal + curvature
 
 
 def objective_value(state: AnomalyState, instance: AnomalyInstance) -> float:

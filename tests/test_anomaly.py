@@ -334,6 +334,20 @@ class TestProductHook:
         # one more forms D S at the start
         assert products(counts) <= 4 * sweeps + 1
 
+    def test_bgd_sweep_forms_four_products(self):
+        # a factor block's line profile leaves out D times its direction's
+        # sparse part, which is zero; the sparse block's forms it
+        plain = desk_instance()
+        inst, counts = counted_instance(plain)
+        sweeps = 10
+        x0 = state_to_vector(initial_state(plain, seed=1))
+        trace = run_bgd(anomaly_problem(inst), SolverConfig(
+            max_outer_iterations=3 * sweeps, stop_tol=0.0, seed=1), x0)
+        assert trace.iterations == 3 * sweeps
+        assert np.count_nonzero(trace.stepsizes) == 3 * sweeps    # every block moved
+        # one more forms D S at the start
+        assert products(counts) == 4 * sweeps + 1
+
     def test_each_inner_round_forms_two_products(self):
         inst = desk_instance()
         state = initial_state(inst, seed=1)

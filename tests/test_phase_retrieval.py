@@ -1,9 +1,12 @@
 import dataclasses
+import os
 import pickle
+import subprocess
 import sys
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,8 +47,10 @@ from conftest import (
     linear_term,
     model_gradient,
     model_value,
+    diagonal_operator,
     product_log,
     random_quadratic_problem,
+    whole_diagonal,
 )
 from oracles import finite_diff_block_gradient, golden_section
 
@@ -93,7 +98,7 @@ def assert_dense_outer_form(model, inst, x, k, curvature):
     dense = 2.0 * (rows * (u * u)) @ rows.T + curvature * np.eye(rows.shape[0])
     scale = np.linalg.norm(dense)
     assert np.linalg.norm(operator_matrix(model) - dense) <= 1e-12 * scale
-    assert (np.linalg.norm(model.quad.diagonal - np.diag(dense))
+    assert (np.linalg.norm(whole_diagonal(model) - np.diag(dense))
             <= 1e-12 * np.linalg.norm(np.diag(dense)))
 
 
@@ -111,7 +116,7 @@ class TestOuterModel:
         model = pr_outer_model(pr_problem(inst), np.array([1.0]), 0, 0.1)
         assert_dense_outer_form(model, inst, np.array([1.0]), 0, 0.1)
         assert operator_matrix(model) == pytest.approx(np.array([[2.1]]))
-        assert model.quad.diagonal == pytest.approx(np.array([2.1]))
+        assert whole_diagonal(model) == pytest.approx(np.array([2.1]))
         assert linear_term(model) == pytest.approx(np.array([1.1]))
 
     def test_zero_anchor_degenerates_to_prox_model(self):
@@ -120,7 +125,7 @@ class TestOuterModel:
         size = inst.partition.block_sizes[0]
         assert_dense_outer_form(model, inst, np.zeros(24), 0, 0.3)
         assert operator_matrix(model) == pytest.approx(0.3 * np.eye(size))
-        assert model.quad.diagonal == pytest.approx(np.full(size, 0.3))
+        assert whole_diagonal(model) == pytest.approx(np.full(size, 0.3))
         assert linear_term(model) == pytest.approx(np.zeros(size))
 
     def test_gradient_consistency_against_finite_differences(self, rng):
@@ -216,7 +221,52 @@ class TestOuterModel:
             diagonal = 2.0 * np.einsum("ij,ij,j->i", rows, rows, u * u) + 1e-3
             assert (np.linalg.norm(model.grad_anchor - grad)
                     <= 1e-13 * np.linalg.norm(grad))
-            assert np.allclose(model.quad.diagonal, diagonal, rtol=1e-13, atol=0.0)
+            assert np.allclose(whole_diagonal(model), diagonal, rtol=1e-13, atol=0.0)
+
+    def test_diagonal_and_dense_anchor_gradient_keep_the_chunked_pass_bits(self):
+        # at one BLAS thread, as the benchmark and the manifest gate run:
+        # the one-row product of a dense anchor gives the bits of the
+        # 16-row gemvs, and the diagonal those of the squares pass, read
+        # in any order and pieces; a sparse anchor's gradient comes from
+        # a gemm with its support columns and agrees to rounding
+        script = """
+import numpy as np
+from bsca.core import make_partition
+from bsca.phase_retrieval import PhaseRetrievalInstance, pr_outer_model, pr_problem
+from oracles import outer_model_chunked_pass
+
+gen = np.random.default_rng(7)
+sizes = [1, 37, 100, 1000]
+A = gen.standard_normal((sum(sizes), 2000))
+inst = PhaseRetrievalInstance(sampling=A, intensities=gen.random(2000),
+                              sparse_gain=0.1, partition=make_partition(sizes))
+sparse = np.zeros(sum(sizes))
+sparse[gen.choice(sum(sizes), 40, replace=False)] = gen.standard_normal(40)
+for x, dense in ((gen.standard_normal(sum(sizes)), True), (sparse, False)):
+    problem = pr_problem(inst)
+    u = problem.products.product(x)
+    for k, size in enumerate(sizes):
+        model = pr_outer_model(problem, x, k, 1e-3)
+        grad, diag = outer_model_chunked_pass(inst.block_rows(k), u,
+                                              inst.intensities, 1e-3)
+        if dense:
+            assert model.grad_anchor.tobytes() == grad.tobytes(), k
+        else:
+            gap = np.linalg.norm(model.grad_anchor - grad)
+            assert gap <= 1e-13 * np.linalg.norm(grad), k
+        order = gen.permutation(size)
+        got = np.concatenate([model.quad.diagonal(part)
+                              for part in np.array_split(order, 3)])
+        assert got.tobytes() == diag[order].tobytes(), k
+        assert model.quad.diagonal(order).tobytes() == diag[order].tobytes(), k
+"""
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_rejects_bad_curvature(self):
         inst = tiny_instance()
@@ -335,41 +385,48 @@ class TestSparseOperator:
     def test_inner_rounds_after_the_first_sweep_form_no_block_transpose(
             self, rng, monkeypatch):
         # a warm start near the sparse signal: after the first sweep each
-        # visit's inner steps are sparse, so no round forms the whole-block
-        # A_k'v, and the columns it needs come in one product per visit
+        # visit's anchor and inner steps are sparse, so the visit forms one
+        # whole-block product, the gradient with the columns on the
+        # anchor's support, and no round forms the whole-block A_k'v
         log = []
         inst, plain = logged_instance(log, measurements=1200, density=0.02, seed=0)
         noise = rng.standard_normal(400)
         x0 = plain.signal + 0.2 * noise / np.linalg.norm(noise)
-        honest = engine.inexact_inner_loop
+        model, loop = phase_retrieval.pr_outer_model, engine.inexact_inner_loop
 
-        def marked(model, problem, k, config):
+        def marked_model(*args):
             log.append("visit")
-            out = honest(model, problem, k, config)
+            return model(*args)
+
+        def marked_loop(*args):
+            out = loop(*args)
             log.append("end")
             return out
 
-        monkeypatch.setattr(engine, "inexact_inner_loop", marked)
+        monkeypatch.setattr(phase_retrieval, "pr_outer_model", marked_model)
+        monkeypatch.setattr(engine, "inexact_inner_loop", marked_loop)
         cfg = SolverConfig(max_outer_iterations=40, inner_iterations=10,
                            stop_tol=1e-8)
         trace = run_phase_retrieval(inst, cfg, x0)
-        inner, inside = [], False
+        visits, inside = [], False
         for entry in log:
             if entry == "visit":
-                inner.append([])
+                visits.append([])
                 inside = True
             elif entry == "end":
                 inside = False
             elif inside:
-                inner[-1].append(entry)
+                visits[-1].append(entry)
         transposed = ((1200, 200), (200,))
-        assert trace.iterations > 4 and len(inner) == trace.iterations
-        assert all(transposed in visit for visit in inner[:2])
-        for visit in inner[2:]:
-            assert transposed not in visit
-            assert len(visit) <= 1
-            assert all(second == (1200, 200) and first[0] <= self.CAP
-                       for first, second in visit)
+        assert trace.iterations > 4 and len(visits) == trace.iterations
+        for visit in visits[:2]:
+            # a dense anchor: the gradient alone, a one-row product
+            assert visit[0] == ((1, 1200), (1200, 200))
+            assert transposed in visit
+        for visit in visits[2:]:
+            assert len(visit) == 1
+            (stack, second), = visit
+            assert second == (1200, 200) and 1 < stack[0] <= 1 + self.CAP
         # the logging view changes no bit of the run
         plain_trace = run_phase_retrieval(plain, cfg, x0)
         assert np.array_equal(trace.objectives, plain_trace.objectives)
@@ -424,7 +481,7 @@ class TestInnerStepsize:
         from bsca.surrogates import SurrogateModel
         diag = np.array([2.0])
         model = SurrogateModel(np.array([1.0]), np.array([2.0]),
-                               QuadOperator(diag.__mul__, diag))
+                               diagonal_operator(diag))
         gamma = inner_stepsize(model, np.array([1.0]), np.array([0.0]), 0.0)
         assert gamma == 1.0
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsca.core import (
+    Box,
     CompositeProblem,
     L1Norm,
     SolverConfig,
@@ -23,6 +24,7 @@ from bsca.surrogates import (
 )
 
 from conftest import (
+    diagonal_operator,
     fresh_inner_step,
     fresh_inner_stepsize,
     linear_term,
@@ -31,10 +33,12 @@ from conftest import (
     random_quadratic_problem,
     small_pr_instance,
     spd_model,
+    whole_diagonal,
 )
 from oracles import (
     finite_diff_block_gradient,
     golden_section,
+    inner_best_response_reference,
     make_inner_surrogate,
 )
 
@@ -136,7 +140,7 @@ class TestQuadraticSurrogate:
         problem, _, _ = random_quadratic_problem(np.random.default_rng(0), [1])
         unit = np.array([1.0])
         model = SurrogateModel(np.array([0.0]), np.array([2.0]),
-                               QuadOperator(unit.__mul__, unit))
+                               diagonal_operator(unit))
         got = inner_best_response_step(model, model.anchor, model.grad_anchor,
                                        Zero(), Unconstrained())
         assert got == pytest.approx([-2.0])
@@ -173,7 +177,7 @@ class TestSolveSurrogate:
         # at its anchor
         diag = np.array([2.0, 2.0])
         model = SurrogateModel(np.zeros(2), np.array([-3.0, 1.0]),
-                               QuadOperator(diag.__mul__, diag))
+                               diagonal_operator(diag))
         got = inner_best_response_step(model, model.anchor, model.grad_anchor,
                                        L1Norm(1.0), Unconstrained())
         assert got == pytest.approx([1.0, 0.0])
@@ -186,7 +190,7 @@ class TestSolveSurrogate:
     def test_diag_zero_regularizer(self):
         diag = np.array([2.0])
         model = SurrogateModel(np.zeros(1), np.array([-4.0]),
-                               QuadOperator(diag.__mul__, diag))
+                               diagonal_operator(diag))
         got = inner_best_response_step(model, model.anchor, model.grad_anchor,
                                        Zero(), Unconstrained())
         assert got == pytest.approx([2.0])
@@ -229,6 +233,73 @@ class TestSolveSurrogate:
             assert slope >= -1e-8
 
 
+class TestOnDemandBestResponse:
+    """``inner_best_response_step`` reads D's diagonal only on the
+    entries that can come out nonzero, and every entry keeps the bytes
+    of the whole-diagonal formula (``inner_best_response_reference``)."""
+
+    SIZE = 64
+
+    def case(self, gen):
+        """A random diagonal and gain, an inner iterate with about half its
+        entries 0 (some -0.0), and a gradient whose entries on about half
+        of those lie a few ulps from the gain or from the skip margin
+        ``gain (1 - 1e-12)``, on both sides."""
+        size = self.SIZE
+        diag = np.exp(gen.uniform(-3.0, 3.0, size))
+        gain = float(np.exp(gen.uniform(-2.0, 2.0)))
+        x_tau = gen.standard_normal(size)
+        x_tau[gen.random(size) < 0.5] = 0.0
+        x_tau[(x_tau == 0.0) & (gen.random(size) < 0.2)] = -0.0
+        grad = gain * gen.uniform(-2.0, 2.0, size)
+        edge = np.where(gen.random(size) < 0.5, gain, gain * (1.0 - 1e-12))
+        near = edge + gen.integers(-6, 7, size) * np.spacing(edge)
+        sign = np.where(gen.random(size) < 0.5, -1.0, 1.0)
+        grad = np.where(gen.random(size) < 0.5, sign * near, grad)
+        return diag, gain, x_tau, grad
+
+    def constraints(self, gen):
+        size = self.SIZE
+        lower = np.where(gen.random(size) < 0.5, 0.1, -2.0)    # 0 excluded where 0.1
+        return (Unconstrained(), Box(-np.ones(size), np.ones(size)),
+                Box(np.full(size, 0.25), np.full(size, 2.0)),
+                Box(lower, np.full(size, 2.0)))
+
+    def test_entries_keep_the_bytes_of_the_whole_diagonal_formula(self):
+        gen = np.random.default_rng(808)
+        zero_at_edge = nonzero_at_edge = 0
+        for _ in range(40):
+            diag, gain, x_tau, grad = self.case(gen)
+            reads = []
+
+            def diagonal(index):
+                reads.append(index.copy())
+                return diag[index]
+
+            model = SurrogateModel(np.zeros(self.SIZE), np.zeros(self.SIZE),
+                                   QuadOperator(diag.__mul__, diagonal))
+            for reg in (L1Norm(gain), Zero()):
+                for constraint in self.constraints(gen):
+                    reads.clear()
+                    got = inner_best_response_step(model, x_tau, grad, reg, constraint)
+                    expected = inner_best_response_reference(diag, x_tau, grad,
+                                                             reg, constraint)
+                    assert got.tobytes() == expected.tobytes()
+                    read = np.unique(np.concatenate(reads))
+                    if isinstance(reg, Zero):
+                        assert np.array_equal(read, np.arange(self.SIZE))
+                        continue
+                    skipped = (x_tau == 0.0) & (np.abs(grad) <= gain * (1.0 - 1e-12))
+                    assert np.array_equal(read, np.flatnonzero(~skipped))
+            edge = (x_tau == 0.0) & (np.abs(np.abs(grad) - gain) <= 8 * np.spacing(gain))
+            shrunk = inner_best_response_reference(diag, x_tau, grad, L1Norm(gain),
+                                                   Unconstrained())
+            zero_at_edge += np.count_nonzero(edge & (shrunk == 0.0))
+            nonzero_at_edge += np.count_nonzero(edge & (shrunk != 0.0))
+        # entries a few ulps from the gain came out both zero and nonzero
+        assert zero_at_edge > 0 and nonzero_at_edge > 0
+
+
 class TestInnerSurrogate:
     def _quad_model(self, rng, n=5):
         m = rng.standard_normal((n, n))
@@ -250,7 +321,7 @@ class TestInnerSurrogate:
         model = self._quad_model(rng)
         x_tau = rng.standard_normal(5)
         got = fresh_inner_step(model, x_tau, L1Norm(0.3), Unconstrained())
-        d = model.quad.diagonal
+        d = whole_diagonal(model)
         grad = model.quad.apply(x_tau) - linear_term(model)
         for i in range(5):
             # scalar surrogate in coordinate i, all others frozen at x_tau
@@ -262,7 +333,7 @@ class TestInnerSurrogate:
     def test_diagonal_model_one_shot(self, rng):
         diag = np.exp(rng.uniform(-1, 1, 4))
         b = rng.standard_normal(4)
-        model = SurrogateModel(np.zeros(4), -b, QuadOperator(diag.__mul__, diag))
+        model = SurrogateModel(np.zeros(4), -b, diagonal_operator(diag))
         got = fresh_inner_step(model, np.zeros(4), Zero(), Unconstrained())
         assert np.allclose(got, b / diag, rtol=1e-12)
 
