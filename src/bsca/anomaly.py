@@ -173,13 +173,16 @@ def best_sparse_candidate(state: AnomalyState, instance: AnomalyInstance, *,
 def sparse_exact_stepsize(state: AnomalyState, candidate: np.ndarray,
                           instance: AnomalyInstance,
                           proximal: float = 0.0, *,
-                          fit: np.ndarray | None = None) -> float:
+                          fit: np.ndarray | None = None,
+                          delta: np.ndarray | None = None) -> float:
     """Rational exact stepsize for the sparse block, clipped to [0, 1].
 
     ``proximal`` > 0 searches the strictly convex sparse-block model
     (the fit term plus ``(proximal/2) ||S - state.sparse||^2``) instead
-    of the fit term itself."""
-    delta = candidate - state.sparse
+    of the fit term itself.  ``delta`` is ``candidate - state.sparse``
+    when already formed."""
+    if delta is None:
+        delta = candidate - state.sparse
     moved = instance.dictionary @ delta
     curvature = float(np.vdot(moved, moved)) + proximal * float(np.vdot(delta, delta))
     if curvature == 0.0:
@@ -193,13 +196,27 @@ def sparse_exact_stepsize(state: AnomalyState, candidate: np.ndarray,
     return exact_quadratic_step(curvature, slope).gamma
 
 
+@dataclass
+class FistaCarry:
+    """What one sparse visit's FISTA rounds hand to the next visit of
+    the same run: the momentum, the second-to-last accepted point and
+    its image under D.  ``point`` is None before the first visit, after
+    a visit to a stationary block and after rounds that ended on a
+    restart."""
+
+    momentum: float = 1.0
+    point: np.ndarray | None = None
+    image: np.ndarray | None = None
+
+
 def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
                          rounds: int, proximal: float,
                          lipschitz: float | None = None,
                          stationarity_rtol: float = 1e-12, *,
                          fit: np.ndarray | None = None,
                          correlation: np.ndarray | None = None,
-                         diag: np.ndarray | None = None) -> np.ndarray:
+                         diag: np.ndarray | None = None,
+                         carry: FistaCarry | None = None) -> np.ndarray:
     """Inner layer of the two-layer sparse-block update: ``rounds``
     descent rounds on the strictly convex sparse-block model
     0.5 ||L R + D S - Y||^2 + (proximal/2) ||S - S_t||^2 + gain ||S||_1.
@@ -212,14 +229,25 @@ def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
     proximal-gradient rounds with Nesterov momentum (FISTA, Beck and
     Teboulle 2009).  A round is accepted only when it
     decreases the model, and a rejected round drops the momentum
-    (adaptive restart, O'Donoghue and Candes 2015), so the output never
-    exceeds the model value at the anchor ``state.sparse``.
+    (adaptive restart, O'Donoghue and Candes 2015), so the output's
+    model value is at most the round-one point's, which is at most the
+    anchor's (``state.sparse``).
     ``lipschitz`` bounds the model gradient's Lipschitz constant,
     ``||D||_2^2 + proximal`` when None.
+
+    ``carry``, when given, keeps the momentum from one call to the next:
+    the rounds start from the round-one point extrapolated away from the
+    carried point, as if the round-one point were the next accepted one
+    (its image is extrapolated from the carried image, so the start
+    forms no product through D), and the call leaves its own momentum
+    in ``carry``.  An empty carry, and a stationary block, which also
+    empties it, start as ``carry=None`` does.
     """
     best, gamma = step_sparse(state, instance, stationarity_rtol, proximal,
                               fit=fit, correlation=correlation, diag=diag)
     if gamma == 0.0:
+        if carry is not None:
+            carry.momentum, carry.point, carry.image = 1.0, None, None
         return best
     D = instance.dictionary
     gain = instance.sparse_gain
@@ -230,36 +258,46 @@ def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
     target = instance.measurements - state.left @ state.right
 
     # the rounds allocate nothing: every product and update writes into
-    # one of these buffers, and an accepted trial trades buffers with
-    # the best point it replaces
-    residue = np.empty_like(target)
-    shift, step, trial, search = (np.empty_like(anchor) for _ in range(4))
-    trial_moved, search_moved = np.empty_like(target), np.empty_like(target)
+    # one of these buffers or into one that is free at that moment, and
+    # buffers trade names as their contents move
+    search = np.empty_like(anchor)
+    search_moved = np.empty_like(target)
 
     def model(sparse: np.ndarray, moved: np.ndarray) -> float:
-        # the sparse-block model at sparse, with moved = D @ sparse already formed
-        np.subtract(moved, target, out=residue)
-        np.subtract(sparse, anchor, out=shift)
+        # the sparse-block model at sparse, with moved = D @ sparse already
+        # formed; search and search_moved are free whenever it runs
+        residue = np.subtract(moved, target, out=search_moved)
+        shift = np.subtract(sparse, anchor, out=search)
         smooth = 0.5 * np.vdot(residue, residue) + 0.5 * proximal * np.vdot(shift, shift)
         return float(smooth + gain * np.abs(sparse, out=shift).sum())
 
     best_moved = D @ best
     best_value = model(best, best_moved)
-    np.copyto(search, best)
-    np.copyto(search_moved, best_moved)
-    momentum = 1.0
+    if carry is not None and carry.point is not None:
+        # the carried momentum, as a FISTA round that accepts best would
+        # leave it; the carried buffers are free from here on
+        momentum, weight = _momentum_step(carry.momentum)
+        _extrapolate(best, carry.point, weight, search)
+        _extrapolate(best_moved, carry.image, weight, search_moved)
+        trial, trial_moved = carry.point, carry.image
+    else:
+        np.copyto(search, best)
+        np.copyto(search_moved, best_moved)
+        trial, trial_moved = np.empty_like(anchor), np.empty_like(target)
+        momentum = 1.0
     for _ in range(rounds - 1):
-        # gradient step search - grad / lipschitz
-        np.matmul(D.T, np.subtract(search_moved, target, out=residue), out=step)
-        step += np.multiply(np.subtract(search, anchor, out=shift), proximal, out=shift)
-        step *= -1.0 / lipschitz
-        step += search
-        soft_threshold(step, threshold, out=trial)
+        # gradient step search - grad / lipschitz, written into trial and
+        # shrunk into search, which it consumes; the names then swap
+        np.matmul(D.T, np.subtract(search_moved, target, out=trial_moved), out=trial)
+        _add_scaled_shift(trial, search, anchor, proximal, trial_moved)
+        trial *= -1.0 / lipschitz
+        trial += search
+        soft_threshold(trial, threshold, out=search)
+        trial, search = search, trial
         np.matmul(D, trial, out=trial_moved)
         value = model(trial, trial_moved)
         if value < best_value:
-            following = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
-            weight = (momentum - 1.0) / following
+            following, weight = _momentum_step(momentum)
             # search = trial + weight (trial - best), and its image under D
             _extrapolate(trial, best, weight, search)
             _extrapolate(trial_moved, best_moved, weight, search_moved)
@@ -272,7 +310,33 @@ def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
             np.copyto(search, best)
             np.copyto(search_moved, best_moved)
             momentum = 1.0
+    if carry is not None:
+        # after an accepted round (or the carried start) trial holds the
+        # point best replaced; after a restart the momentum is 1
+        held = momentum != 1.0
+        carry.momentum = momentum
+        carry.point, carry.image = (trial, trial_moved) if held else (None, None)
     return best
+
+
+def _momentum_step(momentum: float) -> tuple[float, float]:
+    """FISTA's next momentum and the extrapolation weight it gives."""
+    following = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
+    return following, (momentum - 1.0) / following
+
+
+def _add_scaled_shift(out: np.ndarray, point: np.ndarray, anchor: np.ndarray,
+                      proximal: float, scratch: np.ndarray) -> None:
+    """``out += (point - anchor) * proximal``, in place, a slab of
+    ``scratch``'s rows at a time (``scratch`` has the columns of
+    ``out``), with the bits of the whole-array expression."""
+    rows = scratch.shape[0]
+    for start in range(0, out.shape[0], rows):
+        stop = min(start + rows, out.shape[0])
+        part = scratch[:stop - start]
+        np.subtract(point[start:stop], anchor[start:stop], out=part)
+        part *= proximal
+        out[start:stop] += part
 
 
 def _extrapolate(point: np.ndarray, previous: np.ndarray, weight: float,
@@ -297,8 +361,12 @@ def step_sparse(state: AnomalyState, instance: AnomalyInstance,
     delta = candidate - state.sparse
     if is_stationary(delta, state.sparse, stationarity_rtol):
         return state.sparse, 0.0
-    gamma = sparse_exact_stepsize(state, candidate, instance, proximal, fit=fit)
-    return state.sparse + gamma * delta, gamma
+    gamma = sparse_exact_stepsize(state, candidate, instance, proximal, fit=fit,
+                                  delta=delta)
+    # state.sparse + gamma * delta, formed in the candidate's buffer
+    np.multiply(delta, gamma, out=candidate)
+    candidate += state.sparse
+    return candidate, gamma
 
 
 # ---------------------------------------------------------------------------
@@ -308,64 +376,91 @@ def step_sparse(state: AnomalyState, instance: AnomalyInstance,
 class AnomalyProducts:
     """The product hook of the low-rank + sparse problem (see
     ``core.ProductState``): ``D S`` and the residual ``E = L R + D S - Y``
-    at each tracked point.  A step that moves S re-forms ``D S``, one
+    at the tracked point.  A step that moves S re-forms ``D S``, one
     product through D; a factor step keeps it.  E is formed from it by
     ``residual``'s expression, so every read carries the bits of fresh
     products and the sweep-end drift is 0.  (Carrying
     ``E + gamma D delta`` would save the product but change the last
-    bits.)  Each ``anomaly_problem`` builds its own."""
+    bits.)  Only the newest point is tracked, and by identity, not by a
+    copy: the solver loops never write into a point they have handed
+    over, and a read anywhere else is fresh with the same bits.  Each
+    ``anomaly_problem`` builds its own.
+
+    After a step its guard demoted, the engine goes back to a point the
+    hook no longer tracks.  ``anomaly_solver`` calls ``hold`` at each
+    block visit, which tracks the visited point again; a step from an
+    untracked point (under a solver that does not) drops the tracked
+    point, which the run has left for good.
+
+    ``carry`` is the sparse solve's FISTA carry (see
+    ``sparse_inner_descent``) for the run the hook serves: the first
+    ``track`` after ``release`` (or construction) starts a run and
+    empties it, and ``release``, which ends the run, empties it too."""
 
     def __init__(self, instance: AnomalyInstance):
         self.instance = instance
-        self._tracked = ()    # (point, D S, E) per tracked point
+        self._tracked = None    # (point, D S, E)
+        self._in_run = False
+        self.carry = FistaCarry()
 
     def _held(self, x: np.ndarray):
-        for held in self._tracked:
-            if np.array_equal(held[0], x):
-                return held
-        return None
+        held = self._tracked
+        return held if held is not None and held[0] is x else None
 
     def _form(self, x: np.ndarray, sparse_image: np.ndarray | None = None):
         state = vector_to_state(self.instance, x)
         if sparse_image is None:
             sparse_image = self.instance.dictionary @ state.sparse
-        return x.copy(), sparse_image, residual(state, self.instance, sparse_image)
+        return x, sparse_image, residual(state, self.instance, sparse_image)
 
     def sparse_image(self, x: np.ndarray) -> np.ndarray:
-        """``D S``: held at a tracked point, fresh elsewhere."""
+        """``D S``: held at the tracked point, fresh elsewhere."""
         held = self._held(x)
         if held is not None:
             return held[1]
         return self.instance.dictionary @ vector_to_state(self.instance, x).sparse
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """``E = L R + D S - Y``: held at a tracked point, fresh elsewhere."""
+        """``E = L R + D S - Y``: held at the tracked point, fresh elsewhere."""
         held = self._held(x)
         if held is not None:
             return held[2]
         return residual(vector_to_state(self.instance, x), self.instance)
 
     def track(self, x: np.ndarray) -> float | None:
+        if not self._in_run:
+            self._in_run = True
+            self.carry = FistaCarry()
         held = self._held(x)
-        fresh = self._form(x)
-        self._tracked = (fresh,)
+        self._tracked = self._form(x)
         if held is None:
             return None
-        scale = (float(np.linalg.norm(fresh[2]))
+        fresh = self._tracked[2]
+        scale = (float(np.linalg.norm(fresh))
                  + float(np.linalg.norm(self.instance.measurements)))
-        return (float(np.linalg.norm(held[2] - fresh[2]))
+        return (float(np.linalg.norm(held[2] - fresh))
                 / max(scale, np.finfo(float).tiny))
+
+    def hold(self, x: np.ndarray) -> None:
+        """Within a run, make ``x`` the tracked point if it is not: the
+        solver calls this at each block visit, which is at the engine's
+        iterate, and after a demoted step that iterate is untracked."""
+        if self._in_run and self._held(x) is None:
+            self._tracked = self._form(x)
 
     def update(self, x: np.ndarray, x_new: np.ndarray, block: int | None,
                gamma: float, direction: np.ndarray) -> None:
         held = self._held(x)
         if held is None:
+            self._tracked = None
             return
         kept = held[1] if block in (0, 1) else None    # a factor step leaves S
-        self._tracked = (self._form(x_new, kept), held)
+        self._tracked = self._form(x_new, kept)
 
     def release(self) -> None:
-        self._tracked = ()
+        self._tracked = None
+        self._in_run = False
+        self.carry = FistaCarry()
 
     def line(self, x: np.ndarray, direction: np.ndarray, block: int | None):
         if block is not None:
@@ -447,17 +542,24 @@ def anomaly_solver(instance: AnomalyInstance,
     ``config.inner_iterations`` rounds of ``sparse_inner_descent`` with
     proximal weight ``config.curvature``; without a config it is the
     one-round elementwise best response.  The solves read ``D S`` and
-    ``E`` from the problem's ``AnomalyProducts`` (fresh ones when the
-    problem has none), and the sparse solve hands ``D'E`` to the engine
-    as the block gradient."""
+    ``E`` from the problem's ``AnomalyProducts``, and the sparse solve
+    hands ``D'E`` to the engine as the block gradient.
+
+    The FISTA momentum of the sparse rounds is carried from one visit to
+    the next in the products' ``carry``, so it lasts for one run.  A
+    problem without a product hook reads fresh products from one hook
+    of the solver's own, which no run tracks or releases: there the
+    carry lasts as long as the solver."""
     rounds = 1 if config is None else config.inner_iterations
     diag = _squared_column_norms(instance.dictionary)
     lipschitz = None
     if rounds > 1:
         lipschitz = float(np.linalg.norm(instance.dictionary, 2)) ** 2 + config.curvature
+    own = AnomalyProducts(instance)
 
     def solver(problem: CompositeProblem, x: np.ndarray, k: int) -> BlockSolution:
-        products = problem.products or AnomalyProducts(instance)
+        products = problem.products or own
+        products.hold(x)
         state = vector_to_state(instance, x)
         if k == 0:
             return BlockSolution(best_left_factor(
@@ -473,7 +575,8 @@ def anomaly_solver(instance: AnomalyInstance,
         else:
             sparse = sparse_inner_descent(state, instance, rounds, config.curvature,
                                           lipschitz, config.stationarity_rtol,
-                                          fit=fit, correlation=correlation, diag=diag)
+                                          fit=fit, correlation=correlation, diag=diag,
+                                          carry=products.carry)
         return BlockSolution(sparse.ravel(), False, correlation.ravel())
 
     return solver

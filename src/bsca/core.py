@@ -188,7 +188,9 @@ class ProductState(Protocol):
     def update(self, x: np.ndarray, x_new: np.ndarray, block: int | None,
                gamma: float, direction: np.ndarray) -> None:
         """Carry the products of a tracked ``x`` to ``x_new = x + gamma d``
-        and track both points; nothing when ``x`` is not tracked."""
+        and track ``x_new``, and ``x`` too unless the hook keeps only the
+        newest point.  When ``x`` is not tracked, carry nothing; a hook
+        that keeps only the newest point then drops it."""
 
     def release(self) -> None:
         """Track no point."""

@@ -7,9 +7,15 @@ Every loop produces a RunTrace whose objective column is nonincreasing.
 A run stops at ``max_outer_iterations``, or earlier with reason
 "tolerance" when a full sweep either decreases the objective by less
 than ``stop_tol`` (relative) or consists solely of stationarity skips.
-The latter makes restarts from a converged point pure no-ops: each block
-subproblem is re-solved by a pure function, reproduces its minimizer bit
-for bit, and is skipped again.
+A restart from the final point of a run stopped by the latter rule is a
+no-op: it starts from fresh products, as the final sweep's check left
+them, so each block is skipped again for the reason it was skipped
+then.  A stationary block is re-solved to itself; a step the guard
+demoted, such as a unit factor step of the low-rank + sparse problem
+that no longer lowers the objective, is demoted again.  A solver that
+carries state from one visit to the next (the low-rank + sparse
+solver's FISTA momentum, kept in the problem's product hook) starts each
+run without it, and reads none at a stationary block.
 """
 
 from __future__ import annotations
@@ -305,12 +311,16 @@ def run_bsca(problem: CompositeProblem, solver: BlockSolver,
     """Sequential successive convex approximation over the blocks."""
     config.validate(problem.num_blocks)
     x = np.asarray(x0, dtype=float).copy()
+    # the run holds no point but its iterate: not the start, which a
+    # caller may have passed as a temporary, nor a step the guard demoted
+    del x0
     rule = make_block_rule(config, problem.num_blocks)
     book = _RunBook(problem, config, x, problem.num_blocks)
     for t in range(config.max_outer_iterations):
         k = select_block(rule, t, problem.num_blocks)
         candidate, step, _ = bsca_step(problem, solver, x, k, config)
         x, stop = book.advance(x, candidate, t, k, step)
+        del candidate
         if stop:
             break
     return book.finish(x)

@@ -6,10 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bsca import anomaly
 from bsca.anomaly import (
     AnomalyInstance,
     AnomalyProducts,
     AnomalyState,
+    FistaCarry,
     anomaly_problem,
     anomaly_solver,
     best_left_factor,
@@ -362,6 +364,61 @@ class TestProductHook:
             # the first round's D delta and D best, then two per round
             assert products(counts) == 2 * rounds
 
+    def test_the_carried_start_forms_no_product(self):
+        inst = desk_instance()
+        state = initial_state(inst, seed=1)
+        counted, counts = counted_instance(inst)
+        lipschitz = float(np.linalg.norm(inst.dictionary, 2)) ** 2 + 1e-4
+        for rounds in (2, 5, 10):
+            carry = FistaCarry()
+            first = sparse_inner_descent(state, counted, rounds, 1e-4, lipschitz,
+                                         carry=carry)
+            assert carry.point is not None
+            moved = AnomalyState(state.left, state.right, first)
+            fit = residual(moved, inst)
+            held = dict(fit=fit, correlation=inst.dictionary.T @ fit,
+                        diag=np.einsum("ij,ij->j", inst.dictionary, inst.dictionary))
+            counts.clear()
+            sparse_inner_descent(moved, counted, rounds, 1e-4, lipschitz, carry=carry,
+                                 **held)
+            # as without a carry: the extrapolated start reuses the carried image
+            assert products(counts) == 2 * rounds
+
+    def test_the_hook_holds_the_newest_point_alone(self):
+        plain = small_instance()
+        inst, counts = counted_instance(plain)
+        hook = AnomalyProducts(inst)
+        x = state_to_vector(initial_state(plain, seed=0))
+        fresh = anomaly_problem(plain).products
+        hook.track(x)
+        counts.clear()
+        assert hook.residual(x) is hook.residual(x)
+        assert products(counts) == 0
+        # an equal array is not the tracked one: its read is fresh, same bits
+        assert np.array_equal(hook.residual(x.copy()), fresh.residual(x))
+        assert products(counts) == 1
+        direction = np.ones(state_partition(plain).block_sizes[2])
+        x_new = x.copy()
+        x_new[state_partition(plain).slice_of(2)] += direction
+        hook.update(x, x_new, 2, 1.0, direction)
+        counts.clear()
+        hook.residual(x_new)
+        assert products(counts) == 0
+        assert np.array_equal(hook.residual(x), fresh.residual(x))
+        assert products(counts) == 1
+        # a visit goes back to x, as after a demoted step: held again
+        hook.hold(x)
+        counts.clear()
+        assert np.array_equal(hook.residual(x), fresh.residual(x))
+        assert np.array_equal(hook.sparse_image(x), fresh.sparse_image(x))
+        assert products(counts) == 0
+        # outside a run nothing is held
+        hook.release()
+        hook.hold(x)
+        counts.clear()
+        hook.residual(x)
+        assert products(counts) == 1
+
     @pytest.mark.parametrize("rounds", [1, 8])
     @pytest.mark.parametrize("run", ["bsca", "armijo", "parallel", "bgd"])
     def test_runs_match_the_problem_without_the_hook(self, run, rounds):
@@ -401,6 +458,86 @@ class TestProductHook:
         for k in range(3):
             assert np.array_equal(problem.block_gradient(other, k),
                                   fresh.block_gradient(other, k))
+
+
+def model_in_loop_form(state, sparse, inst, proximal):
+    """The sparse-block model as ``sparse_inner_descent`` evaluates it,
+    expression for expression, so its values compare exactly."""
+    residue = inst.dictionary @ sparse - (inst.measurements - state.left @ state.right)
+    shift = sparse - state.sparse
+    smooth = 0.5 * np.vdot(residue, residue) + 0.5 * proximal * np.vdot(shift, shift)
+    return float(smooth + inst.sparse_gain * np.abs(sparse).sum())
+
+
+class TestCarriedMomentum:
+    def test_an_empty_carry_starts_as_no_carry(self, rng):
+        inst = small_instance()
+        for _ in range(4):
+            state = AnomalyState(rng.standard_normal((5, 2)),
+                                 rng.standard_normal((2, 8)),
+                                 rng.standard_normal((6, 8)))
+            for rounds in (2, 10, 50):
+                carry = FistaCarry()
+                got = sparse_inner_descent(state, inst, rounds, 1e-4, carry=carry)
+                expected = sparse_inner_descent(state, inst, rounds, 1e-4)
+                assert got.tobytes() == expected.tobytes()
+
+    def test_a_stationary_block_empties_the_carry(self):
+        inst = dataclasses.replace(small_instance(), sparse_gain=1e6)
+        state = initial_state(inst, seed=2)    # S = 0, which the huge gain keeps
+        carry = FistaCarry(2.0, np.ones_like(state.sparse),
+                           np.ones_like(inst.measurements))
+        assert sparse_inner_descent(state, inst, 8, 1e-4, carry=carry) is state.sparse
+        assert carry.point is None and carry.image is None and carry.momentum == 1.0
+
+    def test_each_visit_ends_no_worse_than_its_round_one_point(self, monkeypatch):
+        inst = desk_instance()
+        cfg = SolverConfig(max_outer_iterations=60, stop_tol=0.0, seed=1,
+                           inner_iterations=30)
+        inner = anomaly.sparse_inner_descent
+        visits = []
+
+        def recorded(state, instance, rounds, proximal, *args, carry, **held):
+            carried = carry.point is not None
+            output = inner(state, instance, rounds, proximal, *args, carry=carry, **held)
+            first, _ = step_sparse(state, instance, args[1], proximal, **held)
+            visits.append((carried, model_in_loop_form(state, output, instance, proximal),
+                           model_in_loop_form(state, first, instance, proximal)))
+            return output
+
+        monkeypatch.setattr(anomaly, "sparse_inner_descent", recorded)
+        run_anomaly_bsca(inst, cfg, state0=initial_state(inst, seed=1))
+        assert len(visits) == 20
+        assert sum(carried for carried, _, _ in visits) >= 15
+        assert all(out <= first for _, out, first in visits)
+
+    @pytest.mark.parametrize("run", ["bsca", "parallel"])
+    def test_one_solver_gives_the_same_trace_twice(self, run, monkeypatch):
+        inst = desk_instance()
+        cfg = SolverConfig(max_outer_iterations=30 if run == "bsca" else 10,
+                           stop_tol=0.0, seed=1, inner_iterations=30)
+        x0 = state_to_vector(initial_state(inst, seed=1))
+        loop = run_bsca if run == "bsca" else run_parallel_sca
+
+        def solve(problem, solver):
+            trace = loop(problem, solver, cfg, x0)
+            return trace.objectives, trace.stepsizes, trace.final_point.values
+
+        problem, solver = anomaly_problem(inst), anomaly_solver(inst, cfg)
+        first = solve(problem, solver)
+        assert problem.products.carry.point is None    # emptied at the run's end
+        # a sparse solve outside any run leaves a carry; the next run drops it
+        block_residuals(problem, solver, first[2])
+        assert problem.products.carry.point is not None
+        for again in (solve(problem, solver), solve(anomaly_problem(inst), solver),
+                      solve(anomaly_problem(inst), anomaly_solver(inst, cfg))):
+            assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        # and the carry is at work: without it the runs go elsewhere
+        inner = anomaly.sparse_inner_descent
+        monkeypatch.setattr(anomaly, "sparse_inner_descent",
+                            lambda *args, carry, **kwargs: inner(*args, **kwargs))
+        uncarried = solve(anomaly_problem(inst), anomaly_solver(inst, cfg))
+        assert not np.array_equal(first[2], uncarried[2])
 
 
 class TestRunAnomaly:
