@@ -28,6 +28,7 @@ from .core import (
     L1Norm,
     RunTrace,
     SolverConfig,
+    TrackedProducts,
     Zero,
     is_stationary,
     make_partition,
@@ -373,93 +374,58 @@ def step_sparse(state: AnomalyState, instance: AnomalyInstance,
 # composite-problem adapter
 # ---------------------------------------------------------------------------
 
-class AnomalyProducts:
+class AnomalyProducts(TrackedProducts):
     """The product hook of the low-rank + sparse problem (see
-    ``core.ProductState``): ``D S`` and the residual ``E = L R + D S - Y``
-    at the tracked point.  A step that moves S re-forms ``D S``, one
-    product through D; a factor step keeps it.  E is formed from it by
-    ``residual``'s expression, so every read carries the bits of fresh
-    products and the sweep-end drift is 0.  (Carrying
+    ``core.TrackedProducts``): the residual ``E = L R + D S - Y`` and
+    ``D S`` at the tracked points.  A step that moves S re-forms ``D S``,
+    one product through D; a factor step keeps it.  E is formed from it
+    by ``residual``'s expression, so every read carries the bits of
+    fresh products and the sweep-end drift is 0.  (Carrying
     ``E + gamma D delta`` would save the product but change the last
-    bits.)  Only the newest point is tracked, and by identity, not by a
-    copy: the solver loops never write into a point they have handed
-    over, and a read anywhere else is fresh with the same bits.  Each
-    ``anomaly_problem`` builds its own.
-
-    After a step its guard demoted, the engine goes back to a point the
-    hook no longer tracks.  ``anomaly_solver`` calls ``hold`` at each
-    block visit, which tracks the visited point again; a step from an
-    untracked point (under a solver that does not) drops the tracked
-    point, which the run has left for good.
+    bits.)  A read off the tracked points is fresh, with the same bits.
+    Each ``anomaly_problem`` builds its own.
 
     ``carry`` is the sparse solve's FISTA carry (see
-    ``sparse_inner_descent``) for the run the hook serves: the first
-    ``track`` after ``release`` (or construction) starts a run and
-    empties it, and ``release``, which ends the run, empties it too."""
+    ``sparse_inner_descent``) for the run the hook serves: ``release``,
+    which each run calls before it tracks its start and again at its
+    end, empties it."""
 
     def __init__(self, instance: AnomalyInstance):
+        super().__init__()
         self.instance = instance
-        self._tracked = None    # (point, D S, E)
-        self._in_run = False
         self.carry = FistaCarry()
 
-    def _held(self, x: np.ndarray):
-        held = self._tracked
-        return held if held is not None and held[0] is x else None
-
-    def _form(self, x: np.ndarray, sparse_image: np.ndarray | None = None):
+    def fresh(self, x: np.ndarray, sparse_image: np.ndarray | None = None):
         state = vector_to_state(self.instance, x)
         if sparse_image is None:
             sparse_image = self.instance.dictionary @ state.sparse
-        return x, sparse_image, residual(state, self.instance, sparse_image)
+        return residual(state, self.instance, sparse_image), sparse_image
+
+    def carried(self, held, x_new: np.ndarray, block: int | None,
+                gamma: float, direction: np.ndarray):
+        # a factor step leaves S, and D S with it
+        return self.fresh(x_new, held[1] if block in (0, 1) else None)
+
+    def drift_scale(self, held, fresh) -> float:
+        return (float(np.linalg.norm(fresh[0]))
+                + float(np.linalg.norm(self.instance.measurements)))
 
     def sparse_image(self, x: np.ndarray) -> np.ndarray:
-        """``D S``: held at the tracked point, fresh elsewhere."""
-        held = self._held(x)
+        """``D S``: held at a tracked point, fresh elsewhere."""
+        held = self.held(x)
         if held is not None:
             return held[1]
         return self.instance.dictionary @ vector_to_state(self.instance, x).sparse
 
     def residual(self, x: np.ndarray) -> np.ndarray:
-        """``E = L R + D S - Y``: held at the tracked point, fresh elsewhere."""
-        held = self._held(x)
+        """``E = L R + D S - Y``: held at a tracked point, fresh elsewhere."""
+        held = self.held(x)
         if held is not None:
-            return held[2]
+            return held[0]
         return residual(vector_to_state(self.instance, x), self.instance)
 
-    def track(self, x: np.ndarray) -> float | None:
-        if not self._in_run:
-            self._in_run = True
-            self.carry = FistaCarry()
-        held = self._held(x)
-        self._tracked = self._form(x)
-        if held is None:
-            return None
-        fresh = self._tracked[2]
-        scale = (float(np.linalg.norm(fresh))
-                 + float(np.linalg.norm(self.instance.measurements)))
-        return (float(np.linalg.norm(held[2] - fresh))
-                / max(scale, np.finfo(float).tiny))
-
-    def hold(self, x: np.ndarray) -> None:
-        """Within a run, make ``x`` the tracked point if it is not: the
-        solver calls this at each block visit, which is at the engine's
-        iterate, and after a demoted step that iterate is untracked."""
-        if self._in_run and self._held(x) is None:
-            self._tracked = self._form(x)
-
-    def update(self, x: np.ndarray, x_new: np.ndarray, block: int | None,
-               gamma: float, direction: np.ndarray) -> None:
-        held = self._held(x)
-        if held is None:
-            self._tracked = None
-            return
-        kept = held[1] if block in (0, 1) else None    # a factor step leaves S
-        self._tracked = self._form(x_new, kept)
-
     def release(self) -> None:
-        self._tracked = None
-        self._in_run = False
+        super().release()
         self.carry = FistaCarry()
 
     def line(self, x: np.ndarray, direction: np.ndarray, block: int | None):
@@ -542,7 +508,8 @@ def anomaly_solver(instance: AnomalyInstance,
     ``config.inner_iterations`` rounds of ``sparse_inner_descent`` with
     proximal weight ``config.curvature``; without a config it is the
     one-round elementwise best response.  The solves read ``D S`` and
-    ``E`` from the problem's ``AnomalyProducts``, and the sparse solve
+    ``E`` from the problem's ``AnomalyProducts``, which tracks the
+    engine's iterate, also after a demoted step, and the sparse solve
     hands ``D'E`` to the engine as the block gradient.
 
     The FISTA momentum of the sparse rounds is carried from one visit to
@@ -559,7 +526,6 @@ def anomaly_solver(instance: AnomalyInstance,
 
     def solver(problem: CompositeProblem, x: np.ndarray, k: int) -> BlockSolution:
         products = problem.products or own
-        products.hold(x)
         state = vector_to_state(instance, x)
         if k == 0:
             return BlockSolution(best_left_factor(

@@ -31,10 +31,8 @@ from .anomaly import (
 from .core import EXACT, SUCCESSIVE, RunTrace, SolverConfig
 from .engine import (
     inexact_solver,
-    quadratic_outer_factory,
     run_bgd,
     run_bpgd,
-    run_bsca,
     run_parallel_sca,
 )
 from .errors import BscaError
@@ -203,16 +201,13 @@ def run_algorithm(instance, algorithm: str, opts: dict) -> RunTrace:
             raise UsageError("bpgd requires a phase-retrieval instance")
         problem = anomaly_problem(instance)
         x0 = state_to_vector(initial_state(instance, seed=opts["seed"]))
-        if algorithm == "bsca":
+        if algorithm in ("bsca", "inexact-bsca"):
             return run_anomaly_bsca(instance, config)
         if algorithm == "parallel-sca":
             return run_parallel_sca(problem, anomaly_solver(instance, config),
                                     config, x0)
         if algorithm == "bgd":
             return run_bgd(problem, config, x0)
-        if algorithm == "inexact-bsca":
-            return run_bsca(problem, inexact_solver(
-                quadratic_outer_factory(opts["c"]), config), config, x0)
     elif kind == "PhaseRetrievalInstance":
         if opts["blocks"] is not None:
             if algorithm == "bpgd" and opts["blocks"] != 1:

@@ -11,7 +11,7 @@ sets (unconstrained or box in this package).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -169,35 +169,74 @@ Regularizer = Zero | L1Norm
 # composite problem
 # ---------------------------------------------------------------------------
 
-class ProductState(Protocol):
+class TrackedProducts:
     """Products of the iterate that a problem maintains across a run
     (for phase retrieval, ``u = A'x``), so that the closures of the
     problem read them instead of re-forming them.
 
-    ``direction`` and ``block`` mean what they mean for
-    ``CompositeProblem.line_profile``.  A point is *tracked* from the
-    ``track`` or ``update`` that names it until the next ``track`` or
-    ``release``.
+    A point is *tracked* from the ``track`` or ``update`` that names it,
+    by identity, not by a copy: the solver loops never write into a
+    point they have handed over.  Between steps one point is tracked.
+    ``update`` tracks the step's end point and keeps its start until
+    ``keep`` names the point the run goes on from.  ``held`` gives the
+    products at a tracked point, None elsewhere, where a subclass's
+    reads are fresh.
+
+    A subclass forms its products afresh (``fresh``), carries them
+    along a step (``carried``), and gives the scale its drift is
+    measured against (``drift_scale``).  The first entry of its products
+    is the array the drift compares.  It also gives ``line``, ``gamma ->
+    f(x + gamma d)``, where ``direction`` and ``block`` mean what they
+    mean for ``CompositeProblem.line_profile``.
     """
+
+    def __init__(self) -> None:
+        self._current = None     # (point, products)
+        self._previous = None    # the step's start, from update until keep
+
+    def _tracked(self, x: np.ndarray):
+        for tracked in (self._current, self._previous):
+            if tracked is not None and tracked[0] is x:
+                return tracked
+        return None
+
+    def held(self, x: np.ndarray):
+        """The products at ``x`` when it is tracked, else None."""
+        tracked = self._tracked(x)
+        return None if tracked is None else tracked[1]
 
     def track(self, x: np.ndarray) -> float | None:
         """Form the products of ``x`` afresh and track ``x`` alone.  When
         ``x`` was tracked already, return the relative drift of the
         maintained products against the fresh ones; else None."""
+        held = self.held(x)
+        fresh = self.fresh(x)
+        self._current, self._previous = (x, fresh), None
+        if held is None:
+            return None
+        return (float(np.linalg.norm(held[0] - fresh[0]))
+                / max(self.drift_scale(held, fresh), np.finfo(float).tiny))
 
     def update(self, x: np.ndarray, x_new: np.ndarray, block: int | None,
                gamma: float, direction: np.ndarray) -> None:
         """Carry the products of a tracked ``x`` to ``x_new = x + gamma d``
-        and track ``x_new``, and ``x`` too unless the hook keeps only the
-        newest point.  When ``x`` is not tracked, carry nothing; a hook
-        that keeps only the newest point then drops it."""
+        and track both until ``keep``.  When ``x`` is not tracked, the
+        run has left the tracked points: track none."""
+        held = self.held(x)
+        if held is None:
+            self._current = self._previous = None
+            return
+        self._previous = (x, held)
+        self._current = (x_new, self.carried(held, x_new, block, gamma, direction))
+
+    def keep(self, x: np.ndarray) -> None:
+        """Track ``x`` alone, the point the run goes on from, or nothing
+        when it is not tracked."""
+        self._current, self._previous = self._tracked(x), None
 
     def release(self) -> None:
         """Track no point."""
-
-    def line(self, x: np.ndarray, direction: np.ndarray,
-             block: int | None) -> Callable[[float], float]:
-        """``gamma -> f(x + gamma d)``."""
+        self._current = self._previous = None
 
 
 @dataclass(frozen=True)
@@ -214,17 +253,18 @@ class CompositeProblem:
     closed-form exact line searches; without it they scan ``f`` along
     the step (a grid, then golden section).
 
-    ``products``, when provided, is a ProductState.  The solver loops
-    ``track`` the start; ``bsca_step`` and ``run_parallel_sca``
-    ``update`` it after every effective step; at every sweep end the
-    loops ``track`` the iterate again, raise ProductDriftError when the
-    maintained products have drifted from fresh ones by more than
-    ``PRODUCT_DRIFT_RTOL``, and re-evaluate the objective from the fresh
-    ones.  The audit, the successive search and the scan of an exact
-    search without a profile evaluate ``f`` along the step through
-    ``line``.  The closures stay pure: at a tracked point they may read
-    the maintained products, which agree with fresh ones up to that
-    drift; at any other point they compute from scratch.
+    ``products``, when provided, is a TrackedProducts.  Each run
+    releases it and ``track``s the start; ``bsca_step`` and
+    ``run_parallel_sca`` ``update`` it after every effective step, and
+    ``_RunBook.advance`` ``keep``s the point its guard kept; at every
+    sweep end the loops ``track`` the iterate again, raise
+    ProductDriftError when the maintained products have drifted from
+    fresh ones by more than ``PRODUCT_DRIFT_RTOL``, and re-evaluate the
+    objective from the fresh ones.  The audit, the successive search and
+    the scan of an exact search without a profile evaluate ``f`` along
+    the step through ``line``.  The closures stay pure: at a tracked
+    point they may read the maintained products, which agree with fresh
+    ones up to that drift; at any other point they compute from scratch.
 
     Existence of limit points (a coercive objective or bounded constraint
     sets) is the caller's obligation; nothing here can check it.
@@ -236,7 +276,7 @@ class CompositeProblem:
     nonsmooth: tuple[Regularizer, ...]
     constraints: tuple[Constraint, ...] = ()
     line_profile: Callable[..., object] | None = None
-    products: ProductState | None = None
+    products: TrackedProducts | None = None
 
     def __post_init__(self) -> None:
         K = self.partition.num_blocks

@@ -12,10 +12,15 @@ no-op: it starts from fresh products, as the final sweep's check left
 them, so each block is skipped again for the reason it was skipped
 then.  A stationary block is re-solved to itself; a step the guard
 demoted, such as a unit factor step of the low-rank + sparse problem
-that no longer lowers the objective, is demoted again.  A solver that
-carries state from one visit to the next (the low-rank + sparse
-solver's FISTA momentum, kept in the problem's product hook) starts each
-run without it, and reads none at a stationary block.
+that no longer lowers the objective, is demoted again.
+
+A problem's product hook (``core.TrackedProducts``) tracks the iterate
+alone between steps: a step tracks its end point as well, and the
+guard's decision names the point kept.  Each run releases the hook
+before it tracks its start, so state a solver carries in the hook from
+one visit to the next (the low-rank + sparse solver's FISTA momentum)
+starts every run empty, also after a run that raised; that solver reads
+none at a stationary block.
 """
 
 from __future__ import annotations
@@ -135,6 +140,7 @@ class _RunBook:
         self.trace = RunTrace()
         self.start = time.monotonic()
         if problem.products is not None:
+            problem.products.release()
             problem.products.track(x)
             self.trace.product_drift = 0.0
         self.objective = objective(problem, x)
@@ -150,10 +156,11 @@ class _RunBook:
         not strictly decrease (possible only at the rounding floor of an
         exact search) is demoted to a skip, which keeps the trace
         nonincreasing and lets stalls terminate through the all-skip
-        rule.  At a sweep end, before the stop test, the problem's
-        maintained products are checked against fresh ones and replaced
-        by them, and the guard's reference objective is re-evaluated from
-        them, so a restart from the final point (which starts from fresh
+        rule.  The problem's product hook keeps the point returned.  At
+        a sweep end, before the stop test, the problem's maintained
+        products are checked against fresh ones and replaced by them,
+        and the guard's reference objective is re-evaluated from them,
+        so a restart from the final point (which starts from fresh
         products) repeats the final sweep's decisions.
         """
         if step.gamma != 0.0:
@@ -165,6 +172,8 @@ class _RunBook:
         else:
             x_new, h_new = x_prev, self.objective
         self.objective = h_new
+        if self.problem.products is not None:
+            self.problem.products.keep(x_new)
         m = step.armijo_exponent if step.armijo_exponent is not None else -1
         # after a resync the guard compares against the fresh objective,
         # which can sit a rounding step above the last row; rows never rise
@@ -375,10 +384,6 @@ def run_parallel_sca(problem: CompositeProblem, solver: BlockSolver,
 # ---------------------------------------------------------------------------
 
 OuterSurrogateFactory = Callable[[CompositeProblem, np.ndarray, int], SurrogateModel]
-
-
-def quadratic_outer_factory(curvature: float) -> OuterSurrogateFactory:
-    return lambda problem, x, k: make_quadratic_surrogate(problem, x, k, curvature)
 
 
 def inexact_inner_loop(model: SurrogateModel, problem: CompositeProblem,

@@ -24,6 +24,7 @@ from .core import (
     L1Norm,
     RunTrace,
     SolverConfig,
+    TrackedProducts,
     equal_partition,
 )
 from .engine import inexact_solver, run_bsca
@@ -87,14 +88,16 @@ def _transposed_product(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     return rows[support].T @ v[support]
 
 
-class PhaseProducts:
-    """The product hook of phase retrieval (see ``core.ProductState``):
+class PhaseProducts(TrackedProducts):
+    """The product hook of phase retrieval (see ``core.TrackedProducts``):
     ``u = A'x`` at the tracked points.  A step carries ``u`` to
     ``u + gamma w``, where ``w = A_k'd`` is the block product the line
     profile formed (kept for the last direction), so a sweep of block
-    steps forms no full product until its sweep-end check.  Each
-    ``pr_problem`` builds its own, so runs never read each other's
-    products.
+    steps forms no full product until its sweep-end check.  The drift
+    is measured against the sum of the norms of the terms ``u`` was
+    built from (the fresh product and each ``gamma w``), with which its
+    rounding grows.  Each ``pr_problem`` builds its own, so runs never
+    read each other's products.
 
     ``product``, ``direction_product`` and ``track`` have a sparse path:
     a vector with at most ``_SPARSE_CAP`` (32) nonzeros, fewer than half
@@ -102,64 +105,44 @@ class PhaseProducts:
     a dense one keeps ``rows.T @ v``."""
 
     def __init__(self, instance: PhaseRetrievalInstance):
+        super().__init__()
         self.instance = instance
-        self._tracked = ()
         self._last = None
 
-    def _held(self, x: np.ndarray):
-        """(point, u, scale) of a tracked point equal to ``x``, or None.
-        ``scale`` sums the norms of the terms ``u`` was built from (the
-        fresh product and each ``gamma w``): rounding in ``u`` grows with
-        it, so ``track`` reports the drift relative to it."""
-        for held in self._tracked:
-            if np.array_equal(held[0], x):
-                return held
-        return None
+    def fresh(self, x: np.ndarray):
+        u = _transposed_product(self.instance.sampling, x)
+        return u, float(np.linalg.norm(u))
+
+    def carried(self, held, x_new: np.ndarray, block: int | None,
+                gamma: float, direction: np.ndarray):
+        w = self.direction_product(block, direction)
+        return held[0] + gamma * w, held[1] + abs(gamma) * float(np.linalg.norm(w))
+
+    def drift_scale(self, held, fresh) -> float:
+        return held[1]
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """``A'x``: the maintained product at a tracked point, a fresh
         one elsewhere."""
-        held = self._held(x)
+        held = self.held(x)
         if held is not None:
-            return held[1]
+            return held[0]
         return _transposed_product(self.instance.sampling, x)
 
     def direction_product(self, block: int | None,
                           direction: np.ndarray) -> np.ndarray:
         """``A_k'd`` (``A'd`` when ``block`` is None), reused while the
-        direction stays the last one asked for."""
+        direction is the last array asked for: every solver loop passes
+        one direction object to the line profile, its audit and
+        ``update``, and never writes into it."""
         last = self._last
-        if last is not None and last[0] == block and np.array_equal(last[1], direction):
+        if last is not None and last[0] == block and last[1] is direction:
             return last[2]
         rows = (self.instance.sampling if block is None
                 else self.instance.block_rows(block))
         w = _transposed_product(rows, direction)
-        self._last = (block, direction.copy(), w)
+        self._last = (block, direction, w)
         return w
-
-    def track(self, x: np.ndarray) -> float | None:
-        fresh = _transposed_product(self.instance.sampling, x)
-        held = self._held(x)
-        drift = None
-        if held is not None:
-            drift = (float(np.linalg.norm(held[1] - fresh))
-                     / max(held[2], np.finfo(float).tiny))
-        self._tracked = ((x.copy(), fresh, float(np.linalg.norm(fresh))),)
-        self._last = None
-        return drift
-
-    def update(self, x: np.ndarray, x_new: np.ndarray, block: int | None,
-               gamma: float, direction: np.ndarray) -> None:
-        held = self._held(x)
-        if held is None:
-            return
-        w = self.direction_product(block, direction)
-        scale = held[2] + abs(gamma) * float(np.linalg.norm(w))
-        self._tracked = ((x_new.copy(), held[1] + gamma * w, scale), held)
-
-    def release(self) -> None:
-        self._tracked = ()
-        self._last = None
 
     def line(self, x: np.ndarray, direction: np.ndarray, block: int | None):
         u = self.product(x)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsca import anomaly
+from bsca import anomaly, engine
 from bsca.anomaly import (
     AnomalyInstance,
     AnomalyProducts,
@@ -37,7 +37,11 @@ from bsca.engine import (
     run_bsca,
     run_parallel_sca,
 )
-from bsca.errors import DegenerateDirectionError, InvalidArgumentError
+from bsca.errors import (
+    DegenerateDirectionError,
+    InvalidArgumentError,
+    ProductDriftError,
+)
 from bsca.linesearch import exact_quadratic_step
 from bsca.surrogates import soft_threshold
 
@@ -384,40 +388,69 @@ class TestProductHook:
             # as without a carry: the extrapolated start reuses the carried image
             assert products(counts) == 2 * rounds
 
-    def test_the_hook_holds_the_newest_point_alone(self):
+    def test_the_hook_holds_both_ends_of_a_step_until_keep(self):
         plain = small_instance()
         inst, counts = counted_instance(plain)
         hook = AnomalyProducts(inst)
-        x = state_to_vector(initial_state(plain, seed=0))
         fresh = anomaly_problem(plain).products
+        x = state_to_vector(initial_state(plain, seed=0))
         hook.track(x)
-        counts.clear()
-        assert hook.residual(x) is hook.residual(x)
-        assert products(counts) == 0
-        # an equal array is not the tracked one: its read is fresh, same bits
-        assert np.array_equal(hook.residual(x.copy()), fresh.residual(x))
-        assert products(counts) == 1
+        before = hook.residual(x)
         direction = np.ones(state_partition(plain).block_sizes[2])
         x_new = x.copy()
         x_new[state_partition(plain).slice_of(2)] += direction
         hook.update(x, x_new, 2, 1.0, direction)
         counts.clear()
+        assert hook.residual(x) is before
+        hook.residual(x_new)
+        hook.sparse_image(x)
+        hook.sparse_image(x_new)
+        assert products(counts) == 0
+        # the guard demoted the step: x is kept, with the products it had,
+        # which carry the bits of fresh ones
+        hook.keep(x)
+        assert hook.residual(x) is before
+        assert before.tobytes() == fresh.residual(x).tobytes()
+        assert hook.sparse_image(x).tobytes() == fresh.sparse_image(x).tobytes()
+        assert products(counts) == 0
+        # the other end of the step and an equal copy of x read fresh
+        assert hook.residual(x_new).tobytes() == fresh.residual(x_new).tobytes()
+        assert products(counts) == 1
+        assert hook.residual(x.copy()).tobytes() == before.tobytes()
+        assert products(counts) == 2
+        # a kept step end: the start reads fresh
+        hook.update(x, x_new, 2, 1.0, direction)
+        hook.keep(x_new)
+        counts.clear()
         hook.residual(x_new)
         assert products(counts) == 0
-        assert np.array_equal(hook.residual(x), fresh.residual(x))
-        assert products(counts) == 1
-        # a visit goes back to x, as after a demoted step: held again
-        hook.hold(x)
-        counts.clear()
-        assert np.array_equal(hook.residual(x), fresh.residual(x))
-        assert np.array_equal(hook.sparse_image(x), fresh.sparse_image(x))
-        assert products(counts) == 0
-        # outside a run nothing is held
-        hook.release()
-        hook.hold(x)
-        counts.clear()
         hook.residual(x)
         assert products(counts) == 1
+
+    def test_a_demoted_step_forms_no_product_on_the_way_back(self, monkeypatch):
+        # the hook holds the start of each step until the engine keeps a
+        # point, so the visit after a guard demotion reads D S and E at
+        # the point it went back to instead of re-forming them there
+        plain = desk_instance()
+        inst, counts = counted_instance(plain)
+        effective = []
+        honest = engine.bsca_step
+
+        def spied(*args, **kwargs):
+            out = honest(*args, **kwargs)
+            effective.append(out[1].gamma != 0.0)
+            return out
+
+        monkeypatch.setattr(engine, "bsca_step", spied)
+        trace = run_anomaly_bsca(inst, SolverConfig(
+            max_outer_iterations=90, seed=1, inner_iterations=8),
+            state0=initial_state(plain, seed=1))
+        demoted = sum(stepped and gamma == 0.0
+                      for stepped, gamma in zip(effective, trace.stepsizes[1:]))
+        assert trace.iterations == 90
+        assert demoted == 31
+        # 632 with D S and E re-formed at each point a demotion goes back to
+        assert products(counts) == 632 - demoted
 
     @pytest.mark.parametrize("rounds", [1, 8])
     @pytest.mark.parametrize("run", ["bsca", "armijo", "parallel", "bgd"])
@@ -538,6 +571,29 @@ class TestCarriedMomentum:
                             lambda *args, carry, **kwargs: inner(*args, **kwargs))
         uncarried = solve(anomaly_problem(inst), anomaly_solver(inst, cfg))
         assert not np.array_equal(first[2], uncarried[2])
+
+    def test_a_run_that_raises_leaves_the_next_run_a_fresh_start(self, monkeypatch):
+        inst = desk_instance()
+        cfg = SolverConfig(max_outer_iterations=30, stop_tol=0.0, seed=1,
+                           inner_iterations=30)
+        x0 = state_to_vector(initial_state(inst, seed=1))
+        problem, solver = anomaly_problem(inst), anomaly_solver(inst, cfg)
+        honest = AnomalyProducts.carried
+
+        def skewed(self, held, x_new, block, gamma, direction):
+            fit, image = honest(self, held, x_new, block, gamma, direction)
+            return (1.0 + 1e-6) * fit, image
+
+        with monkeypatch.context() as patch:
+            patch.setattr(AnomalyProducts, "carried", skewed)
+            with pytest.raises(ProductDriftError, match="t=2,"):
+                run_bsca(problem, solver, cfg, x0)
+        assert problem.products.carry.point is not None    # left by the raised run
+        again = run_bsca(problem, solver, cfg, x0)
+        fresh = run_bsca(anomaly_problem(inst), anomaly_solver(inst, cfg), cfg, x0)
+        assert again.objectives.tobytes() == fresh.objectives.tobytes()
+        assert again.stepsizes.tobytes() == fresh.stepsizes.tobytes()
+        assert again.final_point.values.tobytes() == fresh.final_point.values.tobytes()
 
 
 class TestRunAnomaly:

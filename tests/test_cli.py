@@ -95,6 +95,16 @@ class TestSolve:
                      "--max-iters", "12",
                      "--out", str(tmp_path / ("a" + algorithm))]) == 0
 
+    def test_inexact_bsca_is_bsca_on_both_kinds(self, pr_dir, anomaly_dir, tmp_path):
+        for instance in (pr_dir, anomaly_dir):
+            traces = []
+            for algorithm in ("bsca", "inexact-bsca"):
+                out = tmp_path / f"{instance.name}-{algorithm}"
+                assert main(["solve", str(instance), "--algorithm", algorithm,
+                             "--max-iters", "12", "--out", str(out)]) == 0
+                traces.append(deterministic_columns(out / "trace.csv"))
+            assert traces[0] == traces[1]
+
     def test_bpgd_rejects_blocks(self, pr_dir, tmp_path, capsys):
         code = main(["solve", str(pr_dir), "--algorithm", "bpgd",
                      "--blocks", "2", "--out", str(tmp_path / "r")])

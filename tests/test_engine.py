@@ -10,10 +10,12 @@ from bsca.anomaly import (
     initial_state,
     state_to_vector,
 )
+from bsca import engine
 from bsca.core import (
     CompositeProblem,
     L1Norm,
     SolverConfig,
+    TrackedProducts,
     Zero,
     make_partition,
 )
@@ -27,7 +29,6 @@ from bsca.engine import (
     inexact_inner_loop,
     inexact_solver,
     make_block_rule,
-    quadratic_outer_factory,
     quadratic_solver,
     run_bgd,
     run_bpgd,
@@ -38,6 +39,7 @@ from bsca.engine import (
 from bsca.errors import ConfigError, FeasibilityError
 from bsca.linesearch import cubic_real_roots, descent_quantity, quadratic_profile
 from bsca.phase_retrieval import generate_pr_instance, pr_outer_model, pr_problem
+from bsca.surrogates import make_quadratic_surrogate
 
 from conftest import (
     carried_gradient_drift,
@@ -250,6 +252,97 @@ class TestRunBsca:
         assert np.all(restart.stepsizes == 0.0)
 
 
+class LoggedProducts(TrackedProducts):
+    """A minimal product hook, whose product is a copy of the point,
+    that logs the calls the engine makes and the points it names."""
+
+    def __init__(self, partition):
+        super().__init__()
+        self.partition = partition
+        self.calls = []
+        self.points = []
+
+    def fresh(self, x):
+        return (x.copy(),)
+
+    def carried(self, held, x_new, block, gamma, direction):
+        return (held[0] + gamma * self.partition.embed(block, direction),)
+
+    def drift_scale(self, held, fresh):
+        return 1.0 + float(np.linalg.norm(fresh[0]))
+
+    def track(self, x):
+        self.calls.append("track")
+        self.points.append(x)
+        return super().track(x)
+
+    def update(self, x, x_new, block, gamma, direction):
+        self.calls.append("update")
+        self.points.append(x_new)
+        super().update(x, x_new, block, gamma, direction)
+
+    def keep(self, x):
+        self.calls.append("keep")
+        super().keep(x)
+
+    def release(self):
+        self.calls.append("release")
+        super().release()
+
+
+class TestProductHookCalls:
+    def test_the_run_keeps_one_point_between_steps(self, rng, monkeypatch):
+        plain, hessian, target = random_quadratic_problem(rng, [3, 2, 4])
+        hook = LoggedProducts(plain.partition)
+        problem = dataclasses.replace(plain, products=hook)
+        base = quadratic_solver(1.0)
+        visits = []
+
+        def solver(prob, x, k):
+            visits.append(k)
+            if len(visits) % 4:
+                return base(prob, x, k)
+            # three times the block minimizer's move at a unit step: the
+            # objective rises, so the guard demotes it
+            sl = prob.partition.slice_of(k)
+            move = -np.linalg.solve(hessian[sl, sl], (hessian @ x - target)[sl])
+            return BlockSolution(x[sl] + 3.0 * move, is_global_upper_bound=True)
+
+        honest = engine._RunBook.advance
+
+        def checked(book, x_prev, x_new, *args):
+            kept, stop = honest(book, x_prev, x_new, *args)
+            held = {id(p) for p in hook.points if hook.held(p) is not None}
+            assert held == {id(kept)}
+            return kept, stop
+
+        monkeypatch.setattr(engine._RunBook, "advance", checked)
+        cfg = SolverConfig(max_outer_iterations=24, stop_tol=0.0)
+        trace = run_bsca(problem, solver, cfg, rng.standard_normal(9))
+        assert trace.iterations == 24
+        # release, track, then per iteration (update) keep, and a track
+        # at each sweep end; the run's end releases
+        calls = hook.calls
+        assert calls[:2] == ["release", "track"] and calls[-1] == "release"
+        groups, group = [], []
+        for call in calls[2:-1]:
+            if call == "track":
+                groups[-1].append(call)
+                continue
+            group.append(call)
+            if call == "keep":
+                groups.append(group)
+                group = []
+        assert group == [] and len(groups) == 24
+        for t, got in enumerate(groups):
+            stepped = got[0] == "update"
+            assert got == ["update"] * stepped + ["keep"] + ["track"] * ((t + 1) % 3 == 0)
+            assert stepped or trace.stepsizes[t + 1] == 0.0
+        updates = sum(got[0] == "update" for got in groups)
+        assert updates > np.count_nonzero(trace.stepsizes)    # some were demoted
+        assert trace.product_drift <= 1e-12
+
+
 class TestParallelSca:
     def test_single_block_bitwise_identical_to_bsca(self, rng):
         problem, _, _ = random_quadratic_problem(rng, [5], l1_gain=0.1)
@@ -310,6 +403,11 @@ class TestParallelSca:
                 assert d_total < 0.0
 
 
+def proximal_linear(curvature):
+    """The proximal-linear outer model (D = cI) as an outer factory."""
+    return lambda problem, x, k: make_quadratic_surrogate(problem, x, k, curvature)
+
+
 class TestInexact:
     def _quad_outer(self, rng, n=6):
         m = rng.standard_normal((n, n))
@@ -366,19 +464,19 @@ class TestInexact:
                                curvature=0.8, stop_tol=0.0)
             x0 = rng.standard_normal(6)
             trace = run_bsca(problem, inexact_solver(
-                quadratic_outer_factory(0.8), cfg), cfg, x0)
+                proximal_linear(0.8), cfg), cfg, x0)
             assert trace.objectives[1] < trace.objectives[0]
 
     def test_skip_when_block_already_optimal(self, rng):
         problem, _, _ = random_quadratic_problem(rng, [4], l1_gain=0.3)
         cfg = SolverConfig(max_outer_iterations=4000, inner_iterations=5,
                            curvature=1.0, stop_tol=0.0)
-        trace = run_bsca(problem, inexact_solver(quadratic_outer_factory(1.0), cfg),
+        trace = run_bsca(problem, inexact_solver(proximal_linear(1.0), cfg),
                          cfg, rng.standard_normal(4))
         assert trace.termination_reason == "tolerance"
         restart_cfg = SolverConfig(max_outer_iterations=1, inner_iterations=5,
                                    curvature=1.0)
-        restart = run_bsca(problem, inexact_solver(quadratic_outer_factory(1.0),
+        restart = run_bsca(problem, inexact_solver(proximal_linear(1.0),
                                                    restart_cfg),
                            restart_cfg, trace.final_point.values)
         assert np.all(restart.stepsizes == 0.0)
@@ -394,7 +492,7 @@ class TestInexact:
             problem.line_profile)
         cfg = SolverConfig(max_outer_iterations=30, inner_iterations=4,
                            curvature=1.0)
-        trace = run_bsca(spying, inexact_solver(quadratic_outer_factory(1.0), cfg),
+        trace = run_bsca(spying, inexact_solver(proximal_linear(1.0), cfg),
                          cfg, np.zeros(6))
         assert all(np.all(np.abs(x) <= 0.25 + 1e-12) for x in seen)
         assert np.all(np.abs(trace.final_point.values) <= 0.25 + 1e-12)

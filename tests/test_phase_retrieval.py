@@ -712,6 +712,37 @@ class TestProducts:
         # a sparse point tracked again reports its drift from the same path
         assert products.track(x) == 0.0
 
+    def test_the_hook_holds_both_ends_of_a_step_until_keep(self, rng):
+        log = []
+        inst, plain = logged_instance(log)
+        products = pr_problem(inst).products
+        fresh = pr_problem(plain).products
+        x0 = rng.standard_normal(400)
+        x1, x2 = x0.copy(), x0.copy()
+        d1, d2 = rng.standard_normal(200), rng.standard_normal(200)
+        x1[inst.partition.slice_of(0)] += 0.5 * d1
+        x2[inst.partition.slice_of(0)] += 0.5 * d1
+        x2[inst.partition.slice_of(1)] += 0.25 * d2
+        products.track(x0)
+        products.update(x0, x1, 0, 0.5, d1)
+        products.keep(x1)
+        carried = products.product(x1)    # A'x0 + 0.5 A_0'd1
+        products.update(x1, x2, 1, 0.25, d2)
+        log.clear()
+        assert products.product(x1) is carried
+        products.product(x2)
+        assert log == []
+        # the guard demoted the step: x1 is kept with its carried u
+        products.keep(x1)
+        assert products.product(x1) is carried
+        assert log == []
+        # the other end of the step and an equal copy of x1 read fresh
+        assert products.product(x2).tobytes() == fresh.product(x2).tobytes()
+        assert len(log) == 1
+        assert products.product(x1.copy()).tobytes() == fresh.product(x1).tobytes()
+        assert len(log) == 2
+        assert relative_gap(carried, plain.sampling.T @ x1) <= 1e-13
+
     def test_problems_without_the_hook_report_no_drift(self, rng):
         problem, _, _ = random_quadratic_problem(rng, [3, 2])
         trace = run_bgd(problem, SolverConfig(max_outer_iterations=4),
