@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Interleaved timing of two checkouts on one benchmark workload.
+
+    python3 scripts/ab_solve.py CHECKOUT_A CHECKOUT_B WORKLOAD PAIRS [--seed S]
+
+Each checkout's ``src/bsca`` is imported under a module name of its own
+(``bsca_a``, ``bsca_b``), and ``perfbench/workloads.py`` of the
+checkout this script lives in is loaded once against each, so both
+solve the workload as the benchmark defines it: the same instance (its
+fingerprints are compared) and the same start, drawn from ``--seed``.
+After one warm-up solve each, which is checked as the benchmark checks
+its solves, the two alternate for PAIRS pairs, A then B and B then A in
+turn, with one BLAS thread.  The script prints whether the two traces
+agree bit for bit, each side's median solve time, the median over pairs
+of the time ratio B/A, and the share of pairs in which B ran faster.
+Timing the two sides back to back keeps a machine whose speed drifts
+over minutes from favouring either.  Nothing under perfbench/ is
+changed.
+"""
+
+import argparse
+import importlib
+import importlib.util
+import os
+import sys
+import time
+from pathlib import Path
+
+if __name__ == "__main__":
+    # BLAS threads are fixed before numpy loads, as the benchmark fixes them
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_package(checkout: Path, name: str):
+    """Import ``checkout/src/bsca`` and all its modules as ``name``."""
+    folder = checkout / "src" / "bsca"
+    spec = importlib.util.spec_from_file_location(
+        name, folder / "__init__.py", submodule_search_locations=[str(folder)])
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for path in sorted(folder.glob("*.py")):
+        if path.stem not in ("__init__", "__main__"):
+            importlib.import_module(f"{name}.{path.stem}")
+    return package
+
+
+def load_workloads(name: str):
+    """``perfbench/workloads.py`` loaded while ``bsca`` and its modules
+    name the package imported as ``name``."""
+    alias = {"bsca": sys.modules[name]}
+    alias.update({"bsca" + key[len(name):]: module
+                  for key, module in sys.modules.items()
+                  if key.startswith(name + ".")})
+    saved = {key: sys.modules[key] for key in alias if key in sys.modules}
+    sys.modules.update(alias)
+    try:
+        spec = importlib.util.spec_from_file_location(
+            f"workloads_{name}", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = workloads
+        spec.loader.exec_module(workloads)
+    finally:
+        for key in alias:
+            del sys.modules[key]
+        sys.modules.update(saved)
+    return workloads
+
+
+class Side:
+    """One checkout's workload, instance and start."""
+
+    def __init__(self, checkout: Path, name: str, workload: str, seed: int):
+        load_package(checkout, name)
+        self.workloads = load_workloads(name)
+        if workload not in self.workloads.WORKLOADS:
+            sys.exit(f"ab_solve: unknown workload {workload!r}; one of "
+                     f"{sorted(self.workloads.WORKLOADS)}")
+        self.workload = self.workloads.WORKLOADS[workload]
+        self.instance = self.workload.generate()
+        self.config = self.workload.config(seed)
+        self.start = self.workload.start(self.instance, seed)
+
+    def solve(self):
+        begin = time.perf_counter()
+        trace = self.workload.run(self.instance, self.config, self.start)
+        return trace, time.perf_counter() - begin
+
+
+def signature(trace) -> tuple:
+    """Everything a trace records but its times."""
+    return (trace.objectives.tobytes(), trace.stepsizes.tobytes(),
+            tuple((e.block, e.armijo_exponent) for e in trace.entries),
+            trace.final_point.values.tobytes(), trace.termination_reason)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("checkout_a", type=Path)
+    ap.add_argument("checkout_b", type=Path)
+    ap.add_argument("workload")
+    ap.add_argument("pairs", type=int)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("PAIRS must be at least 1")
+
+    sys.path.insert(0, str(PERFBENCH))    # workloads.py imports checks.py
+    a = Side(args.checkout_a.resolve(), "bsca_a", args.workload, args.seed)
+    b = Side(args.checkout_b.resolve(), "bsca_b", args.workload, args.seed)
+    # compared as text: each package has its own partition class
+    if (repr(a.workloads.fingerprint(a.instance))
+            != repr(b.workloads.fingerprint(b.instance))):
+        sys.exit("ab_solve: the two checkouts built different instances")
+
+    warm = {}
+    for label, side in (("A", a), ("B", b)):
+        trace, _ = side.solve()
+        warm[label] = signature(trace)
+        for failure in side.workload.check(side.instance, trace):
+            print(f"{label} fails a check: {failure}")
+    same = warm["A"] == warm["B"]
+
+    times = {"A": [], "B": []}
+    for pair in range(args.pairs):
+        order = (("A", a), ("B", b)) if pair % 2 == 0 else (("B", b), ("A", a))
+        for label, side in order:
+            trace, seconds = side.solve()
+            same = same and signature(trace) == warm[label]
+            times[label].append(seconds)
+    ratios = np.array(times["B"]) / np.array(times["A"])
+    faster = int(np.count_nonzero(ratios < 1.0))
+
+    print(f"workload={args.workload} seed={args.seed} pairs={args.pairs}")
+    print(f"traces bit for bit: {'yes' if same else 'no'}")
+    print(f"median solve: A {np.median(times['A']):.4f} s, "
+          f"B {np.median(times['B']):.4f} s")
+    print(f"median ratio B/A {np.median(ratios):.3f}; B faster in {faster} of "
+          f"{args.pairs} pairs ({100.0 * faster / args.pairs:.0f}%)")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -182,6 +182,14 @@ class TrackedProducts:
     products at a tracked point, None elsewhere, where a subclass's
     reads are fresh.
 
+    Products formed fresh are not formed again at the same point: a
+    ``track`` of a point whose products were formed fresh returns drift
+    0 without re-forming them.  A subclass that reads through ``formed``
+    has its fresh reads off the tracked points held too, while a run
+    tracks a point, until the next ``update``, ``keep`` or ``track``, so
+    the guard's objective at a joint candidate and the sweep-end
+    ``track`` that follows share one product.
+
     A subclass forms its products afresh (``fresh``), carries them
     along a step (``carried``), and gives the scale its drift is
     measured against (``drift_scale``).  The first entry of its products
@@ -191,11 +199,13 @@ class TrackedProducts:
     """
 
     def __init__(self) -> None:
-        self._current = None     # (point, products)
+        # each entry is (point, products, whether they were formed fresh)
+        self._current = None
         self._previous = None    # the step's start, from update until keep
+        self._formed = None      # a fresh read off the tracked points
 
     def _tracked(self, x: np.ndarray):
-        for tracked in (self._current, self._previous):
+        for tracked in (self._current, self._previous, self._formed):
             if tracked is not None and tracked[0] is x:
                 return tracked
         return None
@@ -205,15 +215,31 @@ class TrackedProducts:
         tracked = self._tracked(x)
         return None if tracked is None else tracked[1]
 
+    def formed(self, x: np.ndarray):
+        """The products at ``x``: the held ones at a tracked point, else
+        fresh ones, which are held while the run tracks a point."""
+        tracked = self._tracked(x)
+        if tracked is not None:
+            return tracked[1]
+        fresh = self.fresh(x)
+        if self._current is not None:
+            self._formed = (x, fresh, True)
+        return fresh
+
     def track(self, x: np.ndarray) -> float | None:
         """Form the products of ``x`` afresh and track ``x`` alone.  When
         ``x`` was tracked already, return the relative drift of the
         maintained products against the fresh ones; else None."""
-        held = self.held(x)
+        tracked = self._tracked(x)
+        if tracked is not None and tracked[2]:
+            # fresh products again would have the same bits
+            self._current, self._previous, self._formed = tracked, None, None
+            return 0.0
         fresh = self.fresh(x)
-        self._current, self._previous = (x, fresh), None
-        if held is None:
+        self._current, self._previous, self._formed = (x, fresh, True), None, None
+        if tracked is None:
             return None
+        held = tracked[1]
         return (float(np.linalg.norm(held[0] - fresh[0]))
                 / max(self.drift_scale(held, fresh), np.finfo(float).tiny))
 
@@ -222,21 +248,23 @@ class TrackedProducts:
         """Carry the products of a tracked ``x`` to ``x_new = x + gamma d``
         and track both until ``keep``.  When ``x`` is not tracked, the
         run has left the tracked points: track none."""
-        held = self.held(x)
-        if held is None:
+        tracked = self._tracked(x)
+        self._formed = None
+        if tracked is None:
             self._current = self._previous = None
             return
-        self._previous = (x, held)
-        self._current = (x_new, self.carried(held, x_new, block, gamma, direction))
+        self._previous = tracked
+        self._current = (x_new, self.carried(tracked[1], x_new, block, gamma,
+                                             direction), False)
 
     def keep(self, x: np.ndarray) -> None:
         """Track ``x`` alone, the point the run goes on from, or nothing
         when it is not tracked."""
-        self._current, self._previous = self._tracked(x), None
+        self._current, self._previous, self._formed = self._tracked(x), None, None
 
     def release(self) -> None:
         """Track no point."""
-        self._current = self._previous = None
+        self._current = self._previous = self._formed = None
 
 
 @dataclass(frozen=True)
@@ -313,9 +341,21 @@ def objective(problem: CompositeProblem, x) -> float:
     xf = _as_flat(x)
     if not problem.is_feasible(xf):
         raise FeasibilityError("point violates a block constraint")
-    total = float(problem.smooth_value(xf))
-    for k in range(problem.num_blocks):
-        total += problem.nonsmooth_value(k, problem.block_of(xf, k))
+    return composite_value(problem.smooth_value(xf), block_values(problem, xf))
+
+
+def block_values(problem: CompositeProblem, x: np.ndarray) -> list[float]:
+    """The regularizer values g_k(x_k), one per block."""
+    return [problem.nonsmooth_value(k, problem.block_of(x, k))
+            for k in range(problem.num_blocks)]
+
+
+def composite_value(smooth: float, values: Sequence[float]) -> float:
+    """f + sum_k g_k, summed in block order as ``objective`` sums it, so
+    the same terms give the same bits."""
+    total = float(smooth)
+    for value in values:
+        total += value
     return total
 
 

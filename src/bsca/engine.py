@@ -41,6 +41,8 @@ from .core import (
     CompositeProblem,
     RunTrace,
     SolverConfig,
+    block_values,
+    composite_value,
     is_stationary,
     objective,
 )
@@ -130,6 +132,10 @@ def select_block(rule: BlockRule, t: int, num_blocks: int) -> int:
 # ---------------------------------------------------------------------------
 
 class _RunBook:
+    """The guard, the trace and the stop rule of one run.  It keeps the
+    iterate's objective and the per-block regularizer values it sums,
+    evaluated in full at the start and at each sweep end."""
+
     def __init__(self, problem: CompositeProblem, config: SolverConfig,
                  x: np.ndarray, sweep_len: int):
         if not problem.is_feasible(x):
@@ -143,7 +149,7 @@ class _RunBook:
             problem.products.release()
             problem.products.track(x)
             self.trace.product_drift = 0.0
-        self.objective = objective(problem, x)
+        self._evaluate_all(x)
         self.trace.record(0, -1, 0.0, -1, self.objective, 0.0)
         self.sweep_objective = self.objective
         self.skips = 0
@@ -156,19 +162,26 @@ class _RunBook:
         not strictly decrease (possible only at the rounding floor of an
         exact search) is demoted to a skip, which keeps the trace
         nonincreasing and lets stalls terminate through the all-skip
-        rule.  The problem's product hook keeps the point returned.  At
-        a sweep end, before the stop test, the problem's maintained
-        products are checked against fresh ones and replaced by them,
-        and the guard's reference objective is re-evaluated from them,
-        so a restart from the final point (which starts from fresh
+        rule.  A single-block step (``block`` >= 0) moves that block
+        alone, so the guard checks that block's constraint and
+        re-evaluates its regularizer only, and sums ``f`` with the kept
+        values of the others in the order ``core.objective`` sums them:
+        the same bits at a cost that does not grow with the number of
+        blocks.  A joint step (``block`` -1) is evaluated in full.  The
+        problem's product hook keeps the point returned.  At a sweep
+        end, before the stop test, the problem's maintained products are
+        checked against fresh ones and replaced by them, and the
+        objective and its per-block values are re-evaluated in full, so
+        a restart from the final point (which starts from fresh
         products) repeats the final sweep's decisions.
         """
         if step.gamma != 0.0:
-            if not self.problem.is_feasible(x_new):
-                raise FeasibilityError(f"iterate left the feasible set at t={t}")
-            h_new = objective(self.problem, x_new)
+            h_new, values = self._evaluate(x_new, t, block)
             if h_new >= self.objective:
                 x_new, step, h_new = x_prev, _SKIP, self.objective
+            else:
+                # None after a joint step, until the sweep end that follows
+                self.block_values = values
         else:
             x_new, h_new = x_prev, self.objective
         self.objective = h_new
@@ -197,17 +210,40 @@ class _RunBook:
                 self.skips = 0
         return x_new, stop
 
+    def _evaluate(self, x_new: np.ndarray, t: int,
+                  block: int) -> tuple[float, list[float] | None]:
+        """h at a step's end point, and for a block step the per-block
+        values it sums; a joint step moves every block and is evaluated
+        by ``core.objective``."""
+        problem = self.problem
+        if block < 0:
+            if not problem.is_feasible(x_new):
+                raise FeasibilityError(f"iterate left the feasible set at t={t}")
+            return objective(problem, x_new), None
+        moved = problem.block_of(x_new, block)
+        if not problem.constraints[block].contains(moved):
+            raise FeasibilityError(f"iterate left the feasible set at t={t}")
+        values = self.block_values.copy()
+        values[block] = problem.nonsmooth_value(block, moved)
+        return composite_value(problem.smooth_value(x_new), values), values
+
+    def _evaluate_all(self, x: np.ndarray) -> None:
+        self.block_values = block_values(self.problem, x)
+        self.objective = composite_value(self.problem.smooth_value(x),
+                                         self.block_values)
+
     def _resync(self, x: np.ndarray, t: int) -> None:
-        if self.problem.products is None:
-            return
-        drift = self.problem.products.track(x)
-        if drift is not None:
-            self.trace.product_drift = max(self.trace.product_drift, drift)
-            if drift > PRODUCT_DRIFT_RTOL:
-                raise ProductDriftError(
-                    f"maintained products drifted {drift:.3e} (relative) from "
-                    f"fresh ones by t={t}, beyond {PRODUCT_DRIFT_RTOL:.0e}")
-        self.objective = objective(self.problem, x)
+        if self.problem.products is not None:
+            drift = self.problem.products.track(x)
+            if drift is not None:
+                self.trace.product_drift = max(self.trace.product_drift, drift)
+                if drift > PRODUCT_DRIFT_RTOL:
+                    raise ProductDriftError(
+                        f"maintained products drifted {drift:.3e} (relative) from "
+                        f"fresh ones by t={t}, beyond {PRODUCT_DRIFT_RTOL:.0e}")
+        if not self.problem.is_feasible(x):
+            raise FeasibilityError(f"iterate left the feasible set by t={t}")
+        self._evaluate_all(x)
 
     def finish(self, x: np.ndarray) -> RunTrace:
         if self.problem.products is not None:

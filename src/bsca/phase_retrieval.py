@@ -102,7 +102,10 @@ class PhaseProducts(TrackedProducts):
     ``product``, ``direction_product`` and ``track`` have a sparse path:
     a vector with at most ``_SPARSE_CAP`` (32) nonzeros, fewer than half
     of its entries, is multiplied through the rows on its support only;
-    a dense one keeps ``rows.T @ v``."""
+    a dense one keeps ``rows.T @ v``.  A fresh ``A'x`` read off the
+    tracked points during a run is held until the run keeps or tracks a
+    point (``TrackedProducts.formed``): the guard's objective at a
+    Bregman candidate forms the product the sweep-end check then reads."""
 
     def __init__(self, instance: PhaseRetrievalInstance):
         super().__init__()
@@ -123,11 +126,8 @@ class PhaseProducts(TrackedProducts):
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """``A'x``: the maintained product at a tracked point, a fresh
-        one elsewhere."""
-        held = self.held(x)
-        if held is not None:
-            return held[0]
-        return _transposed_product(self.instance.sampling, x)
+        one elsewhere, held as ``formed`` holds it."""
+        return self.formed(x)[0]
 
     def direction_product(self, block: int | None,
                           direction: np.ndarray) -> np.ndarray:
@@ -200,7 +200,14 @@ def _quartic_coeffs(u: np.ndarray, w: np.ndarray, y: np.ndarray):
 # outer surrogate
 # ---------------------------------------------------------------------------
 
-_CHUNK_ROWS = 16    # rows per squares product of the diagonal; a multiple of 4 keeps gemv bits
+# rows per squares product of the diagonal.  The entries keep the bits
+# of a gemv over 16-row chunks of A_k (_LAYOUT_ROWS) because the gemv
+# sums each output the same way in any block-aligned group of 4 rows.
+# A lone last row is summed one way when it is a chunk on its own
+# (block lengths 1 mod 16) and another inside a longer chunk, so it is
+# formed alone only then and with the group before it otherwise.
+_CHUNK_ROWS = 4
+_LAYOUT_ROWS = 16
 
 
 class _BlockOperator:
@@ -217,8 +224,9 @@ class _BlockOperator:
       formed in one batched product; when they would take the store past
       ``_SPARSE_CAP`` columns, it starts over with the asked support.
     - ``diagonal`` gives the entries on given indices.  It forms the
-      ``_CHUNK_ROWS``-row chunks that hold them, one squares product
-      each, and keeps them."""
+      block-aligned groups of ``_CHUNK_ROWS`` (4) rows that hold them,
+      one squares product each, and keeps them; the entries have the
+      bits of a pass over 16-row chunks (see ``_CHUNK_ROWS``)."""
 
     def __init__(self, rows: np.ndarray, u_sq: np.ndarray, curvature: float):
         self.rows = rows
@@ -229,7 +237,11 @@ class _BlockOperator:
         self.held = 0
         self.columns = np.empty((_SPARSE_CAP, rows.shape[0]))
         self.diag = np.empty(rows.shape[0])
-        self.formed = np.zeros(-(-rows.shape[0] // _CHUNK_ROWS), dtype=bool)
+        length = rows.shape[0]
+        groups = -(-length // _CHUNK_ROWS)
+        if length % _CHUNK_ROWS == 1 and length % _LAYOUT_ROWS != 1:
+            groups -= 1    # the lone last row joins the group before it
+        self.formed = np.zeros(groups, dtype=bool)
 
     def gradient(self, grad_u: np.ndarray, support: np.ndarray) -> np.ndarray:
         """``A_k grad_u``, from the product that also forms the columns on
@@ -272,13 +284,14 @@ class _BlockOperator:
         return coefficients @ self.columns[:self.held] + self.curvature * v
 
     def diagonal(self, index: np.ndarray) -> np.ndarray:
+        last = self.formed.size - 1
         wanted = np.zeros_like(self.formed)
-        wanted[index // _CHUNK_ROWS] = True
-        for chunk in np.flatnonzero(wanted & ~self.formed):
-            start = chunk * _CHUNK_ROWS
-            rows = self.rows[start:start + _CHUNK_ROWS]
-            self.diag[start:start + len(rows)] = (
-                2.0 * ((rows * rows) @ self.u_sq) + self.curvature)
+        wanted[np.minimum(index // _CHUNK_ROWS, last)] = True
+        for group in np.flatnonzero(wanted & ~self.formed):
+            start = group * _CHUNK_ROWS
+            stop = len(self.rows) if group == last else start + _CHUNK_ROWS
+            rows = self.rows[start:stop]
+            self.diag[start:stop] = 2.0 * ((rows * rows) @ self.u_sq) + self.curvature
         self.formed |= wanted
         return self.diag[index]
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,13 @@ from bsca.surrogates import (
     inner_best_response_step,
     inner_exact_stepsize,
 )
+
+# the benchmark's tracer (its counting view of a matrix), loaded from its file
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_tracing",
+    Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py")
+tracing = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(tracing)
 
 
 def random_quadratic_problem(rng, block_sizes, l1_gain=0.0, box_halfwidth=None,

@@ -1,7 +1,5 @@
 import dataclasses
-import importlib.util
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,19 +43,13 @@ from bsca.errors import (
 from bsca.linesearch import exact_quadratic_step
 from bsca.surrogates import soft_threshold
 
+from conftest import tracing
 from oracles import (
     golden_section,
     objective_value,
     sparse_inner_descent_reference,
     sparse_model_value,
 )
-
-# the benchmark's counting view of the dictionary, loaded from its file
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_tracing",
-    Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py")
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
 
 
 def scalar_instance(y=2.0, ridge=1.0, gain=0.5):

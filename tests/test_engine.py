@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from bsca.anomaly import (
     initial_state,
     state_to_vector,
 )
-from bsca import engine
+from bsca import engine, phase_retrieval
 from bsca.core import (
+    Box,
     CompositeProblem,
     L1Norm,
     SolverConfig,
     TrackedProducts,
+    Unconstrained,
     Zero,
     make_partition,
+    objective,
 )
 from bsca.engine import (
     BlockRule,
@@ -37,7 +41,12 @@ from bsca.engine import (
     select_block,
 )
 from bsca.errors import ConfigError, FeasibilityError
-from bsca.linesearch import cubic_real_roots, descent_quantity, quadratic_profile
+from bsca.linesearch import (
+    StepResult,
+    cubic_real_roots,
+    descent_quantity,
+    quadratic_profile,
+)
 from bsca.phase_retrieval import generate_pr_instance, pr_outer_model, pr_problem
 from bsca.surrogates import make_quadratic_surrogate
 
@@ -48,6 +57,7 @@ from conftest import (
     model_value,
     random_quadratic_problem,
     spd_model,
+    tracing,
 )
 from oracles import dense_spd_solve
 
@@ -343,6 +353,111 @@ class TestProductHookCalls:
         assert trace.product_drift <= 1e-12
 
 
+@dataclasses.dataclass(frozen=True)
+class CountedL1(L1Norm):
+    """An l1 regularizer that logs each value it gives."""
+
+    log: list = dataclasses.field(default_factory=list, compare=False)
+
+    def value(self, v):
+        self.log.append("value")
+        return super().value(v)
+
+
+class CountedConstraint:
+    """A constraint that logs each membership test."""
+
+    def __init__(self, inner, log):
+        self.inner = inner
+        self.log = log
+
+    def contains(self, v, atol=1e-12):
+        self.log.append("contains")
+        return self.inner.contains(v, atol)
+
+    def clip(self, v):
+        return self.inner.clip(v)
+
+
+class TestGuard:
+    K = 50
+    BOX = 7    # the one boxed block
+
+    def problem(self, rng, log):
+        plain, _, _ = random_quadratic_problem(rng, [2] * self.K, l1_gain=0.05)
+        constraints = [CountedConstraint(Unconstrained(), log) for _ in range(self.K)]
+        constraints[self.BOX] = CountedConstraint(Box(np.full(2, -0.5), np.full(2, 0.5)),
+                                                  log)
+        return dataclasses.replace(
+            plain, nonsmooth=tuple(CountedL1(0.05, log) for _ in range(self.K)),
+            constraints=tuple(constraints))
+
+    def test_a_block_step_evaluates_its_own_block_alone(self, rng, monkeypatch):
+        # the start and each sweep end check and evaluate every block; a
+        # step in between checks and evaluates the block it moved, and
+        # the objective it sums has the bits of core.objective
+        log, sums = [], []
+        problem = self.problem(rng, log)
+        K = self.K
+        honest_sum = engine.composite_value
+
+        def summed(*args):
+            sums.append(honest_sum(*args))
+            return sums[-1]
+
+        honest_init = engine._RunBook.__init__
+        honest_advance = engine._RunBook.advance
+        seen = Counter()
+
+        def init(book, problem, config, x, sweep_len):
+            log.clear()
+            honest_init(book, problem, config, x, sweep_len)
+            assert Counter(log) == Counter(contains=K, value=K)
+            assert sums == [objective(problem, x)]
+
+        def advance(book, x_prev, x_new, t, block, step):
+            log.clear()
+            sums.clear()
+            kept, stop = honest_advance(book, x_prev, x_new, t, block, step)
+            calls = Counter(log)
+            effective, sweep_end = step.gamma != 0.0, (t + 1) % K == 0
+            expected = effective + K * sweep_end
+            assert calls == Counter(contains=expected, value=expected), t
+            points = [x_new] * effective + [kept] * sweep_end
+            assert sums == [objective(book.problem, p) for p in points], t
+            seen["steps" if effective else "skips"] += 1
+            return kept, stop
+
+        base = quadratic_solver(1.0)
+
+        def solver(problem, x, k):
+            # every fifth visit finds its block stationary: a skip
+            seen["visits"] += 1
+            if seen["visits"] % 5 == 0:
+                return BlockSolution(problem.block_of(x, k).copy())
+            return base(problem, x, k)
+
+        monkeypatch.setattr(engine, "composite_value", summed)
+        monkeypatch.setattr(engine._RunBook, "__init__", init)
+        monkeypatch.setattr(engine._RunBook, "advance", advance)
+        x0 = np.clip(rng.standard_normal(2 * K), -0.5, 0.5)
+        cfg = SolverConfig(max_outer_iterations=3 * K, curvature=1.0, stop_tol=0.0)
+        trace = run_bsca(problem, solver, cfg, x0)
+        assert trace.iterations == 3 * K
+        assert seen["steps"] > K and seen["skips"] >= 3 * K // 5
+
+    def test_a_step_out_of_its_box_names_the_iteration(self, rng):
+        log = []
+        problem = self.problem(rng, log)
+        x = np.zeros(2 * self.K)
+        book = engine._RunBook(problem, SolverConfig(max_outer_iterations=1), x,
+                               self.K)
+        x_new = x.copy()
+        x_new[problem.partition.slice_of(self.BOX)] = [0.25, 0.75]
+        with pytest.raises(FeasibilityError, match="t=12$"):
+            book.advance(x, x_new, 12, self.BOX, StepResult(1.0))
+
+
 class TestParallelSca:
     def test_single_block_bitwise_identical_to_bsca(self, rng):
         problem, _, _ = random_quadratic_problem(rng, [5], l1_gain=0.1)
@@ -616,6 +731,34 @@ class TestBpgd:
         trace = run_bpgd(inst, cfg, x0)
         assert np.all(np.diff(trace.objectives) <= 1e-12)
         assert bregman_constant(inst) > 0
+
+    def test_each_candidate_forms_one_product(self, rng, monkeypatch):
+        # the guard's objective forms A'x at the candidate, and the
+        # sweep-end check reads it there instead of forming it again:
+        # one A'x at the start and one per iteration, plus each
+        # iteration's gradient A (u * (u^2 - y))
+        plain = generate_pr_instance(400, 1000, density=0.01, seed=7)
+        counts = Counter()
+        inst = dataclasses.replace(
+            plain, sampling=tracing.counting_view(plain.sampling, counts))
+        formed = []
+        honest = phase_retrieval._transposed_product
+
+        def counted(rows, v):
+            formed.append(v)
+            return honest(rows, v)
+
+        monkeypatch.setattr(phase_retrieval, "_transposed_product", counted)
+        x0 = rng.standard_normal(400)
+        trace = run_bpgd(inst, SolverConfig(max_outer_iterations=10, stop_tol=0.0), x0)
+        assert trace.iterations == 10
+        assert np.count_nonzero(trace.stepsizes) == 10
+        assert len(formed) == 11
+        assert counts["full_products"] == 21
+        assert trace.product_drift == 0.0
+        reference = run_bpgd(plain, SolverConfig(max_outer_iterations=10, stop_tol=0.0),
+                             x0)
+        assert trace.objectives.tobytes() == reference.objectives.tobytes()
 
     def test_rejects_nonpositive_constant(self, rng):
         inst = generate_pr_instance(10, 20, density=0.2, num_blocks=1, seed=0)

@@ -57,3 +57,16 @@ def test_manifest_gate_sums_up_how_two_traces_differ(tmp_path):
     assert gate.trace_difference(recorded, longer) == (
         "iterations 2 -> 3; final objective 8.0 -> 7.5; 2 of 4 rows differ; "
         "largest relative objective difference 6.2e-02; skip pattern differs")
+
+
+def test_ab_solve_times_a_checkout_against_itself():
+    script = next(path for path in SCRIPTS if path.stem == "ab_solve")
+    root = script.parents[1]
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(script), str(root), str(root),
+                           "anomaly_desk", "1"], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert "traces bit for bit: yes" in done.stdout
+    assert "fails a check" not in done.stdout
+    assert "of 1 pairs" in done.stdout

@@ -3,18 +3,12 @@ or its span silently reads 0: a renamed or moved function needs the
 same change in ``perfbench/tracing.py``."""
 
 import dataclasses
-import importlib.util
-from pathlib import Path
 
 import pytest
 
 from bsca.core import CompositeProblem
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_tracing",
-    Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py")
-tracing = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(tracing)
+from conftest import tracing
 
 # bindings whose functions left the phase-retrieval module before this
 # test existed; their spans read 0 until the tracer drops them
