@@ -103,15 +103,6 @@ def vector_to_state(instance: AnomalyInstance, x: np.ndarray) -> AnomalyState:
     return AnomalyState(left, right, sparse)
 
 
-def residual(state: AnomalyState, instance: AnomalyInstance,
-             sparse_image: np.ndarray | None = None) -> np.ndarray:
-    """``E = L R + D S - Y``; ``sparse_image`` is ``D S`` when already
-    formed."""
-    if sparse_image is None:
-        sparse_image = instance.dictionary @ state.sparse
-    return state.left @ state.right + sparse_image - instance.measurements
-
-
 def _smooth_value(state: AnomalyState, fit: np.ndarray, ridge: float) -> float:
     """The smooth part of the objective, given the residual ``fit``."""
     return float(0.5 * np.vdot(fit, fit)
@@ -133,15 +124,13 @@ def _squared_column_norms(dictionary: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 # ``sparse_image`` is D S, ``fit`` the residual E, ``correlation`` D'E
-# and ``diag`` the squared column norms of D, each at ``state``: a solve
-# forms what it is not given, with the expression ``residual`` uses.
+# and ``diag`` the squared column norms of D, each at ``state``: the
+# solves read them as ``anomaly_solver`` hands them over and form none.
 
 def best_left_factor(state: AnomalyState, instance: AnomalyInstance,
-                     sparse_image: np.ndarray | None = None) -> np.ndarray:
+                     sparse_image: np.ndarray) -> np.ndarray:
     """Ridge solve for the left factor with right/sparse frozen; the
     rank x rank Gram system is factorized, never inverted."""
-    if sparse_image is None:
-        sparse_image = instance.dictionary @ state.sparse
     target = instance.measurements - sparse_image
     gram = state.right @ state.right.T
     gram[np.diag_indices_from(gram)] += instance.ridge
@@ -149,9 +138,7 @@ def best_left_factor(state: AnomalyState, instance: AnomalyInstance,
 
 
 def best_right_factor(state: AnomalyState, instance: AnomalyInstance,
-                      sparse_image: np.ndarray | None = None) -> np.ndarray:
-    if sparse_image is None:
-        sparse_image = instance.dictionary @ state.sparse
+                      sparse_image: np.ndarray) -> np.ndarray:
     target = instance.measurements - sparse_image
     gram = state.left.T @ state.left
     gram[np.diag_indices_from(gram)] += instance.ridge
@@ -159,14 +146,10 @@ def best_right_factor(state: AnomalyState, instance: AnomalyInstance,
 
 
 def best_sparse_candidate(state: AnomalyState, instance: AnomalyInstance, *,
-                          correlation: np.ndarray | None = None,
-                          diag: np.ndarray | None = None) -> np.ndarray:
+                          correlation: np.ndarray,
+                          diag: np.ndarray) -> np.ndarray:
     """Minimizer of the elementwise best-response model of the fit term
     plus the l1 penalty: a diagonally scaled soft-threshold."""
-    if diag is None:
-        diag = _squared_column_norms(instance.dictionary)
-    if correlation is None:
-        correlation = instance.dictionary.T @ residual(state, instance)
     scaled = diag[:, None] * state.sparse - correlation
     return soft_threshold(scaled, instance.sparse_gain) / diag[:, None]
 
@@ -174,23 +157,18 @@ def best_sparse_candidate(state: AnomalyState, instance: AnomalyInstance, *,
 def sparse_exact_stepsize(state: AnomalyState, candidate: np.ndarray,
                           instance: AnomalyInstance,
                           proximal: float = 0.0, *,
-                          fit: np.ndarray | None = None,
-                          delta: np.ndarray | None = None) -> float:
+                          fit: np.ndarray,
+                          delta: np.ndarray) -> float:
     """Rational exact stepsize for the sparse block, clipped to [0, 1].
 
     ``proximal`` > 0 searches the strictly convex sparse-block model
     (the fit term plus ``(proximal/2) ||S - state.sparse||^2``) instead
-    of the fit term itself.  ``delta`` is ``candidate - state.sparse``
-    when already formed."""
-    if delta is None:
-        delta = candidate - state.sparse
+    of the fit term itself.  ``delta`` is ``candidate - state.sparse``."""
     moved = instance.dictionary @ delta
     curvature = float(np.vdot(moved, moved)) + proximal * float(np.vdot(delta, delta))
     if curvature == 0.0:
         raise DegenerateDirectionError(
             "sparse direction lies in the dictionary null space")
-    if fit is None:
-        fit = residual(state, instance)
     gain = instance.sparse_gain
     slope = float(np.vdot(fit, moved)) + gain * (
         np.abs(candidate).sum() - np.abs(state.sparse).sum())
@@ -212,11 +190,11 @@ class FistaCarry:
 
 def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
                          rounds: int, proximal: float,
-                         lipschitz: float | None = None,
+                         lipschitz: float,
                          stationarity_rtol: float = 1e-12, *,
-                         fit: np.ndarray | None = None,
-                         correlation: np.ndarray | None = None,
-                         diag: np.ndarray | None = None,
+                         fit: np.ndarray,
+                         correlation: np.ndarray,
+                         diag: np.ndarray,
                          carry: FistaCarry | None = None) -> np.ndarray:
     """Inner layer of the two-layer sparse-block update: ``rounds``
     descent rounds on the strictly convex sparse-block model
@@ -233,8 +211,9 @@ def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
     (adaptive restart, O'Donoghue and Candes 2015), so the output's
     model value is at most the round-one point's, which is at most the
     anchor's (``state.sparse``).
-    ``lipschitz`` bounds the model gradient's Lipschitz constant,
-    ``||D||_2^2 + proximal`` when None.
+    ``lipschitz`` bounds the model gradient's Lipschitz constant, such
+    as ``||D||_2^2 + proximal``, and ``fit``, ``correlation`` and
+    ``diag`` are passed on to ``step_sparse``.
 
     ``carry``, when given, keeps the momentum from one call to the next:
     the rounds start from the round-one point extrapolated away from the
@@ -253,8 +232,6 @@ def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
     D = instance.dictionary
     gain = instance.sparse_gain
     anchor = state.sparse
-    if lipschitz is None:
-        lipschitz = float(np.linalg.norm(D, 2)) ** 2 + proximal
     threshold = gain / lipschitz
     target = instance.measurements - state.left @ state.right
 
@@ -351,11 +328,13 @@ def _extrapolate(point: np.ndarray, previous: np.ndarray, weight: float,
 def step_sparse(state: AnomalyState, instance: AnomalyInstance,
                 stationarity_rtol: float = 1e-12,
                 proximal: float = 0.0, *,
-                fit: np.ndarray | None = None,
-                correlation: np.ndarray | None = None,
-                diag: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+                fit: np.ndarray,
+                correlation: np.ndarray,
+                diag: np.ndarray) -> tuple[np.ndarray, float]:
     """Candidate, exact stepsize, convex-combination update; gamma = 0
-    when the block is already optimal.  ``proximal`` is passed on to
+    when the block is already optimal.  E (``fit``), D'E
+    (``correlation``) and D's squared column norms (``diag``) are the
+    products at ``state``; ``proximal`` is passed on to
     ``sparse_exact_stepsize``."""
     candidate = best_sparse_candidate(state, instance, correlation=correlation,
                                       diag=diag)
@@ -379,7 +358,7 @@ class AnomalyProducts(TrackedProducts):
     ``core.TrackedProducts``): the residual ``E = L R + D S - Y`` and
     ``D S`` at the tracked points.  A step that moves S re-forms ``D S``,
     one product through D; a factor step keeps it.  E is formed from it
-    by ``residual``'s expression, so every read carries the bits of
+    by the expression of a fresh read, so every read carries the bits of
     fresh products and the sweep-end drift is 0.  (Carrying
     ``E + gamma D delta`` would save the product but change the last
     bits.)  A read off the tracked points is fresh, with the same bits.
@@ -399,7 +378,8 @@ class AnomalyProducts(TrackedProducts):
         state = vector_to_state(self.instance, x)
         if sparse_image is None:
             sparse_image = self.instance.dictionary @ state.sparse
-        return residual(state, self.instance, sparse_image), sparse_image
+        fit = state.left @ state.right + sparse_image - self.instance.measurements
+        return fit, sparse_image
 
     def carried(self, held, x_new: np.ndarray, block: int | None,
                 gamma: float, direction: np.ndarray):
@@ -412,33 +392,15 @@ class AnomalyProducts(TrackedProducts):
 
     def sparse_image(self, x: np.ndarray) -> np.ndarray:
         """``D S``: held at a tracked point, fresh elsewhere."""
-        held = self.held(x)
-        if held is not None:
-            return held[1]
-        return self.instance.dictionary @ vector_to_state(self.instance, x).sparse
+        return (self.held(x) or self.fresh(x))[1]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         """``E = L R + D S - Y``: held at a tracked point, fresh elsewhere."""
-        held = self.held(x)
-        if held is not None:
-            return held[0]
-        return residual(vector_to_state(self.instance, x), self.instance)
+        return (self.held(x) or self.fresh(x))[0]
 
     def release(self) -> None:
         super().release()
         self.carry = FistaCarry()
-
-    def line(self, x: np.ndarray, direction: np.ndarray, block: int | None):
-        if block is not None:
-            direction = state_partition(self.instance).embed(block, direction)
-        ridge = self.instance.ridge
-
-        def value(gamma: float) -> float:
-            point = x + gamma * direction
-            return _smooth_value(vector_to_state(self.instance, point),
-                                 self.residual(point), ridge)
-
-        return value
 
 
 def anomaly_problem(instance: AnomalyInstance) -> CompositeProblem:
@@ -510,22 +472,22 @@ def anomaly_solver(instance: AnomalyInstance,
     one-round elementwise best response.  The solves read ``D S`` and
     ``E`` from the problem's ``AnomalyProducts``, which tracks the
     engine's iterate, also after a demoted step, and the sparse solve
-    hands ``D'E`` to the engine as the block gradient.
+    hands ``D'E`` to the engine as the block gradient.  A problem
+    without an ``AnomalyProducts`` is rejected with InvalidArgumentError.
 
     The FISTA momentum of the sparse rounds is carried from one visit to
-    the next in the products' ``carry``, so it lasts for one run.  A
-    problem without a product hook reads fresh products from one hook
-    of the solver's own, which no run tracks or releases: there the
-    carry lasts as long as the solver."""
+    the next in the products' ``carry``, so it lasts for one run."""
     rounds = 1 if config is None else config.inner_iterations
     diag = _squared_column_norms(instance.dictionary)
     lipschitz = None
     if rounds > 1:
         lipschitz = float(np.linalg.norm(instance.dictionary, 2)) ** 2 + config.curvature
-    own = AnomalyProducts(instance)
 
     def solver(problem: CompositeProblem, x: np.ndarray, k: int) -> BlockSolution:
-        products = problem.products or own
+        products = problem.products
+        if not isinstance(products, AnomalyProducts):
+            raise InvalidArgumentError(
+                "anomaly_solver reads D S and E from the problem's AnomalyProducts")
         state = vector_to_state(instance, x)
         if k == 0:
             return BlockSolution(best_left_factor(

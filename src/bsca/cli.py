@@ -2,7 +2,6 @@
 and bit-exact reproduction from run manifests.
 
 Exit codes: 0 success, 2 usage problems, 3 solver/runtime failures.
-``BSCA_THREADS`` caps how many benchmark variants run concurrently.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ import os
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -283,6 +281,8 @@ def _parse_variants(path) -> list[dict]:
         tokens = dict(tok.split("=", 1) for tok in line.split())
         if "name" not in tokens or "algorithm" not in tokens:
             raise UsageError(f"variant line needs name= and algorithm=: {raw!r}")
+        if any(v["name"] == tokens["name"] for v in variants):
+            raise UsageError(f"variant name {tokens['name']!r} is used twice")
         variants.append(tokens)
     if not variants:
         raise UsageError(f"{path}: no variants defined")
@@ -297,27 +297,18 @@ def cmd_bench(args) -> int:
     started = _timestamp()
 
     baseline = _merge_options(args, {})
-
-    def run_one(tokens: dict):
-        settings = dict(tokens)
-        name, algorithm = settings.pop("name"), settings.pop("algorithm")
-        opts = _with_settings(baseline, settings, f"variant {name}")
-        begin = time.monotonic()
-        trace = run_algorithm(instance, algorithm, opts)
-        return trace, time.monotonic() - begin
-
-    workers = max(1, min(int(os.environ.get("BSCA_THREADS", "1")),
-                         len(variants)))
     results: dict[str, tuple] = {}
     failures: dict[str, str] = {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = {tokens["name"]: pool.submit(run_one, tokens)
-                   for tokens in variants}
-        for name, future in futures.items():
-            try:
-                results[name] = future.result()
-            except (BscaError, UsageError) as exc:
-                failures[name] = str(exc)
+    for tokens in variants:
+        settings = dict(tokens)
+        name, algorithm = settings.pop("name"), settings.pop("algorithm")
+        try:
+            opts = _with_settings(baseline, settings, f"variant {name}")
+            begin = time.monotonic()
+            trace = run_algorithm(instance, algorithm, opts)
+            results[name] = trace, time.monotonic() - begin
+        except (BscaError, UsageError) as exc:
+            failures[name] = str(exc)
 
     rows = ["variant,final_objective,iters_to_tol,seconds"]
     for tokens in variants:

@@ -184,28 +184,25 @@ class TrackedProducts:
 
     Products formed fresh are not formed again at the same point: a
     ``track`` of a point whose products were formed fresh returns drift
-    0 without re-forming them.  A subclass that reads through ``formed``
-    has its fresh reads off the tracked points held too, while a run
-    tracks a point, until the next ``update``, ``keep`` or ``track``, so
-    the guard's objective at a joint candidate and the sweep-end
-    ``track`` that follows share one product.
+    0 without re-forming them.
 
     A subclass forms its products afresh (``fresh``), carries them
     along a step (``carried``), and gives the scale its drift is
     measured against (``drift_scale``).  The first entry of its products
-    is the array the drift compares.  It also gives ``line``, ``gamma ->
-    f(x + gamma d)``, where ``direction`` and ``block`` mean what they
-    mean for ``CompositeProblem.line_profile``.
+    is the array the drift compares.  It may also give ``line``,
+    ``gamma -> f(x + gamma d)`` from its products, where ``direction``
+    and ``block`` mean what they mean for
+    ``CompositeProblem.line_profile``; without one, f is evaluated
+    afresh along the step.
     """
 
     def __init__(self) -> None:
         # each entry is (point, products, whether they were formed fresh)
         self._current = None
         self._previous = None    # the step's start, from update until keep
-        self._formed = None      # a fresh read off the tracked points
 
     def _tracked(self, x: np.ndarray):
-        for tracked in (self._current, self._previous, self._formed):
+        for tracked in (self._current, self._previous):
             if tracked is not None and tracked[0] is x:
                 return tracked
         return None
@@ -215,17 +212,6 @@ class TrackedProducts:
         tracked = self._tracked(x)
         return None if tracked is None else tracked[1]
 
-    def formed(self, x: np.ndarray):
-        """The products at ``x``: the held ones at a tracked point, else
-        fresh ones, which are held while the run tracks a point."""
-        tracked = self._tracked(x)
-        if tracked is not None:
-            return tracked[1]
-        fresh = self.fresh(x)
-        if self._current is not None:
-            self._formed = (x, fresh, True)
-        return fresh
-
     def track(self, x: np.ndarray) -> float | None:
         """Form the products of ``x`` afresh and track ``x`` alone.  When
         ``x`` was tracked already, return the relative drift of the
@@ -233,10 +219,10 @@ class TrackedProducts:
         tracked = self._tracked(x)
         if tracked is not None and tracked[2]:
             # fresh products again would have the same bits
-            self._current, self._previous, self._formed = tracked, None, None
+            self._current, self._previous = tracked, None
             return 0.0
         fresh = self.fresh(x)
-        self._current, self._previous, self._formed = (x, fresh, True), None, None
+        self._current, self._previous = (x, fresh, True), None
         if tracked is None:
             return None
         held = tracked[1]
@@ -249,7 +235,6 @@ class TrackedProducts:
         and track both until ``keep``.  When ``x`` is not tracked, the
         run has left the tracked points: track none."""
         tracked = self._tracked(x)
-        self._formed = None
         if tracked is None:
             self._current = self._previous = None
             return
@@ -260,11 +245,15 @@ class TrackedProducts:
     def keep(self, x: np.ndarray) -> None:
         """Track ``x`` alone, the point the run goes on from, or nothing
         when it is not tracked."""
-        self._current, self._previous, self._formed = self._tracked(x), None, None
+        self._current, self._previous = self._tracked(x), None
 
     def release(self) -> None:
         """Track no point."""
-        self._current = self._previous = self._formed = None
+        self._current = self._previous = None
+
+    def line(self, x: np.ndarray, direction: np.ndarray, block: int | None):
+        """None: f is evaluated afresh along the step (see above)."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -290,9 +279,10 @@ class CompositeProblem:
     fresh ones by more than ``PRODUCT_DRIFT_RTOL``, and re-evaluate the
     objective from the fresh ones.  The audit, the successive search and
     the scan of an exact search without a profile evaluate ``f`` along
-    the step through ``line``.  The closures stay pure: at a tracked
-    point they may read the maintained products, which agree with fresh
-    ones up to that drift; at any other point they compute from scratch.
+    the step through the hook's ``line`` when it gives one, and afresh
+    otherwise.  The closures stay pure: at a tracked point they may read
+    the maintained products, which agree with fresh ones up to that
+    drift; at any other point they compute from scratch.
 
     Existence of limit points (a coercive objective or bounded constraint
     sets) is the caller's obligation; nothing here can check it.
@@ -382,8 +372,8 @@ class SolverConfig:
     ``audit_profiles`` checks every closed-form line profile against
     direct evaluations of ``f`` at six points of the step before its
     minimizer is trusted (ProfileMismatchError beyond 1e-8 relative):
-    fresh ones without a product hook (``CompositeProblem.products``),
-    O(N) ones through the hook's ``line`` for phase retrieval.
+    fresh ones unless the product hook (``CompositeProblem.products``)
+    gives a ``line``, O(N) ones through it for phase retrieval.
     ``run_phase_retrieval`` audits whatever the setting.
 
     ``inner_iterations`` caps the inner rounds ``inexact_solver`` runs

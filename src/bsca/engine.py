@@ -258,9 +258,11 @@ _SKIP = StepResult(0.0)
 def _line_function(problem: CompositeProblem, x: np.ndarray,
                    direction: np.ndarray, block: int | None) -> Callable[[float], float]:
     """``gamma -> f(x + gamma d)``: through the problem's product hook
-    when it has one, else by fresh evaluations of ``f``."""
+    when it gives a line, else by fresh evaluations of ``f``."""
     if problem.products is not None:
-        return problem.products.line(x, direction, block)
+        line = problem.products.line(x, direction, block)
+        if line is not None:
+            return line
     full = direction if block is None else problem.partition.embed(block, direction)
     return lambda gamma: problem.smooth_value(x + gamma * full)
 
@@ -522,6 +524,8 @@ def run_bpgd(instance, config: SolverConfig, x0: np.ndarray,
             candidate, step = x, _SKIP
         else:
             step = StepResult(1.0)
+        # the guard and the sweep-end check read the fresh A'x formed here
+        problem.products.track(candidate)
         x, stop = book.advance(x, candidate, t, -1, step)
         if stop:
             break

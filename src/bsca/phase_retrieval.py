@@ -102,10 +102,8 @@ class PhaseProducts(TrackedProducts):
     ``product``, ``direction_product`` and ``track`` have a sparse path:
     a vector with at most ``_SPARSE_CAP`` (32) nonzeros, fewer than half
     of its entries, is multiplied through the rows on its support only;
-    a dense one keeps ``rows.T @ v``.  A fresh ``A'x`` read off the
-    tracked points during a run is held until the run keeps or tracks a
-    point (``TrackedProducts.formed``): the guard's objective at a
-    Bregman candidate forms the product the sweep-end check then reads."""
+    a dense one keeps ``rows.T @ v``.  ``line`` evaluates f along a
+    step from ``u`` and ``w`` in O(N)."""
 
     def __init__(self, instance: PhaseRetrievalInstance):
         super().__init__()
@@ -126,8 +124,11 @@ class PhaseProducts(TrackedProducts):
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """``A'x``: the maintained product at a tracked point, a fresh
-        one elsewhere, held as ``formed`` holds it."""
-        return self.formed(x)[0]
+        one elsewhere."""
+        held = self.held(x)
+        if held is not None:
+            return held[0]
+        return _transposed_product(self.instance.sampling, x)
 
     def direction_product(self, block: int | None,
                           direction: np.ndarray) -> np.ndarray:

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import importlib.util
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bsca import engine
+from bsca.anomaly import AnomalyProducts, state_to_vector
 from bsca.core import (
     Box,
     CompositeProblem,
@@ -80,6 +82,33 @@ def small_pr_instance(gen, sizes):
     return PhaseRetrievalInstance(
         sampling=sampling, intensities=(sampling.T @ gen.standard_normal(n)) ** 2,
         sparse_gain=0.1, partition=make_partition(sizes))
+
+
+@dataclass(frozen=True)
+class BlockProducts:
+    """What ``anomaly_solver`` hands the low-rank + sparse block updates
+    at a state: D S, E, D'E, D's squared column norms and the Lipschitz
+    bound of the sparse-block model."""
+
+    sparse_image: np.ndarray
+    fit: np.ndarray
+    correlation: np.ndarray
+    diag: np.ndarray
+    lipschitz: float
+
+    @property
+    def sparse(self) -> dict:
+        """The products ``step_sparse`` and ``sparse_inner_descent`` take."""
+        return dict(fit=self.fit, correlation=self.correlation, diag=self.diag)
+
+
+def block_products(instance, state, proximal=0.0):
+    """``BlockProducts`` at ``state``, with D S and E formed fresh by the
+    problem's hook and the bound ``||D||_2^2 + proximal``."""
+    fit, sparse_image = AnomalyProducts(instance).fresh(state_to_vector(state))
+    D = instance.dictionary
+    return BlockProducts(sparse_image, fit, D.T @ fit, np.einsum("ij,ij->j", D, D),
+                         float(np.linalg.norm(D, 2)) ** 2 + proximal)
 
 
 def spd_model(spd, b, anchor):

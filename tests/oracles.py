@@ -19,10 +19,12 @@ from typing import Callable
 
 import numpy as np
 
-from bsca.anomaly import AnomalyInstance, AnomalyState, residual, step_sparse
+from bsca.anomaly import AnomalyInstance, AnomalyState, step_sparse
 from bsca.core import Zero
 from bsca.errors import InvalidArgumentError
 from bsca.surrogates import QuadOperator, SurrogateModel, soft_threshold
+
+from conftest import block_products
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -216,9 +218,15 @@ def outer_model_chunked_pass(rows: np.ndarray, u: np.ndarray,
     return grad, 2.0 * diagonal + curvature
 
 
+def anomaly_residual(state: AnomalyState, instance: AnomalyInstance) -> np.ndarray:
+    """E = L R + D S - Y."""
+    return (state.left @ state.right + instance.dictionary @ state.sparse
+            - instance.measurements)
+
+
 def objective_value(state: AnomalyState, instance: AnomalyInstance) -> float:
     """The low-rank + sparse objective, straight from its matrix form."""
-    fit = residual(state, instance)
+    fit = anomaly_residual(state, instance)
     return float(0.5 * np.vdot(fit, fit)
                  + 0.5 * instance.ridge * (np.vdot(state.left, state.left)
                                            + np.vdot(state.right, state.right))
@@ -229,7 +237,7 @@ def sparse_model_value(state: AnomalyState, sparse: np.ndarray,
                        instance: AnomalyInstance, proximal: float) -> float:
     """Sparse-block model at ``sparse``, anchored at ``state``:
     0.5 ||L R + D S - Y||^2 + (proximal/2) ||S - S_t||^2 + gain ||S||_1."""
-    fit = residual(AnomalyState(state.left, state.right, sparse), instance)
+    fit = anomaly_residual(AnomalyState(state.left, state.right, sparse), instance)
     shift = sparse - state.sparse
     return float(0.5 * np.vdot(fit, fit) + 0.5 * proximal * np.vdot(shift, shift)
                  + instance.sparse_gain * np.abs(sparse).sum())
@@ -244,7 +252,8 @@ def sparse_inner_descent_reference(state: AnomalyState, instance: AnomalyInstanc
     were written before they ran in place: every round allocates its
     trial, its products and its momentum step afresh.  Returns the
     result and the number of momentum restarts, the one line added."""
-    best, gamma = step_sparse(state, instance, stationarity_rtol, proximal)
+    best, gamma = step_sparse(state, instance, stationarity_rtol, proximal,
+                              **block_products(instance, state).sparse)
     if gamma == 0.0:
         return best, 0
     D = instance.dictionary

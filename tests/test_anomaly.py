@@ -18,7 +18,6 @@ from bsca.anomaly import (
     final_state,
     generate_anomaly_instance,
     initial_state,
-    residual,
     run_anomaly_bsca,
     sparse_exact_stepsize,
     sparse_inner_descent,
@@ -43,7 +42,7 @@ from bsca.errors import (
 from bsca.linesearch import exact_quadratic_step
 from bsca.surrogates import soft_threshold
 
-from conftest import tracing
+from conftest import block_products, tracing
 from oracles import (
     golden_section,
     objective_value,
@@ -76,22 +75,26 @@ class TestFactorSolves:
         inst = scalar_instance(y=2.0, ridge=1.0)
         state = AnomalyState(np.array([[0.0]]), np.array([[1.0]]),
                              np.zeros((1, 1)))
-        assert best_left_factor(state, inst) == pytest.approx(np.array([[1.0]]))
+        image = block_products(inst, state).sparse_image
+        assert best_left_factor(state, inst, image) == pytest.approx(np.array([[1.0]]))
 
     def test_scalar_right_solve(self):
         inst = scalar_instance(y=2.0, ridge=1.0)
         state = AnomalyState(np.array([[1.0]]), np.array([[0.0]]),
                              np.zeros((1, 1)))
-        assert best_right_factor(state, inst) == pytest.approx(np.array([[1.0]]))
+        image = block_products(inst, state).sparse_image
+        assert best_right_factor(state, inst, image) == pytest.approx(np.array([[1.0]]))
 
     def test_zero_factor_pulls_to_zero(self):
         inst = scalar_instance()
         state = AnomalyState(np.array([[3.0]]), np.zeros((1, 1)),
                              np.zeros((1, 1)))
-        assert best_left_factor(state, inst) == pytest.approx(np.array([[0.0]]))
+        image = block_products(inst, state).sparse_image
+        assert best_left_factor(state, inst, image) == pytest.approx(np.array([[0.0]]))
         state = AnomalyState(np.zeros((1, 1)), np.array([[3.0]]),
                              np.zeros((1, 1)))
-        assert best_right_factor(state, inst) == pytest.approx(np.array([[0.0]]))
+        image = block_products(inst, state).sparse_image
+        assert best_right_factor(state, inst, image) == pytest.approx(np.array([[0.0]]))
 
     def test_gradient_vanishes_at_solutions(self, rng):
         inst = small_instance()
@@ -99,14 +102,22 @@ class TestFactorSolves:
                              rng.standard_normal((2, 8)),
                              rng.standard_normal((6, 8)))
         problem = anomaly_problem(inst)
-        left = best_left_factor(state, inst)
+        image = block_products(inst, state).sparse_image
+        left = best_left_factor(state, inst, image)
         x = state_to_vector(AnomalyState(left, state.right, state.sparse))
         grad = problem.block_gradient(x, 0)
         assert np.linalg.norm(grad) <= 1e-8 * (1 + np.linalg.norm(left))
-        right = best_right_factor(state, inst)
+        right = best_right_factor(state, inst, image)
         x = state_to_vector(AnomalyState(state.left, right, state.sparse))
         grad = problem.block_gradient(x, 1)
         assert np.linalg.norm(grad) <= 1e-8 * (1 + np.linalg.norm(right))
+
+
+def fresh_candidate(state, inst):
+    """``best_sparse_candidate`` at fresh products."""
+    held = block_products(inst, state)
+    return best_sparse_candidate(state, inst, correlation=held.correlation,
+                                 diag=held.diag)
 
 
 class TestSparseSolve:
@@ -115,7 +126,7 @@ class TestSparseSolve:
         inst = AnomalyInstance(measurements=y, dictionary=np.eye(2),
                                ridge=1.0, sparse_gain=1.0, rank=1)
         state = AnomalyState(np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((2, 2)))
-        got = best_sparse_candidate(state, inst)
+        got = fresh_candidate(state, inst)
         assert got == pytest.approx(np.array([[1.0, 0.0], [0.0, -3.0]]))
 
     def test_zero_gain_is_least_squares_residual(self):
@@ -125,7 +136,7 @@ class TestSparseSolve:
         left = np.array([[1.0], [0.0]])
         right = np.array([[0.5]])
         state = AnomalyState(left, right, np.zeros((2, 1)))
-        got = best_sparse_candidate(state, inst)
+        got = fresh_candidate(state, inst)
         assert got == pytest.approx(y - left @ right, abs=1e-12)
 
     def test_entries_match_scalar_golden_section(self, rng):
@@ -133,7 +144,7 @@ class TestSparseSolve:
         state = AnomalyState(rng.standard_normal((5, 2)),
                              rng.standard_normal((2, 8)),
                              rng.standard_normal((6, 8)))
-        got = best_sparse_candidate(state, inst)
+        got = fresh_candidate(state, inst)
         D = inst.dictionary
         base = state.left @ state.right + D @ state.sparse - inst.measurements
         for (i, k) in [(0, 0), (3, 4), (5, 7), (2, 2)]:
@@ -149,10 +160,9 @@ class TestSparseSolve:
         d = np.array([[1.0, 0.0], [0.0, 0.0]])
         inst = AnomalyInstance(measurements=np.ones((2, 2)), dictionary=d,
                                ridge=1.0, sparse_gain=0.5, rank=1)
-        state = AnomalyState(np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((2, 2)))
         from bsca.errors import DegenerateDiagonalError
         with pytest.raises(DegenerateDiagonalError):
-            best_sparse_candidate(state, inst)
+            anomaly_solver(inst)
 
 
 class TestSparseStepsize:
@@ -163,7 +173,9 @@ class TestSparseStepsize:
                                ridge=1.0, sparse_gain=0.1, rank=1)
         state = AnomalyState(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
         candidate = np.array([[0.8]])
-        gamma = sparse_exact_stepsize(state, candidate, inst)
+        gamma = sparse_exact_stepsize(state, candidate, inst,
+                                      fit=block_products(inst, state).fit,
+                                      delta=candidate - state.sparse)
         assert gamma == 1.0
         phi = lambda g: 0.5 * (0.8 * g - 1.0) ** 2 + 0.1 * 0.8 * g
         assert golden_section(phi) == pytest.approx(1.0, abs=1e-8)
@@ -173,9 +185,9 @@ class TestSparseStepsize:
         inst = scalar_instance()
         state = AnomalyState(np.zeros((1, 1)), np.zeros((1, 1)),
                              np.array([[0.7]]))
-        settled = AnomalyState(state.left, state.right,
-                               best_sparse_candidate(state, inst))
-        new_sparse, gamma = step_sparse(settled, inst)
+        settled = AnomalyState(state.left, state.right, fresh_candidate(state, inst))
+        new_sparse, gamma = step_sparse(settled, inst,
+                                        **block_products(inst, settled).sparse)
         assert gamma == 0.0
         assert np.array_equal(new_sparse, settled.sparse)
 
@@ -187,16 +199,18 @@ class TestSparseStepsize:
                              np.zeros((2, 1)))
         null_dir = np.array([[1.0], [-1.0]])
         with pytest.raises(DegenerateDirectionError):
-            sparse_exact_stepsize(state, state.sparse + null_dir, inst)
+            sparse_exact_stepsize(state, state.sparse + null_dir, inst,
+                                  fit=block_products(inst, state).fit, delta=null_dir)
 
     def test_matches_quadratic_step_coefficients(self, rng):
         inst = dataclasses.replace(small_instance(), sparse_gain=1e-300)
         state = AnomalyState(rng.standard_normal((5, 2)),
                              rng.standard_normal((2, 8)),
                              rng.standard_normal((6, 8)))
-        candidate = best_sparse_candidate(state, inst)
-        gamma = sparse_exact_stepsize(state, candidate, inst)
+        candidate = fresh_candidate(state, inst)
         delta = candidate - state.sparse
+        gamma = sparse_exact_stepsize(state, candidate, inst,
+                                      fit=block_products(inst, state).fit, delta=delta)
         moved = inst.dictionary @ delta
         base = (state.left @ state.right + inst.dictionary @ state.sparse
                 - inst.measurements)
@@ -211,11 +225,12 @@ def one_round_solver(inst):
 
     def solver(problem, x, k):
         state = vector_to_state(inst, x)
+        image = block_products(inst, state).sparse_image
         if k == 0:
-            return BlockSolution(best_left_factor(state, inst).ravel(), True)
+            return BlockSolution(best_left_factor(state, inst, image).ravel(), True)
         if k == 1:
-            return BlockSolution(best_right_factor(state, inst).ravel(), True)
-        return BlockSolution(best_sparse_candidate(state, inst).ravel(), False)
+            return BlockSolution(best_right_factor(state, inst, image).ravel(), True)
+        return BlockSolution(fresh_candidate(state, inst).ravel(), False)
 
     return solver
 
@@ -248,8 +263,10 @@ class TestSparseInnerDescent:
             for proximal in (1e-4, 1.0):
                 anchor_value = sparse_model_value(state, state.sparse, inst,
                                                   proximal)
+                held = block_products(inst, state, proximal)
                 values = [sparse_model_value(
-                    state, sparse_inner_descent(state, inst, rounds, proximal),
+                    state, sparse_inner_descent(state, inst, rounds, proximal,
+                                                held.lipschitz, **held.sparse),
                     inst, proximal) for rounds in (2, 3, 5, 10, 50)]
                 assert values[0] < anchor_value
                 # the rounds extend one deterministic monotone sequence
@@ -261,14 +278,16 @@ class TestSparseInnerDescent:
                              rng.standard_normal((2, 8)),
                              rng.standard_normal((6, 8)))
         proximal = 0.1
-        got = sparse_inner_descent(state, inst, 300, proximal)
+        held = block_products(inst, state, proximal)
+        got = sparse_inner_descent(state, inst, 300, proximal, held.lipschitz,
+                                   **held.sparse)
         # fixed point of the proximal-gradient map of the model, down to
         # the resolution of the acceptance test: rounds are compared by
         # model value, which pins the iterate to about sqrt(eps) relative
         D = inst.dictionary
         lipschitz = np.linalg.norm(D, 2) ** 2 + proximal
-        grad = (D.T @ residual(AnomalyState(state.left, state.right, got), inst)
-                + proximal * (got - state.sparse))
+        at_got = block_products(inst, AnomalyState(state.left, state.right, got))
+        grad = at_got.correlation + proximal * (got - state.sparse)
         mapped = soft_threshold(got - grad / lipschitz,
                                 inst.sparse_gain / lipschitz)
         assert np.linalg.norm(mapped - got) <= 1e-8 * (1.0 + np.linalg.norm(got))
@@ -289,18 +308,15 @@ class TestInPlaceRounds:
             state = AnomalyState(rng.standard_normal((5, 2)),
                                  rng.standard_normal((2, 8)),
                                  rng.standard_normal((6, 8)))
-            fit = residual(state, inst)
-            held = dict(fit=fit, correlation=inst.dictionary.T @ fit,
-                        diag=np.einsum("ij,ij->j", inst.dictionary, inst.dictionary))
             for rounds in (1, 2, 3, 10, 50):
                 for proximal in (1e-4, 1.0):
                     expected, restarted = sparse_inner_descent_reference(
                         state, inst, rounds, proximal)
                     restarts += restarted
-                    for given in ({}, held):
-                        got = sparse_inner_descent(state, inst, rounds, proximal,
-                                                   **given)
-                        assert got.tobytes() == expected.tobytes()
+                    held = block_products(inst, state, proximal)
+                    got = sparse_inner_descent(state, inst, rounds, proximal,
+                                               held.lipschitz, **held.sparse)
+                    assert got.tobytes() == expected.tobytes()
         # rejected rounds that restart the momentum, where the buffers of
         # the search point and the best point trade places, were covered
         assert restarts > 0
@@ -319,6 +335,14 @@ def counted_instance(inst):
 
 def products(counts):
     return counts["full_products"] + counts["block_products"]
+
+
+class FreshReads(AnomalyProducts):
+    """The product hook with nothing held: every read forms D S and E
+    afresh."""
+
+    def held(self, x):
+        return None
 
 
 class TestProductHook:
@@ -349,34 +373,30 @@ class TestProductHook:
     def test_each_inner_round_forms_two_products(self):
         inst = desk_instance()
         state = initial_state(inst, seed=1)
-        fit = residual(state, inst)
-        held = dict(fit=fit, correlation=inst.dictionary.T @ fit,
-                    diag=np.einsum("ij,ij->j", inst.dictionary, inst.dictionary))
+        held = block_products(inst, state, 1e-4)
         counted, counts = counted_instance(inst)
-        lipschitz = float(np.linalg.norm(inst.dictionary, 2)) ** 2 + 1e-4
         for rounds in (1, 2, 5, 10):
             counts.clear()
-            sparse_inner_descent(state, counted, rounds, 1e-4, lipschitz, **held)
+            sparse_inner_descent(state, counted, rounds, 1e-4, held.lipschitz,
+                                 **held.sparse)
             # the first round's D delta and D best, then two per round
             assert products(counts) == 2 * rounds
 
     def test_the_carried_start_forms_no_product(self):
         inst = desk_instance()
         state = initial_state(inst, seed=1)
+        start = block_products(inst, state, 1e-4)
         counted, counts = counted_instance(inst)
-        lipschitz = float(np.linalg.norm(inst.dictionary, 2)) ** 2 + 1e-4
         for rounds in (2, 5, 10):
             carry = FistaCarry()
-            first = sparse_inner_descent(state, counted, rounds, 1e-4, lipschitz,
-                                         carry=carry)
+            first = sparse_inner_descent(state, counted, rounds, 1e-4, start.lipschitz,
+                                         carry=carry, **start.sparse)
             assert carry.point is not None
             moved = AnomalyState(state.left, state.right, first)
-            fit = residual(moved, inst)
-            held = dict(fit=fit, correlation=inst.dictionary.T @ fit,
-                        diag=np.einsum("ij,ij->j", inst.dictionary, inst.dictionary))
+            held = block_products(inst, moved, 1e-4)
             counts.clear()
-            sparse_inner_descent(moved, counted, rounds, 1e-4, lipschitz, carry=carry,
-                                 **held)
+            sparse_inner_descent(moved, counted, rounds, 1e-4, held.lipschitz,
+                                 carry=carry, **held.sparse)
             # as without a carry: the extrapolated start reuses the carried image
             assert products(counts) == 2 * rounds
 
@@ -464,12 +484,24 @@ class TestProductHook:
         assert isinstance(hooked.products, AnomalyProducts)
         got = (run_anomaly_bsca(inst, cfg, state0=vector_to_state(inst, x0))
                if run in ("bsca", "armijo") else solve(hooked))
-        reference = solve(dataclasses.replace(hooked, products=None))
+        reference = solve(dataclasses.replace(hooked, products=FreshReads(inst)))
         assert np.array_equal(got.objectives, reference.objectives)
         assert np.array_equal(got.stepsizes, reference.stepsizes)
         assert np.array_equal(got.final_point.values, reference.final_point.values)
         assert got.product_drift == 0.0
-        assert reference.product_drift is None
+        assert reference.product_drift == 0.0
+
+    def test_the_solver_rejects_a_problem_without_the_hook(self):
+        inst = small_instance()
+        x0 = state_to_vector(initial_state(inst, seed=0))
+        cfg = SolverConfig(max_outer_iterations=3, inner_iterations=8)
+        bare = dataclasses.replace(anomaly_problem(inst), products=None)
+        for solver in (anomaly_solver(inst), anomaly_solver(inst, cfg)):
+            for k in range(3):
+                with pytest.raises(InvalidArgumentError, match="AnomalyProducts"):
+                    solver(bare, x0, k)
+            with pytest.raises(InvalidArgumentError, match="AnomalyProducts"):
+                run_bsca(bare, solver, cfg, x0)
 
     def test_closures_read_fresh_products_off_the_tracked_points(self, rng):
         inst = small_instance()
@@ -501,10 +533,13 @@ class TestCarriedMomentum:
             state = AnomalyState(rng.standard_normal((5, 2)),
                                  rng.standard_normal((2, 8)),
                                  rng.standard_normal((6, 8)))
+            held = block_products(inst, state, 1e-4)
             for rounds in (2, 10, 50):
                 carry = FistaCarry()
-                got = sparse_inner_descent(state, inst, rounds, 1e-4, carry=carry)
-                expected = sparse_inner_descent(state, inst, rounds, 1e-4)
+                got = sparse_inner_descent(state, inst, rounds, 1e-4, held.lipschitz,
+                                           carry=carry, **held.sparse)
+                expected = sparse_inner_descent(state, inst, rounds, 1e-4,
+                                                held.lipschitz, **held.sparse)
                 assert got.tobytes() == expected.tobytes()
 
     def test_a_stationary_block_empties_the_carry(self):
@@ -512,7 +547,9 @@ class TestCarriedMomentum:
         state = initial_state(inst, seed=2)    # S = 0, which the huge gain keeps
         carry = FistaCarry(2.0, np.ones_like(state.sparse),
                            np.ones_like(inst.measurements))
-        assert sparse_inner_descent(state, inst, 8, 1e-4, carry=carry) is state.sparse
+        held = block_products(inst, state, 1e-4)
+        assert sparse_inner_descent(state, inst, 8, 1e-4, held.lipschitz, carry=carry,
+                                    **held.sparse) is state.sparse
         assert carry.point is None and carry.image is None and carry.momentum == 1.0
 
     def test_each_visit_ends_no_worse_than_its_round_one_point(self, monkeypatch):

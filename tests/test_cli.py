@@ -233,14 +233,15 @@ class TestBench:
         rows = (out / "comparison.csv").read_text().strip().splitlines()
         assert len(rows) == 9  # header + 8 variants
 
-    def test_thread_cap_respected(self, pr_dir, tmp_path, monkeypatch):
-        monkeypatch.setenv("BSCA_THREADS", "2")
+    def test_a_variant_name_used_twice_exits_2(self, anomaly_dir, tmp_path, capsys):
+        # each name owns one trace file, one row and one manifest entry
+        variants = tmp_path / "twice.txt"
+        variants.write_text("name=a algorithm=bpgd\nname=a algorithm=bsca max-iters=5\n")
         out = tmp_path / "bench"
-        assert main(["bench", str(pr_dir), "--variants",
-                     str(self.variants_file(tmp_path)), "--max-iters", "20",
-                     "--out", str(out)]) == 0
-        rows = (out / "comparison.csv").read_text().strip().splitlines()
-        assert len(rows) == 4
+        assert main(["bench", str(anomaly_dir), "--variants", str(variants),
+                     "--out", str(out)]) == 2
+        assert "used twice" in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
 
     def test_all_variants_failing_exits_3(self, anomaly_dir, tmp_path, capsys):
         variants = tmp_path / "bad.txt"

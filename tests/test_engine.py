@@ -353,6 +353,30 @@ class TestProductHookCalls:
         assert trace.product_drift <= 1e-12
 
 
+    @pytest.mark.parametrize("search", ["armijo", "audited", "scanned"])
+    def test_a_hook_without_a_line_searches_as_no_hook(self, rng, search):
+        # the hook gives no line, so f is evaluated afresh along each step,
+        # as it is for the problem without a hook
+        plain, _, _ = random_quadratic_problem(rng, [3, 2, 4], l1_gain=0.1)
+        if search == "scanned":
+            plain = dataclasses.replace(plain, line_profile=None)
+        hook = LoggedProducts(plain.partition)
+        assert hook.line(np.zeros(9), np.ones(3), 0) is None
+        cfg = SolverConfig(max_outer_iterations=24, stop_tol=0.0, curvature=0.5,
+                           line_search="successive" if search == "armijo" else "exact",
+                           audit_profiles=search == "audited")
+        x0 = rng.standard_normal(9)
+        got = run_bsca(dataclasses.replace(plain, products=hook),
+                       quadratic_solver(0.5), cfg, x0)
+        reference = run_bsca(plain, quadratic_solver(0.5), cfg, x0)
+        assert "update" in hook.calls
+        assert got.objectives.tobytes() == reference.objectives.tobytes()
+        assert got.stepsizes.tobytes() == reference.stepsizes.tobytes()
+        assert got.final_point.values.tobytes() == reference.final_point.values.tobytes()
+        if search == "armijo":
+            assert any(e.armijo_exponent > 0 for e in got.entries)
+
+
 @dataclasses.dataclass(frozen=True)
 class CountedL1(L1Norm):
     """An l1 regularizer that logs each value it gives."""

@@ -59,6 +59,18 @@ def test_manifest_gate_sums_up_how_two_traces_differ(tmp_path):
         "largest relative objective difference 6.2e-02; skip pattern differs")
 
 
+def test_manifest_gate_solves_every_algorithm_on_every_kind_that_takes_it():
+    # a solver path the gate does not run could leave a refactor's
+    # reproduce check unnoticed; bpgd takes phase retrieval alone
+    from bsca.cli import ALGORITHMS
+
+    gate = load(next(path for path in SCRIPTS if path.stem == "manifest_gate"))
+    solved = {(kind, algorithm) for kind, algorithm, _ in gate.SOLVES}
+    assert solved == {(kind, algorithm) for kind in gate.INSTANCES
+                      for algorithm in ALGORITHMS
+                      if (kind, algorithm) != ("anomaly", "bpgd")}
+
+
 def test_ab_solve_times_a_checkout_against_itself():
     script = next(path for path in SCRIPTS if path.stem == "ab_solve")
     root = script.parents[1]
