@@ -26,7 +26,6 @@ from .engine import (
     run_bpgd,
     run_bsca,
     run_parallel_sca,
-    select_block,
 )
 from .linesearch import (
     ScalarProfile,

@@ -30,6 +30,7 @@ from .core import (
     SolverConfig,
     TrackedProducts,
     Zero,
+    _support_count,
     is_stationary,
     make_partition,
 )
@@ -56,7 +57,6 @@ class AnomalyInstance:
     true_left: np.ndarray | None = None
     true_right: np.ndarray | None = None
     true_sparse: np.ndarray | None = None
-    noise: np.ndarray | None = None
     seed: int | None = None
     density: float | None = None
     noise_var: float | None = None
@@ -195,7 +195,7 @@ def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
                          fit: np.ndarray,
                          correlation: np.ndarray,
                          diag: np.ndarray,
-                         carry: FistaCarry | None = None) -> np.ndarray:
+                         carry: FistaCarry) -> np.ndarray:
     """Inner layer of the two-layer sparse-block update: ``rounds``
     descent rounds on the strictly convex sparse-block model
     0.5 ||L R + D S - Y||^2 + (proximal/2) ||S - S_t||^2 + gain ||S||_1.
@@ -215,19 +215,18 @@ def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
     as ``||D||_2^2 + proximal``, and ``fit``, ``correlation`` and
     ``diag`` are passed on to ``step_sparse``.
 
-    ``carry``, when given, keeps the momentum from one call to the next:
-    the rounds start from the round-one point extrapolated away from the
-    carried point, as if the round-one point were the next accepted one
-    (its image is extrapolated from the carried image, so the start
-    forms no product through D), and the call leaves its own momentum
-    in ``carry``.  An empty carry, and a stationary block, which also
-    empties it, start as ``carry=None`` does.
+    ``carry`` keeps the momentum from one call to the next: the rounds
+    start from the round-one point extrapolated away from the carried
+    point, as if the round-one point were the next accepted one (its
+    image is extrapolated from the carried image, so the start forms no
+    product through D), and the call leaves its own momentum in
+    ``carry``.  An empty carry starts the rounds at the round-one point
+    with momentum 1; a stationary block empties the carry.
     """
     best, gamma = step_sparse(state, instance, stationarity_rtol, proximal,
                               fit=fit, correlation=correlation, diag=diag)
     if gamma == 0.0:
-        if carry is not None:
-            carry.momentum, carry.point, carry.image = 1.0, None, None
+        carry.momentum, carry.point, carry.image = 1.0, None, None
         return best
     D = instance.dictionary
     gain = instance.sparse_gain
@@ -251,7 +250,7 @@ def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
 
     best_moved = D @ best
     best_value = model(best, best_moved)
-    if carry is not None and carry.point is not None:
+    if carry.point is not None:
         # the carried momentum, as a FISTA round that accepts best would
         # leave it; the carried buffers are free from here on
         momentum, weight = _momentum_step(carry.momentum)
@@ -288,12 +287,11 @@ def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
             np.copyto(search, best)
             np.copyto(search_moved, best_moved)
             momentum = 1.0
-    if carry is not None:
-        # after an accepted round (or the carried start) trial holds the
-        # point best replaced; after a restart the momentum is 1
-        held = momentum != 1.0
-        carry.momentum = momentum
-        carry.point, carry.image = (trial, trial_moved) if held else (None, None)
+    # after an accepted round (or the carried start) trial holds the
+    # point best replaced; after a restart the momentum is 1
+    held = momentum != 1.0
+    carry.momentum = momentum
+    carry.point, carry.image = (trial, trial_moved) if held else (None, None)
     return best
 
 
@@ -530,12 +528,6 @@ def final_state(instance: AnomalyInstance, trace: RunTrace) -> AnomalyState:
 # synthetic instances
 # ---------------------------------------------------------------------------
 
-def _support_count(density: float, total: int) -> int:
-    """ceil(density * total) with protection against float wobble just
-    above an integer; always at least 1."""
-    return max(1, int(np.ceil(density * total - 1e-9)))
-
-
 def generate_anomaly_instance(n: int, m: int, p: int, rank: int,
                               density: float = 0.05,
                               noise_var: float = 1e-4, seed: int = 0,
@@ -570,20 +562,16 @@ def generate_anomaly_instance(n: int, m: int, p: int, rank: int,
     return AnomalyInstance(
         measurements=measurements, dictionary=dictionary, ridge=ridge,
         sparse_gain=sparse_gain, rank=rank, true_left=left, true_right=right,
-        true_sparse=sparse, noise=noise, seed=seed, density=density,
-        noise_var=noise_var)
+        true_sparse=sparse, seed=seed, density=density, noise_var=noise_var)
 
 
-def initial_state(instance: AnomalyInstance, seed: int = 0,
-                  proper: bool = True) -> AnomalyState:
-    """Seeded Gaussian start; ``proper`` matches the generating scales,
-    otherwise the factors are standard normal.  Sparse part starts at 0."""
+def initial_state(instance: AnomalyInstance, seed: int = 0) -> AnomalyState:
+    """Seeded Gaussian start at the generating scales of the factors;
+    the sparse part starts at 0."""
     n, m, p = instance.shape
     r = instance.rank
     rng = np.random.default_rng(seed)
-    left_scale = np.sqrt(100.0 / p) if proper else 1.0
-    right_scale = np.sqrt(100.0 / m) if proper else 1.0
     return AnomalyState(
-        left=rng.standard_normal((n, r)) * left_scale,
-        right=rng.standard_normal((r, m)) * right_scale,
+        left=rng.standard_normal((n, r)) * np.sqrt(100.0 / p),
+        right=rng.standard_normal((r, m)) * np.sqrt(100.0 / m),
         sparse=np.zeros((p, m)))

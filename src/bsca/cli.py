@@ -33,7 +33,7 @@ from .engine import (
     run_bpgd,
     run_parallel_sca,
 )
-from .errors import BscaError
+from .errors import BscaError, InvalidArgumentError
 from .phase_retrieval import (
     generate_pr_instance,
     pr_outer_model,
@@ -169,6 +169,15 @@ def _with_settings(opts: dict, settings: dict, source: str) -> dict:
     return opts
 
 
+def _read_named(path, source: str) -> dict:
+    """``read_manifest`` of a file named on the command line: a malformed
+    line there is a usage error."""
+    try:
+        return read_manifest(path)
+    except InvalidArgumentError as exc:
+        raise UsageError(f"{source}: {exc}") from None
+
+
 def _param_entries(opts: dict) -> dict:
     return {f"param.{key}": value for key, value in opts.items() if value is not None}
 
@@ -239,7 +248,7 @@ def _load_instance(path) -> object:
 
 def cmd_solve(args) -> int:
     instance = _load_instance(args.instance)
-    file_config = read_manifest(args.config) if args.config else {}
+    file_config = _read_named(args.config, "config") if args.config else {}
     opts = _merge_options(args, file_config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -278,7 +287,10 @@ def _parse_variants(path) -> list[dict]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        tokens = dict(tok.split("=", 1) for tok in line.split())
+        pairs = [tok.split("=", 1) for tok in line.split()]
+        if any(len(pair) != 2 for pair in pairs):
+            raise UsageError(f"variant line tokens must be key=value: {raw!r}")
+        tokens = dict(pairs)
         if "name" not in tokens or "algorithm" not in tokens:
             raise UsageError(f"variant line needs name= and algorithm=: {raw!r}")
         if any(v["name"] == tokens["name"] for v in variants):
@@ -403,7 +415,7 @@ def cmd_reproduce(args) -> int:
     manifest_path = Path(args.manifest)
     if not manifest_path.is_file():
         raise UsageError(f"{args.manifest}: no such manifest")
-    manifest = read_manifest(manifest_path)
+    manifest = _read_named(manifest_path, "manifest")
     old_dir = manifest_path.parent
     with tempfile.TemporaryDirectory(prefix="bsca-reproduce-") as tmp:
         new_dir = Path(args.out) if args.out else Path(tmp) / "rerun"

@@ -80,13 +80,16 @@ def equal_partition(total: int, num_blocks: int) -> BlockPartition:
     return make_partition([base + 1] * rem + [base] * (num_blocks - rem))
 
 
+def _support_count(density: float, total: int) -> int:
+    """The support size of a generated sparse truth: ceil(density *
+    total), with protection against float wobble just above an integer;
+    always at least 1."""
+    return max(1, int(np.ceil(density * total - 1e-9)))
+
+
 @dataclass
 class BlockPoint:
-    """A flat variable together with its block partition.
-
-    ``block(k)`` returns a numpy view, so writing through it mutates only
-    that block of ``values``.
-    """
+    """A flat variable together with its block partition."""
 
     values: np.ndarray
     partition: BlockPartition
@@ -98,9 +101,6 @@ class BlockPoint:
                 f"point has length {self.values.size}, "
                 f"partition expects {self.partition.total}")
 
-    def block(self, k: int) -> np.ndarray:
-        return self.values[self.partition.slice_of(k)]
-
 
 # ---------------------------------------------------------------------------
 # constraints and regularizers
@@ -108,7 +108,7 @@ class BlockPoint:
 
 @dataclass(frozen=True)
 class Unconstrained:
-    def contains(self, v: np.ndarray, atol: float = FEASIBILITY_ATOL) -> bool:
+    def contains(self, v: np.ndarray) -> bool:
         return bool(np.all(np.isfinite(v)))
 
     def clip(self, v: np.ndarray) -> np.ndarray:
@@ -130,8 +130,9 @@ class Box:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
-    def contains(self, v: np.ndarray, atol: float = FEASIBILITY_ATOL) -> bool:
-        return bool(np.all(v >= self.lower - atol) and np.all(v <= self.upper + atol))
+    def contains(self, v: np.ndarray) -> bool:
+        return bool(np.all(v >= self.lower - FEASIBILITY_ATOL)
+                    and np.all(v <= self.upper + FEASIBILITY_ATOL))
 
     def clip(self, v: np.ndarray) -> np.ndarray:
         return np.clip(v, self.lower, self.upper)
@@ -192,8 +193,9 @@ class TrackedProducts:
     is the array the drift compares.  It may also give ``line``,
     ``gamma -> f(x + gamma d)`` from its products, where ``direction``
     and ``block`` mean what they mean for
-    ``CompositeProblem.line_profile``; without one, f is evaluated
-    afresh along the step.
+    ``CompositeProblem.line_profile``.  A hook that gives one has every
+    closed-form profile audited through it; without one, profiles are
+    trusted and f is evaluated afresh along the step.
     """
 
     def __init__(self) -> None:
@@ -277,12 +279,15 @@ class CompositeProblem:
     sweep end the loops ``track`` the iterate again, raise
     ProductDriftError when the maintained products have drifted from
     fresh ones by more than ``PRODUCT_DRIFT_RTOL``, and re-evaluate the
-    objective from the fresh ones.  The audit, the successive search and
-    the scan of an exact search without a profile evaluate ``f`` along
-    the step through the hook's ``line`` when it gives one, and afresh
-    otherwise.  The closures stay pure: at a tracked point they may read
-    the maintained products, which agree with fresh ones up to that
-    drift; at any other point they compute from scratch.
+    objective from the fresh ones.  When the hook gives a ``line``, an
+    exact step checks its closed-form profile against it at six points
+    of the step before the minimizer is trusted (ProfileMismatchError
+    beyond 1e-8 relative); without one, no step is audited.  The
+    successive search and the scan of an exact search without a profile
+    evaluate ``f`` along the step through ``line`` when the hook gives
+    one, and afresh otherwise.  The closures stay pure: at a tracked
+    point they may read the maintained products, which agree with fresh
+    ones up to that drift; at any other point they compute from scratch.
 
     Existence of limit points (a coercive objective or bounded constraint
     sets) is the caller's obligation; nothing here can check it.
@@ -315,23 +320,19 @@ class CompositeProblem:
     def nonsmooth_value(self, k: int, v: np.ndarray) -> float:
         return self.nonsmooth[k].value(v)
 
-    def is_feasible(self, x: np.ndarray, atol: float = FEASIBILITY_ATOL) -> bool:
+    def is_feasible(self, x: np.ndarray) -> bool:
         return all(
-            self.constraints[k].contains(self.block_of(x, k), atol)
+            self.constraints[k].contains(self.block_of(x, k))
             for k in range(self.num_blocks)
         )
 
 
-def _as_flat(x) -> np.ndarray:
-    return x.values if isinstance(x, BlockPoint) else np.asarray(x, dtype=float)
-
-
-def objective(problem: CompositeProblem, x) -> float:
+def objective(problem: CompositeProblem, x: np.ndarray) -> float:
     """h(x) = f(x) + sum_k g_k(x_k); raises FeasibilityError off the set."""
-    xf = _as_flat(x)
-    if not problem.is_feasible(xf):
+    x = np.asarray(x, dtype=float)
+    if not problem.is_feasible(x):
         raise FeasibilityError("point violates a block constraint")
-    return composite_value(problem.smooth_value(xf), block_values(problem, xf))
+    return composite_value(problem.smooth_value(x), block_values(problem, x))
 
 
 def block_values(problem: CompositeProblem, x: np.ndarray) -> list[float]:
@@ -367,14 +368,8 @@ class SolverConfig:
     ``num_blocks`` consecutive iterations.  The run stops early when the
     relative objective decrease over a full sweep drops below
     ``stop_tol`` or when every block update in a sweep was a
-    stationarity skip.
-
-    ``audit_profiles`` checks every closed-form line profile against
-    direct evaluations of ``f`` at six points of the step before its
-    minimizer is trusted (ProfileMismatchError beyond 1e-8 relative):
-    fresh ones unless the product hook (``CompositeProblem.products``)
-    gives a ``line``, O(N) ones through it for phase retrieval.
-    ``run_phase_retrieval`` audits whatever the setting.
+    stationarity skip.  The random block rule draws each block
+    uniformly, from a generator seeded with ``seed``.
 
     ``inner_iterations`` caps the inner rounds ``inexact_solver`` runs
     on each outer subproblem; they stop earlier once a round is
@@ -384,7 +379,6 @@ class SolverConfig:
 
     max_outer_iterations: int
     block_rule: str = CYCLIC
-    probabilities: tuple[float, ...] | None = None
     seed: int = 0
     line_search: str = EXACT
     alpha: float = 0.1
@@ -393,9 +387,8 @@ class SolverConfig:
     stop_tol: float = 1e-8
     curvature: float = 1e-4
     stationarity_rtol: float = 1e-12
-    audit_profiles: bool = False
 
-    def validate(self, num_blocks: int | None = None) -> None:
+    def validate(self) -> None:
         if self.max_outer_iterations < 0:
             raise ConfigError("max_outer_iterations must be >= 0")
         if self.block_rule not in (CYCLIC, RANDOM):
@@ -412,14 +405,6 @@ class SolverConfig:
             raise ConfigError("stop_tol must be >= 0")
         if self.curvature <= 0:
             raise ConfigError("curvature must be positive")
-        if self.probabilities is not None:
-            p = np.asarray(self.probabilities, dtype=float)
-            if num_blocks is not None and p.size != num_blocks:
-                raise ConfigError("need one probability per block")
-            if p.min() <= 0.0:
-                raise ConfigError("block probabilities must all be positive")
-            if abs(p.sum() - 1.0) > 1e-12:
-                raise ConfigError("block probabilities must sum to one")
 
 
 def is_stationary(delta: np.ndarray, anchor: np.ndarray, rtol: float) -> bool:

@@ -101,30 +101,14 @@ def quadratic_solver(curvature: float) -> BlockSolver:
 # block selection
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BlockRule:
-    """Cyclic visits or seeded categorical draws over the blocks."""
-
-    kind: str = "cyclic"
-    probabilities: np.ndarray | None = None
-    rng: np.random.Generator | None = None
-
-
-def make_block_rule(config: SolverConfig, num_blocks: int) -> BlockRule:
+def _block_selector(config: SolverConfig, num_blocks: int) -> Callable[[int], int]:
+    """``t -> k``, the 0-based block of iteration t: cyclic from block 0,
+    or a uniform draw from a generator seeded with ``config.seed``."""
     if config.block_rule == RANDOM:
-        if config.probabilities is not None:
-            p = np.asarray(config.probabilities, dtype=float)
-        else:
-            p = np.full(num_blocks, 1.0 / num_blocks)
-        return BlockRule(RANDOM, p, np.random.default_rng(config.seed))
-    return BlockRule()
-
-
-def select_block(rule: BlockRule, t: int, num_blocks: int) -> int:
-    """0-based block index for iteration t (cyclic order starts at 0)."""
-    if rule.kind == RANDOM:
-        return int(rule.rng.choice(num_blocks, p=rule.probabilities))
-    return t % num_blocks
+        rng = np.random.default_rng(config.seed)
+        uniform = np.full(num_blocks, 1.0 / num_blocks)
+        return lambda t: int(rng.choice(num_blocks, p=uniform))
+    return lambda t: t % num_blocks
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +251,9 @@ def _line_function(problem: CompositeProblem, x: np.ndarray,
     return lambda gamma: problem.smooth_value(x + gamma * full)
 
 
-def _audit_profile(problem: CompositeProblem, x: np.ndarray,
-                   direction: np.ndarray, profile: ScalarProfile,
-                   block: int | None = None) -> None:
-    """Check the polynomial profile against direct evaluations of ``f``
-    along the step (see ``SolverConfig`` for their cost)."""
-    phi = _line_function(problem, x, direction, block)
+def _audit_profile(phi: Callable[[float], float], profile: ScalarProfile) -> None:
+    """Check the polynomial profile against ``phi``, the product hook's
+    line along the step (see ``CompositeProblem``)."""
     f0 = phi(0.0)
     for gamma in _AUDIT_GAMMAS:
         direct = phi(gamma) - f0
@@ -297,8 +278,10 @@ def _line_search(problem: CompositeProblem, config: SolverConfig,
         f0 = phi(0.0)
         return _grid_golden(lambda g: phi(g) - f0 + g * delta_g)
     profile = problem.line_profile(x, direction, block)
-    if config.audit_profiles:
-        _audit_profile(problem, x, direction, profile, block)
+    if problem.products is not None:
+        line = problem.products.line(x, direction, block)
+        if line is not None:
+            _audit_profile(line, profile)
     return profile.with_slope_offset(delta_g).minimize()
 
 
@@ -356,15 +339,15 @@ def bsca_step(problem: CompositeProblem, solver: BlockSolver, x: np.ndarray,
 def run_bsca(problem: CompositeProblem, solver: BlockSolver,
              config: SolverConfig, x0: np.ndarray) -> RunTrace:
     """Sequential successive convex approximation over the blocks."""
-    config.validate(problem.num_blocks)
+    config.validate()
     x = np.asarray(x0, dtype=float).copy()
     # the run holds no point but its iterate: not the start, which a
     # caller may have passed as a temporary, nor a step the guard demoted
     del x0
-    rule = make_block_rule(config, problem.num_blocks)
+    select = _block_selector(config, problem.num_blocks)
     book = _RunBook(problem, config, x, problem.num_blocks)
     for t in range(config.max_outer_iterations):
-        k = select_block(rule, t, problem.num_blocks)
+        k = select(t)
         candidate, step, _ = bsca_step(problem, solver, x, k, config)
         x, stop = book.advance(x, candidate, t, k, step)
         del candidate
@@ -389,7 +372,7 @@ def run_parallel_sca(problem: CompositeProblem, solver: BlockSolver,
     """All block subproblems solved against one anchor, then a single
     joint line search; the block-selection rule is irrelevant here and
     one iteration counts as a full sweep."""
-    config.validate(problem.num_blocks)
+    config.validate()
     x = np.asarray(x0, dtype=float).copy()
     book = _RunBook(problem, config, x, sweep_len=1)
     for t in range(config.max_outer_iterations):

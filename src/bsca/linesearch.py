@@ -265,13 +265,12 @@ def _newton_polish(t: float, a: float, b: float, c: float,
 # ---------------------------------------------------------------------------
 
 def successive_step(phi_smooth: Callable[[float], float], delta_g: float,
-                    d: float, alpha: float = 0.1, beta: float = 0.5,
-                    m_max: int = 60) -> StepResult:
-    """Smallest m with phi(b^m) + b^m*delta_g <= phi(0) + alpha*b^m*d.
+                    d: float, alpha: float = 0.1, beta: float = 0.5) -> StepResult:
+    """Smallest m <= 60 with phi(b^m) + b^m*delta_g <= phi(0) + alpha*b^m*d.
 
     ``d`` must be a strictly negative descent quantity; the inequality is
     checked on the constructed smooth profile, so g is never re-evaluated
-    during backtracking.
+    during backtracking.  No such m raises LineSearchError.
     """
     if not d < 0.0:
         raise LineSearchError(f"descent quantity must be negative, got {d}")
@@ -279,12 +278,12 @@ def successive_step(phi_smooth: Callable[[float], float], delta_g: float,
         raise InvalidArgumentError("alpha and beta must lie in (0, 1)")
     phi0 = phi_smooth(0.0)
     gamma = 1.0
-    for m in range(m_max + 1):
+    for m in range(61):
         if phi_smooth(gamma) + gamma * delta_g <= phi0 + alpha * gamma * d:
             return StepResult(gamma, m)
         gamma *= beta
     raise LineSearchError(
-        f"no Armijo stepsize within {m_max} halvings (d={d}); "
+        f"no Armijo stepsize within 60 halvings (d={d}); "
         "the descent quantity or direction is suspect")
 
 

@@ -14,7 +14,7 @@ from step to step and re-forms once per sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .core import (
     RunTrace,
     SolverConfig,
     TrackedProducts,
+    _support_count,
     equal_partition,
 )
 from .engine import inexact_solver, run_bsca
@@ -337,9 +338,9 @@ def run_phase_retrieval(instance: PhaseRetrievalInstance, config: SolverConfig,
     """Inexact block descent: cyclic/random outer block selection, a
     finite number of soft-threshold inner rounds per block, exact (or
     Armijo) outer stepsize.  The initial point must be nonzero (the
-    origin is a saddle with zero gradient).  Every exact outer step is
-    audited against fresh objective evaluations, whatever
-    ``config.audit_profiles`` says."""
+    origin is a saddle with zero gradient).  Every exact outer step
+    audits its quartic profile against ``PhaseProducts.line``, as every
+    exact step on a ``pr_problem`` does."""
     if x0 is None:
         start = np.random.default_rng(config.seed).standard_normal(instance.num_unknowns)
     else:
@@ -351,7 +352,7 @@ def run_phase_retrieval(instance: PhaseRetrievalInstance, config: SolverConfig,
         return pr_outer_model(problem, x, k, config.curvature)
 
     return run_bsca(pr_problem(instance), inexact_solver(outer_model, config),
-                    replace(config, audit_profiles=True), start)
+                    config, start)
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +374,8 @@ def generate_pr_instance(unknowns: int, measurements: int,
     sampling = rng.standard_normal((unknowns, measurements))
     sampling /= _column_norms(sampling)
     signal = np.zeros(unknowns)
-    support = rng.choice(
-        unknowns, size=max(1, int(np.ceil(density * unknowns - 1e-9))),
-        replace=False)
+    support = rng.choice(unknowns, size=_support_count(density, unknowns),
+                         replace=False)
     signal[support] = rng.standard_normal(support.size)
     intensities = (sampling.T @ signal) ** 2
     if sparse_gain is None:

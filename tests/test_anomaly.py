@@ -266,7 +266,8 @@ class TestSparseInnerDescent:
                 held = block_products(inst, state, proximal)
                 values = [sparse_model_value(
                     state, sparse_inner_descent(state, inst, rounds, proximal,
-                                                held.lipschitz, **held.sparse),
+                                                held.lipschitz, carry=FistaCarry(),
+                                                **held.sparse),
                     inst, proximal) for rounds in (2, 3, 5, 10, 50)]
                 assert values[0] < anchor_value
                 # the rounds extend one deterministic monotone sequence
@@ -280,7 +281,7 @@ class TestSparseInnerDescent:
         proximal = 0.1
         held = block_products(inst, state, proximal)
         got = sparse_inner_descent(state, inst, 300, proximal, held.lipschitz,
-                                   **held.sparse)
+                                   carry=FistaCarry(), **held.sparse)
         # fixed point of the proximal-gradient map of the model, down to
         # the resolution of the acceptance test: rounds are compared by
         # model value, which pins the iterate to about sqrt(eps) relative
@@ -314,8 +315,10 @@ class TestInPlaceRounds:
                         state, inst, rounds, proximal)
                     restarts += restarted
                     held = block_products(inst, state, proximal)
+                    # an empty carry, as at a run's first sparse visit
                     got = sparse_inner_descent(state, inst, rounds, proximal,
-                                               held.lipschitz, **held.sparse)
+                                               held.lipschitz, carry=FistaCarry(),
+                                               **held.sparse)
                     assert got.tobytes() == expected.tobytes()
         # rejected rounds that restart the momentum, where the buffers of
         # the search point and the best point trade places, were covered
@@ -346,6 +349,18 @@ class FreshReads(AnomalyProducts):
 
 
 class TestProductHook:
+    def test_a_run_audits_no_profile(self, monkeypatch):
+        # AnomalyProducts gives no line, so no exact step is audited
+        audits = []
+        monkeypatch.setattr(engine, "_audit_profile", lambda *args: audits.append(args))
+        inst = small_instance()
+        cfg = SolverConfig(max_outer_iterations=30, stop_tol=0.0, inner_iterations=3)
+        x0 = state_to_vector(initial_state(inst, seed=1))
+        for trace in (run_anomaly_bsca(inst, cfg),
+                      run_bgd(anomaly_problem(inst), cfg, x0)):
+            assert np.count_nonzero(trace.stepsizes) > 0
+        assert audits == []
+
     def test_one_round_sweep_forms_at_most_four_products(self):
         inst, counts = counted_instance(desk_instance())
         sweeps = 10
@@ -378,7 +393,7 @@ class TestProductHook:
         for rounds in (1, 2, 5, 10):
             counts.clear()
             sparse_inner_descent(state, counted, rounds, 1e-4, held.lipschitz,
-                                 **held.sparse)
+                                 carry=FistaCarry(), **held.sparse)
             # the first round's D delta and D best, then two per round
             assert products(counts) == 2 * rounds
 
@@ -397,7 +412,7 @@ class TestProductHook:
             counts.clear()
             sparse_inner_descent(moved, counted, rounds, 1e-4, held.lipschitz,
                                  carry=carry, **held.sparse)
-            # as without a carry: the extrapolated start reuses the carried image
+            # as with an empty carry: the extrapolated start reuses the carried image
             assert products(counts) == 2 * rounds
 
     def test_the_hook_holds_both_ends_of_a_step_until_keep(self):
@@ -527,21 +542,6 @@ def model_in_loop_form(state, sparse, inst, proximal):
 
 
 class TestCarriedMomentum:
-    def test_an_empty_carry_starts_as_no_carry(self, rng):
-        inst = small_instance()
-        for _ in range(4):
-            state = AnomalyState(rng.standard_normal((5, 2)),
-                                 rng.standard_normal((2, 8)),
-                                 rng.standard_normal((6, 8)))
-            held = block_products(inst, state, 1e-4)
-            for rounds in (2, 10, 50):
-                carry = FistaCarry()
-                got = sparse_inner_descent(state, inst, rounds, 1e-4, held.lipschitz,
-                                           carry=carry, **held.sparse)
-                expected = sparse_inner_descent(state, inst, rounds, 1e-4,
-                                                held.lipschitz, **held.sparse)
-                assert got.tobytes() == expected.tobytes()
-
     def test_a_stationary_block_empties_the_carry(self):
         inst = dataclasses.replace(small_instance(), sparse_gain=1e6)
         state = initial_state(inst, seed=2)    # S = 0, which the huge gain keeps
@@ -594,10 +594,12 @@ class TestCarriedMomentum:
         for again in (solve(problem, solver), solve(anomaly_problem(inst), solver),
                       solve(anomaly_problem(inst), anomaly_solver(inst, cfg))):
             assert all(np.array_equal(a, b) for a, b in zip(first, again))
-        # and the carry is at work: without it the runs go elsewhere
+        # and the carry is at work: with a fresh one each visit the runs go
+        # elsewhere
         inner = anomaly.sparse_inner_descent
         monkeypatch.setattr(anomaly, "sparse_inner_descent",
-                            lambda *args, carry, **kwargs: inner(*args, **kwargs))
+                            lambda *args, carry, **kwargs: inner(*args, carry=FistaCarry(),
+                                                                 **kwargs))
         uncarried = solve(anomaly_problem(inst), anomaly_solver(inst, cfg))
         assert not np.array_equal(first[2], uncarried[2])
 

@@ -170,13 +170,14 @@ class TestSolve:
         assert manifest["param.seed"] == "3"         # file beats default
 
     @pytest.mark.parametrize("line", ["rule = zigzag", "inner-iters = 2.5",
-                                      "curvature = 1"])
+                                      "curvature = 1", "max-iters 5"])
     def test_bad_config_entry_exits_2(self, pr_dir, tmp_path, line, capsys):
         cfg = tmp_path / "solver.cfg"
         cfg.write_text(line + "\n")
         assert main(["solve", str(pr_dir), "--algorithm", "bsca",
                      "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-        assert "config:" in capsys.readouterr().err
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "config:" in err[0]
 
     def test_deterministic_rerun_bit_identical(self, pr_dir, tmp_path):
         args = ["solve", str(pr_dir), "--algorithm", "bsca", "--blocks", "2",
@@ -241,6 +242,16 @@ class TestBench:
         assert main(["bench", str(anomaly_dir), "--variants", str(variants),
                      "--out", str(out)]) == 2
         assert "used twice" in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
+
+    def test_a_token_without_a_value_exits_2(self, anomaly_dir, tmp_path, capsys):
+        variants = tmp_path / "bare.txt"
+        variants.write_text("name=a algorithm=bsca\nname=b algorithm=bsca max-iters\n")
+        out = tmp_path / "bench"
+        assert main(["bench", str(anomaly_dir), "--variants", str(variants),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "max-iters" in err[0]
         assert not (out / "comparison.csv").exists()
 
     def test_all_variants_failing_exits_3(self, anomaly_dir, tmp_path, capsys):
@@ -352,6 +363,14 @@ class TestReproduce:
         assert main(["reproduce", str(manifest)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and str(manifest) in err[0] and f"{key!r}" in err[0]
+
+    def test_malformed_manifest_line_exits_2(self, pr_dir, tmp_path, capsys):
+        manifest = pr_dir / RUN_MANIFEST
+        manifest.write_text(manifest.read_text() + "no value here\n")
+        capsys.readouterr()
+        assert main(["reproduce", str(manifest)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "no value here" in err[0]
 
     def test_blas_threads_recorded_and_named_when_outputs_differ(
             self, pr_dir, tmp_path, capsys, monkeypatch):

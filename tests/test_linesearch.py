@@ -194,7 +194,7 @@ class TestSuccessiveStep:
     def test_exhaustion_raises(self):
         # ascending profile with a bogus negative descent quantity
         with pytest.raises(LineSearchError):
-            successive_step(lambda g: 10.0 * g, 0.0, -1e-6, m_max=8)
+            successive_step(lambda g: 10.0 * g, 0.0, -1e-6)
 
 
 class TestDescentQuantity:

@@ -553,8 +553,7 @@ class TestOuterStepsize:
             sparse_gain=inst.sparse_gain, partition=inst.partition)
         profile = pr_problem(inst).line_profile(x, np.ones(12), 0)
         with pytest.raises(ProfileMismatchError):
-            _audit_profile(pr_problem(bad), x, inst.partition.embed(0, np.ones(12)),
-                           profile)
+            _audit_profile(pr_problem(bad).products.line(x, np.ones(12), 0), profile)
 
     def test_block_profile_is_built_from_the_block_product(self, rng):
         # 24 unknowns in 5 blocks: block starts 5, 10, 15, 20 are not
@@ -644,10 +643,23 @@ class TestRunPhaseRetrieval:
         assert np.array_equal(direct.final_point.values,
                               generic.final_point.values)
 
-    def test_profile_audited_at_default_audit_setting(self, rng, monkeypatch):
+    @pytest.mark.parametrize("algorithm", ["bsca", "bgd", "parallel-sca"])
+    def test_each_exact_step_audits_the_quartic_profile(self, rng, monkeypatch,
+                                                         algorithm):
+        # PhaseProducts gives a line, so every exact step on a pr_problem
+        # checks its profile, whichever loop takes it
         inst = tiny_instance(seed=12, blocks=3)
-        cfg = SolverConfig(max_outer_iterations=6, inner_iterations=2)
-        assert not cfg.audit_profiles
+        # a unit curvature keeps bgd's steps short enough for the shifted
+        # linear coefficient to show beyond the audit's tolerance
+        cfg = SolverConfig(max_outer_iterations=6, inner_iterations=2, curvature=1.0)
+        x0 = rng.standard_normal(24)
+        solver = inexact_solver(
+            lambda problem, x, k: pr_outer_model(problem, x, k, cfg.curvature), cfg)
+        runs = {
+            "bsca": lambda: run_phase_retrieval(inst, cfg, x0),
+            "bgd": lambda: run_bgd(pr_problem(inst), cfg, x0),
+            "parallel-sca": lambda: run_parallel_sca(pr_problem(inst), solver, cfg, x0),
+        }
         honest = phase_retrieval._quartic_coeffs
 
         def corrupted(u, w, y):
@@ -656,7 +668,7 @@ class TestRunPhaseRetrieval:
 
         monkeypatch.setattr(phase_retrieval, "_quartic_coeffs", corrupted)
         with pytest.raises(ProfileMismatchError):
-            run_phase_retrieval(inst, cfg, rng.standard_normal(24))
+            runs[algorithm]()
 
     def test_matches_parallel_sca_with_well_solved_subproblems(self, rng):
         inst = tiny_instance(seed=10, blocks=1)

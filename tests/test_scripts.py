@@ -82,3 +82,19 @@ def test_ab_solve_times_a_checkout_against_itself():
     assert "traces bit for bit: yes" in done.stdout
     assert "fails a check" not in done.stdout
     assert "of 1 pairs" in done.stdout
+
+
+def test_count_lines_leaves_out_blanks_comments_and_docstrings():
+    counter = load(next(path for path in SCRIPTS if path.stem == "count_lines"))
+    source = ('"""Module docstring,\n'
+              'two lines."""\n'
+              '\n'
+              '# a comment\n'
+              'def f(a,\n'
+              '      b):    # a trailing comment\n'
+              '    """Function docstring."""\n'
+              '    text = """a string\n'
+              'that is code"""\n'
+              '    return a + b\n')
+    # the signature's two lines, the string's two and the return
+    assert counter.count(source) == (10, 5)
