@@ -44,6 +44,7 @@ from .phase_retrieval import (
 from .storage import (
     INSTANCE_MANIFEST,
     RUN_MANIFEST,
+    map_pr_sampling,
     read_instance,
     read_manifest,
     write_anomaly_instance,
@@ -115,11 +116,18 @@ def cmd_generate(args) -> int:
             if getattr(args, name) is None:
                 raise UsageError(f"generate pr requires --{name}")
         density = args.density if args.density is not None else 0.01
-        instance = generate_pr_instance(
-            unknowns=args.I, measurements=args.N, density=density,
-            num_blocks=args.blocks, seed=args.seed,
-            sparse_gain=args.sparse_gain)
-        write_pr_instance(out, instance)
+        # drawn straight into a mapped file that becomes the bundle's
+        # sampling.mat, so the matrix is written once and never held in
+        # anonymous memory
+        sampling = map_pr_sampling(out, args.I, args.N)
+        try:
+            instance = generate_pr_instance(
+                unknowns=args.I, measurements=args.N, density=density,
+                num_blocks=args.blocks, seed=args.seed,
+                sparse_gain=args.sparse_gain, out=sampling)
+            write_pr_instance(out, instance)
+        finally:    # the drawn file is gone once it is in place
+            Path(sampling.filename).unlink(missing_ok=True)
         params.update(I=args.I, N=args.N, density=density,
                       blocks=args.blocks, sparse_gain=args.sparse_gain)
     entries = {

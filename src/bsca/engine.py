@@ -251,11 +251,18 @@ def _line_function(problem: CompositeProblem, x: np.ndarray,
     return lambda gamma: problem.smooth_value(x + gamma * full)
 
 
-def _audit_profile(phi: Callable[[float], float], profile: ScalarProfile) -> None:
+def _audit_profile(phi: Callable[[float], float], profile: ScalarProfile,
+                   chosen: float) -> None:
     """Check the polynomial profile against ``phi``, the product hook's
-    line along the step (see ``CompositeProblem``)."""
+    line along the step (see ``CompositeProblem``), at fixed points of
+    [0.15, 0.95].  A chosen stepsize short of them is checked too, with
+    half of it: where f moves by orders of magnitude more at the fixed
+    points, a wrong low-order coefficient hides in their tolerance."""
     f0 = phi(0.0)
-    for gamma in _AUDIT_GAMMAS:
+    gammas = _AUDIT_GAMMAS
+    if 0.0 < chosen < _AUDIT_GAMMAS[0]:
+        gammas += (chosen, 0.5 * chosen)
+    for gamma in gammas:
         direct = phi(gamma) - f0
         predicted = profile.value(gamma)
         tol = 1e-8 * max(1.0, abs(f0), abs(direct))
@@ -278,11 +285,12 @@ def _line_search(problem: CompositeProblem, config: SolverConfig,
         f0 = phi(0.0)
         return _grid_golden(lambda g: phi(g) - f0 + g * delta_g)
     profile = problem.line_profile(x, direction, block)
+    step = profile.with_slope_offset(delta_g).minimize()
     if problem.products is not None:
         line = problem.products.line(x, direction, block)
         if line is not None:
-            _audit_profile(line, profile)
-    return profile.with_slope_offset(delta_g).minimize()
+            _audit_profile(line, profile, step.gamma)
+    return step
 
 
 # ---------------------------------------------------------------------------

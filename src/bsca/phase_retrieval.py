@@ -359,20 +359,33 @@ def run_phase_retrieval(instance: PhaseRetrievalInstance, config: SolverConfig,
 # synthetic instances
 # ---------------------------------------------------------------------------
 
+_DRAW_ROWS = 8     # rows of the sampling matrix drawn at a time
+
+
 def generate_pr_instance(unknowns: int, measurements: int,
                          density: float = 0.01, num_blocks: int = 1,
-                         seed: int = 0,
-                         sparse_gain: float | None = None) -> PhaseRetrievalInstance:
+                         seed: int = 0, sparse_gain: float | None = None,
+                         out: np.ndarray | None = None) -> PhaseRetrievalInstance:
     """Gaussian sampling matrix with unit-norm columns, a sparse signal
     with exactly ceil(density * unknowns) nonzeros, noiseless squared
-    measurements, and the l1 gain 0.05 * max|A y| unless overridden."""
+    measurements, and the l1 gain 0.05 * max|A y| unless overridden.
+
+    The matrix is drawn into ``out`` when it is given (a C-contiguous
+    float64 unknowns x measurements array, such as the mapped file of
+    ``storage.map_pr_sampling``), else into a new array, with the same
+    bits; see ``_draw_unit_columns``."""
     if unknowns < 1 or measurements < 1:
         raise InvalidArgumentError("dimensions must be positive")
     if not 0.0 < density <= 1.0:
         raise InvalidArgumentError("density must lie in (0, 1]")
+    if out is None:
+        out = np.empty((unknowns, measurements))
+    elif (out.shape != (unknowns, measurements) or out.dtype != np.float64
+          or not out.flags.c_contiguous):
+        raise InvalidArgumentError(
+            f"out must be a C-contiguous float64 {unknowns} x {measurements} array")
     rng = np.random.default_rng(seed)
-    sampling = rng.standard_normal((unknowns, measurements))
-    sampling /= _column_norms(sampling)
+    sampling = _draw_unit_columns(rng, out)
     signal = np.zeros(unknowns)
     support = rng.choice(unknowns, size=_support_count(density, unknowns),
                          replace=False)
@@ -386,14 +399,24 @@ def generate_pr_instance(unknowns: int, measurements: int,
         seed=seed, density=density)
 
 
-def _column_norms(matrix: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each column, with the squares summed row by row
-    so that no matrix-sized temporary is formed; the same bits as
-    ``np.linalg.norm(matrix, axis=0)``."""
-    squares = np.zeros(matrix.shape[1])
-    for row in matrix:
-        squares += row * row
-    return np.sqrt(squares)
+def _draw_unit_columns(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with standard normals, _DRAW_ROWS rows at a time, and
+    scale its columns to unit norm.  The draws are those of one
+    ``rng.standard_normal(out.shape)``.  The squares of each drawn row
+    are added into the column sums while its chunk is in cache, one row
+    after another: the order of ``np.linalg.norm(out, axis=0)`` on two
+    or more columns, whose bits the norms keep (a single column of 8 or
+    more rows numpy sums pairwise instead).  The work arrays are two
+    rows long."""
+    squares = np.empty(out.shape[1])
+    sums = np.zeros(out.shape[1])
+    for lo in range(0, out.shape[0], _DRAW_ROWS):
+        chunk = out[lo:lo + _DRAW_ROWS]
+        rng.standard_normal(out=chunk)
+        for row in chunk:
+            sums += np.multiply(row, row, out=squares)
+    out /= np.sqrt(sums)
+    return out
 
 
 def with_blocks(instance: PhaseRetrievalInstance,

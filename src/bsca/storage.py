@@ -2,13 +2,18 @@
 
 Matrix files carry a 16-byte header (magic ``BSCAMAT1`` then two 32-bit
 little-endian dimensions) followed by the row-major little-endian
-float64 payload.  Manifests are plain ``key = value`` text; scalar
-floats are written with 17 significant digits so they round-trip
-exactly.
+float64 payload.  A read maps the payload read-only, so a read matrix
+is a view of its file and costs no anonymous memory.  A file is never
+written in place: it is written under a temporary name and then renamed
+over the old one, so a mapping of the old file keeps its contents and
+no reader sees a half-written file.  Manifests are plain ``key = value``
+text; scalar floats are written with 17 significant digits so they
+round-trip exactly.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import struct
 from pathlib import Path
@@ -21,37 +26,113 @@ from .errors import InvalidArgumentError
 MAGIC = b"BSCAMAT1"
 INSTANCE_MANIFEST = "instance.manifest"
 RUN_MANIFEST = "run.manifest"
+_HEADER_BYTES = 16
+
+
+def _temporary(path: Path) -> Path:
+    return path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+
+
+def _write_atomically(path, *chunks) -> None:
+    """Write ``chunks`` into a new file beside ``path``, then rename that
+    over ``path``; a failed write leaves the old file as it was."""
+    path = Path(path)
+    temporary = _temporary(path)
+    try:
+        with open(temporary, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
+def _header(rows: int, cols: int) -> bytes:
+    return MAGIC + struct.pack("<II", rows, cols)
+
+
+def _is_drawn_for(matrix: np.ndarray, path: Path) -> bool:
+    """Whether ``matrix`` is the whole mapped payload of a file that
+    ``map_pr_sampling`` made to become ``path`` and that is not yet in
+    place."""
+    if not (isinstance(matrix, np.memmap) and isinstance(matrix.base, mmap.mmap)
+            and matrix.offset == _HEADER_BYTES):
+        return False
+    drawn = Path(matrix.filename)
+    return (drawn.name.startswith(f".{path.name}.") and drawn.is_file()
+            and os.path.samefile(drawn.parent, path.parent))
 
 
 def write_matrix(path, matrix: np.ndarray) -> None:
+    """Write a matrix file; the mapping of ``map_pr_sampling`` is already
+    written, and its file is renamed into place instead."""
+    path = Path(path)
+    if _is_drawn_for(matrix, path):
+        os.replace(matrix.filename, path)
+        return
     m = np.ascontiguousarray(np.asarray(matrix, dtype="<f8"))
     if m.ndim == 1:
         m = m.reshape(-1, 1)
     if m.ndim != 2:
         raise InvalidArgumentError("only 1-D and 2-D arrays are stored")
-    rows, cols = m.shape
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", rows, cols))
-        fh.write(m.data)
+    _write_atomically(path, _header(*m.shape), m.data)
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix file straight into one preallocated array."""
+    """Map a matrix file's payload read-only, after checking its header
+    and size.  The array is a view of the file: writing to it raises
+    ValueError, and it stays valid after the file is deleted or
+    replaced.  An empty matrix has no payload to map and comes back as
+    a read-only empty array."""
     with open(path, "rb") as fh:
-        header = fh.read(16)
-        if len(header) != 16 or header[:8] != MAGIC:
+        header = fh.read(_HEADER_BYTES)
+        if len(header) != _HEADER_BYTES or header[:8] != MAGIC:
             raise InvalidArgumentError(f"{path}: not a matrix file")
         rows, cols = struct.unpack("<II", header[8:])
         expected = rows * cols * 8
-        payload = os.fstat(fh.fileno()).st_size - len(header)
-        if payload == expected:
-            matrix = np.empty((rows, cols), dtype="<f8")
-            payload = fh.readinto(matrix)
-    if payload != expected:
-        raise InvalidArgumentError(
-            f"{path}: payload holds {payload} bytes, expected {expected}")
-    return matrix.astype(float, copy=False)
+        payload = os.fstat(fh.fileno()).st_size - _HEADER_BYTES
+        if payload != expected:
+            raise InvalidArgumentError(
+                f"{path}: payload holds {payload} bytes, expected {expected}")
+        if expected == 0:
+            matrix = np.empty((rows, cols))
+            matrix.flags.writeable = False
+            return matrix
+        matrix = np.memmap(fh, dtype="<f8", mode="r", offset=_HEADER_BYTES,
+                           shape=(rows, cols))
+    return matrix.view(np.ndarray)
+
+
+def map_pr_sampling(directory, unknowns: int, measurements: int) -> np.memmap:
+    """A new unknowns x measurements matrix file in ``directory``, mapped
+    writable, for ``generate_pr_instance`` to draw into.  The file has a
+    temporary name until ``write_pr_instance`` renames it to the bundle's
+    ``sampling.mat``, so a failed or unfinished draw leaves the bundle as
+    it was; the caller removes the file (``filename``) if the draw
+    fails.  Neither this nor the draw holds the matrix in anonymous
+    memory."""
+    if unknowns < 1 or measurements < 1:
+        raise InvalidArgumentError("dimensions must be positive")
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    drawn = _temporary(directory / "sampling.mat")
+    try:
+        with open(drawn, "xb") as fh:
+            fh.write(_header(unknowns, measurements))
+            size = _HEADER_BYTES + unknowns * measurements * 8
+            # reserve the blocks where the system can (macOS cannot): a
+            # full disk then raises here, not as a SIGBUS when the draw
+            # first writes a page
+            if hasattr(os, "posix_fallocate"):
+                os.posix_fallocate(fh.fileno(), 0, size)
+            else:
+                fh.truncate(size)
+        return np.memmap(drawn, dtype="<f8", mode="r+", offset=_HEADER_BYTES,
+                         shape=(unknowns, measurements))
+    except BaseException:
+        drawn.unlink(missing_ok=True)
+        raise
 
 
 def format_scalar(value) -> str:
@@ -62,7 +143,7 @@ def format_scalar(value) -> str:
 
 def write_manifest(path, entries: dict) -> None:
     lines = [f"{key} = {format_scalar(value)}" for key, value in entries.items()]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_atomically(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_manifest(path) -> dict[str, str]:

@@ -1,4 +1,7 @@
 import csv
+import os
+import resource
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -6,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsca.cli import main
+from bsca.cli import BLAS_THREAD_VARS, main
 from bsca.storage import INSTANCE_MANIFEST, RUN_MANIFEST, read_manifest, write_manifest
 
 
@@ -60,6 +63,14 @@ class TestGenerate:
     def test_missing_required_dimension(self, tmp_path):
         assert main(["generate", "anomaly", "--N", "5",
                      "--out", str(tmp_path / "y")]) == 2
+
+    def test_a_failed_pr_draw_leaves_the_bundle_as_it_was(self, pr_dir, tmp_path):
+        bundle = tmp_path / "copy"
+        shutil.copytree(pr_dir, bundle)
+        before = {p.name: p.read_bytes() for p in bundle.iterdir()}
+        assert main(["generate", "pr", "--I", "10", "--N", "8", "--density", "2",
+                     "--out", str(bundle)]) == 3
+        assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
 
 
 class TestSolve:
@@ -421,3 +432,36 @@ def test_console_entry_smoke(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert (out / "instance.manifest").is_file()
+
+
+def test_a_pr_bundle_larger_than_the_data_limit_generates_and_solves(tmp_path):
+    # RLIMIT_DATA counts private writable memory, not shared file
+    # mappings: the generator draws into the mapped sampling file and the
+    # solver reads it mapped, so a 122 MiB matrix passes under a 96 MiB
+    # limit (importing bsca alone takes about 51 MiB), while drawing the
+    # same matrix in memory fails
+    cap = 96 << 20
+    rows, cols = 3200, 5000
+    assert rows * cols * 8 > 1.25 * cap
+
+    def limited(*argv):
+        return subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True,
+            env={**os.environ, **{var: "1" for var in BLAS_THREAD_VARS}},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_DATA, (cap, cap)))
+
+    bundle = tmp_path / "pr"
+    try:
+        made = limited("-m", "bsca", "generate", "pr", "--I", str(rows), "--N", str(cols),
+                       "--blocks", "4", "--out", str(bundle))
+        assert made.returncode == 0, made.stderr
+        solved = limited("-m", "bsca", "solve", str(bundle), "--algorithm", "bsca",
+                         "--max-iters", "8", "--out", str(tmp_path / "run"))
+        assert solved.returncode == 0, solved.stderr
+        assert "final_objective=" in solved.stdout
+        control = limited("-c", "from bsca.phase_retrieval import generate_pr_instance; "
+                          f"generate_pr_instance({rows}, {cols}, num_blocks=4)")
+        assert control.returncode != 0
+        assert "MemoryError" in control.stderr
+    finally:
+        shutil.rmtree(bundle, ignore_errors=True)

@@ -17,6 +17,7 @@ from bsca.core import (
     L1Norm,
     SolverConfig,
     Unconstrained,
+    _support_count,
     make_partition,
 )
 from bsca.engine import (
@@ -27,11 +28,11 @@ from bsca.engine import (
     run_parallel_sca,
 )
 from bsca.errors import InvalidArgumentError, ProductDriftError, ProfileMismatchError
+from bsca.storage import map_pr_sampling
 from bsca.surrogates import QuadOperator
 from bsca.phase_retrieval import (
     PhaseProducts,
     PhaseRetrievalInstance,
-    _column_norms,
     _quartic_coeffs,
     generate_pr_instance,
     pr_outer_model,
@@ -553,7 +554,8 @@ class TestOuterStepsize:
             sparse_gain=inst.sparse_gain, partition=inst.partition)
         profile = pr_problem(inst).line_profile(x, np.ones(12), 0)
         with pytest.raises(ProfileMismatchError):
-            _audit_profile(pr_problem(bad).products.line(x, np.ones(12), 0), profile)
+            _audit_profile(pr_problem(bad).products.line(x, np.ones(12), 0), profile,
+                           profile.minimize().gamma)
 
     def test_block_profile_is_built_from_the_block_product(self, rng):
         # 24 unknowns in 5 blocks: block starts 5, 10, 15, 20 are not
@@ -649,9 +651,10 @@ class TestRunPhaseRetrieval:
         # PhaseProducts gives a line, so every exact step on a pr_problem
         # checks its profile, whichever loop takes it
         inst = tiny_instance(seed=12, blocks=3)
-        # a unit curvature keeps bgd's steps short enough for the shifted
-        # linear coefficient to show beyond the audit's tolerance
-        cfg = SolverConfig(max_outer_iterations=6, inner_iterations=2, curvature=1.0)
+        # at the default curvature bgd's steps are about 1e-4 long; the
+        # audit at the chosen stepsize sees the shifted linear coefficient
+        # there, which the fixed points in [0.15, 0.95] do not
+        cfg = SolverConfig(max_outer_iterations=6, inner_iterations=2)
         x0 = rng.standard_normal(24)
         solver = inexact_solver(
             lambda problem, x, k: pr_outer_model(problem, x, k, cfg.curvature), cfg)
@@ -875,13 +878,36 @@ class TestProducts:
 
 
 class TestGenerator:
+    # the criterion, test and manifest-gate shapes, and row counts that
+    # are not a multiple of the 8-row draw
     @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (24, 60), (20, 40),
-                                       (30, 20), (400, 100), (400, 1000)])
-    def test_column_norms_match_numpy_bit_for_bit(self, shape):
-        # the criterion, test and manifest-gate shapes
-        matrix = np.random.default_rng(0).standard_normal(shape)
-        assert np.array_equal(_column_norms(matrix),
-                              np.linalg.norm(matrix, axis=0))
+                                       (30, 20), (400, 100), (400, 1000),
+                                       (13, 5), (9, 2), (1001, 30)])
+    def test_column_norms_match_numpy_bit_for_bit(self, tmp_path, shape):
+        # the instance, drawn into memory or into a mapped file, is the
+        # one of a single standard_normal draw scaled by np.linalg.norm
+        rng = np.random.default_rng(7)
+        sampling = rng.standard_normal(shape)
+        sampling = sampling / np.linalg.norm(sampling, axis=0)
+        signal = np.zeros(shape[0])
+        support = rng.choice(shape[0], size=_support_count(0.2, shape[0]), replace=False)
+        signal[support] = rng.standard_normal(support.size)
+        intensities = (sampling.T @ signal) ** 2
+        mapped = map_pr_sampling(tmp_path, *shape)
+        for out in (None, mapped):
+            inst = generate_pr_instance(*shape, density=0.2, seed=7, out=out)
+            assert np.array_equal(inst.sampling, sampling)
+            assert np.array_equal(inst.signal, signal)
+            assert np.array_equal(inst.intensities, intensities)
+            assert inst.sparse_gain == 0.05 * float(np.abs(sampling @ intensities).max())
+        assert inst.sampling is mapped
+
+    def test_a_mismatched_target_is_rejected(self):
+        # a column-major target would take the draws in another order
+        for out in (np.empty((5, 4)), np.empty((4, 5), dtype=np.float32),
+                    np.empty((5, 4)).T):
+            with pytest.raises(InvalidArgumentError, match="C-contiguous"):
+                generate_pr_instance(4, 5, out=out)
 
     def test_seed_reproducibility(self):
         a = generate_pr_instance(30, 12, density=0.1, num_blocks=3, seed=21)

@@ -98,3 +98,15 @@ def test_count_lines_leaves_out_blanks_comments_and_docstrings():
               '    return a + b\n')
     # the signature's two lines, the string's two and the return
     assert counter.count(source) == (10, 5)
+
+
+def test_memory_cap_solves_the_mapped_bundle_to_the_in_memory_bits(tmp_path):
+    script = next(path for path in SCRIPTS if path.stem == "memory_cap")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(script), "--sizes", "300x400",
+                           "--blocks", "3", "--cap-mib", "96", "--dir", str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    assert "match bit for bit: yes" in done.stdout
+    assert "failed" not in done.stdout
+    assert list(tmp_path.iterdir()) == []     # the bundle is deleted
