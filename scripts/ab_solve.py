@@ -11,16 +11,19 @@ fingerprints are compared) and the same start, drawn from ``--seed``.
 After one warm-up solve each, which is checked as the benchmark checks
 its solves, the two alternate for PAIRS pairs, A then B and B then A in
 turn, with one BLAS thread.  The script prints whether the two traces
-agree bit for bit, each side's median solve time, the median over pairs
-of the time ratio B/A, and the share of pairs in which B ran faster.
-Timing the two sides back to back keeps a machine whose speed drifts
-over minutes from favouring either.  Nothing under perfbench/ is
-changed.
+agree bit for bit, each side's median solve time and quartiles, the
+median over pairs of the time ratio B/A, the share of pairs in which B
+ran faster, and whether the claim rule held: B won at least nine tenths
+of the pairs (ties count for neither side) and the medians differ by
+more than the distance between A's quartiles.  Timing the two sides
+back to back keeps a machine whose speed drifts over minutes from
+favouring either.  Nothing under perfbench/ is changed.
 """
 
 import argparse
 import importlib
 import importlib.util
+import math
 import os
 import sys
 import time
@@ -99,6 +102,22 @@ def signature(trace) -> tuple:
             trace.final_point.values.tobytes(), trace.termination_reason)
 
 
+def claim(times_a, times_b) -> tuple[bool, str]:
+    """Whether B's gain over A may be claimed from paired solve times:
+    B faster in at least nine tenths of the pairs, and A's median above
+    B's by more than A's quartile spread.  Returns the verdict and a
+    line that states it with its numbers."""
+    a, b = np.asarray(times_a, dtype=float), np.asarray(times_b, dtype=float)
+    wins = int(np.count_nonzero(b < a))
+    needed = math.ceil(0.9 * a.size)
+    lower, upper = np.percentile(a, [25, 75])
+    gap = float(np.median(a) - np.median(b))
+    held = wins >= needed and gap > upper - lower
+    return held, (f"claim rule {'held' if held else 'did not hold'}: B won {wins} of "
+                  f"{a.size} pairs (needs {needed}); median gap {gap:.4f} s, "
+                  f"A's quartile spread {upper - lower:.4f} s")
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -139,10 +158,13 @@ def main(argv=None) -> int:
 
     print(f"workload={args.workload} seed={args.seed} pairs={args.pairs}")
     print(f"traces bit for bit: {'yes' if same else 'no'}")
-    print(f"median solve: A {np.median(times['A']):.4f} s, "
-          f"B {np.median(times['B']):.4f} s")
+    for label in ("A", "B"):
+        lower, median, upper = np.percentile(times[label], [25, 50, 75])
+        print(f"{label} solve: median {median:.4f} s, quartiles "
+              f"[{lower:.4f}, {upper:.4f}] s")
     print(f"median ratio B/A {np.median(ratios):.3f}; B faster in {faster} of "
           f"{args.pairs} pairs ({100.0 * faster / args.pairs:.0f}%)")
+    print(claim(times["A"], times["B"])[1])
     return 0 if same else 1
 
 

@@ -18,7 +18,9 @@ Both solve with ``run_phase_retrieval`` from the generating signal plus
 0.2 times a unit Gaussian vector (seed 1), as the benchmark's phase
 retrieval workloads start, with 10 inner rounds, ``stop_tol`` 1e-8 and
 an iteration cap of 100 sweeps.  For each child the script prints the
-generate and solve seconds, the iterations and the stop rule, the first
+generate seconds, split into the draw (into the mapped file, or into
+memory), the bundle write and the read-back (both 0 in memory), the
+solve seconds, the iterations and the stop rule, the first
 sweep's seconds and the median of the later ones, the peak ``RssAnon``
 (the parent reads the child's ``/proc/<pid>/status`` every 10 ms) and
 the child's own ``VmHWM``, then whether the two final objectives and
@@ -67,11 +69,16 @@ def solve_child(mode: str, unknowns: int, measurements: int, blocks: int,
            if mode == "mapped" else None)
     instance = generate_pr_instance(unknowns, measurements, num_blocks=blocks,
                                     seed=0, out=out)
+    draw_s = time.perf_counter() - begin
+    write_s = read_s = 0.0
     if mode == "mapped":
+        begin = time.perf_counter()
         storage.write_pr_instance(bundle, instance)
+        write_s = time.perf_counter() - begin
         del instance, out
+        begin = time.perf_counter()
         instance = storage.read_instance(bundle)
-    generate_s = time.perf_counter() - begin
+        read_s = time.perf_counter() - begin
     noise = np.random.default_rng(1).standard_normal(unknowns)
     start = instance.signal + WARM_RADIUS * noise / np.linalg.norm(noise)
     config = SolverConfig(max_outer_iterations=SWEEP_CAP * blocks,
@@ -83,7 +90,8 @@ def solve_child(mode: str, unknowns: int, measurements: int, blocks: int,
     sweeps = np.diff(elapsed[::blocks])
     status = dict(line.split(":", 1) for line in
                   Path("/proc/self/status").read_text().splitlines())
-    return {"generate_s": generate_s, "solve_s": solve_s,
+    return {"generate_s": draw_s + write_s + read_s, "draw_s": draw_s,
+            "write_s": write_s, "read_s": read_s, "solve_s": solve_s,
             "iterations": trace.iterations, "termination": trace.termination_reason,
             "first_sweep_s": float(sweeps[0]) if sweeps.size else float("nan"),
             "later_sweep_s": (float(np.median(sweeps[1:])) if sweeps.size > 1
@@ -137,7 +145,9 @@ def parse_size(text: str) -> tuple[int, int]:
 def describe(report: dict) -> str:
     if "failed" in report:
         return f"failed, {report['failed']}"
-    return (f"generate {report['generate_s']:.2f} s, solve {report['solve_s']:.2f} s, "
+    return (f"generate {report['generate_s']:.2f} s (draw {report['draw_s']:.2f}, "
+            f"write {report['write_s']:.2f}, read back {report['read_s']:.2f}), "
+            f"solve {report['solve_s']:.2f} s, "
             f"{report['iterations']} iterations ({report['termination']}), sweep "
             f"{report['first_sweep_s']:.3f} s first / {report['later_sweep_s']:.3f} s later, "
             f"peak RssAnon {report['peak_rss_anon_mib']:.0f} MiB, "

@@ -190,12 +190,13 @@ class TrackedProducts:
     A subclass forms its products afresh (``fresh``), carries them
     along a step (``carried``), and gives the scale its drift is
     measured against (``drift_scale``).  The first entry of its products
-    is the array the drift compares.  It may also give ``line``,
-    ``gamma -> f(x + gamma d)`` from its products, where ``direction``
-    and ``block`` mean what they mean for
-    ``CompositeProblem.line_profile``.  A hook that gives one has every
-    closed-form profile audited through it; without one, profiles are
-    trusted and f is evaluated afresh along the step.
+    is the array the drift compares.  It may also give ``line``, a
+    function that maps an array of stepsizes ``gamma`` to the array of
+    ``f(x + gamma d)`` from its products, where ``direction`` and
+    ``block`` mean what they mean for ``CompositeProblem.line_profile``.
+    A hook that gives one has every closed-form profile audited through
+    it, at all the audit's stepsizes in one call; without one, profiles
+    are trusted and f is evaluated afresh along the step.
     """
 
     def __init__(self) -> None:

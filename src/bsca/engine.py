@@ -246,24 +246,26 @@ def _line_function(problem: CompositeProblem, x: np.ndarray,
     if problem.products is not None:
         line = problem.products.line(x, direction, block)
         if line is not None:
-            return line
+            return lambda gamma: float(line(np.array([gamma]))[0])
     full = direction if block is None else problem.partition.embed(block, direction)
     return lambda gamma: problem.smooth_value(x + gamma * full)
 
 
-def _audit_profile(phi: Callable[[float], float], profile: ScalarProfile,
-                   chosen: float) -> None:
-    """Check the polynomial profile against ``phi``, the product hook's
+def _audit_profile(line: Callable[[np.ndarray], np.ndarray],
+                   profile: ScalarProfile, chosen: float) -> None:
+    """Check the polynomial profile against ``line``, the product hook's
     line along the step (see ``CompositeProblem``), at fixed points of
-    [0.15, 0.95].  A chosen stepsize short of them is checked too, with
-    half of it: where f moves by orders of magnitude more at the fixed
-    points, a wrong low-order coefficient hides in their tolerance."""
-    f0 = phi(0.0)
+    [0.15, 0.95], all evaluated in one call with 0.  A chosen stepsize
+    short of them is checked too, with half of it: where f moves by
+    orders of magnitude more at the fixed points, a wrong low-order
+    coefficient hides in their tolerance."""
     gammas = _AUDIT_GAMMAS
     if 0.0 < chosen < _AUDIT_GAMMAS[0]:
         gammas += (chosen, 0.5 * chosen)
-    for gamma in gammas:
-        direct = phi(gamma) - f0
+    values = line(np.array((0.0,) + gammas))
+    f0 = float(values[0])
+    for gamma, value in zip(gammas, values[1:]):
+        direct = float(value) - f0
         predicted = profile.value(gamma)
         tol = 1e-8 * max(1.0, abs(f0), abs(direct))
         if abs(predicted - direct) > tol:
@@ -435,7 +437,8 @@ def inexact_inner_loop(model: SurrogateModel, problem: CompositeProblem,
         if is_stationary(delta, x_tau, config.stationarity_rtol):
             break
         quad_delta = model.quad.apply(delta)
-        gamma = inner_exact_stepsize(x_tau, grad_tau, target, quad_delta, reg)
+        gamma = inner_exact_stepsize(grad_tau, delta, quad_delta,
+                                     reg.value(target) - reg.value(x_tau))
         if gamma <= 0.0:
             break    # only at the rounding floor of the surrogate objective
         x_tau = x_tau + gamma * delta

@@ -14,6 +14,7 @@ from step to step and re-forms once per sweep.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,7 @@ from .core import (
     _support_count,
     equal_partition,
 )
-from .engine import inexact_solver, run_bsca
+from .engine import BlockSolution, inexact_solver, run_bsca
 from .errors import InvalidArgumentError
 from .linesearch import ScalarProfile
 from .surrogates import QuadOperator, SurrogateModel
@@ -89,6 +90,33 @@ def _transposed_product(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     return rows[support].T @ v[support]
 
 
+def _fresh_product(instance: PhaseRetrievalInstance, x: np.ndarray):
+    """``(A'x, partials)``.  At a sparse ``x`` (``_sparse_support``) the
+    product is read from its support rows and the partials are None; at
+    a dense one it is the block-order sum of the block partials
+    ``A_k'x_k``, which come back as a tuple, one per block.  They are
+    formed in one batched product per run of equal-sized blocks, so an
+    equal partition reads A in one product."""
+    sampling = instance.sampling
+    if _sparse_support(x) is not None:
+        return _transposed_product(sampling, x), None
+    partition = instance.partition
+    partials = np.empty((partition.num_blocks, sampling.shape[1]))
+    first = 0
+    for size, run in itertools.groupby(partition.block_sizes):
+        count = len(list(run))
+        start = partition.offsets[first]
+        stop = start + count * size
+        np.matmul(x[start:stop].reshape(count, 1, size),
+                  sampling[start:stop].reshape(count, size, -1),
+                  out=partials[first:first + count, None, :])
+        first += count
+    u = partials[0].copy()
+    for partial in partials[1:]:
+        u += partial
+    return u, tuple(partials)
+
+
 class PhaseProducts(TrackedProducts):
     """The product hook of phase retrieval (see ``core.TrackedProducts``):
     ``u = A'x`` at the tracked points.  A step carries ``u`` to
@@ -100,28 +128,52 @@ class PhaseProducts(TrackedProducts):
     rounding grows.  Each ``pr_problem`` builds its own, so runs never
     read each other's products.
 
-    ``product``, ``direction_product`` and ``track`` have a sparse path:
-    a vector with at most ``_SPARSE_CAP`` (32) nonzeros, fewer than half
-    of its entries, is multiplied through the rows on its support only;
-    a dense one keeps ``rows.T @ v``.  ``line`` evaluates f along a
-    step from ``u`` and ``w`` in O(N)."""
+    A fresh ``u`` at a dense point is the block-order sum of the block
+    partials ``A_k'x_k`` (``_fresh_product``), tracked or not; a tracked
+    point keeps each partial (``partial``) until its block moves, so a
+    dense block model and its line search read it instead of forming
+    ``A_k'x_k`` again.  ``product`` and ``direction_product`` have a
+    sparse path: a vector with at most ``_SPARSE_CAP`` (32) nonzeros,
+    fewer than half of its entries, is multiplied through the rows on
+    its support only; a dense one keeps ``rows.T @ v``.  ``line``
+    evaluates f at an array of stepsizes along a step from ``u`` and
+    ``w``, in O(N) each.
+
+    The hook also keeps, for the length of a run, each block's gradient
+    and ``u * (u^2 - y)`` from its last model (``pr_outer_model``), and
+    the row norms of a block from its first certificate on: with them
+    ``keeps_zero_block`` certifies without reading A_k that a zero
+    block's model leaves it at zero."""
 
     def __init__(self, instance: PhaseRetrievalInstance):
         super().__init__()
         self.instance = instance
         self._last = None
+        self._references = {}    # block -> (A_k grad_u, grad_u) of its last model
+        self._row_norms = {}     # block -> ||a_i|| of its rows
 
     def fresh(self, x: np.ndarray):
-        u = _transposed_product(self.instance.sampling, x)
-        return u, float(np.linalg.norm(u))
+        u, partials = _fresh_product(self.instance, x)
+        return u, float(np.linalg.norm(u)), partials
 
     def carried(self, held, x_new: np.ndarray, block: int | None,
                 gamma: float, direction: np.ndarray):
         w = self.direction_product(block, direction)
-        return held[0] + gamma * w, held[1] + abs(gamma) * float(np.linalg.norm(w))
+        partials = held[2]
+        if partials is not None:
+            # the moved block's partial is gone; a joint step moves them all
+            partials = None if block is None else (
+                partials[:block] + (None,) + partials[block + 1:])
+        return (held[0] + gamma * w,
+                held[1] + abs(gamma) * float(np.linalg.norm(w)), partials)
 
     def drift_scale(self, held, fresh) -> float:
         return held[1]
+
+    def release(self) -> None:
+        """Track no point and forget the blocks' last gradients."""
+        super().release()
+        self._references.clear()
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """``A'x``: the maintained product at a tracked point, a fresh
@@ -129,33 +181,90 @@ class PhaseProducts(TrackedProducts):
         held = self.held(x)
         if held is not None:
             return held[0]
-        return _transposed_product(self.instance.sampling, x)
+        return _fresh_product(self.instance, x)[0]
 
-    def direction_product(self, block: int | None,
-                          direction: np.ndarray) -> np.ndarray:
+    def partial(self, x: np.ndarray, block: int) -> np.ndarray | None:
+        """``A_k'x_k`` when ``x`` is tracked and holds it, else None."""
+        held = self.held(x)
+        if held is None or held[2] is None:
+            return None
+        return held[2][block]
+
+    def direction_product(self, block: int | None, direction: np.ndarray,
+                          x: np.ndarray | None = None) -> np.ndarray:
         """``A_k'd`` (``A'd`` when ``block`` is None), reused while the
         direction is the last array asked for: every solver loop passes
         one direction object to the line profile, its audit and
-        ``update``, and never writes into it."""
+        ``update``, and never writes into it.  A dense ``d`` from a
+        point ``x`` that holds the block's partial, whose end point
+        ``x_k + d`` is sparse, is ``A_k'(x_k + d) - A_k'x_k``, read
+        from the end point's support rows."""
         last = self._last
         if last is not None and last[0] == block and last[1] is direction:
             return last[2]
-        rows = (self.instance.sampling if block is None
-                else self.instance.block_rows(block))
-        w = _transposed_product(rows, direction)
+        if block is None:
+            w = _transposed_product(self.instance.sampling, direction)
+        else:
+            rows = self.instance.block_rows(block)
+            partial = None if x is None else self.partial(x, block)
+            w = None
+            if partial is not None and _sparse_support(direction) is None:
+                end = x[self.instance.partition.slice_of(block)] + direction
+                if _sparse_support(end) is not None:
+                    w = _transposed_product(rows, end) - partial
+            if w is None:
+                w = _transposed_product(rows, direction)
         self._last = (block, direction, w)
         return w
 
     def line(self, x: np.ndarray, direction: np.ndarray, block: int | None):
         u = self.product(x)
-        w = self.direction_product(block, direction)
+        w = self.direction_product(block, direction, x)
         y = self.instance.intensities
 
-        def value(gamma: float) -> float:
-            fit = (u + gamma * w) ** 2 - y
-            return float(0.25 * fit @ fit)
+        def values(gammas: np.ndarray) -> np.ndarray:
+            fit = np.multiply.outer(gammas, w)
+            fit += u
+            np.square(fit, out=fit)
+            fit -= y
+            # one dot per stepsize: the bits of the scalar 0.25 * fit @ fit
+            return 0.25 * np.array([row @ row for row in fit])
 
-        return value
+        return values
+
+    def note_model(self, block: int, grad: np.ndarray, grad_u: np.ndarray) -> None:
+        """Keep a block model's gradient ``A_k grad_u`` with ``grad_u``
+        for ``keeps_zero_block``, until the block's next model or the
+        run's end."""
+        self._references[block] = (grad, grad_u)
+
+    def keeps_zero_block(self, x: np.ndarray, block: int) -> bool:
+        """True when block ``block`` of ``x`` is zero and its model at
+        ``x`` provably thresholds every entry back to zero, so its block
+        update is a stationarity skip: every entry of the block gradient
+        ``a_i'grad_u`` is at most the gain (times 1 - 1e-12, the inner
+        best response's bar), by
+        ``|a_i'grad_u| <= |g_i| + ||a_i|| ||grad_u - grad_u'||`` from the
+        block's last model (``g = A_k grad_u'``) plus the rounding of
+        both products and of the bound itself.  Reads no row of A_k but
+        to form the block's row norms, once."""
+        reference = self._references.get(block)
+        sl = self.instance.partition.slice_of(block)
+        if reference is None or x[sl].any():
+            return False
+        grad_ref, grad_u_ref = reference
+        u = self.product(x)
+        grad_u = u * (u * u - self.instance.intensities)
+        norms = self._row_norms.get(block)
+        if norms is None:
+            rows = self.instance.block_rows(block)
+            norms = self._row_norms[block] = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        # a dot product of length N is off by at most N eps |a||b|
+        slack = 4.0 * u.size * np.finfo(float).eps
+        spread = (float(np.linalg.norm(grad_u - grad_u_ref)) + slack
+                  * (float(np.linalg.norm(grad_u)) + float(np.linalg.norm(grad_u_ref))))
+        bound = float(np.max(np.abs(grad_ref) + norms * spread)) * (1.0 + slack)
+        return bound <= self.instance.sparse_gain * (1.0 - 1e-12)
 
 
 def pr_problem(instance: PhaseRetrievalInstance) -> CompositeProblem:
@@ -176,7 +285,7 @@ def pr_problem(instance: PhaseRetrievalInstance) -> CompositeProblem:
     def line_profile(x: np.ndarray, direction: np.ndarray,
                      block: int | None = None):
         return _quartic_coeffs(products.product(x),
-                               products.direction_product(block, direction), y)
+                               products.direction_product(block, direction, x), y)
 
     return CompositeProblem(
         partition=instance.partition,
@@ -207,7 +316,9 @@ def _quartic_coeffs(u: np.ndarray, w: np.ndarray, y: np.ndarray):
 # sums each output the same way in any block-aligned group of 4 rows.
 # A lone last row is summed one way when it is a chunk on its own
 # (block lengths 1 mod 16) and another inside a longer chunk, so it is
-# formed alone only then and with the group before it otherwise.
+# formed alone only then and with the group before it otherwise.  The
+# groups a request lacks are formed one product per run of consecutive
+# groups inside a 16-row chunk.
 _CHUNK_ROWS = 4
 _LAYOUT_ROWS = 16
 
@@ -220,15 +331,19 @@ class _BlockOperator:
     - ``gradient`` forms the block gradient ``A_k grad_u`` together with
       the columns ``2 A_k (u^2 * a_j)`` of ``D - cI`` on a given support,
       one per block row ``a_j``, in one product over the block.
-    - ``apply`` takes a dense argument as ``2 A_k (u^2 * (A_k'v)) + cv``,
-      two passes over the block, and a sparse one (``_sparse_support``)
-      from the columns on its support.  The columns not yet held are
-      formed in one batched product; when they would take the store past
-      ``_SPARSE_CAP`` columns, it starts over with the asked support.
+    - ``anchored_gradient`` forms it for a dense anchor ``a`` together
+      with ``D a``, from the partial ``A_k'a``, in one product.
+    - ``apply`` takes a sparse argument (``_sparse_support``) from the
+      columns on its support.  The columns not yet held are formed in
+      one batched product; when they would take the store past
+      ``_SPARSE_CAP`` columns, it starts over with the asked support.  A
+      dense argument ``v`` whose end point ``a + v`` is sparse, with
+      ``D a`` held, is ``D (a + v) - D a``; any other dense one is
+      ``2 A_k (u^2 * (A_k'v)) + cv``, two passes over the block.
     - ``diagonal`` gives the entries on given indices.  It forms the
       block-aligned groups of ``_CHUNK_ROWS`` (4) rows that hold them,
-      one squares product each, and keeps them; the entries have the
-      bits of a pass over 16-row chunks (see ``_CHUNK_ROWS``)."""
+      those it lacks, and keeps them; the entries have the bits of a
+      pass over 16-row chunks (see ``_CHUNK_ROWS``)."""
 
     def __init__(self, rows: np.ndarray, u_sq: np.ndarray, curvature: float):
         self.rows = rows
@@ -238,12 +353,14 @@ class _BlockOperator:
         self.slot = np.full(rows.shape[0], -1)    # row -> held column, or -1
         self.held = 0
         self.columns = np.empty((_SPARSE_CAP, rows.shape[0]))
+        self.anchor = self.anchor_image = None    # a and D a, dense anchors only
         self.diag = np.empty(rows.shape[0])
         length = rows.shape[0]
         groups = -(-length // _CHUNK_ROWS)
         if length % _CHUNK_ROWS == 1 and length % _LAYOUT_ROWS != 1:
             groups -= 1    # the lone last row joins the group before it
         self.formed = np.zeros(groups, dtype=bool)
+        self.complete = False
 
     def gradient(self, grad_u: np.ndarray, support: np.ndarray) -> np.ndarray:
         """``A_k grad_u``, from the product that also forms the columns on
@@ -261,6 +378,18 @@ class _BlockOperator:
         self._hold(support, products[1:])
         return products[0]
 
+    def anchored_gradient(self, grad_u: np.ndarray, anchor: np.ndarray,
+                          partial: np.ndarray) -> np.ndarray:
+        """``A_k grad_u``, from the product of ``[grad_u; 2 u^2 * A_k'a]``
+        with ``A_k'``, which also gives ``D a`` for ``apply``."""
+        stack = np.empty((2, self.rows.shape[1]))
+        stack[0] = grad_u
+        np.multiply(self.twice_u_sq, partial, out=stack[1])
+        products = stack @ self.rows.T
+        self.anchor = anchor
+        self.anchor_image = products[1] + self.curvature * anchor
+        return products[0]
+
     def _hold(self, new: np.ndarray, columns: np.ndarray) -> None:
         end = self.held + new.size
         self.columns[self.held:end] = columns
@@ -269,9 +398,17 @@ class _BlockOperator:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         support = _sparse_support(v)
+        if support is None and self.anchor is not None:
+            end = self.anchor + v
+            support = _sparse_support(end)
+            if support is not None:
+                return self._from_columns(end, support) - self.anchor_image
         if support is None:
             rows = self.rows
             return 2.0 * (rows @ (self.u_sq * (rows.T @ v))) + self.curvature * v
+        return self._from_columns(v, support)
+
+    def _from_columns(self, v: np.ndarray, support: np.ndarray) -> np.ndarray:
         new = support[self.slot[support] < 0]
         if new.size:
             if self.held + new.size > _SPARSE_CAP:
@@ -286,46 +423,76 @@ class _BlockOperator:
         return coefficients @ self.columns[:self.held] + self.curvature * v
 
     def diagonal(self, index: np.ndarray) -> np.ndarray:
-        last = self.formed.size - 1
-        wanted = np.zeros_like(self.formed)
-        wanted[np.minimum(index // _CHUNK_ROWS, last)] = True
-        for group in np.flatnonzero(wanted & ~self.formed):
-            start = group * _CHUNK_ROWS
-            stop = len(self.rows) if group == last else start + _CHUNK_ROWS
-            rows = self.rows[start:stop]
-            self.diag[start:stop] = 2.0 * ((rows * rows) @ self.u_sq) + self.curvature
-        self.formed |= wanted
+        if not self.complete:
+            groups = np.minimum(index // _CHUNK_ROWS, self.formed.size - 1)
+            missing = groups[~self.formed[groups]]
+            if missing.size:
+                self._form(np.unique(missing).tolist())
         return self.diag[index]
+
+    def _form(self, groups: list[int]) -> None:
+        """Form the diagonal on the sorted ``groups``: one squares
+        product per run of consecutive groups inside a 16-row chunk."""
+        per_chunk = _LAYOUT_ROWS // _CHUNK_ROWS
+        runs = []
+        for group in groups:
+            if (runs and group == runs[-1][1] + 1
+                    and group // per_chunk == runs[-1][0] // per_chunk):
+                runs[-1][1] = group
+            else:
+                runs.append([group, group])
+        last = self.formed.size - 1
+        squares = np.empty((min(_LAYOUT_ROWS, len(self.rows)), self.rows.shape[1]))
+        for first, final in runs:
+            start = first * _CHUNK_ROWS
+            stop = len(self.rows) if final == last else (final + 1) * _CHUNK_ROWS
+            rows = self.rows[start:stop]
+            part = np.multiply(rows, rows, out=squares[:stop - start])
+            self.diag[start:stop] = 2.0 * (part @ self.u_sq) + self.curvature
+            self.formed[first:final + 1] = True
+        self.complete = bool(self.formed.all())
 
 
 def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
                    curvature: float) -> SurrogateModel:
     """Partial linearization of the residual map inside the quartic loss:
     the block model with D = 2 A_k diag(A'x)^2 A_k' + c I, which is
-    never formed (``_BlockOperator``).  A dense argument is applied in
-    two passes over A_k; an argument with at most ``_SPARSE_CAP`` (32)
-    nonzeros, fewer than half the block's rows, from the columns of D on
-    its support, which the model forms on demand and keeps for its own
-    life, one block visit.  The block gradient comes from one product
-    over A_k that also forms the columns on the anchor's support, when
-    the anchor is sparse under the same rule, so a visit whose inner
-    steps stay on that support reads A_k once.  The diagonal is formed
-    on demand, a few rows at a time, where the best response reads it.
-    ``problem`` is a ``pr_problem``: the data and ``A'x`` come from its
-    product hook, so inside a run the model reads the maintained
-    product."""
+    never formed (``_BlockOperator``).  An argument with at most
+    ``_SPARSE_CAP`` (32) nonzeros, fewer than half the block's rows, is
+    applied from the columns of D on its support, which the model forms
+    on demand and keeps for its own life, one block visit; any other in
+    two passes over A_k.  The block gradient comes from one product over
+    A_k.  At a sparse anchor (same rule) that product also forms the
+    columns on the anchor's support, so a visit whose inner steps stay
+    on that support reads A_k once.  At a dense anchor it also forms
+    ``D a`` from the partial ``A_k'a`` (held by the product hook, else
+    formed), so a first inner step to a sparse target is applied from
+    the target's columns: with the diagonal, three passes over A_k.
+    The diagonal is formed on demand, a few rows at a time, where the
+    best response reads it.  ``problem`` is a ``pr_problem``: the data
+    and ``A'x`` come from its product hook, so inside a run the model
+    reads the maintained product; the hook keeps the gradient for
+    ``PhaseProducts.keeps_zero_block``."""
     if curvature <= 0.0:
         raise InvalidArgumentError("curvature must be positive")
     x = np.asarray(x, dtype=float)
-    instance = problem.products.instance
-    u = problem.products.product(x)
+    products = problem.products
+    instance = products.instance
+    u = products.product(x)
     u_sq = u * u
-    operator = _BlockOperator(instance.block_rows(k), u_sq, curvature)
+    grad_u = u * (u_sq - instance.intensities)
+    rows = instance.block_rows(k)
+    operator = _BlockOperator(rows, u_sq, curvature)
     anchor = x[instance.partition.slice_of(k)].copy()
     support = _sparse_support(anchor)
     if support is None:
-        support = np.empty(0, dtype=np.intp)    # a dense anchor: the gradient alone
-    grad = operator.gradient(u * (u_sq - instance.intensities), support)
+        partial = products.partial(x, k)
+        if partial is None:
+            partial = _transposed_product(rows, anchor)
+        grad = operator.anchored_gradient(grad_u, anchor, partial)
+    else:
+        grad = operator.gradient(grad_u, support)
+    products.note_model(k, grad, grad_u)
     return SurrogateModel(anchor, grad, QuadOperator(operator.apply, operator.diagonal))
 
 
@@ -340,7 +507,10 @@ def run_phase_retrieval(instance: PhaseRetrievalInstance, config: SolverConfig,
     Armijo) outer stepsize.  The initial point must be nonzero (the
     origin is a saddle with zero gradient).  Every exact outer step
     audits its quartic profile against ``PhaseProducts.line``, as every
-    exact step on a ``pr_problem`` does."""
+    exact step on a ``pr_problem`` does.  A zero block that its last
+    model's gradient certifies to stay zero
+    (``PhaseProducts.keeps_zero_block``) is skipped without a model:
+    the skip its model would give, at no pass over its rows."""
     if x0 is None:
         start = np.random.default_rng(config.seed).standard_normal(instance.num_unknowns)
     else:
@@ -351,8 +521,14 @@ def run_phase_retrieval(instance: PhaseRetrievalInstance, config: SolverConfig,
     def outer_model(problem: CompositeProblem, x: np.ndarray, k: int) -> SurrogateModel:
         return pr_outer_model(problem, x, k, config.curvature)
 
-    return run_bsca(pr_problem(instance), inexact_solver(outer_model, config),
-                    config, start)
+    modelled = inexact_solver(outer_model, config)
+
+    def solver(problem: CompositeProblem, x: np.ndarray, k: int) -> BlockSolution:
+        if problem.products.keeps_zero_block(x, k):
+            return BlockSolution(problem.block_of(x, k))
+        return modelled(problem, x, k)
+
+    return run_bsca(pr_problem(instance), solver, config, start)
 
 
 # ---------------------------------------------------------------------------

@@ -31,16 +31,23 @@ def soft_threshold(b: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarra
     a = np.asarray(a, dtype=float)
     if np.any(a < 0.0):
         raise InvalidArgumentError("threshold entries must be nonnegative")
+    if out is not None and (np.shares_memory(out, b) or np.shares_memory(out, a)):
+        raise InvalidArgumentError("out may not share memory with b or a")
+    return _shrink(b, a, out)
+
+
+def _shrink(b: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``soft_threshold`` of float arrays, unchecked: for thresholds
+    known to be nonnegative and an ``out`` that shares no memory."""
     # b minus its projection onto [-a, a] (the Moreau decomposition of
     # the l1 prox): the projection's negative, min(-min(b, a), a), is
-    # worked in place and added to b.  The same bits as the formula
-    # above, with no temporary and in cheap passes where
-    # sign(b) max(|b| - a, 0) takes a copysign several times slower;
-    # adding 0.0 turns the -0.0 that b = -0.0 can leave at a = 0 into +0.0
+    # worked in place and added to b.  The same bits as
+    # max(b - a, 0) - max(-b - a, 0), with no temporary and in cheap
+    # passes where sign(b) max(|b| - a, 0) takes a copysign several
+    # times slower; adding 0.0 turns the -0.0 that b = -0.0 can leave at
+    # a = 0 into +0.0
     if out is None:
         out = np.asarray(np.minimum(b, a))
-    elif np.shares_memory(out, b) or np.shares_memory(out, a):
-        raise InvalidArgumentError("out may not share memory with b or a")
     else:
         np.minimum(b, a, out=out)
     np.negative(out, out=out)
@@ -116,24 +123,22 @@ def inner_best_response_step(model: SurrogateModel, x_tau: np.ndarray,
                               | ~(np.abs(grad_tau) <= gain * (1.0 - 1e-12)))
         diag = diagonal(live)
         step = np.zeros_like(x_tau)
-        step[live] = soft_threshold(x_tau[live] - grad_tau[live] / diag,
-                                    1.0 / diag * gain)
+        # unchecked: 1 / d * gain >= 0, as D's diagonal is positive
+        step[live] = _shrink(x_tau[live] - grad_tau[live] / diag, 1.0 / diag * gain)
         return constraint.clip(step)
     raise NoClosedFormError(
         f"no closed form for regularizer {type(regularizer).__name__}")
 
 
-def inner_exact_stepsize(x_tau: np.ndarray, grad_tau: np.ndarray,
-                         minimizer: np.ndarray, quad_delta: np.ndarray,
-                         regularizer: Regularizer) -> float:
+def inner_exact_stepsize(grad_tau: np.ndarray, delta: np.ndarray,
+                         quad_delta: np.ndarray, regularizer_change: float) -> float:
     """Exact line search of the outer quadratic model along the inner
-    best-response direction ``minimizer - x_tau``, given the model
-    gradient at ``x_tau`` and D times the direction; rational closed
+    best-response direction ``delta`` (the best response minus
+    ``x_tau``), given the model gradient at ``x_tau``, D times the
+    direction and the regularizer's change along it; rational closed
     form clipped to [0, 1].  A zero direction is a skip (gamma = 0)."""
-    delta = minimizer - x_tau
     a2 = float(delta @ quad_delta)
     if a2 == 0.0:
         return 0.0
-    a1 = float(grad_tau @ delta) + (regularizer.value(minimizer)
-                                    - regularizer.value(x_tau))
+    a1 = float(grad_tau @ delta) + regularizer_change
     return exact_quadratic_step(a2, a1).gamma

@@ -156,8 +156,9 @@ def fresh_inner_step(model, x_tau, regularizer, constraint):
 def fresh_inner_stepsize(model, x_tau, target, regularizer):
     """``inner_exact_stepsize`` at the fresh model gradient and D delta."""
     grad_tau = model.quad.apply(x_tau) - linear_term(model)
-    return inner_exact_stepsize(x_tau, grad_tau, target,
-                                model.quad.apply(target - x_tau), regularizer)
+    delta = target - x_tau
+    return inner_exact_stepsize(grad_tau, delta, model.quad.apply(delta),
+                                regularizer.value(target) - regularizer.value(x_tau))
 
 
 def carried_gradient_drift(monkeypatch, model, problem, rounds):

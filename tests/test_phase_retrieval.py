@@ -224,15 +224,14 @@ class TestOuterModel:
                     <= 1e-13 * np.linalg.norm(grad))
             assert np.allclose(whole_diagonal(model), diagonal, rtol=1e-13, atol=0.0)
 
-    def test_diagonal_and_dense_anchor_gradient_keep_the_chunked_pass_bits(self):
+    def test_diagonal_keeps_the_chunked_pass_bits(self):
         # at one BLAS thread, as the benchmark and the manifest gate run:
-        # the one-row product of a dense anchor gives the bits of the
-        # 16-row gemvs, and the diagonal those of the squares pass, read
-        # in any order and pieces; a sparse anchor's gradient comes from
-        # a gemm with its support columns and agrees to rounding.  The
-        # lengths 17 and 33 (1 mod 16) end on a lone row the diagonal
-        # forms alone, the other lengths 1 mod 4 on one it forms with
-        # the group before it
+        # the diagonal has the bits of the squares pass, read in any
+        # order and pieces.  A gradient comes from a gemm, with the
+        # support columns of a sparse anchor or with D a of a dense one,
+        # and agrees to rounding.  The lengths 17 and 33 (1 mod 16) end
+        # on a lone row the diagonal forms alone, the other lengths
+        # 1 mod 4 on one it forms with the group before it
         script = """
 import numpy as np
 from bsca.core import make_partition
@@ -246,24 +245,15 @@ inst = PhaseRetrievalInstance(sampling=A, intensities=gen.random(2000),
                               sparse_gain=0.1, partition=make_partition(sizes))
 sparse = np.zeros(sum(sizes))
 sparse[gen.choice(sum(sizes), 40, replace=False)] = gen.standard_normal(40)
-for x, dense in ((gen.standard_normal(sum(sizes)), True), (sparse, False)):
+for x in (gen.standard_normal(sum(sizes)), sparse):
     problem = pr_problem(inst)
     u = problem.products.product(x)
     for k, size in enumerate(sizes):
         model = pr_outer_model(problem, x, k, 1e-3)
         grad, diag = outer_model_chunked_pass(inst.block_rows(k), u,
                                               inst.intensities, 1e-3)
-        if dense:
-            # a lone last row (a length 1 mod 16, above 1) is a chunk of
-            # its own in the pass but not in the one-row product
-            exact = size - (size > 1 and size % 16 == 1)
-            assert (model.grad_anchor[:exact].tobytes()
-                    == grad[:exact].tobytes()), k
-            gap = np.linalg.norm(model.grad_anchor - grad)
-            assert gap <= 1e-13 * np.linalg.norm(grad), k
-        else:
-            gap = np.linalg.norm(model.grad_anchor - grad)
-            assert gap <= 1e-13 * np.linalg.norm(grad), k
+        gap = np.linalg.norm(model.grad_anchor - grad)
+        assert gap <= 1e-13 * np.linalg.norm(grad), k
         order = gen.permutation(size)
         got = np.concatenate([model.quad.diagonal(part)
                               for part in np.array_split(order, 3)])
@@ -300,6 +290,17 @@ def sparse_vector(rng, size, support):
     return v
 
 
+def block_sum_product(inst, x):
+    """``A'x`` as a fresh product forms it at a dense point: the
+    block-order sum of the block products ``A_k'x_k``."""
+    parts = [inst.block_rows(k).T @ x[inst.partition.slice_of(k)]
+             for k in range(inst.partition.num_blocks)]
+    u = parts[0].copy()
+    for part in parts[1:]:
+        u += part
+    return u
+
+
 def relative_gap(got, expected):
     return np.linalg.norm(got - expected) / np.linalg.norm(expected)
 
@@ -315,7 +316,7 @@ class TestSparseOperator:
         inst, plain = logged_instance(log)
         x = scale * rng.standard_normal(400)
         model = pr_outer_model(pr_problem(inst), x, 0, 1e-3)
-        u = plain.sampling.T @ x
+        u = block_sum_product(plain, x)
         rows = plain.block_rows(0)
         log.clear()
         return model, lambda v: 2.0 * (rows @ (u * u * (rows.T @ v))) + 1e-3 * v
@@ -397,7 +398,10 @@ class TestSparseOperator:
         # a warm start near the sparse signal: after the first sweep each
         # visit's anchor and inner steps are sparse, so the visit forms one
         # whole-block product, the gradient with the columns on the
-        # anchor's support, and no round forms the whole-block A_k'v
+        # anchor's support, and no round forms the whole-block A_k'v.  A
+        # first-sweep visit's anchor is dense: its gradient is stacked
+        # with 2 u^2 * A_k'a from the held partial, and its first round,
+        # to a sparse target, forms that target's columns alone
         log = []
         inst, plain = logged_instance(log, measurements=1200, density=0.02, seed=0)
         noise = rng.standard_normal(400)
@@ -430,9 +434,11 @@ class TestSparseOperator:
         transposed = ((1200, 200), (200,))
         assert trace.iterations > 4 and len(visits) == trace.iterations
         for visit in visits[:2]:
-            # a dense anchor: the gradient alone, a one-row product
-            assert visit[0] == ((1, 1200), (1200, 200))
-            assert transposed in visit
+            assert visit[0] == ((2, 1200), (1200, 200))
+            assert transposed not in visit
+            assert len(visit) <= 2
+            for stack, second in visit[1:]:
+                assert second == (1200, 200) and stack[0] <= self.CAP
         for visit in visits[2:]:
             assert len(visit) == 1
             (stack, second), = visit
@@ -566,7 +572,7 @@ class TestOuterStepsize:
         x = rng.standard_normal(24)
         for k in range(5):
             delta = rng.standard_normal(inst.partition.block_sizes[k])
-            expected = _quartic_coeffs(inst.sampling.T @ x,
+            expected = _quartic_coeffs(block_sum_product(inst, x),
                                        inst.block_rows(k).T @ delta,
                                        inst.intensities)
             assert problem.line_profile(x, delta, k) == expected
@@ -691,10 +697,12 @@ class TestRunPhaseRetrieval:
 
 def assert_fresh_formulas(problem, z, rng):
     """The closures of a ``pr_problem`` and ``pr_outer_model`` at ``z``
-    equal the formulas built from a fresh ``A'z``, bit for bit."""
+    equal the formulas built from a fresh ``A'z``, bit for bit (the
+    model's gradient to rounding: at a dense anchor it comes from one
+    product with ``D a``)."""
     inst = problem.products.instance
     y = inst.intensities
-    u = inst.sampling.T @ z
+    u = block_sum_product(inst, z)
     fit = u ** 2 - y
     assert problem.smooth_value(z) == float(0.25 * fit @ fit)
     for k in range(inst.partition.num_blocks):
@@ -707,7 +715,8 @@ def assert_fresh_formulas(problem, z, rng):
         assert_dense_outer_form(model, inst, z, k, 1e-3)
         assert np.array_equal(model.quad.apply(d),
                               2.0 * (rows @ (u * u * (rows.T @ d))) + 1e-3 * d)
-        assert np.array_equal(model.grad_anchor, rows @ (u * (u * u - y)))
+        grad = rows @ (u * (u * u - y))
+        assert relative_gap(model.grad_anchor, grad) <= 1e-13
 
 
 class TestProducts:
@@ -815,7 +824,7 @@ class TestProducts:
         # the maintained u at x_new is off a fresh A'x_new in the last
         # bits, so a hook shared with the first problem would show
         assert not np.array_equal(first.products.product(x_new),
-                                  inst.sampling.T @ x_new)
+                                  block_sum_product(inst, x_new))
         assert_fresh_formulas(second, x_new, rng)
 
     def test_bgd_and_parallel_runs_stay_monotone(self, rng):
@@ -867,7 +876,49 @@ class TestProducts:
         assert copy.partition == inst.partition
         products = pr_problem(copy).products
         assert products.track(x) is None    # x was not tracked in the copy
-        assert np.array_equal(products.product(x), inst.sampling.T @ x)
+        assert np.array_equal(products.product(x), block_sum_product(inst, x))
+
+    def test_partials_go_with_their_point_and_their_block(self, rng):
+        inst = tiny_instance(seed=22, blocks=3)
+        products = pr_problem(inst).products
+        x = rng.standard_normal(24)
+        products.track(x)
+        for k in range(3):
+            sl = inst.partition.slice_of(k)
+            assert np.array_equal(products.partial(x, k), inst.block_rows(k).T @ x[sl])
+        sl = inst.partition.slice_of(1)
+        d = rng.standard_normal(sl.stop - sl.start)
+        x_new = x.copy()
+        x_new[sl] += 0.5 * d
+        products.update(x, x_new, 1, 0.5, d)
+        assert products.partial(x_new, 1) is None      # the moved block
+        assert products.partial(x_new, 0) is products.partial(x, 0)
+        products.keep(x_new)
+        assert products.partial(x, 0) is None          # x is not tracked
+        products.release()
+        assert products.partial(x_new, 0) is None
+        # a sparse point's fresh product holds no partials
+        sparse = sparse_vector(rng, 24, [3, 17])
+        products.track(sparse)
+        assert products.partial(sparse, 0) is None
+
+    def test_building_the_problem_reads_no_matrix_entry(self):
+        # partials and row norms are formed inside a run, never when the
+        # problem or its product hook is built
+        plain = generate_pr_instance(64, 160, density=0.05, num_blocks=4, seed=23)
+        log = []
+        view = plain.sampling.view(ReadLog)
+        view.log = log
+        inst = dataclasses.replace(plain, sampling=view)
+        pr_problem(inst)
+        PhaseProducts(inst)
+        assert log == []
+        # the log sees a run's reads: the start's product, and the row
+        # norms of the blocks it certifies (an einsum)
+        run_phase_retrieval(inst, SolverConfig(max_outer_iterations=40,
+                                               inner_iterations=10),
+                            plain.signal + 0.01)
+        assert "matmul" in log and "einsum" in log
 
     def test_a_dropped_instance_is_freed_without_the_cycle_collector(self):
         inst = tiny_instance(seed=18)
@@ -875,6 +926,116 @@ class TestProducts:
         ref = weakref.ref(inst)
         del inst
         assert ref() is None
+
+
+class ReadLog(np.ndarray):
+    """ndarray view that appends the name of every ufunc and numpy
+    function it takes part in to ``log``; results are plain arrays."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        self.log.append(ufunc.__name__)
+        plain = lambda v: v.view(np.ndarray) if isinstance(v, ReadLog) else v
+        if "out" in kwargs:
+            kwargs["out"] = tuple(plain(v) for v in kwargs["out"])
+        return getattr(ufunc, method)(*(plain(v) for v in inputs), **kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        self.log.append(func.__name__)
+        return super().__array_function__(func, types, args, kwargs)
+
+
+class TestZeroBlockCertificate:
+    """``PhaseProducts.keeps_zero_block`` on 320 unknowns in 16 blocks,
+    at the recipe gain and at half of it, from two kinds of start: the
+    benchmark's warm start (the signal plus 0.2 times a unit Gaussian
+    vector), and a damped one (0.2 times the signal plus 0.05 times a
+    unit Gaussian vector) with block 2, which holds part of the signal,
+    zeroed.  From the damped start block 2's gradient grows past the
+    gain after it has been modelled at zero, so a certificate that
+    leaned on the old gradient alone would keep it zero."""
+
+    CONFIG = SolverConfig(max_outer_iterations=400, inner_iterations=10, stop_tol=1e-8)
+
+    @staticmethod
+    def instance(gain_scale=1.0):
+        inst = generate_pr_instance(320, 800, density=0.02, num_blocks=16, seed=5)
+        return dataclasses.replace(inst, sparse_gain=gain_scale * inst.sparse_gain)
+
+    @staticmethod
+    def start(inst, seed):
+        noise = np.random.default_rng(seed).standard_normal(inst.num_unknowns)
+        noise /= np.linalg.norm(noise)
+        if seed % 2 == 0:
+            return inst.signal + 0.2 * noise
+        damped = 0.2 * inst.signal + 0.05 * noise
+        damped[inst.partition.slice_of(2)] = 0.0
+        return damped
+
+    @pytest.mark.parametrize("gain_scale", [1.0, 0.5])
+    def test_every_certified_skip_thresholds_its_gradient(self, monkeypatch, gain_scale):
+        inst = self.instance(gain_scale)
+        bar = inst.sparse_gain * (1.0 - 1e-12)
+        honest = PhaseProducts.keeps_zero_block
+        certified = []
+
+        def spy(products, x, k):
+            kept = honest(products, x, k)
+            if kept:
+                # the gradient the skipped model would have formed, from a
+                # one-row product, and the same from a gemv
+                u = products.product(x)
+                grad_u = u * (u * u - inst.intensities)
+                rows = inst.block_rows(k)
+                for grad in ((grad_u[None, :] @ rows.T)[0], rows @ grad_u):
+                    assert np.max(np.abs(grad)) <= bar
+                certified.append(k)
+            return kept
+
+        monkeypatch.setattr(PhaseProducts, "keeps_zero_block", spy)
+        for seed in range(8):
+            trace = run_phase_retrieval(inst, self.CONFIG, self.start(inst, seed))
+            if seed % 2:
+                assert trace.final_point.values[inst.partition.slice_of(2)].any()
+        assert len(certified) >= 100
+
+    @pytest.mark.parametrize("rule", ["cyclic", "random"])
+    def test_runs_without_certificates_take_the_same_steps(self, monkeypatch, rule):
+        inst = self.instance()
+        cfg = dataclasses.replace(self.CONFIG, block_rule=rule)
+        starts = [self.start(inst, seed) for seed in range(8)]
+        certified = [run_phase_retrieval(inst, cfg, x0) for x0 in starts]
+        monkeypatch.setattr(PhaseProducts, "keeps_zero_block", lambda *args: False)
+        for got, x0 in zip(certified, starts):
+            modelled = run_phase_retrieval(inst, cfg, x0)
+            assert got.objectives.tobytes() == modelled.objectives.tobytes()
+            assert got.stepsizes.tobytes() == modelled.stepsizes.tobytes()
+            assert ([e.block for e in got.entries]
+                    == [e.block for e in modelled.entries])
+            assert (got.final_point.values.tobytes()
+                    == modelled.final_point.values.tobytes())
+
+    def test_a_nonzero_or_unmodelled_block_is_not_certified(self):
+        inst = self.instance()
+        problem = pr_problem(inst)
+        x = self.start(inst, 0)
+        problem.products.track(x)
+        zero = next(k for k in range(16)
+                    if not inst.signal[inst.partition.slice_of(k)].any())
+        x[inst.partition.slice_of(zero)] = 0.0
+        # no model of the block yet, then a model, then a nonzero entry
+        assert not problem.products.keeps_zero_block(x, zero)
+        problem.products.track(x)
+        pr_outer_model(problem, x, zero, 1e-4)
+        assert problem.products.keeps_zero_block(x, zero)
+        x[inst.partition.slice_of(zero).start] = 1e-300
+        assert not problem.products.keeps_zero_block(x, zero)
+        # a run's start forgets the models of the one before
+        problem.products.release()
+        x[inst.partition.slice_of(zero).start] = 0.0
+        assert not problem.products.keeps_zero_block(x, zero)
 
 
 class TestGenerator:

@@ -82,6 +82,25 @@ def test_ab_solve_times_a_checkout_against_itself():
     assert "traces bit for bit: yes" in done.stdout
     assert "fails a check" not in done.stdout
     assert "of 1 pairs" in done.stdout
+    assert "A solve: median" in done.stdout and "quartiles" in done.stdout
+    assert "claim rule" in done.stdout
+
+
+def test_ab_solve_claims_a_gain_only_by_the_pair_and_spread_rule():
+    ab = load(next(path for path in SCRIPTS if path.stem == "ab_solve"))
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    # 10 of 10 pairs and a gap of 0.1 s against a spread of 0.03 s
+    held, line = ab.claim(parent, [t - 0.1 for t in parent])
+    assert held and "B won 10 of 10 pairs (needs 9)" in line
+    # 8 of 10 pairs is short of nine tenths, whatever the gap
+    slower = [t - 0.1 for t in parent[:8]] + [t + 0.1 for t in parent[8:]]
+    assert not ab.claim(parent, slower)[0]
+    # every pair won, by less than the spread between A's quartiles
+    held, line = ab.claim(parent, [t - 0.01 for t in parent])
+    assert not held and "did not hold" in line
+    # a tie counts for neither side: 9 wins and a tie hold, 8 and two do not
+    assert ab.claim(parent, parent[:1] + [t - 0.1 for t in parent[1:]])[0]
+    assert not ab.claim(parent, parent[:2] + [t - 0.1 for t in parent[2:]])[0]
 
 
 def test_count_lines_leaves_out_blanks_comments_and_docstrings():
