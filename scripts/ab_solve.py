@@ -10,14 +10,19 @@ solve the workload as the benchmark defines it: the same instance (its
 fingerprints are compared) and the same start, drawn from ``--seed``.
 After one warm-up solve each, which is checked as the benchmark checks
 its solves, the two alternate for PAIRS pairs, A then B and B then A in
-turn, with one BLAS thread.  The script prints whether the two traces
-agree bit for bit, each side's median solve time and quartiles, the
-median over pairs of the time ratio B/A, the share of pairs in which B
-ran faster, and whether the claim rule held: B won at least nine tenths
-of the pairs (ties count for neither side) and the medians differ by
-more than the distance between A's quartiles.  Timing the two sides
-back to back keeps a machine whose speed drifts over minutes from
-favouring either.  Nothing under perfbench/ is changed.
+turn, with one BLAS thread.  Before each pair the benchmark's gauge
+(``perfbench/measure.gauge``) is timed on the workload's matrix, and
+both solves of the pair are scaled by it, as the benchmark scales its
+times: to seconds on a machine where the gauge takes
+``measure.GAUGE_REF_S``.  The script prints whether the two traces
+agree bit for bit, each side's median solve time and quartiles, raw and
+scaled, the median over pairs of the time ratio B/A, the share of pairs
+in which B ran faster, and whether the claim rule held on the scaled
+times: B won at least nine tenths of the pairs (ties count for neither
+side) and the medians differ by more than the distance between A's
+quartiles.  Timing the two sides back to back keeps a machine whose
+speed drifts over minutes from favouring either, and the gauge keeps
+that drift out of the quartiles.  Nothing under perfbench/ is changed.
 """
 
 import argparse
@@ -118,6 +123,29 @@ def claim(times_a, times_b) -> tuple[bool, str]:
                   f"A's quartile spread {upper - lower:.4f} s")
 
 
+def report(times_a, times_b, gauges, reference: float) -> tuple[bool, list[str]]:
+    """The summary of paired solve times: each side's median and
+    quartiles, raw and scaled by the gauge timed before each pair (to
+    seconds on a machine where the gauge takes ``reference``), the
+    median ratio B/A, the pairs B won, and the claim rule on the scaled
+    times.  Returns the claim's verdict and the lines."""
+    raw = {"A": np.asarray(times_a, dtype=float), "B": np.asarray(times_b, dtype=float)}
+    scale = reference / np.asarray(gauges, dtype=float)
+    lines = [f"gauge: median {np.median(gauges):.4f} s over {len(gauges)} pairs, "
+             f"scaled to {reference} s"]
+    for label, times in raw.items():
+        for kind, values in (("raw", times), ("scaled", times * scale)):
+            lower, median, upper = np.percentile(values, [25, 50, 75])
+            lines.append(f"{label} solve, {kind}: median {median:.4f} s, quartiles "
+                         f"[{lower:.4f}, {upper:.4f}] s")
+    ratios = raw["B"] / raw["A"]
+    faster = int(np.count_nonzero(ratios < 1.0))
+    lines.append(f"median ratio B/A {np.median(ratios):.3f}; B faster in {faster} of "
+                 f"{ratios.size} pairs ({100.0 * faster / ratios.size:.0f}%)")
+    held, line = claim(raw["A"] * scale, raw["B"] * scale)
+    return held, lines + [f"scaled {line}"]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -131,6 +159,7 @@ def main(argv=None) -> int:
         ap.error("PAIRS must be at least 1")
 
     sys.path.insert(0, str(PERFBENCH))    # workloads.py imports checks.py
+    measure = importlib.import_module("measure")
     a = Side(args.checkout_a.resolve(), "bsca_a", args.workload, args.seed)
     b = Side(args.checkout_b.resolve(), "bsca_b", args.workload, args.seed)
     # compared as text: each package has its own partition class
@@ -146,25 +175,18 @@ def main(argv=None) -> int:
             print(f"{label} fails a check: {failure}")
     same = warm["A"] == warm["B"]
 
-    times = {"A": [], "B": []}
+    matrix = getattr(a.instance, a.workload.counted)
+    times, gauges = {"A": [], "B": []}, []
     for pair in range(args.pairs):
+        gauges.append(measure.gauge(matrix))
         order = (("A", a), ("B", b)) if pair % 2 == 0 else (("B", b), ("A", a))
         for label, side in order:
             trace, seconds = side.solve()
             same = same and signature(trace) == warm[label]
             times[label].append(seconds)
-    ratios = np.array(times["B"]) / np.array(times["A"])
-    faster = int(np.count_nonzero(ratios < 1.0))
-
     print(f"workload={args.workload} seed={args.seed} pairs={args.pairs}")
     print(f"traces bit for bit: {'yes' if same else 'no'}")
-    for label in ("A", "B"):
-        lower, median, upper = np.percentile(times[label], [25, 50, 75])
-        print(f"{label} solve: median {median:.4f} s, quartiles "
-              f"[{lower:.4f}, {upper:.4f}] s")
-    print(f"median ratio B/A {np.median(ratios):.3f}; B faster in {faster} of "
-          f"{args.pairs} pairs ({100.0 * faster / args.pairs:.0f}%)")
-    print(claim(times["A"], times["B"])[1])
+    print("\n".join(report(times["A"], times["B"], gauges, measure.GAUGE_REF_S)[1]))
     return 0 if same else 1
 
 

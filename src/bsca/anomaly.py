@@ -178,14 +178,22 @@ def sparse_exact_stepsize(state: AnomalyState, candidate: np.ndarray,
 @dataclass
 class FistaCarry:
     """What one sparse visit's FISTA rounds hand to the next visit of
-    the same run: the momentum, the second-to-last accepted point and
-    its image under D.  ``point`` is None before the first visit, after
-    a visit to a stationary block and after rounds that ended on a
-    restart."""
+    the same run: the momentum, the second-to-last accepted point, the
+    visit's target ``Y - L R`` and the point's residual image under it.
+    ``point`` is None before the first visit, after a visit to a
+    stationary block and after rounds that ended on a restart."""
 
     momentum: float = 1.0
     point: np.ndarray | None = None
-    image: np.ndarray | None = None
+    residual: np.ndarray | None = None
+    target: np.ndarray | None = None
+
+    def rebase(self, target: np.ndarray) -> np.ndarray:
+        """The carried residual image under the next visit's ``target``
+        (the factors may have moved), in place and with no product."""
+        self.residual += np.subtract(self.target, target, out=self.target)
+        self.target = target
+        return self.residual
 
 
 def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
@@ -215,83 +223,89 @@ def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
     as ``||D||_2^2 + proximal``, and ``fit``, ``correlation`` and
     ``diag`` are passed on to ``step_sparse``.
 
+    The rounds keep residual images ``r = D S - (Y - L R)`` and take the
+    step ``y - (D'r_y + proximal (y - S_t)) / lipschitz`` as
+    ``contraction y + pull - D'r_y / lipschitz``.
+
     ``carry`` keeps the momentum from one call to the next: the rounds
     start from the round-one point extrapolated away from the carried
     point, as if the round-one point were the next accepted one (its
-    image is extrapolated from the carried image, so the start forms no
-    product through D), and the call leaves its own momentum in
-    ``carry``.  An empty carry starts the rounds at the round-one point
-    with momentum 1; a stationary block empties the carry.
+    residual image is extrapolated from the carried one, rebased to this
+    visit's target, so the start forms no product through D), and the
+    call leaves its own momentum in ``carry``.  An empty carry starts
+    the rounds at the round-one point with momentum 1; a stationary
+    block, or a call with one round, empties the carry.
     """
     best, gamma = step_sparse(state, instance, stationarity_rtol, proximal,
                               fit=fit, correlation=correlation, diag=diag)
     if gamma == 0.0:
-        carry.momentum, carry.point, carry.image = 1.0, None, None
+        carry.momentum, carry.point, carry.residual, carry.target = 1.0, None, None, None
         return best
     D = instance.dictionary
     gain = instance.sparse_gain
     anchor = state.sparse
     threshold = gain / lipschitz
+    contraction = 1.0 - proximal / lipschitz
+    pull = anchor * (proximal / lipschitz)
     target = instance.measurements - state.left @ state.right
 
-    # the rounds allocate nothing: every product and update writes into
-    # one of these buffers or into one that is free at that moment, and
-    # buffers trade names as their contents move
-    search = np.empty_like(anchor)
-    search_moved = np.empty_like(target)
-
-    def model(sparse: np.ndarray, moved: np.ndarray) -> float:
-        # the sparse-block model at sparse, with moved = D @ sparse already
-        # formed; search and search_moved are free whenever it runs
-        residue = np.subtract(moved, target, out=search_moved)
-        shift = np.subtract(sparse, anchor, out=search)
-        smooth = 0.5 * np.vdot(residue, residue) + 0.5 * proximal * np.vdot(shift, shift)
+    # the rounds allocate nothing: they write into best, trial and search
+    # or their residual images, mostly in place, and buffers trade names
+    # as their contents move; search is free once the gradient step ran
+    def model(sparse: np.ndarray, residual: np.ndarray, scratch: np.ndarray) -> float:
+        shift = np.subtract(sparse, anchor, out=scratch)
+        smooth = 0.5 * np.vdot(residual, residual) + 0.5 * proximal * np.vdot(shift, shift)
         return float(smooth + gain * np.abs(sparse, out=shift).sum())
 
-    best_moved = D @ best
-    best_value = model(best, best_moved)
-    if carry.point is not None:
+    trial, trial_residual = np.empty_like(anchor), np.empty_like(target)
+    best_residual = D @ best
+    best_residual -= target
+    best_value = model(best, best_residual, trial)
+    if carry.point is not None and rounds > 1:
         # the carried momentum, as a FISTA round that accepts best would
-        # leave it; the carried buffers are free from here on
+        # leave it, extrapolated into the carried buffers
         momentum, weight = _momentum_step(carry.momentum)
-        _extrapolate(best, carry.point, weight, search)
-        _extrapolate(best_moved, carry.image, weight, search_moved)
-        trial, trial_moved = carry.point, carry.image
+        search, search_residual = carry.point, carry.rebase(target)
+        _extrapolate(best, search, weight)
+        _extrapolate(best_residual, search_residual, weight)
     else:
-        np.copyto(search, best)
-        np.copyto(search_moved, best_moved)
-        trial, trial_moved = np.empty_like(anchor), np.empty_like(target)
+        search, search_residual = best.copy(), best_residual.copy()
         momentum = 1.0
-    for _ in range(rounds - 1):
-        # gradient step search - grad / lipschitz, written into trial and
-        # shrunk into search, which it consumes; the names then swap
-        np.matmul(D.T, np.subtract(search_moved, target, out=trial_moved), out=trial)
-        _add_scaled_shift(trial, search, anchor, proximal, trial_moved)
-        trial *= -1.0 / lipschitz
+    for remaining in range(rounds - 2, -1, -1):
+        # the gradient step into trial, shrunk in place as itself less its
+        # clip to [-threshold, threshold] (x - x is +0.0: no -0.0 comes out)
+        search_residual *= -1.0 / lipschitz
+        np.matmul(D.T, search_residual, out=trial)
+        search *= contraction
         trial += search
-        soft_threshold(trial, threshold, out=search)
-        trial, search = search, trial
-        np.matmul(D, trial, out=trial_moved)
-        value = model(trial, trial_moved)
+        trial += pull
+        trial -= np.clip(trial, -threshold, threshold, out=search)
+        np.matmul(D, trial, out=trial_residual)
+        trial_residual -= target
+        value = model(trial, trial_residual, search)
         if value < best_value:
             following, weight = _momentum_step(momentum)
-            # search = trial + weight (trial - best), and its image under D
-            _extrapolate(trial, best, weight, search)
-            _extrapolate(trial_moved, best_moved, weight, search_moved)
             best, trial = trial, best
-            best_moved, trial_moved = trial_moved, best_moved
+            best_residual, trial_residual = trial_residual, best_residual
             best_value, momentum = value, following
+            if remaining:
+                # the next search point best + weight (best - trial), in
+                # the buffers of trial, the point best replaced
+                _extrapolate(best, trial, weight)
+                _extrapolate(best_residual, trial_residual, weight)
+                search, trial = trial, search
+                search_residual, trial_residual = trial_residual, search_residual
         elif momentum == 1.0:
             break    # a plain proximal-gradient round failed: model minimized
         else:
             np.copyto(search, best)
-            np.copyto(search_moved, best_moved)
+            np.copyto(search_residual, best_residual)
             momentum = 1.0
-    # after an accepted round (or the carried start) trial holds the
-    # point best replaced; after a restart the momentum is 1
-    held = momentum != 1.0
+    # after rounds that end on an accepted round (or the carried start)
+    # trial holds the point best replaced; after a restart the momentum is 1
     carry.momentum = momentum
-    carry.point, carry.image = (trial, trial_moved) if held else (None, None)
+    held = (trial, trial_residual, target) if momentum != 1.0 else (None, None, None)
+    carry.point, carry.residual, carry.target = held
     return best
 
 
@@ -301,26 +315,12 @@ def _momentum_step(momentum: float) -> tuple[float, float]:
     return following, (momentum - 1.0) / following
 
 
-def _add_scaled_shift(out: np.ndarray, point: np.ndarray, anchor: np.ndarray,
-                      proximal: float, scratch: np.ndarray) -> None:
-    """``out += (point - anchor) * proximal``, in place, a slab of
-    ``scratch``'s rows at a time (``scratch`` has the columns of
-    ``out``), with the bits of the whole-array expression."""
-    rows = scratch.shape[0]
-    for start in range(0, out.shape[0], rows):
-        stop = min(start + rows, out.shape[0])
-        part = scratch[:stop - start]
-        np.subtract(point[start:stop], anchor[start:stop], out=part)
-        part *= proximal
-        out[start:stop] += part
-
-
-def _extrapolate(point: np.ndarray, previous: np.ndarray, weight: float,
-                 out: np.ndarray) -> None:
-    """``out = point + weight (point - previous)``, in place."""
-    np.subtract(point, previous, out=out)
-    out *= weight
-    out += point
+def _extrapolate(point: np.ndarray, previous: np.ndarray, weight: float) -> None:
+    """``previous = point + weight (point - previous)``, in place, with
+    the bits of that expression."""
+    previous -= point
+    previous *= -weight
+    previous += point
 
 
 def step_sparse(state: AnomalyState, instance: AnomalyInstance,

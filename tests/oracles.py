@@ -246,54 +246,69 @@ def sparse_model_value(state: AnomalyState, sparse: np.ndarray,
 def sparse_inner_descent_reference(state: AnomalyState, instance: AnomalyInstance,
                                    rounds: int, proximal: float,
                                    lipschitz: float | None = None,
-                                   stationarity_rtol: float = 1e-12
-                                   ) -> tuple[np.ndarray, int]:
-    """``anomaly.sparse_inner_descent`` with its FISTA rounds as they
-    were written before they ran in place: every round allocates its
-    trial, its products and its momentum step afresh.  Returns the
-    result and the number of momentum restarts, the one line added."""
+                                   stationarity_rtol: float = 1e-12, *,
+                                   textbook: bool = False,
+                                   replay: list[bool] | None = None
+                                   ) -> tuple[np.ndarray, int, list[bool]]:
+    """``anomaly.sparse_inner_descent`` with an empty carry and its FISTA
+    rounds as they were written before they ran in place: every round
+    allocates its trial, its products and its momentum step afresh.  The
+    rounds keep residual images ``D S - T`` and take the gradient step
+    as the loop does, ``contraction y + pull - D'r_y / lipschitz``;
+    with ``textbook`` they keep images ``D S`` and take it as
+    ``shrink(y - (D'(D y - T) + proximal (y - anchor)) / lipschitz)``.
+    Returns the result, the number of momentum restarts and each round's
+    verdict (accepted or not).  A ``replay`` of such verdicts is followed
+    instead of the model comparison, so two step formulas can be run
+    through the same rounds."""
     best, gamma = step_sparse(state, instance, stationarity_rtol, proximal,
                               **block_products(instance, state).sparse)
     if gamma == 0.0:
-        return best, 0
+        return best, 0, []
     D = instance.dictionary
     gain = instance.sparse_gain
     anchor = state.sparse
     if lipschitz is None:
         lipschitz = float(np.linalg.norm(D, 2)) ** 2 + proximal
+    threshold = gain / lipschitz
+    contraction = 1.0 - proximal / lipschitz
+    pull = anchor * (proximal / lipschitz)
     target = instance.measurements - state.left @ state.right
+    # the image a round keeps of a point: its residual D S - T, or D S
+    offset = 0.0 if textbook else target
 
-    fit = np.empty_like(target)
-    shift = np.empty_like(anchor)
-
-    def model(sparse: np.ndarray, moved: np.ndarray) -> float:
-        np.subtract(moved, target, out=fit)
-        np.subtract(sparse, anchor, out=shift)
+    def model(sparse: np.ndarray, image: np.ndarray) -> float:
+        fit = image - target if textbook else image
+        shift = sparse - anchor
         smooth = 0.5 * np.vdot(fit, fit) + 0.5 * proximal * np.vdot(shift, shift)
-        return float(smooth + gain * np.abs(sparse, out=shift).sum())
+        return float(smooth + gain * np.abs(sparse).sum())
 
-    restarts = 0
-    best_moved = D @ best
-    best_value = model(best, best_moved)
-    search, search_moved, momentum = best, best_moved, 1.0
+    def round_trial(search: np.ndarray, search_image: np.ndarray) -> np.ndarray:
+        if textbook:
+            step = D.T @ (search_image - target) + (search - anchor) * proximal
+            return soft_threshold(search + step * (-1.0 / lipschitz), threshold)
+        step = D.T @ (search_image * (-1.0 / lipschitz)) + search * contraction + pull
+        return step - np.clip(step, -threshold, threshold)
+
+    restarts, verdicts = 0, []
+    best_image = D @ best - offset
+    best_value = model(best, best_image)
+    search, search_image, momentum = best, best_image, 1.0
     for _ in range(rounds - 1):
-        step = D.T @ np.subtract(search_moved, target, out=fit)
-        step += np.multiply(np.subtract(search, anchor, out=shift), proximal, out=shift)
-        step *= -1.0 / lipschitz
-        step += search
-        trial = soft_threshold(step, gain / lipschitz)
-        trial_moved = D @ trial
-        value = model(trial, trial_moved)
-        if value < best_value:
+        trial = round_trial(search, search_image)
+        trial_image = D @ trial - offset
+        value = model(trial, trial_image)
+        verdicts.append(value < best_value if replay is None else replay[len(verdicts)])
+        if verdicts[-1]:
             following = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * momentum * momentum))
             weight = (momentum - 1.0) / following
             search = trial + weight * (trial - best)
-            search_moved = trial_moved + weight * (trial_moved - best_moved)
-            best, best_moved, best_value = trial, trial_moved, value
+            search_image = trial_image + weight * (trial_image - best_image)
+            best, best_image, best_value = trial, trial_image, value
             momentum = following
         elif momentum == 1.0:
             break
         else:
-            search, search_moved, momentum = best, best_moved, 1.0
+            search, search_image, momentum = best, best_image, 1.0
             restarts += 1
-    return best, restarts
+    return best, restarts, verdicts

@@ -311,7 +311,7 @@ class TestInPlaceRounds:
                                  rng.standard_normal((6, 8)))
             for rounds in (1, 2, 3, 10, 50):
                 for proximal in (1e-4, 1.0):
-                    expected, restarted = sparse_inner_descent_reference(
+                    expected, restarted, _ = sparse_inner_descent_reference(
                         state, inst, rounds, proximal)
                     restarts += restarted
                     held = block_products(inst, state, proximal)
@@ -323,6 +323,35 @@ class TestInPlaceRounds:
         # rejected rounds that restart the momentum, where the buffers of
         # the search point and the best point trade places, were covered
         assert restarts > 0
+
+    def test_rounds_follow_the_textbook_gradient_step(self, rng):
+        # the loop steps as contraction y + pull - D'r_y / L on residual
+        # images r; the textbook step shrink(y - (D'(D y - T) + c (y - a)) / L)
+        # on images D y lands on the same rounds up to rounding.  Near the
+        # model minimizer a verdict can flip with the last bits of a model
+        # value, which pins the iterate only to about sqrt(eps), so the
+        # textbook rounds replay the loop's verdicts; run free, they end
+        # at the same model value
+        inst = small_instance()
+        for _ in range(4):
+            state = AnomalyState(rng.standard_normal((5, 2)),
+                                 rng.standard_normal((2, 8)),
+                                 rng.standard_normal((6, 8)))
+            for rounds in (1, 2, 3, 10, 50):
+                for proximal in (1e-4, 1.0):
+                    held = block_products(inst, state, proximal)
+                    got = sparse_inner_descent(state, inst, rounds, proximal,
+                                               held.lipschitz, carry=FistaCarry(),
+                                               **held.sparse)
+                    _, _, verdicts = sparse_inner_descent_reference(
+                        state, inst, rounds, proximal)
+                    textbook, _, _ = sparse_inner_descent_reference(
+                        state, inst, rounds, proximal, textbook=True, replay=verdicts)
+                    assert np.linalg.norm(got - textbook) <= 1e-10 * np.linalg.norm(textbook)
+                    free, _, _ = sparse_inner_descent_reference(
+                        state, inst, rounds, proximal, textbook=True)
+                    assert sparse_model_value(state, got, inst, proximal) == pytest.approx(
+                        sparse_model_value(state, free, inst, proximal), rel=1e-13)
 
 
 def desk_instance():
@@ -546,11 +575,41 @@ class TestCarriedMomentum:
         inst = dataclasses.replace(small_instance(), sparse_gain=1e6)
         state = initial_state(inst, seed=2)    # S = 0, which the huge gain keeps
         carry = FistaCarry(2.0, np.ones_like(state.sparse),
-                           np.ones_like(inst.measurements))
+                           np.ones_like(inst.measurements), np.ones_like(inst.measurements))
         held = block_products(inst, state, 1e-4)
         assert sparse_inner_descent(state, inst, 8, 1e-4, held.lipschitz, carry=carry,
                                     **held.sparse) is state.sparse
-        assert carry.point is None and carry.image is None and carry.momentum == 1.0
+        assert carry.point is None and carry.residual is None and carry.target is None
+        assert carry.momentum == 1.0
+
+    def test_the_carried_residual_image_follows_the_factors(self, monkeypatch):
+        # at a ridge of 0.01 ||Y||_2 the factors survive and move between
+        # sparse visits, so each visit's target Y - L R differs from the
+        # one the carried residual image was formed under
+        plain = desk_instance()
+        inst = dataclasses.replace(
+            plain, ridge=0.01 * float(np.linalg.norm(plain.measurements, 2)))
+        cfg = SolverConfig(max_outer_iterations=30, stop_tol=0.0, seed=1,
+                           inner_iterations=30)
+        rebase = FistaCarry.rebase
+        visits = []
+
+        def checked(carry, target):
+            moved = np.linalg.norm(carry.target - target) / np.linalg.norm(target)
+            residual = rebase(carry, target)
+            fresh = inst.dictionary @ carry.point - target
+            visits.append((np.linalg.norm(residual - fresh) / np.linalg.norm(fresh), moved))
+            return residual
+
+        monkeypatch.setattr(FistaCarry, "rebase", checked)
+        problem = anomaly_problem(inst)
+        run_bsca(problem, anomaly_solver(inst, cfg), cfg,
+                 state_to_vector(initial_state(inst, seed=1)))
+        assert len(visits) >= 8
+        assert all(drift <= 1e-12 for drift, _ in visits)
+        assert min(moved for _, moved in visits) > 1e-2
+        carry = problem.products.carry    # emptied at the run's end
+        assert carry.point is None and carry.residual is None and carry.target is None
 
     def test_each_visit_ends_no_worse_than_its_round_one_point(self, monkeypatch):
         inst = desk_instance()

@@ -82,8 +82,11 @@ def test_ab_solve_times_a_checkout_against_itself():
     assert "traces bit for bit: yes" in done.stdout
     assert "fails a check" not in done.stdout
     assert "of 1 pairs" in done.stdout
-    assert "A solve: median" in done.stdout and "quartiles" in done.stdout
-    assert "claim rule" in done.stdout
+    assert "gauge: median" in done.stdout
+    for side in ("A", "B"):
+        assert f"{side} solve, raw: median" in done.stdout
+        assert f"{side} solve, scaled: median" in done.stdout
+    assert "scaled claim rule" in done.stdout
 
 
 def test_ab_solve_claims_a_gain_only_by_the_pair_and_spread_rule():
@@ -101,6 +104,23 @@ def test_ab_solve_claims_a_gain_only_by_the_pair_and_spread_rule():
     # a tie counts for neither side: 9 wins and a tie hold, 8 and two do not
     assert ab.claim(parent, parent[:1] + [t - 0.1 for t in parent[1:]])[0]
     assert not ab.claim(parent, parent[:2] + [t - 0.1 for t in parent[2:]])[0]
+
+
+def test_ab_solve_applies_the_claim_rule_to_gauge_scaled_times():
+    ab = load(next(path for path in SCRIPTS if path.stem == "ab_solve"))
+    # the machine slows by half over the pairs, and the gauge with it: B is
+    # 10% faster in every pair, but the drift spreads A's raw quartiles
+    # past the raw gap
+    gauges = [0.25 * (1.0 + 0.5 * i / 9) for i in range(10)]
+    noise = [1.00, 1.01, 0.99, 1.00, 1.01, 0.99, 1.00, 1.01, 0.99, 1.00]
+    times_a = [4.0 * g * e for g, e in zip(gauges, noise)]
+    times_b = [0.9 * t for t in times_a]
+    assert not ab.claim(times_a, times_b)[0]
+    held, lines = ab.report(times_a, times_b, gauges, 0.25)
+    assert held and lines[-1].startswith("scaled claim rule held: B won 10 of 10")
+    assert any(line.startswith("A solve, scaled: median 1.0000 s") for line in lines)
+    assert any(line.startswith("A solve, raw: median 1.2") for line in lines)
+    assert "median ratio B/A 0.900; B faster in 10 of 10 pairs (100%)" in lines
 
 
 def test_count_lines_leaves_out_blanks_comments_and_docstrings():
