@@ -3,17 +3,25 @@
 residual depend on the l1 gain and on the inner rounds of the sparse
 block update.
 
+    python3 scripts/anomaly_gain_study.py [--sweeps 200] [--gain-factors 1 10 100 300]
+
 For a sweep of l1 gains on the same instance and shared start, and
 with one and with 30 inner rounds on the sparse block, runs the
 sequential and parallel solvers for a fixed sweep budget and reports
-their relative objective agreement and worst per-block fixed-point
-residual of the one-round map.  At the
-data-derived recipe gain the sparse subproblem is an underdetermined
-dense lasso: one best-response round per update contracts at about
-0.995-0.999 per sweep and both numbers stall above the 1e-6/1e-5 bars,
-while 30 inner rounds (two-layer update) meet them.  One order of
-magnitude up in gain, the subproblem sparsifies and a single round
-already meets the bars with orders of margin.
+their relative objective agreement, the worst per-block fixed-point
+residual of the one-round map, the nonzeros of the sequential run's
+sparse block and the seconds both runs took.
+
+At the defaults (100 x 200 x 200, rank 3, 200 sweeps; one BLAS thread
+on 2 cores) the data-derived recipe gain, 0.0453, leaves the sparse
+subproblem an underdetermined dense lasso.  There one best-response
+round per update ends at agreement 9.7e-6 and worst residual 1.8e-3,
+above the criterion-5 bars of 1e-6 and 1e-5.  Thirty inner rounds,
+whose FISTA momentum carries from one sparse visit to the next, reach
+1.0e-13 and 1.8e-8 in 5.1 s.  At ten times the gain the subproblem
+sparsifies (1501 nonzeros), and a single round already meets the bars
+with orders of margin (1.3e-16 and 7.3e-8, in 0.5 s).  At 100 and 300
+times the gain the sparse block stays zero.
 """
 
 import argparse

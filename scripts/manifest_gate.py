@@ -4,6 +4,7 @@ runs with one checkout, then re-run every manifest with another.
 
     python3 scripts/manifest_gate.py record DIR   # with the reference checkout
     python3 scripts/manifest_gate.py check DIR    # with the changed checkout
+    python3 scripts/manifest_gate.py compare REF_CHECKOUT    # both in one
 
 ``record`` generates one phase-retrieval and one low-rank + sparse
 instance and runs 21 ``bsca solve`` variants on them at the CLI
@@ -15,7 +16,9 @@ objective (recorded -> rerun), the rows that differ, the largest
 relative objective difference, and whether the skipped iterations
 (stepsize 0) are the same.  Both run ``bsca`` from the checkout this
 script lives in, in subprocesses with one BLAS thread, so that threaded
-products do not change the last bits.
+products do not change the last bits.  ``compare`` records with the
+package of REF_CHECKOUT (its ``src``) into a temporary directory, then
+checks with this checkout.
 """
 
 import argparse
@@ -64,21 +67,22 @@ SOLVES = [
 ]
 
 
-def bsca(*argv: str) -> subprocess.CompletedProcess:
+def bsca(*argv: str, src: Path = SRC) -> subprocess.CompletedProcess:
     env = dict(os.environ, **ONE_THREAD)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        [str(src)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     return subprocess.run([sys.executable, "-m", "bsca", *argv], env=env,
                           capture_output=True, text=True)
 
 
-def record(root: Path) -> int:
+def record(root: Path, src: Path = SRC) -> int:
     for app, flags in INSTANCES.items():
-        _checked(bsca("generate", app, "--out", str(root / "instances" / app), *flags))
+        _checked(bsca("generate", app, "--out", str(root / "instances" / app), *flags,
+                      src=src))
     for app, algorithm, flags in SOLVES:
         name = "-".join([app, algorithm] + [f.lstrip("-") for f in flags])
         _checked(bsca("solve", str(root / "instances" / app), "--algorithm", algorithm,
-                      "--out", str(root / "runs" / name), *flags))
+                      "--out", str(root / "runs" / name), *flags, src=src))
     print(f"recorded {len(INSTANCES) + len(SOLVES)} manifests under {root}")
     return 0
 
@@ -133,14 +137,25 @@ def _checked(done: subprocess.CompletedProcess) -> None:
         sys.exit(f"manifest_gate: {' '.join(done.args[1:])} failed:\n{done.stderr}")
 
 
+def compare(reference: Path) -> int:
+    """Record with the reference checkout's package, check with this one."""
+    src = reference / "src"
+    if not (src / "bsca" / "__init__.py").is_file():
+        sys.exit(f"manifest_gate: no package at {src / 'bsca'}")
+    with tempfile.TemporaryDirectory(prefix="manifest-gate-record-") as tmp:
+        record(Path(tmp), src)
+        return check(Path(tmp))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("command", choices=("record", "check"))
-    ap.add_argument("dir", type=Path)
+    ap.add_argument("command", choices=("record", "check", "compare"))
+    ap.add_argument("dir", type=Path,
+                    help="the manifest directory, or for compare the reference checkout")
     args = ap.parse_args()
-    root = args.dir.resolve()
-    sys.exit(record(root) if args.command == "record" else check(root))
+    run = {"record": record, "check": check, "compare": compare}[args.command]
+    sys.exit(run(args.dir.resolve()))
 
 
 if __name__ == "__main__":

@@ -198,8 +198,7 @@ class FistaCarry:
 
 def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
                          rounds: int, proximal: float,
-                         lipschitz: float,
-                         stationarity_rtol: float = 1e-12, *,
+                         lipschitz: float, *,
                          fit: np.ndarray,
                          correlation: np.ndarray,
                          diag: np.ndarray,
@@ -236,8 +235,8 @@ def sparse_inner_descent(state: AnomalyState, instance: AnomalyInstance,
     the rounds at the round-one point with momentum 1; a stationary
     block, or a call with one round, empties the carry.
     """
-    best, gamma = step_sparse(state, instance, stationarity_rtol, proximal,
-                              fit=fit, correlation=correlation, diag=diag)
+    best, gamma = step_sparse(state, instance, proximal, fit=fit,
+                              correlation=correlation, diag=diag)
     if gamma == 0.0:
         carry.momentum, carry.point, carry.residual, carry.target = 1.0, None, None, None
         return best
@@ -324,7 +323,6 @@ def _extrapolate(point: np.ndarray, previous: np.ndarray, weight: float) -> None
 
 
 def step_sparse(state: AnomalyState, instance: AnomalyInstance,
-                stationarity_rtol: float = 1e-12,
                 proximal: float = 0.0, *,
                 fit: np.ndarray,
                 correlation: np.ndarray,
@@ -337,7 +335,7 @@ def step_sparse(state: AnomalyState, instance: AnomalyInstance,
     candidate = best_sparse_candidate(state, instance, correlation=correlation,
                                       diag=diag)
     delta = candidate - state.sparse
-    if is_stationary(delta, state.sparse, stationarity_rtol):
+    if is_stationary(delta, state.sparse):
         return state.sparse, 0.0
     gamma = sparse_exact_stepsize(state, candidate, instance, proximal, fit=fit,
                                   delta=delta)
@@ -500,9 +498,8 @@ def anomaly_solver(instance: AnomalyInstance,
                                            diag=diag)
         else:
             sparse = sparse_inner_descent(state, instance, rounds, config.curvature,
-                                          lipschitz, config.stationarity_rtol,
-                                          fit=fit, correlation=correlation, diag=diag,
-                                          carry=products.carry)
+                                          lipschitz, fit=fit, correlation=correlation,
+                                          diag=diag, carry=products.carry)
         return BlockSolution(sparse.ravel(), False, correlation.ravel())
 
     return solver

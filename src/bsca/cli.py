@@ -27,17 +27,12 @@ from .anomaly import (
     state_to_vector,
 )
 from .core import EXACT, SUCCESSIVE, RunTrace, SolverConfig
-from .engine import (
-    inexact_solver,
-    run_bgd,
-    run_bpgd,
-    run_parallel_sca,
-)
-from .errors import BscaError, InvalidArgumentError
+from .engine import run_bgd, run_bpgd, run_parallel_sca
+from .errors import BscaError, ConfigError, InvalidArgumentError, InvalidPartitionError
 from .phase_retrieval import (
     generate_pr_instance,
-    pr_outer_model,
     pr_problem,
+    pr_solver,
     run_phase_retrieval,
     with_blocks,
 )
@@ -91,12 +86,22 @@ def _blas_threads() -> dict[str, str]:
     return {f"blas.{var}": os.environ.get(var, "unset") for var in BLAS_THREAD_VARS}
 
 
+def _write_run_manifest(out: Path, command: str, started: str, entries: dict) -> None:
+    """``out/run.manifest``: the header of every run manifest (format,
+    command, version, start time), then ``entries``, then the finish
+    time."""
+    write_manifest(out / RUN_MANIFEST, {
+        "format": "bsca-run-v1", "command": command, "version": __version__,
+        "started": started, **entries, "finished": _timestamp()})
+
+
 # ---------------------------------------------------------------------------
 # generate
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args) -> int:
     out = Path(args.out if args.out else f"{args.app}_instance")
+    started = _timestamp()
     params: dict = {"seed": args.seed}
     if args.app == "anomaly":
         for name in ("N", "K", "I", "rho"):
@@ -130,18 +135,9 @@ def cmd_generate(args) -> int:
             Path(sampling.filename).unlink(missing_ok=True)
         params.update(I=args.I, N=args.N, density=density,
                       blocks=args.blocks, sparse_gain=args.sparse_gain)
-    entries = {
-        "format": "bsca-run-v1",
-        "command": "generate",
-        "version": __version__,
-        "app": args.app,
-        "started": _timestamp(),
-    }
-    for key, value in params.items():
-        entries[f"param.{key}"] = value
-    entries["output.instance"] = INSTANCE_MANIFEST
-    entries["finished"] = _timestamp()
-    write_manifest(out / RUN_MANIFEST, entries)
+    _write_run_manifest(out, "generate", started, {
+        "app": args.app, **{f"param.{key}": value for key, value in params.items()},
+        "output.instance": INSTANCE_MANIFEST})
     print(f"instance written to {out}")
     return 0
 
@@ -191,7 +187,8 @@ def _param_entries(opts: dict) -> dict:
 
 
 def _solver_config(opts: dict) -> SolverConfig:
-    return SolverConfig(
+    """The config of ``opts``; settings it rejects are a usage error."""
+    config = SolverConfig(
         max_outer_iterations=opts["max_iters"],
         block_rule=opts["rule"],
         seed=opts["seed"],
@@ -202,6 +199,11 @@ def _solver_config(opts: dict) -> SolverConfig:
         stop_tol=opts["tol"],
         curvature=opts["c"],
     )
+    try:
+        config.validate()
+    except ConfigError as exc:
+        raise UsageError(str(exc)) from None
+    return config
 
 
 def run_algorithm(instance, algorithm: str, opts: dict) -> RunTrace:
@@ -227,7 +229,10 @@ def run_algorithm(instance, algorithm: str, opts: dict) -> RunTrace:
         if opts["blocks"] is not None:
             if algorithm == "bpgd" and opts["blocks"] != 1:
                 raise UsageError("bpgd does not support block updates")
-            instance = with_blocks(instance, opts["blocks"])
+            try:
+                instance = with_blocks(instance, opts["blocks"])
+            except InvalidPartitionError as exc:
+                raise UsageError(f"--blocks: {exc}") from None
         problem = pr_problem(instance)
         x0 = np.random.default_rng(opts["seed"]).standard_normal(
             instance.num_unknowns)
@@ -236,10 +241,8 @@ def run_algorithm(instance, algorithm: str, opts: dict) -> RunTrace:
         if algorithm == "parallel-sca":
             # the block subproblems are solved well: up to 500 inner
             # rounds whatever --inner-iters says
-            solver = inexact_solver(
-                lambda prob, x, k: pr_outer_model(prob, x, k, opts["c"]),
-                replace(config, inner_iterations=500))
-            return run_parallel_sca(problem, solver, config, x0)
+            return run_parallel_sca(
+                problem, pr_solver(replace(config, inner_iterations=500)), config, x0)
         if algorithm == "bgd":
             return run_bgd(problem, config, x0)
         if algorithm == "bpgd":
@@ -263,11 +266,7 @@ def cmd_solve(args) -> int:
     started = _timestamp()
     trace = run_algorithm(instance, args.algorithm, opts)
     trace.write_csv(out / "trace.csv")
-    entries = {
-        "format": "bsca-run-v1",
-        "command": "solve",
-        "version": __version__,
-        "started": started,
+    _write_run_manifest(out, "solve", started, {
         "instance": str(Path(args.instance).resolve()),
         "algorithm": args.algorithm,
         **_blas_threads(),
@@ -276,9 +275,7 @@ def cmd_solve(args) -> int:
         "final_objective": trace.final_objective,
         "iterations": trace.iterations,
         "termination": trace.termination_reason,
-        "finished": _timestamp(),
-    }
-    write_manifest(out / RUN_MANIFEST, entries)
+    })
     print("final_objective=%.17g iters=%d seconds=%.6g"
           % (trace.final_objective, trace.iterations,
              trace.entries[-1].elapsed_s))
@@ -343,23 +340,15 @@ def cmd_bench(args) -> int:
                     % (name, trace.final_objective, to_tol, seconds))
     (out / "comparison.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
 
-    entries = {
-        "format": "bsca-run-v1",
-        "command": "bench",
-        "version": __version__,
-        "started": started,
+    _write_run_manifest(out, "bench", started, {
         "instance": str(Path(args.instance).resolve()),
         "variants": str(Path(args.variants).resolve()),
         "output.comparison": "comparison.csv",
         **_blas_threads(),
         **_param_entries(baseline),
-    }
-    for name in results:
-        entries[f"output.trace.{name}"] = f"{name}.trace.csv"
-    for name, message in failures.items():
-        entries[f"failed.{name}"] = message
-    entries["finished"] = _timestamp()
-    write_manifest(out / RUN_MANIFEST, entries)
+        **{f"output.trace.{name}": f"{name}.trace.csv" for name in results},
+        **{f"failed.{name}": message for name, message in failures.items()},
+    })
     if not results:
         print("all variants failed", file=sys.stderr)
         return 3

@@ -28,6 +28,10 @@ FEASIBILITY_ATOL = 1e-12
 # products) at a sweep end: rounding leaves about 1e-15
 PRODUCT_DRIFT_RTOL = 1e-9
 
+# the stationarity bar (``is_stationary``): a move of at most this much
+# relative to the point is rounding
+STATIONARITY_RTOL = 1e-12
+
 
 # ---------------------------------------------------------------------------
 # partitions and points
@@ -274,10 +278,10 @@ class CompositeProblem:
     the step (a grid, then golden section).
 
     ``products``, when provided, is a TrackedProducts.  Each run
-    releases it and ``track``s the start; ``bsca_step`` and
-    ``run_parallel_sca`` ``update`` it after every effective step, and
+    releases it and ``track``s the start; ``bsca_step`` ``update``s it
+    after every effective step, and
     ``_RunBook.advance`` ``keep``s the point its guard kept; at every
-    sweep end the loops ``track`` the iterate again, raise
+    sweep end the run loop ``track``s the iterate again, raise
     ProductDriftError when the maintained products have drifted from
     fresh ones by more than ``PRODUCT_DRIFT_RTOL``, and re-evaluate the
     objective from the fresh ones.  When the hook gives a ``line``, an
@@ -374,7 +378,7 @@ class SolverConfig:
 
     ``inner_iterations`` caps the inner rounds ``inexact_solver`` runs
     on each outer subproblem; they stop earlier once a round is
-    stationary under ``stationarity_rtol``, so a larger cap solves the
+    stationary (``is_stationary``), so a larger cap solves the
     subproblem to its fixed point.
     """
 
@@ -387,7 +391,6 @@ class SolverConfig:
     inner_iterations: int = 1
     stop_tol: float = 1e-8
     curvature: float = 1e-4
-    stationarity_rtol: float = 1e-12
 
     def validate(self) -> None:
         if self.max_outer_iterations < 0:
@@ -408,11 +411,12 @@ class SolverConfig:
             raise ConfigError("curvature must be positive")
 
 
-def is_stationary(delta: np.ndarray, anchor: np.ndarray, rtol: float) -> bool:
+def is_stationary(delta: np.ndarray, anchor: np.ndarray) -> bool:
     """True when the displacement ``delta`` from ``anchor`` is zero up to
-    rounding, ``||delta|| <= rtol * (1 + ||anchor||)``; every solver skips
-    such a step."""
-    return bool(np.linalg.norm(delta) <= rtol * (1.0 + np.linalg.norm(anchor)))
+    rounding, ``||delta|| <= STATIONARITY_RTOL * (1 + ||anchor||)``; every
+    solver skips such a step."""
+    return bool(np.linalg.norm(delta)
+                <= STATIONARITY_RTOL * (1.0 + np.linalg.norm(anchor)))
 
 
 # ---------------------------------------------------------------------------

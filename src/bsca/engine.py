@@ -1,9 +1,11 @@
-"""Solver loops: one sequential loop over block solvers (closed-form
-surrogate minimizers, or the inexact two-layer update), the
-all-blocks-at-once parallel variant, and the Bregman proximal gradient
-baseline.
+"""Solver runs: one run loop (``_RunBook.run``) and its steps.  A
+sequential step solves one block's subproblem with a block solver (a
+closed-form surrogate minimizer, or the inexact two-layer update), a
+joint step solves every block's against one anchor (the parallel
+variant), and a Bregman step moves the whole variable (the Bregman
+proximal gradient baseline).
 
-Every loop produces a RunTrace whose objective column is nonincreasing.
+Every run produces a RunTrace whose objective column is nonincreasing.
 A run stops at ``max_outer_iterations``, or earlier with reason
 "tolerance" when a full sweep either decreases the objective by less
 than ``stop_tol`` (relative) or consists solely of stationarity skips.
@@ -26,13 +28,12 @@ none at a stationary block.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .core import (
-    EXACT,
     PRODUCT_DRIFT_RTOL,
     RANDOM,
     SUCCESSIVE,
@@ -111,17 +112,29 @@ def _block_selector(config: SolverConfig, num_blocks: int) -> Callable[[int], in
     return lambda t: t % num_blocks
 
 
+def _joint(t: int) -> None:
+    """The block selector of the joint loops: every iteration moves all."""
+    return None
+
+
 # ---------------------------------------------------------------------------
 # shared run bookkeeping
 # ---------------------------------------------------------------------------
 
 class _RunBook:
-    """The guard, the trace and the stop rule of one run.  It keeps the
-    iterate's objective and the per-block regularizer values it sums,
-    evaluated in full at the start and at each sweep end."""
+    """The run loop of every solver, with its guard, trace and stop rule.
+    It keeps the iterate's objective and the per-block regularizer values
+    it sums, evaluated in full at the start and at each sweep end.
+
+    The book validates the config and copies the start ``x0``; a runner
+    then drops its own name for the start before ``run``, so the run
+    holds no point but its iterate: not the start, which a caller may
+    have passed as a temporary, nor a step the guard demoted."""
 
     def __init__(self, problem: CompositeProblem, config: SolverConfig,
-                 x: np.ndarray, sweep_len: int):
+                 x0: np.ndarray, sweep_len: int):
+        config.validate()
+        x = self.start_point = np.asarray(x0, dtype=float).copy()
         if not problem.is_feasible(x):
             raise FeasibilityError("initial point violates a block constraint")
         self.problem = problem
@@ -138,20 +151,35 @@ class _RunBook:
         self.sweep_objective = self.objective
         self.skips = 0
 
+    def run(self, select: Callable[[int], int | None],
+            step: Callable[[np.ndarray, int | None], tuple]) -> RunTrace:
+        """Iterate from the start: iteration t moves block ``select(t)``
+        (None: a joint step), and ``step(x, k)`` gives the candidate and
+        its stepsize first."""
+        x, self.start_point = self.start_point, None
+        for t in range(self.config.max_outer_iterations):
+            k = select(t)
+            candidate, result = step(x, k)[:2]
+            x, stop = self.advance(x, candidate, t, k, result)
+            del candidate
+            if stop:
+                break
+        return self.finish(x)
+
     def advance(self, x_prev: np.ndarray, x_new: np.ndarray, t: int,
-                block: int, step: StepResult) -> tuple[np.ndarray, bool]:
+                block: int | None, step: StepResult) -> tuple[np.ndarray, bool]:
         """Guard, log, and decide; returns (accepted point, stop flag).
 
         A nominally effective step whose freshly evaluated objective does
         not strictly decrease (possible only at the rounding floor of an
         exact search) is demoted to a skip, which keeps the trace
         nonincreasing and lets stalls terminate through the all-skip
-        rule.  A single-block step (``block`` >= 0) moves that block
-        alone, so the guard checks that block's constraint and
-        re-evaluates its regularizer only, and sums ``f`` with the kept
-        values of the others in the order ``core.objective`` sums them:
-        the same bits at a cost that does not grow with the number of
-        blocks.  A joint step (``block`` -1) is evaluated in full.  The
+        rule.  A single-block step moves block ``block`` alone, so the
+        guard checks that block's constraint and re-evaluates its
+        regularizer only, and sums ``f`` with the kept values of the
+        others in the order ``core.objective`` sums them: the same bits
+        at a cost that does not grow with the number of blocks.  A joint
+        step (``block`` None, recorded as -1) is evaluated in full.  The
         problem's product hook keeps the point returned.  At a sweep
         end, before the stop test, the problem's maintained products are
         checked against fresh ones and replaced by them, and the
@@ -174,7 +202,7 @@ class _RunBook:
         m = step.armijo_exponent if step.armijo_exponent is not None else -1
         # after a resync the guard compares against the fresh objective,
         # which can sit a rounding step above the last row; rows never rise
-        self.trace.record(t + 1, block, step.gamma, m,
+        self.trace.record(t + 1, -1 if block is None else block, step.gamma, m,
                           min(h_new, self.trace.final_objective),
                           time.monotonic() - self.start)
         if step.gamma == 0.0:
@@ -195,12 +223,12 @@ class _RunBook:
         return x_new, stop
 
     def _evaluate(self, x_new: np.ndarray, t: int,
-                  block: int) -> tuple[float, list[float] | None]:
+                  block: int | None) -> tuple[float, list[float] | None]:
         """h at a step's end point, and for a block step the per-block
         values it sums; a joint step moves every block and is evaluated
         by ``core.objective``."""
         problem = self.problem
-        if block < 0:
+        if block is None:
             if not problem.is_feasible(x_new):
                 raise FeasibilityError(f"iterate left the feasible set at t={t}")
             return objective(problem, x_new), None
@@ -296,11 +324,11 @@ def _line_search(problem: CompositeProblem, config: SolverConfig,
 
 
 # ---------------------------------------------------------------------------
-# sequential block updates
+# block updates and the run loop
 # ---------------------------------------------------------------------------
 
 def _block_move(problem: CompositeProblem, solver: BlockSolver,
-                x: np.ndarray, k: int, rtol: float):
+                x: np.ndarray, k: int):
     """Solve block k's subproblem and measure the move to its minimizer B:
     ``(B - x_k, g_k(B) - g_k(x_k), d_k, is_global_upper_bound)``, or None
     when the block is stationary (B equals x_k up to rounding)."""
@@ -308,7 +336,7 @@ def _block_move(problem: CompositeProblem, solver: BlockSolver,
     sol = solver(problem, x, k)
     minimizer = np.asarray(sol.minimizer, dtype=float)
     delta = minimizer - xk
-    if is_stationary(delta, xk, rtol):
+    if is_stationary(delta, xk):
         return None
     reg = problem.nonsmooth[k]
     g_min = reg.value(minimizer)
@@ -319,95 +347,75 @@ def _block_move(problem: CompositeProblem, solver: BlockSolver,
 
 
 def bsca_step(problem: CompositeProblem, solver: BlockSolver, x: np.ndarray,
-              k: int, config: SolverConfig) -> tuple[np.ndarray, StepResult, float]:
-    """Solve block k's surrogate subproblem and move along the direction.
+              k: int | None, config: SolverConfig) -> tuple[np.ndarray, StepResult, float]:
+    """Solve block k's surrogate subproblem and move along the direction;
+    with ``k`` None, solve every block's against the one anchor ``x`` and
+    take a single joint step along their stacked moves.
 
-    Returns the next point (other blocks untouched), the stepsize, and
-    the descent quantity d_k.  A stationary block is skipped with
-    gamma = 0 and d_k = 0.
+    Returns the next point (a block step leaves the other blocks
+    untouched), the stepsize, and the descent quantity d (summed over
+    the blocks of a joint step).  A step with no move (every block it
+    solves is stationary) is skipped with gamma = 0 and d = 0.  An
+    effective step updates the problem's product hook.
     """
     x = np.asarray(x, dtype=float)
-    move = _block_move(problem, solver, x, k, config.stationarity_rtol)
-    if move is None:
-        return x, _SKIP, 0.0
-    delta, delta_g, d, is_global_upper_bound = move
+    if k is None:
+        direction = np.zeros(problem.partition.total)
+        delta_g = d = 0.0
+        is_global_upper_bound = False
+        for block in range(problem.num_blocks):
+            move = _block_move(problem, solver, x, block)
+            if move is not None:
+                direction[problem.partition.slice_of(block)] = move[0]
+                delta_g += move[1]
+                d += move[2]
+    else:
+        move = _block_move(problem, solver, x, k)
+        if move is None:
+            return x, _SKIP, 0.0
+        direction, delta_g, d, is_global_upper_bound = move
     if d >= 0.0:
         # only reachable at numerical stationarity of the subproblem
         return x, _SKIP, d
     if is_global_upper_bound:
         step = StepResult(1.0)
     else:
-        step = _line_search(problem, config, x, delta, delta_g, d, k)
-    x_next = x.copy()
-    sl = problem.partition.slice_of(k)
-    x_next[sl] = x[sl] + step.gamma * delta
+        step = _line_search(problem, config, x, direction, delta_g, d, k)
+    if k is None:
+        x_next = x + step.gamma * direction
+    else:
+        x_next = x.copy()
+        sl = problem.partition.slice_of(k)
+        x_next[sl] = x[sl] + step.gamma * direction
     if problem.products is not None and step.gamma != 0.0:
-        problem.products.update(x, x_next, k, step.gamma, delta)
+        problem.products.update(x, x_next, k, step.gamma, direction)
     return x_next, step, d
 
 
 def run_bsca(problem: CompositeProblem, solver: BlockSolver,
              config: SolverConfig, x0: np.ndarray) -> RunTrace:
     """Sequential successive convex approximation over the blocks."""
-    config.validate()
-    x = np.asarray(x0, dtype=float).copy()
-    # the run holds no point but its iterate: not the start, which a
-    # caller may have passed as a temporary, nor a step the guard demoted
+    book = _RunBook(problem, config, x0, problem.num_blocks)
     del x0
-    select = _block_selector(config, problem.num_blocks)
-    book = _RunBook(problem, config, x, problem.num_blocks)
-    for t in range(config.max_outer_iterations):
-        k = select(t)
-        candidate, step, _ = bsca_step(problem, solver, x, k, config)
-        x, stop = book.advance(x, candidate, t, k, step)
-        del candidate
-        if stop:
-            break
-    return book.finish(x)
+    return book.run(_block_selector(config, problem.num_blocks),
+                    lambda x, k: bsca_step(problem, solver, x, k, config))
 
 
 def run_bgd(problem: CompositeProblem, config: SolverConfig,
             x0: np.ndarray) -> RunTrace:
-    """Block gradient descent: quadratic surrogates, exact line search."""
-    cfg = replace(config, line_search=EXACT)
-    return run_bsca(problem, quadratic_solver(cfg.curvature), cfg, x0)
+    """Block gradient descent: ``run_bsca`` with the proximal-linear
+    model (``quadratic_solver(config.curvature)``)."""
+    return run_bsca(problem, quadratic_solver(config.curvature), config, x0)
 
-
-# ---------------------------------------------------------------------------
-# parallel variant (all blocks against one anchor, one joint search)
-# ---------------------------------------------------------------------------
 
 def run_parallel_sca(problem: CompositeProblem, solver: BlockSolver,
                      config: SolverConfig, x0: np.ndarray) -> RunTrace:
     """All block subproblems solved against one anchor, then a single
-    joint line search; the block-selection rule is irrelevant here and
-    one iteration counts as a full sweep."""
-    config.validate()
-    x = np.asarray(x0, dtype=float).copy()
-    book = _RunBook(problem, config, x, sweep_len=1)
-    for t in range(config.max_outer_iterations):
-        direction = np.zeros(problem.partition.total)
-        delta_g = 0.0
-        d = 0.0    # stays 0 when every block is stationary
-        for k in range(problem.num_blocks):
-            move = _block_move(problem, solver, x, k, config.stationarity_rtol)
-            if move is None:
-                continue
-            delta, block_delta_g, block_d, _ = move
-            direction[problem.partition.slice_of(k)] = delta
-            delta_g += block_delta_g
-            d += block_d
-        if d >= 0.0:
-            candidate, step = x, _SKIP
-        else:
-            step = _line_search(problem, config, x, direction, delta_g, d)
-            candidate = x + step.gamma * direction
-            if problem.products is not None and step.gamma != 0.0:
-                problem.products.update(x, candidate, None, step.gamma, direction)
-        x, stop = book.advance(x, candidate, t, -1, step)
-        if stop:
-            break
-    return book.finish(x)
+    joint line search (``bsca_step`` with k None); the block-selection
+    rule is irrelevant here and one iteration counts as a full sweep."""
+    book = _RunBook(problem, config, x0, sweep_len=1)
+    del x0
+    return book.run(_joint, lambda x, k: bsca_step(problem, solver, x, k, config))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +442,7 @@ def inexact_inner_loop(model: SurrogateModel, problem: CompositeProblem,
     for _ in range(config.inner_iterations):
         target = inner_best_response_step(model, x_tau, grad_tau, reg, constraint)
         delta = target - x_tau
-        if is_stationary(delta, x_tau, config.stationarity_rtol):
+        if is_stationary(delta, x_tau):
             break
         quad_delta = model.quad.apply(delta)
         gamma = inner_exact_stepsize(grad_tau, delta, quad_delta,
@@ -502,28 +510,27 @@ def run_bpgd(instance, config: SolverConfig, x0: np.ndarray,
     """
     from .phase_retrieval import pr_problem    # deferred: avoids a cycle
 
-    config.validate()
     problem = pr_problem(instance)
     constant = bregman_constant(instance) * discount
     if constant <= 0.0:
         raise InvalidArgumentError("Bregman constant must be positive")
-    x = np.asarray(x0, dtype=float).copy()
-    book = _RunBook(problem, config, x, sweep_len=1)
     A = instance.sampling
-    for t in range(config.max_outer_iterations):
+
+    def step(x: np.ndarray, k) -> tuple[np.ndarray, StepResult]:
         u = problem.products.product(x)
         grad = A @ (u * (u * u - instance.intensities))
         candidate = bregman_step(x, grad, constant, instance.sparse_gain)
-        if is_stationary(candidate - x, x, config.stationarity_rtol):
-            candidate, step = x, _SKIP
+        if is_stationary(candidate - x, x):
+            candidate, result = x, _SKIP
         else:
-            step = StepResult(1.0)
+            result = StepResult(1.0)
         # the guard and the sweep-end check read the fresh A'x formed here
         problem.products.track(candidate)
-        x, stop = book.advance(x, candidate, t, -1, step)
-        if stop:
-            break
-    return book.finish(x)
+        return candidate, result
+
+    book = _RunBook(problem, config, x0, sweep_len=1)
+    del x0
+    return book.run(_joint, step)
 
 
 def block_residuals(problem: CompositeProblem, solver: BlockSolver,

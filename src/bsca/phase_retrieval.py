@@ -29,7 +29,7 @@ from .core import (
     _support_count,
     equal_partition,
 )
-from .engine import BlockSolution, inexact_solver, run_bsca
+from .engine import BlockSolution, BlockSolver, inexact_solver, run_bsca
 from .errors import InvalidArgumentError
 from .linesearch import ScalarProfile
 from .surrogates import QuadOperator, SurrogateModel
@@ -500,35 +500,40 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
 # the two-layer solver
 # ---------------------------------------------------------------------------
 
-def run_phase_retrieval(instance: PhaseRetrievalInstance, config: SolverConfig,
-                        x0: np.ndarray | None = None) -> RunTrace:
-    """Inexact block descent: cyclic/random outer block selection, a
-    finite number of soft-threshold inner rounds per block, exact (or
-    Armijo) outer stepsize.  The initial point must be nonzero (the
-    origin is a saddle with zero gradient).  Every exact outer step
-    audits its quartic profile against ``PhaseProducts.line``, as every
-    exact step on a ``pr_problem`` does.  A zero block that its last
+def pr_solver(config: SolverConfig) -> BlockSolver:
+    """The phase-retrieval block solver.  A zero block that its last
     model's gradient certifies to stay zero
-    (``PhaseProducts.keeps_zero_block``) is skipped without a model:
-    the skip its model would give, at no pass over its rows."""
-    if x0 is None:
-        start = np.random.default_rng(config.seed).standard_normal(instance.num_unknowns)
-    else:
-        start = np.asarray(x0, dtype=float)
-        if not np.any(start):
-            raise InvalidArgumentError("initial point must be nonzero")
-
-    def outer_model(problem: CompositeProblem, x: np.ndarray, k: int) -> SurrogateModel:
-        return pr_outer_model(problem, x, k, config.curvature)
-
-    modelled = inexact_solver(outer_model, config)
+    (``PhaseProducts.keeps_zero_block``) is returned as it is, without a
+    model: the skip its model would give, at no pass over its rows.  Any
+    other block runs ``config.inner_iterations`` inner rounds on
+    ``pr_outer_model`` (``engine.inexact_solver``)."""
+    modelled = inexact_solver(
+        lambda problem, x, k: pr_outer_model(problem, x, k, config.curvature), config)
 
     def solver(problem: CompositeProblem, x: np.ndarray, k: int) -> BlockSolution:
         if problem.products.keeps_zero_block(x, k):
             return BlockSolution(problem.block_of(x, k))
         return modelled(problem, x, k)
 
-    return run_bsca(pr_problem(instance), solver, config, start)
+    return solver
+
+
+def run_phase_retrieval(instance: PhaseRetrievalInstance, config: SolverConfig,
+                        x0: np.ndarray | None = None) -> RunTrace:
+    """Inexact block descent (``run_bsca`` with ``pr_solver``):
+    cyclic/random outer block selection, a finite number of
+    soft-threshold inner rounds per block, exact (or Armijo) outer
+    stepsize.  The initial point must be nonzero (the origin is a saddle
+    with zero gradient).  Every exact outer step audits its quartic
+    profile against ``PhaseProducts.line``, as every exact step on a
+    ``pr_problem`` does."""
+    if x0 is None:
+        start = np.random.default_rng(config.seed).standard_normal(instance.num_unknowns)
+    else:
+        start = np.asarray(x0, dtype=float)
+        if not np.any(start):
+            raise InvalidArgumentError("initial point must be nonzero")
+    return run_bsca(pr_problem(instance), pr_solver(config), config, start)
 
 
 # ---------------------------------------------------------------------------

@@ -164,63 +164,40 @@ def read_manifest(path) -> dict[str, str]:
 # ---------------------------------------------------------------------------
 
 def write_anomaly_instance(directory, instance) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_matrix(directory / "measurements.mat", instance.measurements)
-    write_matrix(directory / "dictionary.mat", instance.dictionary)
     n, m, p = instance.shape
-    entries = {
-        "format": "bsca-instance-v1",
-        "kind": "anomaly",
-        "rows": n,
-        "cols": m,
-        "atoms": p,
-        "rank": instance.rank,
-        "ridge": float(instance.ridge),
-        "sparse_gain": float(instance.sparse_gain),
-        "seed": instance.seed if instance.seed is not None else 0,
-        "matrix.measurements": "measurements.mat",
-        "matrix.dictionary": "dictionary.mat",
-    }
-    if instance.density is not None:
-        entries["density"] = float(instance.density)
-    if instance.noise_var is not None:
-        entries["noise_var"] = float(instance.noise_var)
-    optional = {
-        "true_left": instance.true_left,
-        "true_right": instance.true_right,
-        "true_sparse": instance.true_sparse,
-    }
-    for name, value in optional.items():
-        if value is not None:
-            write_matrix(directory / f"{name}.mat", value)
-            entries[f"matrix.{name}"] = f"{name}.mat"
-    manifest = directory / INSTANCE_MANIFEST
-    write_manifest(manifest, entries)
-    return manifest
+    return _write_bundle(directory, instance, "anomaly", {
+        "rows": n, "cols": m, "atoms": p, "rank": instance.rank,
+        "ridge": instance.ridge, "noise_var": instance.noise_var,
+    }, ("measurements", "dictionary", "true_left", "true_right", "true_sparse"))
 
 
 def write_pr_instance(directory, instance) -> Path:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    write_matrix(directory / "sampling.mat", instance.sampling)
-    write_matrix(directory / "intensities.mat", instance.intensities)
-    entries = {
-        "format": "bsca-instance-v1",
-        "kind": "pr",
+    return _write_bundle(directory, instance, "pr", {
         "unknowns": instance.num_unknowns,
         "measurements": instance.sampling.shape[1],
         "blocks": instance.partition.num_blocks,
-        "sparse_gain": float(instance.sparse_gain),
-        "seed": instance.seed if instance.seed is not None else 0,
-        "matrix.sampling": "sampling.mat",
-        "matrix.intensities": "intensities.mat",
-    }
-    if instance.density is not None:
-        entries["density"] = float(instance.density)
-    if instance.signal is not None:
-        write_matrix(directory / "signal.mat", instance.signal)
-        entries["matrix.signal"] = "signal.mat"
+    }, ("sampling", "intensities", "signal"))
+
+
+def _write_bundle(directory, instance, kind: str, sizes: dict,
+                  matrices: tuple[str, ...]) -> Path:
+    """Write an instance bundle: each of the instance's ``matrices`` that
+    is not None as ``<name>.mat``, then its manifest with ``sizes``, the
+    scalars both kinds share and a ``matrix.<name>`` entry per file.  A
+    scalar that is None is left out, and a seed of None is 0; scalars
+    other than counts and names are written as floats."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    entries = {"format": "bsca-instance-v1", "kind": kind, **sizes,
+               "sparse_gain": instance.sparse_gain, "seed": instance.seed or 0,
+               "density": instance.density}
+    entries = {key: value if isinstance(value, (int, str)) else float(value)
+               for key, value in entries.items() if value is not None}
+    for name in matrices:
+        value = getattr(instance, name)
+        if value is not None:
+            write_matrix(directory / f"{name}.mat", value)
+            entries[f"matrix.{name}"] = f"{name}.mat"
     manifest = directory / INSTANCE_MANIFEST
     write_manifest(manifest, entries)
     return manifest

@@ -23,22 +23,18 @@ from .errors import InvalidArgumentError, NoClosedFormError
 from .linesearch import exact_quadratic_step
 
 
-def soft_threshold(b: np.ndarray, a, out: np.ndarray | None = None) -> np.ndarray:
-    """Elementwise shrinkage max(b - a, 0) - max(-b - a, 0), a >= 0,
-    written into ``out`` when given; ``out`` may not share memory with
-    ``b`` or ``a``."""
+def soft_threshold(b: np.ndarray, a) -> np.ndarray:
+    """Elementwise shrinkage max(b - a, 0) - max(-b - a, 0), a >= 0."""
     b = np.asarray(b, dtype=float)
     a = np.asarray(a, dtype=float)
     if np.any(a < 0.0):
         raise InvalidArgumentError("threshold entries must be nonnegative")
-    if out is not None and (np.shares_memory(out, b) or np.shares_memory(out, a)):
-        raise InvalidArgumentError("out may not share memory with b or a")
-    return _shrink(b, a, out)
+    return _shrink(b, a)
 
 
-def _shrink(b: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _shrink(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     """``soft_threshold`` of float arrays, unchecked: for thresholds
-    known to be nonnegative and an ``out`` that shares no memory."""
+    known to be nonnegative."""
     # b minus its projection onto [-a, a] (the Moreau decomposition of
     # the l1 prox): the projection's negative, min(-min(b, a), a), is
     # worked in place and added to b.  The same bits as
@@ -46,10 +42,7 @@ def _shrink(b: np.ndarray, a: np.ndarray, out: np.ndarray | None = None) -> np.n
     # passes where sign(b) max(|b| - a, 0) takes a copysign several
     # times slower; adding 0.0 turns the -0.0 that b = -0.0 can leave at
     # a = 0 into +0.0
-    if out is None:
-        out = np.asarray(np.minimum(b, a))
-    else:
-        np.minimum(b, a, out=out)
+    out = np.asarray(np.minimum(b, a))
     np.negative(out, out=out)
     np.minimum(out, a, out=out)
     np.add(b, out, out=out)

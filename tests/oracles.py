@@ -245,8 +245,7 @@ def sparse_model_value(state: AnomalyState, sparse: np.ndarray,
 
 def sparse_inner_descent_reference(state: AnomalyState, instance: AnomalyInstance,
                                    rounds: int, proximal: float,
-                                   lipschitz: float | None = None,
-                                   stationarity_rtol: float = 1e-12, *,
+                                   lipschitz: float | None = None, *,
                                    textbook: bool = False,
                                    replay: list[bool] | None = None
                                    ) -> tuple[np.ndarray, int, list[bool]]:
@@ -261,7 +260,7 @@ def sparse_inner_descent_reference(state: AnomalyState, instance: AnomalyInstanc
     verdict (accepted or not).  A ``replay`` of such verdicts is followed
     instead of the model comparison, so two step formulas can be run
     through the same rounds."""
-    best, gamma = step_sparse(state, instance, stationarity_rtol, proximal,
+    best, gamma = step_sparse(state, instance, proximal,
                               **block_products(instance, state).sparse)
     if gamma == 0.0:
         return best, 0, []

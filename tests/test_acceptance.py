@@ -549,8 +549,7 @@ def test_criterion_10a_pr_restarts_are_no_ops(pr_grid):
                 bad.append(f"bgd K={K}: effective step on restart")
     solver = inexact_solver(
         lambda problem, x, k: pr_outer_model(problem, x, k, 1e-4),
-        SolverConfig(max_outer_iterations=0, inner_iterations=500,
-                     stationarity_rtol=1e-13))
+        SolverConfig(max_outer_iterations=0, inner_iterations=500))
     first = run_parallel_sca(pr_problem(inst), solver,
                              SolverConfig(max_outer_iterations=3000,
                                           stop_tol=0.0), x0)

@@ -621,7 +621,7 @@ class TestCarriedMomentum:
         def recorded(state, instance, rounds, proximal, *args, carry, **held):
             carried = carry.point is not None
             output = inner(state, instance, rounds, proximal, *args, carry=carry, **held)
-            first, _ = step_sparse(state, instance, args[1], proximal, **held)
+            first, _ = step_sparse(state, instance, proximal, **held)
             visits.append((carried, model_in_loop_form(state, output, instance, proximal),
                            model_in_loop_form(state, first, instance, proximal)))
             return output

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from bsca.cli import BLAS_THREAD_VARS, main
+from bsca.phase_retrieval import PhaseProducts
 from bsca.storage import INSTANCE_MANIFEST, RUN_MANIFEST, read_manifest, write_manifest
 
 
@@ -149,6 +150,51 @@ class TestSolve:
                      "--out", str(tmp_path / "r")]) == 3
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"{key!r}" in err[0]
+
+    @pytest.mark.parametrize("key, value", [
+        ("max-iters", "-1"), ("tol", "-1"), ("inner-iters", "0"), ("c", "0"),
+        ("alpha", "1.5"), ("blocks", "41")])
+    def test_settings_the_solver_rejects_are_usage_errors(self, pr_dir, tmp_path,
+                                                          capsys, key, value):
+        # pr_dir has 40 unknowns, so 41 blocks cannot split them
+        assert main(["solve", str(pr_dir), "--algorithm", "bsca", f"--{key}", value,
+                     "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        # in bench the setting fails its variant alone
+        variants = tmp_path / "variants.txt"
+        variants.write_text(f"name=ok algorithm=bsca max-iters=4\n"
+                            f"name=bad algorithm=bsca {key}={value}\n")
+        out = tmp_path / "bench"
+        assert main(["bench", str(pr_dir), "--variants", str(variants),
+                     "--out", str(out)]) == 0
+        manifest = read_manifest(out / RUN_MANIFEST)
+        assert "output.trace.ok" in manifest and "failed.bad" in manifest
+
+    def test_pr_parallel_sca_certifies_zero_blocks(self, tmp_path, monkeypatch):
+        # the manifest gate's instance and its --blocks 3 run: the joint
+        # step runs the block solver of bsca, zero-block certificate first
+        inst = tmp_path / "pr"
+        assert main(["generate", "pr", "--I", "400", "--N", "1000", "--density",
+                     "0.01", "--seed", "7", "--out", str(inst)]) == 0
+        honest = PhaseProducts.keeps_zero_block
+        verdicts = []
+
+        def spied(products, x, block):
+            verdicts.append(honest(products, x, block))
+            return verdicts[-1]
+
+        def solve(out):
+            assert main(["solve", str(inst), "--algorithm", "parallel-sca",
+                         "--blocks", "3", "--out", str(out)]) == 0
+            return deterministic_columns(out / "trace.csv")
+
+        monkeypatch.setattr(PhaseProducts, "keeps_zero_block", spied)
+        certified = solve(tmp_path / "certified")
+        # 4 of the 45 visits at one BLAS thread
+        assert len(verdicts) == 3 * (len(certified) - 2) and any(verdicts)
+        monkeypatch.setattr(PhaseProducts, "keeps_zero_block", lambda *args: False)
+        assert solve(tmp_path / "modelled") == certified
 
     def test_bad_flag_exits_2(self, pr_dir, tmp_path):
         assert main(["solve", str(pr_dir), "--algorithm", "bogus",

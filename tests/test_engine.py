@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -311,6 +312,34 @@ class LinedProducts(LoggedProducts):
         full = direction if block is None else self.partition.embed(block, direction)
         return lambda gammas: np.array([self.smooth_value(x + gamma * full)
                                         for gamma in gammas])
+
+
+@pytest.mark.parametrize("run", ["bsca", "parallel", "bpgd"])
+def test_a_run_holds_no_reference_to_its_start(rng, monkeypatch, run):
+    # a caller may pass the start as a temporary: once the run has
+    # copied it, the run's frames no longer hold it
+    inst = generate_pr_instance(30, 60, density=0.1, num_blocks=3, seed=4)
+    problem = pr_problem(inst)
+    cfg = SolverConfig(max_outer_iterations=6, stop_tol=0.0)
+    starts, alive = [], []
+    honest = engine._RunBook.advance
+
+    def advance(book, *args):
+        alive.append(starts[0]() is not None)
+        return honest(book, *args)
+
+    def temporary():
+        x0 = rng.standard_normal(30)
+        starts.append(weakref.ref(x0))
+        return x0
+
+    monkeypatch.setattr(engine._RunBook, "advance", advance)
+    if run == "bpgd":
+        run_bpgd(inst, cfg, temporary())
+    else:
+        runner = run_bsca if run == "bsca" else run_parallel_sca
+        runner(problem, quadratic_solver(1.0), cfg, temporary())
+    assert len(alive) == 6 and not any(alive)
 
 
 class TestProductHookCalls:
@@ -737,6 +766,17 @@ class TestBgd:
         cfg = SolverConfig(max_outer_iterations=3, curvature=0.5)
         trace = run_bgd(problem, cfg, np.array([1.0]))
         assert trace.final_point.values == pytest.approx([0.0], abs=1e-30)
+
+    def test_follows_the_configured_line_search(self, rng):
+        problem, _, _ = random_quadratic_problem(rng, [3, 3], l1_gain=0.1)
+        cfg = SolverConfig(max_outer_iterations=20, curvature=0.3, stop_tol=0.0,
+                           line_search="successive")
+        x0 = rng.standard_normal(6)
+        trace = run_bgd(problem, cfg, x0)
+        # Armijo rows record their backtracking exponent; exact ones -1
+        assert any(e.armijo_exponent >= 0 for e in trace.entries[1:])
+        assert np.array_equal(
+            trace.objectives, run_bsca(problem, quadratic_solver(0.3), cfg, x0).objectives)
 
 
 class TestBpgd:

@@ -1,6 +1,10 @@
 """Every public name of ``bsca`` has a use in the library, its scripts or
-its benchmark: a name that is only defined and exported is dead API."""
+its benchmark: a name that is only defined and exported is dead API.
+Likewise every ``SolverConfig`` field is set by one of their callers: a
+field that only tests set is a dead setting."""
 
+import ast
+import dataclasses
 import re
 import types
 from pathlib import Path
@@ -29,3 +33,16 @@ def test_every_public_name_has_a_caller():
               if not isinstance(getattr(bsca, name), types.ModuleType)]
     unused = [name for name in public if not _is_used(name, lines)]
     assert not unused, f"exported by bsca but used nowhere: {unused}"
+
+
+def test_every_solver_config_field_is_set_by_a_caller():
+    # keywords of SolverConfig(...) and dataclasses.replace(...) calls
+    set_by_callers = {keyword.arg for path in SOURCES
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, ast.Call)
+                      and getattr(node.func, "id", getattr(node.func, "attr", None))
+                      in ("SolverConfig", "replace")
+                      for keyword in node.keywords}
+    fields = {field.name for field in dataclasses.fields(bsca.SolverConfig)}
+    assert not fields - set_by_callers, (
+        f"SolverConfig fields no caller sets: {sorted(fields - set_by_callers)}")

@@ -38,6 +38,15 @@ def test_manifest_gate_runs_without_pythonpath():
     assert "record" in done.stdout
 
 
+def test_manifest_gate_compares_a_checkout_with_itself():
+    gate = next(path for path in SCRIPTS if path.stem == "manifest_gate")
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
+    done = subprocess.run([sys.executable, str(gate), "compare", str(gate.parents[1])],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "23 of 23 manifests reproduce"
+
+
 def test_manifest_gate_sums_up_how_two_traces_differ(tmp_path):
     gate = load(next(path for path in SCRIPTS if path.stem == "manifest_gate"))
     header = "iter,block,stepsize,armijo_m,objective,elapsed_s\n"
