@@ -3,26 +3,36 @@
 
     python3 scripts/ab_solve.py CHECKOUT_A CHECKOUT_B WORKLOAD PAIRS [--seed S]
 
-Each checkout's ``src/bsca`` is imported under a module name of its own
-(``bsca_a``, ``bsca_b``), and ``perfbench/workloads.py`` of the
-checkout this script lives in is loaded once against each, so both
-solve the workload as the benchmark defines it: the same instance (its
-fingerprints are compared) and the same start, drawn from ``--seed``.
-After one warm-up solve each, which is checked as the benchmark checks
-its solves, the two alternate for PAIRS pairs, A then B and B then A in
-turn, with one BLAS thread.  Before each pair the benchmark's gauge
-(``perfbench/measure.gauge``) is timed on the workload's matrix, and
-both solves of the pair are scaled by it, as the benchmark scales its
-times: to seconds on a machine where the gauge takes
-``measure.GAUGE_REF_S``.  The script prints whether the two traces
-agree bit for bit, each side's median solve time and quartiles, raw and
-scaled, the median over pairs of the time ratio B/A, the share of pairs
-in which B ran faster, and whether the claim rule held on the scaled
-times: B won at least nine tenths of the pairs (ties count for neither
-side) and the medians differ by more than the distance between A's
-quartiles.  Timing the two sides back to back keeps a machine whose
-speed drifts over minutes from favouring either, and the gauge keeps
-that drift out of the quartiles.  Nothing under perfbench/ is changed.
+Each checkout's ``src/bsca`` is imported under a module name of its own,
+and ``perfbench/workloads.py`` of the checkout this script lives in is
+loaded once against each, so both solve the workload as the benchmark
+defines it: the same instance (its fingerprints are compared) and the
+same start, drawn from ``--seed``.
+
+The two checkouts are timed under both side assignments, one after
+the other: first with CHECKOUT_A in the first side and CHECKOUT_B in
+the second, then swapped.  The first side is loaded and builds its
+instance first, and the benchmark's gauge (``perfbench/measure.gauge``)
+is timed on its matrix before each pair.  In each assignment, after one
+warm-up solve each, which is checked as the benchmark checks its
+solves, the two sides alternate for PAIRS pairs, the first side first
+and the second side first in turn, with one BLAS thread.  Both solves
+of a pair are scaled by the gauge timed before it, as the benchmark
+scales its times: to seconds on a machine where the gauge takes
+``measure.GAUGE_REF_S``.
+
+For each assignment the script prints whether the traces agree bit for
+bit, each checkout's median solve time and quartiles, raw and scaled,
+the median over pairs of the time ratio B/A (CHECKOUT_B over
+CHECKOUT_A), the share of pairs in which B ran faster, and whether the
+claim rule held on the scaled times: B won at least nine tenths of the
+pairs (ties count for neither side) and the medians differ by more than
+the distance between A's quartiles.  B's gain is claimed only when the
+rule holds under both assignments, so a bias of the harness towards
+one side cannot make the claim.  Timing the two sides back to back
+keeps a machine whose speed drifts over minutes from favouring either,
+and the gauge keeps that drift out of the quartiles.  Nothing under
+perfbench/ is changed.
 """
 
 import argparse
@@ -107,11 +117,11 @@ def signature(trace) -> tuple:
             trace.final_point.values.tobytes(), trace.termination_reason)
 
 
-def claim(times_a, times_b) -> tuple[bool, str]:
-    """Whether B's gain over A may be claimed from paired solve times:
-    B faster in at least nine tenths of the pairs, and A's median above
-    B's by more than A's quartile spread.  Returns the verdict and a
-    line that states it with its numbers."""
+def _rule(times_a, times_b) -> tuple[bool, str]:
+    """The claim rule on one assignment's paired solve times: B faster
+    in at least nine tenths of the pairs, and A's median above B's by
+    more than A's quartile spread.  Returns the verdict and a line that
+    states it with its numbers."""
     a, b = np.asarray(times_a, dtype=float), np.asarray(times_b, dtype=float)
     wins = int(np.count_nonzero(b < a))
     needed = math.ceil(0.9 * a.size)
@@ -123,12 +133,27 @@ def claim(times_a, times_b) -> tuple[bool, str]:
                   f"A's quartile spread {upper - lower:.4f} s")
 
 
+def claim(as_given, swapped) -> tuple[bool, str]:
+    """Whether B's gain over A may be claimed: ``as_given`` and
+    ``swapped`` are each ``(times_a, times_b)``, A's and B's paired solve
+    times with the sides as given and with them swapped, and the claim
+    rule (``_rule``) must hold on both.  Returns the verdict and a line
+    that states it."""
+    verdicts = [_rule(*times)[0] for times in (as_given, swapped)]
+    held = all(verdicts)
+    return held, (f"claim {'held' if held else 'did not hold'}: the rule "
+                  f"{'held' if verdicts[0] else 'did not hold'} with the sides as "
+                  f"given and {'held' if verdicts[1] else 'did not hold'} with them "
+                  f"swapped")
+
+
 def report(times_a, times_b, gauges, reference: float) -> tuple[bool, list[str]]:
-    """The summary of paired solve times: each side's median and
-    quartiles, raw and scaled by the gauge timed before each pair (to
-    seconds on a machine where the gauge takes ``reference``), the
-    median ratio B/A, the pairs B won, and the claim rule on the scaled
-    times.  Returns the claim's verdict and the lines."""
+    """The summary of one assignment's paired solve times: each
+    checkout's median and quartiles, raw and scaled by the gauge timed
+    before each pair (to seconds on a machine where the gauge takes
+    ``reference``), the median ratio B/A, the pairs B won, and the claim
+    rule on the scaled times.  Returns the rule's verdict and the
+    lines."""
     raw = {"A": np.asarray(times_a, dtype=float), "B": np.asarray(times_b, dtype=float)}
     scale = reference / np.asarray(gauges, dtype=float)
     lines = [f"gauge: median {np.median(gauges):.4f} s over {len(gauges)} pairs, "
@@ -142,7 +167,7 @@ def report(times_a, times_b, gauges, reference: float) -> tuple[bool, list[str]]
     faster = int(np.count_nonzero(ratios < 1.0))
     lines.append(f"median ratio B/A {np.median(ratios):.3f}; B faster in {faster} of "
                  f"{ratios.size} pairs ({100.0 * faster / ratios.size:.0f}%)")
-    held, line = claim(raw["A"] * scale, raw["B"] * scale)
+    held, line = _rule(raw["A"] * scale, raw["B"] * scale)
     return held, lines + [f"scaled {line}"]
 
 
@@ -160,34 +185,56 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(PERFBENCH))    # workloads.py imports checks.py
     measure = importlib.import_module("measure")
-    a = Side(args.checkout_a.resolve(), "bsca_a", args.workload, args.seed)
-    b = Side(args.checkout_b.resolve(), "bsca_b", args.workload, args.seed)
-    # compared as text: each package has its own partition class
-    if (repr(a.workloads.fingerprint(a.instance))
-            != repr(b.workloads.fingerprint(b.instance))):
-        sys.exit("ab_solve: the two checkouts built different instances")
+    print(f"workload={args.workload} seed={args.seed} pairs={args.pairs}")
+    same, scaled = True, []
+    assignments = (("as given", (("A", args.checkout_a), ("B", args.checkout_b))),
+                   ("swapped", (("B", args.checkout_b), ("A", args.checkout_a))))
+    for number, (name, roles) in enumerate(assignments):
+        print(f"sides {name}: {roles[0][0]} runs first, {roles[1][0]} second")
+        sides = {label: Side(checkout.resolve(), f"bsca_{label.lower()}{number}",
+                             args.workload, args.seed)
+                 for label, checkout in roles}
+        agreed, times, gauges = timed_pairs(sides, [label for label, _ in roles],
+                                            args.pairs, measure)
+        del sides
+        same = same and agreed
+        print(f"traces bit for bit: {'yes' if agreed else 'no'}")
+        lines = report(times["A"], times["B"], gauges, measure.GAUGE_REF_S)[1]
+        print("\n".join(lines))
+        scale = measure.GAUGE_REF_S / np.asarray(gauges)
+        scaled.append((np.asarray(times["A"]) * scale, np.asarray(times["B"]) * scale))
+    print(claim(*scaled)[1])
+    return 0 if same else 1
 
+
+def timed_pairs(sides: dict, order: list[str], pairs: int, measure):
+    """One checked warm-up solve per side, then ``pairs`` pairs, the
+    side ``order[0]`` first in even pairs and second in odd ones, with
+    the gauge timed on its matrix before each pair.  Returns whether
+    every trace matched the other side's and its own warm-up's, each
+    side's solve times, and the gauge times."""
     warm = {}
-    for label, side in (("A", a), ("B", b)):
+    for label in order:
+        side = sides[label]
         trace, _ = side.solve()
         warm[label] = signature(trace)
         for failure in side.workload.check(side.instance, trace):
             print(f"{label} fails a check: {failure}")
+    # compared as text: each package has its own partition class
+    first, second = (sides[label] for label in order)
+    if (repr(first.workloads.fingerprint(first.instance))
+            != repr(second.workloads.fingerprint(second.instance))):
+        sys.exit("ab_solve: the two checkouts built different instances")
     same = warm["A"] == warm["B"]
-
-    matrix = getattr(a.instance, a.workload.counted)
+    matrix = getattr(first.instance, first.workload.counted)
     times, gauges = {"A": [], "B": []}, []
-    for pair in range(args.pairs):
+    for pair in range(pairs):
         gauges.append(measure.gauge(matrix))
-        order = (("A", a), ("B", b)) if pair % 2 == 0 else (("B", b), ("A", a))
-        for label, side in order:
-            trace, seconds = side.solve()
+        for label in (order if pair % 2 == 0 else order[::-1]):
+            trace, seconds = sides[label].solve()
             same = same and signature(trace) == warm[label]
             times[label].append(seconds)
-    print(f"workload={args.workload} seed={args.seed} pairs={args.pairs}")
-    print(f"traces bit for bit: {'yes' if same else 'no'}")
-    print("\n".join(report(times["A"], times["B"], gauges, measure.GAUGE_REF_S)[1]))
-    return 0 if same else 1
+    return same, times, gauges
 
 
 if __name__ == "__main__":

@@ -355,10 +355,12 @@ class AnomalyProducts(TrackedProducts):
     ``D S`` at the tracked points.  A step that moves S re-forms ``D S``,
     one product through D; a factor step keeps it.  E is formed from it
     by the expression of a fresh read, so every read carries the bits of
-    fresh products and the sweep-end drift is 0.  (Carrying
-    ``E + gamma D delta`` would save the product but change the last
-    bits.)  A read off the tracked points is fresh, with the same bits.
-    Each ``anomaly_problem`` builds its own.
+    fresh products and the sweep-end drift is 0: the hook vouches for
+    the products ``carried`` forms (``carried_fresh``), and the sweep-end
+    check forms none again.  (Carrying ``E + gamma D delta`` would save
+    the product but change the last bits.)  A read off the tracked
+    points is fresh, with the same bits.  Each ``anomaly_problem``
+    builds its own.
 
     ``carry`` is the sparse solve's FISTA carry (see
     ``sparse_inner_descent``) for the run the hook serves: ``release``,
@@ -369,6 +371,7 @@ class AnomalyProducts(TrackedProducts):
         super().__init__()
         self.instance = instance
         self.carry = FistaCarry()
+        self._fresh_carry = None
 
     def fresh(self, x: np.ndarray, sparse_image: np.ndarray | None = None):
         state = vector_to_state(self.instance, x)
@@ -380,7 +383,14 @@ class AnomalyProducts(TrackedProducts):
     def carried(self, held, x_new: np.ndarray, block: int | None,
                 gamma: float, direction: np.ndarray):
         # a factor step leaves S, and D S with it
-        return self.fresh(x_new, held[1] if block in (0, 1) else None)
+        self._fresh_carry = self.fresh(x_new, held[1] if block in (0, 1) else None)
+        return self._fresh_carry
+
+    def carried_fresh(self, products) -> bool:
+        """True for the products ``carried`` just formed, which ``fresh``
+        formed at their point; the hook then lets go of them."""
+        fresh, self._fresh_carry = products is self._fresh_carry, None
+        return fresh
 
     def drift_scale(self, held, fresh) -> float:
         return (float(np.linalg.norm(fresh[0]))

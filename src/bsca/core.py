@@ -189,7 +189,8 @@ class TrackedProducts:
 
     Products formed fresh are not formed again at the same point: a
     ``track`` of a point whose products were formed fresh returns drift
-    0 without re-forming them.
+    0 without re-forming them.  That holds for carried products too when
+    the subclass vouches for them (``carried_fresh``).
 
     A subclass forms its products afresh (``fresh``), carries them
     along a step (``carried``), and gives the scale its drift is
@@ -246,8 +247,14 @@ class TrackedProducts:
             self._current = self._previous = None
             return
         self._previous = tracked
-        self._current = (x_new, self.carried(tracked[1], x_new, block, gamma,
-                                             direction), False)
+        carried = self.carried(tracked[1], x_new, block, gamma, direction)
+        self._current = (x_new, carried, self.carried_fresh(carried))
+
+    def carried_fresh(self, products) -> bool:
+        """Whether products that ``carried`` returned have the bits of
+        fresh ones at their point, so that a ``track`` there need not
+        form them again: never, here."""
+        return False
 
     def keep(self, x: np.ndarray) -> None:
         """Track ``x`` alone, the point the run goes on from, or nothing

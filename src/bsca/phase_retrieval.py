@@ -29,6 +29,7 @@ from .core import (
     _support_count,
     equal_partition,
 )
+from . import engine
 from .engine import BlockSolution, BlockSolver, inexact_solver, run_bsca
 from .errors import InvalidArgumentError
 from .linesearch import ScalarProfile
@@ -69,6 +70,16 @@ class PhaseRetrievalInstance:
 
 
 _SPARSE_CAP = 32    # most nonzeros of a vector taken on its support rows
+
+
+def _spread(grad_u: np.ndarray, grad_u_ref: np.ndarray) -> float:
+    """``||grad_u - grad_u'||`` plus the rounding of the block products
+    ``A_k grad_u`` and ``A_k grad_u'``: a dot product of length N is off
+    by at most ``N eps |a||b|``, so ``4 N eps ||a_i|| (||grad_u|| +
+    ||grad_u'||)`` covers both."""
+    slack = 4.0 * grad_u.size * np.finfo(float).eps
+    return (float(np.linalg.norm(grad_u - grad_u_ref)) + slack
+            * (float(np.linalg.norm(grad_u)) + float(np.linalg.norm(grad_u_ref))))
 
 
 def _sparse_support(v: np.ndarray) -> np.ndarray | None:
@@ -139,18 +150,22 @@ class PhaseProducts(TrackedProducts):
     evaluates f at an array of stepsizes along a step from ``u`` and
     ``w``, in O(N) each.
 
-    The hook also keeps, for the length of a run, each block's gradient
-    and ``u * (u^2 - y)`` from its last model (``pr_outer_model``), and
-    the row norms of a block from its first certificate on: with them
-    ``keeps_zero_block`` certifies without reading A_k that a zero
-    block's model leaves it at zero."""
+    The hook also keeps, for the length of a run, each block's last
+    whole-block gradient with its ``u * (u^2 - y)`` (``reference``), and
+    the norms of a block's rows from its first diagonal pass over every
+    row on (``row_norms``).  With them ``certified_dead`` bounds each
+    entry of the block gradient without reading A_k, which certifies
+    that a zero block stays zero (``keeps_zero_block``) and which
+    entries a sparse visit's working set may leave out
+    (``_working_set_visit``)."""
 
     def __init__(self, instance: PhaseRetrievalInstance):
         super().__init__()
         self.instance = instance
         self._last = None
-        self._references = {}    # block -> (A_k grad_u, grad_u) of its last model
+        self._references = {}    # block -> its last (A_k grad_u, grad_u)
         self._row_norms = {}     # block -> ||a_i|| of its rows
+        self._work_rows = None
 
     def fresh(self, x: np.ndarray):
         u, partials = _fresh_product(self.instance, x)
@@ -233,38 +248,68 @@ class PhaseProducts(TrackedProducts):
         return values
 
     def note_model(self, block: int, grad: np.ndarray, grad_u: np.ndarray) -> None:
-        """Keep a block model's gradient ``A_k grad_u`` with ``grad_u``
-        for ``keeps_zero_block``, until the block's next model or the
-        run's end."""
+        """Keep a whole-block gradient ``A_k grad_u`` with ``grad_u`` as the
+        block's reference, until its next one or the run's end."""
         self._references[block] = (grad, grad_u)
+
+    def reference(self, block: int):
+        """``(A_k grad_u', grad_u')``, the block's last whole-block
+        gradient in the run, or None."""
+        return self._references.get(block)
+
+    def row_norms(self, block: int) -> np.ndarray:
+        """``||a_i||`` of the block's rows: from the squares of its first
+        diagonal pass over every row (``row_norms_sink``), else formed
+        here, once."""
+        norms = self._row_norms.get(block)
+        if norms is None:
+            norms = self._row_norms[block] = _norms_of(self.instance.block_rows(block))
+        return norms
+
+    def row_norms_sink(self, block: int):
+        """What a diagonal pass over every row of the block hands its row
+        norms to, or None once they are known."""
+        if block in self._row_norms:
+            return None
+        return lambda norms: self._row_norms.setdefault(block, norms)
+
+    def work_rows(self) -> np.ndarray:
+        """A ``_SPARSE_CAP`` x N buffer for the rows of a working set
+        (``_WorkingSet``), one visit at a time, kept for the hook's life
+        so that its pages are touched once, not once per visit."""
+        if self._work_rows is None:
+            self._work_rows = np.empty((_SPARSE_CAP, self.instance.intensities.size))
+        return self._work_rows
+
+    def certified_dead(self, block: int, grad_ref: np.ndarray, spread: float,
+                       rounds: int = 0) -> np.ndarray:
+        """Which entries of the block's model gradient ``g = A_k grad_u``,
+        and of its carried value through ``rounds`` inner rounds, provably
+        stay at most the gain times 1 - 1e-12 (the inner best response's
+        bar), so a best response leaves them at zero.  ``grad_ref`` is a
+        gradient ``A_k grad_u'`` and ``spread`` bounds how far ``grad_u``
+        and the rounds' path have moved from ``grad_u'`` (see
+        ``_spread``), so that ``|g_i| <= |grad_ref_i| + ||a_i|| spread``;
+        the bound takes a relative margin of ``4 (N + rounds) eps`` for
+        its own rounding and the rounds' sums.  Reads no row of A_k once
+        the block's row norms are known."""
+        slack = 4.0 * (self.instance.intensities.size + rounds) * np.finfo(float).eps
+        bound = (np.abs(grad_ref) + self.row_norms(block) * spread) * (1.0 + slack)
+        return bound <= self.instance.sparse_gain * (1.0 - 1e-12)
 
     def keeps_zero_block(self, x: np.ndarray, block: int) -> bool:
         """True when block ``block`` of ``x`` is zero and its model at
         ``x`` provably thresholds every entry back to zero, so its block
-        update is a stationarity skip: every entry of the block gradient
-        ``a_i'grad_u`` is at most the gain (times 1 - 1e-12, the inner
-        best response's bar), by
-        ``|a_i'grad_u| <= |g_i| + ||a_i|| ||grad_u - grad_u'||`` from the
-        block's last model (``g = A_k grad_u'``) plus the rounding of
-        both products and of the bound itself.  Reads no row of A_k but
-        to form the block's row norms, once."""
+        update is a stationarity skip: every entry is certified dead
+        (``certified_dead``) from the block's reference, by
+        ``|a_i'grad_u| <= |g'_i| + ||a_i|| ||grad_u - grad_u'||``."""
         reference = self._references.get(block)
-        sl = self.instance.partition.slice_of(block)
-        if reference is None or x[sl].any():
+        if reference is None or x[self.instance.partition.slice_of(block)].any():
             return False
-        grad_ref, grad_u_ref = reference
         u = self.product(x)
         grad_u = u * (u * u - self.instance.intensities)
-        norms = self._row_norms.get(block)
-        if norms is None:
-            rows = self.instance.block_rows(block)
-            norms = self._row_norms[block] = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-        # a dot product of length N is off by at most N eps |a||b|
-        slack = 4.0 * u.size * np.finfo(float).eps
-        spread = (float(np.linalg.norm(grad_u - grad_u_ref)) + slack
-                  * (float(np.linalg.norm(grad_u)) + float(np.linalg.norm(grad_u_ref))))
-        bound = float(np.max(np.abs(grad_ref) + norms * spread)) * (1.0 + slack)
-        return bound <= self.instance.sparse_gain * (1.0 - 1e-12)
+        return bool(self.certified_dead(block, reference[0],
+                                        _spread(grad_u, reference[1])).all())
 
 
 def pr_problem(instance: PhaseRetrievalInstance) -> CompositeProblem:
@@ -323,6 +368,25 @@ _CHUNK_ROWS = 4
 _LAYOUT_ROWS = 16
 
 
+def _norms_of(rows: np.ndarray) -> np.ndarray:
+    """``||a_i||`` of each row, from squares formed 16 rows at a time."""
+    sums = np.empty(len(rows))
+    ones = np.ones(rows.shape[1])
+    squares = np.empty((min(_LAYOUT_ROWS, len(rows)), rows.shape[1]))
+    for start in range(0, len(rows), _LAYOUT_ROWS):
+        chunk = rows[start:start + _LAYOUT_ROWS]
+        part = np.multiply(chunk, chunk, out=squares[:len(chunk)])
+        sums[start:start + len(chunk)] = part @ ones
+    return np.sqrt(sums)
+
+
+def _row_dots(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left[i] . right[j]`` for every pair, each a 1-D dot product (one
+    batched product with the bits of ``np.dot`` of the two rows, which
+    do not depend on what other rows are in either operand)."""
+    return np.matmul(left[:, None, None, :], right[None, :, :, None])[:, :, 0, 0]
+
+
 class _BlockOperator:
     """D = 2 A_k diag(u^2) A_k' + cI of one block model, never formed,
     with what it has formed kept for the model's life (one block visit,
@@ -343,10 +407,14 @@ class _BlockOperator:
     - ``diagonal`` gives the entries on given indices.  It forms the
       block-aligned groups of ``_CHUNK_ROWS`` (4) rows that hold them,
       those it lacks, and keeps them; the entries have the bits of a
-      pass over 16-row chunks (see ``_CHUNK_ROWS``)."""
+      pass over 16-row chunks (see ``_CHUNK_ROWS``).  A pass that forms
+      every group at once also hands the rows' norms ``||a_i||``, from
+      the same squares, to ``norms_sink`` when one is given."""
 
-    def __init__(self, rows: np.ndarray, u_sq: np.ndarray, curvature: float):
+    def __init__(self, rows: np.ndarray, u_sq: np.ndarray, curvature: float,
+                 norms_sink=None):
         self.rows = rows
+        self.norms_sink = norms_sink
         self.u_sq = u_sq
         self.twice_u_sq = 2.0 * u_sq
         self.curvature = curvature
@@ -442,6 +510,9 @@ class _BlockOperator:
             else:
                 runs.append([group, group])
         last = self.formed.size - 1
+        sums = ones = None
+        if self.norms_sink is not None and len(groups) == self.formed.size:
+            sums, ones = np.empty(len(self.rows)), np.ones(self.rows.shape[1])
         squares = np.empty((min(_LAYOUT_ROWS, len(self.rows)), self.rows.shape[1]))
         for first, final in runs:
             start = first * _CHUNK_ROWS
@@ -449,8 +520,87 @@ class _BlockOperator:
             rows = self.rows[start:stop]
             part = np.multiply(rows, rows, out=squares[:stop - start])
             self.diag[start:stop] = 2.0 * (part @ self.u_sq) + self.curvature
+            if sums is not None:
+                sums[start:stop] = part @ ones
             self.formed[first:final + 1] = True
         self.complete = bool(self.formed.all())
+        if sums is not None:
+            self.norms_sink(np.sqrt(sums))
+
+
+class _WorkingSet:
+    """The model of a sparse-anchor block visit restricted to a working
+    set W of the block's entries (at most ``_SPARSE_CAP``), read from W's
+    rows of A_k alone.  Its vectors stay block-length, zero off W, and
+    each entry on W is a 1-D dot product (``_row_dots``), whose bits do
+    not depend on what else W holds: the gradient ``a_i'grad_u``, the
+    entries ``a_i'w_j`` of ``D - cI``, with ``w_j = 2 u^2 * a_j``, on its
+    diagonal and in the columns of the entries an argument moves, and
+    their sums in ``apply``.  So two working sets that both hold every
+    entry the inner rounds move give the same rounds bit for bit.
+
+    ``apply`` also adds up, in ``path``, the norms ``||2 u^2 * (A_k'v)||``
+    of the arguments it is given, one per inner round, so that
+    ``||a_i||`` times their sum bounds how far the rounds move the
+    gradient ``a_i'(2 u^2 * (A_k'(x_tau - a)))`` of an entry off W,
+    since every inner stepsize is at most 1."""
+
+    def __init__(self, rows: np.ndarray, u_sq: np.ndarray, grad_u: np.ndarray,
+                 curvature: float, buffer: np.ndarray):
+        length = rows.shape[0]
+        self.rows = rows
+        self.twice_u_sq = 2.0 * u_sq
+        self.grad_u = grad_u
+        self.curvature = curvature
+        self.size = 0                                   # |W|
+        self.order = np.empty(_SPARSE_CAP, dtype=np.intp)    # W, in the order it joined
+        self.position = np.full(length, -1)             # row -> its place in W, or -1
+        self.gathered = buffer     # a_i, by place
+        self.entries = np.empty((_SPARSE_CAP, _SPARSE_CAP))       # a_i'w_j, by places
+        self.columns = np.zeros(_SPARSE_CAP, dtype=bool)          # places j formed
+        self.gradient = np.zeros(length)
+        self.diag = np.empty(length)
+        self.path = 0.0
+
+    def cover(self, working: np.ndarray) -> None:
+        """Take every entry of ``working`` into W: its gradient, its
+        diagonal and its entries in the columns formed so far."""
+        new = working[self.position[working] < 0]
+        if not new.size:
+            return
+        first, end = self.size, self.size + new.size
+        gathered = self.gathered[first:end]
+        np.take(self.rows, new, axis=0, out=gathered, mode="clip")
+        weighted = gathered * self.twice_u_sq
+        self.gradient[new] = _row_dots(gathered, self.grad_u[None])[:, 0]
+        self.diag[new] = np.matmul(gathered[:, None, :], weighted[:, :, None])[:, 0, 0]
+        self.diag[new] += self.curvature
+        formed = np.flatnonzero(self.columns[:first])
+        if formed.size:
+            self.entries[first:end, formed] = _row_dots(
+                gathered, self.gathered[formed] * self.twice_u_sq)
+        self.order[first:end] = new
+        self.position[new] = np.arange(first, end)
+        self.size = end
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        support = np.flatnonzero(v)
+        places = self.position[support]
+        new = places[~self.columns[places]]
+        size = self.size
+        if new.size:
+            self.entries[:size, new] = _row_dots(self.gathered[:size],
+                                                 self.gathered[new] * self.twice_u_sq)
+            self.columns[new] = True
+        values = v[support]
+        out = np.zeros(len(v))
+        out[self.order[:size]] = _row_dots(self.entries[:size, places], values[None])[:, 0]
+        out += self.curvature * v
+        coefficients = np.zeros(size)
+        coefficients[places] = values
+        image = coefficients @ self.gathered[:size]    # A_k'v
+        self.path += float(np.linalg.norm(self.twice_u_sq * image))
+        return out
 
 
 def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
@@ -469,10 +619,14 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
     formed), so a first inner step to a sparse target is applied from
     the target's columns: with the diagonal, three passes over A_k.
     The diagonal is formed on demand, a few rows at a time, where the
-    best response reads it.  ``problem`` is a ``pr_problem``: the data
-    and ``A'x`` come from its product hook, so inside a run the model
-    reads the maintained product; the hook keeps the gradient for
-    ``PhaseProducts.keeps_zero_block``."""
+    best response reads it; the block's first pass over every row also
+    gives the product hook the rows' norms.  ``problem`` is a
+    ``pr_problem``: the data and ``A'x`` come from its product hook, so
+    inside a run the model reads the maintained product; the hook keeps
+    the gradient as the block's reference (``PhaseProducts.reference``).
+
+    ``pr_solver`` builds this model for a dense anchor, and for a sparse
+    one only when its working set would pass ``_SPARSE_CAP``."""
     if curvature <= 0.0:
         raise InvalidArgumentError("curvature must be positive")
     x = np.asarray(x, dtype=float)
@@ -482,7 +636,7 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
     u_sq = u * u
     grad_u = u * (u_sq - instance.intensities)
     rows = instance.block_rows(k)
-    operator = _BlockOperator(rows, u_sq, curvature)
+    operator = _BlockOperator(rows, u_sq, curvature, products.row_norms_sink(k))
     anchor = x[instance.partition.slice_of(k)].copy()
     support = _sparse_support(anchor)
     if support is None:
@@ -496,24 +650,88 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
     return SurrogateModel(anchor, grad, QuadOperator(operator.apply, operator.diagonal))
 
 
+def _working_set_visit(problem: CompositeProblem, x: np.ndarray, k: int,
+                       config: SolverConfig) -> BlockSolution | None:
+    """Block k's visit solved on a working set W (``_WorkingSet``), or
+    None when its anchor is dense or W would pass ``_SPARSE_CAP``.
+
+    W is the anchor's support and every entry that a reference gradient
+    cannot certify dead (``PhaseProducts.certified_dead``): first the
+    block's last whole-block gradient in the run, which costs no pass
+    over A_k, as long as W stays under half the block's rows; failing
+    that, the exact gradient ``A_k grad_u``, one matrix-vector pass,
+    which becomes the block's new reference.  The inner rounds run on
+    W, and an entry off W is dead when its bound, widened by the drift
+    of the rounds' path, stays under the gain.  W grows by every entry
+    whose bound fails, and the rounds run again.  Every W that the
+    check passes gives the same rounds bit for bit, so the result does
+    not depend on which reference chose W: a restart, which has none,
+    takes the steps the run took."""
+    products = problem.products
+    instance = products.instance
+    anchor = x[instance.partition.slice_of(k)].copy()
+    support = _sparse_support(anchor)
+    if support is None:
+        return None
+    u = products.product(x)
+    u_sq = u * u
+    grad_u = u * (u_sq - instance.intensities)
+    rows = instance.block_rows(k)
+
+    def settle(grad_ref: np.ndarray, spread: float, most: int) -> BlockSolution | None:
+        working = np.union1d(support, np.flatnonzero(
+            ~products.certified_dead(k, grad_ref, spread)))
+        visit = _WorkingSet(rows, u_sq, grad_u, config.curvature, products.work_rows())
+        model = SurrogateModel(anchor, visit.gradient,
+                               QuadOperator(visit.apply, visit.diag.__getitem__))
+        while working.size <= most:
+            visit.cover(working)
+            visit.path = 0.0
+            minimizer = engine.inexact_inner_loop(model, problem, k, config)
+            live = ~products.certified_dead(k, grad_ref, spread + visit.path,
+                                            config.inner_iterations)
+            live[visit.order[:visit.size]] = False
+            if not live.any():
+                return BlockSolution(minimizer, gradient=visit.gradient)
+            working = np.union1d(working, np.flatnonzero(live))
+        return None
+
+    reference = products.reference(k)
+    solution = None
+    if reference is not None:
+        # a W of half the block's rows or more reads as much as the pass
+        solution = settle(reference[0], _spread(grad_u, reference[1]),
+                          min(_SPARSE_CAP, (anchor.size - 1) // 2))
+    if solution is None:
+        grad = rows @ grad_u
+        products.note_model(k, grad, grad_u)
+        solution = settle(grad, _spread(grad_u, grad_u), _SPARSE_CAP)
+    return solution
+
+
 # ---------------------------------------------------------------------------
 # the two-layer solver
 # ---------------------------------------------------------------------------
 
 def pr_solver(config: SolverConfig) -> BlockSolver:
     """The phase-retrieval block solver.  A zero block that its last
-    model's gradient certifies to stay zero
+    whole-block gradient certifies to stay zero
     (``PhaseProducts.keeps_zero_block``) is returned as it is, without a
-    model: the skip its model would give, at no pass over its rows.  Any
-    other block runs ``config.inner_iterations`` inner rounds on
-    ``pr_outer_model`` (``engine.inexact_solver``)."""
+    model: the skip its model would give, at no pass over its rows.  A
+    block with a sparse anchor runs ``config.inner_iterations`` inner
+    rounds on a working set (``_working_set_visit``): a visit that its
+    reference certifies reads only W's rows of A_k, and any other makes
+    one matrix-vector pass over A_k.  Any other block, and a working
+    set past ``_SPARSE_CAP``, runs the rounds on ``pr_outer_model``
+    (``engine.inexact_solver``)."""
     modelled = inexact_solver(
         lambda problem, x, k: pr_outer_model(problem, x, k, config.curvature), config)
 
     def solver(problem: CompositeProblem, x: np.ndarray, k: int) -> BlockSolution:
         if problem.products.keeps_zero_block(x, k):
             return BlockSolution(problem.block_of(x, k))
-        return modelled(problem, x, k)
+        solution = _working_set_visit(problem, x, k, config)
+        return modelled(problem, x, k) if solution is None else solution
 
     return solver
 

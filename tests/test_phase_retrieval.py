@@ -397,29 +397,31 @@ class TestSparseOperator:
     def test_inner_rounds_after_the_first_sweep_form_no_block_transpose(
             self, rng, monkeypatch):
         # a warm start near the sparse signal: after the first sweep each
-        # visit's anchor and inner steps are sparse, so the visit forms one
-        # whole-block product, the gradient with the columns on the
-        # anchor's support, and no round forms the whole-block A_k'v.  A
-        # first-sweep visit's anchor is dense: its gradient is stacked
-        # with 2 u^2 * A_k'a from the held partial, and its first round,
-        # to a sparse target, forms that target's columns alone
+        # visit's anchor and inner steps are sparse, so the visit runs on a
+        # working set.  One that its block's last whole-block gradient
+        # certifies forms no product over the block; any other forms one,
+        # the gradient gemv A_k grad_u; no round forms the whole-block
+        # A_k'v.  A first-sweep visit's anchor is dense: its gradient is
+        # stacked with 2 u^2 * A_k'a from the held partial, and its first
+        # round, to a sparse target, forms that target's columns alone
         log = []
         inst, plain = logged_instance(log, measurements=1200, density=0.02, seed=0)
         noise = rng.standard_normal(400)
         x0 = plain.signal + 0.2 * noise / np.linalg.norm(noise)
-        model, loop = phase_retrieval.pr_outer_model, engine.inexact_inner_loop
+        honest = phase_retrieval.pr_solver
 
-        def marked_model(*args):
-            log.append("visit")
-            return model(*args)
+        def marked_solver(config):
+            solve = honest(config)
 
-        def marked_loop(*args):
-            out = loop(*args)
-            log.append("end")
-            return out
+            def solver(*args):
+                log.append("visit")
+                out = solve(*args)
+                log.append("end")
+                return out
 
-        monkeypatch.setattr(phase_retrieval, "pr_outer_model", marked_model)
-        monkeypatch.setattr(engine, "inexact_inner_loop", marked_loop)
+            return solver
+
+        monkeypatch.setattr(phase_retrieval, "pr_solver", marked_solver)
         cfg = SolverConfig(max_outer_iterations=40, inner_iterations=10,
                            stop_tol=1e-8)
         trace = run_phase_retrieval(inst, cfg, x0)
@@ -433,6 +435,7 @@ class TestSparseOperator:
             elif inside:
                 visits[-1].append(entry)
         transposed = ((1200, 200), (200,))
+        gemv = ((200, 1200), (1200,))
         assert trace.iterations > 4 and len(visits) == trace.iterations
         for visit in visits[:2]:
             assert visit[0] == ((2, 1200), (1200, 200))
@@ -440,10 +443,11 @@ class TestSparseOperator:
             assert len(visit) <= 2
             for stack, second in visit[1:]:
                 assert second == (1200, 200) and stack[0] <= self.CAP
-        for visit in visits[2:]:
-            assert len(visit) == 1
-            (stack, second), = visit
-            assert second == (1200, 200) and 1 < stack[0] <= 1 + self.CAP
+        later = visits[2:]
+        assert all(visit in ([], [gemv]) for visit in later)
+        # fewer than one whole-block product per visit, where the full
+        # model forms one, of 1 + |S| rows, in every sparse-anchor visit
+        assert 0 < sum(len(visit) for visit in later) < len(later)
         # the logging view changes no bit of the run
         plain_trace = run_phase_retrieval(plain, cfg, x0)
         assert np.array_equal(trace.objectives, plain_trace.objectives)
@@ -629,28 +633,37 @@ class TestRunPhaseRetrieval:
         assert trace.final_objective < 1e-6
         assert trace.termination_reason == "tolerance"
 
-    def test_single_block_bitwise_matches_generic_engine(self, rng):
-        inst = tiny_instance(seed=8, blocks=1)
-        x0 = rng.standard_normal(24)
-        cfg = SolverConfig(max_outer_iterations=40, inner_iterations=4,
-                           stop_tol=0.0, curvature=1e-3)
-        direct = run_phase_retrieval(inst, cfg, x0)
+    @staticmethod
+    def assert_generic_engine_steps(inst, cfg, x0, monkeypatch):
+        """With its working sets off, ``run_phase_retrieval`` runs every
+        visit on ``pr_outer_model``, as the generic engine does, and takes
+        its steps bit for bit.  With them on (``TestWorkingSet`` checks
+        each visit) the run ends at the generic one's objective to
+        rounding."""
         generic = pr_inexact_run(inst, cfg, x0)
+        working = run_phase_retrieval(inst, cfg, x0)
+        assert working.final_objective == pytest.approx(generic.final_objective,
+                                                        rel=1e-12)
+        monkeypatch.setattr(phase_retrieval, "_working_set_visit", lambda *args: None)
+        direct = run_phase_retrieval(inst, cfg, x0)
         assert np.array_equal(direct.objectives, generic.objectives)
         assert np.array_equal(direct.final_point.values,
                               generic.final_point.values)
 
-    def test_multi_block_close_to_generic_engine(self, rng):
+    def test_single_block_bitwise_matches_generic_engine(self, rng, monkeypatch):
+        inst = tiny_instance(seed=8, blocks=1)
+        x0 = rng.standard_normal(24)
+        cfg = SolverConfig(max_outer_iterations=40, inner_iterations=4,
+                           stop_tol=0.0, curvature=1e-3)
+        self.assert_generic_engine_steps(inst, cfg, x0, monkeypatch)
+
+    def test_multi_block_close_to_generic_engine(self, rng, monkeypatch):
         # unaligned partition: 24 unknowns in 5 blocks
         inst = tiny_instance(seed=9, blocks=5)
         x0 = rng.standard_normal(24)
         cfg = SolverConfig(max_outer_iterations=60, inner_iterations=4,
                            stop_tol=0.0, curvature=1e-3)
-        direct = run_phase_retrieval(inst, cfg, x0)
-        generic = pr_inexact_run(inst, cfg, x0)
-        assert np.array_equal(direct.objectives, generic.objectives)
-        assert np.array_equal(direct.final_point.values,
-                              generic.final_point.values)
+        self.assert_generic_engine_steps(inst, cfg, x0, monkeypatch)
 
     @pytest.mark.parametrize("algorithm", ["bsca", "bgd", "parallel-sca"])
     def test_each_exact_step_audits_the_quartic_profile(self, rng, monkeypatch,
@@ -903,8 +916,8 @@ class TestProducts:
         assert products.partial(sparse, 0) is None
 
     def test_building_the_problem_reads_no_matrix_entry(self):
-        # partials and row norms are formed inside a run, never when the
-        # problem or its product hook is built
+        # partials, row norms and working-set rows are read inside a run,
+        # never when the problem or its product hook is built
         plain = generate_pr_instance(64, 160, density=0.05, num_blocks=4, seed=23)
         log = []
         view = plain.sampling.view(ReadLog)
@@ -913,12 +926,13 @@ class TestProducts:
         pr_problem(inst)
         PhaseProducts(inst)
         assert log == []
-        # the log sees a run's reads: the start's product, and the row
-        # norms of the blocks it certifies (an einsum)
+        # the log sees a run's reads: the start's product and the block
+        # models' products, the squares of the diagonal passes, which also
+        # give the row norms, and the working sets' row gathers
         run_phase_retrieval(inst, SolverConfig(max_outer_iterations=40,
                                                inner_iterations=10),
                             plain.signal + 0.01)
-        assert "matmul" in log and "einsum" in log
+        assert {"matmul", "multiply", "take"} <= set(log)
 
     def test_a_dropped_instance_is_freed_without_the_cycle_collector(self):
         inst = tiny_instance(seed=18)
@@ -1036,6 +1050,197 @@ class TestZeroBlockCertificate:
         problem.products.release()
         x[inst.partition.slice_of(zero).start] = 0.0
         assert not problem.products.keeps_zero_block(x, zero)
+
+
+def _dots_reference(left, right):
+    return np.array([[np.dot(a, b) for b in right] for a in left])
+
+
+def test_row_dots_keep_the_bits_of_one_dot_per_pair():
+    # the entries of a working set's model are these dots, so they must
+    # not depend on which other rows share the product
+    gen = np.random.default_rng(31)
+    for length in (1, 37, 100, 801, 5000):
+        rows = gen.standard_normal((9, length))
+        other = gen.standard_normal((6, length))
+        dots = phase_retrieval._row_dots(rows, other)
+        assert dots.tobytes() == _dots_reference(rows, other).tobytes()
+        for part in (rows[:1], rows[3:8], rows[::-2]):
+            got = phase_retrieval._row_dots(part, other[2:5])
+            assert got.tobytes() == _dots_reference(part, other[2:5]).tobytes()
+
+
+class TestWorkingSet:
+    """``pr_solver``'s sparse-anchor visits on a working set
+    (``phase_retrieval._working_set_visit``), on blocks of 1, 5, 37, 100
+    and 1000 rows of a 1143 x 600 instance, from the warm and the damped
+    starts of ``TestZeroBlockCertificate``, at the recipe gain and at
+    half of it."""
+
+    SIZES = (1, 5, 37, 100, 1000)
+    CONFIG = SolverConfig(max_outer_iterations=100, inner_iterations=10, stop_tol=1e-8)
+
+    @classmethod
+    def instance(cls, gain_scale=1.0):
+        inst = generate_pr_instance(sum(cls.SIZES), 600, density=0.02, seed=5)
+        return dataclasses.replace(inst, partition=make_partition(cls.SIZES),
+                                   sparse_gain=gain_scale * inst.sparse_gain)
+
+    @staticmethod
+    def spied_visits(monkeypatch, log):
+        """Record ``(x, k, solution, certified)`` for every visit that
+        runs on a working set; a certified one forms no whole-block
+        gradient, so notes no reference."""
+        honest = phase_retrieval._working_set_visit
+        noted = []
+        note = PhaseProducts.note_model
+
+        def counted_note(products, *args):
+            noted.append(args[0])
+            return note(products, *args)
+
+        def spy(problem, x, k, config):
+            before = len(noted)
+            solution = honest(problem, x, k, config)
+            if solution is not None:
+                log.append((x.copy(), k, solution, len(noted) == before))
+            return solution
+
+        monkeypatch.setattr(PhaseProducts, "note_model", counted_note)
+        monkeypatch.setattr(phase_retrieval, "_working_set_visit", spy)
+
+    @pytest.mark.parametrize("gain_scale", [1.0, 0.5])
+    def test_every_visit_matches_the_full_model_visit(self, monkeypatch, gain_scale):
+        inst = self.instance(gain_scale)
+        seen = []
+        self.spied_visits(monkeypatch, seen)
+        for seed in range(4):
+            run_phase_retrieval(inst, self.CONFIG,
+                                TestZeroBlockCertificate.start(inst, seed))
+        monkeypatch.undo()
+        full = inexact_solver(
+            lambda problem, x, k: pr_outer_model(problem, x, k, self.CONFIG.curvature),
+            self.CONFIG)
+        for x, k, solution, _ in seen:
+            problem = pr_problem(inst)
+            problem.products.track(x)
+            expected = full(problem, x, k)
+            xk = x[inst.partition.slice_of(k)]
+            got, want = solution.minimizer, expected.minimizer
+            assert np.array_equal(np.flatnonzero(got), np.flatnonzero(want))
+            assert core.is_stationary(got - xk, xk) == core.is_stationary(want - xk, xk)
+            # the inner rounds' exact stepsizes amplify rounding: two models
+            # equal to 1e-15 end up to 6e-9 apart after ten rounds
+            assert np.linalg.norm(got - want) <= 1e-7 * max(np.linalg.norm(want), 1e-300)
+            working = np.flatnonzero(solution.gradient)
+            assert (np.linalg.norm(solution.gradient[working] - expected.gradient[working])
+                    <= 1e-12 * np.linalg.norm(expected.gradient[working]))
+        certified = {k for _, k, _, certified in seen if certified}
+        assert {2, 3, 4} <= certified
+        assert sum(certified for *_, certified in seen) >= 20
+        assert not all(certified for *_, certified in seen)
+
+    @pytest.mark.parametrize("rule", ["cyclic", "random"])
+    def test_runs_without_references_take_the_same_steps(self, monkeypatch, rule):
+        # with no reference kept, every visit forms its exact gradient and
+        # chooses its working set from it, as a restart's first sweep does
+        cfg = dataclasses.replace(self.CONFIG, block_rule=rule)
+        for gain_scale in (1.0, 0.5):
+            inst = self.instance(gain_scale)
+            starts = [TestZeroBlockCertificate.start(inst, seed) for seed in range(4)]
+            seen = []
+            with monkeypatch.context() as patch:
+                self.spied_visits(patch, seen)
+                certified = [run_phase_retrieval(inst, cfg, x0) for x0 in starts]
+            assert sum(certified for *_, certified in seen) >= 10
+            with monkeypatch.context() as patch:
+                patch.setattr(PhaseProducts, "note_model", lambda *args: None)
+                for got, x0 in zip(certified, starts):
+                    fresh = run_phase_retrieval(inst, cfg, x0)
+                    assert got.objectives.tobytes() == fresh.objectives.tobytes()
+                    assert got.stepsizes.tobytes() == fresh.stepsizes.tobytes()
+                    assert ([e.block for e in got.entries]
+                            == [e.block for e in fresh.entries])
+                    assert (got.final_point.values.tobytes()
+                            == fresh.final_point.values.tobytes())
+
+    def test_a_certified_visit_reads_only_its_working_set_rows(self, monkeypatch):
+        # replay each block's first certified visit, at a fresh A'x, with
+        # and without every row of the block outside its working set turned
+        # to NaN: the visit reads none of them, so both give the same bits
+        # and keep the block's reference
+        inst = self.instance()
+        state = {}
+        honest = phase_retrieval._working_set_visit
+        cover = phase_retrieval._WorkingSet.cover
+        covered = []
+
+        def spy(problem, x, k, config):
+            products = problem.products
+            kept = (products.reference(k), products.row_norms(k))
+            covered.clear()
+            solution = honest(problem, x, k, config)
+            if (solution is not None and k not in state and k > 1
+                    and products.reference(k) is kept[0]):
+                state[k] = (x.copy(), kept, set(covered), solution)
+            return solution
+
+        def spied_cover(visit, working):
+            covered.extend(working.tolist())
+            return cover(visit, working)
+
+        monkeypatch.setattr(phase_retrieval, "_working_set_visit", spy)
+        monkeypatch.setattr(phase_retrieval._WorkingSet, "cover", spied_cover)
+        run_phase_retrieval(inst, self.CONFIG, TestZeroBlockCertificate.start(inst, 0))
+        monkeypatch.undo()
+        assert set(state) == {2, 3, 4}
+        for k, (x, (reference, norms), working, solution) in state.items():
+            sl = inst.partition.slice_of(k)
+            outside = np.setdiff1d(np.arange(sl.stop - sl.start), sorted(working))
+            assert outside.size > (sl.stop - sl.start) // 2
+            poisoned = inst.sampling.copy()
+            poisoned[sl.start + outside] = np.nan
+            replays = []
+            for sampling in (inst.sampling, poisoned):
+                problem = pr_problem(inst)
+                problem.products.track(x)
+                problem.products.instance = dataclasses.replace(inst, sampling=sampling)
+                problem.products.note_model(k, *reference)
+                problem.products._row_norms[k] = norms
+                replays.append(
+                    phase_retrieval._working_set_visit(problem, x, k, self.CONFIG))
+                assert problem.products.reference(k)[0] is reference[0]
+            clean, replay = replays
+            assert np.array_equal(np.flatnonzero(clean.minimizer),
+                                  np.flatnonzero(solution.minimizer))
+            assert replay.minimizer.tobytes() == clean.minimizer.tobytes()
+            assert replay.gradient.tobytes() == clean.gradient.tobytes()
+
+    def test_an_uncertified_sparse_visit_makes_one_matrix_vector_pass(self, monkeypatch):
+        log = []
+        inst, plain = logged_instance(log, measurements=1200, density=0.02, seed=0)
+        noise = np.random.default_rng(4).standard_normal(400)
+        x0 = plain.signal + 0.2 * noise / np.linalg.norm(noise)
+        seen = []
+        self.spied_visits(monkeypatch, seen)
+        honest = phase_retrieval._working_set_visit
+        passes = []
+
+        def counted(problem, x, k, config):
+            log.clear()
+            solution = honest(problem, x, k, config)
+            if solution is not None:
+                passes.append(list(log))
+            return solution
+
+        monkeypatch.setattr(phase_retrieval, "_working_set_visit", counted)
+        run_phase_retrieval(inst, SolverConfig(max_outer_iterations=40, inner_iterations=10,
+                                               stop_tol=1e-8), x0)
+        kinds = [certified for *_, certified in seen]
+        assert len(kinds) == len(passes) and True in kinds and False in kinds
+        gemv = [((200, 1200), (1200,))]
+        for certified, products in zip(kinds, passes):
+            assert products == ([] if certified else gemv)
 
 
 class TestGenerator:

@@ -96,23 +96,49 @@ def test_ab_solve_times_a_checkout_against_itself():
         assert f"{side} solve, raw: median" in done.stdout
         assert f"{side} solve, scaled: median" in done.stdout
     assert "scaled claim rule" in done.stdout
+    # both side assignments, each with its own ratio, and one verdict
+    assert "sides as given: A runs first, B second" in done.stdout
+    assert "sides swapped: B runs first, A second" in done.stdout
+    assert done.stdout.count("median ratio B/A") == 2
+    assert done.stdout.count("traces bit for bit: yes") == 2
+    assert "claim did not hold" in done.stdout
 
 
 def test_ab_solve_claims_a_gain_only_by_the_pair_and_spread_rule():
     ab = load(next(path for path in SCRIPTS if path.stem == "ab_solve"))
     parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    faster = [t - 0.1 for t in parent]
     # 10 of 10 pairs and a gap of 0.1 s against a spread of 0.03 s
-    held, line = ab.claim(parent, [t - 0.1 for t in parent])
+    held, line = ab._rule(parent, faster)
     assert held and "B won 10 of 10 pairs (needs 9)" in line
+    assert ab.claim((parent, faster), (parent, faster))[0]
     # 8 of 10 pairs is short of nine tenths, whatever the gap
     slower = [t - 0.1 for t in parent[:8]] + [t + 0.1 for t in parent[8:]]
-    assert not ab.claim(parent, slower)[0]
+    assert not ab._rule(parent, slower)[0]
     # every pair won, by less than the spread between A's quartiles
-    held, line = ab.claim(parent, [t - 0.01 for t in parent])
+    held, line = ab._rule(parent, [t - 0.01 for t in parent])
     assert not held and "did not hold" in line
     # a tie counts for neither side: 9 wins and a tie hold, 8 and two do not
-    assert ab.claim(parent, parent[:1] + [t - 0.1 for t in parent[1:]])[0]
-    assert not ab.claim(parent, parent[:2] + [t - 0.1 for t in parent[2:]])[0]
+    assert ab._rule(parent, parent[:1] + [t - 0.1 for t in parent[1:]])[0]
+    assert not ab._rule(parent, parent[:2] + [t - 0.1 for t in parent[2:]])[0]
+
+
+def test_ab_solve_claims_a_gain_only_under_both_side_assignments():
+    # a harness that favours its first side: B wins by 5% when it runs
+    # there and loses by 3% when A does, for code of equal speed
+    ab = load(next(path for path in SCRIPTS if path.stem == "ab_solve"))
+    base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.01, 0.99, 1.00, 1.00]
+    as_given = (base, [0.95 * t for t in base])
+    swapped = ([0.97 * t for t in base], base)
+    assert ab._rule(*as_given)[0] and not ab._rule(*swapped)[0]
+    held, line = ab.claim(as_given, swapped)
+    assert not held
+    assert line == ("claim did not hold: the rule held with the sides as given "
+                    "and did not hold with them swapped")
+    assert not ab.claim(swapped, as_given)[0]
+    gain = ([1.1 * t for t in base], base)
+    held, line = ab.claim(gain, gain)
+    assert held and line.startswith("claim held")
 
 
 def test_ab_solve_applies_the_claim_rule_to_gauge_scaled_times():
@@ -124,7 +150,7 @@ def test_ab_solve_applies_the_claim_rule_to_gauge_scaled_times():
     noise = [1.00, 1.01, 0.99, 1.00, 1.01, 0.99, 1.00, 1.01, 0.99, 1.00]
     times_a = [4.0 * g * e for g, e in zip(gauges, noise)]
     times_b = [0.9 * t for t in times_a]
-    assert not ab.claim(times_a, times_b)[0]
+    assert not ab._rule(times_a, times_b)[0]
     held, lines = ab.report(times_a, times_b, gauges, 0.25)
     assert held and lines[-1].startswith("scaled claim rule held: B won 10 of 10")
     assert any(line.startswith("A solve, scaled: median 1.0000 s") for line in lines)
