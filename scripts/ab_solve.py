@@ -25,14 +25,14 @@ For each assignment the script prints whether the traces agree bit for
 bit, each checkout's median solve time and quartiles, raw and scaled,
 the median over pairs of the time ratio B/A (CHECKOUT_B over
 CHECKOUT_A), the share of pairs in which B ran faster, and whether the
-claim rule held on the scaled times: B won at least nine tenths of the
-pairs (ties count for neither side) and the medians differ by more than
-the distance between A's quartiles.  B's gain is claimed only when the
-rule holds under both assignments, so a bias of the harness towards
-one side cannot make the claim.  Timing the two sides back to back
-keeps a machine whose speed drifts over minutes from favouring either,
-and the gauge keeps that drift out of the quartiles.  Nothing under
-perfbench/ is changed.
+claim rule held on the scaled times: at least ten pairs ran, B won at
+least nine tenths of them (ties count for neither side), and the
+medians differ by more than the distance between A's quartiles.  B's
+gain is claimed only when the rule holds under both assignments, so a
+bias of the harness towards one side cannot make the claim.  Timing
+the two sides back to back keeps a machine whose speed drifts over
+minutes from favouring either, and the gauge keeps that drift out of
+the quartiles.  Nothing under perfbench/ is changed.
 """
 
 import argparse
@@ -117,20 +117,25 @@ def signature(trace) -> tuple:
             trace.final_point.values.tobytes(), trace.termination_reason)
 
 
+MIN_PAIRS = 10    # fewer pairs leave A's quartiles no spread to beat
+
+
 def _rule(times_a, times_b) -> tuple[bool, str]:
-    """The claim rule on one assignment's paired solve times: B faster
-    in at least nine tenths of the pairs, and A's median above B's by
-    more than A's quartile spread.  Returns the verdict and a line that
-    states it with its numbers."""
+    """The claim rule on one assignment's paired solve times: at least
+    ``MIN_PAIRS`` pairs, B faster in at least nine tenths of them, and
+    A's median above B's by more than A's quartile spread.  Returns the
+    verdict and a line that states it with its numbers."""
     a, b = np.asarray(times_a, dtype=float), np.asarray(times_b, dtype=float)
     wins = int(np.count_nonzero(b < a))
     needed = math.ceil(0.9 * a.size)
     lower, upper = np.percentile(a, [25, 75])
     gap = float(np.median(a) - np.median(b))
-    held = wins >= needed and gap > upper - lower
+    enough = a.size >= MIN_PAIRS
+    held = enough and wins >= needed and gap > upper - lower
     return held, (f"claim rule {'held' if held else 'did not hold'}: B won {wins} of "
-                  f"{a.size} pairs (needs {needed}); median gap {gap:.4f} s, "
-                  f"A's quartile spread {upper - lower:.4f} s")
+                  f"{a.size} pairs (needs {needed}"
+                  f"{'' if enough else f', of at least {MIN_PAIRS} pairs'}); "
+                  f"median gap {gap:.4f} s, A's quartile spread {upper - lower:.4f} s")
 
 
 def claim(as_given, swapped) -> tuple[bool, str]:

@@ -7,8 +7,8 @@ runs with one checkout, then re-run every manifest with another.
     python3 scripts/manifest_gate.py compare REF_CHECKOUT    # both in one
 
 ``record`` generates one phase-retrieval and one low-rank + sparse
-instance and runs 21 ``bsca solve`` variants on them at the CLI
-defaults.  ``check`` reruns each of the 23 manifests with ``bsca
+instance and runs 17 ``bsca solve`` variants on them at the CLI
+defaults.  ``check`` reruns each of the 19 manifests with ``bsca
 reproduce --out`` into a temporary directory, prints one verdict line
 per manifest, and exits 1 if any reproduction differs or fails.  For a
 solve whose trace differs it prints one more line: iterations and final
@@ -46,8 +46,6 @@ SOLVES = [
     ("anomaly", "bsca", []),
     ("anomaly", "bsca", ["--inner-iters", "1"]),
     ("anomaly", "bsca", ["--line-search", "armijo"]),
-    ("anomaly", "inexact-bsca", []),
-    ("anomaly", "inexact-bsca", ["--line-search", "armijo"]),
     ("anomaly", "parallel-sca", []),
     ("anomaly", "parallel-sca", ["--line-search", "armijo"]),
     ("anomaly", "bgd", []),
@@ -55,8 +53,6 @@ SOLVES = [
     ("pr", "bsca", ["--blocks", "3"]),
     ("pr", "bsca", ["--blocks", "3", "--line-search", "armijo"]),
     ("pr", "bsca", ["--blocks", "3", "--rule", "random"]),
-    ("pr", "inexact-bsca", ["--blocks", "10"]),
-    ("pr", "inexact-bsca", ["--blocks", "3"]),
     ("pr", "parallel-sca", ["--blocks", "10"]),
     ("pr", "parallel-sca", ["--blocks", "3"]),
     ("pr", "parallel-sca", ["--blocks", "3", "--line-search", "armijo"]),

@@ -47,7 +47,11 @@ from .storage import (
     write_pr_instance,
 )
 
-ALGORITHMS = ("bsca", "inexact-bsca", "parallel-sca", "bgd", "bpgd")
+ALGORITHMS = ("bsca", "parallel-sca", "bgd", "bpgd")
+# algorithm names that older manifests and bench variant files record,
+# and what runs for them: ``inexact-bsca`` was an alias of ``bsca`` on
+# both applications
+RENAMED_ALGORITHMS = {"inexact-bsca": "bsca"}
 
 # the solve options, key -> (type, default, allowed values): they make
 # the flags of solve and bench (``--inner-iters`` for inner_iters), the
@@ -216,10 +220,10 @@ def run_algorithm(instance, algorithm: str, opts: dict) -> RunTrace:
                 "anomaly instances always use the three factor/sparse blocks")
         if algorithm == "bpgd":
             raise UsageError("bpgd requires a phase-retrieval instance")
+        if algorithm == "bsca":
+            return run_anomaly_bsca(instance, config)
         problem = anomaly_problem(instance)
         x0 = state_to_vector(initial_state(instance, seed=opts["seed"]))
-        if algorithm in ("bsca", "inexact-bsca"):
-            return run_anomaly_bsca(instance, config)
         if algorithm == "parallel-sca":
             return run_parallel_sca(problem, anomaly_solver(instance, config),
                                     config, x0)
@@ -233,18 +237,18 @@ def run_algorithm(instance, algorithm: str, opts: dict) -> RunTrace:
                 instance = with_blocks(instance, opts["blocks"])
             except InvalidPartitionError as exc:
                 raise UsageError(f"--blocks: {exc}") from None
-        problem = pr_problem(instance)
         x0 = np.random.default_rng(opts["seed"]).standard_normal(
             instance.num_unknowns)
-        if algorithm in ("bsca", "inexact-bsca"):
+        if algorithm == "bsca":
             return run_phase_retrieval(instance, config, x0)
         if algorithm == "parallel-sca":
             # the block subproblems are solved well: up to 500 inner
             # rounds whatever --inner-iters says
-            return run_parallel_sca(
-                problem, pr_solver(replace(config, inner_iterations=500)), config, x0)
+            return run_parallel_sca(pr_problem(instance),
+                                    pr_solver(replace(config, inner_iterations=500)),
+                                    config, x0)
         if algorithm == "bgd":
-            return run_bgd(problem, config, x0)
+            return run_bgd(pr_problem(instance), config, x0)
         if algorithm == "bpgd":
             return run_bpgd(instance, config, x0, discount=opts["discount"])
     raise UsageError(f"unknown algorithm {algorithm!r}")
@@ -319,6 +323,8 @@ def cmd_bench(args) -> int:
     for tokens in variants:
         settings = dict(tokens)
         name, algorithm = settings.pop("name"), settings.pop("algorithm")
+        # reproduce reruns the variants file an older bench read
+        algorithm = RENAMED_ALGORITHMS.get(algorithm, algorithm)
         try:
             opts = _with_settings(baseline, settings, f"variant {name}")
             begin = time.monotonic()
@@ -400,8 +406,9 @@ def _manifest_argv(manifest: dict, out_dir: str) -> list[str]:
     if command == "generate":
         return ["generate", manifest["app"], "--out", out_dir] + flags
     if command == "solve":
-        return ["solve", manifest["instance"], "--algorithm",
-                manifest["algorithm"], "--out", out_dir] + flags
+        algorithm = RENAMED_ALGORITHMS.get(manifest["algorithm"], manifest["algorithm"])
+        return ["solve", manifest["instance"], "--algorithm", algorithm,
+                "--out", out_dir] + flags
     if command == "bench":
         return ["bench", manifest["instance"], "--variants",
                 manifest["variants"], "--out", out_dir] + flags

@@ -155,9 +155,9 @@ class PhaseProducts(TrackedProducts):
     the norms of a block's rows from its first diagonal pass over every
     row on (``row_norms``).  With them ``certified_dead`` bounds each
     entry of the block gradient without reading A_k, which certifies
-    that a zero block stays zero (``keeps_zero_block``) and which
-    entries a sparse visit's working set may leave out
-    (``_working_set_visit``)."""
+    the entries a sparse visit's working set may leave out
+    (``_working_set_visit``): all of them at a zero block that stays
+    zero, whose visit then reads no row of A_k."""
 
     def __init__(self, instance: PhaseRetrievalInstance):
         super().__init__()
@@ -213,7 +213,10 @@ class PhaseProducts(TrackedProducts):
         ``update``, and never writes into it.  A dense ``d`` from a
         point ``x`` that holds the block's partial, whose end point
         ``x_k + d`` is sparse, is ``A_k'(x_k + d) - A_k'x_k``, read
-        from the end point's support rows."""
+        from the end point's support rows.  Measured worth of that path
+        (``scripts/ab_solve.py``, 8 pairs per side assignment, two runs):
+        without it a solve took 1.02-1.06 times as long on
+        ``pr_scaleup`` and 1.04-1.09 on ``pr_wide_blocks``."""
         last = self._last
         if last is not None and last[0] == block and last[1] is direction:
             return last[2]
@@ -286,30 +289,18 @@ class PhaseProducts(TrackedProducts):
         """Which entries of the block's model gradient ``g = A_k grad_u``,
         and of its carried value through ``rounds`` inner rounds, provably
         stay at most the gain times 1 - 1e-12 (the inner best response's
-        bar), so a best response leaves them at zero.  ``grad_ref`` is a
-        gradient ``A_k grad_u'`` and ``spread`` bounds how far ``grad_u``
-        and the rounds' path have moved from ``grad_u'`` (see
-        ``_spread``), so that ``|g_i| <= |grad_ref_i| + ||a_i|| spread``;
-        the bound takes a relative margin of ``4 (N + rounds) eps`` for
-        its own rounding and the rounds' sums.  Reads no row of A_k once
-        the block's row norms are known."""
+        bar), so a best response leaves them at zero: the entries a
+        working set leaves out (``_working_set_visit``), every entry of a
+        zero block that stays zero.  ``grad_ref`` is a gradient
+        ``A_k grad_u'`` and ``spread`` bounds how far ``grad_u`` and the
+        rounds' path have moved from ``grad_u'`` (see ``_spread``), so
+        that ``|g_i| <= |grad_ref_i| + ||a_i|| spread``; the bound takes a
+        relative margin of ``4 (N + rounds) eps`` for its own rounding and
+        the rounds' sums.  Reads no row of A_k once the block's row norms
+        are known."""
         slack = 4.0 * (self.instance.intensities.size + rounds) * np.finfo(float).eps
         bound = (np.abs(grad_ref) + self.row_norms(block) * spread) * (1.0 + slack)
         return bound <= self.instance.sparse_gain * (1.0 - 1e-12)
-
-    def keeps_zero_block(self, x: np.ndarray, block: int) -> bool:
-        """True when block ``block`` of ``x`` is zero and its model at
-        ``x`` provably thresholds every entry back to zero, so its block
-        update is a stationarity skip: every entry is certified dead
-        (``certified_dead``) from the block's reference, by
-        ``|a_i'grad_u| <= |g'_i| + ||a_i|| ||grad_u - grad_u'||``."""
-        reference = self._references.get(block)
-        if reference is None or x[self.instance.partition.slice_of(block)].any():
-            return False
-        u = self.product(x)
-        grad_u = u * (u * u - self.instance.intensities)
-        return bool(self.certified_dead(block, reference[0],
-                                        _spread(grad_u, reference[1])).all())
 
 
 def pr_problem(instance: PhaseRetrievalInstance) -> CompositeProblem:
@@ -435,7 +426,10 @@ class _BlockOperator:
         ``support`` (at most ``_SPARSE_CAP`` rows): the rows
         ``[grad_u; 2 u^2 * a_j for j in support]`` are stacked and
         multiplied by ``A_k'`` once.  With ``support`` empty it is a
-        one-row product."""
+        one-row product.  Measured worth (``scripts/ab_solve.py``, 8 pairs
+        per side assignment, two runs): with the gradient a gemv and the
+        columns formed apart, a ``pr_wide_blocks`` solve took 1.07-1.12
+        times as long."""
         stack = np.empty((1 + support.size, self.rows.shape[1]))
         stack[0] = grad_u
         # mode="clip" writes the gathered rows straight into ``out``; the
@@ -449,7 +443,10 @@ class _BlockOperator:
     def anchored_gradient(self, grad_u: np.ndarray, anchor: np.ndarray,
                           partial: np.ndarray) -> np.ndarray:
         """``A_k grad_u``, from the product of ``[grad_u; 2 u^2 * A_k'a]``
-        with ``A_k'``, which also gives ``D a`` for ``apply``."""
+        with ``A_k'``, which also gives ``D a`` for ``apply``.  Measured
+        worth (``scripts/ab_solve.py``, 8 pairs per side assignment, two
+        runs): without ``D a``, so that a dense argument always takes two
+        passes, a ``pr_scaleup`` solve took 1.07-1.08 times as long."""
         stack = np.empty((2, self.rows.shape[1]))
         stack[0] = grad_u
         np.multiply(self.twice_u_sq, partial, out=stack[1])
@@ -491,6 +488,10 @@ class _BlockOperator:
         return coefficients @ self.columns[:self.held] + self.curvature * v
 
     def diagonal(self, index: np.ndarray) -> np.ndarray:
+        """The diagonal on ``index``, from the groups that hold it.
+        Measured worth (``scripts/ab_solve.py``, 8 pairs per side
+        assignment, two runs): with the whole diagonal formed at the first
+        request, a ``pr_wide_blocks`` solve took 1.10-1.18 times as long."""
         if not self.complete:
             groups = np.minimum(index // _CHUNK_ROWS, self.formed.size - 1)
             missing = groups[~self.formed[groups]]
@@ -714,22 +715,18 @@ def _working_set_visit(problem: CompositeProblem, x: np.ndarray, k: int,
 # ---------------------------------------------------------------------------
 
 def pr_solver(config: SolverConfig) -> BlockSolver:
-    """The phase-retrieval block solver.  A zero block that its last
-    whole-block gradient certifies to stay zero
-    (``PhaseProducts.keeps_zero_block``) is returned as it is, without a
-    model: the skip its model would give, at no pass over its rows.  A
-    block with a sparse anchor runs ``config.inner_iterations`` inner
-    rounds on a working set (``_working_set_visit``): a visit that its
-    reference certifies reads only W's rows of A_k, and any other makes
-    one matrix-vector pass over A_k.  Any other block, and a working
-    set past ``_SPARSE_CAP``, runs the rounds on ``pr_outer_model``
-    (``engine.inexact_solver``)."""
+    """The phase-retrieval block solver.  A block with a sparse anchor
+    runs ``config.inner_iterations`` inner rounds on a working set
+    (``_working_set_visit``): a visit that its reference certifies reads
+    only W's rows of A_k, and any other makes one matrix-vector pass
+    over A_k.  A zero block whose reference certifies every entry dead
+    has an empty W, so it is skipped at no pass over its rows.  Any
+    other block, and a working set past ``_SPARSE_CAP``, runs the rounds
+    on ``pr_outer_model`` (``engine.inexact_solver``)."""
     modelled = inexact_solver(
         lambda problem, x, k: pr_outer_model(problem, x, k, config.curvature), config)
 
     def solver(problem: CompositeProblem, x: np.ndarray, k: int) -> BlockSolution:
-        if problem.products.keeps_zero_block(x, k):
-            return BlockSolution(problem.block_of(x, k))
         solution = _working_set_visit(problem, x, k, config)
         return modelled(problem, x, k) if solution is None else solution
 

@@ -84,7 +84,13 @@ def read_matrix(path) -> np.ndarray:
     and size.  The array is a view of the file: writing to it raises
     ValueError, and it stays valid after the file is deleted or
     replaced.  An empty matrix has no payload to map and comes back as
-    a read-only empty array."""
+    a read-only empty array.
+
+    The array holds one open file descriptor until it and every view of
+    it are dropped, since ``mmap`` keeps a duplicate of the file's.  A
+    bundle read with its truth holds 3 (phase retrieval: sampling,
+    intensities, signal) or 5 (low-rank + sparse), so about 340 live
+    phase-retrieval instances take the usual limit of 1024."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER_BYTES)
         if len(header) != _HEADER_BYTES or header[:8] != MAGIC:

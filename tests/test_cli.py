@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bsca import phase_retrieval
 from bsca.cli import BLAS_THREAD_VARS, main
 from bsca.phase_retrieval import PhaseProducts
 from bsca.storage import INSTANCE_MANIFEST, RUN_MANIFEST, read_manifest, write_manifest
@@ -97,7 +98,7 @@ class TestSolve:
         rows = read_trace(out / "trace.csv")
         assert {r["block"] for r in rows} <= {"-1", "0", "1", "2"}
 
-    @pytest.mark.parametrize("algorithm", ["parallel-sca", "bgd", "inexact-bsca"])
+    @pytest.mark.parametrize("algorithm", ["parallel-sca", "bgd"])
     def test_other_algorithms_run_on_both_kinds(self, algorithm, pr_dir,
                                                 anomaly_dir, tmp_path):
         assert main(["solve", str(pr_dir), "--algorithm", algorithm,
@@ -107,15 +108,31 @@ class TestSolve:
                      "--max-iters", "12",
                      "--out", str(tmp_path / ("a" + algorithm))]) == 0
 
-    def test_inexact_bsca_is_bsca_on_both_kinds(self, pr_dir, anomaly_dir, tmp_path):
+    def test_inexact_bsca_is_bsca_on_both_kinds(self, pr_dir, anomaly_dir, tmp_path,
+                                                 capsys):
+        # solve no longer takes the alias, but a manifest that names it,
+        # as older solves recorded them, reproduces as bsca
         for instance in (pr_dir, anomaly_dir):
-            traces = []
-            for algorithm in ("bsca", "inexact-bsca"):
-                out = tmp_path / f"{instance.name}-{algorithm}"
-                assert main(["solve", str(instance), "--algorithm", algorithm,
-                             "--max-iters", "12", "--out", str(out)]) == 0
-                traces.append(deterministic_columns(out / "trace.csv"))
-            assert traces[0] == traces[1]
+            out = tmp_path / instance.name
+            assert main(["solve", str(instance), "--algorithm", "inexact-bsca",
+                         "--out", str(out)]) == 2
+            assert main(["solve", str(instance), "--algorithm", "bsca",
+                         "--max-iters", "12", "--out", str(out)]) == 0
+            manifest = read_manifest(out / RUN_MANIFEST)
+            manifest["algorithm"] = "inexact-bsca"
+            write_manifest(out / RUN_MANIFEST, manifest)
+            capsys.readouterr()
+            assert main(["reproduce", str(out / RUN_MANIFEST)]) == 0
+            assert "outputs match" in capsys.readouterr().out
+            # so does a bench whose variants file names it
+            variants = tmp_path / f"{instance.name}.txt"
+            variants.write_text("name=old algorithm=inexact-bsca max-iters=12\n"
+                                "name=new algorithm=bsca max-iters=12\n")
+            bench = tmp_path / f"{instance.name}-bench"
+            assert main(["bench", str(instance), "--variants", str(variants),
+                         "--out", str(bench)]) == 0
+            assert (deterministic_columns(bench / "old.trace.csv")
+                    == deterministic_columns(bench / "new.trace.csv"))
 
     def test_bpgd_rejects_blocks(self, pr_dir, tmp_path, capsys):
         code = main(["solve", str(pr_dir), "--algorithm", "bpgd",
@@ -173,27 +190,38 @@ class TestSolve:
 
     def test_pr_parallel_sca_certifies_zero_blocks(self, tmp_path, monkeypatch):
         # the manifest gate's instance and its --blocks 3 run: the joint
-        # step runs the block solver of bsca, zero-block certificate first
+        # step runs the block solver of bsca, whose working-set visit skips
+        # a zero block that its reference certifies, at no pass over A_k
         inst = tmp_path / "pr"
         assert main(["generate", "pr", "--I", "400", "--N", "1000", "--density",
                      "0.01", "--seed", "7", "--out", str(inst)]) == 0
-        honest = PhaseProducts.keeps_zero_block
-        verdicts = []
+        honest = phase_retrieval._working_set_visit
+        note = PhaseProducts.note_model
+        noted, zero_visits = [], []
 
-        def spied(products, x, block):
-            verdicts.append(honest(products, x, block))
-            return verdicts[-1]
+        def counted_note(products, *args):
+            noted.append(args[0])
+            return note(products, *args)
+
+        def spied(problem, x, k, config):
+            before = len(noted)
+            solution = honest(problem, x, k, config)
+            if solution is not None and not problem.block_of(x, k).any():
+                zero_visits.append((len(noted) == before, solution.minimizer.any()))
+            return solution
 
         def solve(out):
             assert main(["solve", str(inst), "--algorithm", "parallel-sca",
                          "--blocks", "3", "--out", str(out)]) == 0
             return deterministic_columns(out / "trace.csv")
 
-        monkeypatch.setattr(PhaseProducts, "keeps_zero_block", spied)
+        monkeypatch.setattr(PhaseProducts, "note_model", counted_note)
+        monkeypatch.setattr(phase_retrieval, "_working_set_visit", spied)
         certified = solve(tmp_path / "certified")
-        # 4 of the 45 visits at one BLAS thread
-        assert len(verdicts) == 3 * (len(certified) - 2) and any(verdicts)
-        monkeypatch.setattr(PhaseProducts, "keeps_zero_block", lambda *args: False)
+        # 6 of the 45 visits, 12 of them at a zero block: a skip, no pass
+        assert (True, False) in zero_visits
+        # with no reference kept, every zero block forms its exact gradient
+        monkeypatch.setattr(PhaseProducts, "note_model", lambda *args: None)
         assert solve(tmp_path / "modelled") == certified
 
     def test_bad_flag_exits_2(self, pr_dir, tmp_path):

@@ -44,7 +44,7 @@ def test_manifest_gate_compares_a_checkout_with_itself():
     done = subprocess.run([sys.executable, str(gate), "compare", str(gate.parents[1])],
                           env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.splitlines()[-1] == "23 of 23 manifests reproduce"
+    assert done.stdout.splitlines()[-1] == "19 of 19 manifests reproduce"
 
 
 def test_manifest_gate_sums_up_how_two_traces_differ(tmp_path):
@@ -121,6 +121,12 @@ def test_ab_solve_claims_a_gain_only_by_the_pair_and_spread_rule():
     # a tie counts for neither side: 9 wins and a tie hold, 8 and two do not
     assert ab._rule(parent, parent[:1] + [t - 0.1 for t in parent[1:]])[0]
     assert not ab._rule(parent, parent[:2] + [t - 0.1 for t in parent[2:]])[0]
+    # one pair won by far: A's quartiles have no spread and 1 of 1 is nine
+    # tenths, but fewer than ten pairs never carry a claim
+    held, line = ab._rule(parent[:1], faster[:1])
+    assert not held and "B won 1 of 1 pairs (needs 1, of at least 10 pairs)" in line
+    assert not ab._rule(parent[:9], faster[:9])[0]
+    assert not ab.claim((parent[:1], faster[:1]), (parent[:1], faster[:1]))[0]
 
 
 def test_ab_solve_claims_a_gain_only_under_both_side_assignments():

@@ -202,6 +202,25 @@ class TestMappedBundles:
                 with pytest.raises(ValueError):
                     array.flat[0] = 0.0
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts the entries of /proc/self/fd")
+    def test_each_mapped_array_holds_one_descriptor_until_it_is_dropped(self, tmp_path):
+        # about 340 live phase-retrieval instances take the usual limit of
+        # 1024 open descriptors
+        write_pr_instance(tmp_path / "pr", generate_pr_instance(12, 9, density=0.2, seed=4))
+        write_anomaly_instance(tmp_path / "an", generate_anomaly_instance(
+            6, 7, 5, rank=2, density=0.2, seed=12))
+
+        def open_descriptors():
+            return len(os.listdir("/proc/self/fd"))
+
+        for bundle, arrays in (("pr", 3), ("an", 5)):
+            before = open_descriptors()
+            read = [read_instance(tmp_path / bundle) for _ in range(10)]
+            assert open_descriptors() - before == 10 * arrays
+            del read
+            assert open_descriptors() == before
+
     def test_an_instance_solves_after_its_bundle_is_deleted(self, tmp_path):
         cfg = SolverConfig(max_outer_iterations=12, inner_iterations=3)
         pr = generate_pr_instance(24, 60, density=0.1, num_blocks=3, seed=12)
