@@ -11,7 +11,6 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -242,11 +241,7 @@ def run_algorithm(instance, algorithm: str, opts: dict) -> RunTrace:
         if algorithm == "bsca":
             return run_phase_retrieval(instance, config, x0)
         if algorithm == "parallel-sca":
-            # the block subproblems are solved well: up to 500 inner
-            # rounds whatever --inner-iters says
-            return run_parallel_sca(pr_problem(instance),
-                                    pr_solver(replace(config, inner_iterations=500)),
-                                    config, x0)
+            return run_parallel_sca(pr_problem(instance), pr_solver(config), config, x0)
         if algorithm == "bgd":
             return run_bgd(pr_problem(instance), config, x0)
         if algorithm == "bpgd":
@@ -376,24 +371,26 @@ def _csv_rows_without_time(path) -> list[str]:
     return rows
 
 
+def _same_file(old: Path, new: Path) -> bool:
+    """Whether a rerun's output matches the recorded one; an output the
+    rerun left out does not."""
+    if not new.is_file():
+        return False
+    if old.suffix == ".csv":
+        return _csv_rows_without_time(old) == _csv_rows_without_time(new)
+    return old.read_bytes() == new.read_bytes()
+
+
 def _same_outputs(manifest: dict, old_dir: Path, new_dir: Path) -> bool:
+    names = [rel for key, rel in manifest.items()
+             if key.startswith("output.") and key != "output.instance"]
+    if "output.instance" in manifest:
+        names += [mat.name for mat in sorted(old_dir.glob("*.mat"))]
     ok = True
-    for key, rel in manifest.items():
-        if not key.startswith("output.") or key == "output.instance":
-            continue
-        a, b = old_dir / rel, new_dir / rel
-        if rel.endswith(".csv"):
-            same = _csv_rows_without_time(a) == _csv_rows_without_time(b)
-        else:
-            same = a.read_bytes() == b.read_bytes()
-        if not same:
+    for rel in names:
+        if not _same_file(old_dir / rel, new_dir / rel):
             print(f"mismatch in {rel}", file=sys.stderr)
             ok = False
-    if "output.instance" in manifest:
-        for mat in sorted(old_dir.glob("*.mat")):
-            if (old_dir / mat.name).read_bytes() != (new_dir / mat.name).read_bytes():
-                print(f"mismatch in {mat.name}", file=sys.stderr)
-                ok = False
     return ok
 
 

@@ -226,7 +226,11 @@ class _RunBook:
                   block: int | None) -> tuple[float, list[float] | None]:
         """h at a step's end point, and for a block step the per-block
         values it sums; a joint step moves every block and is evaluated
-        by ``core.objective``."""
+        by ``core.objective``.  Measured worth of the block-local
+        evaluation (``scripts/ab_solve.py``, 10 pairs per side
+        assignment, two runs): with every step evaluated in full, a
+        ``pr_scaleup`` solve (20 blocks) took 1.18-1.23 times as long;
+        ``anomaly_desk`` (3 blocks) read 0.98-1.01."""
         problem = self.problem
         if block is None:
             if not problem.is_feasible(x_new):

@@ -95,6 +95,15 @@ def make_quadratic_surrogate(problem: CompositeProblem, x: np.ndarray, k: int,
 # subproblem solvers
 # ---------------------------------------------------------------------------
 
+def zero_bar(gain: float) -> float:
+    """The l1 bar of ``inner_best_response_step``: at a zero entry whose
+    model gradient is at most this in magnitude the best response stays
+    +0.0.  ``phase_retrieval.PhaseProducts.certified_dead`` certifies
+    entries against the same bar, and is sound only while the two
+    agree."""
+    return gain * (1.0 - 1e-12)
+
+
 def inner_best_response_step(model: SurrogateModel, x_tau: np.ndarray,
                              grad_tau: np.ndarray, regularizer: Regularizer,
                              constraint: Constraint) -> np.ndarray:
@@ -112,8 +121,7 @@ def inner_best_response_step(model: SurrogateModel, x_tau: np.ndarray,
         return constraint.clip(x_tau - grad_tau / diagonal(np.arange(x_tau.size)))
     if isinstance(regularizer, L1Norm):
         gain = regularizer.gain
-        live = np.flatnonzero((x_tau != 0.0)
-                              | ~(np.abs(grad_tau) <= gain * (1.0 - 1e-12)))
+        live = np.flatnonzero((x_tau != 0.0) | ~(np.abs(grad_tau) <= zero_bar(gain)))
         diag = diagonal(live)
         step = np.zeros_like(x_tau)
         # unchecked: 1 / d * gain >= 0, as D's diagonal is positive

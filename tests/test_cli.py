@@ -218,7 +218,7 @@ class TestSolve:
         monkeypatch.setattr(PhaseProducts, "note_model", counted_note)
         monkeypatch.setattr(phase_retrieval, "_working_set_visit", spied)
         certified = solve(tmp_path / "certified")
-        # 6 of the 45 visits, 12 of them at a zero block: a skip, no pass
+        # 8 of the 48 visits, 14 of them at a zero block: a skip, no pass
         assert (True, False) in zero_visits
         # with no reference kept, every zero block forms its exact gradient
         monkeypatch.setattr(PhaseProducts, "note_model", lambda *args: None)
@@ -404,6 +404,25 @@ class TestReproduce:
                      "--max-iters", "20", "--seed", "4",
                      "--out", str(out)]) == 0
         assert main(["reproduce", str(out / RUN_MANIFEST)]) == 0
+
+    def test_an_output_the_rerun_leaves_out_differs(self, anomaly_dir, pr_dir,
+                                                    tmp_path, capsys):
+        variants = tmp_path / "v.txt"
+        variants.write_text("name=bsca algorithm=bsca\nname=parallel algorithm=parallel-sca\n")
+        out = tmp_path / "bench"
+        assert main(["bench", str(anomaly_dir), "--variants", str(variants),
+                     "--max-iters", "6", "--out", str(out)]) == 0
+        # the rerun's parallel variant fails, so it writes no trace
+        variants.write_text("name=bsca algorithm=bsca\nname=parallel algorithm=bpgd\n")
+        # and a rerun generate writes no matrix the recorded bundle lacks
+        (pr_dir / "extra.mat").write_bytes((pr_dir / "intensities.mat").read_bytes())
+        for manifest in (out / RUN_MANIFEST, pr_dir / RUN_MANIFEST):
+            capsys.readouterr()
+            assert main(["reproduce", str(manifest)]) == 3
+            err = capsys.readouterr().err
+            assert "outputs differ" in err
+            missing = "parallel.trace.csv" if manifest.parent == out else "extra.mat"
+            assert f"mismatch in {missing}" in err
 
     def test_bench_records_every_solve_option(self, pr_dir, tmp_path, capsys):
         variants = tmp_path / "v.txt"

@@ -1,6 +1,7 @@
-"""Every script under scripts/ imports against the current library, so a
-deleted or renamed library name fails the test suite instead of the
-script's next run."""
+"""Every script under scripts/ imports against the current library, and
+every ``bsca bench`` variants file there names algorithms and settings
+the command line takes, so a deleted or renamed library name, option or
+algorithm fails the test suite instead of the study's next run."""
 
 import importlib.util
 import os
@@ -10,7 +11,9 @@ from pathlib import Path
 
 import pytest
 
-SCRIPTS = sorted((Path(__file__).resolve().parents[1] / "scripts").glob("*.py"))
+SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
+SCRIPTS = sorted(SCRIPT_DIR.glob("*.py"))
+VARIANTS = sorted(SCRIPT_DIR.glob("*.variants"))
 
 
 def test_scripts_are_found():
@@ -27,6 +30,41 @@ def load(path):
 @pytest.mark.parametrize("path", SCRIPTS, ids=lambda path: path.stem)
 def test_script_imports(path):
     assert callable(load(path).main)
+
+
+def variant_options(path):
+    """``(name, algorithm, options)`` of each line of a variants file, its
+    settings over the command line's defaults, as ``bsca bench`` reads it
+    (without solving)."""
+    from bsca.cli import SOLVE_OPTIONS, _parse_variants, _with_settings
+
+    defaults = {key: default for key, (_, default, _) in SOLVE_OPTIONS.items()}
+    for tokens in _parse_variants(path):
+        settings = dict(tokens)
+        name, algorithm = settings.pop("name"), settings.pop("algorithm")
+        yield name, algorithm, _with_settings(defaults, settings, f"variant {name}")
+
+
+@pytest.mark.parametrize("path", VARIANTS, ids=lambda path: path.stem)
+def test_variants_file_takes_the_command_lines_algorithms_and_options(path):
+    from bsca.cli import ALGORITHMS
+
+    for name, algorithm, _ in variant_options(path):
+        assert algorithm in ALGORITHMS, name
+
+
+def test_desk_pr_variants_hold_the_grid_and_both_baselines():
+    # the nine variants of scripts/pr_variant_grid.py, 3000 sweeps each
+    variants = [(algorithm, options) for _, algorithm, options
+                in variant_options(SCRIPT_DIR / "desk_pr.variants")]
+    assert len(variants) == 9
+    assert all(options["max_iters"] == 3000 * (options["blocks"] or 1)
+               and options["tol"] == 0 for _, options in variants)
+    assert {(algorithm, options["blocks"]) for algorithm, options in variants} == {
+        ("bsca", 1), ("bsca", 2), ("bsca", 10), ("bgd", 2), ("bgd", 10), ("bpgd", None)}
+    grid = {(options["blocks"], options["inner_iters"])
+            for algorithm, options in variants if algorithm == "bsca"}
+    assert grid == {(K, tau) for K in (1, 2, 10) for tau in (1, 10)}
 
 
 def test_manifest_gate_runs_without_pythonpath():
