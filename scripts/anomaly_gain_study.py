@@ -35,11 +35,10 @@ from bsca.anomaly import (
     anomaly_solver,
     generate_anomaly_instance,
     initial_state,
-    run_anomaly_bsca,
     state_to_vector,
 )
-from bsca.core import SolverConfig
-from bsca.engine import block_residuals, run_parallel_sca
+from bsca.cli import SOLVE_DEFAULTS, run_algorithm
+from bsca.engine import block_residuals
 
 
 def main():
@@ -57,7 +56,7 @@ def main():
     base = generate_anomaly_instance(args.rows, args.cols, args.atoms,
                                      rank=args.rank, density=0.05,
                                      noise_var=1e-4, seed=args.seed)
-    state0 = initial_state(base, seed=args.seed + 1)
+    x0 = state_to_vector(initial_state(base, seed=args.seed + 1))
     print(f"recipe gain {base.sparse_gain:.4g}, ridge {base.ridge:.4g}, "
           f"budget {args.sweeps} sweeps\n")
     print(f"{'gain':>12} {'rounds':>6} {'agreement':>12} {'worst resid':>12} "
@@ -67,16 +66,10 @@ def main():
         problem = anomaly_problem(inst)
         residual_map = anomaly_solver(inst)
         for rounds in (1, 30):
-            cfg = SolverConfig(max_outer_iterations=3 * args.sweeps,
-                               stop_tol=0.0, seed=args.seed + 1,
-                               inner_iterations=rounds)
-            par_cfg = SolverConfig(max_outer_iterations=args.sweeps,
-                                   stop_tol=0.0, seed=args.seed + 1,
-                                   inner_iterations=rounds)
+            opts = dict(SOLVE_DEFAULTS, tol=0.0, seed=args.seed + 1, inner_iters=rounds)
             begin = time.monotonic()
-            seq = run_anomaly_bsca(inst, cfg, state0=state0)
-            par = run_parallel_sca(problem, anomaly_solver(inst, par_cfg),
-                                   par_cfg, state_to_vector(state0))
+            seq = run_algorithm(inst, "bsca", dict(opts, max_iters=3 * args.sweeps), x0)
+            par = run_algorithm(inst, "parallel-sca", dict(opts, max_iters=args.sweeps), x0)
             elapsed = time.monotonic() - begin
             agreement = (abs(seq.final_objective - par.final_objective)
                          / max(1.0, abs(seq.final_objective)))

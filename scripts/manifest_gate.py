@@ -7,11 +7,13 @@ runs with one checkout, then re-run every manifest with another.
     python3 scripts/manifest_gate.py compare REF_CHECKOUT    # both in one
 
 ``record`` generates one phase-retrieval and one low-rank + sparse
-instance and runs 17 ``bsca solve`` variants on them at the CLI
-defaults.  ``check`` reruns each of the 19 manifests with ``bsca
+instance, runs 17 ``bsca solve`` variants on them at the CLI defaults,
+and runs ``bsca bench`` of ``desk_anomaly.variants`` on the low-rank +
+sparse one.  ``check`` reruns each of the 20 manifests with ``bsca
 reproduce --out`` into a temporary directory, prints one verdict line
-per manifest, and exits 1 if any reproduction differs or fails.  For a
-solve whose trace differs it prints one more line: iterations and final
+per manifest, and exits 1 if any reproduction differs or fails.  For
+each trace of a run that differs (``trace.csv``, or a bench run's
+``<name>.trace.csv``) it prints one more line: iterations and final
 objective (recorded -> rerun), the rows that differ, the largest
 relative objective difference, and whether the skipped iterations
 (stepsize 0) are the same.  Both run ``bsca`` from the checkout this
@@ -61,6 +63,8 @@ SOLVES = [
     ("pr", "bpgd", []),
     ("pr", "bpgd", ["--blocks", "1"]),
 ]
+# the variants file ``bsca bench`` runs on the low-rank + sparse instance
+BENCH_VARIANTS = Path(__file__).with_name("desk_anomaly.variants")
 
 
 def bsca(*argv: str, src: Path = SRC) -> subprocess.CompletedProcess:
@@ -79,7 +83,9 @@ def record(root: Path, src: Path = SRC) -> int:
         name = "-".join([app, algorithm] + [f.lstrip("-") for f in flags])
         _checked(bsca("solve", str(root / "instances" / app), "--algorithm", algorithm,
                       "--out", str(root / "runs" / name), *flags, src=src))
-    print(f"recorded {len(INSTANCES) + len(SOLVES)} manifests under {root}")
+    _checked(bsca("bench", str(root / "instances" / "anomaly"), "--variants",
+                  str(BENCH_VARIANTS), "--out", str(root / "runs" / "anomaly-bench"), src=src))
+    print(f"recorded {len(INSTANCES) + len(SOLVES) + 1} manifests under {root}")
     return 0
 
 
@@ -97,9 +103,9 @@ def check(root: Path) -> int:
             print(f"{path.parent.relative_to(root)}: "
                   + ("; ".join(verdict or lines[-1:]) or f"exit {done.returncode}"))
             failed += done.returncode != 0
-            old, new = path.parent / "trace.csv", rerun / "trace.csv"
-            if done.returncode != 0 and old.is_file() and new.is_file():
-                print("    " + trace_difference(old, new))
+            for old in sorted(path.parent.glob("*trace.csv")) if done.returncode else []:
+                if (rerun / old.name).is_file():
+                    print(f"    {old.name}: {trace_difference(old, rerun / old.name)}")
     print(f"{len(manifests) - failed} of {len(manifests)} manifests reproduce")
     return 1 if failed else 0
 

@@ -22,14 +22,14 @@ from .anomaly import (
     anomaly_solver,
     generate_anomaly_instance,
     initial_state,
-    run_anomaly_bsca,
     state_to_vector,
 )
 from .core import EXACT, SUCCESSIVE, RunTrace, SolverConfig
-from .engine import run_bgd, run_bpgd, run_parallel_sca
+from .engine import run_bgd, run_bpgd, run_bsca, run_parallel_sca
 from .errors import BscaError, ConfigError, InvalidArgumentError, InvalidPartitionError
 from .phase_retrieval import (
     generate_pr_instance,
+    pr_partition,
     pr_problem,
     pr_solver,
     run_phase_retrieval,
@@ -69,6 +69,7 @@ SOLVE_OPTIONS = {
     "seed": (int, 0, None),
     "discount": (float, 1.0, None),
 }
+SOLVE_DEFAULTS = {key: default for key, (_, default, _) in SOLVE_OPTIONS.items()}
 
 
 # recorded in solve and bench manifests: a BLAS library run with another
@@ -82,6 +83,15 @@ class UsageError(Exception):
 
 def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
+
+
+def _usage(call, *args, **kwargs):
+    """``call(*args, **kwargs)``; the settings it rejects are a usage
+    error."""
+    try:
+        return call(*args, **kwargs)
+    except (ConfigError, InvalidArgumentError, InvalidPartitionError) as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _blas_threads() -> dict[str, str]:
@@ -111,8 +121,8 @@ def cmd_generate(args) -> int:
             if getattr(args, name) is None:
                 raise UsageError(f"generate anomaly requires --{name}")
         density = args.density if args.density is not None else 0.05
-        instance = generate_anomaly_instance(
-            n=args.N, m=args.K, p=args.I, rank=args.rho,
+        instance = _usage(
+            generate_anomaly_instance, n=args.N, m=args.K, p=args.I, rank=args.rho,
             density=density, noise_var=args.noise_var, seed=args.seed,
             ridge=args.ridge, sparse_gain=args.sparse_gain)
         write_anomaly_instance(out, instance)
@@ -124,6 +134,7 @@ def cmd_generate(args) -> int:
             if getattr(args, name) is None:
                 raise UsageError(f"generate pr requires --{name}")
         density = args.density if args.density is not None else 0.01
+        _usage(pr_partition, args.I, args.N, density, args.blocks)
         # drawn straight into a mapped file that becomes the bundle's
         # sampling.mat, so the matrix is written once and never held in
         # anonymous memory
@@ -151,8 +162,7 @@ def cmd_generate(args) -> int:
 
 def _merge_options(args, file_config: dict) -> dict:
     """flags > config file > built-in defaults."""
-    defaults = {key: default for key, (_, default, _) in SOLVE_OPTIONS.items()}
-    opts = _with_settings(defaults, file_config, "config")
+    opts = _with_settings(SOLVE_DEFAULTS, file_config, "config")
     return {key: value if getattr(args, key) is None else getattr(args, key)
             for key, value in opts.items()}
 
@@ -202,15 +212,13 @@ def _solver_config(opts: dict) -> SolverConfig:
         stop_tol=opts["tol"],
         curvature=opts["c"],
     )
-    try:
-        config.validate()
-    except ConfigError as exc:
-        raise UsageError(str(exc)) from None
+    _usage(config.validate)
     return config
 
 
-def run_algorithm(instance, algorithm: str, opts: dict) -> RunTrace:
-    """Dispatch one solver run; raises UsageError on bad combinations."""
+def run_algorithm(instance, algorithm: str, opts: dict, start=None) -> RunTrace:
+    """Dispatch one solver run from ``start``, by default the seeded start
+    of ``opts["seed"]``; raises UsageError on bad combinations."""
     config = _solver_config(opts)
     kind = type(instance).__name__
     if kind == "AnomalyInstance":
@@ -219,25 +227,21 @@ def run_algorithm(instance, algorithm: str, opts: dict) -> RunTrace:
                 "anomaly instances always use the three factor/sparse blocks")
         if algorithm == "bpgd":
             raise UsageError("bpgd requires a phase-retrieval instance")
-        if algorithm == "bsca":
-            return run_anomaly_bsca(instance, config)
         problem = anomaly_problem(instance)
-        x0 = state_to_vector(initial_state(instance, seed=opts["seed"]))
-        if algorithm == "parallel-sca":
-            return run_parallel_sca(problem, anomaly_solver(instance, config),
-                                    config, x0)
+        x0 = (state_to_vector(initial_state(instance, seed=opts["seed"]))
+              if start is None else start)
+        if algorithm in ("bsca", "parallel-sca"):
+            run = run_bsca if algorithm == "bsca" else run_parallel_sca
+            return run(problem, anomaly_solver(instance, config), config, x0)
         if algorithm == "bgd":
             return run_bgd(problem, config, x0)
     elif kind == "PhaseRetrievalInstance":
         if opts["blocks"] is not None:
             if algorithm == "bpgd" and opts["blocks"] != 1:
                 raise UsageError("bpgd does not support block updates")
-            try:
-                instance = with_blocks(instance, opts["blocks"])
-            except InvalidPartitionError as exc:
-                raise UsageError(f"--blocks: {exc}") from None
-        x0 = np.random.default_rng(opts["seed"]).standard_normal(
-            instance.num_unknowns)
+            instance = _usage(with_blocks, instance, opts["blocks"])
+        x0 = (np.random.default_rng(opts["seed"]).standard_normal(
+            instance.num_unknowns) if start is None else start)
         if algorithm == "bsca":
             return run_phase_retrieval(instance, config, x0)
         if algorithm == "parallel-sca":
@@ -305,16 +309,17 @@ def _parse_variants(path) -> list[dict]:
     return variants
 
 
-def cmd_bench(args) -> int:
-    instance = _load_instance(args.instance)
-    variants = _parse_variants(args.variants)
-    out = Path(args.out)
+def run_variants(instance, variants_file, baseline: dict, out: Path,
+                 start=None) -> dict[str, str | None]:
+    """Run each variant line of ``variants_file`` (``_parse_variants``)
+    with its settings over the options ``baseline``, from ``start`` (see
+    ``run_algorithm``).  Writes ``out/<name>.trace.csv`` per run and
+    ``out/comparison.csv``; returns each variant's failure message, None
+    for one that ran, in the file's order."""
+    variants = _parse_variants(variants_file)
     out.mkdir(parents=True, exist_ok=True)
-    started = _timestamp()
-
-    baseline = _merge_options(args, {})
-    results: dict[str, tuple] = {}
-    failures: dict[str, str] = {}
+    rows = ["variant,final_objective,iters_to_tol,seconds"]
+    outcomes: dict[str, str | None] = {}
     for tokens in variants:
         settings = dict(tokens)
         name, algorithm = settings.pop("name"), settings.pop("algorithm")
@@ -323,34 +328,38 @@ def cmd_bench(args) -> int:
         try:
             opts = _with_settings(baseline, settings, f"variant {name}")
             begin = time.monotonic()
-            trace = run_algorithm(instance, algorithm, opts)
-            results[name] = trace, time.monotonic() - begin
+            trace = run_algorithm(instance, algorithm, opts, start)
+            seconds = time.monotonic() - begin
         except (BscaError, UsageError) as exc:
-            failures[name] = str(exc)
-
-    rows = ["variant,final_objective,iters_to_tol,seconds"]
-    for tokens in variants:
-        name = tokens["name"]
-        if name not in results:
-            print(f"variant {name} failed: {failures[name]}", file=sys.stderr)
+            outcomes[name] = str(exc)
+            print(f"variant {name} failed: {exc}", file=sys.stderr)
             continue
-        trace, seconds = results[name]
+        outcomes[name] = None
         trace.write_csv(out / f"{name}.trace.csv")
         to_tol = trace.tolerance_iteration if trace.tolerance_iteration is not None else -1
-        rows.append("%s,%.17g,%d,%.6g"
-                    % (name, trace.final_objective, to_tol, seconds))
+        rows.append("%s,%.17g,%d,%.6g" % (name, trace.final_objective, to_tol, seconds))
     (out / "comparison.csv").write_text("\n".join(rows) + "\n", encoding="ascii")
+    return outcomes
 
+
+def cmd_bench(args) -> int:
+    instance = _load_instance(args.instance)
+    out = Path(args.out)
+    started = _timestamp()
+    baseline = _merge_options(args, {})
+    outcomes = run_variants(instance, args.variants, baseline, out)
+    ran = [name for name, failure in outcomes.items() if failure is None]
     _write_run_manifest(out, "bench", started, {
         "instance": str(Path(args.instance).resolve()),
         "variants": str(Path(args.variants).resolve()),
         "output.comparison": "comparison.csv",
         **_blas_threads(),
         **_param_entries(baseline),
-        **{f"output.trace.{name}": f"{name}.trace.csv" for name in results},
-        **{f"failed.{name}": message for name, message in failures.items()},
+        **{f"output.trace.{name}": f"{name}.trace.csv" for name in ran},
+        **{f"failed.{name}": failure for name, failure in outcomes.items()
+           if failure is not None},
     })
-    if not results:
+    if not ran:
         print("all variants failed", file=sys.stderr)
         return 3
     print(f"comparison written to {out / 'comparison.csv'}")

@@ -774,10 +774,7 @@ def generate_pr_instance(unknowns: int, measurements: int,
     float64 unknowns x measurements array, such as the mapped file of
     ``storage.map_pr_sampling``), else into a new array, with the same
     bits; see ``_draw_unit_columns``."""
-    if unknowns < 1 or measurements < 1:
-        raise InvalidArgumentError("dimensions must be positive")
-    if not 0.0 < density <= 1.0:
-        raise InvalidArgumentError("density must lie in (0, 1]")
+    partition = pr_partition(unknowns, measurements, density, num_blocks)
     if out is None:
         out = np.empty((unknowns, measurements))
     elif (out.shape != (unknowns, measurements) or out.dtype != np.float64
@@ -795,8 +792,20 @@ def generate_pr_instance(unknowns: int, measurements: int,
         sparse_gain = 0.05 * float(np.abs(sampling @ intensities).max())
     return PhaseRetrievalInstance(
         sampling=sampling, intensities=intensities, sparse_gain=sparse_gain,
-        partition=equal_partition(unknowns, num_blocks), signal=signal,
-        seed=seed, density=density)
+        partition=partition, signal=signal, seed=seed, density=density)
+
+
+def pr_partition(unknowns: int, measurements: int, density: float,
+                 num_blocks: int) -> BlockPartition:
+    """The block partition of the instance ``generate_pr_instance`` draws
+    with these settings; raises InvalidArgumentError or
+    InvalidPartitionError on settings it rejects, which it checks here
+    before it draws anything."""
+    if unknowns < 1 or measurements < 1:
+        raise InvalidArgumentError("dimensions must be positive")
+    if not 0.0 < density <= 1.0:
+        raise InvalidArgumentError("density must lie in (0, 1]")
+    return equal_partition(unknowns, num_blocks)
 
 
 def _draw_unit_columns(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:

@@ -41,7 +41,13 @@ def _shrink(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     # max(b - a, 0) - max(-b - a, 0), with no temporary and in cheap
     # passes where sign(b) max(|b| - a, 0) takes a copysign several
     # times slower; adding 0.0 turns the -0.0 that b = -0.0 can leave at
-    # a = 0 into +0.0
+    # a = 0 into +0.0.  The FISTA rounds of anomaly.sparse_inner_descent
+    # clip in place instead, b - clip(b, -a, a), with the same bits: the
+    # faster form depends on the threshold (timeit, 40000 entries).  For
+    # an array of thresholds, as the inner best response passes, this
+    # form takes 53 us and b - clip(b, -a, a) 250 us; for a scalar one,
+    # written into a buffer in place as the rounds do, the clip takes
+    # 30 us and this form 60 us
     out = np.asarray(np.minimum(b, a))
     np.negative(out, out=out)
     np.minimum(out, a, out=out)

@@ -11,6 +11,7 @@ import pytest
 
 from bsca import phase_retrieval
 from bsca.cli import BLAS_THREAD_VARS, main
+from bsca.errors import BscaError
 from bsca.phase_retrieval import PhaseProducts
 from bsca.storage import INSTANCE_MANIFEST, RUN_MANIFEST, read_manifest, write_manifest
 
@@ -66,13 +67,35 @@ class TestGenerate:
         assert main(["generate", "anomaly", "--N", "5",
                      "--out", str(tmp_path / "y")]) == 2
 
-    def test_a_failed_pr_draw_leaves_the_bundle_as_it_was(self, pr_dir, tmp_path):
+    def test_a_failed_pr_draw_leaves_the_bundle_as_it_was(self, pr_dir, tmp_path,
+                                                           monkeypatch):
+        # the draw fails after the mapped file is made: a solver error
+        def failed_draw(rng, out):
+            raise BscaError("the draw failed")
+
+        monkeypatch.setattr(phase_retrieval, "_draw_unit_columns", failed_draw)
         bundle = tmp_path / "copy"
         shutil.copytree(pr_dir, bundle)
         before = {p.name: p.read_bytes() for p in bundle.iterdir()}
-        assert main(["generate", "pr", "--I", "10", "--N", "8", "--density", "2",
+        assert main(["generate", "pr", "--I", "10", "--N", "8",
                      "--out", str(bundle)]) == 3
         assert {p.name: p.read_bytes() for p in bundle.iterdir()} == before
+
+    @pytest.mark.parametrize("argv", [
+        ["pr", "--I", "10", "--N", "8", "--blocks", "0"],
+        ["pr", "--I", "10", "--N", "8", "--blocks", "20"],
+        ["pr", "--I", "10", "--N", "8", "--density", "2"],
+        ["pr", "--I", "0", "--N", "8"],
+        ["anomaly", "--N", "5", "--K", "6", "--I", "4", "--rho", "9"],
+        ["anomaly", "--N", "5", "--K", "6", "--I", "4", "--rho", "2", "--density", "0"],
+    ], ids=" ".join)
+    def test_settings_the_generators_reject_are_usage_errors_that_write_nothing(
+            self, tmp_path, capsys, argv):
+        out = tmp_path / "bundle"
+        assert main(["generate", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not out.exists()
 
 
 class TestSolve:

@@ -45,7 +45,12 @@ from bsca.linesearch import (
     descent_quantity,
     quadratic_profile,
 )
-from bsca.phase_retrieval import generate_pr_instance, pr_outer_model, pr_problem
+from bsca.phase_retrieval import (
+    generate_pr_instance,
+    pr_outer_model,
+    pr_problem,
+    run_phase_retrieval,
+)
 from bsca.surrogates import make_quadratic_surrogate
 
 from conftest import (
@@ -54,6 +59,7 @@ from conftest import (
     fresh_inner_stepsize,
     model_value,
     random_quadratic_problem,
+    small_pr_instance,
     spd_model,
     tracing,
 )
@@ -458,9 +464,11 @@ class TestGuard:
             constraints=tuple(constraints))
 
     def test_a_block_step_evaluates_its_own_block_alone(self, rng, monkeypatch):
-        # the start and each sweep end check and evaluate every block; a
-        # step in between checks and evaluates the block it moved, and
-        # the objective it sums has the bits of core.objective
+        # the start checks and evaluates every block, and each sweep end
+        # checks every block and, with no product hook whose products it
+        # re-forms, evaluates none; a step checks and evaluates the block
+        # it moved, and the objective it sums has the bits of
+        # core.objective
         log, sums = [], []
         problem = self.problem(rng, log)
         K = self.K
@@ -486,10 +494,11 @@ class TestGuard:
             kept, stop = honest_advance(book, x_prev, x_new, t, block, step)
             calls = Counter(log)
             effective, sweep_end = step.gamma != 0.0, (t + 1) % K == 0
-            expected = effective + K * sweep_end
-            assert calls == Counter(contains=expected, value=expected), t
-            points = [x_new] * effective + [kept] * sweep_end
-            assert sums == [objective(book.problem, p) for p in points], t
+            assert calls == Counter(contains=effective + K * sweep_end,
+                                    value=effective), t
+            assert sums == [objective(book.problem, x_new)] * effective, t
+            if sweep_end:
+                assert book.objective == objective(book.problem, kept), t
             seen["steps" if effective else "skips"] += 1
             return kept, stop
 
@@ -521,6 +530,46 @@ class TestGuard:
         x_new[problem.partition.slice_of(self.BOX)] = [0.25, 0.75]
         with pytest.raises(FeasibilityError, match="t=12$"):
             book.advance(x, x_new, 12, self.BOX, StepResult(1.0))
+
+    def test_a_sweep_end_evaluates_in_full_only_where_it_re_formed_products(
+            self, rng, monkeypatch):
+        # without a hook, and where the kept products are fresh (low-rank +
+        # sparse, Bregman), the kept objective already has the bits of a
+        # full evaluation; carried phase-retrieval products are re-formed
+        problem, _, _ = random_quadratic_problem(rng, [3, 2, 4], l1_gain=0.1)
+        values = []
+
+        def smooth_value(x):
+            values.append(1)
+            return problem.smooth_value(x)
+
+        counted = dataclasses.replace(problem, smooth_value=smooth_value)
+        cfg = SolverConfig(max_outer_iterations=10, curvature=1.0, stop_tol=0.0)
+        trace = run_parallel_sca(counted, quadratic_solver(1.0), cfg,
+                                 rng.standard_normal(9))
+        assert np.count_nonzero(trace.stepsizes) == 10
+        assert len(values) == 11    # the start and each step's guard
+
+        full = []
+        honest = engine._RunBook._evaluate_all
+        monkeypatch.setattr(engine._RunBook, "_evaluate_all",
+                            lambda book, x: full.append(1) or honest(book, x))
+
+        def evaluations(run, iterations):
+            full.clear()
+            trace = run(SolverConfig(max_outer_iterations=iterations, stop_tol=0.0))
+            assert trace.iterations == iterations
+            return len(full)
+
+        inst = generate_anomaly_instance(12, 8, 6, rank=2, density=0.3, seed=5)
+        x0 = state_to_vector(initial_state(inst, seed=1))
+        assert evaluations(lambda cfg: run_bsca(
+            anomaly_problem(inst), anomaly_solver(inst, cfg), cfg, x0), 90) == 1
+        pr = small_pr_instance(rng, [4, 4, 4])
+        start = rng.standard_normal(12)
+        assert evaluations(lambda cfg: run_bpgd(pr, cfg, start), 10) == 1
+        # the start and each of the 10 sweep ends
+        assert evaluations(lambda cfg: run_phase_retrieval(pr, cfg, start), 30) == 11
 
 
 class TestParallelSca:

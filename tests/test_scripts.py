@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT_DIR = Path(__file__).resolve().parents[1] / "scripts"
@@ -36,13 +37,12 @@ def variant_options(path):
     """``(name, algorithm, options)`` of each line of a variants file, its
     settings over the command line's defaults, as ``bsca bench`` reads it
     (without solving)."""
-    from bsca.cli import SOLVE_OPTIONS, _parse_variants, _with_settings
+    from bsca.cli import SOLVE_DEFAULTS, _parse_variants, _with_settings
 
-    defaults = {key: default for key, (_, default, _) in SOLVE_OPTIONS.items()}
     for tokens in _parse_variants(path):
         settings = dict(tokens)
         name, algorithm = settings.pop("name"), settings.pop("algorithm")
-        yield name, algorithm, _with_settings(defaults, settings, f"variant {name}")
+        yield name, algorithm, _with_settings(SOLVE_DEFAULTS, settings, f"variant {name}")
 
 
 @pytest.mark.parametrize("path", VARIANTS, ids=lambda path: path.stem)
@@ -67,6 +67,47 @@ def test_desk_pr_variants_hold_the_grid_and_both_baselines():
     assert grid == {(K, tau) for K in (1, 2, 10) for tau in (1, 10)}
 
 
+def test_desk_pr_grid_runs_the_bench_loop_from_the_scripts_warm_start(
+        tmp_path, monkeypatch):
+    # each trace equals the direct call of the solver from the same start
+    from bsca.core import SolverConfig
+    from bsca.engine import run_bgd, run_bpgd
+    from bsca.phase_retrieval import (
+        generate_pr_instance,
+        pr_problem,
+        run_phase_retrieval,
+        with_blocks,
+    )
+
+    grid = load(next(path for path in SCRIPTS if path.stem == "pr_variant_grid"))
+    monkeypatch.setattr(sys, "argv", ["pr_variant_grid.py", "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as done:
+        grid.main()
+    assert done.value.code == 0
+    inst = generate_pr_instance(400, 100, density=0.01, seed=0)
+    noise = np.random.default_rng(1000).standard_normal(400)
+    x0 = inst.signal + 0.2 * (noise / np.linalg.norm(noise))
+    direct = {}
+    for K in (1, 2, 10):
+        for tau in (1, 10):
+            cfg = SolverConfig(max_outer_iterations=3000 * K, stop_tol=0.0,
+                               inner_iterations=tau)
+            direct[f"bsca_k{K}_t{tau}"] = run_phase_retrieval(with_blocks(inst, K), cfg, x0)
+    for K in (2, 10):
+        cfg = SolverConfig(max_outer_iterations=3000 * K, stop_tol=0.0)
+        direct[f"bgd_k{K}"] = run_bgd(pr_problem(with_blocks(inst, K)), cfg, x0)
+    direct["bpgd"] = run_bpgd(inst, SolverConfig(max_outer_iterations=3000, stop_tol=0.0), x0)
+    for name, trace in direct.items():
+        trace.write_csv(tmp_path / "direct.csv")
+        assert (without_time(tmp_path / f"{name}.trace.csv")
+                == without_time(tmp_path / "direct.csv")), name
+    assert len(without_time(tmp_path / "comparison.csv")) == 1 + len(direct)
+
+
+def without_time(path):
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
 def test_manifest_gate_runs_without_pythonpath():
     gate = next(path for path in SCRIPTS if path.stem == "manifest_gate")
     env = {name: value for name, value in os.environ.items() if name != "PYTHONPATH"}
@@ -82,7 +123,7 @@ def test_manifest_gate_compares_a_checkout_with_itself():
     done = subprocess.run([sys.executable, str(gate), "compare", str(gate.parents[1])],
                           env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.splitlines()[-1] == "19 of 19 manifests reproduce"
+    assert done.stdout.splitlines()[-1] == "20 of 20 manifests reproduce"
 
 
 def test_manifest_gate_sums_up_how_two_traces_differ(tmp_path):
