@@ -9,7 +9,10 @@ runs with one checkout, then re-run every manifest with another.
 ``record`` generates one phase-retrieval and one low-rank + sparse
 instance, runs 17 ``bsca solve`` variants on them at the CLI defaults,
 and runs ``bsca bench`` of ``desk_anomaly.variants`` on the low-rank +
-sparse one.  ``check`` reruns each of the 20 manifests with ``bsca
+sparse one.  It also generates a phase-retrieval instance with one
+1000 x 2500 block (19 MiB), whose dense block visits form the diagonal
+on a second thread (``phase_retrieval._OVERLAP_BYTES``), and solves it
+with ``bsca``.  ``check`` reruns each of the 22 manifests with ``bsca
 reproduce --out`` into a temporary directory, prints one verdict line
 per manifest, and exits 1 if any reproduction differs or fails.  For
 each trace of a run that differs (``trace.csv``, or a bench run's
@@ -63,6 +66,10 @@ SOLVES = [
     ("pr", "bpgd", []),
     ("pr", "bpgd", ["--blocks", "1"]),
 ]
+# the one-block phase-retrieval bundle: its name, generate flags and
+# ``bsca solve`` flags
+BIG_BLOCK = ("pr-big-block", ["--I", "1000", "--N", "2500", "--density", "0.01",
+                              "--seed", "7"], ["--blocks", "1", "--max-iters", "20"])
 # the variants file ``bsca bench`` runs on the low-rank + sparse instance
 BENCH_VARIANTS = Path(__file__).with_name("desk_anomaly.variants")
 
@@ -85,7 +92,12 @@ def record(root: Path, src: Path = SRC) -> int:
                       "--out", str(root / "runs" / name), *flags, src=src))
     _checked(bsca("bench", str(root / "instances" / "anomaly"), "--variants",
                   str(BENCH_VARIANTS), "--out", str(root / "runs" / "anomaly-bench"), src=src))
-    print(f"recorded {len(INSTANCES) + len(SOLVES) + 1} manifests under {root}")
+    name, generate_flags, solve_flags = BIG_BLOCK
+    big = root / "instances" / name
+    _checked(bsca("generate", "pr", "--out", str(big), *generate_flags, src=src))
+    _checked(bsca("solve", str(big), "--algorithm", "bsca", "--out", str(root / "runs" / name),
+                  *solve_flags, src=src))
+    print(f"recorded {len(INSTANCES) + len(SOLVES) + 3} manifests under {root}")
     return 0
 
 

@@ -15,6 +15,8 @@ from step to step and re-forms once per sweep.
 from __future__ import annotations
 
 import itertools
+import resource
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -402,9 +404,10 @@ class _BlockOperator:
     - ``diagonal`` gives the entries on given indices.  It forms the
       block-aligned groups of ``_CHUNK_ROWS`` (4) rows that hold them,
       those it lacks, and keeps them; the entries have the bits of a
-      pass over 16-row chunks (see ``_CHUNK_ROWS``).  A pass that forms
-      every group at once also hands the rows' norms ``||a_i||``, from
-      the same squares, to ``norms_sink`` when one is given."""
+      pass over 16-row chunks (see ``_CHUNK_ROWS``).  While a
+      ``norms_sink`` is given, its passes also sum the squares of each
+      row, and once every group is formed, in one call or over several,
+      they hand the rows' norms ``||a_i||`` to it."""
 
     def __init__(self, rows: np.ndarray, u_sq: np.ndarray, curvature: float,
                  norms_sink=None):
@@ -424,6 +427,7 @@ class _BlockOperator:
             groups -= 1    # the lone last row joins the group before it
         self.formed = np.zeros(groups, dtype=bool)
         self.complete = False
+        self.sums = None if norms_sink is None else np.empty(length)    # ||a_i||^2
 
     def gradient(self, grad_u: np.ndarray, support: np.ndarray) -> np.ndarray:
         """``A_k grad_u``, from the product that also forms the columns on
@@ -515,9 +519,7 @@ class _BlockOperator:
             else:
                 runs.append([group, group])
         last = self.formed.size - 1
-        sums = ones = None
-        if self.norms_sink is not None and len(groups) == self.formed.size:
-            sums, ones = np.empty(len(self.rows)), np.ones(self.rows.shape[1])
+        ones = None if self.sums is None else np.ones(self.rows.shape[1])
         squares = np.empty((min(_LAYOUT_ROWS, len(self.rows)), self.rows.shape[1]))
         for first, final in runs:
             start = first * _CHUNK_ROWS
@@ -525,12 +527,12 @@ class _BlockOperator:
             rows = self.rows[start:stop]
             part = np.multiply(rows, rows, out=squares[:stop - start])
             self.diag[start:stop] = 2.0 * (part @ self.u_sq) + self.curvature
-            if sums is not None:
-                sums[start:stop] = part @ ones
+            if ones is not None:
+                self.sums[start:stop] = part @ ones
             self.formed[first:final + 1] = True
         self.complete = bool(self.formed.all())
-        if sums is not None:
-            self.norms_sink(np.sqrt(sums))
+        if self.complete and ones is not None:
+            self.norms_sink(np.sqrt(self.sums))
 
 
 class _WorkingSet:
@@ -608,6 +610,23 @@ class _WorkingSet:
         return out
 
 
+# bytes of a dense anchor's support rows from which its model forms the
+# diagonal on a second thread; set from the break-even that
+# ``pr_outer_model`` gives, between 9.5 and 11.4 MiB of rows
+_OVERLAP_BYTES = 11 << 20
+
+
+def _overlaps(rows: np.ndarray, anchor: np.ndarray) -> bool:
+    """Whether the model at the dense ``anchor`` forms its diagonal beside
+    the gradient: its support rows hold ``_OVERLAP_BYTES`` and no data
+    or address-space limit is set, as the thread's memory counts
+    towards both."""
+    if np.count_nonzero(anchor) * rows.shape[1] * rows.itemsize < _OVERLAP_BYTES:
+        return False
+    return all(resource.getrlimit(limit)[0] == resource.RLIM_INFINITY
+               for limit in (resource.RLIMIT_DATA, resource.RLIMIT_AS))
+
+
 def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
                    curvature: float) -> SurrogateModel:
     """Partial linearization of the residual map inside the quartic loss:
@@ -624,11 +643,39 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
     formed), so a first inner step to a sparse target is applied from
     the target's columns: with the diagonal, three passes over A_k.
     The diagonal is formed on demand, a few rows at a time, where the
-    best response reads it; the block's first pass over every row also
-    gives the product hook the rows' norms.  ``problem`` is a
-    ``pr_problem``: the data and ``A'x`` come from its product hook, so
-    inside a run the model reads the maintained product; the hook keeps
-    the gradient as the block's reference (``PhaseProducts.reference``).
+    best response reads it; the block's first diagonal to be completed
+    also gives the product hook the rows' norms.
+
+    At a dense anchor whose support rows hold ``_OVERLAP_BYTES`` (11
+    MiB), with no ``RLIMIT_DATA`` or ``RLIMIT_AS`` set, the diagonal on
+    the anchor's support is formed on a second thread while this one
+    forms the partial, when the hook does not hold it, and the gradient.
+    None of it is wasted: the first inner best response reads the
+    diagonal wherever ``x_i != 0`` (``inner_best_response_step``), and it
+    has the bits it would have had on demand.  The thread lives inside
+    this call and touches only the diagonal's state.  A limit is left
+    alone: the thread adds its stack to VmData (8 MiB) and a malloc
+    arena to the address space (64 MiB), and under a 96 MiB data limit
+    its first BLAS call failed to map a buffer; RssAnon grows by about
+    1 MiB.  Break-even, one BLAS thread, 5000 columns, a held partial,
+    the model's build plus its whole diagonal, overlapped over
+    sequential (medians of 15 to 31 pairs):
+
+        rows (MiB)  100 (3.8)  200 (7.6)  250 (9.5)  300 (11.4)
+        ratio       1.63       1.41       1.49       0.85
+        rows (MiB)  400 (15.3) 700 (26.7) 1000 (38.1) 2000 (76.3)
+        ratio       0.83       0.70       0.69        0.79
+
+    Measured worth (``scripts/ab_solve.py``, 12 pairs per side
+    assignment): without the thread a ``pr_wide_blocks`` solve took 1.06
+    times as long under both, traces bit for bit; at the published size
+    (20000 x 5000, 10 blocks, cold start) the first sweep took 1.48-1.65
+    s against 1.30-1.54 s with it (10 rounds each).
+
+    ``problem`` is a ``pr_problem``: the data and ``A'x`` come from its
+    product hook, so inside a run the model reads the maintained
+    product; the hook keeps the gradient as the block's reference
+    (``PhaseProducts.reference``).
 
     ``pr_solver`` builds this model for a dense anchor, and for a sparse
     one only when its working set would pass ``_SPARSE_CAP``."""
@@ -645,10 +692,19 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
     anchor = x[instance.partition.slice_of(k)].copy()
     support = _sparse_support(anchor)
     if support is None:
-        partial = products.partial(x, k)
-        if partial is None:
-            partial = _transposed_product(rows, anchor)
-        grad = operator.anchored_gradient(grad_u, anchor, partial)
+        def gradient() -> np.ndarray:
+            partial = products.partial(x, k)
+            if partial is None:
+                partial = _transposed_product(rows, anchor)
+            return operator.anchored_gradient(grad_u, anchor, partial)
+
+        if _overlaps(rows, anchor):
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                formed = pool.submit(operator.diagonal, np.flatnonzero(anchor))
+                grad = gradient()
+                formed.result()
+        else:
+            grad = gradient()
     else:
         grad = operator.gradient(grad_u, support)
     products.note_model(k, grad, grad_u)

@@ -1,8 +1,10 @@
 import dataclasses
 import os
 import pickle
+import resource
 import subprocess
 import sys
+import threading
 import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -37,6 +39,7 @@ from bsca.phase_retrieval import (
     generate_pr_instance,
     pr_outer_model,
     pr_problem,
+    pr_solver,
     run_phase_retrieval,
     with_blocks,
 )
@@ -1174,6 +1177,171 @@ class TestWorkingSet:
         gemv = [((200, 1200), (1200,))]
         for certified, products in zip(kinds, passes):
             assert products == ([] if certified else gemv)
+
+
+class TestConcurrentDiagonal:
+    """A dense anchor's model forms the diagonal on the anchor's support
+    on a second thread (``pr_outer_model``), on 2 blocks of 100 rows of a
+    200 x 300 instance, from a dense start and from one with 40 of block
+    0's entries zero (whole 4-row groups, so that the second thread does
+    not form every group of the first visit's diagonal)."""
+
+    CONFIG = SolverConfig(max_outer_iterations=30, inner_iterations=10, stop_tol=0.0)
+    RUNS = {
+        "bsca": run_phase_retrieval,
+        # a joint step drops the partials, so its models form them
+        "parallel": lambda inst, cfg, x0: run_parallel_sca(
+            pr_problem(inst), pr_solver(cfg), cfg, x0),
+    }
+
+    @staticmethod
+    def instance():
+        return generate_pr_instance(200, 300, density=0.05, num_blocks=2, seed=41)
+
+    @classmethod
+    def start(cls, zeros):
+        # the benchmark's warm start, so that later visits are sparse
+        # and read the row norms
+        noise = np.random.default_rng(43).standard_normal(200)
+        x0 = cls.instance().signal + 0.2 * noise / np.linalg.norm(noise)
+        if zeros:
+            x0[20:60] = 0.0
+        return x0
+
+    @staticmethod
+    def spied_pools(monkeypatch):
+        pools = []
+
+        class Spy(ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(phase_retrieval, "ThreadPoolExecutor", Spy)
+        return pools
+
+    @pytest.mark.parametrize("zeros", [False, True])
+    @pytest.mark.parametrize("runner", ["bsca", "parallel"])
+    def test_traces_keep_their_bits(self, monkeypatch, runner, zeros):
+        inst, x0 = self.instance(), self.start(zeros)
+        pools = self.spied_pools(monkeypatch)
+        # the overlap costs no pass for the row norms: a diagonal that
+        # completes over several calls hands them over as one pass does
+        norms_passes = []
+        honest = phase_retrieval._norms_of
+        monkeypatch.setattr(phase_retrieval, "_norms_of",
+                            lambda rows: norms_passes.append(len(rows)) or honest(rows))
+        traces, passes = [], []
+        for threshold in (0, 1 << 62):
+            monkeypatch.setattr(phase_retrieval, "_OVERLAP_BYTES", threshold)
+            before = len(norms_passes)
+            traces.append(self.RUNS[runner](inst, self.CONFIG, x0))
+            passes.append(len(norms_passes) - before)
+            if threshold == 0:
+                assert pools    # the overlap ran
+                overlapped = len(pools)
+        assert len(pools) == overlapped
+        assert passes[0] == passes[1]
+        if not zeros:    # every first visit forms the whole diagonal
+            assert passes == [0, 0]
+        beside, alone = traces
+        assert beside.objectives.tobytes() == alone.objectives.tobytes()
+        assert beside.stepsizes.tobytes() == alone.stepsizes.tobytes()
+        assert beside.final_point.values.tobytes() == alone.final_point.values.tobytes()
+
+    def test_an_error_on_the_second_thread_reaches_the_run(self, monkeypatch):
+        honest = phase_retrieval._BlockOperator.diagonal
+
+        def failing(operator, index):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("diagonal failed")
+            return honest(operator, index)
+
+        monkeypatch.setattr(phase_retrieval._BlockOperator, "diagonal", failing)
+        monkeypatch.setattr(phase_retrieval, "_OVERLAP_BYTES", 0)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="diagonal failed"):
+            run_phase_retrieval(self.instance(), self.CONFIG, self.start(False))
+        assert threading.active_count() == before
+
+    def test_one_executor_per_dense_visit_at_the_threshold_and_none_below(
+            self, monkeypatch):
+        inst = self.instance()
+        pools = self.spied_pools(monkeypatch)
+        run_phase_retrieval(inst, self.CONFIG, self.start(True))
+        assert pools == []    # 235 KiB blocks, far below _OVERLAP_BYTES
+        # at the threshold of a whole block's rows only the fully dense
+        # anchors pass it: block 1's, not block 0's with its zeros
+        monkeypatch.setattr(phase_retrieval, "_OVERLAP_BYTES", 100 * 300 * 8)
+        honest = phase_retrieval.pr_outer_model
+        dense = []
+
+        def spy(problem, x, k, curvature):
+            anchor = x[inst.partition.slice_of(k)]
+            if phase_retrieval._sparse_support(anchor) is None:
+                dense.append(np.count_nonzero(anchor))
+            return honest(problem, x, k, curvature)
+
+        monkeypatch.setattr(phase_retrieval, "pr_outer_model", spy)
+        run_phase_retrieval(inst, self.CONFIG, self.start(True))
+        assert 60 in dense and 100 in dense
+        assert len(pools) == dense.count(100)
+
+    CHILD = """
+import numpy as np
+from concurrent.futures import ThreadPoolExecutor
+from bsca import phase_retrieval
+from bsca.core import SolverConfig
+
+pools = []
+
+class Spy(ThreadPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        pools.append(self)
+        super().__init__(*args, **kwargs)
+
+phase_retrieval.ThreadPoolExecutor = Spy
+phase_retrieval._OVERLAP_BYTES = 0
+inst = phase_retrieval.generate_pr_instance(200, 300, density=0.05, num_blocks=2, seed=41)
+phase_retrieval.run_phase_retrieval(inst, SolverConfig(max_outer_iterations=4),
+                                    np.random.default_rng(43).standard_normal(200))
+print(len(pools))
+"""
+
+    @pytest.mark.parametrize("limit", ["RLIMIT_DATA", "RLIMIT_AS"])
+    def test_a_memory_limit_keeps_each_visit_on_one_thread(self, limit):
+        # a second thread maps a BLAS buffer of its own, which these
+        # limits count; a roomy one still leaves every visit sequential
+        cap = 1 << 30
+        here = Path(__file__).resolve().parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=str(here.parent / "src"))
+
+        def pools(preexec_fn=None):
+            done = subprocess.run([sys.executable, "-c", self.CHILD], env=env,
+                                  capture_output=True, text=True, preexec_fn=preexec_fn)
+            assert done.returncode == 0, done.stderr
+            return int(done.stdout)
+
+        assert pools() > 0
+        kind = getattr(resource, limit)
+        assert pools(lambda: resource.setrlimit(kind, (cap, cap))) == 0
+
+    def test_row_norms_are_handed_over_once_the_diagonal_is_complete(self):
+        # the second thread forms the support's groups and the best
+        # response the rest: no one pass forms every group
+        inst = self.instance()
+        x = self.start(True)
+        problem = pr_problem(inst)
+        problem.products.track(x)
+        rows = inst.block_rows(0)
+        model = pr_outer_model(problem, x, 0, 1e-3)
+        model.quad.diagonal(np.flatnonzero(x[:100]))
+        assert problem.products.row_norms_sink(0) is not None
+        model.quad.diagonal(np.arange(20, 60))
+        assert problem.products.row_norms_sink(0) is None
+        norms = problem.products.row_norms(0)
+        assert norms.tobytes() == phase_retrieval._norms_of(rows).tobytes()
 
 
 class TestGenerator:
