@@ -10,9 +10,10 @@ runs with one checkout, then re-run every manifest with another.
 instance, runs 17 ``bsca solve`` variants on them at the CLI defaults,
 and runs ``bsca bench`` of ``desk_anomaly.variants`` on the low-rank +
 sparse one.  It also generates a phase-retrieval instance with one
-1000 x 2500 block (19 MiB), whose dense block visits form the diagonal
-on a second thread (``phase_retrieval._OVERLAP_BYTES``), and solves it
-with ``bsca``.  ``check`` reruns each of the 22 manifests with ``bsca
+1000 x 2500 block (19 MiB, past ``phase_retrieval._SECOND_THREAD_BYTES``)
+and solves it with ``bsca``: its dense visits form the diagonal on a
+second thread, and its products over the block run in halves on two
+threads.  ``check`` reruns each of the 22 manifests with ``bsca
 reproduce --out`` into a temporary directory, prints one verdict line
 per manifest, and exits 1 if any reproduction differs or fails.  For
 each trace of a run that differs (``trace.csv``, or a bench run's
