@@ -27,7 +27,12 @@ the median over pairs of the time ratio B/A (CHECKOUT_B over
 CHECKOUT_A), the share of pairs in which B ran faster, and whether the
 claim rule held on the scaled times: at least ten pairs ran, B won at
 least nine tenths of them (ties count for neither side), and the
-medians differ by more than the distance between A's quartiles.  B's
+medians differ by more than the distance between A's quartiles.  It
+also prints each side's function calls per solve, Python and built-in,
+counted by ``cProfile`` in one more solve per side, which is not timed:
+a count that repeats exactly, for a claim about per-call overhead,
+except that a wait for a product half on a second thread adds a few
+calls when the half is not done yet.  B's
 gain is claimed only when the rule holds under both assignments, so a
 bias of the harness towards one side cannot make the claim.  Timing
 the two sides back to back keeps a machine whose speed drifts over
@@ -36,6 +41,7 @@ the quartiles.  Nothing under perfbench/ is changed.
 """
 
 import argparse
+import cProfile
 import importlib
 import importlib.util
 import math
@@ -201,15 +207,28 @@ def main(argv=None) -> int:
                  for label, checkout in roles}
         agreed, times, gauges = timed_pairs(sides, [label for label, _ in roles],
                                             args.pairs, measure)
-        del sides
         same = same and agreed
         print(f"traces bit for bit: {'yes' if agreed else 'no'}")
         lines = report(times["A"], times["B"], gauges, measure.GAUGE_REF_S)[1]
         print("\n".join(lines))
+        for label, _ in roles:
+            print(f"{label} function calls per solve (cProfile, untimed): "
+                  f"{python_calls(sides[label])}")
+        del sides
         scale = measure.GAUGE_REF_S / np.asarray(gauges)
         scaled.append((np.asarray(times["A"]) * scale, np.asarray(times["B"]) * scale))
     print(claim(*scaled)[1])
     return 0 if same else 1
+
+
+def python_calls(side: Side) -> int:
+    """The calls ``cProfile`` counts in one solve of ``side``, built-in
+    functions included, summed over the profiler's own entries:
+    ``pstats`` keys them by file, line and name, under which the
+    ``__init__`` of two dataclasses can collide and count once."""
+    profile = cProfile.Profile()
+    profile.runcall(side.solve)
+    return sum(entry.callcount for entry in profile.getstats())
 
 
 def timed_pairs(sides: dict, order: list[str], pairs: int, measure):

@@ -10,6 +10,7 @@ sets (unconstrained or box in this package).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -113,7 +114,7 @@ class BlockPoint:
 @dataclass(frozen=True)
 class Unconstrained:
     def contains(self, v: np.ndarray) -> bool:
-        return bool(np.all(np.isfinite(v)))
+        return bool(np.isfinite(v).all())
 
     def clip(self, v: np.ndarray) -> np.ndarray:
         return v
@@ -164,7 +165,8 @@ class L1Norm:
             raise InvalidArgumentError("l1 gain must be nonnegative")
 
     def value(self, v: np.ndarray) -> float:
-        return float(self.gain * np.abs(v).sum())
+        # the reduction ``sum`` makes, without its Python wrapper
+        return float(self.gain * np.add.reduce(np.abs(v), axis=None))
 
 
 Regularizer = Zero | L1Norm
@@ -422,8 +424,20 @@ def is_stationary(delta: np.ndarray, anchor: np.ndarray) -> bool:
     """True when the displacement ``delta`` from ``anchor`` is zero up to
     rounding, ``||delta|| <= STATIONARITY_RTOL * (1 + ||anchor||)``; every
     solver skips such a step."""
-    return bool(np.linalg.norm(delta)
-                <= STATIONARITY_RTOL * (1.0 + np.linalg.norm(anchor)))
+    return _norm(delta) <= STATIONARITY_RTOL * (1.0 + _norm(anchor))
+
+
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` of a real array, with its bits: the square
+    root of the dot product of the array raveled as numpy ravels it,
+    without the checks that cost ``np.linalg.norm`` microseconds a call."""
+    v = v.ravel(order="K")
+    return math.sqrt(v @ v)
+
+
+def _nonzeros(v: np.ndarray) -> np.ndarray:
+    """``np.flatnonzero(v)``, without its dispatch."""
+    return v.ravel().nonzero()[0]
 
 
 # ---------------------------------------------------------------------------

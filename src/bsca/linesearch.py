@@ -61,17 +61,18 @@ class ScalarProfile:
         if self.v4 == self.v3 == 0.0 < self.v2:
             return exact_quadratic_step(self.v2, self.v1)
         # np.roots strips leading zeros, so this is the lower-degree case
-        return _polynomial_argmin(self, np.roots([self.v4, self.v3, self.v2, self.v1]))
+        roots = np.roots([self.v4, self.v3, self.v2, self.v1])
+        return _polynomial_argmin(self, roots.real[abs(roots.imag) < 1e-9].tolist())
 
 
 def quadratic_profile(a2: float, a1: float) -> ScalarProfile:
     return ScalarProfile(0.0, 0.0, float(a2), float(a1))
 
 
-def _polynomial_argmin(profile: ScalarProfile, stationary) -> StepResult:
-    real = [float(np.real(r)) for r in np.atleast_1d(stationary)
-            if abs(np.imag(r)) < 1e-9]
-    candidates = [0.0, 1.0] + [g for g in real if 0.0 < g < 1.0]
+def _polynomial_argmin(profile: ScalarProfile, stationary: list[float]) -> StepResult:
+    """The endpoint or real stationary point in [0, 1] where the profile
+    is least (ties go to the smaller gamma)."""
+    candidates = [0.0, 1.0] + [g for g in stationary if 0.0 < g < 1.0]
     return StepResult(min(candidates, key=lambda g: (profile.value(g), g)))
 
 
@@ -99,10 +100,10 @@ def exact_quartic_step(v4: float, v3: float, v2: float, v1: float) -> StepResult
         raise InvalidArgumentError("quartic profile needs v4 > 0")
     profile = ScalarProfile(v4, v3, v2, v1)
     try:
-        roots = cubic_real_roots(v4, v3, v2, v1)
+        roots = _cubic_roots(v4, v3, v2, v1)
     except OverflowError:
         return _grid_golden(profile.value)
-    if not np.all(np.isfinite(roots)):
+    if not all(map(math.isfinite, roots)):
         return _grid_golden(profile.value)
     return _polynomial_argmin(profile, roots)
 
@@ -139,7 +140,14 @@ def _grid_golden(phi: Callable[[float], float], grid: int = 1000,
 # ---------------------------------------------------------------------------
 
 def cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> np.ndarray:
-    """Sorted real roots of c3 t^3 + c2 t^2 + c1 t + c0, c3 != 0.
+    """Sorted real roots of c3 t^3 + c2 t^2 + c1 t + c0, c3 != 0, as an
+    array (``_cubic_roots``)."""
+    return np.array(_cubic_roots(c3, c2, c1, c0))
+
+
+def _cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
+    """Sorted real roots of c3 t^3 + c2 t^2 + c1 t + c0, c3 != 0, as
+    Python floats.
 
     The depressed-cubic discriminant picks between the one-real-root
     Cardano branch (in the cancellation-safe u - p/(3u) form) and the
@@ -202,7 +210,7 @@ def cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> np.ndarray:
         gaps = [unique[i + 1] - unique[i] for i in range(len(unique) - 1)]
         i = gaps.index(min(gaps))
         unique[i:i + 2] = [0.5 * (unique[i] + unique[i + 1])]
-    return np.array(unique)
+    return unique
 
 
 def _residual_quality(t: float, a: float, b: float, c: float) -> float:

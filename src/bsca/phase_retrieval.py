@@ -31,6 +31,8 @@ from .core import (
     RunTrace,
     SolverConfig,
     TrackedProducts,
+    _nonzeros,
+    _norm,
     _support_count,
     equal_partition,
 )
@@ -75,6 +77,7 @@ class PhaseRetrievalInstance:
 
 
 _SPARSE_CAP = 32    # most nonzeros of a vector taken on its support rows
+_EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +168,21 @@ def _halves(form, length: int, nbytes: int, width: int, least: int = 0) -> None:
     Without the split a ``pr_wide_blocks`` solve took 1.17-1.22 times as
     long (``scripts/ab_solve.py``, 12 pairs per side assignment, two
     runs, traces bit for bit), and the published cold first sweep
-    (20000 x 5000, 10 blocks) 1.10-1.27 s against 0.73-0.94 s with it."""
+    (20000 x 5000, 10 blocks) 1.10-1.27 s against 0.73-0.94 s with it.
+    The gain depends on the host.  On a 2-vCPU host whose second vCPU
+    adds little (two processes, each running a 3,000,000-iteration
+    Python loop, took 0.39-0.81 s side by side against 0.34-0.39 s
+    alone; the halves of a 1000 x 5000 gemv took 2.0 ms on two threads
+    against 1.8-1.9 ms on one), a solve with every product whole took
+    0.92-1.00 times as long (same script, two runs, the whole products
+    faster in 7 to 10 of 12 pairs).  A product that stays whole by its
+    size calls ``form`` at once, without ``_second_thread``'s checks
+    (4-7 us a call, 71 calls per ``pr_scaleup`` solve)."""
     cut = length // 2 // _LAYOUT_ROWS * _LAYOUT_ROWS
-    whole = cut < least or (length - cut) * width <= _GIL_ENTRIES
-    with _second_thread(-1 if whole else nbytes) as pool:
+    if (cut < least or (length - cut) * width <= _GIL_ENTRIES
+            or nbytes < _SECOND_THREAD_BYTES):
+        return form(0, length)
+    with _second_thread(nbytes) as pool:
         if pool is None:
             form(0, length)
         else:
@@ -205,16 +219,15 @@ def _spread(grad_u: np.ndarray, grad_u_ref: np.ndarray) -> float:
     ``A_k grad_u`` and ``A_k grad_u'``: a dot product of length N is off
     by at most ``N eps |a||b|``, so ``4 N eps ||a_i|| (||grad_u|| +
     ||grad_u'||)`` covers both."""
-    slack = 4.0 * grad_u.size * np.finfo(float).eps
-    return (float(np.linalg.norm(grad_u - grad_u_ref)) + slack
-            * (float(np.linalg.norm(grad_u)) + float(np.linalg.norm(grad_u_ref))))
+    slack = 4.0 * grad_u.size * _EPS
+    return _norm(grad_u - grad_u_ref) + slack * (_norm(grad_u) + _norm(grad_u_ref))
 
 
 def _sparse_support(v: np.ndarray) -> np.ndarray | None:
     """Indices of the nonzeros of ``v`` when there are at most
     ``_SPARSE_CAP`` of them and they are fewer than half of its entries;
     None when ``v`` is dense under that rule."""
-    support = np.flatnonzero(v)
+    support = _nonzeros(v)
     if support.size <= _SPARSE_CAP and 2 * support.size < v.size:
         return support
     return None
@@ -302,7 +315,7 @@ class PhaseProducts(TrackedProducts):
 
     def fresh(self, x: np.ndarray):
         u, partials = _fresh_product(self.instance, x)
-        return u, float(np.linalg.norm(u)), partials
+        return u, _norm(u), partials
 
     def carried(self, held, x_new: np.ndarray, block: int | None,
                 gamma: float, direction: np.ndarray):
@@ -313,7 +326,7 @@ class PhaseProducts(TrackedProducts):
             partials = None if block is None else (
                 partials[:block] + (None,) + partials[block + 1:])
         return (held[0] + gamma * w,
-                held[1] + abs(gamma) * float(np.linalg.norm(w)), partials)
+                held[1] + abs(gamma) * _norm(w), partials)
 
     def drift_scale(self, held, fresh) -> float:
         return held[1]
@@ -435,7 +448,7 @@ class PhaseProducts(TrackedProducts):
         relative margin of ``4 (N + rounds) eps`` for its own rounding and
         the rounds' sums.  Reads no row of A_k once the block's row norms
         are known."""
-        slack = 4.0 * (self.instance.intensities.size + rounds) * np.finfo(float).eps
+        slack = 4.0 * (self.instance.intensities.size + rounds) * _EPS
         bound = (np.abs(grad_ref) + self.row_norms(block) * spread) * (1.0 + slack)
         return bound <= zero_bar(self.instance.sparse_gain)
 
@@ -713,7 +726,7 @@ class _WorkingSet:
         self.gradient[new] = _row_dots(gathered, self.grad_u[None])[:, 0]
         self.diag[new] = np.matmul(gathered[:, None, :], weighted[:, :, None])[:, 0, 0]
         self.diag[new] += self.curvature
-        formed = np.flatnonzero(self.columns[:first])
+        formed = _nonzeros(self.columns[:first])
         if formed.size:
             self.entries[first:end, formed] = _row_dots(
                 gathered, self.gathered[formed] * self.twice_u_sq)
@@ -722,7 +735,7 @@ class _WorkingSet:
         self.size = end
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        support = np.flatnonzero(v)
+        support = _nonzeros(v)
         places = self.position[support]
         new = places[~self.columns[places]]
         size = self.size
@@ -737,7 +750,7 @@ class _WorkingSet:
         coefficients = np.zeros(size)
         coefficients[places] = values
         image = coefficients @ self.gathered[:size]    # A_k'v
-        self.path += float(np.linalg.norm(self.twice_u_sq * image))
+        self.path += _norm(self.twice_u_sq * image)
         return out
 
 
@@ -781,7 +794,10 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
     assignment): without the thread a ``pr_wide_blocks`` solve took 1.06
     times as long under both, traces bit for bit; at the published size
     (20000 x 5000, 10 blocks, cold start) the first sweep took 1.48-1.65
-    s against 1.30-1.54 s with it (10 rounds each).
+    s against 1.30-1.54 s with it (10 rounds each).  On the host of
+    ``_halves`` whose second vCPU adds little, with this thread and the
+    split products both off a solve took 0.87-0.98 times as long (two
+    runs, faster in 7 to 10 of 12 pairs): the gain depends on the host.
 
     ``problem`` is a ``pr_problem``: the data and ``A'x`` come from its
     product hook, so inside a run the model reads the maintained
@@ -810,7 +826,7 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
             return operator.anchored_gradient(grad_u, anchor, partial)
 
         with _second_thread(np.count_nonzero(anchor) * rows.shape[1] * rows.itemsize) as pool:
-            formed = pool and pool.submit(operator.diagonal, np.flatnonzero(anchor))
+            formed = pool and pool.submit(operator.diagonal, _nonzeros(anchor))
             grad = gradient()
             if formed:
                 formed.result()
@@ -836,7 +852,21 @@ def _working_set_visit(problem: CompositeProblem, x: np.ndarray, k: int,
     whose bound fails, and the rounds run again.  Every W that the
     check passes gives the same rounds bit for bit, so the result does
     not depend on which reference chose W: a restart, which has none,
-    takes the steps the run took."""
+    takes the steps the run took.
+
+    A zero anchor whose every entry the reference certifies dead with
+    the rounds' slack (``certified_dead`` with ``config.inner_iterations``
+    rounds) builds no W and runs no round: it returns its anchor, -0.0
+    entries kept, with a zero gradient.  That slack is the larger, so
+    the certificate implies what the full visit would find, an empty W,
+    rounds that move nothing and a final check that passes, and the
+    full visit returns the same.  Measured worth (``pr_scaleup``, seed 1,
+    one BLAS thread, 30 solves interleaved in one process): such a step
+    took 0.068 ms against 0.145 ms without it (11 of the 120 steps of a
+    solve; the 11 zero blocks certified by their exact gradient took
+    0.535 against 0.585 ms).  ``scripts/ab_solve.py``, 12 pairs per side
+    assignment, two runs: without it a solve took 1.005-1.025 times as
+    long, 7 of 12 pairs in each, inside the noise."""
     products = problem.products
     instance = products.instance
     anchor = x[instance.partition.slice_of(k)].copy()
@@ -849,8 +879,14 @@ def _working_set_visit(problem: CompositeProblem, x: np.ndarray, k: int,
     rows = instance.block_rows(k)
 
     def settle(grad_ref: np.ndarray, spread: float, most: int) -> BlockSolution | None:
-        working = np.union1d(support, np.flatnonzero(
-            ~products.certified_dead(k, grad_ref, spread)))
+        if not support.size and products.certified_dead(
+                k, grad_ref, spread, config.inner_iterations).all():
+            # W would be empty, the rounds would move nothing and the
+            # final check, whose slack is the larger, would pass
+            return BlockSolution(anchor, gradient=np.zeros(anchor.size))
+        live = ~products.certified_dead(k, grad_ref, spread)
+        live[support] = True
+        working = _nonzeros(live)
         visit = _WorkingSet(rows, u_sq, grad_u, config.curvature, products.work_rows())
         model = SurrogateModel(anchor, visit.gradient,
                                QuadOperator(visit.apply, visit.diag.__getitem__))
@@ -863,7 +899,8 @@ def _working_set_visit(problem: CompositeProblem, x: np.ndarray, k: int,
             live[visit.order[:visit.size]] = False
             if not live.any():
                 return BlockSolution(minimizer, gradient=visit.gradient)
-            working = np.union1d(working, np.flatnonzero(live))
+            live[working] = True
+            working = _nonzeros(live)
         return None
 
     reference = products.reference(k)
@@ -889,7 +926,8 @@ def pr_solver(config: SolverConfig) -> BlockSolver:
     (``_working_set_visit``): a visit that its reference certifies reads
     only W's rows of A_k, and any other makes one matrix-vector pass
     over A_k.  A zero block whose reference certifies every entry dead
-    has an empty W, so it is skipped at no pass over its rows.  Any
+    builds no working set and runs no inner round, so it is skipped at
+    no pass over its rows.  Any
     other block, and a working set past ``_SPARSE_CAP``, runs the rounds
     on ``pr_outer_model`` (``engine.inexact_solver``)."""
     modelled = inexact_solver(

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import CompositeProblem, Constraint, L1Norm, Regularizer, Zero
+from .core import CompositeProblem, Constraint, L1Norm, Regularizer, Zero, _nonzeros
 from .errors import InvalidArgumentError, NoClosedFormError
 from .linesearch import exact_quadratic_step
 
@@ -127,7 +127,7 @@ def inner_best_response_step(model: SurrogateModel, x_tau: np.ndarray,
         return constraint.clip(x_tau - grad_tau / diagonal(np.arange(x_tau.size)))
     if isinstance(regularizer, L1Norm):
         gain = regularizer.gain
-        live = np.flatnonzero((x_tau != 0.0) | ~(np.abs(grad_tau) <= zero_bar(gain)))
+        live = _nonzeros((x_tau != 0.0) | ~(np.abs(grad_tau) <= zero_bar(gain)))
         diag = diagonal(live)
         step = np.zeros_like(x_tau)
         # unchecked: 1 / d * gain >= 0, as D's diagonal is positive

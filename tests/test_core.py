@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from bsca import core
 from bsca.core import (
     BlockPoint,
     Box,
@@ -132,3 +136,30 @@ class TestRunTrace:
         trace.record(2, 1, 0.25, 3, 4.0, 0.2)
         assert np.all(trace.stepsizes >= 0.0) and np.all(trace.stepsizes <= 1.0)
         assert np.all(np.diff(trace.objectives) <= 0.0)
+
+
+# signed zeros, subnormals, and magnitudes near 1e200, whose squares
+# overflow to inf, among ordinary finite floats
+_EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-308, 1e200, -3e200]),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+# Gaussian entries, whose transpose numpy sums in memory order: in row
+# order the last bit of these norms differs
+@example(np.random.default_rng(0).standard_normal((37, 29)))
+@example(np.random.default_rng(1).standard_normal((37, 29)))
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                               max_side=40), elements=_EDGE_FLOATS))
+def test_norm_and_support_helpers_keep_the_bits_of_numpy(v):
+    # the visit path's norms and supports stand in for np.linalg.norm and
+    # np.flatnonzero, whose bits the traces keep
+    for array in (v, v.T):
+        with np.errstate(over="ignore"):
+            norm, expected = core._norm(array), np.linalg.norm(array)
+        assert type(norm) is float
+        assert np.float64(norm).tobytes() == expected.tobytes()
+        support = core._nonzeros(array)
+        assert support.dtype == np.flatnonzero(array).dtype
+        assert support.tobytes() == np.flatnonzero(array).tobytes()

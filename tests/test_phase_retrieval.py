@@ -1153,6 +1153,87 @@ class TestWorkingSet:
             assert replay.minimizer.tobytes() == clean.minimizer.tobytes()
             assert replay.gradient.tobytes() == clean.gradient.tobytes()
 
+    @classmethod
+    def zero_block_visit(cls, k=3):
+        """A problem tracking a point whose block ``k`` is zero, with
+        -0.0 in its odd entries, and whose other blocks hold the warm
+        start; the gain is twice the largest entry of the block's exact
+        gradient there, which is kept as the block's reference, with the
+        block's row norms."""
+        plain = cls.instance()
+        x = cls.start(plain, 0)
+        sl = plain.partition.slice_of(k)
+        x[sl] = 0.0
+        x[sl][1::2] = -0.0
+        u = plain.sampling.T @ x
+        grad_u = u * (u * u - plain.intensities)
+        grad = plain.block_rows(k) @ grad_u
+        inst = dataclasses.replace(plain, sparse_gain=2.0 * float(np.abs(grad).max()))
+        problem = pr_problem(inst)
+        problem.products.track(x)
+        problem.products.note_model(k, grad, grad_u)
+        problem.products.row_norms(k)
+        return problem, x, k
+
+    @staticmethod
+    def spied_work(monkeypatch):
+        """Count the working sets built and the inner loops run."""
+        counts = {"sets": 0, "loops": 0}
+        build, loop = phase_retrieval._WorkingSet.__init__, engine.inexact_inner_loop
+
+        def counted_build(*args):
+            counts["sets"] += 1
+            return build(*args)
+
+        def counted_loop(*args):
+            counts["loops"] += 1
+            return loop(*args)
+
+        monkeypatch.setattr(phase_retrieval._WorkingSet, "__init__", counted_build)
+        monkeypatch.setattr(engine, "inexact_inner_loop", counted_loop)
+        return counts
+
+    def test_a_certified_zero_block_builds_no_working_set(self, monkeypatch):
+        problem, x, k = self.zero_block_visit()
+        log = []
+        view = problem.products.instance.sampling.view(ReadLog)
+        view.log = log
+        problem.products.instance = dataclasses.replace(problem.products.instance,
+                                                        sampling=view)
+        counts = self.spied_work(monkeypatch)
+        solution = phase_retrieval._working_set_visit(problem, x, k, self.CONFIG)
+        assert counts == {"sets": 0, "loops": 0}
+        assert log == []
+        anchor = x[problem.partition.slice_of(k)]
+        assert np.signbit(anchor).any()
+        assert solution.minimizer.tobytes() == anchor.tobytes()
+        assert solution.gradient.shape == anchor.shape and not solution.gradient.any()
+
+    def test_a_zero_block_short_of_the_rounds_slack_takes_the_full_visit(
+            self, monkeypatch):
+        # a spread between the two bounds: every entry passes the bound
+        # without the rounds' slack, and one fails it with that slack
+        problem, x, k = self.zero_block_visit()
+        products = problem.products
+        grad = products.reference(k)[0]
+        bar = phase_retrieval.zero_bar(products.instance.sparse_gain)
+        norms = products.row_norms(k)
+
+        def largest_spread(rounds):
+            slack = 4.0 * (products.instance.intensities.size + rounds) * np.finfo(float).eps
+            return float(np.min((bar / (1.0 + slack) - np.abs(grad)) / norms))
+
+        rounds = self.CONFIG.inner_iterations
+        spread = 0.5 * (largest_spread(0) + largest_spread(rounds))
+        assert products.certified_dead(k, grad, spread).all()
+        assert not products.certified_dead(k, grad, spread, rounds).all()
+        monkeypatch.setattr(phase_retrieval, "_spread", lambda *args: spread)
+        counts = self.spied_work(monkeypatch)
+        solution = phase_retrieval._working_set_visit(problem, x, k, self.CONFIG)
+        assert counts["sets"] >= 1 and counts["loops"] >= 1
+        anchor = x[problem.partition.slice_of(k)]
+        assert solution.minimizer.tobytes() == anchor.tobytes()
+
     def test_an_uncertified_sparse_visit_makes_one_matrix_vector_pass(self, monkeypatch):
         log = []
         inst, plain = logged_instance(log, measurements=1200, density=0.02, seed=0)

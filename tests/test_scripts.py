@@ -5,6 +5,7 @@ algorithm fails the test suite instead of the study's next run."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -181,6 +182,12 @@ def test_ab_solve_times_a_checkout_against_itself():
     assert done.stdout.count("median ratio B/A") == 2
     assert done.stdout.count("traces bit for bit: yes") == 2
     assert "claim did not hold" in done.stdout
+    # one untimed profiled solve per side and assignment; the count repeats
+    # exactly, so one checkout reads the same on both sides
+    calls = re.findall(r"^([AB]) function calls per solve \(cProfile, untimed\): "
+                       r"(\d+)$", done.stdout, re.MULTILINE)
+    assert [side for side, _ in calls] == ["A", "B", "B", "A"]
+    assert len({count for _, count in calls}) == 1 and int(calls[0][1]) > 0
 
 
 def test_ab_solve_claims_a_gain_only_by_the_pair_and_spread_rule():
