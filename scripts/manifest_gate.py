@@ -7,13 +7,13 @@ runs with one checkout, then re-run every manifest with another.
     python3 scripts/manifest_gate.py compare REF_CHECKOUT    # both in one
 
 ``record`` generates one phase-retrieval and one low-rank + sparse
-instance, runs 17 ``bsca solve`` variants on them at the CLI defaults,
+instance, runs 18 ``bsca solve`` variants on them at the CLI defaults,
 and runs ``bsca bench`` of ``desk_anomaly.variants`` on the low-rank +
 sparse one.  It also generates a phase-retrieval instance with one
 1000 x 2500 block (19 MiB, past ``phase_retrieval._SECOND_THREAD_BYTES``)
 and solves it with ``bsca``: its dense visits form the diagonal on a
 second thread, and its products over the block run in halves on two
-threads.  ``check`` reruns each of the 22 manifests with ``bsca
+threads.  ``check`` reruns each of the 23 manifests with ``bsca
 reproduce --out`` into a temporary directory, prints one verdict line
 per manifest, and exits 1 if any reproduction differs or fails.  For
 each trace of a run that differs (``trace.csv``, or a bench run's
@@ -59,6 +59,9 @@ SOLVES = [
     ("pr", "bsca", ["--blocks", "3"]),
     ("pr", "bsca", ["--blocks", "3", "--line-search", "armijo"]),
     ("pr", "bsca", ["--blocks", "3", "--rule", "random"]),
+    # 4 blocks of 34 rows and 8 of 33: 33 is 1 mod 16, so the last
+    # 16-row chunk of a block's diagonal holds one row
+    ("pr", "bsca", ["--blocks", "12"]),
     ("pr", "parallel-sca", ["--blocks", "10"]),
     ("pr", "parallel-sca", ["--blocks", "3"]),
     ("pr", "parallel-sca", ["--blocks", "3", "--line-search", "armijo"]),

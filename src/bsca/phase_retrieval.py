@@ -497,27 +497,28 @@ def _quartic_coeffs(u: np.ndarray, w: np.ndarray, y: np.ndarray):
 # outer surrogate
 # ---------------------------------------------------------------------------
 
-# rows per squares product of the diagonal.  The entries keep the bits
-# of a gemv over 16-row chunks of A_k (_LAYOUT_ROWS) because the gemv
-# sums each output the same way in any block-aligned group of 4 rows.
-# A lone last row is summed one way when it is a chunk on its own
-# (block lengths 1 mod 16) and another inside a longer chunk, so it is
-# formed alone only then and with the group before it otherwise.  The
-# groups a request lacks are formed one product per run of consecutive
-# groups inside a 16-row chunk.
-_CHUNK_ROWS = 4
+# rows per squares product of the diagonal and of the row norms.  The
+# diagonal is formed on demand in whole chunks of these rows, so its
+# entries keep the bits of one pass over the block in such chunks.
 _LAYOUT_ROWS = 16
+
+
+def _chunk_squares(rows: np.ndarray, chunks):
+    """``(start, stop, squares)`` for each of the given 16-row chunks of
+    ``rows``, the squares of rows ``start:stop`` in one buffer."""
+    squares = np.empty((min(_LAYOUT_ROWS, len(rows)), rows.shape[1]))
+    for chunk in chunks:
+        start = chunk * _LAYOUT_ROWS
+        part = rows[start:start + _LAYOUT_ROWS]
+        yield start, start + len(part), np.multiply(part, part, out=squares[:len(part)])
 
 
 def _norms_of(rows: np.ndarray) -> np.ndarray:
     """``||a_i||`` of each row, from squares formed 16 rows at a time."""
     sums = np.empty(len(rows))
     ones = np.ones(rows.shape[1])
-    squares = np.empty((min(_LAYOUT_ROWS, len(rows)), rows.shape[1]))
-    for start in range(0, len(rows), _LAYOUT_ROWS):
-        chunk = rows[start:start + _LAYOUT_ROWS]
-        part = np.multiply(chunk, chunk, out=squares[:len(chunk)])
-        sums[start:start + len(chunk)] = part @ ones
+    for start, stop, part in _chunk_squares(rows, range(-(-len(rows) // _LAYOUT_ROWS))):
+        sums[start:stop] = part @ ones
     return np.sqrt(sums)
 
 
@@ -546,12 +547,11 @@ class _BlockOperator:
       ``D a`` held, is ``D (a + v) - D a``; any other dense one is
       ``2 A_k (u^2 * (A_k'v)) + cv``, two passes over the block.
     - ``diagonal`` gives the entries on given indices.  It forms the
-      block-aligned groups of ``_CHUNK_ROWS`` (4) rows that hold them,
-      those it lacks, and keeps them; the entries have the bits of a
-      pass over 16-row chunks (see ``_CHUNK_ROWS``).  While a
-      ``norms_sink`` is given, its passes also sum the squares of each
-      row, and once every group is formed, in one call or over several,
-      they hand the rows' norms ``||a_i||`` to it."""
+      16-row chunks (``_LAYOUT_ROWS``) that hold them, those it lacks,
+      one squares product each, and keeps them.  While a ``norms_sink``
+      is given, its passes also sum the squares of each row, and once
+      every chunk is formed, in one call or over several, they hand the
+      rows' norms ``||a_i||`` to it."""
 
     def __init__(self, rows: np.ndarray, u_sq: np.ndarray, curvature: float,
                  norms_sink=None):
@@ -565,13 +565,9 @@ class _BlockOperator:
         self.columns = np.empty((_SPARSE_CAP, rows.shape[0]))
         self.anchor = self.anchor_image = None    # a and D a, dense anchors only
         self.diag = np.empty(rows.shape[0])
-        length = rows.shape[0]
-        groups = -(-length // _CHUNK_ROWS)
-        if length % _CHUNK_ROWS == 1 and length % _LAYOUT_ROWS != 1:
-            groups -= 1    # the lone last row joins the group before it
-        self.formed = np.zeros(groups, dtype=bool)
+        self.formed = np.zeros(-(-rows.shape[0] // _LAYOUT_ROWS), dtype=bool)    # by chunk
         self.complete = False
-        self.sums = None if norms_sink is None else np.empty(length)    # ||a_i||^2
+        self.sums = None if norms_sink is None else np.empty(rows.shape[0])    # ||a_i||^2
 
     def gradient(self, grad_u: np.ndarray, support: np.ndarray) -> np.ndarray:
         """``A_k grad_u``, from the product that also forms the columns on
@@ -640,43 +636,26 @@ class _BlockOperator:
         return coefficients @ self.columns[:self.held] + self.curvature * v
 
     def diagonal(self, index: np.ndarray) -> np.ndarray:
-        """The diagonal on ``index``, from the groups that hold it.
-        Measured worth (``scripts/ab_solve.py``, 8 pairs per side
-        assignment, two runs): with the whole diagonal formed at the first
-        request, a ``pr_wide_blocks`` solve took 1.10-1.18 times as long."""
+        """The diagonal on ``index``, from the chunks that hold it.
+        Measured worth (``scripts/ab_solve.py``, 12 pairs per side
+        assignment, two runs, traces bit for bit): with the whole diagonal
+        formed at the first request, a ``pr_wide_blocks`` solve took
+        1.04-1.26 times as long, and a ``pr_scaleup`` one 0.97-1.10."""
         if not self.complete:
-            groups = np.minimum(index // _CHUNK_ROWS, self.formed.size - 1)
-            missing = groups[~self.formed[groups]]
+            chunks = index // _LAYOUT_ROWS
+            missing = chunks[~self.formed[chunks]]
             if missing.size:
-                self._form(np.unique(missing).tolist())
+                missing = np.unique(missing)
+                ones = None if self.sums is None else np.ones(self.rows.shape[1])
+                for start, stop, part in _chunk_squares(self.rows, missing.tolist()):
+                    self.diag[start:stop] = 2.0 * (part @ self.u_sq) + self.curvature
+                    if ones is not None:
+                        self.sums[start:stop] = part @ ones
+                self.formed[missing] = True
+                self.complete = bool(self.formed.all())
+                if self.complete and ones is not None:
+                    self.norms_sink(np.sqrt(self.sums))
         return self.diag[index]
-
-    def _form(self, groups: list[int]) -> None:
-        """Form the diagonal on the sorted ``groups``: one squares
-        product per run of consecutive groups inside a 16-row chunk."""
-        per_chunk = _LAYOUT_ROWS // _CHUNK_ROWS
-        runs = []
-        for group in groups:
-            if (runs and group == runs[-1][1] + 1
-                    and group // per_chunk == runs[-1][0] // per_chunk):
-                runs[-1][1] = group
-            else:
-                runs.append([group, group])
-        last = self.formed.size - 1
-        ones = None if self.sums is None else np.ones(self.rows.shape[1])
-        squares = np.empty((min(_LAYOUT_ROWS, len(self.rows)), self.rows.shape[1]))
-        for first, final in runs:
-            start = first * _CHUNK_ROWS
-            stop = len(self.rows) if final == last else (final + 1) * _CHUNK_ROWS
-            rows = self.rows[start:stop]
-            part = np.multiply(rows, rows, out=squares[:stop - start])
-            self.diag[start:stop] = 2.0 * (part @ self.u_sq) + self.curvature
-            if ones is not None:
-                self.sums[start:stop] = part @ ones
-            self.formed[first:final + 1] = True
-        self.complete = bool(self.formed.all())
-        if self.complete and ones is not None:
-            self.norms_sink(np.sqrt(self.sums))
 
 
 class _WorkingSet:
@@ -769,7 +748,7 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
     ``D a`` from the partial ``A_k'a`` (held by the product hook, else
     formed), so a first inner step to a sparse target is applied from
     the target's columns: with the diagonal, three passes over A_k.
-    The diagonal is formed on demand, a few rows at a time, where the
+    The diagonal is formed on demand, 16 rows at a time, where the
     best response reads it; the block's first diagonal to be completed
     also gives the product hook the rows' norms.
 

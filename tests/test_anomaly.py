@@ -839,6 +839,15 @@ class TestGenerator:
         with pytest.raises(InvalidArgumentError):
             generate_anomaly_instance(5, 5, 5, rank=1, density=0.0)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("dictionary", np.ones((2, 1)), "disagree on rows"),
+        ("ridge", 0.0, "positive"),
+        ("sparse_gain", -1.0, "positive"),
+    ])
+    def test_an_inconsistent_instance_is_rejected(self, field, value, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            dataclasses.replace(scalar_instance(), **{field: value})
+
     def test_support_size_is_exact_count(self):
         inst = generate_anomaly_instance(5, 10, 6, rank=1, density=0.05, seed=2)
         assert np.count_nonzero(inst.true_sparse) == int(np.ceil(0.05 * 60))

@@ -67,6 +67,14 @@ class TestGenerate:
         assert main(["generate", "anomaly", "--N", "5",
                      "--out", str(tmp_path / "y")]) == 2
 
+    @pytest.mark.parametrize("given, missing", [(["--I", "10"], "--N"),
+                                                (["--N", "8"], "--I")])
+    def test_a_pr_bundle_needs_both_dimensions(self, tmp_path, capsys, given, missing):
+        out = tmp_path / "y"
+        assert main(["generate", "pr", *given, "--out", str(out)]) == 2
+        assert f"generate pr requires {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_a_failed_pr_draw_leaves_the_bundle_as_it_was(self, pr_dir, tmp_path,
                                                            monkeypatch):
         # the draw fails after the mapped file is made: a solver error
@@ -362,6 +370,37 @@ class TestBench:
         assert len(err) == 1 and "max-iters" in err[0]
         assert not (out / "comparison.csv").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("name=a algorithm=bsca\nalgorithm=bsca max-iters=5\n", "needs name= and algorithm="),
+        ("name=a algorithm=bsca\nname=b max-iters=5\n", "needs name= and algorithm="),
+        ("# only a comment\n\n", "no variants defined"),
+    ])
+    def test_a_variants_file_without_a_whole_variant_exits_2(
+            self, anomaly_dir, tmp_path, capsys, text, message):
+        variants = tmp_path / "v.txt"
+        variants.write_text(text)
+        out = tmp_path / "bench"
+        assert main(["bench", str(anomaly_dir), "--variants", str(variants),
+                     "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
+
+    def test_a_missing_variants_file_exits_2(self, anomaly_dir, tmp_path, capsys):
+        missing = tmp_path / "none.txt"
+        assert main(["bench", str(anomaly_dir), "--variants", str(missing),
+                     "--out", str(tmp_path / "bench")]) == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_an_unknown_algorithm_fails_its_variant(self, pr_dir, tmp_path, capsys):
+        variants = tmp_path / "v.txt"
+        variants.write_text("name=a algorithm=bsca\nname=b algorithm=newton\n")
+        out = tmp_path / "bench"
+        assert main(["bench", str(pr_dir), "--variants", str(variants),
+                     "--max-iters", "5", "--out", str(out)]) == 0
+        assert "variant b failed: unknown algorithm 'newton'" in capsys.readouterr().err
+        assert len((out / "comparison.csv").read_text().splitlines()) == 2
+        assert read_manifest(out / RUN_MANIFEST)["failed.b"] == "unknown algorithm 'newton'"
+
     def test_all_variants_failing_exits_3(self, anomaly_dir, tmp_path, capsys):
         variants = tmp_path / "bad.txt"
         variants.write_text("name=broken algorithm=bpgd\n")
@@ -462,6 +501,24 @@ class TestReproduce:
         capsys.readouterr()
         assert main(["reproduce", str(out / RUN_MANIFEST)]) == 0
         assert "outputs match" in capsys.readouterr().out
+
+    def test_an_unknown_command_exits_2(self, pr_dir, capsys):
+        manifest = pr_dir / RUN_MANIFEST
+        entries = read_manifest(manifest)
+        entries["command"] = "publish"
+        write_manifest(manifest, entries)
+        assert main(["reproduce", str(manifest)]) == 2
+        assert "cannot reproduce command 'publish'" in capsys.readouterr().err
+
+    def test_a_failed_rerun_exits_3(self, pr_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["solve", str(pr_dir), "--algorithm", "bsca",
+                     "--max-iters", "5", "--out", str(out)]) == 0
+        shutil.rmtree(pr_dir)
+        capsys.readouterr()
+        assert main(["reproduce", str(out / RUN_MANIFEST)]) == 3
+        err = capsys.readouterr().err
+        assert "reproduction run failed" in err and "outputs differ" not in err
 
     def test_missing_manifest(self, tmp_path):
         assert main(["reproduce", str(tmp_path / "nope.manifest")]) == 2

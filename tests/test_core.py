@@ -13,6 +13,7 @@ from bsca.core import (
     RunTrace,
     SolverConfig,
     TRACE_HEADER,
+    Unconstrained,
     Zero,
     equal_partition,
     make_partition,
@@ -21,6 +22,7 @@ from bsca.core import (
 from bsca.errors import (
     ConfigError,
     FeasibilityError,
+    InvalidArgumentError,
     InvalidPartitionError,
 )
 
@@ -66,6 +68,26 @@ def _scalar_problem(f, grad, regularizer=Zero()):
         block_gradient=lambda x, k: np.array([grad(x[0])]),
         nonsmooth=(regularizer,),
     )
+
+
+class TestProblemParts:
+    def test_a_box_needs_lower_at_most_upper(self):
+        with pytest.raises(InvalidArgumentError, match="lower <= upper"):
+            Box(np.zeros(2), np.array([1.0, -1.0]))
+
+    def test_an_l1_gain_must_be_nonnegative(self):
+        assert L1Norm(0.0).value(np.ones(2)) == 0.0
+        with pytest.raises(InvalidArgumentError, match="nonnegative"):
+            L1Norm(-1e-3)
+
+    @pytest.mark.parametrize("nonsmooth, constraints, message", [
+        ((Zero(),), (), "one regularizer per block"),
+        ((Zero(), Zero()), (Unconstrained(),), "one constraint per block"),
+    ])
+    def test_a_problem_needs_one_part_per_block(self, nonsmooth, constraints, message):
+        with pytest.raises(InvalidArgumentError, match=message):
+            CompositeProblem(make_partition([1, 2]), lambda x: 0.0,
+                             lambda x, k: np.zeros(1), nonsmooth, constraints)
 
 
 class TestObjective:

@@ -38,7 +38,12 @@ from bsca.engine import (
     run_bsca,
     run_parallel_sca,
 )
-from bsca.errors import ConfigError, FeasibilityError, ProfileMismatchError
+from bsca.errors import (
+    ConfigError,
+    FeasibilityError,
+    InvalidArgumentError,
+    ProfileMismatchError,
+)
 from bsca.linesearch import (
     StepResult,
     cubic_real_roots,
@@ -531,6 +536,39 @@ class TestGuard:
         with pytest.raises(FeasibilityError, match="t=12$"):
             book.advance(x, x_new, 12, self.BOX, StepResult(1.0))
 
+    @staticmethod
+    def boxed_pair():
+        # f = ||x - 2||^2 / 2 over two blocks of two entries, the second
+        # boxed in [-1, 1]
+        partition = make_partition([2, 2])
+        return CompositeProblem(
+            partition, lambda x: float(0.5 * (x - 2.0) @ (x - 2.0)),
+            lambda x, k: x[partition.slice_of(k)] - 2.0, (Zero(), Zero()),
+            (Unconstrained(), Box(np.full(2, -1.0), np.full(2, 1.0))))
+
+    def test_a_joint_step_out_of_a_box_names_the_iteration(self):
+        # the step's own check fires, not the sweep end's that follows
+        def solver(problem, x, k):
+            return BlockSolution(np.full(2, 2.0), is_global_upper_bound=True)
+
+        with pytest.raises(FeasibilityError, match="at t=0$"):
+            run_parallel_sca(self.boxed_pair(), solver,
+                             SolverConfig(max_outer_iterations=3), np.zeros(4))
+
+    def test_the_sweep_end_checks_the_blocks_a_step_does_not_name(self):
+        # a step that names block 0 and moves block 1 out of its box
+        # passes its own check, which reads block 0's box alone
+        book = engine._RunBook(self.boxed_pair(), SolverConfig(max_outer_iterations=4),
+                               np.zeros(4), 2)
+
+        def step(x, k):
+            if x[2] != 0.0:
+                return x, StepResult(0.0)
+            return np.array([0.0, 0.0, 1.5, 1.5]), StepResult(1.0)
+
+        with pytest.raises(FeasibilityError, match="by t=1$"):
+            book.run(lambda t: 0, step)
+
     def test_a_sweep_end_evaluates_in_full_only_where_it_re_formed_products(
             self, rng, monkeypatch):
         # without a hook, and where the kept products are fresh (low-rank +
@@ -878,9 +916,27 @@ class TestBpgd:
                              x0)
         assert trace.objectives.tobytes() == reference.objectives.tobytes()
 
+    @pytest.mark.parametrize("constant", [0.0, -1.0])
+    def test_a_bregman_step_needs_a_positive_constant(self, constant):
+        with pytest.raises(InvalidArgumentError, match="positive"):
+            bregman_step(np.ones(3), np.ones(3), constant, 0.1)
+
+    def test_a_stationary_start_skips_without_a_guard_evaluation(self, monkeypatch):
+        # at the origin A'x = 0, so the gradient and the candidate are 0:
+        # the step is skipped before the guard and the all-skip rule stops
+        evaluated = []
+        honest = engine._RunBook._evaluate
+        monkeypatch.setattr(engine._RunBook, "_evaluate",
+                            lambda book, *args: evaluated.append(args) or honest(book, *args))
+        inst = generate_pr_instance(40, 60, density=0.05, seed=3)
+        trace = run_bpgd(inst, SolverConfig(max_outer_iterations=5), np.zeros(40))
+        assert trace.iterations == 1
+        assert trace.termination_reason == "tolerance"
+        assert trace.stepsizes.tolist() == [0.0, 0.0]
+        assert evaluated == []
+
     def test_rejects_nonpositive_constant(self, rng):
         inst = generate_pr_instance(10, 20, density=0.2, num_blocks=1, seed=0)
-        from bsca.errors import InvalidArgumentError
         with pytest.raises(InvalidArgumentError):
             run_bpgd(inst, SolverConfig(max_outer_iterations=1), np.ones(10),
                      discount=-1.0)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bsca import linesearch
 from bsca.errors import InvalidArgumentError, LineSearchError
 from bsca.linesearch import (
     ScalarProfile,
@@ -126,6 +127,10 @@ class TestCubicRoots:
             assert np.min(np.abs(got - r)) <= tol * max(1.0, abs(r)), (
                 roots_true, got)
 
+    def test_a_cubic_needs_a_nonzero_leading_coefficient(self):
+        with pytest.raises(InvalidArgumentError, match="nonzero leading"):
+            cubic_real_roots(0.0, 1.0, 1.0, 1.0)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def test_matches_oracles(self, seed):
@@ -190,6 +195,12 @@ class TestSuccessiveStep:
         with pytest.raises(LineSearchError):
             successive_step(phi, 0.0, 0.0)
         assert calls == []
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.5), (1.0, 0.5),
+                                             (0.1, 0.0), (0.1, 1.0)])
+    def test_alpha_and_beta_must_lie_inside_the_unit_interval(self, alpha, beta):
+        with pytest.raises(InvalidArgumentError, match=r"\(0, 1\)"):
+            successive_step(lambda g: -g, 0.0, -1.0, alpha=alpha, beta=beta)
 
     def test_exhaustion_raises(self):
         # ascending profile with a bogus negative descent quantity
@@ -272,6 +283,16 @@ class TestGridGolden:
         step = exact_quartic_step(1e-150, 0.0, 1.0, -0.5)
         assert step.gamma == pytest.approx(0.5, abs=1e-9)
         assert step.armijo_exponent is None
+
+    def test_roots_that_are_not_finite_fall_back_to_the_scan(self, monkeypatch):
+        # the root formulas give nan here without overflowing; the scan
+        # keeps the left endpoint of this increasing profile
+        assert np.isnan(linesearch._cubic_roots(1e-300, 1e-300, 1e-300, 1.0)).all()
+        scans = []
+        monkeypatch.setattr(linesearch, "_grid_golden",
+                            lambda phi: scans.append(phi) or _grid_golden(phi))
+        step = exact_quartic_step(1e-300, 1e-300, 1e-300, 1.0)
+        assert len(scans) == 1 and step.gamma == 0.0
 
     def test_increasing_profile_keeps_the_left_endpoint(self):
         profile = ScalarProfile(1.0, 1e120, 1.0, 1.0)

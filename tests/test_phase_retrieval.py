@@ -211,9 +211,9 @@ class TestOuterModel:
         assert not any(np.array_equal(v, model.anchor) for v in applied)
 
     def test_gradient_and_diagonal_pass_matches_whole_block_products(self, rng):
-        # blocks of 1, 37 and 202 rows; the last two end on a partial group
+        # blocks of 1, 37 and 202 rows; the last two end on a partial chunk
         sizes = [1, 37, 202]
-        assert all(size % phase_retrieval._CHUNK_ROWS for size in sizes[1:])
+        assert all(size % phase_retrieval._LAYOUT_ROWS for size in sizes[1:])
         A = rng.standard_normal((sum(sizes), 300))
         inst = PhaseRetrievalInstance(
             sampling=A, intensities=rng.random(300), sparse_gain=0.1,
@@ -235,8 +235,7 @@ class TestOuterModel:
         # order and pieces.  A gradient comes from a gemm, with the
         # support columns of a sparse anchor or with D a of a dense one,
         # and agrees to rounding.  The lengths 17 and 33 (1 mod 16) end
-        # on a lone row the diagonal forms alone, the other lengths
-        # 1 mod 4 on one it forms with the group before it
+        # on a lone row, a chunk of its own
         script = """
 import numpy as np
 from bsca.core import make_partition
@@ -277,6 +276,52 @@ for x in (gen.standard_normal(sum(sizes)), sparse):
         inst = tiny_instance()
         with pytest.raises(InvalidArgumentError):
             pr_outer_model(pr_problem(inst), np.zeros(24), 0, 0.0)
+
+    @pytest.mark.parametrize("size", [1, 16, 17, 33, 100])
+    def test_a_request_forms_each_chunk_it_lacks_once(self, size):
+        # a request forms the 16-row chunks that hold its indices and
+        # that no earlier request formed, one squares product each; once
+        # the last chunk is formed, over one call or several, the row
+        # norms go to the sink with the bits of _norms_of
+        gen = np.random.default_rng(size)
+        A = gen.standard_normal((size, 50))
+        rows = A.view(SquaresLog)
+        rows.log, rows.origin = [], rows.ctypes.data
+        handed = []
+        operator = phase_retrieval._BlockOperator(rows, gen.random(50), 1e-3,
+                                                  handed.append)
+        chunks = -(-size // 16)
+        order = gen.permutation(size)
+        requests = [order[:1], order[:1]] + np.array_split(order, 4) + [order]
+        formed = set()
+        for request in requests:
+            before = len(rows.log)
+            operator.diagonal(request)
+            lacked = sorted({int(i) // 16 for i in request} - formed)
+            assert rows.log[before:] == [(16 * c, min(16, size - 16 * c)) for c in lacked]
+            formed.update(lacked)
+            assert len(handed) == (len(formed) == chunks)
+        assert handed[0].tobytes() == phase_retrieval._norms_of(A).tobytes()
+
+
+class SquaresLog(np.ndarray):
+    """Rows of A_k that log each squares product of a run of them,
+    ``np.multiply(run, run)``, as ``(first row, rows)``; results are
+    plain arrays.  Set ``log`` and ``origin`` (the data address of the
+    whole) on the whole; views take them over."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+        self.origin = getattr(obj, "origin", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        run = inputs[0]
+        if ufunc is np.multiply and run is inputs[1]:
+            self.log.append(((run.ctypes.data - self.origin) // run.strides[0], len(run)))
+        plain = lambda v: v.view(np.ndarray) if isinstance(v, SquaresLog) else v
+        if "out" in kwargs:
+            kwargs["out"] = tuple(plain(v) for v in kwargs["out"])
+        return getattr(ufunc, method)(*(plain(v) for v in inputs), **kwargs)
 
 
 def logged_instance(log, unknowns=400, measurements=1000, density=0.05,
@@ -1281,9 +1326,9 @@ class TestConcurrentDiagonal:
     it (``pr_outer_model``), and a product over a block runs half of its
     rows or columns on it (``_halves``).  The diagonal runs on 2 blocks
     of 100 rows of a 200 x 300 instance, from a dense start and from one
-    with 40 of block 0's entries zero (whole 4-row groups, so that the
-    second thread does not form every group of the first visit's
-    diagonal); no product of that instance is split.  The splits run on
+    with 40 of block 0's entries zero (rows 32-47 among them, a whole
+    16-row chunk, so that the second thread does not form every chunk of
+    the first visit's diagonal); no product of that instance is split.  The splits run on
     instances with 1100 columns, and their bits are compared in a child
     with one BLAS thread."""
 
@@ -1670,8 +1715,8 @@ print(json.dumps(sorted(set(work))))
         assert self.guarded_work(preexec_fn=lambda: os.sched_setaffinity(0, {cpu})) == []
 
     def test_row_norms_are_handed_over_once_the_diagonal_is_complete(self):
-        # the second thread forms the support's groups and the best
-        # response the rest: no one pass forms every group
+        # the second thread forms the support's chunks and the best
+        # response the rest: no one pass forms every chunk
         inst = self.instance()
         x = self.start(True)
         problem = pr_problem(inst)
@@ -1751,3 +1796,14 @@ class TestGenerator:
             generate_pr_instance(0, 5)
         with pytest.raises(InvalidArgumentError):
             generate_pr_instance(5, 5, density=2.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("intensities", np.zeros(7), "one entry per measurement"),
+        ("intensities", np.full(8, -1.0), "nonnegative"),
+        ("sparse_gain", 0.0, "positive"),
+        ("partition", make_partition([3, 3]), "cover all unknowns"),
+    ])
+    def test_an_inconsistent_instance_is_rejected(self, field, value, message):
+        inst = generate_pr_instance(5, 8, density=0.2, seed=1)
+        with pytest.raises(InvalidArgumentError, match=message):
+            dataclasses.replace(inst, **{field: value})

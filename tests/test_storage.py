@@ -1,3 +1,4 @@
+import errno
 import os
 import shutil
 import struct
@@ -8,6 +9,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from bsca import storage
 from bsca.anomaly import generate_anomaly_instance, run_anomaly_bsca
 from bsca.core import SolverConfig
 from bsca.errors import InvalidArgumentError
@@ -108,6 +110,20 @@ class TestMatrixFormat:
         assert read_matrix(tmp_path / "m.mat").shape == (3, 2)
 
 
+    def test_a_failed_write_removes_its_temporary_file(self, tmp_path):
+        path = tmp_path / "m.mat"
+        path.write_bytes(b"old")
+        with pytest.raises(TypeError):
+            storage._write_atomically(path, b"new", None)
+        assert os.listdir(tmp_path) == ["m.mat"]
+        assert path.read_bytes() == b"old"
+
+    def test_only_1d_and_2d_arrays_are_stored(self, tmp_path):
+        with pytest.raises(InvalidArgumentError, match="1-D and 2-D"):
+            write_matrix(tmp_path / "m.mat", np.zeros((2, 2, 2)))
+        assert os.listdir(tmp_path) == []
+
+
 class TestManifest:
     def test_roundtrip_with_exact_floats(self, tmp_path):
         path = tmp_path / "m.manifest"
@@ -186,6 +202,15 @@ class TestInstanceBundles:
         write_manifest(manifest, entries)
         with pytest.raises(InvalidArgumentError,
                            match=rf"instance\.manifest: key '{key}' has bad value"):
+            read_instance(tmp_path / "inst")
+
+    def test_an_unknown_kind_is_rejected(self, tmp_path):
+        inst = generate_pr_instance(12, 9, density=0.2, num_blocks=3, seed=4)
+        manifest = write_pr_instance(tmp_path / "inst", inst)
+        entries = read_manifest(manifest)
+        entries["kind"] = "graph"
+        write_manifest(manifest, entries)
+        with pytest.raises(InvalidArgumentError, match="unknown instance kind 'graph'"):
             read_instance(tmp_path / "inst")
 
 
@@ -267,6 +292,15 @@ class TestMappedBundles:
         assert sampling.shape == (3, 5) and not sampling.any()
         sampling[:] = 2.0
         assert np.array_equal(read_matrix(sampling.filename), np.full((3, 5), 2.0))
+
+    def test_a_failed_reservation_leaves_no_file(self, tmp_path, monkeypatch):
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            map_pr_sampling(tmp_path, 3, 5)
+        assert os.listdir(tmp_path) == []
 
     def test_map_pr_sampling_rejects_an_empty_matrix(self, tmp_path):
         with pytest.raises(InvalidArgumentError, match="positive"):

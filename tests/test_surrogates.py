@@ -13,7 +13,7 @@ from bsca.core import (
     make_partition,
 )
 from bsca.engine import inexact_inner_loop, quadratic_solver
-from bsca.errors import InvalidArgumentError
+from bsca.errors import InvalidArgumentError, NoClosedFormError
 from bsca.phase_retrieval import pr_outer_model, pr_problem
 from bsca.surrogates import (
     QuadOperator,
@@ -179,6 +179,17 @@ class TestSolveSurrogate:
         got = inner_best_response_step(model, model.anchor, model.grad_anchor,
                                        Zero(), Unconstrained())
         assert got == pytest.approx([2.0])
+
+    def test_a_regularizer_without_a_closed_form_is_rejected(self):
+        class Squared:
+            def value(self, v):
+                return float(v @ v)
+
+        model = SurrogateModel(np.zeros(2), np.ones(2),
+                               diagonal_operator(np.full(2, 2.0)))
+        with pytest.raises(NoClosedFormError, match="Squared"):
+            inner_best_response_step(model, model.anchor, model.grad_anchor,
+                                     Squared(), Unconstrained())
 
     def test_dense_l1_requires_inner(self, rng):
         m = rng.standard_normal((4, 4))
