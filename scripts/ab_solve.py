@@ -32,12 +32,14 @@ also prints each side's function calls per solve, Python and built-in,
 counted by ``cProfile`` in one more solve per side, which is not timed:
 a count that repeats exactly, for a claim about per-call overhead,
 except that a wait for a product half on a second thread adds a few
-calls when the half is not done yet.  B's
-gain is claimed only when the rule holds under both assignments, so a
-bias of the harness towards one side cannot make the claim.  Timing
-the two sides back to back keeps a machine whose speed drifts over
-minutes from favouring either, and the gauge keeps that drift out of
-the quartiles.  Nothing under perfbench/ is changed.
+calls when the half is not done yet.  B's gain is claimed only when
+the rule holds under both assignments, so a bias of the harness
+towards one side cannot make the claim.  The last lines give the
+geometric mean of the two assignments' median ratios B/A, which
+cancels a bias that slows one side by a factor, and the claim's
+verdict.  Timing the two sides back to back keeps a machine whose
+speed drifts over minutes from favouring either, and the gauge keeps
+that drift out of the quartiles.  Nothing under perfbench/ is changed.
 """
 
 import argparse
@@ -158,6 +160,19 @@ def claim(as_given, swapped) -> tuple[bool, str]:
                   f"swapped")
 
 
+def side_free_ratio(as_given, swapped) -> tuple[float, str]:
+    """The geometric mean of the median ratios B/A of the two side
+    assignments, each ``(times_a, times_b)``.  A harness that slows one
+    side by a factor slows B in one assignment and A in the other, so
+    the factor cancels in the mean.  Returns the mean and a line that
+    states it with both medians."""
+    medians = [float(np.median(np.asarray(b, dtype=float) / np.asarray(a, dtype=float)))
+               for a, b in (as_given, swapped)]
+    mean = math.sqrt(medians[0] * medians[1])
+    return mean, (f"geometric mean of the two median ratios B/A: {mean:.3f} "
+                  f"(as given {medians[0]:.3f}, swapped {medians[1]:.3f})")
+
+
 def report(times_a, times_b, gauges, reference: float) -> tuple[bool, list[str]]:
     """The summary of one assignment's paired solve times: each
     checkout's median and quartiles, raw and scaled by the gauge timed
@@ -217,6 +232,7 @@ def main(argv=None) -> int:
         del sides
         scale = measure.GAUGE_REF_S / np.asarray(gauges)
         scaled.append((np.asarray(times["A"]) * scale, np.asarray(times["B"]) * scale))
+    print(side_free_ratio(*scaled)[1])
     print(claim(*scaled)[1])
     return 0 if same else 1
 

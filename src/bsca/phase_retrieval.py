@@ -435,19 +435,18 @@ class PhaseProducts(TrackedProducts):
         return self._work_rows
 
     def certified_dead(self, block: int, grad_ref: np.ndarray, spread: float,
-                       rounds: int = 0) -> np.ndarray:
+                       rounds: int) -> np.ndarray:
         """Which entries of the block's model gradient ``g = A_k grad_u``,
         and of its carried value through ``rounds`` inner rounds, provably
         stay at most the inner best response's bar
         (``surrogates.zero_bar``), so a best response leaves them at zero:
-        the entries a working set leaves out (``_working_set_visit``),
-        every entry of a zero block that stays zero.  ``grad_ref`` is a
-        gradient ``A_k grad_u'`` and ``spread`` bounds how far ``grad_u``
-        and the rounds' path have moved from ``grad_u'`` (see ``_spread``), so
-        that ``|g_i| <= |grad_ref_i| + ||a_i|| spread``; the bound takes a
-        relative margin of ``4 (N + rounds) eps`` for its own rounding and
-        the rounds' sums.  Reads no row of A_k once the block's row norms
-        are known."""
+        the entries a working set leaves out (``_working_set_visit``).
+        ``grad_ref`` is a gradient ``A_k grad_u'`` and ``spread`` bounds
+        how far ``grad_u`` and the rounds' path have moved from ``grad_u'``
+        (see ``_spread``), so that ``|g_i| <= |grad_ref_i| + ||a_i||
+        spread``; the bound takes a relative margin of ``4 (N + rounds)
+        eps`` for its own rounding and the rounds' sums.  Reads no row of
+        A_k once the block's row norms are known."""
         slack = 4.0 * (self.instance.intensities.size + rounds) * _EPS
         bound = (np.abs(grad_ref) + self.row_norms(block) * spread) * (1.0 + slack)
         return bound <= zero_bar(self.instance.sparse_gain)
@@ -823,29 +822,14 @@ def _working_set_visit(problem: CompositeProblem, x: np.ndarray, k: int,
     W is the anchor's support and every entry that a reference gradient
     cannot certify dead (``PhaseProducts.certified_dead``): first the
     block's last whole-block gradient in the run, which costs no pass
-    over A_k, as long as W stays under half the block's rows; failing
-    that, the exact gradient ``A_k grad_u``, one matrix-vector pass,
-    which becomes the block's new reference.  The inner rounds run on
-    W, and an entry off W is dead when its bound, widened by the drift
-    of the rounds' path, stays under the gain.  W grows by every entry
-    whose bound fails, and the rounds run again.  Every W that the
-    check passes gives the same rounds bit for bit, so the result does
-    not depend on which reference chose W: a restart, which has none,
-    takes the steps the run took.
-
-    A zero anchor whose every entry the reference certifies dead with
-    the rounds' slack (``certified_dead`` with ``config.inner_iterations``
-    rounds) builds no W and runs no round: it returns its anchor, -0.0
-    entries kept, with a zero gradient.  That slack is the larger, so
-    the certificate implies what the full visit would find, an empty W,
-    rounds that move nothing and a final check that passes, and the
-    full visit returns the same.  Measured worth (``pr_scaleup``, seed 1,
-    one BLAS thread, 30 solves interleaved in one process): such a step
-    took 0.068 ms against 0.145 ms without it (11 of the 120 steps of a
-    solve; the 11 zero blocks certified by their exact gradient took
-    0.535 against 0.585 ms).  ``scripts/ab_solve.py``, 12 pairs per side
-    assignment, two runs: without it a solve took 1.005-1.025 times as
-    long, 7 of 12 pairs in each, inside the noise."""
+    over A_k; failing that, the exact gradient ``A_k grad_u``, one
+    matrix-vector pass, which becomes the block's new reference.  The
+    inner rounds run on W, and an entry off W is dead when its bound,
+    widened by the drift of the rounds' path, stays under the gain.  W
+    grows by every entry whose bound fails, and the rounds run again.
+    Every W that the check passes gives the same rounds bit for bit, so
+    the result does not depend on which reference chose W: a restart,
+    which has none, takes the steps the run took."""
     products = problem.products
     instance = products.instance
     anchor = x[instance.partition.slice_of(k)].copy()
@@ -857,19 +841,14 @@ def _working_set_visit(problem: CompositeProblem, x: np.ndarray, k: int,
     grad_u = u * (u_sq - instance.intensities)
     rows = instance.block_rows(k)
 
-    def settle(grad_ref: np.ndarray, spread: float, most: int) -> BlockSolution | None:
-        if not support.size and products.certified_dead(
-                k, grad_ref, spread, config.inner_iterations).all():
-            # W would be empty, the rounds would move nothing and the
-            # final check, whose slack is the larger, would pass
-            return BlockSolution(anchor, gradient=np.zeros(anchor.size))
-        live = ~products.certified_dead(k, grad_ref, spread)
+    def settle(grad_ref: np.ndarray, spread: float) -> BlockSolution | None:
+        live = ~products.certified_dead(k, grad_ref, spread, config.inner_iterations)
         live[support] = True
         working = _nonzeros(live)
         visit = _WorkingSet(rows, u_sq, grad_u, config.curvature, products.work_rows())
         model = SurrogateModel(anchor, visit.gradient,
                                QuadOperator(visit.apply, visit.diag.__getitem__))
-        while working.size <= most:
+        while working.size <= _SPARSE_CAP:
             visit.cover(working)
             visit.path = 0.0
             minimizer = engine.inexact_inner_loop(model, problem, k, config)
@@ -883,15 +862,12 @@ def _working_set_visit(problem: CompositeProblem, x: np.ndarray, k: int,
         return None
 
     reference = products.reference(k)
-    solution = None
-    if reference is not None:
-        # a W of half the block's rows or more reads as much as the pass
-        solution = settle(reference[0], _spread(grad_u, reference[1]),
-                          min(_SPARSE_CAP, (anchor.size - 1) // 2))
+    solution = (None if reference is None
+                else settle(reference[0], _spread(grad_u, reference[1])))
     if solution is None:
         grad = _times_rows(grad_u, rows)
         products.note_model(k, grad, grad_u)
-        solution = settle(grad, _spread(grad_u, grad_u), _SPARSE_CAP)
+        solution = settle(grad, _spread(grad_u, grad_u))
     return solution
 
 
@@ -904,11 +880,8 @@ def pr_solver(config: SolverConfig) -> BlockSolver:
     runs ``config.inner_iterations`` inner rounds on a working set
     (``_working_set_visit``): a visit that its reference certifies reads
     only W's rows of A_k, and any other makes one matrix-vector pass
-    over A_k.  A zero block whose reference certifies every entry dead
-    builds no working set and runs no inner round, so it is skipped at
-    no pass over its rows.  Any
-    other block, and a working set past ``_SPARSE_CAP``, runs the rounds
-    on ``pr_outer_model`` (``engine.inexact_solver``)."""
+    over A_k.  Any other block, and a working set past ``_SPARSE_CAP``,
+    runs the rounds on ``pr_outer_model`` (``engine.inexact_solver``)."""
     modelled = inexact_solver(
         lambda problem, x, k: pr_outer_model(problem, x, k, config.curvature), config)
 

@@ -178,10 +178,16 @@ def write_anomaly_instance(directory, instance) -> Path:
 
 
 def write_pr_instance(directory, instance) -> Path:
+    """Write a phase-retrieval bundle.  It records the block count alone,
+    from which ``read_instance`` rebuilds an ``equal_partition``, so any
+    other partition is refused before anything is written."""
+    sizes = instance.partition.block_sizes
+    if equal_partition(instance.num_unknowns, len(sizes)).block_sizes != sizes:
+        raise InvalidArgumentError(f"a bundle keeps only equal partitions, got {sizes}")
     return _write_bundle(directory, instance, "pr", {
         "unknowns": instance.num_unknowns,
         "measurements": instance.sampling.shape[1],
-        "blocks": instance.partition.num_blocks,
+        "blocks": len(sizes),
     }, ("sampling", "intensities", "signal"))
 
 

@@ -92,6 +92,7 @@ class TestCubicRoots:
     @example(27091)    # forward deflation of the root 3.6e4 lost the root -4.9e-4
     @example(11)       # a pair 4e-7 apart: Newton ran from its double point to the third root
     @example(120817)   # a triple root: Newton stepped off it and every candidate was rejected
+    @example(27)       # a pair 4e-6 apart left four candidates, merged into three roots
     def test_hard_root_configurations(self, seed):
         # near-double, triple and widely spread roots; the answer must
         # stay within the root's own conditioning radius and the root

@@ -182,6 +182,9 @@ def test_ab_solve_times_a_checkout_against_itself():
     assert done.stdout.count("median ratio B/A") == 2
     assert done.stdout.count("traces bit for bit: yes") == 2
     assert "claim did not hold" in done.stdout
+    assert re.search(r"^geometric mean of the two median ratios B/A: \d+\.\d{3} "
+                     r"\(as given \d+\.\d{3}, swapped \d+\.\d{3}\)$",
+                     done.stdout, re.MULTILINE)
     # one untimed profiled solve per side and assignment; the count repeats
     # exactly, so one checkout reads the same on both sides
     calls = re.findall(r"^([AB]) function calls per solve \(cProfile, untimed\): "
@@ -231,6 +234,13 @@ def test_ab_solve_claims_a_gain_only_under_both_side_assignments():
     gain = ([1.1 * t for t in base], base)
     held, line = ab.claim(gain, gain)
     assert held and line.startswith("claim held")
+    # a symmetric tilt: the second side reads 5% slower in both
+    # assignments, so the medians lean apart and their mean does not
+    tilted = ((base, [1.05 * t for t in base]), ([1.05 * t for t in base], base))
+    mean, line = ab.side_free_ratio(*tilted)
+    assert mean == pytest.approx(1.0)
+    assert line == ("geometric mean of the two median ratios B/A: 1.000 "
+                    "(as given 1.050, swapped 0.952)")
 
 
 def test_ab_solve_applies_the_claim_rule_to_gauge_scaled_times():

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import os
 import shutil
@@ -11,7 +12,7 @@ import pytest
 
 from bsca import storage
 from bsca.anomaly import generate_anomaly_instance, run_anomaly_bsca
-from bsca.core import SolverConfig
+from bsca.core import SolverConfig, make_partition
 from bsca.errors import InvalidArgumentError
 from bsca.phase_retrieval import generate_pr_instance, run_phase_retrieval
 from bsca.storage import (
@@ -168,6 +169,12 @@ class TestInstanceBundles:
         assert got.sparse_gain == inst.sparse_gain
         assert got.partition.block_sizes == inst.partition.block_sizes
         assert np.array_equal(got.signal, inst.signal)
+        # a bundle keeps the block count alone, so an uneven partition,
+        # which would read back as (6, 6), is refused before any write
+        uneven = dataclasses.replace(inst, partition=make_partition([2, 10]))
+        with pytest.raises(InvalidArgumentError, match=r"equal partitions.*\(2, 10\)"):
+            write_pr_instance(tmp_path / "uneven", uneven)
+        assert not (tmp_path / "uneven").exists()
 
     def test_missing_manifest_rejected(self, tmp_path):
         with pytest.raises(InvalidArgumentError):
