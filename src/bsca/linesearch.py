@@ -6,23 +6,27 @@ All searches operate on the constructed differentiable profile
 
 whose nonsmooth part enters only through the constant slope term, so the
 profile is smooth even when g is not.  In both applications it is a
-polynomial of degree at most 4 with a closed-form minimizer (the quartic
-via the real roots of its derivative cubic); otherwise the exact search
-scans a grid and refines by golden section, and the successive search
+polynomial of degree at most 4, minimized exactly by comparing the
+endpoints with the real roots of its derivative inside [0, 1], which
+one bracketed bisection finds (``_roots_between``); a convex quadratic
+has a closed form.  Without a polynomial profile the exact search scans
+a grid and refines by golden section, and the successive search
 backtracks (Armijo).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Callable
 
 import numpy as np
 
 from .errors import InvalidArgumentError, LineSearchError
 
-_BRANCH_RTOL = 1e-12
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -53,16 +57,15 @@ class ScalarProfile:
             self.v3 / 3.0 + gamma * 0.25 * self.v4)))
 
     def minimize(self) -> StepResult:
-        """Exact minimizer over [0, 1]: closed forms for the quartic with
-        v4 > 0 and the convex quadratic; any other profile compares the
-        endpoints with the real stationary points inside."""
+        """Exact minimizer over [0, 1]: a closed form for the convex
+        quadratic; any other profile compares the endpoints with the real
+        stationary points inside (``exact_quartic_step`` for v4 > 0)."""
         if self.v4 > 0.0:
             return exact_quartic_step(self.v4, self.v3, self.v2, self.v1)
         if self.v4 == self.v3 == 0.0 < self.v2:
             return exact_quadratic_step(self.v2, self.v1)
-        # np.roots strips leading zeros, so this is the lower-degree case
-        roots = np.roots([self.v4, self.v3, self.v2, self.v1])
-        return _polynomial_argmin(self, roots.real[abs(roots.imag) < 1e-9].tolist())
+        return _polynomial_argmin(
+            self, _roots_between(self.v4, self.v3, self.v2, self.v1, 0.0, 1.0))
 
 
 def quadratic_profile(a2: float, a1: float) -> ScalarProfile:
@@ -91,26 +94,22 @@ def exact_quartic_step(v4: float, v3: float, v2: float, v1: float) -> StepResult
     """Minimize (1/4)v4 g^4 + (1/3)v3 g^3 + (1/2)v2 g^2 + v1 g over [0, 1].
 
     The interior stationary points are the real roots of the derivative
-    cubic; the quartic is evaluated at those roots inside [0, 1] and at
-    both endpoints, and the argmin wins (ties go to the smaller gamma).
-    Coefficient spreads that overflow the root formulas go to a grid and
-    golden-section scan instead.  Requires v4 > 0.
+    cubic inside [0, 1] (``_roots_between``); the quartic is evaluated at
+    those roots and at both endpoints, and the argmin wins (ties go to the
+    smaller gamma).  No coefficient spread needs a scan: the bracketing
+    never divides by v4 and compares signs, not products.  Requires
+    v4 > 0.
     """
     if v4 <= 0.0:
         raise InvalidArgumentError("quartic profile needs v4 > 0")
-    profile = ScalarProfile(v4, v3, v2, v1)
-    try:
-        roots = _cubic_roots(v4, v3, v2, v1)
-    except OverflowError:
-        return _grid_golden(profile.value)
-    if not all(map(math.isfinite, roots)):
-        return _grid_golden(profile.value)
-    return _polynomial_argmin(profile, roots)
+    return _polynomial_argmin(ScalarProfile(v4, v3, v2, v1),
+                              _roots_between(v4, v3, v2, v1, 0.0, 1.0))
 
 
 def _grid_golden(phi: Callable[[float], float], grid: int = 1000,
                  tol: float = 1e-12) -> StepResult:
-    """Last-resort minimizer of ``phi`` on [0, 1]: uniform scan, then a
+    """Minimizer of ``phi`` on [0, 1] for an exact search without a
+    polynomial profile: uniform scan, then a
     golden-section refine around the best grid point, which is kept when
     the refined point scores no better."""
     gammas = np.linspace(0.0, 1.0, grid + 1)
@@ -136,136 +135,81 @@ def _grid_golden(phi: Callable[[float], float], grid: int = 1000,
 
 
 # ---------------------------------------------------------------------------
-# cubic roots (Cardano with a trigonometric branch)
+# real roots of a polynomial of degree at most 3
 # ---------------------------------------------------------------------------
 
 def cubic_real_roots(c3: float, c2: float, c1: float, c0: float) -> np.ndarray:
     """Sorted real roots of c3 t^3 + c2 t^2 + c1 t + c0, c3 != 0, as an
-    array (``_cubic_roots``)."""
-    return np.array(_cubic_roots(c3, c2, c1, c0))
-
-
-def _cubic_roots(c3: float, c2: float, c1: float, c0: float) -> list[float]:
-    """Sorted real roots of c3 t^3 + c2 t^2 + c1 t + c0, c3 != 0, as
-    Python floats.
-
-    The depressed-cubic discriminant picks between the one-real-root
-    Cardano branch (in the cancellation-safe u - p/(3u) form) and the
-    trigonometric three-root branch, with repeated-root closed forms at
-    the near-zero boundary.  Closed-form seeds are Newton-polished to
-    convergence, the quadratic left after deflating the most accurate
-    root supplies any root the trigonometric branch mangled (its arccos
-    loses the moderate roots under extreme coefficient spreads), and
-    only candidates with a rounding-level residual survive.
-    """
+    array: those of ``_roots_between`` over Cauchy's bound on the roots,
+    |t| <= 1 + max |c_i / c3| (capped at the largest float)."""
     if c3 == 0.0:
         raise InvalidArgumentError("cubic needs a nonzero leading coefficient")
-    a = c2 / c3
-    b = c1 / c3
-    c = c0 / c3
-    p = b - a * a / 3.0
-    q = 2.0 * a ** 3 / 27.0 - a * b / 3.0 + c
-    shift = -a / 3.0
-    half_q = -0.5 * q
-    third_p = p / 3.0
-    disc = half_q * half_q + third_p ** 3
-    scale = max(half_q * half_q, abs(third_p) ** 3, 1e-300)
-
-    if disc > _BRANCH_RTOL * scale:
-        sq = math.sqrt(disc)
-        t1 = half_q + sq if half_q >= 0.0 else half_q - sq
-        u = math.copysign(abs(t1) ** (1.0 / 3.0), t1)
-        s = u - third_p / u if u != 0.0 else 0.0
-        seeds = [s + shift]
-    elif disc < -_BRANCH_RTOL * scale:
-        # three distinct real roots, p < 0 here
-        rho = math.sqrt(-third_p)
-        cosarg = min(1.0, max(-1.0, half_q / rho ** 3))
-        theta = math.acos(cosarg)
-        seeds = [2.0 * rho * math.cos((theta - 2.0 * math.pi * j) / 3.0) + shift
-                 for j in range(3)]
-    else:
-        if abs(p) ** 3 <= 1e-300 or abs(third_p) ** 3 <= _BRANCH_RTOL * scale:
-            seeds = [shift]                       # triple root
-        else:
-            seeds = [3.0 * q / p + shift,         # simple root
-                     -1.5 * q / p + shift]        # double root
-
-    candidates = [_newton_polish(t, a, b, c) for t in seeds]
-    best = min(candidates, key=lambda t: _residual_quality(t, a, b, c))
-    candidates.extend(_deflated_pair(best, a, b, c))
-    roots = sorted(t for t in candidates
-                   if _residual_quality(t, a, b, c) <= 64.0)
-    unique: list[float] = []
-    for r in roots:
-        if not unique or abs(r - unique[-1]) > 1e-10 * max(1.0, abs(r)):
-            unique.append(r)
-    if not unique:
-        # a cubic always has one real root; Newton can step off a flat
-        # (triple) root, so the raw seeds compete with the polished ones
-        unique = [min([best] + seeds, key=lambda t: _residual_quality(t, a, b, c))]
-    while len(unique) > 3:
-        # rounding can leave a cluster around a repeated root; merge the
-        # closest pair until the algebra is respected
-        gaps = [unique[i + 1] - unique[i] for i in range(len(unique) - 1)]
-        i = gaps.index(min(gaps))
-        unique[i:i + 2] = [0.5 * (unique[i] + unique[i + 1])]
-    return unique
+    bound = min(1.0 + max(abs(c2), abs(c1), abs(c0)) / abs(c3), sys.float_info.max)
+    return np.array(_roots_between(c3, c2, c1, c0, -bound, bound))
 
 
-def _residual_quality(t: float, a: float, b: float, c: float) -> float:
-    """|p(t)| against the rounding floor of its own evaluation."""
-    val = ((t + a) * t + b) * t + c
-    floor = 1e-16 * (abs(t) ** 3 + abs(a) * t * t + abs(b * t) + abs(c) + 1e-300)
-    return abs(val) / floor
+def _roots_between(c3: float, c2: float, c1: float, c0: float,
+                   lo: float, hi: float) -> list[float]:
+    """Sorted real roots in [lo, hi] of p(t) = c3 t^3 + c2 t^2 + c1 t + c0,
+    of any degree up to 3.
 
-
-def _deflated_pair(root: float, a: float, b: float, c: float) -> list[float]:
-    """Real roots of the quadratic left after dividing ``root`` out of the
-    monic cubic, via the cancellation-safe quadratic formula, polished.
-
-    Forward deflation (``lin = a + root``, ``const = b + root * lin``)
-    cancels when ``root`` dominates the other two roots and can then make
-    a real pair look complex, so a pair it finds complex is tried again
-    divided out backward (``const = -c / root``, ``lin = (const - b) /
-    root``), which is stable for a dominant root.  A discriminant within
-    rounding of zero counts as a double root.
+    The turning points of p cut [lo, hi] into pieces on which p is
+    monotone.  A piece whose end values differ in sign is bisected to
+    adjacent floats, and a cut where |p| is finite and within the rounding
+    of its own evaluation, 8 eps sum |c_i t^i|, counts as a (repeated)
+    root.  Signs are compared rather than multiplied, which would
+    underflow for tiny coefficients, and p is never divided by c3, which
+    would lose a tiny leading term.
     """
-    lin = a + root
-    forms = [(lin, b + root * lin)]
-    if root != 0.0:
-        const = -c / root
-        forms.append(((const - b) / root, const))
-    for lin, const in forms:
-        disc = lin * lin - 4.0 * const
-        if disc >= 0.0:
-            sq = math.sqrt(disc)
-            major = -0.5 * (lin + math.copysign(sq, lin))
-            pair = (major, const / major) if major != 0.0 else (0.0,)
-            return [_newton_polish(t, a, b, c) for t in pair]
-        if disc >= -4e-12 * (lin * lin + 4.0 * abs(const)):
-            # barely negative: a double root split by coefficient
-            # rounding.  The double point is a critical point of the
-            # cubic, from which a Newton step runs off to another root,
-            # so it goes unpolished to the residual filter (a genuinely
-            # complex pair fails it)
-            return [-0.5 * lin]
-    return []
+    def p(t: float) -> float:
+        return ((c3 * t + c2) * t + c1) * t + c0
+
+    cuts = [lo] + sorted({t for t in _turning_points(c3, c2, c1) if lo < t < hi}) + [hi]
+    values = []
+    for t in cuts:
+        value, r = p(t), abs(t)
+        floor = 8.0 * _EPS * (((abs(c3) * r + abs(c2)) * r + abs(c1)) * r + abs(c0))
+        values.append(0.0 if math.isfinite(value) and abs(value) <= floor else value)
+    roots = [t for t, value in zip(cuts, values) if value == 0.0]
+    for (a, fa), (b, fb) in pairwise(zip(cuts, values)):
+        if fa < 0.0 < fb or fb < 0.0 < fa:
+            roots.append(_bisect(p, a, b, fa < 0.0))
+    return sorted(roots)
 
 
-def _newton_polish(t: float, a: float, b: float, c: float,
-                   max_iterations: int = 60) -> float:
-    # plain Newton converges linearly on repeated roots, hence the budget
-    for _ in range(max_iterations):
-        val = ((t + a) * t + b) * t + c
-        der = (3.0 * t + 2.0 * a) * t + b
-        if der == 0.0:
-            break
-        step = val / der
-        t -= step
-        if abs(step) <= 1e-16 * max(1.0, abs(t)):
-            break
-    return t
+def _turning_points(c3: float, c2: float, c1: float) -> list[float]:
+    """Real roots of p' = 3 c3 t^2 + 2 c2 t + c1 by the cancellation-safe
+    quadratic formula, on coefficients scaled so that the discriminant
+    cannot overflow."""
+    m = max(abs(c3), abs(c2), abs(c1))
+    if m == 0.0:
+        return []
+    a, b, c = 3.0 * (c3 / m), 2.0 * (c2 / m), c1 / m
+    if a == 0.0:
+        return [-c / b] if b != 0.0 else []
+    disc = b * b - 4.0 * a * c
+    if disc < 0.0:
+        return []
+    q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+    return [q / a, c / q] if q != 0.0 else [0.0]
+
+
+def _bisect(p: Callable[[float], float], lo: float, hi: float,
+            rising: bool) -> float:
+    """The root of p, monotone on [lo, hi] with ends of opposite signs
+    (negative at ``lo`` when ``rising``): halve to adjacent floats, then
+    keep the end with the smaller |p|."""
+    while True:
+        mid = 0.5 * lo + 0.5 * hi
+        if not lo < mid < hi:
+            return lo if abs(p(lo)) <= abs(p(hi)) else hi
+        value = p(mid)
+        if value == 0.0:
+            return mid
+        if (value < 0.0) == rising:
+            lo = mid
+        else:
+            hi = mid
 
 
 # ---------------------------------------------------------------------------

@@ -175,7 +175,13 @@ def _halves(form, length: int, nbytes: int, width: int, least: int = 0) -> None:
     alone; the halves of a 1000 x 5000 gemv took 2.0 ms on two threads
     against 1.8-1.9 ms on one), a solve with every product whole took
     0.92-1.00 times as long (same script, two runs, the whole products
-    faster in 7 to 10 of 12 pairs).  A product that stays whole by its
+    faster in 7 to 10 of 12 pairs).  Re-measured there, the gain
+    follows the block: with both second-thread mechanisms off
+    (``_SECOND_THREAD_BYTES`` past every block) ``pr_wide_blocks``, warm
+    1000-row blocks, took 0.91-0.93 times as long, while the published
+    cold first sweep, 2000-row blocks, took a median 1.11 s with only
+    the split off and 1.15 s with both off against 0.82 s with both on
+    (10 rounds each).  A product that stays whole by its
     size calls ``form`` at once, without ``_second_thread``'s checks
     (4-7 us a call, 71 calls per ``pr_scaleup`` solve)."""
     cut = length // 2 // _LAYOUT_ROWS * _LAYOUT_ROWS
@@ -776,6 +782,10 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
     ``_halves`` whose second vCPU adds little, with this thread and the
     split products both off a solve took 0.87-0.98 times as long (two
     runs, faster in 7 to 10 of 12 pairs): the gain depends on the host.
+    Re-measured there, it also depends on the block: with both off,
+    ``pr_wide_blocks`` (warm, 1000-row blocks) took 0.91-0.93 times as
+    long, and the published cold first sweep (2000-row blocks) a median
+    1.15 s against 0.82 s with both on (``_halves``).
 
     ``problem`` is a ``pr_problem``: the data and ``A'x`` come from its
     product hook, so inside a run the model reads the maintained

@@ -881,6 +881,15 @@ class TestBpgd:
         got = bregman_step(x, grad, 1.0, 0.0)
         assert np.allclose(got, roots[-1] * x, rtol=1e-12)
 
+    def test_cubic_root_over_every_squared_norm(self):
+        # the theta that bregman_step takes: the positive root of
+        # ||v||^2 t^3 + t - 1, for ||v||^2 = 10^k over the float range
+        for k in range(-323, 309):
+            v_sq = 10.0 ** k
+            theta = float(cubic_real_roots(v_sq, 0.0, 1.0, -1.0)[-1])
+            assert 0.0 < theta <= 1.0, k
+            assert abs(v_sq * theta ** 3 + theta - 1.0) <= 1e-12, k
+
     def test_zero_gradient_zero_gain_fixed_point(self, rng):
         x = rng.standard_normal(4)
         got = bregman_step(x, np.zeros(4), 2.5, 0.0)

@@ -58,6 +58,38 @@ class TestExactQuarticStep:
         with pytest.raises(InvalidArgumentError):
             exact_quartic_step(-1.0, 0.0, 0.0, 0.0)
 
+    def test_tiny_quartic_term_keeps_the_quadratic_minimizer(self):
+        # 0.25e-150 g^4 + 0.5 g^2 - 0.5 g is least at 0.5 up to 1e-150
+        step = exact_quartic_step(1e-150, 0.0, 1.0, -0.5)
+        assert step.gamma == pytest.approx(0.5, abs=1e-9)
+        assert step.armijo_exponent is None
+
+    def test_tiny_coefficients_need_no_scan(self, monkeypatch):
+        # an increasing profile keeps the left endpoint, found from the
+        # roots of its derivative alone
+        scans = []
+        monkeypatch.setattr(linesearch, "_grid_golden",
+                            lambda phi: scans.append(phi) or _grid_golden(phi))
+        assert exact_quartic_step(1e-300, 1e-300, 1e-300, 1.0).gamma == 0.0
+        assert scans == []
+
+    @pytest.mark.parametrize("coeffs, gamma", [
+        # the derivative 5e-324 g^3 + g^2 + g - 1: a leading term that a
+        # monic form would blow up to overflow
+        ((5e-324, 1.0, 1.0, -1.0), (np.sqrt(5.0) - 1.0) / 2.0),
+        # every coefficient near 1e-200, where products of values underflow
+        ((1e-200, 1e-200, 1e-200, -1e-200), 0.5436890126920764),
+    ])
+    def test_extreme_coefficients_keep_the_root(self, coeffs, gamma):
+        assert exact_quartic_step(*coeffs).gamma == pytest.approx(gamma, abs=1e-15)
+
+    def test_derivative_with_a_double_root_inside(self):
+        # the derivative (g - 0.25)^2 (g - 0.75): a flat point at 0.25
+        # and the minimizer at 0.75
+        coeffs = (1.0, -1.25, 0.4375, -0.046875)
+        assert cubic_real_roots(*coeffs) == pytest.approx([0.25, 0.75], abs=1e-7)
+        assert exact_quartic_step(*coeffs).gamma == pytest.approx(0.75, abs=1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6))
     def test_wide_coefficient_spread_matches_golden(self, seed):
@@ -89,10 +121,10 @@ class TestCubicRoots:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=0, max_value=10 ** 6))
-    @example(27091)    # forward deflation of the root 3.6e4 lost the root -4.9e-4
-    @example(11)       # a pair 4e-7 apart: Newton ran from its double point to the third root
-    @example(120817)   # a triple root: Newton stepped off it and every candidate was rejected
-    @example(27)       # a pair 4e-6 apart left four candidates, merged into three roots
+    @example(27091)    # roots -4.9e-4, 8.7e-6 and 3.6e4: nine orders of magnitude apart
+    @example(11)       # a pair 4e-7 apart at 4.08 and a third root at 3.67
+    @example(120817)   # a triple root at -1.54
+    @example(27)       # a pair 4e-6 apart at 2.33 and a third root at 2.89
     def test_hard_root_configurations(self, seed):
         # near-double, triple and widely spread roots; the answer must
         # stay within the root's own conditioning radius and the root
@@ -264,6 +296,42 @@ class TestProfiles:
         assert quadratic_profile(0.0, -2.0).minimize().gamma == 1.0
         assert quadratic_profile(0.0, 2.0).minimize().gamma == 0.0
 
+    def test_tiny_coefficients_keep_the_root(self):
+        # the derivative 1e-200 (g^2 + g - 1), whose products underflow
+        got = ScalarProfile(0.0, 1e-200, 1e-200, -1e-200).minimize().gamma
+        assert got == pytest.approx((np.sqrt(5.0) - 1.0) / 2.0, abs=1e-15)
+
+    @pytest.mark.parametrize("profile, gamma", [
+        # the derivatives (g - 0.5)^2 and -(g - 0.5)^2: monotone through
+        # a flat point, so an endpoint wins
+        (ScalarProfile(0.0, 1.0, -1.0, 0.25), 0.0),
+        (ScalarProfile(0.0, -1.0, 1.0, -0.25), 1.0),
+    ])
+    def test_derivative_with_a_double_root_inside(self, profile, gamma):
+        assert profile.minimize().gamma == gamma
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=10 ** 6))
+    def test_profiles_without_a_positive_quartic_term_match_golden(self, seed):
+        # a cubic, a line, or a negative leading coefficient, at the
+        # bars of acceptance criterion 3
+        gen = np.random.default_rng(seed)
+        scale = float(np.exp(gen.uniform(np.log(1e-3), np.log(1e3))))
+        v4, v3, v2, v1 = (gen.standard_normal(4) * scale * 2.0).tolist()
+        kind = int(gen.integers(3))
+        if kind == 0:
+            v4 = 0.0
+        elif kind == 1:
+            v4 = v3 = v2 = 0.0
+        else:
+            v4 = -abs(v4)
+        profile = ScalarProfile(v4, v3, v2, v1)
+        step = profile.minimize()
+        oracle = golden_section(profile.value, tol=1e-12, grid=1000)
+        assert (abs(step.gamma - oracle) <= 1e-6
+                or abs(profile.value(step.gamma) - profile.value(oracle))
+                <= 1e-10 * max(1.0, abs(profile.value(oracle))))
+
     @pytest.mark.parametrize("profile, gamma, value", [
         (quadratic_profile(-2.0, 0.5), 1.0, -0.5),
         (ScalarProfile(-1.0, 0.0, 0.0, 0.0), 1.0, -0.25),
@@ -278,23 +346,6 @@ class TestProfiles:
 
 
 class TestGridGolden:
-    def test_overflowing_root_formulas_fall_back_to_the_scan(self):
-        # the depressed cubic's p^3 overflows a float: the minimizer of
-        # 0.25e-150 g^4 + 0.5 g^2 - 0.5 g is 0.5 up to 1e-150
-        step = exact_quartic_step(1e-150, 0.0, 1.0, -0.5)
-        assert step.gamma == pytest.approx(0.5, abs=1e-9)
-        assert step.armijo_exponent is None
-
-    def test_roots_that_are_not_finite_fall_back_to_the_scan(self, monkeypatch):
-        # the root formulas give nan here without overflowing; the scan
-        # keeps the left endpoint of this increasing profile
-        assert np.isnan(linesearch._cubic_roots(1e-300, 1e-300, 1e-300, 1.0)).all()
-        scans = []
-        monkeypatch.setattr(linesearch, "_grid_golden",
-                            lambda phi: scans.append(phi) or _grid_golden(phi))
-        step = exact_quartic_step(1e-300, 1e-300, 1e-300, 1.0)
-        assert len(scans) == 1 and step.gamma == 0.0
-
     def test_increasing_profile_keeps_the_left_endpoint(self):
         profile = ScalarProfile(1.0, 1e120, 1.0, 1.0)
         assert _grid_golden(profile.value).gamma == 0.0
