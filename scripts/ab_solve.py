@@ -30,11 +30,9 @@ least nine tenths of them (ties count for neither side), and the
 medians differ by more than the distance between A's quartiles.  It
 also prints each side's function calls per solve, Python and built-in,
 counted by ``cProfile`` in one more solve per side, which is not timed:
-a count that repeats exactly, for a claim about per-call overhead,
-except that a wait for a product half on a second thread adds a few
-calls when the half is not done yet.  B's gain is claimed only when
-the rule holds under both assignments, so a bias of the harness
-towards one side cannot make the claim.  The last lines give the
+a count that repeats exactly, for a claim about per-call overhead.
+B's gain is claimed only when the rule holds under both assignments,
+so a bias of the harness towards one side cannot make the claim.  The last lines give the
 geometric mean of the two assignments' median ratios B/A, which
 cancels a bias that slows one side by a factor, and the claim's
 verdict.  Timing the two sides back to back keeps a machine whose

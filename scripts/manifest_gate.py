@@ -10,17 +10,15 @@ runs with one checkout, then re-run every manifest with another.
 instance, runs 18 ``bsca solve`` variants on them at the CLI defaults,
 and runs ``bsca bench`` of ``desk_anomaly.variants`` on the low-rank +
 sparse one.  It also generates a phase-retrieval instance with one
-1000 x 2500 block (19 MiB, past ``phase_retrieval._SECOND_THREAD_BYTES``)
-and solves it with ``bsca``: its dense visits form the diagonal on a
-second thread, and its products over the block run in halves on two
-threads.  ``check`` reruns each of the 23 manifests with ``bsca
-reproduce --out`` into a temporary directory, prints one verdict line
-per manifest, and exits 1 if any reproduction differs or fails.  For
-each trace of a run that differs (``trace.csv``, or a bench run's
-``<name>.trace.csv``) it prints one more line: iterations and final
-objective (recorded -> rerun), the rows that differ, the largest
-relative objective difference, and whether the skipped iterations
-(stepsize 0) are the same.  Both run ``bsca`` from the checkout this
+1000 x 2500 block (19 MiB) and solves it with ``bsca``, which checks
+the bits of products over a big block.  ``check`` reruns each of the
+23 manifests with ``bsca reproduce --out`` into a temporary directory,
+prints one verdict line per manifest, and exits 1 if any
+reproduction differs or fails.  For each trace of a run that differs
+(``trace.csv``, or a bench run's ``<name>.trace.csv``) it prints one
+more line: iterations and final objective (recorded -> rerun), the
+rows that differ, the largest relative objective difference, and
+whether the skipped iterations (stepsize 0) are the same.  Both run ``bsca`` from the checkout this
 script lives in, in subprocesses with one BLAS thread, so that threaded
 products do not change the last bits.  ``compare`` records with the
 package of REF_CHECKOUT (its ``src``) into a temporary directory, then

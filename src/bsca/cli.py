@@ -28,7 +28,6 @@ from .core import EXACT, SUCCESSIVE, RunTrace, SolverConfig
 from .engine import run_bgd, run_bpgd, run_bsca, run_parallel_sca
 from .errors import BscaError, ConfigError, InvalidArgumentError, InvalidPartitionError
 from .phase_retrieval import (
-    BLAS_THREAD_VARS,
     generate_pr_instance,
     pr_partition,
     pr_problem,
@@ -71,6 +70,10 @@ SOLVE_OPTIONS = {
     "discount": (float, 1.0, None),
 }
 SOLVE_DEFAULTS = {key: default for key, (_, default, _) in SOLVE_OPTIONS.items()}
+
+# the BLAS thread settings, which solve and bench manifests record: a
+# BLAS that threads a product may round it otherwise than one thread
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class UsageError(Exception):

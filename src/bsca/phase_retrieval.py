@@ -9,17 +9,14 @@ quadratic form per block; its subproblem is solved inexactly by a few
 elementwise best-response rounds (soft-thresholds), and the outer
 stepsize comes from the exact quartic line search.  Every layer reads
 ``u = A'x`` from the problem's ``PhaseProducts``, which a run carries
-from step to step and re-forms once per sweep.
+from step to step and re-forms once per sweep.  Everything runs on the
+calling thread; a second core works only through the BLAS's own
+threads (``OPENBLAS_NUM_THREADS``).
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-import resource
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -80,146 +77,6 @@ _SPARSE_CAP = 32    # most nonzeros of a vector taken on its support rows
 _EPS = np.finfo(float).eps
 
 
-# ---------------------------------------------------------------------------
-# the second core
-# ---------------------------------------------------------------------------
-
-# the BLAS thread settings, which solve and bench manifests record: a
-# BLAS that may thread a product itself rounds the halves of a split
-# product otherwise than the whole
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-# bytes of rows from which work over them takes a second thread: a
-# product over a block (``_halves``), and a dense anchor's diagonal
-# beside its gradient (``pr_outer_model``); set from the diagonal's
-# break-even, between 9.5 and 11.4 MiB of rows
-_SECOND_THREAD_BYTES = 11 << 20
-
-# fewest rows in each half of a product split over rows.  The GEMM forms
-# a product over fewer than about 2 x 184 rows on another kernel path,
-# which sums the last rows of stacks of 12 rows or more otherwise when
-# the row count is not a multiple of 8
-_HALF_ROWS = 192
-
-# numpy's matmul releases the GIL only for an output of more than 500
-# entries
-_GIL_ENTRIES = 500
-
-_second_core = threading.Lock()    # held by a call while it runs a second thread
-
-
-@contextmanager
-def _second_thread(nbytes: int):
-    """A one-worker pool for work over ``nbytes`` of rows, or None when
-    the work stays on this thread.  It takes a second thread when the
-    rows hold ``_SECOND_THREAD_BYTES``, this process may run on 2 CPUs,
-    the BLAS is pinned to one thread (every variable of
-    ``BLAS_THREAD_VARS`` that is set reads 1, and one is set), no
-    ``RLIMIT_DATA`` or ``RLIMIT_AS`` is set, and no other call holds a
-    second thread, so that nothing is split while a diagonal forms
-    beside its gradient.  A limit is left alone because the thread adds
-    its stack to VmData (8 MiB) and a malloc arena to the address space
-    (64 MiB): under a 96 MiB data limit its first BLAS call failed to
-    map a buffer.  RssAnon grows by about 1 MiB.  The thread lives
-    inside the ``with`` block."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    if (nbytes < _SECOND_THREAD_BYTES or affinity is None or len(affinity(0)) < 2
-            or {os.environ.get(var) for var in BLAS_THREAD_VARS} - {None} != {"1"}
-            or any(resource.getrlimit(limit)[0] != resource.RLIM_INFINITY
-                   for limit in (resource.RLIMIT_DATA, resource.RLIMIT_AS))
-            or not _second_core.acquire(blocking=False)):
-        yield None
-        return
-    try:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            yield pool
-    finally:
-        _second_core.release()
-
-
-def _halves(form, length: int, nbytes: int, width: int, least: int = 0) -> None:
-    """``form(0, length)``, or ``form(cut, length)`` on a second thread
-    (``_second_thread``) beside ``form(0, cut)`` here, where ``cut`` is
-    half of ``length`` rounded down to a multiple of 16.  ``form(lo,
-    hi)`` forms the entries of a product over ``[lo, hi)`` of one axis
-    of its ``nbytes`` of rows, ``width`` output entries per index.  Each
-    entry keeps the bits of the unsplit product with one BLAS thread:
-    the cut is aligned (one at row 500 of 1000 changed stacks of 12 rows
-    and more), and a product is split over rows only when each half
-    holds ``least`` (``_HALF_ROWS``) rows and the rows hold
-    ``_SECOND_THREAD_BYTES``, so both halves take the whole's GEMM path
-    (with 100 rows, stacks of 3 to 6 rows changed at an aligned cut).
-    numpy's matmul holds the GIL for ``_GIL_ENTRIES`` outputs or fewer,
-    which kept the halves of a 1000-row gemv from overlapping (2.7 ms
-    split against 2.3 ms whole), so the second thread takes the upper
-    half and it must have more outputs; the half here may hold the GIL,
-    since the second thread's is under way by then.
-
-    Measured worth.  Products over blocks of 5000 columns, one BLAS
-    thread, split over whole (medians of three runs of 61 pairs; "-" is
-    a product left whole):
-
-        rows                 289   384   500   1000  2000
-        [1 x N] @ A_k'       -     -     -     0.71  0.63
-        [2 x N] @ A_k'       -     -     0.65  0.63  0.58
-        [12 x N] @ A_k'      -     0.67  0.64  0.61  0.56
-        A_k' v               1.05  0.87  0.80  0.68  0.63
-
-    Without the split a ``pr_wide_blocks`` solve took 1.17-1.22 times as
-    long (``scripts/ab_solve.py``, 12 pairs per side assignment, two
-    runs, traces bit for bit), and the published cold first sweep
-    (20000 x 5000, 10 blocks) 1.10-1.27 s against 0.73-0.94 s with it.
-    The gain depends on the host.  On a 2-vCPU host whose second vCPU
-    adds little (two processes, each running a 3,000,000-iteration
-    Python loop, took 0.39-0.81 s side by side against 0.34-0.39 s
-    alone; the halves of a 1000 x 5000 gemv took 2.0 ms on two threads
-    against 1.8-1.9 ms on one), a solve with every product whole took
-    0.92-1.00 times as long (same script, two runs, the whole products
-    faster in 7 to 10 of 12 pairs).  Re-measured there, the gain
-    follows the block: with both second-thread mechanisms off
-    (``_SECOND_THREAD_BYTES`` past every block) ``pr_wide_blocks``, warm
-    1000-row blocks, took 0.91-0.93 times as long, while the published
-    cold first sweep, 2000-row blocks, took a median 1.11 s with only
-    the split off and 1.15 s with both off against 0.82 s with both on
-    (10 rounds each).  A product that stays whole by its
-    size calls ``form`` at once, without ``_second_thread``'s checks
-    (4-7 us a call, 71 calls per ``pr_scaleup`` solve)."""
-    cut = length // 2 // _LAYOUT_ROWS * _LAYOUT_ROWS
-    if (cut < least or (length - cut) * width <= _GIL_ENTRIES
-            or nbytes < _SECOND_THREAD_BYTES):
-        return form(0, length)
-    with _second_thread(nbytes) as pool:
-        if pool is None:
-            form(0, length)
-        else:
-            upper = pool.submit(form, cut, length)
-            form(0, cut)
-            upper.result()
-
-
-def _times_rows(left: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``left @ rows.T`` (``rows @ left`` for a vector), split over
-    ``rows`` (``_halves``)."""
-    out = np.empty(left.shape[:-1] + rows.shape[:1])
-
-    def form(lo: int, hi: int) -> None:
-        if left.ndim == 1:
-            np.matmul(rows[lo:hi], left, out=out[lo:hi])
-        else:
-            np.matmul(left, rows[lo:hi].T, out=out[:, lo:hi])
-
-    _halves(form, len(rows), rows.nbytes, 1 if left.ndim == 1 else len(left), _HALF_ROWS)
-    return out
-
-
-def _times_columns(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``rows.T @ v``, split over the columns of ``rows`` (``_halves``)."""
-    out = np.empty(rows.shape[1])
-    _halves(lambda lo, hi: np.matmul(rows[:, lo:hi].T, v, out=out[lo:hi]),
-            rows.shape[1], rows.nbytes, 1)
-    return out
-
-
 def _spread(grad_u: np.ndarray, grad_u_ref: np.ndarray) -> float:
     """``||grad_u - grad_u'||`` plus the rounding of the block products
     ``A_k grad_u`` and ``A_k grad_u'``: a dot product of length N is off
@@ -244,7 +101,7 @@ def _transposed_product(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
     when ``v`` is sparse (``_sparse_support``)."""
     support = _sparse_support(v)
     if support is None:
-        return _times_columns(rows, v)
+        return rows.T @ v
     return rows[support].T @ v[support]
 
 
@@ -254,26 +111,21 @@ def _fresh_product(instance: PhaseRetrievalInstance, x: np.ndarray):
     a dense one it is the block-order sum of the block partials
     ``A_k'x_k``, which come back as a tuple, one per block.  They are
     formed in one batched product per run of equal-sized blocks, so an
-    equal partition reads A in one product, split over A's columns
-    (``_halves``)."""
+    equal partition reads A in one product."""
     sampling = instance.sampling
     if _sparse_support(x) is not None:
         return _transposed_product(sampling, x), None
     partition = instance.partition
     partials = np.empty((partition.num_blocks, sampling.shape[1]))
-
-    def form(lo: int, hi: int) -> None:
-        first = 0
-        for size, run in itertools.groupby(partition.block_sizes):
-            count = len(list(run))
-            start = partition.offsets[first]
-            stop = start + count * size
-            np.matmul(x[start:stop].reshape(count, 1, size),
-                      sampling[start:stop, lo:hi].reshape(count, size, -1),
-                      out=partials[first:first + count, None, lo:hi])
-            first += count
-
-    _halves(form, sampling.shape[1], sampling.nbytes, 1)
+    first = 0
+    for size, run in itertools.groupby(partition.block_sizes):
+        count = len(list(run))
+        start = partition.offsets[first]
+        stop = start + count * size
+        np.matmul(x[start:stop].reshape(count, 1, size),
+                  sampling[start:stop].reshape(count, size, -1),
+                  out=partials[first:first + count, None])
+        first += count
     u = partials[0].copy()
     for partial in partials[1:]:
         u += partial
@@ -471,7 +323,7 @@ def pr_problem(instance: PhaseRetrievalInstance) -> CompositeProblem:
 
     def block_gradient(x: np.ndarray, k: int) -> np.ndarray:
         u = products.product(x)
-        return _times_rows(u * (u * u - y), instance.block_rows(k))
+        return instance.block_rows(k) @ (u * (u * u - y))
 
     def line_profile(x: np.ndarray, direction: np.ndarray,
                      block: int | None = None):
@@ -589,7 +441,7 @@ class _BlockOperator:
         # default mode would gather them into a temporary first
         np.take(self.rows, support, axis=0, out=stack[1:], mode="clip")
         stack[1:] *= self.twice_u_sq
-        products = _times_rows(stack, self.rows)
+        products = stack @ self.rows.T
         self._hold(support, products[1:])
         return products[0]
 
@@ -603,7 +455,7 @@ class _BlockOperator:
         stack = np.empty((2, self.rows.shape[1]))
         stack[0] = grad_u
         np.multiply(self.twice_u_sq, partial, out=stack[1])
-        products = _times_rows(stack, self.rows)
+        products = stack @ self.rows.T
         self.anchor = anchor
         self.anchor_image = products[1] + self.curvature * anchor
         return products[0]
@@ -622,7 +474,7 @@ class _BlockOperator:
             if support is not None:
                 return self._from_columns(end, support) - self.anchor_image
         if support is None:
-            image = _times_rows(self.u_sq * _times_columns(self.rows, v), self.rows)
+            image = self.rows @ (self.u_sq * (self.rows.T @ v))
             return 2.0 * image + self.curvature * v
         return self._from_columns(v, support)
 
@@ -635,7 +487,7 @@ class _BlockOperator:
                 new = support
             weighted = self.rows[new]
             weighted *= self.twice_u_sq
-            self._hold(new, _times_rows(weighted, self.rows))
+            self._hold(new, weighted @ self.rows.T)
         coefficients = np.zeros(self.held)
         coefficients[self.slot[support]] = v[support]
         return coefficients @ self.columns[:self.held] + self.curvature * v
@@ -757,36 +609,6 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
     best response reads it; the block's first diagonal to be completed
     also gives the product hook the rows' norms.
 
-    At a dense anchor whose support rows take a second thread
-    (``_second_thread``: 11 MiB of rows, 2 CPUs, one BLAS thread, no
-    memory limit), the diagonal on the anchor's support is formed on it
-    while this thread forms the partial, when the hook does not hold it,
-    and the gradient, neither of them split.  None of it is wasted: the
-    first inner best response reads the diagonal wherever ``x_i != 0``
-    (``inner_best_response_step``), and it has the bits it would have
-    had on demand.  The thread touches only the diagonal's state.
-    Break-even, one BLAS thread, 5000 columns, a held partial, the
-    model's build plus its whole diagonal, overlapped over sequential
-    (medians of 15 to 31 pairs):
-
-        rows (MiB)  100 (3.8)  200 (7.6)  250 (9.5)  300 (11.4)
-        ratio       1.63       1.41       1.49       0.85
-        rows (MiB)  400 (15.3) 700 (26.7) 1000 (38.1) 2000 (76.3)
-        ratio       0.83       0.70       0.69        0.79
-
-    Measured worth (``scripts/ab_solve.py``, 12 pairs per side
-    assignment): without the thread a ``pr_wide_blocks`` solve took 1.06
-    times as long under both, traces bit for bit; at the published size
-    (20000 x 5000, 10 blocks, cold start) the first sweep took 1.48-1.65
-    s against 1.30-1.54 s with it (10 rounds each).  On the host of
-    ``_halves`` whose second vCPU adds little, with this thread and the
-    split products both off a solve took 0.87-0.98 times as long (two
-    runs, faster in 7 to 10 of 12 pairs): the gain depends on the host.
-    Re-measured there, it also depends on the block: with both off,
-    ``pr_wide_blocks`` (warm, 1000-row blocks) took 0.91-0.93 times as
-    long, and the published cold first sweep (2000-row blocks) a median
-    1.15 s against 0.82 s with both on (``_halves``).
-
     ``problem`` is a ``pr_problem``: the data and ``A'x`` come from its
     product hook, so inside a run the model reads the maintained
     product; the hook keeps the gradient as the block's reference
@@ -807,17 +629,10 @@ def pr_outer_model(problem: CompositeProblem, x: np.ndarray, k: int,
     anchor = x[instance.partition.slice_of(k)].copy()
     support = _sparse_support(anchor)
     if support is None:
-        def gradient() -> np.ndarray:
-            partial = products.partial(x, k)
-            if partial is None:
-                partial = _transposed_product(rows, anchor)
-            return operator.anchored_gradient(grad_u, anchor, partial)
-
-        with _second_thread(np.count_nonzero(anchor) * rows.shape[1] * rows.itemsize) as pool:
-            formed = pool and pool.submit(operator.diagonal, _nonzeros(anchor))
-            grad = gradient()
-            if formed:
-                formed.result()
+        partial = products.partial(x, k)
+        if partial is None:
+            partial = _transposed_product(rows, anchor)
+        grad = operator.anchored_gradient(grad_u, anchor, partial)
     else:
         grad = operator.gradient(grad_u, support)
     products.note_model(k, grad, grad_u)
@@ -875,7 +690,7 @@ def _working_set_visit(problem: CompositeProblem, x: np.ndarray, k: int,
     solution = (None if reference is None
                 else settle(reference[0], _spread(grad_u, reference[1])))
     if solution is None:
-        grad = _times_rows(grad_u, rows)
+        grad = rows @ grad_u
         products.note_model(k, grad, grad_u)
         solution = settle(grad, _spread(grad_u, grad_u))
     return solution

@@ -1,8 +1,6 @@
 import dataclasses
-import json
 import os
 import pickle
-import resource
 import subprocess
 import sys
 import threading
@@ -15,6 +13,7 @@ import numpy as np
 import pytest
 
 from bsca import core, engine, phase_retrieval
+from bsca.cli import BLAS_THREAD_VARS
 from bsca.core import (
     PRODUCT_DRIFT_RTOL,
     L1Norm,
@@ -1307,31 +1306,13 @@ class TestWorkingSet:
             assert products == ([] if certified else gemv)
 
 
-def pinned_blas(monkeypatch):
-    """Set every BLAS thread variable to 1 in this process's environment,
-    which the second-thread guard (``phase_retrieval._second_thread``)
-    reads.  The BLAS already loaded keeps its thread count, so a test
-    that compares bits of split products runs them in a child
-    (``TestConcurrentDiagonal.child``) instead."""
-    for var in phase_retrieval.BLAS_THREAD_VARS:
-        monkeypatch.setenv(var, "1")
-
-
-TWO_CPUS = hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
-
-
-@pytest.mark.skipif(not TWO_CPUS, reason="a second thread needs a second CPU")
 class TestConcurrentDiagonal:
-    """The second thread of big-block work (``phase_retrieval._second_thread``):
-    a dense anchor's model forms the diagonal on the anchor's support on
-    it (``pr_outer_model``), and a product over a block runs half of its
-    rows or columns on it (``_halves``).  The diagonal runs on 2 blocks
-    of 100 rows of a 200 x 300 instance, from a dense start and from one
-    with 40 of block 0's entries zero (rows 32-47 among them, a whole
-    16-row chunk, so that the second thread does not form every chunk of
-    the first visit's diagonal); no product of that instance is split.  The splits run on
-    instances with 1100 columns, and their bits are compared in a child
-    with one BLAS thread."""
+    """A dense visit's diagonal (``pr_outer_model``), formed on the
+    calling thread, and the threads of a solve: it starts none.  The
+    diagonal runs on 2 blocks of 100 rows of a 200 x 300 instance, from
+    a dense start and from one with 40 of block 0's entries zero (rows
+    32-47 among them, a whole 16-row chunk, so that the anchor's
+    support does not hold every chunk of the first visit's diagonal)."""
 
     CONFIG = SolverConfig(max_outer_iterations=30, inner_iterations=10, stop_tol=0.0)
     RUNS = {
@@ -1356,380 +1337,87 @@ class TestConcurrentDiagonal:
             x0[20:60] = 0.0
         return x0
 
-    @staticmethod
-    def spied_pools(monkeypatch):
-        pools = []
-
-        class Spy(ThreadPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(self)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(phase_retrieval, "ThreadPoolExecutor", Spy)
-        return pools
-
-    @staticmethod
-    def child(code, blas=True, preexec_fn=None):
-        """stdout of ``code`` run by a fresh interpreter on this checkout's
-        package, with every BLAS thread variable at 1 when ``blas`` is
-        True and none set otherwise."""
-        here = Path(__file__).resolve().parent
-        env = {key: value for key, value in os.environ.items()
-               if key not in phase_retrieval.BLAS_THREAD_VARS}
-        if blas:
-            env.update({var: "1" for var in phase_retrieval.BLAS_THREAD_VARS})
-        env["PYTHONPATH"] = str(here.parent / "src")
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, preexec_fn=preexec_fn)
-        assert done.returncode == 0, done.stderr
-        return done.stdout
-
     @pytest.mark.parametrize("zeros", [False, True])
     @pytest.mark.parametrize("runner", ["bsca", "parallel"])
     def test_traces_keep_their_bits(self, monkeypatch, runner, zeros):
-        pinned_blas(monkeypatch)
+        # a diagonal formed on the anchor's support at the model's build
+        # gives the bits of one formed on demand, and the row norms cost
+        # no pass either way: a diagonal that completes over several
+        # calls hands them over as one pass does
         inst, x0 = self.instance(), self.start(zeros)
-        pools = self.spied_pools(monkeypatch)
-        # the overlap costs no pass for the row norms: a diagonal that
-        # completes over several calls hands them over as one pass does
         norms_passes = []
-        honest = phase_retrieval._norms_of
+        honest_norms = phase_retrieval._norms_of
         monkeypatch.setattr(phase_retrieval, "_norms_of",
-                            lambda rows: norms_passes.append(len(rows)) or honest(rows))
+                            lambda rows: norms_passes.append(len(rows)) or honest_norms(rows))
+        on_demand = phase_retrieval.pr_outer_model
+        ahead = []
+
+        def formed_ahead(problem, x, k, curvature):
+            model = on_demand(problem, x, k, curvature)
+            if phase_retrieval._sparse_support(model.anchor) is None:
+                ahead.append(k)
+                model.quad.diagonal(np.flatnonzero(model.anchor))
+            return model
+
         traces, passes = [], []
-        for threshold in (0, 1 << 62):
-            monkeypatch.setattr(phase_retrieval, "_SECOND_THREAD_BYTES", threshold)
+        for build in (formed_ahead, on_demand):
+            monkeypatch.setattr(phase_retrieval, "pr_outer_model", build)
             before = len(norms_passes)
             traces.append(self.RUNS[runner](inst, self.CONFIG, x0))
             passes.append(len(norms_passes) - before)
-            if threshold == 0:
-                assert pools    # the overlap ran
-                overlapped = len(pools)
-        assert len(pools) == overlapped
+        assert ahead
         assert passes[0] == passes[1]
         if not zeros:    # every first visit forms the whole diagonal
             assert passes == [0, 0]
-        beside, alone = traces
-        assert beside.objectives.tobytes() == alone.objectives.tobytes()
-        assert beside.stepsizes.tobytes() == alone.stepsizes.tobytes()
-        assert beside.final_point.values.tobytes() == alone.final_point.values.tobytes()
-
-    SPLIT_TRACES = """
-import json
-import numpy as np
-from concurrent.futures import ThreadPoolExecutor
-from bsca import phase_retrieval as pr
-from bsca.core import SolverConfig
-from bsca.engine import run_parallel_sca
-
-pools = []
-
-class Spy(ThreadPoolExecutor):
-    def submit(self, fn, *args, **kwargs):
-        pools.append("diagonal" if fn.__name__ == "diagonal" else "half")
-        return super().submit(fn, *args, **kwargs)
-
-pr.ThreadPoolExecutor = Spy
-config = SolverConfig(max_outer_iterations=12, inner_iterations=10, stop_tol=0.0)
-runs = {"bsca": pr.run_phase_retrieval,
-        "parallel": lambda inst, cfg, x0: run_parallel_sca(
-            pr.pr_problem(inst), pr.pr_solver(cfg), cfg, x0)}
-# blocks of 1050 rows: every product over a block is split
-inst = pr.generate_pr_instance(2100, 1100, density=0.01, num_blocks=2, seed=41)
-noise = np.random.default_rng(43).standard_normal(2100)
-x0 = inst.signal + 0.2 * noise / np.linalg.norm(noise)
-out = {}
-for name, run in runs.items():
-    traces, halves = [], []
-    for threshold in (0, 1 << 62):
-        pr._SECOND_THREAD_BYTES = threshold
-        del pools[:]
-        trace = run(inst, config, x0)
-        traces.append([trace.objectives.tobytes().hex(), trace.stepsizes.tobytes().hex(),
-                       trace.final_point.values.tobytes().hex()])
-        halves.append(sorted(set(pools)))
-    out[name] = {"same": traces[0] == traces[1], "halves": halves}
-print(json.dumps(out))
-"""
-
-    def test_split_products_keep_the_traces_bits(self):
-        out = json.loads(self.child(self.SPLIT_TRACES))
-        for runner in ("bsca", "parallel"):
-            assert out[runner]["same"], runner
-            # both paths took the second thread, and nothing did above it
-            assert out[runner]["halves"] == [["diagonal", "half"], []]
-
-    SPLIT_BITS = """
-import json
-import numpy as np
-from concurrent.futures import ThreadPoolExecutor
-from bsca import phase_retrieval as pr
-from bsca.core import equal_partition
-
-pools = []
-
-class Spy(ThreadPoolExecutor):
-    def submit(self, fn, *args, **kwargs):
-        pools.append(args)
-        return super().submit(fn, *args, **kwargs)
-
-pr.ThreadPoolExecutor = Spy
-rng = np.random.default_rng(5)
-columns = 5000
-at_threshold = -(-pr._SECOND_THREAD_BYTES // (8 * columns))
-whole = rng.standard_normal((2000, columns))
-lefts = [rng.standard_normal((height, columns)) for height in range(1, pr._SPARSE_CAP + 2)]
-differ, cuts = [], {}
-for threshold in (pr._SECOND_THREAD_BYTES, 0):
-    pr._SECOND_THREAD_BYTES = threshold
-    for count in (100, at_threshold, 1000, 1001, 2000):
-        rows, v = whole[:count], rng.standard_normal(count)
-        del pools[:]
-        for left in lefts:
-            if pr._times_rows(left, rows).tobytes() != (left @ rows.T).tobytes():
-                differ.append(["rows", threshold, count, len(left)])
-        if pr._times_rows(lefts[0][0], rows).tobytes() != (rows @ lefts[0][0]).tobytes():
-            differ.append(["rows", threshold, count, 0])
-        if pr._times_columns(rows, v).tobytes() != (rows.T @ v).tobytes():
-            differ.append(["columns", threshold, count])
-        for blocks in (1, 2, 5):
-            size = count // blocks
-            inst = pr.PhaseRetrievalInstance(
-                sampling=rows[:blocks * size], intensities=np.ones(columns), sparse_gain=1.0,
-                partition=equal_partition(blocks * size, blocks))
-            x = v[:blocks * size]
-            whole_partials = np.matmul(x.reshape(blocks, 1, size),
-                                       inst.sampling.reshape(blocks, size, -1))[:, 0]
-            if np.array(pr._fresh_product(inst, x)[1]).tobytes() != whole_partials.tobytes():
-                differ.append(["partials", threshold, count, blocks])
-        cuts[f"{threshold} {count}"] = sorted(set(map(tuple, pools)))
-print(json.dumps({"differ": differ, "cuts": cuts}))
-"""
-
-    def test_split_products_keep_the_bits_of_the_whole(self):
-        # stacks of 1 to 33 rows (the gradient with the columns of up to
-        # _SPARSE_CAP entries) by blocks of 5000 columns, at the
-        # threshold's row count and above, both orientations and the
-        # batched partials, at the threshold and with it at 0.  Cuts are
-        # aligned to 16 (one at row 500 of 1000 changed stacks of 12 rows
-        # and more), and neither 100-row blocks nor halves under
-        # _HALF_ROWS are split over rows (on 100 rows, stacks of 3 to 6
-        # changed with aligned cuts; at 289 rows, stacks of 12 and more)
-        out = json.loads(self.child(self.SPLIT_BITS))
-        assert out["differ"] == []
-        threshold = phase_retrieval._SECOND_THREAD_BYTES
-        # the second thread's halves, (lo, hi), that each case ran
-        cuts = {key: {tuple(cut) for cut in value} for key, value in out["cuts"].items()}
-        columns = (2496, 5000)
-        assert cuts[f"{threshold} 100"] == set()
-        assert cuts["0 100"] == {columns}
-        assert cuts[f"{threshold} 289"] == cuts["0 289"] == {columns}
-        assert cuts[f"{threshold} 1000"] == {columns, (496, 1000)}
-        assert cuts[f"{threshold} 1001"] == {columns, (496, 1001)}
-        assert cuts[f"{threshold} 2000"] == {columns, (992, 2000)}
-
-    def test_an_error_on_the_second_thread_reaches_the_run(self, monkeypatch):
-        pinned_blas(monkeypatch)
-        honest = phase_retrieval._BlockOperator.diagonal
-
-        def failing(operator, index):
-            if threading.current_thread() is not threading.main_thread():
-                raise RuntimeError("diagonal failed")
-            return honest(operator, index)
-
-        monkeypatch.setattr(phase_retrieval._BlockOperator, "diagonal", failing)
-        monkeypatch.setattr(phase_retrieval, "_SECOND_THREAD_BYTES", 0)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="diagonal failed"):
-            run_phase_retrieval(self.instance(), self.CONFIG, self.start(False))
-        assert threading.active_count() == before
-
-    @staticmethod
-    def split_instance():
-        # 1100 columns: A_k'v and the fresh partials are split
-        return generate_pr_instance(200, 1100, density=0.05, num_blocks=2, seed=41)
-
-    def test_an_error_on_a_split_half_reaches_the_run(self, monkeypatch):
-        pinned_blas(monkeypatch)
-        monkeypatch.setattr(phase_retrieval, "_SECOND_THREAD_BYTES", 0)
-        inst = self.split_instance()
-        x0 = self.start(False, inst)
-        honest = ThreadPoolExecutor.submit
-
-        def failing(pool, fn, *args, **kwargs):
-            def fail(*args, **kwargs):
-                raise RuntimeError("half failed")
-            return honest(pool, fn if fn.__name__ == "diagonal" else fail, *args, **kwargs)
-
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", failing)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="half failed"):
-            run_phase_retrieval(inst, self.CONFIG, x0)
-        assert threading.active_count() == before
-        # the failed call gave the second thread back
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", honest)
-        pools = self.spied_pools(monkeypatch)
-        run_phase_retrieval(inst, self.CONFIG, x0)
-        assert pools
+        early, late = traces
+        assert early.objectives.tobytes() == late.objectives.tobytes()
+        assert early.stepsizes.tobytes() == late.stepsizes.tobytes()
+        assert early.final_point.values.tobytes() == late.final_point.values.tobytes()
 
     @pytest.mark.parametrize("runner", ["bsca", "parallel"])
     def test_no_thread_outlives_a_solve(self, monkeypatch, runner):
-        pinned_blas(monkeypatch)
-        monkeypatch.setattr(phase_retrieval, "_SECOND_THREAD_BYTES", 0)
-        inst = self.split_instance()
-        pools = self.spied_pools(monkeypatch)
-        honest = phase_retrieval._halves
-        after = []
-
-        def counted(*args):
-            beside = phase_retrieval._second_core.locked()
-            made = len(pools)
-            honest(*args)
-            if beside:    # a product beside the diagonal's thread stays on this one
-                assert len(pools) == made
-            else:
-                after.append(threading.active_count())
-
-        monkeypatch.setattr(phase_retrieval, "_halves", counted)
+        # a block of 1000 x 1500 floats (11.4 MiB) with every BLAS thread
+        # variable at 1: a dense visit and its products start no thread
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.setenv(var, "1")
+        inst = generate_pr_instance(1000, 1500, density=0.05, seed=41)
+        assert inst.block_rows(0).nbytes > 11 << 20
+        started = []
+        honest = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or honest(thread))
         before = threading.active_count()
-        self.RUNS[runner](inst, self.CONFIG, self.start(False, inst))
-        assert pools and after
-        # no product leaves a thread behind either
-        assert set(after) == {before}
+        config = SolverConfig(max_outer_iterations=2, inner_iterations=3, stop_tol=0.0)
+        self.RUNS[runner](inst, config, self.start(False, inst))
+        assert started == []
         assert threading.active_count() == before
 
-    def test_nothing_is_split_beside_the_diagonal(self, monkeypatch):
-        # the model at an untracked dense point forms the partial A_k'a
-        # beside the diagonal's thread: on its own that product is split
-        pinned_blas(monkeypatch)
-        monkeypatch.setattr(phase_retrieval, "_SECOND_THREAD_BYTES", 0)
-        inst = self.split_instance()
-        x = self.start(False, inst)
-        work = []
-        honest = ThreadPoolExecutor.submit
-
-        def spied(pool, fn, *args, **kwargs):
-            work.append("diagonal" if fn.__name__ == "diagonal" else "half")
-            return honest(pool, fn, *args, **kwargs)
-
-        monkeypatch.setattr(ThreadPoolExecutor, "submit", spied)
-        phase_retrieval._transposed_product(inst.block_rows(0), x[:100])
-        assert work == ["half"]
-        # A'x first (split), then the diagonal beside A_k'a and the gradient
-        pr_outer_model(pr_problem(inst), x, 0, 1e-3)
-        assert work == ["half", "half", "diagonal"]
-
-    def test_concurrent_callers_share_one_second_thread(self, monkeypatch):
-        # more callers than cores, switching often: each product is whole
-        # or split by one caller at a time, and every entry is written
-        pinned_blas(monkeypatch)
-        monkeypatch.setattr(phase_retrieval, "_SECOND_THREAD_BYTES", 0)
-        pools = self.spied_pools(monkeypatch)
-        rows = np.random.default_rng(3).standard_normal((200, 1100))
-        vectors = np.random.default_rng(4).standard_normal((4, 30, 200))
-        results = [[None] * 30 for _ in vectors]
-
-        def caller(i):
-            for j, v in enumerate(vectors[i]):
-                results[i][j] = phase_retrieval._transposed_product(rows, v)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            callers = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
-            for thread in callers:
-                thread.start()
-            for thread in callers:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in callers)
-        assert pools and not phase_retrieval._second_core.locked()
-        for i, row in enumerate(results):
-            for j, got in enumerate(row):
-                assert np.allclose(got, rows.T @ vectors[i][j], rtol=1e-12, atol=1e-12)
-
-    def test_one_executor_per_dense_visit_at_the_threshold_and_none_below(
-            self, monkeypatch):
-        pinned_blas(monkeypatch)
-        inst = self.instance()
-        pools = self.spied_pools(monkeypatch)
-        run_phase_retrieval(inst, self.CONFIG, self.start(True))
-        assert pools == []    # 235 KiB blocks, far below _SECOND_THREAD_BYTES
-        # at the threshold of a whole block's rows only the fully dense
-        # anchors pass it: block 1's, not block 0's with its zeros
-        monkeypatch.setattr(phase_retrieval, "_SECOND_THREAD_BYTES", 100 * 300 * 8)
-        honest = phase_retrieval.pr_outer_model
-        dense = []
-
-        def spy(problem, x, k, curvature):
-            anchor = x[inst.partition.slice_of(k)]
-            if phase_retrieval._sparse_support(anchor) is None:
-                dense.append(np.count_nonzero(anchor))
-            return honest(problem, x, k, curvature)
-
-        monkeypatch.setattr(phase_retrieval, "pr_outer_model", spy)
-        run_phase_retrieval(inst, self.CONFIG, self.start(True))
-        assert 60 in dense and 100 in dense
-        assert len(pools) == dense.count(100)
-
-    CHILD = """
-import json
-import numpy as np
-from concurrent.futures import ThreadPoolExecutor
-from bsca import phase_retrieval
-from bsca.core import SolverConfig
-
-work = []
-
-class Spy(ThreadPoolExecutor):
-    def submit(self, fn, *args, **kwargs):
-        work.append("diagonal" if fn.__name__ == "diagonal" else "half")
-        return super().submit(fn, *args, **kwargs)
-
-phase_retrieval.ThreadPoolExecutor = Spy
-phase_retrieval._SECOND_THREAD_BYTES = 0
-inst = phase_retrieval.generate_pr_instance(200, 1100, density=0.05, num_blocks=2, seed=41)
-phase_retrieval.run_phase_retrieval(inst, SolverConfig(max_outer_iterations=4),
-                                    np.random.default_rng(43).standard_normal(200))
-print(json.dumps(sorted(set(work))))
-"""
-
-    def guarded_work(self, blas=True, preexec_fn=None):
-        return json.loads(self.child(self.CHILD, blas, preexec_fn))
-
-    @pytest.mark.parametrize("limit", ["RLIMIT_DATA", "RLIMIT_AS"])
-    def test_a_memory_limit_keeps_each_visit_on_one_thread(self, limit):
-        # a second thread maps a BLAS buffer of its own, which these
-        # limits count; a roomy one still leaves every product and every
-        # visit on one thread
-        cap = 1 << 30
-        assert self.guarded_work() == ["diagonal", "half"]
-        kind = getattr(resource, limit)
-        assert self.guarded_work(preexec_fn=lambda: resource.setrlimit(kind, (cap, cap))) == []
-
-    def test_one_cpu_or_an_unpinned_blas_keeps_each_visit_on_one_thread(self):
-        # a BLAS that may thread a product itself rounds its halves
-        # otherwise; one CPU has no room for a second thread
-        assert self.guarded_work(blas=False) == []
-        cpu = min(os.sched_getaffinity(0))
-        assert self.guarded_work(preexec_fn=lambda: os.sched_setaffinity(0, {cpu})) == []
-
-    def test_row_norms_are_handed_over_once_the_diagonal_is_complete(self):
-        # the second thread forms the support's chunks and the best
-        # response the rest: no one pass forms every chunk
+    def test_row_norms_are_handed_over_once_the_diagonal_is_complete(self, monkeypatch):
+        # the support's chunks in one call and the rest in another, so no
+        # one call forms every chunk: the norms come once, from the
+        # diagonal's own passes, with no separate ``_norms_of`` pass
         inst = self.instance()
         x = self.start(True)
         problem = pr_problem(inst)
         problem.products.track(x)
         rows = inst.block_rows(0)
+        expected = phase_retrieval._norms_of(rows)
+        passes, handed = [], []
+        monkeypatch.setattr(phase_retrieval, "_norms_of", passes.append)
+        honest_sink = problem.products.row_norms_sink
+
+        def counted_sink(block):
+            sink = honest_sink(block)
+            return sink and (lambda norms: handed.append(block) or sink(norms))
+
+        monkeypatch.setattr(problem.products, "row_norms_sink", counted_sink)
         model = pr_outer_model(problem, x, 0, 1e-3)
         model.quad.diagonal(np.flatnonzero(x[:100]))
-        assert problem.products.row_norms_sink(0) is not None
+        assert handed == [] and honest_sink(0) is not None
         model.quad.diagonal(np.arange(20, 60))
-        assert problem.products.row_norms_sink(0) is None
-        norms = problem.products.row_norms(0)
-        assert norms.tobytes() == phase_retrieval._norms_of(rows).tobytes()
+        assert handed == [0] and honest_sink(0) is None
+        assert passes == []
+        assert problem.products.row_norms(0).tobytes() == expected.tobytes()
 
 
 class TestGenerator:
