@@ -22,7 +22,10 @@ scales its times: to seconds on a machine where the gauge takes
 ``measure.GAUGE_REF_S``.
 
 For each assignment the script prints whether the traces agree bit for
-bit, each checkout's median solve time and quartiles, raw and scaled,
+bit, and under it each side's iterations and final objective (``%.17g``)
+from its warm-up solve, so a change that moves the traces' last bits
+shows in the same report whether its iterations held.  It then prints
+each checkout's median solve time and quartiles, raw and scaled,
 the median over pairs of the time ratio B/A (CHECKOUT_B over
 CHECKOUT_A), the share of pairs in which B ran faster, and whether the
 claim rule held on the scaled times: at least ten pairs ran, B won at
@@ -218,10 +221,13 @@ def main(argv=None) -> int:
         sides = {label: Side(checkout.resolve(), f"bsca_{label.lower()}{number}",
                              args.workload, args.seed)
                  for label, checkout in roles}
-        agreed, times, gauges = timed_pairs(sides, [label for label, _ in roles],
-                                            args.pairs, measure)
+        agreed, ends, times, gauges = timed_pairs(
+            sides, [label for label, _ in roles], args.pairs, measure)
         same = same and agreed
         print(f"traces bit for bit: {'yes' if agreed else 'no'}")
+        for label, _ in roles:
+            print("%s warm-up solve: %d iterations, final objective %.17g"
+                  % ((label,) + ends[label]))
         lines = report(times["A"], times["B"], gauges, measure.GAUGE_REF_S)[1]
         print("\n".join(lines))
         for label, _ in roles:
@@ -250,12 +256,14 @@ def timed_pairs(sides: dict, order: list[str], pairs: int, measure):
     side ``order[0]`` first in even pairs and second in odd ones, with
     the gauge timed on its matrix before each pair.  Returns whether
     every trace matched the other side's and its own warm-up's, each
-    side's solve times, and the gauge times."""
-    warm = {}
+    side's warm-up iterations and final objective, each side's solve
+    times, and the gauge times."""
+    warm, ends = {}, {}
     for label in order:
         side = sides[label]
         trace, _ = side.solve()
         warm[label] = signature(trace)
+        ends[label] = (trace.iterations, trace.final_objective)
         for failure in side.workload.check(side.instance, trace):
             print(f"{label} fails a check: {failure}")
     # compared as text: each package has its own partition class
@@ -272,7 +280,7 @@ def timed_pairs(sides: dict, order: list[str], pairs: int, measure):
             trace, seconds = sides[label].solve()
             same = same and signature(trace) == warm[label]
             times[label].append(seconds)
-    return same, times, gauges
+    return same, ends, times, gauges
 
 
 if __name__ == "__main__":

@@ -169,9 +169,8 @@ def sparse_exact_stepsize(state: AnomalyState, candidate: np.ndarray,
     if curvature == 0.0:
         raise DegenerateDirectionError(
             "sparse direction lies in the dictionary null space")
-    gain = instance.sparse_gain
-    slope = float(np.vdot(fit, moved)) + gain * (
-        np.abs(candidate).sum() - np.abs(state.sparse).sum())
+    slope = float(np.vdot(fit, moved)) + L1Norm(instance.sparse_gain).change(
+        state.sparse, candidate)
     return exact_quadratic_step(curvature, slope).gamma
 
 

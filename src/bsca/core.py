@@ -153,6 +153,9 @@ class Zero:
     def value(self, v: np.ndarray) -> float:
         return 0.0
 
+    def change(self, old: np.ndarray, new: np.ndarray) -> float:
+        return 0.0
+
 
 @dataclass(frozen=True)
 class L1Norm:
@@ -167,6 +170,11 @@ class L1Norm:
     def value(self, v: np.ndarray) -> float:
         # the reduction ``sum`` makes, without its Python wrapper
         return float(self.gain * np.add.reduce(np.abs(v), axis=None))
+
+    def change(self, old: np.ndarray, new: np.ndarray) -> float:
+        """g(new) - g(old) as one sum of differences, so that its rounding
+        scales with the move and not with ``||old||_1``."""
+        return float(self.gain * np.add.reduce(np.abs(new) - np.abs(old), axis=None))
 
 
 Regularizer = Zero | L1Norm
@@ -331,9 +339,6 @@ class CompositeProblem:
     def block_of(self, x: np.ndarray, k: int) -> np.ndarray:
         return x[self.partition.slice_of(k)]
 
-    def nonsmooth_value(self, k: int, v: np.ndarray) -> float:
-        return self.nonsmooth[k].value(v)
-
     def is_feasible(self, x: np.ndarray) -> bool:
         return all(
             self.constraints[k].contains(self.block_of(x, k))
@@ -351,7 +356,7 @@ def objective(problem: CompositeProblem, x: np.ndarray) -> float:
 
 def block_values(problem: CompositeProblem, x: np.ndarray) -> list[float]:
     """The regularizer values g_k(x_k), one per block."""
-    return [problem.nonsmooth_value(k, problem.block_of(x, k))
+    return [problem.nonsmooth[k].value(problem.block_of(x, k))
             for k in range(problem.num_blocks)]
 
 
@@ -386,9 +391,9 @@ class SolverConfig:
     uniformly, from a generator seeded with ``seed``.
 
     ``inner_iterations`` caps the inner rounds ``inexact_solver`` runs
-    on each outer subproblem; they stop earlier once a round is
-    stationary (``is_stationary``), so a larger cap solves the
-    subproblem to its fixed point.
+    on each outer subproblem; they stop earlier at a stationary round
+    (``is_stationary``) or at a zero stepsize, so a larger cap solves
+    the subproblem to its fixed point.
     """
 
     max_outer_iterations: int

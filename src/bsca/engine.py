@@ -242,7 +242,7 @@ class _RunBook:
         if not problem.constraints[block].contains(moved):
             raise FeasibilityError(f"iterate left the feasible set at t={t}")
         values = self.block_values.copy()
-        values[block] = problem.nonsmooth_value(block, moved)
+        values[block] = problem.nonsmooth[block].value(moved)
         return composite_value(problem.smooth_value(x_new), values), values
 
     def _evaluate_all(self, x: np.ndarray) -> None:
@@ -354,12 +354,10 @@ def _block_move(problem: CompositeProblem, solver: BlockSolver,
     delta = minimizer - xk
     if is_stationary(delta, xk):
         return None
-    reg = problem.nonsmooth[k]
-    g_min = reg.value(minimizer)
-    g_cur = reg.value(xk)
+    delta_g = problem.nonsmooth[k].change(xk, minimizer)
     grad = sol.gradient if sol.gradient is not None else problem.block_gradient(x, k)
-    d = descent_quantity(grad, minimizer, xk, g_min, g_cur)
-    return delta, g_min - g_cur, d, sol.is_global_upper_bound
+    return (delta, delta_g, descent_quantity(grad, delta, delta_g),
+            sol.is_global_upper_bound)
 
 
 def bsca_step(problem: CompositeProblem, solver: BlockSolver, x: np.ndarray,
@@ -443,8 +441,10 @@ OuterSurrogateFactory = Callable[[CompositeProblem, np.ndarray, int], SurrogateM
 
 def inexact_inner_loop(model: SurrogateModel, problem: CompositeProblem,
                        k: int, config: SolverConfig) -> np.ndarray:
-    """Run the inner best-response iteration for ``inner_iterations``
-    rounds on the outer model and return the approximate minimizer.
+    """Run the inner best-response iteration on the outer model for at
+    most ``inner_iterations`` rounds and return the approximate
+    minimizer.  The rounds end early at a stationary round or at a zero
+    stepsize.
 
     When the very first inner subproblem returns its own anchor (the
     current block already solves the outer subproblem) the result is
@@ -462,13 +462,9 @@ def inexact_inner_loop(model: SurrogateModel, problem: CompositeProblem,
             break
         quad_delta = model.quad.apply(delta)
         gamma = inner_exact_stepsize(grad_tau, delta, quad_delta,
-                                     reg.value(target) - reg.value(x_tau))
+                                     reg.change(x_tau, target))
         if gamma <= 0.0:
-            # not a rare floor: this ends 24-28 of the 275-289 inner steps
-            # of a pr_scaleup solve and 3-5 of about 150 on pr_wide_blocks
-            # (seeds 1-3), and in each of them the regularizer change,
-            # summed exactly, gives a positive step: the difference of two
-            # rounded norms cancels
+            # the rounding floor: the model no longer decreases along delta
             break
         x_tau = x_tau + gamma * delta
         grad_tau = grad_tau + gamma * quad_delta

@@ -239,8 +239,8 @@ def successive_step(phi_smooth: Callable[[float], float], delta_g: float,
         "the descent quantity or direction is suspect")
 
 
-def descent_quantity(grad_k: np.ndarray, minimizer: np.ndarray,
-                     x_k: np.ndarray, g_at_minimizer: float,
-                     g_at_x: float) -> float:
-    """(B - x_k)' grad + g(B) - g(x_k); negative certifies descent."""
-    return float((minimizer - x_k) @ grad_k + g_at_minimizer - g_at_x)
+def descent_quantity(grad_k: np.ndarray, delta: np.ndarray,
+                     regularizer_change: float) -> float:
+    """d = grad' delta + g(B) - g(x_k) for the move ``delta = B - x_k``
+    and the regularizer's change along it; negative certifies descent."""
+    return float(delta @ grad_k + regularizer_change)

@@ -158,7 +158,7 @@ def fresh_inner_stepsize(model, x_tau, target, regularizer):
     grad_tau = model.quad.apply(x_tau) - linear_term(model)
     delta = target - x_tau
     return inner_exact_stepsize(grad_tau, delta, model.quad.apply(delta),
-                                regularizer.value(target) - regularizer.value(x_tau))
+                                regularizer.change(x_tau, target))
 
 
 def carried_gradient_drift(monkeypatch, model, problem, rounds):

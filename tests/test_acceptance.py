@@ -153,7 +153,7 @@ def test_criterion_2_descent_and_monotonicity():
                            stop_tol=0.0)
         x = gen.standard_normal(sum(sizes))
         h = [float(problem.smooth_value(x)
-                   + sum(problem.nonsmooth_value(k, problem.block_of(x, k))
+                   + sum(problem.nonsmooth[k].value(problem.block_of(x, k))
                          for k in range(len(sizes))))]
         for t in range(cfg.max_outer_iterations):
             k = t % len(sizes)
@@ -163,13 +163,12 @@ def test_criterion_2_descent_and_monotonicity():
             if residual > 1e-9:
                 reg = problem.nonsmooth[k]
                 d = descent_quantity(problem.block_gradient(x, k),
-                                     sol.minimizer, xk,
-                                     reg.value(sol.minimizer), reg.value(xk))
+                                     sol.minimizer - xk, reg.change(xk, sol.minimizer))
                 if not d < 0.0:
                     violations.append(f"trial {trial}: d={d} at residual {residual}")
             x, step, d = bsca_step(problem, solver, x, k, cfg)
             h_new = float(problem.smooth_value(x)
-                          + sum(problem.nonsmooth_value(j, problem.block_of(x, j))
+                          + sum(problem.nonsmooth[j].value(problem.block_of(x, j))
                                 for j in range(len(sizes))))
             if step.gamma > 0.0 and d < -1e-12 and not h_new < h[-1]:
                 violations.append(f"trial {trial}: no strict decrease")

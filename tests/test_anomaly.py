@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -217,6 +218,28 @@ class TestSparseStepsize:
         expected = exact_quadratic_step(float(np.vdot(moved, moved)),
                                         float(np.vdot(base, moved))).gamma
         assert gamma == pytest.approx(expected, rel=1e-12)
+
+    def test_the_slope_rounds_with_the_move_not_with_the_norm_of_s(self, rng):
+        # ||S||_1 about 5e7 against a move of order 1: the l1 part of the
+        # slope is summed as differences, as if exactly rounded
+        inst = small_instance()
+        state = AnomalyState(rng.standard_normal((5, 2)), rng.standard_normal((2, 8)),
+                             1e6 * rng.choice([-1.0, 1.0], (6, 8))
+                             + rng.standard_normal((6, 8)))
+        inst = dataclasses.replace(
+            inst, measurements=state.left @ state.right + inst.dictionary @ state.sparse
+            + rng.standard_normal((5, 8)))
+        held = block_products(inst, state)
+        candidate = fresh_candidate(state, inst)
+        delta = candidate - state.sparse
+        gamma = sparse_exact_stepsize(state, candidate, inst, fit=held.fit, delta=delta)
+        moved = inst.dictionary @ delta
+        change = inst.sparse_gain * math.fsum(
+            (np.abs(candidate) - np.abs(state.sparse)).ravel())
+        expected = exact_quadratic_step(float(np.vdot(moved, moved)),
+                                        float(np.vdot(held.fit, moved)) + change).gamma
+        assert 0.0 < expected < 1.0
+        assert abs(gamma - expected) <= 2 * math.ulp(expected)
 
 
 def one_round_solver(inst):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -88,6 +90,24 @@ class TestProblemParts:
         with pytest.raises(InvalidArgumentError, match=message):
             CompositeProblem(make_partition([1, 2]), lambda x: 0.0,
                              lambda x, k: np.zeros(1), nonsmooth, constraints)
+
+
+class TestRegularizerChange:
+    def test_zero_changes_by_nothing(self):
+        assert Zero().change(np.ones(3), -np.ones(3)) == 0.0
+
+    def test_l1_change_rounds_with_the_move_not_the_norm(self):
+        # ||old||_1 about 1e6, three entries moved outward by 1e-9
+        gen = np.random.default_rng(3)
+        old = gen.uniform(500.0, 1500.0, 1000) * gen.choice([-1.0, 1.0], 1000)
+        new = old.copy()
+        moved = [3, 400, 997]
+        new[moved] += 1e-9 * np.sign(old[moved])
+        reg = L1Norm(0.3)
+        exact = 0.3 * math.fsum(np.abs(new) - np.abs(old))
+        assert abs(reg.change(old, new) - exact) <= 4 * math.ulp(exact)
+        # two rounded norms miss by rounding at the scale of ||old||_1
+        assert abs(reg.value(new) - reg.value(old) - exact) > 1e6 * math.ulp(exact)
 
 
 class TestObjective:

@@ -664,8 +664,8 @@ class TestParallelSca:
                     continue
                 moved = True
                 reg = problem.nonsmooth[k]
-                d_total += float(delta @ problem.block_gradient(x, k)) \
-                    + reg.value(sol.minimizer) - reg.value(xk)
+                d_total += descent_quantity(problem.block_gradient(x, k), delta,
+                                            reg.change(xk, sol.minimizer))
             if moved:
                 assert d_total < 0.0
 
@@ -805,8 +805,8 @@ class TestGradientHandOff:
             xk = honest.block_of(x, k)
             minimizer = solver(honest, x, k).minimizer
             reg = honest.nonsmooth[k]
-            expected = descent_quantity(honest.block_gradient(x, k), minimizer, xk,
-                                        reg.value(minimizer), reg.value(xk))
+            expected = descent_quantity(honest.block_gradient(x, k), minimizer - xk,
+                                        reg.change(xk, minimizer))
             assert d < 0.0 and d == expected
 
     def test_anomaly_solver_hands_over_the_sparse_gradient_alone(self):

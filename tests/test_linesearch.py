@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bsca import linesearch
+from bsca.core import L1Norm, Zero
 from bsca.errors import InvalidArgumentError, LineSearchError
 from bsca.linesearch import (
     ScalarProfile,
@@ -244,11 +245,13 @@ class TestSuccessiveStep:
 class TestDescentQuantity:
     def test_zero_displacement(self):
         x = np.array([1.0, 2.0])
-        assert descent_quantity(np.array([3.0, -1.0]), x, x, 0.7, 0.7) == 0.0
+        assert descent_quantity(np.array([3.0, -1.0]), x - x,
+                                L1Norm(0.7).change(x, x)) == 0.0
 
     def test_inner_product(self):
-        d = descent_quantity(np.array([1.0, 0.0]), np.array([0.0, 5.0]),
-                             np.array([1.0, 5.0]), 2.0, 2.0)
+        minimizer, xk = np.array([0.0, 5.0]), np.array([1.0, 5.0])
+        d = descent_quantity(np.array([1.0, 0.0]), minimizer - xk,
+                             Zero().change(xk, minimizer))
         assert d == pytest.approx(-1.0)
 
     @settings(max_examples=100, deadline=None)
@@ -267,9 +270,8 @@ class TestDescentQuantity:
         minimizer = soft_threshold(anchor - grad / diag, gain / diag)
         if np.linalg.norm(minimizer - anchor) < 1e-12:
             return
-        d = descent_quantity(grad, minimizer, anchor,
-                             gain * np.abs(minimizer).sum(),
-                             gain * np.abs(anchor).sum())
+        d = descent_quantity(grad, minimizer - anchor,
+                             L1Norm(gain).change(anchor, minimizer))
         assert d < 0.0
 
 

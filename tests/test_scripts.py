@@ -181,6 +181,13 @@ def test_ab_solve_times_a_checkout_against_itself():
     assert "sides swapped: B runs first, A second" in done.stdout
     assert done.stdout.count("median ratio B/A") == 2
     assert done.stdout.count("traces bit for bit: yes") == 2
+    # each side's warm-up iterations and final objective, under the bit
+    # check; one checkout reads the same values on both sides
+    ends = re.findall(r"^([AB]) warm-up solve: (\d+) iterations, final objective "
+                      r"(\S+)$", done.stdout, re.MULTILINE)
+    assert [side for side, *_ in ends] == ["A", "B", "B", "A"]
+    assert len({(iterations, value) for _, iterations, value in ends}) == 1
+    assert int(ends[0][1]) > 0 and float(ends[0][2]) > 0.0
     assert "claim did not hold" in done.stdout
     assert re.search(r"^geometric mean of the two median ratios B/A: \d+\.\d{3} "
                      r"\(as given \d+\.\d{3}, swapped \d+\.\d{3}\)$",
