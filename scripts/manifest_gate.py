@@ -7,12 +7,12 @@ runs with one checkout, then re-run every manifest with another.
     python3 scripts/manifest_gate.py compare REF_CHECKOUT    # both in one
 
 ``record`` generates one phase-retrieval and one low-rank + sparse
-instance, runs 18 ``bsca solve`` variants on them at the CLI defaults,
+instance, runs 20 ``bsca solve`` variants on them at the CLI defaults,
 and runs ``bsca bench`` of ``desk_anomaly.variants`` on the low-rank +
 sparse one.  It also generates a phase-retrieval instance with one
 1000 x 2500 block (19 MiB) and solves it with ``bsca``, which checks
 the bits of products over a big block.  ``check`` reruns each of the
-23 manifests with ``bsca reproduce --out`` into a temporary directory,
+25 manifests with ``bsca reproduce --out`` into a temporary directory,
 prints one verdict line per manifest, and exits 1 if any
 reproduction differs or fails.  For each trace of a run that differs
 (``trace.csv``, or a bench run's ``<name>.trace.csv``) it prints one
@@ -53,6 +53,8 @@ SOLVES = [
     ("anomaly", "parallel-sca", []),
     ("anomaly", "parallel-sca", ["--line-search", "armijo"]),
     ("anomaly", "bgd", []),
+    # the proximal-linear model backtracks the most
+    ("anomaly", "bgd", ["--line-search", "armijo"]),
     ("pr", "bsca", ["--blocks", "10"]),
     ("pr", "bsca", ["--blocks", "3"]),
     ("pr", "bsca", ["--blocks", "3", "--line-search", "armijo"]),
@@ -65,6 +67,7 @@ SOLVES = [
     ("pr", "parallel-sca", ["--blocks", "3", "--line-search", "armijo"]),
     ("pr", "bgd", ["--blocks", "3"]),
     ("pr", "bgd", ["--blocks", "10"]),
+    ("pr", "bgd", ["--blocks", "3", "--line-search", "armijo"]),
     ("pr", "bpgd", []),
     ("pr", "bpgd", ["--blocks", "1"]),
 ]

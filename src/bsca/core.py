@@ -209,9 +209,9 @@ class TrackedProducts:
     function that maps an array of stepsizes ``gamma`` to the array of
     ``f(x + gamma d)`` from its products, where ``direction`` and
     ``block`` mean what they mean for ``CompositeProblem.line_profile``.
-    A hook that gives one has every closed-form profile audited through
-    it, at all the audit's stepsizes in one call; without one, profiles
-    are trusted and f is evaluated afresh along the step.
+    The line serves only the audit: a hook that gives one has the
+    profile of every searched step checked through it, at all the
+    audit's stepsizes in one call; without one, profiles are trusted.
     """
 
     def __init__(self) -> None:
@@ -276,7 +276,7 @@ class TrackedProducts:
         self._current = self._previous = None
 
     def line(self, x: np.ndarray, direction: np.ndarray, block: int | None):
-        """None: f is evaluated afresh along the step (see above)."""
+        """None: no profile is audited (see above)."""
         return None
 
 
@@ -285,14 +285,13 @@ class CompositeProblem:
     """h(x) = f(x) + sum_k g_k(x_k) over a Cartesian product of sets.
 
     ``smooth_value`` and ``block_gradient`` must be pure functions of the
-    flat variable.  ``line_profile(x, direction, block=None)``, when
-    provided, returns the exact polynomial profile of
-    ``f(x + gamma * d) - f(x)`` on [0, 1] as a ScalarProfile (see
-    linesearch), where ``d`` is ``direction`` itself when ``block`` is
-    None and ``direction`` embedded in block ``block`` otherwise (then
-    ``direction`` has that block's length).  Solvers use it for
-    closed-form exact line searches; without it they scan ``f`` along
-    the step (a grid, then golden section).
+    flat variable.  ``line_profile(x, direction, block=None)`` returns
+    the exact polynomial profile of ``f(x + gamma * d) - f(x)`` on
+    [0, 1] as a ScalarProfile (see linesearch), where ``d`` is
+    ``direction`` itself when ``block`` is None and ``direction``
+    embedded in block ``block`` otherwise (then ``direction`` has that
+    block's length).  Both line searches read it and nothing else: the
+    exact search minimizes it and the successive one backtracks on it.
 
     ``products``, when provided, is a TrackedProducts.  Each run
     releases it and ``track``s the start; ``bsca_step`` ``update``s it
@@ -301,15 +300,13 @@ class CompositeProblem:
     sweep end the run loop ``track``s the iterate again, raise
     ProductDriftError when the maintained products have drifted from
     fresh ones by more than ``PRODUCT_DRIFT_RTOL``, and re-evaluate the
-    objective from the fresh ones.  When the hook gives a ``line``, an
-    exact step checks its closed-form profile against it at six points
-    of the step before the minimizer is trusted (ProfileMismatchError
+    objective from the fresh ones.  When the hook gives a ``line``,
+    every searched step checks its profile against it at six points of
+    the step before the stepsize is trusted (ProfileMismatchError
     beyond 1e-8 relative); without one, no step is audited.  The
-    successive search and the scan of an exact search without a profile
-    evaluate ``f`` along the step through ``line`` when the hook gives
-    one, and afresh otherwise.  The closures stay pure: at a tracked
-    point they may read the maintained products, which agree with fresh
-    ones up to that drift; at any other point they compute from scratch.
+    closures stay pure: at a tracked point they may read the maintained
+    products, which agree with fresh ones up to that drift; at any other
+    point they compute from scratch.
 
     Existence of limit points (a coercive objective or bounded constraint
     sets) is the caller's obligation; nothing here can check it.
@@ -318,13 +315,15 @@ class CompositeProblem:
     partition: BlockPartition
     smooth_value: Callable[[np.ndarray], float]
     block_gradient: Callable[[np.ndarray, int], np.ndarray]
+    line_profile: Callable[..., object]
     nonsmooth: tuple[Regularizer, ...]
     constraints: tuple[Constraint, ...] = ()
-    line_profile: Callable[..., object] | None = None
     products: TrackedProducts | None = None
 
     def __post_init__(self) -> None:
         K = self.partition.num_blocks
+        if not callable(self.line_profile):
+            raise InvalidArgumentError("need a line_profile callable")
         if len(self.nonsmooth) != K:
             raise InvalidArgumentError("need one regularizer per block")
         if not self.constraints:

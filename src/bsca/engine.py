@@ -56,7 +56,6 @@ from .errors import (
 from .linesearch import (
     ScalarProfile,
     StepResult,
-    _grid_golden,
     cubic_real_roots,
     descent_quantity,
     successive_step,
@@ -283,18 +282,6 @@ class _RunBook:
 _SKIP = StepResult(0.0)
 
 
-def _line_function(problem: CompositeProblem, x: np.ndarray,
-                   direction: np.ndarray, block: int | None) -> Callable[[float], float]:
-    """``gamma -> f(x + gamma d)``: through the problem's product hook
-    when it gives a line, else by fresh evaluations of ``f``."""
-    if problem.products is not None:
-        line = problem.products.line(x, direction, block)
-        if line is not None:
-            return lambda gamma: float(line(np.array([gamma]))[0])
-    full = direction if block is None else problem.partition.embed(block, direction)
-    return lambda gamma: problem.smooth_value(x + gamma * full)
-
-
 def _audit_profile(line: Callable[[np.ndarray], np.ndarray],
                    profile: ScalarProfile, chosen: float) -> None:
     """Check the polynomial profile against ``line``, the product hook's
@@ -322,16 +309,14 @@ def _line_search(problem: CompositeProblem, config: SolverConfig,
                  x: np.ndarray, direction: np.ndarray, delta_g: float,
                  d: float, block: int | None = None) -> StepResult:
     """Stepsize along ``direction``, which is block ``block``'s
-    displacement when a block is given and the full one otherwise."""
-    if config.line_search == SUCCESSIVE:
-        return successive_step(_line_function(problem, x, direction, block),
-                               delta_g, d, config.alpha, config.beta)
-    if problem.line_profile is None:
-        phi = _line_function(problem, x, direction, block)
-        f0 = phi(0.0)
-        return _grid_golden(lambda g: phi(g) - f0 + g * delta_g)
+    displacement when a block is given and the full one otherwise: an
+    Armijo backtrack on, or the exact minimizer of, the problem's line
+    profile, audited against the product hook's line when it gives one."""
     profile = problem.line_profile(x, direction, block)
-    step = profile.with_slope_offset(delta_g).minimize()
+    if config.line_search == SUCCESSIVE:
+        step = successive_step(profile.value, delta_g, d, config.alpha, config.beta)
+    else:
+        step = profile.with_slope_offset(delta_g).minimize()
     if problem.products is not None:
         line = problem.products.line(x, direction, block)
         if line is not None:

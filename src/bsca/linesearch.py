@@ -5,13 +5,14 @@ All searches operate on the constructed differentiable profile
     phi(gamma) = f(x + gamma * d) - f(x) + gamma * (g(B) - g(x)),
 
 whose nonsmooth part enters only through the constant slope term, so the
-profile is smooth even when g is not.  In both applications it is a
-polynomial of degree at most 4, minimized exactly by comparing the
-endpoints with the real roots of its derivative inside [0, 1], which
-one bracketed bisection finds (``_roots_between``); a convex quadratic
-has a closed form.  Without a polynomial profile the exact search scans
-a grid and refines by golden section, and the successive search
-backtracks (Armijo).
+profile is smooth even when g is not.  Every problem gives its smooth
+part as a polynomial of degree at most 4 (``ScalarProfile``, from
+``CompositeProblem.line_profile``).  The exact search minimizes it by
+comparing the endpoints with the real roots of its derivative inside
+[0, 1], which one bracketed bisection finds (``_roots_between``); a
+convex quadratic has a closed form.  The successive search backtracks
+on the same profile (Armijo), so no search evaluates f or g along the
+step.
 """
 
 from __future__ import annotations
@@ -104,34 +105,6 @@ def exact_quartic_step(v4: float, v3: float, v2: float, v1: float) -> StepResult
         raise InvalidArgumentError("quartic profile needs v4 > 0")
     return _polynomial_argmin(ScalarProfile(v4, v3, v2, v1),
                               _roots_between(v4, v3, v2, v1, 0.0, 1.0))
-
-
-def _grid_golden(phi: Callable[[float], float], grid: int = 1000,
-                 tol: float = 1e-12) -> StepResult:
-    """Minimizer of ``phi`` on [0, 1] for an exact search without a
-    polynomial profile: uniform scan, then a
-    golden-section refine around the best grid point, which is kept when
-    the refined point scores no better."""
-    gammas = np.linspace(0.0, 1.0, grid + 1)
-    values = [phi(g) for g in gammas]
-    i = int(np.argmin(values))
-    a, b = gammas[max(i - 1, 0)], gammas[min(i + 1, grid)]
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = phi(c), phi(d)
-    while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = phi(d)
-    gamma = 0.5 * (a + b)
-    if values[i] < phi(gamma):
-        gamma = gammas[i]
-    return StepResult(float(gamma))
 
 
 # ---------------------------------------------------------------------------

@@ -723,8 +723,8 @@ def run_phase_retrieval(instance: PhaseRetrievalInstance, config: SolverConfig,
     cyclic/random outer block selection, a finite number of
     soft-threshold inner rounds per block, exact (or Armijo) outer
     stepsize.  The initial point must be nonzero (the origin is a saddle
-    with zero gradient).  Every exact outer step audits its quartic
-    profile against ``PhaseProducts.line``, as every exact step on a
+    with zero gradient).  Every outer line search audits its quartic
+    profile against ``PhaseProducts.line``, as every search on a
     ``pr_problem`` does."""
     if x0 is None:
         start = np.random.default_rng(config.seed).standard_normal(instance.num_unknowns)

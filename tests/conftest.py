@@ -70,7 +70,7 @@ def random_quadratic_problem(rng, block_sizes, l1_gain=0.0, box_halfwidth=None,
         constraints = tuple(Box(-box_halfwidth * np.ones(s), box_halfwidth * np.ones(s))
                             for s in block_sizes)
     problem = CompositeProblem(partition, smooth_value, block_gradient,
-                               nonsmooth, constraints, line_profile)
+                               line_profile, nonsmooth, constraints)
     return problem, hessian, target
 
 

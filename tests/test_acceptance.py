@@ -12,6 +12,7 @@ run ends on an all-skip sweep well within its budget, from which the
 restart is a no-op.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -493,11 +494,8 @@ def test_criterion_9_determinism_and_feasibility():
     seen = []
     problem, _, _ = random_quadratic_problem(gen, [3, 3], l1_gain=0.05,
                                              box_halfwidth=0.3)
-    spying = CompositeProblem(
-        problem.partition,
-        lambda x: (seen.append(x.copy()), problem.smooth_value(x))[1],
-        problem.block_gradient, problem.nonsmooth, problem.constraints,
-        problem.line_profile)
+    spying = dataclasses.replace(problem, smooth_value=lambda x: (
+        seen.append(x.copy()), problem.smooth_value(x))[1])
     run_bsca(spying, quadratic_solver(1.0),
              SolverConfig(max_outer_iterations=40, curvature=1.0),
              np.zeros(6))

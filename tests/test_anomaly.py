@@ -546,6 +546,37 @@ class TestProductHook:
         assert len(formed) == 1 + sum(effective for _, effective in steps)
         assert sum(formed) == 1 + sum(effective for k, effective in steps if k == 2)
 
+    @pytest.mark.parametrize("run", ["bsca", "bgd"])
+    def test_an_armijo_run_forms_d_s_at_sparse_step_ends_alone(self, monkeypatch, run):
+        # backtracking reads the line profile, not f at its trial points,
+        # so D S is formed at the start and at each effective sparse
+        # step's end point, as in an exact run; bgd backtracks on every
+        # block, about 14-21 halvings a step here
+        inst = tall_instance(seed=7, gain=0.3)
+        cfg = SolverConfig(max_outer_iterations=30, stop_tol=0.0, seed=2,
+                           inner_iterations=3, line_search="successive")
+        steps = []    # (block, effective) of each step
+        honest_step = engine.bsca_step
+
+        def spied(problem, solver, x, k, config):
+            out = honest_step(problem, solver, x, k, config)
+            steps.append((k, out[1].gamma != 0.0))
+            return out
+
+        formed = []
+        honest_fresh = AnomalyProducts.fresh
+
+        def fresh(hook, x, sparse_image=None):
+            formed.append(sparse_image is None)
+            return honest_fresh(hook, x, sparse_image)
+
+        monkeypatch.setattr(engine, "bsca_step", spied)
+        monkeypatch.setattr(AnomalyProducts, "fresh", fresh)
+        trace = (run_anomaly_bsca(inst, cfg) if run == "bsca" else run_bgd(
+            anomaly_problem(inst), cfg, state_to_vector(initial_state(inst, seed=2))))
+        assert any(e.block == 2 and e.armijo_exponent >= 0 for e in trace.entries)
+        assert sum(formed) == 1 + sum(effective for k, effective in steps if k == 2)
+
     @pytest.mark.parametrize("rounds", [1, 8])
     @pytest.mark.parametrize("run", ["bsca", "armijo", "parallel", "bgd"])
     def test_runs_match_the_problem_without_the_hook(self, run, rounds):

@@ -27,6 +27,7 @@ from bsca.errors import (
     InvalidArgumentError,
     InvalidPartitionError,
 )
+from bsca.linesearch import quadratic_profile
 
 
 class TestPartition:
@@ -63,13 +64,9 @@ class TestBlockPoint:
             BlockPoint(np.zeros(4), make_partition([2, 3]))
 
 
-def _scalar_problem(f, grad, regularizer=Zero()):
-    return CompositeProblem(
-        partition=make_partition([1]),
-        smooth_value=lambda x: float(f(x[0])),
-        block_gradient=lambda x, k: np.array([grad(x[0])]),
-        nonsmooth=(regularizer,),
-    )
+def _flat(x, d, block=None):
+    """The line profile of f = 0."""
+    return quadratic_profile(0.0, 0.0)
 
 
 class TestProblemParts:
@@ -89,7 +86,12 @@ class TestProblemParts:
     def test_a_problem_needs_one_part_per_block(self, nonsmooth, constraints, message):
         with pytest.raises(InvalidArgumentError, match=message):
             CompositeProblem(make_partition([1, 2]), lambda x: 0.0,
-                             lambda x, k: np.zeros(1), nonsmooth, constraints)
+                             lambda x, k: np.zeros(1), _flat, nonsmooth, constraints)
+
+    def test_a_problem_needs_a_line_profile(self):
+        with pytest.raises(InvalidArgumentError, match="line_profile"):
+            CompositeProblem(make_partition([1]), lambda x: 0.0,
+                             lambda x, k: np.zeros(1), None, (Zero(),))
 
 
 class TestRegularizerChange:
@@ -113,24 +115,30 @@ class TestRegularizerChange:
 class TestObjective:
     def test_pure_quadratic(self):
         part = make_partition([2])
-        prob = CompositeProblem(part, lambda x: float(0.5 * x @ x),
-                                lambda x, k: x, (Zero(),))
+        prob = CompositeProblem(part, lambda x: float(0.5 * x @ x), lambda x, k: x,
+                                lambda x, d, block=None: quadratic_profile(
+                                    float(d @ d), float(x @ d)),
+                                (Zero(),))
         assert objective(prob, np.array([3.0, 4.0])) == pytest.approx(12.5)
 
     def test_l1_only(self):
         part = make_partition([2])
         prob = CompositeProblem(part, lambda x: 0.0,
-                                lambda x, k: np.zeros(2), (L1Norm(2.0),))
+                                lambda x, k: np.zeros(2), _flat, (L1Norm(2.0),))
         assert objective(prob, np.array([1.0, -1.0])) == pytest.approx(4.0)
 
     def test_composite_scalar(self):
-        prob = _scalar_problem(lambda v: 0.5 * (v - 1.0) ** 2,
-                               lambda v: v - 1.0, L1Norm(1.0))
+        prob = CompositeProblem(
+            make_partition([1]), lambda x: float(0.5 * (x[0] - 1.0) ** 2),
+            lambda x, k: x - 1.0,
+            lambda x, d, block=None: quadratic_profile(
+                float(d[0] * d[0]), float((x[0] - 1.0) * d[0])),
+            (L1Norm(1.0),))
         assert objective(prob, np.array([0.0])) == pytest.approx(0.5)
 
     def test_infeasible_raises(self):
         prob = CompositeProblem(
-            make_partition([2]), lambda x: 0.0, lambda x, k: np.zeros(2),
+            make_partition([2]), lambda x: 0.0, lambda x, k: np.zeros(2), _flat,
             (Zero(),), (Box(np.zeros(2), np.ones(2)),))
         with pytest.raises(FeasibilityError):
             objective(prob, np.array([2.0, 0.5]))

@@ -77,9 +77,9 @@ def scalar_problem():
         part,
         lambda x: float(0.5 * (x[0] - 1.0) ** 2),
         lambda x, k: np.array([x[0] - 1.0]),
-        (Zero(),),
-        line_profile=lambda x, d, block=None: quadratic_profile(
-            float(d[0] * d[0]), float((x[0] - 1.0) * d[0])))
+        lambda x, d, block=None: quadratic_profile(
+            float(d[0] * d[0]), float((x[0] - 1.0) * d[0])),
+        (Zero(),))
 
 
 class TestSelectBlock:
@@ -127,11 +127,17 @@ class TestBscaStep:
         part = make_partition([2, 3, 1])
         weights = np.exp(rng.uniform(-1, 1, 6))
         center = rng.standard_normal(6)
+        def line_profile(x, d, block=None):
+            if block is not None:
+                d = part.embed(block, d)
+            return quadratic_profile(float((weights * d) @ d),
+                                     float((weights * (x - center)) @ d))
+
         problem = CompositeProblem(
             part,
             lambda x: float(0.5 * (weights * (x - center)) @ (x - center)),
             lambda x, k: (weights * (x - center))[part.slice_of(k)],
-            (Zero(), Zero(), Zero()))
+            line_profile, (Zero(), Zero(), Zero()))
         def exact_solver(p, x, k):
             sl = part.slice_of(k)
             return BlockSolution(center[sl], is_global_upper_bound=True)
@@ -187,11 +193,8 @@ class TestRunBsca:
         seen = []
         problem, hessian, target = random_quadratic_problem(
             rng, [3, 3], l1_gain=0.05, box_halfwidth=0.4)
-        spying = CompositeProblem(
-            problem.partition,
-            lambda x: (seen.append(x.copy()), problem.smooth_value(x))[1],
-            problem.block_gradient, problem.nonsmooth, problem.constraints,
-            problem.line_profile)
+        spying = dataclasses.replace(problem, smooth_value=lambda x: (
+            seen.append(x.copy()), problem.smooth_value(x))[1])
         cfg = SolverConfig(max_outer_iterations=40, curvature=1.0)
         trace = run_bsca(spying, quadratic_solver(1.0), cfg, np.zeros(6))
         assert all(np.all(np.abs(x) <= 0.4 + 1e-12) for x in seen)
@@ -213,10 +216,8 @@ class TestRunBsca:
 
     def test_generic_profile_audit_rejects_wrong_coefficients(self, rng):
         problem, hessian, target = random_quadratic_problem(rng, [4])
-        lying = CompositeProblem(
-            problem.partition, problem.smooth_value, problem.block_gradient,
-            problem.nonsmooth, problem.constraints,
-            lambda x, d, block=None: quadratic_profile(1.0, -1.0))
+        lying = dataclasses.replace(
+            problem, line_profile=lambda x, d, block=None: quadratic_profile(1.0, -1.0))
         cfg = SolverConfig(max_outer_iterations=3, curvature=0.5)
         x0 = rng.standard_normal(4)
         run_bsca(lying, quadratic_solver(0.5), cfg, x0)    # no line: no audit
@@ -224,18 +225,18 @@ class TestRunBsca:
             run_bsca(dataclasses.replace(lying, products=LinedProducts(lying)),
                      quadratic_solver(0.5), cfg, x0)
 
-    def test_exact_search_without_a_profile_scans_f(self, rng):
-        # no line_profile: the exact search scans f along the step with a
-        # grid and golden section, and lands on the closed-form stepsize
-        problem, _, _ = random_quadratic_problem(rng, [3, 2], l1_gain=0.1)
-        bare = dataclasses.replace(problem, line_profile=None)
-        cfg = SolverConfig(max_outer_iterations=1, curvature=0.2)
-        x = rng.standard_normal(5)
-        for k in range(2):
-            _, exact, _ = bsca_step(problem, quadratic_solver(0.2), x, k, cfg)
-            _, scanned, _ = bsca_step(bare, quadratic_solver(0.2), x, k, cfg)
-            assert 0.0 < exact.gamma < 1.0
-            assert scanned.gamma == pytest.approx(exact.gamma, abs=1e-9)
+    def test_an_armijo_step_evaluates_f_in_its_guard_alone(self, rng):
+        # backtracking reads the line profile, so f is evaluated once at
+        # the start and once per step, by the guard
+        problem, _, _ = random_quadratic_problem(rng, [3, 2, 4], l1_gain=0.1)
+        evaluated = []
+        spying = dataclasses.replace(problem, smooth_value=lambda x: (
+            evaluated.append(x), problem.smooth_value(x))[1])
+        cfg = SolverConfig(max_outer_iterations=12, stop_tol=0.0, curvature=0.5,
+                           line_search="successive")
+        trace = run_bsca(spying, quadratic_solver(0.5), cfg, rng.standard_normal(9))
+        assert any(e.armijo_exponent > 0 for e in trace.entries)
+        assert len(evaluated) == 1 + np.count_nonzero(trace.stepsizes)
 
     def test_deterministic_random_rule(self, rng):
         problem, _, _ = random_quadratic_problem(rng, [2, 2, 2], l1_gain=0.1)
@@ -406,13 +407,11 @@ class TestProductHookCalls:
         assert trace.product_drift <= 1e-12
 
 
-    @pytest.mark.parametrize("search", ["armijo", "exact", "scanned"])
+    @pytest.mark.parametrize("search", ["armijo", "exact"])
     def test_a_hook_without_a_line_searches_as_no_hook(self, rng, search):
-        # the hook gives no line, so f is evaluated afresh along each step
-        # and no profile is audited, as for the problem without a hook
+        # the hook gives no line, so no profile is audited, as for the
+        # problem without a hook
         plain, _, _ = random_quadratic_problem(rng, [3, 2, 4], l1_gain=0.1)
-        if search == "scanned":
-            plain = dataclasses.replace(plain, line_profile=None)
         hook = LoggedProducts(plain.partition)
         assert hook.line(np.zeros(9), np.ones(3), 0) is None
         cfg = SolverConfig(max_outer_iterations=24, stop_tol=0.0, curvature=0.5,
@@ -541,9 +540,15 @@ class TestGuard:
         # f = ||x - 2||^2 / 2 over two blocks of two entries, the second
         # boxed in [-1, 1]
         partition = make_partition([2, 2])
+
+        def line_profile(x, d, block=None):
+            if block is not None:
+                d = partition.embed(block, d)
+            return quadratic_profile(float(d @ d), float((x - 2.0) @ d))
+
         return CompositeProblem(
             partition, lambda x: float(0.5 * (x - 2.0) @ (x - 2.0)),
-            lambda x, k: x[partition.slice_of(k)] - 2.0, (Zero(), Zero()),
+            lambda x, k: x[partition.slice_of(k)] - 2.0, line_profile, (Zero(), Zero()),
             (Unconstrained(), Box(np.full(2, -1.0), np.full(2, 1.0))))
 
     def test_a_joint_step_out_of_a_box_names_the_iteration(self):
@@ -634,8 +639,7 @@ class TestParallelSca:
             part,
             lambda x: float(0.5 * (weights * (x - center)) @ (x - center)),
             lambda x, k: (weights * (x - center))[part.slice_of(k)],
-            (Zero(), Zero()),
-            line_profile=line_profile)
+            line_profile, (Zero(), Zero()))
 
         def solver(p, x, k):
             # exact separable block minimizer in closed form
@@ -752,11 +756,8 @@ class TestInexact:
         seen = []
         problem, _, _ = random_quadratic_problem(rng, [3, 3], l1_gain=0.05,
                                                  box_halfwidth=0.25)
-        spying = CompositeProblem(
-            problem.partition,
-            lambda x: (seen.append(x.copy()), problem.smooth_value(x))[1],
-            problem.block_gradient, problem.nonsmooth, problem.constraints,
-            problem.line_profile)
+        spying = dataclasses.replace(problem, smooth_value=lambda x: (
+            seen.append(x.copy()), problem.smooth_value(x))[1])
         cfg = SolverConfig(max_outer_iterations=30, inner_iterations=4,
                            curvature=1.0)
         trace = run_bsca(spying, inexact_solver(proximal_linear(1.0), cfg),
@@ -836,9 +837,10 @@ class TestBgd:
         part = make_partition([1])
         problem = CompositeProblem(
             part, lambda x: float(0.5 * x[0] ** 2),
-            lambda x, k: np.array([x[0]]), (Zero(),),
-            line_profile=lambda x, d, block=None: quadratic_profile(
-                float(d[0] ** 2), float(x[0] * d[0])))
+            lambda x, k: np.array([x[0]]),
+            lambda x, d, block=None: quadratic_profile(
+                float(d[0] ** 2), float(x[0] * d[0])),
+            (Zero(),))
         cfg = SolverConfig(max_outer_iterations=3, curvature=1.0)
         trace = run_bgd(problem, cfg, np.array([1.0]))
         assert trace.objectives[1] == pytest.approx(0.0, abs=1e-30)
@@ -847,9 +849,10 @@ class TestBgd:
         part = make_partition([1])
         problem = CompositeProblem(
             part, lambda x: float(0.5 * x[0] ** 2),
-            lambda x, k: np.array([x[0]]), (L1Norm(10.0),),
-            line_profile=lambda x, d, block=None: quadratic_profile(
-                float(d[0] ** 2), float(x[0] * d[0])))
+            lambda x, k: np.array([x[0]]),
+            lambda x, d, block=None: quadratic_profile(
+                float(d[0] ** 2), float(x[0] * d[0])),
+            (L1Norm(10.0),))
         cfg = SolverConfig(max_outer_iterations=3, curvature=0.5)
         trace = run_bgd(problem, cfg, np.array([1.0]))
         assert trace.final_point.values == pytest.approx([0.0], abs=1e-30)

@@ -3,12 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bsca import linesearch
 from bsca.core import L1Norm, Zero
 from bsca.errors import InvalidArgumentError, LineSearchError
 from bsca.linesearch import (
     ScalarProfile,
-    _grid_golden,
     cubic_real_roots,
     descent_quantity,
     exact_quadratic_step,
@@ -65,14 +63,15 @@ class TestExactQuarticStep:
         assert step.gamma == pytest.approx(0.5, abs=1e-9)
         assert step.armijo_exponent is None
 
-    def test_tiny_coefficients_need_no_scan(self, monkeypatch):
+    def test_tiny_coefficients_need_no_scan(self):
         # an increasing profile keeps the left endpoint, found from the
         # roots of its derivative alone
-        scans = []
-        monkeypatch.setattr(linesearch, "_grid_golden",
-                            lambda phi: scans.append(phi) or _grid_golden(phi))
         assert exact_quartic_step(1e-300, 1e-300, 1e-300, 1.0).gamma == 0.0
-        assert scans == []
+
+    @pytest.mark.parametrize("v3, gamma", [(1e120, 0.0), (-1e120, 1.0)])
+    def test_a_huge_cubic_term_keeps_an_endpoint(self, v3, gamma):
+        # the profile rises (falls) across the whole of [0, 1]
+        assert exact_quartic_step(1.0, v3, 1.0, 1.0).gamma == gamma
 
     @pytest.mark.parametrize("coeffs, gamma", [
         # the derivative 5e-324 g^3 + g^2 + g - 1: a leading term that a
@@ -346,18 +345,3 @@ class TestProfiles:
         assert got == pytest.approx(gamma, abs=1e-5)
         assert profile.value(got) == pytest.approx(value, abs=1e-7)
 
-
-class TestGridGolden:
-    def test_increasing_profile_keeps_the_left_endpoint(self):
-        profile = ScalarProfile(1.0, 1e120, 1.0, 1.0)
-        assert _grid_golden(profile.value).gamma == 0.0
-        assert exact_quartic_step(1.0, 1e120, 1.0, 1.0).gamma == 0.0
-
-    def test_decreasing_profile_keeps_the_right_endpoint(self):
-        profile = ScalarProfile(1.0, -1e120, 1.0, 1.0)
-        assert _grid_golden(profile.value).gamma == 1.0
-        assert exact_quartic_step(1.0, -1e120, 1.0, 1.0).gamma == 1.0
-
-    def test_interior_minimizer_is_refined(self):
-        step = _grid_golden(lambda g: (g - 0.123456789) ** 2)
-        assert step.gamma == pytest.approx(0.123456789, abs=1e-9)

@@ -741,6 +741,29 @@ class TestRunPhaseRetrieval:
         with pytest.raises(ProfileMismatchError):
             runs[algorithm]()
 
+    @pytest.mark.parametrize("algorithm", ["bsca", "bgd"])
+    def test_each_armijo_step_audits_the_quartic_profile(self, rng, algorithm):
+        # Armijo backtracks on the profile, so its steps are audited too
+        inst = tiny_instance(seed=12, blocks=3)
+        cfg = SolverConfig(max_outer_iterations=6, inner_iterations=2,
+                           line_search="successive")
+        x0 = rng.standard_normal(24)
+        problem = pr_problem(inst)
+
+        def lying(x, direction, block=None):
+            p = problem.line_profile(x, direction, block)
+            return phase_retrieval.ScalarProfile(p.v4, p.v3, p.v2, 1.5 * p.v1 - 1.0)
+
+        def run(problem):
+            if algorithm == "bgd":
+                return run_bgd(problem, cfg, x0)
+            return run_bsca(problem, pr_solver(cfg), cfg, x0)
+
+        trace = run(problem)
+        assert any(e.armijo_exponent >= 0 for e in trace.entries)
+        with pytest.raises(ProfileMismatchError):
+            run(dataclasses.replace(problem, line_profile=lying))
+
     def test_matches_parallel_sca_with_well_solved_subproblems(self, rng):
         inst = tiny_instance(seed=10, blocks=1)
         x0 = rng.standard_normal(24)

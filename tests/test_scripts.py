@@ -124,7 +124,7 @@ def test_manifest_gate_compares_a_checkout_with_itself():
     done = subprocess.run([sys.executable, str(gate), "compare", str(gate.parents[1])],
                           env=env, capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.splitlines()[-1] == "23 of 23 manifests reproduce"
+    assert done.stdout.splitlines()[-1] == "25 of 25 manifests reproduce"
 
 
 def test_manifest_gate_sums_up_how_two_traces_differ(tmp_path):

@@ -14,6 +14,7 @@ from bsca.core import (
 )
 from bsca.engine import inexact_inner_loop, quadratic_solver
 from bsca.errors import InvalidArgumentError, NoClosedFormError
+from bsca.linesearch import quadratic_profile
 from bsca.phase_retrieval import pr_outer_model, pr_problem
 from bsca.surrogates import (
     QuadOperator,
@@ -197,7 +198,9 @@ class TestSolveSurrogate:
         b = rng.standard_normal(4)
         model = spd_model(spd, b, np.zeros(4))
         problem = CompositeProblem(make_partition([4]), lambda x: 0.0,
-                                   lambda x, k: np.zeros(4), (L1Norm(0.5),))
+                                   lambda x, k: np.zeros(4),
+                                   lambda x, d, block=None: quadratic_profile(0.0, 0.0),
+                                   (L1Norm(0.5),))
         got = inexact_inner_loop(model, problem, 0, SolverConfig(
             max_outer_iterations=0, inner_iterations=2000))
         # first-order optimality of the quad + l1 minimizer
